@@ -81,8 +81,7 @@ import time
 
 from conftest import scale
 
-from repro.api import build_gateway
-from repro.app.kv import kv_app_factory
+from repro.api import ClusterServer, build_gateway, build_kv, build_server
 from repro.bench.harness import Series, format_table
 from repro.cache.client import BlockingMemcacheClient
 from repro.http.blocking_client import (
@@ -90,8 +89,6 @@ from repro.http.blocking_client import (
     read_full_response,
     read_response,
 )
-from repro.http.server import build_live_server
-from repro.runtime.cluster import ClusterServer
 
 SHARD_POINTS = [1, 2, 4]
 LOAD_PROCESSES = 6
@@ -161,14 +158,18 @@ OVERLOAD_CONNECTIONS = 6          # 36 offered vs 16 admitted
 OVERLOAD_P99_BOUND_MS = 500.0
 
 
-def app_factory(rt, listener):
-    return build_live_server(rt, listener, site=SITE)
+def app_factory(ctx):
+    return build_server(ctx=ctx, site=SITE)
 
 
-def capped_app_factory(rt, listener):
-    return build_live_server(
-        rt, listener, site=SITE, max_connections=OVERLOAD_CAP_PER_SHARD
+def capped_app_factory(ctx):
+    return build_server(
+        ctx=ctx, site=SITE, max_connections=OVERLOAD_CAP_PER_SHARD
     )
+
+
+def kv_factory(ctx):
+    return build_kv(ctx=ctx)
 
 
 # ----------------------------------------------------------------------
@@ -427,7 +428,7 @@ def _kv_load_process(port, connections, duration, barrier, result_pipe):
 def run_kv(duration: float, poller: str = "auto") -> dict:
     """The mesh-enabled KV cluster under a keep-alive GET fleet."""
     cluster = ClusterServer(
-        kv_app_factory, shards=KV_SHARDS, mesh=True, poller=poller
+        kv_factory, shards=KV_SHARDS, mesh=True, poller=poller
     )
     cluster.start()
     try:
@@ -547,7 +548,7 @@ def run_kv_replicated(duration: float, poller: str = "auto") -> dict:
     a shard mid-traffic, require every key readable and outage writes to
     succeed, respawn, and require hinted handoff to drain."""
     cluster = ClusterServer(
-        kv_app_factory, shards=KV_REPL_SHARDS, mesh=True,
+        kv_factory, shards=KV_REPL_SHARDS, mesh=True,
         replication=KV_REPL_FACTOR, respawn=False, grace=0.5,
         poller=poller,
     )
@@ -716,7 +717,7 @@ def run_durability(duration: float, poller: str = "auto") -> dict:
     ratio, and a fixed burst keeps it comparable across runs."""
     wal_root = tempfile.mkdtemp(prefix="repro-bench-wal-")
     cluster = ClusterServer(
-        kv_app_factory, shards=DURABILITY_SHARDS, mesh=True,
+        kv_factory, shards=DURABILITY_SHARDS, mesh=True,
         replication=DURABILITY_REPL, respawn=False, grace=0.5,
         poller=poller, wal_dir=wal_root,
         wal_flush_interval=DURABILITY_FLUSH_INTERVAL,
@@ -875,7 +876,7 @@ def run_cache(duration: float, poller: str = "auto") -> dict:
     """The replicated cluster spoken to over the memcache wire protocol:
     populate with pipelined sets, then a pipelined multi-get fleet."""
     cluster = ClusterServer(
-        kv_app_factory, shards=CACHE_SHARDS, mesh=True,
+        kv_factory, shards=CACHE_SHARDS, mesh=True,
         replication=2, write_quorum=1,
         cache_port=0, cache_protocol="memcache", poller=poller,
     )
@@ -936,8 +937,8 @@ def run_cache(duration: float, poller: str = "auto") -> dict:
 # ----------------------------------------------------------------------
 # Gateway mode: the outbound stack (pools + HttpClient + coalescing).
 # ----------------------------------------------------------------------
-def gateway_upstream_factory(rt, listener):
-    return build_live_server(rt, listener, site=GATEWAY_SITE)
+def gateway_upstream_factory(ctx):
+    return build_server(ctx=ctx, site=GATEWAY_SITE)
 
 
 def make_gateway_factory(upstream_port: int):

@@ -27,10 +27,15 @@ from __future__ import annotations
 import sys
 import time
 
-from repro.app.kv import kv_app_factory
+from repro.api import ClusterServer, build_kv
 from repro.cache.client import BlockingMemcacheClient, BlockingRespClient
 from repro.http.blocking_client import BlockingHttpClient
-from repro.runtime.cluster import ClusterServer
+
+
+def app_factory(ctx):
+    """One shard's application: replication, quorum, durability and the
+    cache port all arrive from the cluster configuration."""
+    return build_kv(ctx=ctx)
 
 
 def main() -> None:
@@ -46,7 +51,7 @@ def main() -> None:
         assert protocol in ("memcache", "resp"), protocol
 
     cluster = ClusterServer(
-        kv_app_factory, shards=shards, mesh=True,
+        app_factory, shards=shards, mesh=True,
         replication=min(2, shards), write_quorum=1,
         cache_port=0, cache_protocol=protocol,
     )

@@ -23,9 +23,8 @@ from __future__ import annotations
 import sys
 import time
 
+from repro.api import ClusterServer, build_server
 from repro.http.blocking_client import BlockingHttpClient
-from repro.http.server import build_live_server
-from repro.runtime.cluster import ClusterServer
 
 SITE = {
     "index.html": b"<html><body><h1>sharded monadic threads</h1></body></html>",
@@ -33,9 +32,9 @@ SITE = {
 }
 
 
-def app_factory(rt, listener):
+def app_factory(ctx):
     """One shard's application: a static site preloaded into the cache."""
-    return build_live_server(rt, listener, site=SITE)
+    return build_server(ctx=ctx, site=SITE)
 
 
 def fetch(port: int, path: str, client: BlockingHttpClient | None = None):

@@ -25,17 +25,16 @@ import sys
 import threading
 import time
 
-from repro.api import build_gateway, build_server
+from repro.api import ClusterServer, build_gateway, build_server
 from repro.http.blocking_client import BlockingHttpClient
-from repro.runtime.cluster import ClusterServer
 
 SITE = {f"page-{index}.html": f"<html>page {index}</html>".encode()
         for index in range(16)}
 SITE["hot.html"] = b"<html>" + b"h" * 1024 + b"</html>"
 
 
-def upstream_factory(rt, listener):
-    return build_server(rt=rt, listener=listener, site=SITE)
+def upstream_factory(ctx):
+    return build_server(ctx=ctx, site=SITE)
 
 
 def make_gateway_factory(upstream_port: int):

@@ -44,9 +44,14 @@ import signal
 import sys
 import time
 
-from repro.app.kv import build_kv_app
+from repro.api import ClusterServer, build_kv
 from repro.http.blocking_client import BlockingHttpClient
-from repro.runtime.cluster import ClusterServer
+
+
+def app_factory(ctx):
+    """One shard's application: replication, quorum, durability and the
+    cache port all arrive from the cluster configuration."""
+    return build_kv(ctx=ctx)
 
 
 def main() -> None:
@@ -70,12 +75,9 @@ def main() -> None:
     if "--wal-dir" in sys.argv:
         wal_dir = sys.argv[sys.argv.index("--wal-dir") + 1]
 
-    def app_factory(rt, listener, mesh):
-        return build_kv_app(rt, listener, mesh, replication=replication,
-                            write_quorum=quorum, wal_dir=wal_dir)
-
     cluster = ClusterServer(app_factory, shards=shards, mesh=True,
-                            replication=replication)
+                            replication=replication, write_quorum=quorum,
+                            wal_dir=wal_dir)
     cluster.start()
     print(f"{shards} KV shards serving http://127.0.0.1:{cluster.port} "
           f"(replication={replication}, write_quorum={quorum}, "

@@ -13,18 +13,13 @@ keyword-only builders with a uniform shape::
     def app_factory(ctx):
         return build_kv(ctx=ctx)
 
-Each builder accepts *either* ``ctx=`` (an
-:class:`~repro.runtime.cluster.AppContext`, as handed to new-style
-cluster factories) *or* explicit ``rt=``/``listener=`` keywords; when a
-context is given, its mesh/timers/cache listener/replication knobs flow
-through automatically and any explicit keyword overrides it.  All
-parameters are keyword-only — there is no positional contract to sniff.
-
-The historical entry points (:func:`repro.http.server.build_live_server`,
-:func:`repro.app.kv.build_kv_app`,
-:func:`repro.cache.frontend.build_cache_frontend`,
-:func:`repro.app.gateway.build_gateway`) remain importable from their
-home modules and are what these builders delegate to.
+Each builder accepts *either* ``ctx=`` (the
+:class:`~repro.runtime.cluster.AppContext` a cluster hands its
+``app_factory(ctx)``) *or* explicit ``rt=``/``listener=`` keywords; with
+a context, its mesh, cache listener and the application knobs of
+``ctx.config`` flow through and any explicit keyword overrides them.
+All parameters are keyword-only.  The builders delegate to the
+constructors in each application's home module.
 """
 
 from __future__ import annotations
@@ -61,7 +56,10 @@ __all__ = [
     "make_listener",
 ]
 
-_UNSET = object()
+#: The :class:`ClusterConfig` fields :func:`build_kv` forwards to
+#: :func:`repro.app.kv.build_kv_app` under the same names.
+_KV_KNOBS = ("replication", "write_quorum", "cache_protocol", "wal_dir",
+             "wal_flush_interval", "wal_group_max")
 
 
 def _resolve(ctx: AppContext | None, rt: Any, listener: Any):
@@ -74,15 +72,6 @@ def _resolve(ctx: AppContext | None, rt: Any, listener: Any):
             "pass ctx=AppContext, or both rt= and listener= explicitly"
         )
     return rt, listener
-
-
-def _from_ctx(value: Any, ctx: AppContext | None, attr: str,
-              default: Any) -> Any:
-    if value is not _UNSET:
-        return value
-    if ctx is not None:
-        return getattr(ctx, attr)
-    return default
 
 
 def build_server(
@@ -107,42 +96,24 @@ def build_kv(
     ctx: AppContext | None = None,
     rt: Any = None,
     listener: Any = None,
-    mesh: Any = _UNSET,
-    timers: Any = _UNSET,
-    cache_listener: Any = _UNSET,
-    replication: Any = _UNSET,
-    write_quorum: Any = _UNSET,
-    cache_protocol: Any = _UNSET,
-    wal_dir: Any = _UNSET,
-    wal_flush_interval: Any = _UNSET,
-    wal_group_max: Any = _UNSET,
     **kwargs: Any,
 ) -> WebServer:
     """The sharded/replicated KV application.
 
-    With ``ctx=``, the shard's mesh node, shared timer wheel, cache
-    listener, replication knobs, and durability root (``wal_dir``) flow
-    through from the cluster configuration; each can still be
-    overridden by naming it.  Remaining keywords are those of
-    :func:`repro.app.kv.build_kv_app`.
+    With ``ctx=``, the shard's mesh node and cache listener, and the
+    replication, cache-dialect and durability knobs of ``ctx.config``,
+    flow through from the cluster; each can still be overridden by
+    naming it.  Keywords are those of :func:`repro.app.kv.build_kv_app`.
     """
     rt, listener = _resolve(ctx, rt, listener)
-    return _build_kv_app(
-        rt, listener,
-        mesh=_from_ctx(mesh, ctx, "mesh", None),
-        timers=_from_ctx(timers, ctx, "timers", None),
-        cache_listener=_from_ctx(cache_listener, ctx, "cache_listener",
-                                 None),
-        replication=_from_ctx(replication, ctx, "replication", 1),
-        write_quorum=_from_ctx(write_quorum, ctx, "write_quorum", 1),
-        cache_protocol=_from_ctx(cache_protocol, ctx, "cache_protocol",
-                                 "memcache"),
-        wal_dir=_from_ctx(wal_dir, ctx, "wal_dir", None),
-        wal_flush_interval=_from_ctx(wal_flush_interval, ctx,
-                                     "wal_flush_interval", 0.005),
-        wal_group_max=_from_ctx(wal_group_max, ctx, "wal_group_max", 128),
-        **kwargs,
-    )
+    if ctx is not None:
+        kwargs = {
+            "mesh": ctx.mesh,
+            "cache_listener": ctx.cache_listener,
+            **{knob: getattr(ctx.config, knob) for knob in _KV_KNOBS},
+            **kwargs,
+        }
+    return _build_kv_app(rt, listener, **kwargs)
 
 
 def build_cache(
@@ -151,22 +122,19 @@ def build_cache(
     ctx: AppContext | None = None,
     rt: Any = None,
     listener: Any = None,
-    protocol: Any = _UNSET,
     **kwargs: Any,
 ) -> Any:
     """A cache wire-protocol front-end (memcache/RESP) over ``store``.
 
-    ``store`` is any monadic KV surface; ``protocol`` defaults to the
-    context's ``cache_protocol`` when a context is given.  Remaining
+    ``store`` is any monadic KV surface; ``protocol`` defaults to
+    ``ctx.config.cache_protocol`` when a context is given.  Remaining
     keywords are those of
     :func:`repro.cache.frontend.build_cache_frontend`.
     """
     rt, listener = _resolve(ctx, rt, listener)
-    return _build_cache_frontend(
-        rt, listener, store,
-        protocol=_from_ctx(protocol, ctx, "cache_protocol", "memcache"),
-        **kwargs,
-    )
+    if ctx is not None:
+        kwargs.setdefault("protocol", ctx.config.cache_protocol)
+    return _build_cache_frontend(rt, listener, store, **kwargs)
 
 
 def build_gateway(

@@ -34,8 +34,10 @@ Ring / replication rules (the invariants the service is built on):
   to the key's other replicas, so a rolling ``reload()`` never drops the
   last live copy of a key.
 
-With ``replication=1`` (the default) all of the above collapses to the
-PR-3 behavior: single owner per key, non-owned ops proxied to the owner.
+``replication=1`` (the default) is the N=1 case of the same paths, not a
+second implementation: the preference list is ``[owner]``, a non-owner
+coordinates a one-peer fan-out, and with ``mesh=None`` the single shard
+owns every key and no op leaves the process.
 
 The HTTP facade serves the store through the layered stack
 (:class:`~repro.runtime.driver.ConnectionDriver` →
@@ -54,7 +56,7 @@ length-prefixed framing underneath handles the byte transport).
 
 **Durability** (optional, per shard): constructed with a
 :class:`~repro.app.wal.ShardWal`, every state change — versioned
-applies, raw single-owner ops, parked hints — is appended to the
+applies and parked hints — is appended to the
 shard's write-ahead log and **acked only after the group commit lands**
 (writers park on the log's flush barrier; one ``fsync`` wakes many).
 On start the node replays the snapshot plus the committed log prefix,
@@ -83,14 +85,14 @@ from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..core.do_notation import do
 from ..core.monad import M, pure
-from ..core.syscalls import sys_fork, sys_sleep
+from ..core.syscalls import sys_fork
 from ..http.message import HttpError, HttpRequest, HttpResponse
 from ..http.server import EmptyFilesystem, LiveSocketLayer, WebServer
 from ..runtime.mesh import MeshError, MeshNode, MeshTimeout
-from .wal import ShardWal
+from .wal import ShardWal, WalError
 
 __all__ = ["HashRing", "KvNode", "KvHttpHandler", "KvQuorumError",
-           "build_kv_app", "kv_app_factory"]
+           "build_kv_app"]
 
 
 class KvQuorumError(MeshError):
@@ -186,9 +188,9 @@ def _newer(a, b) -> bool:
 class KvNode:
     """One shard's view of the sharded store: local state + mesh client.
 
-    With ``mesh=None`` (single-process serving) the node owns every key.
-    With ``replication > 1`` every key lives on its ``replication`` ring
-    successors and ops run the replicated read/write paths (see the
+    With ``mesh=None`` (single-process serving, ``shards=1``) the node
+    owns every key.  Every key lives on its ``replication`` ring
+    successors and every op runs the versioned read/write paths (see the
     module docstring for the invariants).
     """
 
@@ -203,6 +205,8 @@ class KvNode:
         hint_replay_interval: float = 1.0,
         wal: ShardWal | None = None,
     ) -> None:
+        if mesh is None and shards != 1:
+            raise ValueError("a KvNode without a mesh is the only shard")
         self.index = index
         self.shards = shards
         self.replication = max(1, min(replication, shards))
@@ -255,14 +259,6 @@ class KvNode:
     def _local_get(self, key: str) -> bytes | None:
         return self.store.get(key)
 
-    def _local_put(self, key: str, value: bytes) -> bool:
-        created = key not in self.store
-        self.store[key] = value
-        return created
-
-    def _local_delete(self, key: str) -> bool:
-        return self.store.pop(key, None) is not None
-
     def _apply_versioned(
         self, key: str, version, value: bytes | None
     ) -> tuple[bool, bool]:
@@ -299,12 +295,6 @@ class KvNode:
         if self.wal is None:
             return pure(0)
         return self.wal.commit({"t": "w", "k": key, "ver": list(version),
-                                "v": _b64(value)})
-
-    def _wal_raw(self, op, key, value) -> M:
-        if self.wal is None:
-            return pure(0)
-        return self.wal.commit({"t": "raw", "op": op, "k": key,
                                 "v": _b64(value)})
 
     def _wal_hint(self, target, key, version, value) -> M:
@@ -352,12 +342,16 @@ class KvNode:
             if kind == "w":
                 self._apply_versioned(record["k"], record["ver"],
                                       _unb64(record.get("v")))
-            elif kind == "raw":
-                self._apply(record["op"], record["k"],
-                            _unb64(record.get("v")))
             elif kind == "hint":
                 self._queue_hint(int(record["tg"]), record["k"],
                                  record["ver"], _unb64(record.get("v")))
+            else:
+                # A log from another build: skipping the record would
+                # lose an acked write without a word.
+                raise WalError(
+                    f"shard {self.index}: unknown WAL record kind "
+                    f"{kind!r} in {self.wal.directory}"
+                )
 
     @property
     def hints_pending(self) -> int:
@@ -414,66 +408,21 @@ class KvNode:
     def replicas(self, key: str) -> list[int]:
         return self.ring.replicas(key)
 
-    def _replicated(self) -> bool:
-        return self.mesh is not None and self.replication > 1
-
-    def get(self, key: str, info: dict | None = None) -> M:
-        """Resumes with ``(found, value, proxied)``.
-
-        ``info`` (optional dict) is filled with replication detail:
-        ``replicas``/``consulted``/``repaired``/``served_by``.
-        """
-        if self._replicated():
-            return self._replicated_get(key, info)
-        return self._op("get", key, info=info)
-
-    def put(self, key: str, value: bytes, info: dict | None = None) -> M:
+    @do
+    def put(self, key: str, value: bytes, info: dict | None = None):
         """Resumes with ``(created, None, proxied)``."""
-        if self._replicated():
-            return self._rput(key, value, info)
-        return self._op("put", key, value, info=info)
-
-    def delete(self, key: str, info: dict | None = None) -> M:
-        """Resumes with ``(deleted, None, proxied)``."""
-        if self._replicated():
-            return self._rdelete(key, info)
-        return self._op("delete", key, info=info)
-
-    @do
-    def _op(self, op, key, value=None, info=None):
-        if info is not None:
-            info.update(replicas=1, acked=1, consulted=1)
-        owner = self.ring.owner(key)
-        if self.mesh is None or owner == self.index:
-            # The local majority path touches no JSON/base64 at all: the
-            # wire encoding is built only when the op actually crosses
-            # the mesh.
-            self.owned_ops += 1
-            found, out = self._apply(op, key, value)
-            if op != "get":
-                yield self._wal_raw(op, key, value)
-            return found, out, False
-        self.proxied_ops += 1
-        message = {"op": op, "key": key}
-        if op == "put":
-            message["value"] = _b64(value)
-        reply = yield self.mesh.call(owner, _encode(message))
-        decoded = _decode(reply)
-        return decoded["found"], _unb64(decoded.get("value")), True
-
-    # ------------------------------------------------------------------
-    # The replicated write path: fan out, quorum, hinted handoff.
-    # ------------------------------------------------------------------
-    @do
-    def _rput(self, key, value, info):
         existed, is_local = yield self._replicated_write(key, value, info)
         return not existed, None, not is_local
 
     @do
-    def _rdelete(self, key, info):
+    def delete(self, key: str, info: dict | None = None):
+        """Resumes with ``(deleted, None, proxied)``."""
         existed, is_local = yield self._replicated_write(key, None, info)
         return existed, None, not is_local
 
+    # ------------------------------------------------------------------
+    # The write path: fan out, quorum, hinted handoff.
+    # ------------------------------------------------------------------
     @do
     def _replicated_write(self, key, value, info):
         """Stamp, fan out to the preference list, enforce the quorum.
@@ -611,10 +560,15 @@ class KvNode:
         return False
 
     # ------------------------------------------------------------------
-    # The replicated read path: newest version wins, repair the rest.
+    # The read path: newest version wins, repair the rest.
     # ------------------------------------------------------------------
     @do
-    def _replicated_get(self, key, info):
+    def get(self, key: str, info: dict | None = None):
+        """Resumes with ``(found, value, proxied)``.
+
+        ``info`` (optional dict) is filled with replication detail:
+        ``replicas``/``consulted``/``repaired``/``served_by``.
+        """
         replicas = self.ring.replicas(key)
         is_local = self.index in replicas
         if is_local:
@@ -717,7 +671,7 @@ class KvNode:
         still down keeps its remaining hints for the next attempt.  The
         cluster control protocol calls this (via the app's
         ``on_peer_up`` hook) when a shard respawns or reloads; the
-        periodic :meth:`hint_pump` is the backstop.
+        periodic :meth:`pump_tick` is the backstop.
         """
         return self._replay_hints(peer)
 
@@ -746,27 +700,6 @@ class KvNode:
             if not bucket:
                 self.hints.pop(target, None)
         return replayed
-
-    @do
-    def hint_pump(self, interval: float | None = None):
-        """Background retry loop: replays any parked hints every
-        ``interval`` seconds until :attr:`pump_running` is cleared
-        (wired to the server's ``stop()`` by :func:`build_kv_app`).
-
-        This is the standalone (dedicated-thread) form; on a runtime
-        with a shared :class:`~repro.runtime.timer_wheel.TimerWheel`,
-        :func:`build_kv_app` arms :meth:`pump_tick` on the wheel instead
-        — same cadence, no thread of its own."""
-        if interval is None:
-            interval = self.hint_replay_interval
-        self.pump_running = True
-        while self.pump_running:
-            yield sys_sleep(interval)
-            if self.hints:
-                try:
-                    yield self._replay_hints(None)
-                except MeshError:
-                    pass
 
     def pump_tick(self, timers: Any) -> M:
         """One timer-wheel firing of the hint pump: fork a replay if
@@ -841,16 +774,9 @@ class KvNode:
         for key in keys:
             by_owner.setdefault(self.ring.owner(key), []).append(key)
         merged: dict[str, bytes | None] = {}
-        if self.mesh is None:
-            # Single-owner store: every key is local.
-            local_groups = list(by_owner.values())
-            by_owner = {}
-        else:
-            local_groups = [by_owner.pop(self.index, [])]
-        for group in local_groups:
-            for key in group:
-                self.owned_ops += 1
-                merged[key] = self._local_get(key)
+        for key in by_owner.pop(self.index, []):
+            self.owned_ops += 1
+            merged[key] = self._local_get(key)
         if not by_owner:
             return merged
         bodies = {
@@ -860,12 +786,10 @@ class KvNode:
         replies = yield self.mesh.fan_out(bodies)
         for owner, reply in replies.items():
             if isinstance(reply, BaseException):
-                if self._replicated():
+                if self.replication > 1:
                     # Primary down: read each key through its replicas.
                     for key in by_owner[owner]:
-                        found, value, _proxied = yield self._replicated_get(
-                            key, None
-                        )
+                        found, value, _proxied = yield self.get(key)
                         merged[key] = value if found else None
                     continue
                 raise reply
@@ -951,27 +875,7 @@ class KvNode:
                 self.owned_ops += 1
                 values[key] = _b64(self._local_get(key))
             return _encode({"values": values})
-        self.owned_ops += 1
-        value = _unb64(message.get("value"))
-        found, out = self._apply(op, message["key"], value)
-        if op != "get":
-            yield self._wal_raw(op, message["key"], value)
-        return _encode({"found": found, "value": _b64(out)})
-
-    def _apply(
-        self, op: str, key: str, value: bytes | None
-    ) -> tuple[bool, bytes | None]:
-        """One single-key op against the local store (raw bytes,
-        unversioned — the ``replication=1`` proxy path)."""
-        if op == "get":
-            stored = self._local_get(key)
-            return stored is not None, stored
-        if op == "put":
-            return self._local_put(key, value if value is not None
-                                   else b""), None
-        if op == "delete":
-            return self._local_delete(key), None
-        raise ValueError(f"unknown kv op {op!r}")
+        raise ValueError(f"unknown kv mesh op {op!r}")
 
 
 def _encode(message: dict) -> bytes:
@@ -1087,7 +991,6 @@ def build_kv_app(
     vnodes: int = 64,
     replication: int = 1,
     write_quorum: int = 1,
-    timers: Any = None,
     cache_listener: Any = None,
     cache_protocol: str = "memcache",
     cache_max_connections: int | None = None,
@@ -1103,11 +1006,11 @@ def build_kv_app(
     local).  ``replication`` puts every key on that many ring successors;
     ``write_quorum`` is the minimum replica acks for a write to succeed.
     A replicated app also wires the background hinted-handoff machinery:
-    a hint pump — recurring ticks on ``timers`` (a shared
-    :class:`~repro.runtime.timer_wheel.TimerWheel`, usually the
-    runtime's) when given, else a dedicated thread forked next to the
-    accept loop — an ``on_peer_up`` hook for the cluster control
-    protocol, and a graceful-stop ``drain``.  Extra keyword arguments
+    a hint pump (recurring ticks on ``rt.timers``, the runtime's shared
+    :class:`~repro.runtime.timer_wheel.TimerWheel`, which also carries
+    the WAL's group-flush deadline — no thread of its own), an
+    ``on_peer_up`` hook for the cluster control protocol, and a
+    graceful-stop ``drain``.  Extra keyword arguments
     reach :class:`WebServer` (admission caps, parser limits...).
 
     ``cache_listener`` mounts a second wire protocol over the same node:
@@ -1130,7 +1033,7 @@ def build_kv_app(
             os.path.join(wal_dir, f"shard-{index or 0}"),
             flush_interval=wal_flush_interval,
             group_max=wal_group_max,
-            timers=timers,
+            timers=rt.timers,
         )
     node = KvNode(index or 0, shards or 1, mesh=mesh, vnodes=vnodes,
                   replication=replication, write_quorum=write_quorum,
@@ -1149,20 +1052,14 @@ def build_kv_app(
     if mesh is not None and node.replication > 1:
         driver_main = server.main
 
-        if timers is not None:
-            @do
-            def main_with_pump():
-                node.pump_running = True
-                yield timers.schedule(
-                    node.hint_replay_interval,
-                    lambda: node.pump_tick(timers),
-                )
-                yield driver_main()
-        else:
-            @do
-            def main_with_pump():
-                yield sys_fork(node.hint_pump(), name="kv-hint-pump")
-                yield driver_main()
+        @do
+        def main_with_pump():
+            node.pump_running = True
+            yield rt.timers.schedule(
+                node.hint_replay_interval,
+                lambda: node.pump_tick(rt.timers),
+            )
+            yield driver_main()
 
         base_stop = server.stop
 
@@ -1208,33 +1105,3 @@ def build_kv_app(
         server.extra_stats = extra_stats
         server.cache_frontend = frontend
     return server
-
-
-def kv_app_factory(
-    rt: Any,
-    listener: Any,
-    mesh: MeshNode,
-    replication: int = 1,
-    write_quorum: int = 1,
-    cache_listener: Any = None,
-    cache_protocol: str = "memcache",
-    wal_dir: str | None = None,
-    wal_flush_interval: float = 0.005,
-    wal_group_max: int = 128,
-) -> WebServer:
-    """The cluster ``app_factory`` for a mesh-enabled KV cluster.
-
-    ``replication``, ``cache_listener``, ``cache_protocol``, and the
-    ``wal_*`` durability knobs arrive from
-    :class:`~repro.runtime.cluster.ClusterConfig` (the cluster passes
-    each to any factory whose signature names it).  The runtime's
-    shared timer wheel drives the hint pump and the WAL group-flush
-    deadline, so a durable replicated shard spawns no extra threads."""
-    return build_kv_app(rt, listener, mesh, replication=replication,
-                        write_quorum=write_quorum,
-                        timers=getattr(rt, "timers", None),
-                        cache_listener=cache_listener,
-                        cache_protocol=cache_protocol,
-                        wal_dir=wal_dir,
-                        wal_flush_interval=wal_flush_interval,
-                        wal_group_max=wal_group_max)

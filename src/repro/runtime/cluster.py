@@ -17,7 +17,7 @@ Layout:
   socket, so ``port=0`` resolves once and respawned shards can rebind),
   forks shard processes, monitors them, and respawns crashed ones;
 * each **shard** builds a runtime via :func:`build_runtime`, constructs its
-  application through the caller's ``app_factory(rt, listener)``, and runs
+  application through the caller's ``app_factory(ctx)``, and runs
   until told to stop;
 * a **control protocol** — newline-delimited JSON over a per-shard
   ``socketpair`` — carries ``stats`` / ``stop`` / ``crash`` commands down
@@ -52,54 +52,6 @@ from .live_runtime import LiveRuntime, make_listener
 from .mesh import MeshNode
 
 __all__ = ["AppContext", "ClusterConfig", "ClusterServer", "build_runtime"]
-
-#: ``app_factory(ctx: AppContext) -> app`` — builds one shard's
-#: application.  A factory with exactly one required positional parameter
-#: receives the shard's :class:`AppContext`; legacy factories taking
-#: ``(rt, listener)`` or ``(rt, listener, mesh)`` (plus sniffed keyword
-#: knobs) are still dispatched by the deprecation shim in
-#: :func:`_worker_main`.
-AppFactory = Callable[..., Any]
-
-
-@dataclasses.dataclass
-class AppContext:
-    """Everything a shard hands its application factory — explicitly.
-
-    This replaces the arity-sniffing factory contract: instead of the
-    cluster inspecting signatures to decide whether to pass a mesh node
-    or forward a ``replication`` keyword, a new-style factory declares
-    one parameter and reads what it needs::
-
-        def app_factory(ctx: AppContext):
-            return build_kv(ctx=ctx)
-
-    ``timers`` is the shard runtime's shared
-    :class:`~repro.runtime.timer_wheel.TimerWheel` (also ``rt.timers``);
-    ``mesh``/``cache_listener`` are ``None`` unless the cluster was
-    configured with them.  The replication/cache knobs mirror
-    :class:`ClusterConfig` so one factory serves any cluster shape.
-    """
-
-    rt: Any
-    listener: Any
-    mesh: Any = None
-    timers: Any = None
-    cache_listener: Any = None
-    shard_index: int = 0
-    shards: int = 1
-    replication: int = 1
-    write_quorum: int = 1
-    cache_protocol: str = "memcache"
-    #: Durability root: apps that keep a write-ahead log put their
-    #: per-shard directory under it (``None`` disables durability).
-    wal_dir: str | None = None
-    #: Group-commit deadline (seconds): how long an acked write may wait
-    #: for its batch fsync.  Larger values amortise the disk barrier
-    #: over more writers at the cost of ack latency.
-    wal_flush_interval: float = 0.005
-    #: Flush immediately once this many records are pending.
-    wal_group_max: int = 128
 
 _CRASH_EXIT_CODE = 86  # distinguishes a commanded crash from a real one
 
@@ -136,34 +88,59 @@ class ClusterConfig:
     #: wedged peer trips the write watchdog *before* real traffic
     #: blocks on it.  ``None``/``0`` disables probing.
     mesh_keepalive: float | None = 5.0
-    #: Replication factor for replicated applications: passed through to
-    #: any ``app_factory`` whose signature names a ``replication``
-    #: parameter (e.g. the KV store's N-successor replication).
+    #: Replication factor for replicated applications (e.g. the KV
+    #: store's N-successor replication).
     replication: int = 1
-    #: Write quorum for replicated applications, forwarded the same way
-    #: (minimum replica acks before a write reports success).
+    #: Write quorum for replicated applications (minimum replica acks
+    #: before a write reports success).
     write_quorum: int = 1
     #: Cache front-end port (``None`` disables, ``0`` lets the master
     #: resolve an ephemeral one).  Like the serving port it is a single
     #: ``SO_REUSEPORT`` group every shard joins — any shard answers any
-    #: key, the kernel spreads connections.  The resulting listener is
-    #: passed to any ``app_factory`` naming a ``cache_listener``
-    #: parameter (e.g. the KV app, which mounts a :mod:`repro.cache`
-    #: protocol on it).
+    #: key, the kernel spreads connections.  The shard's listener on it
+    #: reaches the factory as ``ctx.cache_listener`` (the KV app mounts
+    #: a :mod:`repro.cache` protocol on it).
     cache_port: int | None = None
-    #: Cache dialect: ``"memcache"`` or ``"resp"``, forwarded to any
-    #: factory naming ``cache_protocol``.
+    #: Cache dialect: ``"memcache"`` or ``"resp"``.
     cache_protocol: str = "memcache"
-    #: Durability root for write-ahead-logging applications, forwarded
-    #: to any factory naming ``wal_dir`` (each shard derives its own
-    #: subdirectory, so one root serves the whole cluster and a
-    #: respawned shard finds its log again).  ``None`` disables.
+    #: Durability root for write-ahead-logging applications (each shard
+    #: derives its own subdirectory, so one root serves the whole
+    #: cluster and a respawned shard finds its log again).  ``None``
+    #: disables.
     wal_dir: str | None = None
-    #: WAL group-commit deadline (seconds) and pending-record watermark,
-    #: forwarded to factories naming them: the batching knobs of the
-    #: durability point (deadline trades ack latency for fewer fsyncs).
+    #: WAL group-commit deadline (seconds): how long an acked write may
+    #: wait for its batch fsync — larger values amortise the disk
+    #: barrier over more writers at the cost of ack latency.
     wal_flush_interval: float = 0.005
+    #: Flush immediately once this many records are pending.
     wal_group_max: int = 128
+
+
+@dataclasses.dataclass
+class AppContext:
+    """Everything a shard hands its application factory — explicitly::
+
+        def app_factory(ctx: AppContext):
+            return build_kv(ctx=ctx)
+
+    ``mesh``/``cache_listener`` are ``None`` unless the cluster was
+    configured with them.  Application knobs (replication, cache
+    dialect, durability) live on ``config``, the shard's resolved
+    :class:`ClusterConfig`, so one factory serves any cluster shape.
+    """
+
+    rt: Any
+    listener: Any
+    mesh: Any = None
+    cache_listener: Any = None
+    shard_index: int = 0
+    config: ClusterConfig = dataclasses.field(default_factory=ClusterConfig)
+
+
+#: ``app_factory(ctx: AppContext) -> app`` — builds one shard's
+#: application; the only factory contract (see :mod:`repro.api` for the
+#: builders a factory calls).
+AppFactory = Callable[[AppContext], Any]
 
 
 def build_runtime(config: ClusterConfig) -> LiveRuntime:
@@ -224,74 +201,6 @@ def _queue_depth(sched: Any) -> int:
     return ready if isinstance(ready, int) else len(ready)
 
 
-def _takes_context(app_factory: AppFactory) -> bool:
-    """New-style factory detection: exactly one required positional
-    parameter (the :class:`AppContext`), no ``*args``.  Legacy factories
-    take at least ``(rt, listener)`` and fall through to the shim."""
-    try:
-        parameters = inspect.signature(app_factory).parameters
-    except (TypeError, ValueError):
-        return False
-    if any(p.kind == inspect.Parameter.VAR_POSITIONAL
-           for p in parameters.values()):
-        return False
-    required = [
-        p for p in parameters.values()
-        if p.kind in (inspect.Parameter.POSITIONAL_ONLY,
-                      inspect.Parameter.POSITIONAL_OR_KEYWORD)
-        and p.default is inspect.Parameter.empty
-    ]
-    return len(required) == 1
-
-
-def _mesh_passing(app_factory: AppFactory) -> str | None:
-    """Deprecation shim (legacy factories only): how to hand the factory
-    its :class:`MeshNode`: ``"kw"`` (it has a
-    parameter literally named ``mesh``), ``"pos"`` (a third required
-    positional, or ``*args``), or ``None`` (two-argument contract).
-
-    A parameter *named* ``mesh`` wins even when defaulted (so
-    ``build_kv_app``-style signatures get the node); an unrelated
-    defaulted third parameter like ``cache_bytes=N`` must not silently
-    receive it.
-    """
-    try:
-        parameters = inspect.signature(app_factory).parameters
-    except (TypeError, ValueError):
-        return None
-    mesh_param = parameters.get("mesh")
-    if mesh_param is not None and mesh_param.kind in (
-        inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        inspect.Parameter.KEYWORD_ONLY,
-    ):
-        return "kw"
-    if any(p.kind == inspect.Parameter.VAR_POSITIONAL
-           for p in parameters.values()):
-        return "pos"
-    required = [
-        p for p in parameters.values()
-        if p.kind in (inspect.Parameter.POSITIONAL_ONLY,
-                      inspect.Parameter.POSITIONAL_OR_KEYWORD)
-        and p.default is inspect.Parameter.empty
-    ]
-    return "pos" if len(required) >= 3 else None
-
-
-def _accepts_keyword(app_factory: AppFactory, name: str) -> bool:
-    """Whether the factory's signature names ``name`` as a passable
-    keyword (used to forward cluster-level app knobs like
-    ``replication`` only to factories that ask for them)."""
-    try:
-        parameters = inspect.signature(app_factory).parameters
-    except (TypeError, ValueError):
-        return False
-    parameter = parameters.get(name)
-    return parameter is not None and parameter.kind in (
-        inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        inspect.Parameter.KEYWORD_ONLY,
-    )
-
-
 def _worker_main(
     index: int,
     config: ClusterConfig,
@@ -345,50 +254,10 @@ def _worker_main(
             config.host, config.cache_port,
             backlog=config.backlog, reuse_port=True,
         )
-    if _takes_context(app_factory):
-        # New-style contract: the factory declares one parameter and
-        # receives everything explicitly.
-        app = app_factory(AppContext(
-            rt=rt,
-            listener=listener,
-            mesh=mesh,
-            timers=rt.timers,
-            cache_listener=cache_listener,
-            shard_index=index,
-            shards=config.shards,
-            replication=config.replication,
-            write_quorum=config.write_quorum,
-            cache_protocol=config.cache_protocol,
-            wal_dir=config.wal_dir,
-            wal_flush_interval=config.wal_flush_interval,
-            wal_group_max=config.wal_group_max,
-        ))
-    else:
-        # Deprecation shim: legacy (rt, listener[, mesh]) factories with
-        # signature-sniffed keyword knobs.
-        factory_kwargs: dict[str, Any] = {}
-        for knob in ("replication", "write_quorum", "cache_protocol",
-                     "wal_dir", "wal_flush_interval", "wal_group_max"):
-            if _accepts_keyword(app_factory, knob):
-                factory_kwargs[knob] = getattr(config, knob)
-        if cache_listener is not None:
-            if _accepts_keyword(app_factory, "cache_listener"):
-                factory_kwargs["cache_listener"] = cache_listener
-            else:
-                # The caller asked for a cache port but the factory
-                # cannot mount it — surface the misconfiguration at
-                # spawn, not as a silently dead port.
-                raise TypeError(
-                    f"cache_port is set but {app_factory!r} does not "
-                    f"accept a cache_listener parameter"
-                )
-        passing = _mesh_passing(app_factory) if mesh is not None else None
-        if passing == "kw":
-            app = app_factory(rt, listener, mesh=mesh, **factory_kwargs)
-        elif passing == "pos":
-            app = app_factory(rt, listener, mesh, **factory_kwargs)
-        else:
-            app = app_factory(rt, listener, **factory_kwargs)
+    app = app_factory(AppContext(
+        rt=rt, listener=listener, mesh=mesh, cache_listener=cache_listener,
+        shard_index=index, config=config,
+    ))
     state = {"stop": False}
     ctrl.setblocking(False)
 
@@ -607,6 +476,19 @@ class ClusterServer:
             config = dataclasses.replace(config, **overrides)
         if config.shards < 1:
             raise ValueError("shards must be >= 1")
+        try:
+            # Checked here, in the master: in the forked child a wrong
+            # arity surfaces only as "shard 0 died during startup".
+            inspect.signature(app_factory).bind(None)
+        except ValueError:
+            pass  # no introspectable signature: the call itself decides
+        except TypeError as exc:
+            raise TypeError(
+                f"app_factory must be callable as app_factory(ctx) with "
+                f"the shard's AppContext (build the app with the "
+                f"repro.api builders, e.g. build_server(ctx=ctx)); "
+                f"{app_factory!r}: {exc}"
+            ) from None
         self.config = config
         self.app_factory = app_factory
         self._ctx = multiprocessing.get_context("fork")

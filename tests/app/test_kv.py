@@ -10,12 +10,15 @@ import json
 
 import pytest
 
-from repro.app.kv import HashRing, KvNode, build_kv_app, kv_app_factory
+from repro.api import ClusterServer
+from repro.app.kv import HashRing, KvHttpHandler, KvNode, KvQuorumError
 from repro.core.do_notation import do
 from repro.http.blocking_client import BlockingHttpClient
-from repro.runtime.cluster import ClusterServer
+from repro.http.message import HttpError, HttpRequest
 from repro.runtime.live_runtime import LiveRuntime
-from repro.runtime.mesh import MeshNode
+from repro.runtime.mesh import MeshError
+
+from .test_kv_replication import _drive_error, kv_factory, make_world
 
 
 # ----------------------------------------------------------------------
@@ -99,25 +102,19 @@ class TestSoloNode:
 
 
 # ----------------------------------------------------------------------
-# Two nodes over a real mesh in one runtime: proxying and fan-out.
+# Two nodes over a real mesh in one runtime: proxying and fan-out, at
+# replication=1 (the N=1 case of the versioned read/write path).
 # ----------------------------------------------------------------------
 class TestMeshedNodes:
     @pytest.fixture
-    def world(self):
-        rt = LiveRuntime(uncaught="store")
-        listeners = [rt.make_listener(), rt.make_listener()]
-        peers = {
-            i: ("127.0.0.1", listener.getsockname()[1])
-            for i, listener in enumerate(listeners)
-        }
-        meshes = [
-            MeshNode(i, rt.io, listeners[i], peers) for i in range(2)
-        ]
-        nodes = [KvNode(i, 2, mesh=meshes[i]) for i in range(2)]
-        for mesh in meshes:
-            rt.spawn(mesh.serve())
-        yield rt, nodes
-        rt.shutdown()
+    def rt(self):
+        runtime = LiveRuntime(uncaught="store")
+        yield runtime
+        runtime.shutdown()
+
+    @pytest.fixture
+    def world(self, rt):
+        return rt, make_world(rt, 2, replication=1)
 
     def drive(self, rt, comp):
         results = []
@@ -148,13 +145,49 @@ class TestMeshedNodes:
         assert created and proxied
         assert key in nodes[1].store
         assert key not in nodes[0].store
+        # The owner holds the coordinator's version stamp; the
+        # coordinator, holding no replica, keeps none.
+        assert nodes[1].versions[key] == (nodes[0].clock, 0)
+        assert key not in nodes[0].versions
         found, value, proxied = self.drive(rt, nodes[0].get(key))
         assert (found, value, proxied) == (True, b"remote", True)
         # Reading through the owner is local.
         found, value, proxied = self.drive(rt, nodes[1].get(key))
         assert (found, value, proxied) == (True, b"remote", False)
-        assert nodes[0].proxied_ops == 2
-        assert nodes[1].mesh_served_ops == 2
+        info = {}
+        deleted, _, proxied = self.drive(rt, nodes[0].delete(key, info))
+        assert deleted and proxied
+        assert (info["acked"], info["replicas"]) == (1, 1)
+        assert key not in nodes[1].store
+        assert nodes[1].versions[key] == (nodes[0].clock, 0)  # tombstone
+        found, value, _ = self.drive(rt, nodes[0].get(key))
+        assert (found, value) == (False, None)
+        assert (nodes[0].proxied_ops, nodes[0].owned_ops) == (4, 0)
+        # The owner's side of a proxied op counts as mesh-served only.
+        assert (nodes[1].mesh_served_ops, nodes[1].owned_ops) == (4, 1)
+
+    def test_owner_down_fails_writes_on_quorum_and_reads_on_mesh(self, rt):
+        nodes = make_world(rt, 2, live={0}, replication=1)
+        node = nodes[0]
+        key = self._key_owned_by(nodes, owner=1)
+        _, exc = _drive_error(rt, node.put(key, b"v"), MeshError)
+        assert isinstance(exc, KvQuorumError)
+        assert "0/1" in str(exc)
+        assert node.quorum_failures == 1
+        assert node.hints_pending == 0  # nobody acked: nowhere to park
+        _, exc = _drive_error(rt, node.get(key), MeshError)
+        assert not isinstance(exc, KvQuorumError)
+        # Through the HTTP facade: 503 for the write, 502/504 for the read.
+        handler = KvHttpHandler(node)
+        target = f"/kv/{key}"
+        _, exc = _drive_error(rt, handler.respond(
+            HttpRequest("PUT", target, "HTTP/1.1", {}, b"v")
+        ), HttpError)
+        assert exc.status == 503
+        _, exc = _drive_error(rt, handler.respond(
+            HttpRequest("GET", target, "HTTP/1.1", {})
+        ), HttpError)
+        assert exc.status in (502, 504)
 
     def test_mget_spans_both_shards(self, world):
         rt, nodes = world
@@ -180,15 +213,11 @@ class TestMeshedNodes:
 # ----------------------------------------------------------------------
 # The acceptance scenario: a 4-shard cluster, every shard answers any key.
 # ----------------------------------------------------------------------
-def solo_factory(rt, listener):
-    return build_kv_app(rt, listener)
-
-
 class TestKvCluster:
     @pytest.fixture(scope="class")
     def cluster(self):
         server = ClusterServer(
-            kv_app_factory, shards=4, mesh=True, grace=0.1
+            kv_factory, shards=4, mesh=True, grace=0.1
         )
         server.start()
         yield server
@@ -290,34 +319,9 @@ class TestKvCluster:
         client.close()
 
 
-class TestFactorySignatures:
-    def test_build_kv_app_direct_as_factory_gets_mesh_by_keyword(self):
-        # ``build_kv_app``'s mesh parameter is defaulted (mesh=None); the
-        # cluster must still pass the MeshNode (matched by name), or a
-        # mesh=True cluster would silently serve inconsistent data.
-        cluster = ClusterServer(build_kv_app, shards=2, mesh=True,
-                                grace=0.1)
-        cluster.start()
-        try:
-            client = BlockingHttpClient(cluster.port)
-            sources = set()
-            for index in range(12):
-                status, headers, _ = client.request(
-                    "PUT", f"/kv/sig:{index}", b"v"
-                )
-                assert status.split()[1] in ("201", "204"), status
-                sources.add(headers["x-kv-source"])
-            # One connection is pinned to one shard: with 2 shards and
-            # 12 keys, some ops must have crossed the mesh.
-            assert "proxied" in sources
-            client.close()
-        finally:
-            cluster.stop()
-
-
 class TestKvSoloCluster:
     def test_single_shard_without_mesh_serves_kv(self):
-        cluster = ClusterServer(solo_factory, shards=1, grace=0.1)
+        cluster = ClusterServer(kv_factory, shards=1, grace=0.1)
         cluster.start()
         try:
             client = BlockingHttpClient(cluster.port)

@@ -11,12 +11,16 @@ import time
 
 import pytest
 
-from repro.app.kv import HashRing, KvNode, KvQuorumError, kv_app_factory
+from repro.api import ClusterServer, build_kv
+from repro.app.kv import HashRing, KvNode, KvQuorumError
 from repro.core.do_notation import do
 from repro.http.blocking_client import BlockingHttpClient
-from repro.runtime.cluster import ClusterServer
 from repro.runtime.live_runtime import LiveRuntime
 from repro.runtime.mesh import MeshNode
+
+
+def kv_factory(ctx):
+    return build_kv(ctx=ctx)
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +344,7 @@ class TestReplicatedCluster:
 
     def test_kill_one_shard_every_key_readable_then_handoff_drains(self):
         cluster = ClusterServer(
-            kv_app_factory, shards=4, mesh=True, replication=2,
+            kv_factory, shards=4, mesh=True, replication=2,
             respawn=False, grace=0.5,
         )
         cluster.start()
@@ -414,7 +418,7 @@ class TestReplicatedCluster:
         # write-ahead log (store + parked hints), and the survivors'
         # hinted handoff drains to zero.
         cluster = ClusterServer(
-            kv_app_factory, shards=4, mesh=True, replication=2,
+            kv_factory, shards=4, mesh=True, replication=2,
             respawn=False, grace=0.5, wal_dir=str(tmp_path / "wal"),
         )
         cluster.start()
@@ -484,7 +488,7 @@ class TestReplicatedCluster:
         # keys, so every recovered read below is proof the WAL replay
         # works — there is no replica to lean on.
         cluster = ClusterServer(
-            kv_app_factory, shards=2, mesh=True, replication=1,
+            kv_factory, shards=2, mesh=True, replication=1,
             respawn=False, grace=0.5, wal_dir=str(tmp_path / "wal"),
         )
         cluster.start()
@@ -521,7 +525,7 @@ class TestReplicatedCluster:
         # graceful stop, so a full rolling reload — every shard restarts
         # empty, one at a time — never drops the last live copy.
         cluster = ClusterServer(
-            kv_app_factory, shards=2, mesh=True, replication=2,
+            kv_factory, shards=2, mesh=True, replication=2,
             respawn=False, grace=0.5,
         )
         cluster.start()
@@ -547,7 +551,7 @@ class TestReplicatedCluster:
 
     def test_kv_stats_reports_replication_fields(self):
         cluster = ClusterServer(
-            kv_app_factory, shards=2, mesh=True, replication=2, grace=0.2,
+            kv_factory, shards=2, mesh=True, replication=2, grace=0.2,
         )
         cluster.start()
         try:

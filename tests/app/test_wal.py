@@ -152,6 +152,21 @@ class TestRecovery:
         assert node2.store.get("k5") == b"v5"
         assert "k3" not in node2.store
         assert len(node2.store) == 7
+        assert node2.versions["k3"] == (9, 0)  # the tombstone's stamp
+        wal2.close()
+        # replication=1 logs the same versioned records as N>=2.
+        _state, records = ShardWal(directory).recover()
+        assert [record["t"] for record in records] == ["w"] * 9
+
+    def test_unknown_record_kind_fails_recovery(self, rt, tmp_path):
+        # A log written by another build must not replay as "nothing
+        # happened": construction fails, naming the record kind.
+        directory = str(tmp_path / "shard-0")
+        wal = ShardWal(directory)
+        _drive(rt, wal.commit({"t": "zz", "k": "lost"}))
+        wal.close()
+        with pytest.raises(WalError, match="'zz'"):
+            self._node(directory)
 
     def test_versioned_writes_and_hints_recover(self, rt, tmp_path):
         directory = str(tmp_path / "shard-0")
@@ -176,8 +191,8 @@ class TestRecovery:
         directory = str(tmp_path / "shard-0")
         timers = _FakeTimers()
         wal = ShardWal(directory, timers=timers)
-        _spawn_commits(rt, wal, [{"t": "raw", "op": "put", "k": "ghost",
-                                  "v": None}])
+        _spawn_commits(rt, wal, [{"t": "w", "ver": [1, 0], "k": "ghost",
+                                  "v": ""}])
         rt.run(until=lambda: len(wal._pending) == 1, idle_timeout=2.0)
         wal.close()  # crash before the timer ever fired
 
@@ -233,8 +248,8 @@ class TestRecovery:
         os.makedirs(directory)
 
         def encoded(key):
-            return json.dumps({"t": "raw", "op": "put", "k": key,
-                               "v": None}).encode()
+            return json.dumps({"t": "w", "ver": [1, 0], "k": key,
+                               "v": ""}).encode()
 
         torn = frame_record(encoded("torn"))
         seg1 = os.path.join(directory, "wal-00000001.log")
@@ -362,7 +377,7 @@ class TestGroupCommit:
     def test_n_writers_one_fsync(self, rt, tmp_path):
         timers = _FakeTimers()
         wal = ShardWal(str(tmp_path / "w"), timers=timers)
-        records = [{"t": "raw", "op": "put", "k": f"g{i}", "v": None}
+        records = [{"t": "w", "ver": [1, 0], "k": f"g{i}", "v": ""}
                    for i in range(10)]
         done = _spawn_commits(rt, wal, records)
         rt.run(until=lambda: len(wal._pending) == 10, idle_timeout=2.0)
@@ -384,7 +399,7 @@ class TestGroupCommit:
                                                             tmp_path):
         timers = _FakeTimers()
         wal = ShardWal(str(tmp_path / "w"), timers=timers, group_max=4)
-        records = [{"t": "raw", "op": "put", "k": f"wm{i}", "v": None}
+        records = [{"t": "w", "ver": [1, 0], "k": f"wm{i}", "v": ""}
                    for i in range(4)]
         done = _spawn_commits(rt, wal, records)
         rt.run(until=lambda: len(done) == 4, idle_timeout=5.0)
@@ -408,8 +423,8 @@ class TestGroupCommit:
             real_sync(fd)
 
         wal._sync = gated_sync
-        first = _spawn_commits(rt, wal, [{"t": "raw", "op": "put",
-                                          "k": "early", "v": None}])
+        first = _spawn_commits(rt, wal, [{"t": "w", "ver": [1, 0],
+                                          "k": "early", "v": ""}])
         rt.run(until=lambda: len(wal._pending) == 1, idle_timeout=2.0)
         timers.fire(rt, timers.scheduled[0])
         rt.run(until=sync_started.is_set, idle_timeout=5.0)
@@ -417,8 +432,8 @@ class TestGroupCommit:
 
         # Mid-fsync arrival: parks on the *fresh* barrier, arms nothing
         # (the in-flight flusher loops straight into the next batch).
-        second = _spawn_commits(rt, wal, [{"t": "raw", "op": "put",
-                                           "k": "late", "v": None}])
+        second = _spawn_commits(rt, wal, [{"t": "w", "ver": [1, 0],
+                                           "k": "late", "v": ""}])
         rt.run(until=lambda: len(wal._pending) == 1, idle_timeout=2.0)
         assert not second
         assert len(timers.scheduled) == 1
@@ -445,8 +460,8 @@ class TestGroupCommit:
         @do
         def writer(i):
             try:
-                yield wal.commit({"t": "raw", "op": "put",
-                                  "k": f"f{i}", "v": None})
+                yield wal.commit({"t": "w", "ver": [1, 0],
+                                  "k": f"f{i}", "v": ""})
                 errors.append(("acked", i))
             except WalError as exc:
                 errors.append(("error", exc))
@@ -463,8 +478,8 @@ class TestGroupCommit:
 
         # The log is not wedged: with the disk back, commits ack again.
         wal._sync = os.fsync
-        done = _spawn_commits(rt, wal, [{"t": "raw", "op": "put",
-                                         "k": "after", "v": None}])
+        done = _spawn_commits(rt, wal, [{"t": "w", "ver": [1, 0],
+                                         "k": "after", "v": ""}])
         rt.run(until=lambda: len(wal._pending) == 1, idle_timeout=2.0)
         timers.fire(rt, timers.scheduled[-1])
         rt.run(until=lambda: bool(done), idle_timeout=5.0)
@@ -482,8 +497,8 @@ class TestGroupCommit:
         directory = str(tmp_path / "shard-0")
         timers = _FakeTimers()
         wal = ShardWal(directory, timers=timers)
-        first = _spawn_commits(rt, wal, [{"t": "raw", "op": "put",
-                                          "k": "before", "v": None}])
+        first = _spawn_commits(rt, wal, [{"t": "w", "ver": [1, 0],
+                                          "k": "before", "v": ""}])
         rt.run(until=lambda: len(wal._pending) == 1, idle_timeout=2.0)
         timers.fire(rt, timers.scheduled[0])
         rt.run(until=lambda: bool(first), idle_timeout=5.0)
@@ -497,8 +512,8 @@ class TestGroupCommit:
         @do
         def failing_writer():
             try:
-                yield wal.commit({"t": "raw", "op": "put", "k": "torn",
-                                  "v": None})
+                yield wal.commit({"t": "w", "ver": [1, 0], "k": "torn",
+                                  "v": ""})
                 errors.append("acked")
             except WalError:
                 errors.append("error")
@@ -512,8 +527,8 @@ class TestGroupCommit:
         assert wal._segment_index == 2
 
         wal._sync = os.fsync
-        after = _spawn_commits(rt, wal, [{"t": "raw", "op": "put",
-                                          "k": "after", "v": None}])
+        after = _spawn_commits(rt, wal, [{"t": "w", "ver": [1, 0],
+                                          "k": "after", "v": ""}])
         rt.run(until=lambda: len(wal._pending) == 1, idle_timeout=2.0)
         timers.fire(rt, timers.scheduled[-1])
         rt.run(until=lambda: bool(after), idle_timeout=5.0)
@@ -531,7 +546,7 @@ class TestGroupCommit:
         timers = _FakeTimers()
         wal = ShardWal(str(tmp_path / "w"), timers=timers)
         done = _spawn_commits(rt, wal, [
-            {"t": "raw", "op": "put", "k": f"fn{i}", "v": None}
+            {"t": "w", "ver": [1, 0], "k": f"fn{i}", "v": ""}
             for i in range(2)
         ])
         rt.run(until=lambda: len(wal._pending) == 2, idle_timeout=2.0)
@@ -559,8 +574,8 @@ class TestGroupCommit:
             real_sync(fd)
 
         wal._sync = gated_sync
-        done = _spawn_commits(rt, wal, [{"t": "raw", "op": "put",
-                                         "k": "slow", "v": None}])
+        done = _spawn_commits(rt, wal, [{"t": "w", "ver": [1, 0],
+                                         "k": "slow", "v": ""}])
         rt.run(until=lambda: len(wal._pending) == 1, idle_timeout=2.0)
         timers.fire(rt, timers.scheduled[0])
         rt.run(until=sync_started.is_set, idle_timeout=5.0)
@@ -594,8 +609,8 @@ class TestGroupCommit:
         @do
         def writer():
             try:
-                yield wal.commit({"t": "raw", "op": "put", "k": "x",
-                                  "v": None})
+                yield wal.commit({"t": "w", "ver": [1, 0], "k": "x",
+                                  "v": ""})
                 outcomes.append("acked")
             except WalError:
                 outcomes.append("error")
@@ -615,8 +630,8 @@ class TestGroupCommit:
         @do
         def writer():
             try:
-                yield wal.commit({"t": "raw", "op": "put", "k": "x",
-                                  "v": None})
+                yield wal.commit({"t": "w", "ver": [1, 0], "k": "x",
+                                  "v": ""})
                 outcomes.append("acked")
             except WalError:
                 outcomes.append("error")

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.app.kv import HashRing, kv_app_factory
+from repro.api import ClusterServer, build_kv
+from repro.app.kv import HashRing
 from repro.cache.client import (
     BlockingMemcacheClient,
     BlockingRespClient,
@@ -22,6 +23,10 @@ from repro.cache.client import (
 from repro.http.blocking_client import BlockingHttpClient
 
 SHARDS = 4
+
+
+def kv_factory(ctx):
+    return build_kv(ctx=ctx)
 
 
 def keys_owned_by_every_shard(count_per_shard: int = 4) -> dict[int, list[str]]:
@@ -42,10 +47,8 @@ def keys_owned_by_every_shard(count_per_shard: int = 4) -> dict[int, list[str]]:
 class TestMemcacheCluster:
     @pytest.fixture(scope="class")
     def cluster(self):
-        from repro.runtime.cluster import ClusterServer
-
         server = ClusterServer(
-            kv_app_factory, shards=SHARDS, mesh=True,
+            kv_factory, shards=SHARDS, mesh=True,
             replication=2, write_quorum=1,
             cache_port=0, cache_protocol="memcache", grace=0.1,
         )
@@ -127,10 +130,8 @@ class TestMemcacheCluster:
 class TestRespCluster:
     @pytest.fixture(scope="class")
     def cluster(self):
-        from repro.runtime.cluster import ClusterServer
-
         server = ClusterServer(
-            kv_app_factory, shards=SHARDS, mesh=True,
+            kv_factory, shards=SHARDS, mesh=True,
             replication=2, write_quorum=1,
             cache_port=0, cache_protocol="resp", grace=0.1,
         )

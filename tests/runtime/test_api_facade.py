@@ -13,7 +13,7 @@ from repro.api import (
     build_server,
 )
 from repro.http.blocking_client import BlockingHttpClient
-from repro.runtime.cluster import ClusterServer, _takes_context
+from repro.runtime.cluster import ClusterConfig, ClusterServer
 from repro.runtime.live_runtime import LiveRuntime, make_listener
 
 
@@ -22,22 +22,6 @@ def rt():
     runtime = LiveRuntime(uncaught="store")
     yield runtime
     runtime.shutdown()
-
-
-class TestContextDetection:
-    def test_single_required_parameter_is_context_style(self):
-        assert _takes_context(lambda ctx: None)
-
-        def factory(ctx, extra=1):
-            return None
-
-        assert _takes_context(factory)
-
-    def test_legacy_shapes_are_not(self):
-        assert not _takes_context(lambda rt, listener: None)
-        assert not _takes_context(lambda rt, listener, mesh: None)
-        assert not _takes_context(lambda *args: None)
-        assert not _takes_context(lambda: None)
 
 
 class TestBuilders:
@@ -54,13 +38,18 @@ class TestBuilders:
         with pytest.raises(TypeError):
             build_server()
 
-    def test_build_kv_reads_knobs_from_the_context(self, rt):
+    def test_build_kv_reads_knobs_from_the_context(self, rt, tmp_path):
         listener = make_listener()
-        ctx = AppContext(rt=rt, listener=listener, timers=rt.timers,
-                         replication=1, write_quorum=1)
+        ctx = AppContext(rt=rt, listener=listener,
+                         config=ClusterConfig(wal_group_max=7))
         app = build_kv(ctx=ctx)
-        assert app.kv is not None
         assert app.kv.replication == 1
+        assert app.wal is None  # ClusterConfig's wal_dir default
+        # An explicit keyword overrides ctx.config; the rest still flow.
+        app = build_kv(ctx=ctx, wal_dir=str(tmp_path))
+        assert app.wal.group_max == 7
+        assert app.wal.timers is rt.timers
+        app.wal.close()
         listener.close()
 
     def test_explicit_keyword_overrides_the_context(self, rt):
@@ -99,9 +88,9 @@ class TestClusterContextFactory:
         # A one-parameter factory gets the shard's AppContext; the site
         # content proves shard identity and shape arrived through it.
         def app_factory(ctx):
-            body = f"shard {ctx.shard_index} of {ctx.shards}".encode()
+            body = (f"shard {ctx.shard_index} of "
+                    f"{ctx.config.shards}").encode()
             assert ctx.rt is not None
-            assert ctx.timers is ctx.rt.timers
             assert ctx.mesh is None  # mesh not configured
             assert ctx.cache_listener is None
             return build_server(ctx=ctx, site={"whoami": body})
@@ -115,3 +104,14 @@ class TestClusterContextFactory:
             assert body == b"shard 0 of 1"
         finally:
             cluster.stop()
+
+    @pytest.mark.parametrize("factory", [
+        lambda rt, listener: None,
+        lambda: None,
+        "not callable",
+    ])
+    def test_wrong_arity_factory_fails_in_the_master(self, factory):
+        # Not as "shard 0 died during startup" from the forked child.
+        with pytest.raises(TypeError,
+                           match=r"app_factory\(ctx\).*repro\.api"):
+            ClusterServer(factory, shards=1)

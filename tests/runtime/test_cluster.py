@@ -9,17 +9,17 @@ import time
 
 import pytest
 
+from repro.api import build_server
 from repro.core.smp import SmpScheduler
 from repro.http.blocking_client import BlockingHttpClient
-from repro.http.server import build_live_server
 from repro.runtime.cluster import ClusterConfig, ClusterServer, build_runtime
 from repro.runtime.live_runtime import LiveRuntime
 
 SITE = {"index.html": b"<html>cluster under test</html>"}
 
 
-def app_factory(rt, listener):
-    return build_live_server(rt, listener, site=SITE)
+def app_factory(ctx):
+    return build_server(ctx=ctx, site=SITE)
 
 
 def get(port: int, path: str = "index.html",
@@ -213,10 +213,8 @@ class TestGracefulShutdown:
 
 class TestOverloadStats:
     def test_saturation_surfaced_through_control_protocol(self):
-        def capped_factory(rt, listener):
-            return build_live_server(
-                rt, listener, site=SITE, max_connections=8
-            )
+        def capped_factory(ctx):
+            return build_server(ctx=ctx, site=SITE, max_connections=8)
 
         cluster = ClusterServer(capped_factory, shards=2, grace=0.1)
         cluster.start()
