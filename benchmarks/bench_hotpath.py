@@ -12,8 +12,11 @@ Three properties are measured (and gated by ``check_bench_trend.py``):
   ``(write_calls + writev_calls) attributable to the server / responses``.
 * **mesh frames per flush** — N concurrent casts/calls per link must
   coalesce into few gathered writes (``frames_sent / flushes > 1``).
-* **timer threads per call** — mesh call timeouts are heap entries on
-  the shared wheel: R calls must spawn O(1) sleeper threads, not O(R).
+* **timers, threads and reads per mesh call** — a call arms exactly one
+  heap entry on the shared wheel (its deadline; no write watchdog on an
+  unblocked link), R calls spawn O(1) sleeper threads, each received
+  frame costs about one ``recv``, and cancelled deadlines do not pile
+  up in the heap (10k schedule-then-cancel leave it bounded).
 * **timer threads per pool lease** — the outbound stack's lease and
   request deadlines (``ConnectionPool``/``HttpClient``) are wheel
   entries too: R pooled requests must spawn O(1) sleepers, and the
@@ -69,6 +72,8 @@ MESH_CASTS_PER_ROUND = 16
 MESH_ROUNDS = 25
 #: Sequential mesh calls for the timer-wheel point.
 TIMER_CALLS = 200
+#: Schedule-then-cancel iterations for the heap-bound check.
+TIMER_CHURN = 10_000
 #: Pooled HttpClient requests for the pool-lease point.
 POOL_REQUESTS = 200
 #: Keep-alive requests for the ingress buffer-reuse point.
@@ -251,7 +256,8 @@ def run_mesh_flush(rounds: int = MESH_ROUNDS,
 
 
 def run_timer_wheel(calls: int = TIMER_CALLS) -> dict:
-    """Timer threads per mesh call: heap entries, not forks."""
+    """What one mesh call costs the wheel and the socket: one heap
+    entry, no fork, about one read per frame received."""
     rt = LiveRuntime(uncaught="store")
     try:
         names: list = []
@@ -287,19 +293,40 @@ def run_timer_wheel(calls: int = TIMER_CALLS) -> dict:
         rt.run(until=lambda: bool(done), idle_timeout=30.0)
         assert done, "mesh calls never completed"
         sleeper_forks = sum(1 for name in names if "sleeper" in name)
-        legacy_timer_forks = sum(
-            1 for name in names
-            if "sweeper" in name or "watchdog" in name
-        )
+        timers_scheduled = rt.timers.scheduled
+        frames_received = (node_a.stats.frames_received
+                           + node_b.stats.frames_received)
+        reads = rt.backend.read_calls
+
+        # The call pattern at rate, without the sockets: every deadline
+        # is cancelled long before it is due.
+        churned = []
+
+        @do
+        def churn():
+            for _ in range(TIMER_CHURN):
+                handle = yield rt.timers.schedule(5.0, lambda: None)
+                handle.cancel()
+            churned.append(True)
+
+        rt.spawn(churn())
+        rt.run(until=lambda: bool(churned), idle_timeout=30.0)
+        assert churned, "timer churn never completed"
         node_a.stop()
         node_b.stop()
         return {
             "calls": calls,
-            "timers_scheduled": rt.timers.scheduled,
+            "timers_scheduled": timers_scheduled,
+            "timers_per_call": round(timers_scheduled / calls, 4),
+            # Everything beyond the one deadline per call would be a
+            # write watchdog: none on a link that never blocks.
+            "watchdog_timers": timers_scheduled - calls,
+            "reads_per_frame": round(reads / frames_received, 4),
             "sleeper_spawns": rt.timers.sleeper_spawns,
             "sleeper_forks_observed": sleeper_forks,
-            "legacy_timer_forks": legacy_timer_forks,
             "timer_threads_per_call": round(sleeper_forks / calls, 4),
+            "churn": TIMER_CHURN,
+            "armed_after_churn": rt.timers.armed,
         }
     finally:
         rt.shutdown()
@@ -341,10 +368,6 @@ def run_pool_leases(requests: int = POOL_REQUESTS) -> dict:
         rt.run(until=lambda: bool(done), idle_timeout=60.0)
         assert done, "pooled requests never completed"
         sleeper_forks = sum(1 for name in names if "sleeper" in name)
-        legacy_timer_forks = sum(
-            1 for name in names
-            if "sweeper" in name or "watchdog" in name
-        )
         wheel = rt.timers.stats()
         server.stop()
         return {
@@ -356,7 +379,6 @@ def run_pool_leases(requests: int = POOL_REQUESTS) -> dict:
             "wheel_fired": wheel["fired"],
             "wheel_wakeups": wheel["wakeups"],
             "sleeper_forks_observed": sleeper_forks,
-            "legacy_timer_forks": legacy_timer_forks,
             "timer_threads_per_lease": round(sleeper_forks / requests, 4),
         }
     finally:
@@ -503,16 +525,28 @@ def test_hotpath_timer_wheel_no_thread_per_call(report):
     point = run_timer_wheel()
     report(
         f"Timer wheel ({point['calls']} mesh calls): "
-        f"{point['timers_scheduled']} timers as heap entries, "
-        f"{point['sleeper_forks_observed']} sleeper fork(s), "
-        f"{point['legacy_timer_forks']} legacy timer thread(s)"
+        f"{point['timers_per_call']:.2f} timers/call "
+        f"({point['watchdog_timers']} watchdog), "
+        f"{point['reads_per_frame']:.2f} reads/frame, "
+        f"{point['sleeper_forks_observed']} sleeper fork(s); "
+        f"{point['armed_after_churn']} heap entries after "
+        f"{point['churn']} schedule-then-cancel"
     )
-    assert point["timers_scheduled"] >= point["calls"]
-    assert point["legacy_timer_forks"] == 0
+    # One deadline per call and nothing else: the write watchdog is
+    # armed only when a write is about to park.
+    assert point["timers_per_call"] == 1
+    assert point["watchdog_timers"] == 0
+    # The buffered reader parks before reading an empty socket: no
+    # 4-byte read, body read and EAGAIN per frame.
+    assert point["reads_per_frame"] <= 1.1
     # O(1) sleepers for O(calls) timers (a couple of idle->busy
-    # transitions are fine; one thread per call is not).
+    # transitions are fine; one thread per call is not) — through the
+    # schedule-then-cancel churn too.
     assert point["sleeper_forks_observed"] <= 5
+    assert point["sleeper_spawns"] <= 5
     assert point["timer_threads_per_call"] <= 0.05
+    # Cancelled deadlines leave the heap long before they are due.
+    assert point["armed_after_churn"] <= 200
 
 
 def test_hotpath_pool_lease_no_timer_thread(report):
@@ -530,8 +564,7 @@ def test_hotpath_pool_lease_no_timer_thread(report):
     # …the connections were actually reused (so leases, not dials,
     # dominate)…
     assert point["pool_reuses"] >= point["requests"] - point["pool_dials"]
-    # …with O(1) sleeper threads and no legacy per-timer forks…
-    assert point["legacy_timer_forks"] == 0
+    # …with O(1) sleeper threads…
     assert point["sleeper_forks_observed"] <= 5
     assert point["timer_threads_per_lease"] <= 0.05
     # …and the wheel woke only for deadlines that came due: the run's
@@ -614,7 +647,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"mesh: {mesh_point['frames_per_flush']:.1f} frames/flush, "
               f"max {mesh_point['max_frames_per_flush']}")
         timer_point = run_timer_wheel()
-        print(f"timers: {timer_point['sleeper_forks_observed']} sleeper "
+        print(f"timers: {timer_point['timers_per_call']:.2f} timers/call, "
+              f"{timer_point['reads_per_frame']:.2f} reads/frame, "
+              f"{timer_point['sleeper_forks_observed']} sleeper "
               f"fork(s) for {timer_point['calls']} calls")
         pool_point = run_pool_leases()
         print(f"pool: {pool_point['sleeper_forks_observed']} sleeper "

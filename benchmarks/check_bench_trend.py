@@ -404,31 +404,25 @@ def check(results: dict, baseline: dict, tolerance: float) -> list[str]:
             if bound is not None:
                 timers = hot.get("timers", {})
                 ratio = timers.get("timer_threads_per_call", float("inf"))
-                legacy = timers.get("legacy_timer_forks", 0)
-                status = ("ok" if ratio <= bound and legacy == 0
-                          else "REGRESSION")
+                status = "ok" if ratio <= bound else "REGRESSION"
                 print(f"  hotpath timer_threads_per_call: {ratio:7.4f} "
-                      f"(bound {bound}, legacy forks {legacy}) {status}")
-                if ratio > bound or legacy > 0:
+                      f"(bound {bound}) {status}")
+                if ratio > bound:
                     failures.append(
                         f"hotpath timer threads regressed: "
-                        f"{ratio} per call (bound {bound}), "
-                        f"{legacy} legacy timer fork(s)"
+                        f"{ratio} per call (bound {bound})"
                     )
             bound = hot_baseline.get("max_timer_threads_per_lease")
             if bound is not None:
                 pool = hot.get("pool", {})
                 ratio = pool.get("timer_threads_per_lease", float("inf"))
-                legacy = pool.get("legacy_timer_forks", 0)
-                status = ("ok" if ratio <= bound and legacy == 0
-                          else "REGRESSION")
+                status = "ok" if ratio <= bound else "REGRESSION"
                 print(f"  hotpath timer_threads_per_lease: {ratio:7.4f} "
-                      f"(bound {bound}, legacy forks {legacy}) {status}")
-                if ratio > bound or legacy > 0:
+                      f"(bound {bound}) {status}")
+                if ratio > bound:
                     failures.append(
                         f"hotpath pool-lease timer threads regressed: "
-                        f"{ratio} per lease (bound {bound}), "
-                        f"{legacy} legacy timer fork(s)"
+                        f"{ratio} per lease (bound {bound})"
                     )
             if hot_baseline.get("require_wakeup_economy"):
                 pool = hot.get("pool", {})

@@ -829,7 +829,6 @@ class KvNode:
 
     @do
     def _serve_mesh(self, body):
-        yield pure(None)  # read ops are pure; write ops may park on WAL
         message = _decode(body)
         op = message.get("op")
         if op == "stats":

@@ -96,6 +96,22 @@ class FileBody:
         return f"<FileBody {state}>"
 
 
+def _unsent(bufs: list, count: int) -> list:
+    """The tail of ``bufs`` still to write after the kernel accepted
+    ``count`` bytes: fully-written (and empty) buffers dropped, the
+    first partially-written one sliced so the retry starts mid-buffer.
+    Empty when everything went."""
+    for index, buf in enumerate(bufs):
+        size = len(buf)
+        if count < size:
+            rest = list(bufs[index:])
+            if count:
+                rest[0] = memoryview(buf)[count:]
+            return rest
+        count -= size
+    return []
+
+
 class NetIO:
     """Monadic, blocking-style I/O over a non-blocking backend.
 
@@ -235,25 +251,12 @@ class NetIO:
             # writes — no intermediate concatenation on the sendmsg
             # path (the whole point: header + body, or length-prefix +
             # frame, is one syscall and zero copies in the application).
-            views = [memoryview(buf) for buf in bufs if len(buf)]
-            if not views:
-                return 0
-            total = sum(len(view) for view in views)
-            sent = 0
-            index = 0
-            while True:
-                window = views[index:index + WRITEV_IOV_LIMIT]
-                count = yield _writev(fd, window)
-                sent += count
-                if sent >= total:
-                    return total
-                # Advance past fully-written buffers; slice the first
-                # partially-written one so the retry starts mid-buffer.
-                while count and count >= len(views[index]):
-                    count -= len(views[index])
-                    index += 1
-                if count:
-                    views[index] = views[index][count:]
+            total = sum(len(buf) for buf in bufs)
+            rest = _unsent(bufs, 0)
+            while rest:
+                count = yield _writev(fd, rest[:WRITEV_IOV_LIMIT])
+                rest = _unsent(rest, count)
+            return total
 
         @do
         def _sendfile(fd, file, offset, count):
@@ -419,6 +422,26 @@ class NetIO:
         length-prefix+frame message is one ``sendmsg`` with zero
         intermediate copies."""
         return self._write_all_v(fd, bufs)
+
+    def writev_nowait(self, fd: Any, bufs: list) -> M:
+        """One gathered write of ``bufs`` that never parks: the kernel
+        takes what it can right now.  Resumes with the unsent tail (ready
+        for :meth:`write_all_v`) — empty when everything went, all of
+        ``bufs`` when the socket would block.  Lets a writer learn, for
+        the price of the write it had to make anyway, whether finishing
+        is about to park."""
+        backend = self.backend
+
+        def attempt() -> list:
+            window = bufs[:WRITEV_IOV_LIMIT]
+            op = getattr(backend, "nb_writev", None)
+            if op is not None:
+                count = op(fd, window)
+            else:
+                count = backend.nb_write(fd, b"".join(window))
+            return _unsent(bufs, 0 if count is WOULD_BLOCK else count)
+
+        return sys_nbio(attempt)
 
     def sendfile(self, fd: Any, file: Any, offset: int, count: int) -> M:
         """Send ``count`` bytes of ``file`` from ``offset`` to ``fd``

@@ -316,6 +316,9 @@ class EpollPoller:
         self._epoll = select.epoll()
         self._entries: dict[int, _FdEntry] = {}  # keyed by fileno
         self._wake_fileno: int | None = None
+        #: Set when ``poll`` saw the wake pipe readable; the runtime
+        #: clears it when it drains the pipe.
+        self.wake_ready = False
         # Maintained incrementally: the event loop reads it every
         # iteration, and walking all (persistently registered) entries
         # would reintroduce the O(active-fds) per-iteration cost this
@@ -378,7 +381,8 @@ class EpollPoller:
         resumes: list[Resume] = []
         for fileno, epoll_mask in events:
             if fileno == self._wake_fileno:
-                continue  # the wake pipe: drained by the completion queue
+                self.wake_ready = True  # the runtime drains the pipe
+                continue
             entry = self._entries.get(fileno)
             if entry is None:
                 # No bookkeeping for a live registration: drop it.
@@ -472,6 +476,7 @@ class SelectorPoller:
         self.selector = selectors.DefaultSelector()
         self._entries: dict[Any, _FdEntry] = {}  # keyed by fd object
         self._waiter_count = 0  # incremental: read every loop iteration
+        self.wake_ready = False  # see EpollPoller.wake_ready
         self.ctl_adds = 0
         self.ctl_mods = 0
         self.ctl_dels = 0
@@ -510,7 +515,8 @@ class SelectorPoller:
         resumes: list[Resume] = []
         for key, mask in events:
             if key.data is None:
-                continue  # the wake pipe
+                self.wake_ready = True  # the wake pipe
+                continue
             entry: _FdEntry = key.data
             ready = _from_selector_mask(mask)
             remaining: list[tuple[int, TCB, Callable]] = []
@@ -736,21 +742,28 @@ class LiveRuntime:
         idle_timeout: float | None = None,
     ) -> None:
         """Run until ``until()`` holds, all threads finish, or (if given)
-        nothing happens for ``idle_timeout`` seconds."""
+        nothing happens for ``idle_timeout`` seconds.
+
+        One *turn* runs every thread that was ready when the turn began,
+        then looks at the devices once: pool completions, sleep timers,
+        one ``poll`` (blocking only when no thread is ready).  A thread
+        that re-queues itself mid-turn (``sys_yield``, an exhausted
+        batch) or is forked lands behind the snapshot and runs next
+        turn, so a spinning thread cannot starve I/O, and the devices
+        cost one check per turn rather than one per context switch.
+        """
         sched = self.sched
         last_progress = time.monotonic()
         while True:
             if until is not None and until():
                 return
             progressed = self._drain_completions() | self._fire_timers()
-            while sched.ready:
-                sched.step()
+            for _ in range(_ready_count(sched.ready)):
+                if not sched.step():
+                    break
                 progressed = True
                 if until is not None and until():
                     return
-                self._drain_completions()
-                self._fire_timers()
-                self._poll_io(0.0)
             if sched.live_threads == 0 and until is None:
                 return
             timeout = self._next_timeout()
@@ -783,6 +796,19 @@ class LiveRuntime:
         return 0.05
 
     def _drain_completions(self) -> bool:
+        poller = self.poller
+        if poller.wake_ready:
+            # Only when the poller saw the wake pipe readable: an
+            # unconditional recv is a syscall and a BlockingIOError per
+            # turn.  Every byte must go, completion queued or not — the
+            # pipe is level-triggered and a leftover byte would turn the
+            # next blocking poll into a spin.  A short read means empty.
+            poller.wake_ready = False
+            try:
+                while len(self._wake_recv.recv(4096)) == 4096:
+                    pass
+            except (BlockingIOError, InterruptedError):
+                pass
         progressed = False
         while self._completions:
             tcb, cont, value, exc = self._completions.popleft()
@@ -791,12 +817,6 @@ class LiveRuntime:
             else:
                 self.sched.resume_value(tcb, cont, value)
             progressed = True
-        # Drain the wake pipe.
-        try:
-            while self._wake_recv.recv(4096):
-                pass
-        except (BlockingIOError, InterruptedError):
-            pass
         return progressed
 
     def _fire_timers(self) -> bool:
@@ -822,6 +842,12 @@ class LiveRuntime:
         self.poller.close()
         self._wake_recv.close()
         self._wake_send.close()
+
+
+def _ready_count(ready: Any) -> int:
+    """Runnable activations: ``Scheduler.ready`` is a deque,
+    ``SmpScheduler.ready`` is already the count across workers."""
+    return ready if isinstance(ready, int) else len(ready)
 
 
 def _to_selector_mask(mask: int) -> int:

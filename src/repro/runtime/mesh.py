@@ -20,9 +20,15 @@ Invariants the rest of the stack builds on:
 
 * **Framing** — a frame is exactly ``length`` bytes after the length
   prefix, ``length`` covers the kind/request-id header, and no frame may
-  exceed ``max_frame`` (a protocol violation downs the link).  Partial
-  reads mid-frame are reassembled; EOF *between* frames is a clean close,
-  EOF *inside* one is :class:`~repro.runtime.io_api.ConnectionClosed`.
+  exceed ``max_frame`` (a protocol violation downs the link, *before*
+  any of the body is buffered).  Each connection has one buffered
+  :class:`FrameReader`: it reads in large chunks, hands out every whole
+  frame already buffered without a syscall, and after a short read —
+  the socket is empty — parks on readability *before* reading again, so
+  a frame costs one ``recv``, not a 4-byte read, a body read and an
+  ``EAGAIN``.  Partial reads mid-frame are reassembled; EOF *between*
+  frames is a clean close, EOF *inside* one is
+  :class:`~repro.runtime.io_api.ConnectionClosed`.
 * **Multiplexing** — each persistent link carries many in-flight calls,
   matched by ``request_id``; a per-link *demux* thread reads reply frames
   and fulfills the matching :class:`~repro.core.sync.MVar`.
@@ -31,27 +37,39 @@ Invariants the rest of the stack builds on:
   at-most-once delivery is acceptable).  ``kind 4`` (*ping*) is an empty
   keepalive frame both sides silently discard.
 * **Batched egress** — senders never write the socket directly: each
-  frame is *enqueued* on the connection's outbound queue (header and
-  body as separate buffers — zero concatenation) and a single flusher
-  thread per connection drains the queue with one gathered
-  ``write_all_v`` per batch (bounded by ``flush_max_iov``/
-  ``flush_max_bytes``).  Frames enqueued while a flush is in flight are
-  picked up by the next ``writev``, so N concurrent calls/casts/replies
-  on one link cost one syscall, not N.  The queue is FIFO, so frames
-  never interleave or reorder; ``stats.flushes``/``batched_flushes``/
-  ``max_frames_per_flush`` make the coalescing observable.
+  frame is *queued* on the connection's outbound queue (header and body
+  as separate buffers — zero concatenation) and a single flusher thread
+  per connection, forked by the first enqueue of a loop turn, drains the
+  queue with one gathered write per batch (bounded by ``flush_max_iov``/
+  ``flush_max_bytes``).  Frames queued before the flusher first runs, or
+  while a flush is in flight, ride the same ``writev``, so N concurrent
+  calls/casts/replies on one link cost one syscall, not N.  The queue is
+  FIFO, so frames never interleave or reorder; ``stats.flushes``/
+  ``batched_flushes``/``max_frames_per_flush`` make the coalescing
+  observable.  A *request* or *reply* is queued and forgotten — nobody
+  parks until it is on the wire: a request's write failure reaches its
+  caller through the link's pending reply box, a reply's has nobody to
+  tell.  A *cast* or *ping* parks on a per-frame flush box until its
+  batch is written, because there the completed write is the result
+  (a failed cast must raise so the KV parks the hint locally; a ping's
+  write is the wedge detector).
 * **Timeout semantics** — every blocking edge has a bound, and every
   failure surfaces as a monadic exception in the *calling* thread, never
-  a hang: per-call timeouts (``call_timeout``) and per-flush write
-  bounds (``write_timeout``) are deadlines on the node's shared
-  :class:`~repro.runtime.timer_wheel.TimerWheel` — a heap entry each,
-  *no thread per call*.  An expired call raises :class:`MeshTimeout`;
-  link failures (dial refused, reset, EOF mid-call) raise
-  :class:`MeshPeerDown` and fail every other frame and call pending on
-  the same link; a flush that stalls past ``write_timeout`` (the peer
-  stopped reading) is downed by the wheel closing the connection — the
-  runtime wakes the parked flusher, and every waiter sees
-  :class:`MeshPeerDown` (counted in ``stats.write_timeouts``).
+  a hang.  A call arms exactly one deadline on the node's shared
+  :class:`~repro.runtime.timer_wheel.TimerWheel` (``call_timeout``: a
+  heap entry, *no thread per call*) before it queues its frame, so the
+  bound covers queue wait + flush + remote handling + reply; expiry
+  raises :class:`MeshTimeout`.  A flush first makes one gathered write
+  that cannot park; only when the kernel took less than the whole batch
+  — the write is about to wait for the peer — does it arm a
+  ``write_timeout`` watchdog on the wheel.  An unblocked link therefore
+  costs zero watchdog timers; a flush that stalls past ``write_timeout``
+  (the peer stopped reading) is downed by the wheel closing the
+  connection — the runtime wakes the parked flusher, and every waiter
+  sees :class:`MeshPeerDown` (counted in ``stats.write_timeouts``).
+  Link failures (dial refused, reset, EOF mid-call) raise
+  :class:`MeshPeerDown` and fail every other call pending and every
+  frame queued on the same link.
 * **Keepalive** — with ``keepalive_interval`` set, a wheel tick pings
   every client link that sent nothing since the previous tick; the ping
   costs one (batched) frame on a healthy link, and on a wedged peer it
@@ -67,9 +85,10 @@ from typing import Any, Callable
 from collections import deque
 
 from ..core.do_notation import do
-from ..core.monad import M
+from ..core.events import EVENT_READ
+from ..core.monad import M, pure
 from ..core.sync import Mutex, MVar
-from ..core.syscalls import sys_fork
+from ..core.syscalls import sys_epoll_wait, sys_fork, sys_throw
 from ..core.thread import join_all, spawn
 from .driver import ConnectionDriver, IoSocketLayer
 from .io_api import ConnectionClosed, NetIO
@@ -83,7 +102,7 @@ __all__ = [
     "MeshPeerDown",
     "MeshRemoteError",
     "MeshProtocolError",
-    "recv_frame",
+    "FrameReader",
     "send_frame",
     "KIND_REQUEST",
     "KIND_REPLY",
@@ -106,6 +125,10 @@ KIND_PING = 4
 
 #: Frames above this are a protocol violation (memory bound per link).
 DEFAULT_MAX_FRAME = 16 * 1024 * 1024
+
+#: What a :class:`FrameReader` asks the kernel for per ``recv``: far more
+#: than a typical frame, so one read drains the socket.
+READ_CHUNK = 64 * 1024
 
 
 class MeshError(OSError):
@@ -151,33 +174,67 @@ def send_frame(io: NetIO, fd: Any, kind: int, request_id: int,
     )
 
 
-@do
-def recv_frame(io: NetIO, fd: Any, max_frame: int = DEFAULT_MAX_FRAME):
-    """Read one frame; resumes with ``(kind, request_id, body)``.
+class FrameReader:
+    """One connection's buffered frame reader (both sides of a link use
+    it; so do hand-rolled test peers).
 
-    Resumes with ``None`` on a clean EOF *between* frames; raises
-    :class:`~repro.runtime.io_api.ConnectionClosed` on EOF mid-frame
-    (partial reads inside a frame are reassembled transparently).
+    ``recv()`` resumes with ``(kind, request_id, body)``, or ``None`` on
+    a clean EOF *between* frames; it raises
+    :class:`~repro.runtime.io_api.ConnectionClosed` on EOF mid-frame and
+    :class:`MeshProtocolError` on a length prefix outside
+    ``[header size, max_frame]`` — checked as soon as the four prefix
+    bytes are in, before any of the body is accumulated, so the buffer
+    never holds more than ``max_frame`` plus one read.
     """
-    header = bytearray()
-    while len(header) < _LEN.size:
-        data = yield io.read(fd, _LEN.size - len(header))
-        if not data:
-            if header:
-                raise ConnectionClosed(
-                    f"EOF inside frame length prefix ({len(header)}/4 bytes)"
-                )
-            return None
-        header.extend(data)
-    (length,) = _LEN.unpack(bytes(header))
-    if length < _HEAD.size:
-        raise MeshProtocolError(f"frame shorter than its header: {length}")
-    if length > max_frame:
-        raise MeshProtocolError(f"frame of {length} bytes exceeds "
-                                f"max_frame={max_frame}")
-    payload = yield io.read_exact(fd, length)
-    kind, request_id = _HEAD.unpack_from(payload)
-    return kind, request_id, payload[_HEAD.size:]
+
+    __slots__ = ("io", "fd", "max_frame", "_buf", "_drained")
+
+    def __init__(self, io: NetIO, fd: Any,
+                 max_frame: int = DEFAULT_MAX_FRAME) -> None:
+        self.io = io
+        self.fd = fd
+        self.max_frame = max_frame
+        self._buf = bytearray()
+        #: The last read came back short, so the socket is empty: park on
+        #: readability before reading again (readiness is level-triggered
+        #: in both runtimes, and the live poller's sticky mask makes the
+        #: park free) instead of paying a ``recv`` just to learn EAGAIN.
+        self._drained = False
+
+    @do
+    def recv(self):
+        buf = self._buf
+        need = _LEN.size
+        while True:
+            if len(buf) >= _LEN.size:
+                (length,) = _LEN.unpack_from(buf)
+                if length < _HEAD.size:
+                    raise MeshProtocolError(
+                        f"frame shorter than its header: {length}"
+                    )
+                if length > self.max_frame:
+                    raise MeshProtocolError(
+                        f"frame of {length} bytes exceeds "
+                        f"max_frame={self.max_frame}"
+                    )
+                need = _LEN.size + length
+                if len(buf) >= need:
+                    kind, request_id = _HEAD.unpack_from(buf, _LEN.size)
+                    body = bytes(buf[_LEN.size + _HEAD.size:need])
+                    del buf[:need]
+                    return kind, request_id, body
+            if self._drained:
+                yield sys_epoll_wait(self.fd, EVENT_READ)
+            want = max(READ_CHUNK, need - len(buf))
+            data = yield self.io.read(self.fd, want)
+            if not data:
+                if buf:
+                    raise ConnectionClosed(
+                        f"EOF inside a frame ({len(buf)} of {need} bytes)"
+                    )
+                return None
+            self._drained = len(data) < want
+            buf += data
 
 
 class _Timeout:
@@ -192,9 +249,11 @@ _TIMED_OUT = _Timeout()
 class _Outbound:
     """Per-connection outbound frame queue + its flusher state.
 
-    ``queue`` entries are ``(bufs, box)``: the frame's buffers (header,
-    body — never joined) and an :class:`~repro.core.sync.MVar` the
-    flusher fills with ``None`` (flushed) or an exception.  ``link`` is
+    ``queue`` entries are ``(bufs, flushed)``: the frame's buffers
+    (header, body — never joined) and, for casts and pings only, an
+    :class:`~repro.core.sync.MVar` the flusher fills with ``None``
+    (written) or an exception; requests and replies carry ``None`` —
+    nobody waits for their write.  ``link`` is
     the owning client :class:`_PeerLink` for client connections (so the
     flusher can down the link on failure), ``None`` for inbound server
     connections (their reader tears them down).
@@ -205,7 +264,7 @@ class _Outbound:
 
     def __init__(self, conn: Any, link: "_PeerLink | None" = None) -> None:
         self.conn = conn
-        self.queue: deque[tuple[tuple[bytes, ...], MVar]] = deque()
+        self.queue: deque[tuple[tuple[bytes, ...], MVar | None]] = deque()
         #: Whether a flusher thread currently owns the queue (at most
         #: one per connection; enqueuers fork it on demand).
         self.flushing = False
@@ -229,8 +288,9 @@ class _PeerLink:
         self.peer = peer
         self.conn = conn
         self.out = _Outbound(conn, link=self)
-        #: request_id -> (MVar awaiting the reply, timeout TimerHandle).
-        self.pending: dict[int, tuple[MVar, Any]] = {}
+        #: request_id -> the MVar awaiting the reply (the caller owns
+        #: its deadline: ``_call`` cancels it however the call ends).
+        self.pending: dict[int, MVar] = {}
         self.alive = True
         #: ``out.enqueued`` at the last keepalive tick (idle detection).
         self.ka_mark = 0
@@ -480,11 +540,12 @@ class MeshNode:
         # inline instead — it stops pulling frames, which is
         # backpressure on the peer.
         out = _Outbound(conn)
+        reader = FrameReader(self.io, conn, self.max_frame)
         inflight = [0]
         can_yield = True
         try:
             while True:
-                frame = yield recv_frame(self.io, conn, self.max_frame)
+                frame = yield reader.recv()
                 if frame is None:
                     return  # peer closed cleanly
                 self.stats.frames_received += 1
@@ -541,9 +602,11 @@ class MeshNode:
             if one_way:
                 return  # a cast gets no reply, success or failure
             try:
+                # Queued, not awaited: if the write fails the peer is
+                # gone and its caller learns that on its own side.
                 yield self._enqueue(out, kind, request_id, reply)
             except (ConnectionError, OSError):
-                return  # peer vanished before the reply could be written
+                return  # the connection already failed: nothing to send
         finally:
             if inflight is not None:
                 inflight[0] -= 1
@@ -551,45 +614,51 @@ class MeshNode:
     # ------------------------------------------------------------------
     # Egress: per-connection outbound queues, one gathered flush each.
     # ------------------------------------------------------------------
-    @do
-    def _enqueue(self, out, kind, request_id, body):
+    def _enqueue(self, out, kind, request_id, body, flushed=None) -> M:
         # Queue the frame (header and body stay separate buffers: the
-        # flusher's writev gathers them), fork the connection's flusher
-        # if none is running, then park until this frame's batch is on
-        # the wire.  Concurrent enqueuers on one connection all land in
-        # the queue before the forked flusher first runs — that is the
-        # once-per-loop-turn batching.
+        # flusher's writev gathers them) and fork the connection's
+        # flusher if none is running — nothing parks here.  Concurrent
+        # enqueuers on one connection all land in the queue before the
+        # forked flusher first runs — that is the once-per-loop-turn
+        # batching.  ``flushed`` is the box a cast or ping waits on.
         if out.failed is not None:
-            # The connection's flusher already died; queueing now would
-            # park behind a drain that has passed (nothing would ever
-            # fill the box).  Fail fast instead.
-            raise out.failed
-        box = MVar(name="mesh-flush")
+            # The connection's flusher already died: fail fast instead
+            # of queueing behind a drain that has passed.
+            return sys_throw(out.failed)
         header = frame_header(kind, request_id, len(body))
-        out.queue.append(((header, body) if body else (header,), box))
+        out.queue.append(((header, body) if body else (header,), flushed))
         out.enqueued += 1
-        if not out.flushing:
-            out.flushing = True
-            yield sys_fork(self._flusher(out), name="mesh-flush")
-        outcome = yield box.take()
+        if out.flushing:
+            return pure(None)
+        out.flushing = True
+        return sys_fork(self._flusher(out), name="mesh-flush")
+
+    @do
+    def _enqueue_flushed(self, out, kind, body):
+        # Casts and pings: park until the frame's batch is on the wire,
+        # and raise if it never got there.
+        flushed = MVar(name="mesh-flush")
+        yield self._enqueue(out, kind, 0, body, flushed)
+        outcome = yield flushed.take()
         if isinstance(outcome, BaseException):
             raise outcome
-        return None
 
     @do
     def _flusher(self, out):
         # The connection's single writer: drain the queue in bounded
         # gathered writes until it is empty, then exit (the next
-        # enqueue forks a fresh one).  Each flush is watched on the
-        # timer wheel: a stall past ``write_timeout`` means the peer
-        # stopped reading — the wheel closes the connection, the
-        # runtime wakes this thread with an error, and every queued
-        # frame fails with MeshPeerDown.
+        # enqueue forks a fresh one).  Each batch gets one write that
+        # cannot park; only if the kernel took less than all of it does
+        # the rest go through a parking write, watched on the timer
+        # wheel: a stall past ``write_timeout`` means the peer stopped
+        # reading — the wheel closes the connection, the runtime wakes
+        # this thread with an error, and every queued frame fails with
+        # MeshPeerDown.
         stats = self.stats
         cap = self.flush_cap
         try:
             while out.queue:
-                batch: list[tuple[tuple[bytes, ...], MVar]] = []
+                batch: list[tuple[tuple[bytes, ...], MVar | None]] = []
                 bufs: list[bytes] = []
                 nbytes = 0
                 while (out.queue and len(batch) < cap.value
@@ -600,19 +669,20 @@ class MeshNode:
                         bufs.append(buf)
                         nbytes += len(buf)
                 watchdog = None
-                if self.write_timeout:
-                    watchdog = yield self.timers.schedule(
-                        self.write_timeout,
-                        lambda: self._wedge(out),
-                    )
                 try:
-                    yield self.io.write_all_v(out.conn, bufs)
+                    rest = yield self.io.writev_nowait(out.conn, bufs)
+                    if rest:
+                        if self.write_timeout:
+                            watchdog = yield self.timers.schedule(
+                                self.write_timeout,
+                                lambda: self._wedge(out),
+                            )
+                        yield self.io.write_all_v(out.conn, rest)
                 except (ConnectionError, OSError) as exc:
+                    stalled = watchdog is not None and watchdog.fired
                     if watchdog is not None:
                         watchdog.cancel()
-                    yield self._fail_outbound(out, batch, exc, bool(
-                        watchdog is not None and watchdog.fired
-                    ))
+                    yield self._fail_outbound(out, batch, exc, stalled)
                     return
                 if watchdog is not None:
                     watchdog.cancel()
@@ -628,8 +698,9 @@ class MeshNode:
                 if len(batch) > stats.max_frames_per_flush:
                     stats.max_frames_per_flush = len(batch)
                 cap.note_flush(len(batch), len(out.queue))
-                for _bufs, box in batch:
-                    yield box.try_put(None)
+                for _bufs, flushed in batch:
+                    if flushed is not None:
+                        yield flushed.try_put(None)
         finally:
             # Plain code: safe under GeneratorExit (abandonment).
             out.flushing = False
@@ -645,9 +716,10 @@ class MeshNode:
 
     @do
     def _fail_outbound(self, out, batch, exc, stalled):
-        # Fail the in-flight batch and everything still queued; down the
-        # owning client link (a server connection is torn down by its
-        # reader instead).
+        # Fail the in-flight batch and everything still queued (casts
+        # and pings through their flush box, requests through the link's
+        # pending reply boxes); down the owning client link (a server
+        # connection is torn down by its reader instead).
         if stalled:
             failure: MeshError = MeshPeerDown(
                 f"frame write stalled past write_timeout="
@@ -663,8 +735,9 @@ class MeshNode:
         entries = list(batch)
         while out.queue:
             entries.append(out.queue.popleft())
-        for _bufs, box in entries:
-            yield box.try_put(failure)
+        for _bufs, flushed in entries:
+            if flushed is not None:
+                yield flushed.try_put(failure)
         if out.link is not None:
             yield self._fail_link(out.link)
 
@@ -690,7 +763,7 @@ class MeshNode:
     @do
     def _send_ping(self, link):
         try:
-            yield self._enqueue(link.out, KIND_PING, 0, b"")
+            yield self._enqueue_flushed(link.out, KIND_PING, b"")
             self.stats.pings_sent += 1
             # The ping itself bumped ``enqueued``; resync the mark so
             # the probe does not read as link traffic (which would skip
@@ -727,32 +800,31 @@ class MeshNode:
         link = yield self._link(peer)
         request_id = next(self._request_ids)
         box = MVar(name=f"mesh-call-{peer}-{request_id}")
-        # The timeout is a heap entry on the shared wheel, not a thread:
-        # it covers queue wait + flush + remote handling + reply, and is
-        # cancelled (a flag write) the moment the outcome is known.
+        # The call's one timer: a heap entry on the shared wheel, not a
+        # thread.  Armed before the frame is queued, it covers queue
+        # wait + flush + remote handling + reply, and is cancelled (a
+        # flag write) however the call ends.
         deadline = yield self.timers.schedule(
             timeout, lambda: box.try_put(_TIMED_OUT)
         )
-        link.pending[request_id] = (box, deadline)
         try:
-            yield self._enqueue(link.out, KIND_REQUEST, request_id, body)
-        except (ConnectionError, OSError) as exc:
-            entry = link.pending.pop(request_id, None)
-            if entry is not None:
-                entry[1].cancel()
-            yield self._fail_link(link)
-            raise MeshPeerDown(f"write to peer {peer} failed: {exc!r}")
-        if not link.alive:
-            # The link died between registration and here (the demux may
-            # already have drained ``pending``, missing this entry).
-            entry = link.pending.pop(request_id, None)
-            if entry is not None:
-                entry[1].cancel()
-            raise MeshPeerDown(f"peer {peer} link failed during call")
-        outcome = yield box.take()
-        entry = link.pending.pop(request_id, None)
-        if entry is not None:
-            entry[1].cancel()
+            if not link.alive:
+                # Died while the deadline was being armed (a scheduling
+                # point): its failure drain never saw this call.
+                raise MeshPeerDown(f"peer {peer} link failed during call")
+            link.pending[request_id] = box
+            try:
+                yield self._enqueue(link.out, KIND_REQUEST, request_id, body)
+            except (ConnectionError, OSError) as exc:
+                yield self._fail_link(link)
+                raise MeshPeerDown(f"write to peer {peer} failed: {exc!r}")
+            # The frame is queued, not yet written: a failed or stalled
+            # flush downs the link, which fills this box with
+            # MeshPeerDown like any other link failure.
+            outcome = yield box.take()
+        finally:
+            link.pending.pop(request_id, None)
+            deadline.cancel()
         if outcome is _TIMED_OUT:
             self.stats.timeouts += 1
             raise MeshTimeout(
@@ -786,7 +858,7 @@ class MeshNode:
             raise MeshError(f"unknown peer {peer}")
         link = yield self._link(peer)
         try:
-            yield self._enqueue(link.out, KIND_CAST, 0, body)
+            yield self._enqueue_flushed(link.out, KIND_CAST, body)
         except (ConnectionError, OSError) as exc:
             yield self._fail_link(link)
             raise MeshPeerDown(f"cast to peer {peer} failed: {exc!r}")
@@ -815,11 +887,20 @@ class MeshNode:
             except MeshError as exc:
                 return peer, exc
 
+        # The caller makes the last call itself (for one peer: the only
+        # one) and spawns threads just for the others: each ``call`` can
+        # park on a slow dial without delaying the rest, and a
+        # single-peer fan-out costs no thread at all.
+        if not bodies:
+            return {}
+        *others, mine = bodies.items()
         handles = []
-        for peer, body in bodies.items():
+        for peer, body in others:
             handle = yield spawn(one(peer, body), name=f"fanout-{peer}")
             handles.append(handle)
+        own = yield one(*mine)
         results = yield join_all(handles)
+        results.append(own)
         return dict(results)
 
     # -- link management ----------------------------------------------
@@ -855,10 +936,11 @@ class MeshNode:
         # The link's reader: match reply frames to pending calls.  Any
         # failure (EOF, reset, protocol violation) downs the link and
         # fails every pending call so no caller hangs.
+        reader = FrameReader(self.io, link.conn, self.max_frame)
         can_yield = True
         try:
             while link.alive:
-                frame = yield recv_frame(self.io, link.conn, self.max_frame)
+                frame = yield reader.recv()
                 if frame is None:
                     return
                 self.stats.frames_received += 1
@@ -873,11 +955,9 @@ class MeshNode:
                     raise MeshProtocolError(
                         f"unexpected frame kind {kind} on client link"
                     )
-                entry = link.pending.pop(request_id, None)
-                if entry is None:
+                box = link.pending.pop(request_id, None)
+                if box is None:
                     continue  # reply raced a timeout: drop it
-                box, deadline = entry
-                deadline.cancel()
                 if kind == KIND_REPLY:
                     yield box.try_put(body)
                 else:
@@ -909,10 +989,8 @@ class MeshNode:
             self.stats.peer_failures += 1
         if self._links.get(link.peer) is link:
             del self._links[link.peer]
-        pending, link.pending = dict(link.pending), {}
-        for _box, deadline in pending.values():
-            deadline.cancel()
-        return tuple(box for box, _deadline in pending.values())
+        pending, link.pending = link.pending, {}
+        return tuple(pending.values())
 
     @do
     def _fail_link(self, link):

@@ -7,8 +7,8 @@ one more ``sys_sleep`` loop.  Under load that is thread churn proportional
 to call rate; at idle it is still one sleeper per concern.  The wheel
 collapses all of them into *one* heap of ``(deadline, handle)`` entries
 serviced by *one* monadic sleeper thread — scheduling a timeout is a heap
-push (no fork), cancelling one is a flag write (no heap surgery), and the
-sleeper exists only while at least one timer is armed.
+push (no fork), cancelling one is a flag write, and the sleeper exists
+only while at least one timer is armed.
 
 Semantics:
 
@@ -29,13 +29,23 @@ Semantics:
   per second.  A timer scheduled while the sleeper is in a near sleep is
   still noticed within one ``tick`` — the same bound as before.
 * :meth:`TimerHandle.cancel` is plain (non-monadic) code callable from
-  anywhere; cancelled entries are dropped lazily when they come due (no
-  heap surgery) — the sleeper still wakes at a cancelled deadline to
-  discard the entry, which also keeps it alive across the dominant
-  schedule-then-cancel pattern (call/lease timeouts) instead of exiting
-  and respawning per timer.  A handle whose action already ran has
-  ``fired`` set — cancel after fire is a no-op, which callers use to
-  detect watchdog races (the mesh checks ``handle.fired`` after a frame
+  anywhere, and a cancelled timer costs nothing later: ``cancel`` drops
+  the handle's ``action`` at once (the closure, and whatever reply box
+  or request body it pins, is garbage from that moment, not from the
+  deadline), and once cancelled entries outnumber live ones the heap is
+  rebuilt without them (asyncio's rule), so under the dominant
+  schedule-then-cancel pattern (call/lease timeouts) the heap holds
+  O(live timers), not ``rate x timeout`` dead ones.  The sleeper skips
+  dead deadlines when it picks where to sleep, so it wakes for timers
+  that fire, not for ones that were cancelled — with one deliberate
+  exception: it never discards its *last* entry early, and a rebuild
+  never removes the entry a far-parked sleeper is parked toward.  A
+  wheel whose timers are all schedule-then-cancel therefore keeps one
+  dead entry and one parked sleeper (one wakeup per timeout period)
+  instead of exiting and respawning the sleeper per timer.
+  A handle whose action already ran has ``fired`` set — cancel after
+  fire (or a second cancel) is a no-op, which callers use to detect
+  watchdog races (the mesh checks ``handle.fired`` after a stalled frame
   write to learn the watchdog won).
 * Exceptions from actions are contained (counted in ``action_errors``),
   never kill the sleeper.
@@ -65,28 +75,40 @@ __all__ = ["TimerWheel", "TimerHandle"]
 class TimerHandle:
     """One scheduled timer: cancellable, observable."""
 
-    __slots__ = ("deadline", "action", "cancelled", "fired")
+    __slots__ = ("deadline", "action", "cancelled", "fired", "_wheel")
 
-    def __init__(self, deadline: float, action: Callable[[], Any]) -> None:
+    def __init__(self, deadline: float, action: Callable[[], Any],
+                 wheel: "TimerWheel") -> None:
         self.deadline = deadline
-        self.action = action
+        self.action: Callable[[], Any] | None = action
         self.cancelled = False
         #: Set just before the action runs; ``cancel`` after that is a
         #: no-op (callers race-check this flag, e.g. write watchdogs).
         self.fired = False
+        self._wheel = wheel
 
     def cancel(self) -> None:
         """Disarm the timer (plain code, callable from anywhere).
 
-        Lazy: the entry stays in the heap until the sleeper prunes or
-        pops it.  Cancelling an already-fired timer does nothing.
+        Drops the action immediately; the heap entry goes at the next
+        rebuild (or when the sleeper pops it).  Cancelling a timer that
+        already fired, or twice, does nothing.
         """
+        if self.fired or self.cancelled:
+            return
         self.cancelled = True
+        self.action = None
+        self._wheel._note_cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("fired" if self.fired
                  else "cancelled" if self.cancelled else "armed")
         return f"<TimerHandle {state} deadline={self.deadline:.3f}>"
+
+
+#: Heaps smaller than this are never rebuilt: popping a few dead entries
+#: as they surface is cheaper than a rebuild per cancel (asyncio's floor).
+_COMPACT_MIN_ENTRIES = 100
 
 
 class TimerWheel:
@@ -103,6 +125,8 @@ class TimerWheel:
         self.name = name
         self.tick = tick
         self._heap: list[tuple[float, int, TimerHandle]] = []
+        #: Cancelled entries still in the heap (the rebuild trigger).
+        self._dead = 0
         self._seq = itertools.count()
         self._running = False
         #: The earliest-deadline wake channel: ``schedule()`` fills it to
@@ -127,7 +151,8 @@ class TimerWheel:
 
     @property
     def armed(self) -> int:
-        """Entries still in the heap (including lazily-cancelled ones)."""
+        """Entries still in the heap (cancelled ones not yet dropped
+        included — bounded by the rebuild rule, see ``_note_cancel``)."""
         return len(self._heap)
 
     @property
@@ -160,7 +185,7 @@ class TimerWheel:
     @do
     def _schedule(self, delay, action):
         now = yield sys_now()
-        handle = TimerHandle(now + delay, action)
+        handle = TimerHandle(now + delay, action, self)
         heapq.heappush(self._heap, (handle.deadline, next(self._seq), handle))
         self.scheduled += 1
         if not self._running:
@@ -174,6 +199,26 @@ class TimerWheel:
             # it is at most one tick long — the old notice bound.)
             yield self._wake.try_put(True)
         return handle
+
+    def _note_cancel(self) -> None:
+        # From TimerHandle.cancel (which is idempotent, so each entry is
+        # counted once).  Once dead entries outnumber live ones, rebuild
+        # the heap without them: amortized O(1) per cancel, and the heap
+        # stays O(live) instead of O(rate x timeout).  The entry a
+        # far-parked sleeper is parked toward stays: its alarm is already
+        # set for that deadline, and keeping it means the sleeper finds a
+        # non-empty heap and stays alive across schedule-then-cancel.
+        self.cancelled += 1
+        self._dead += 1
+        heap = self._heap
+        if len(heap) < _COMPACT_MIN_ENTRIES or self._dead * 2 <= len(heap):
+            return
+        target = self._sleep_target
+        kept = [entry for entry in heap
+                if not entry[2].cancelled or entry[0] == target]
+        self._dead -= len(heap) - len(kept)
+        heap[:] = kept
+        heapq.heapify(heap)
 
     @do
     def _alarm(self, target):
@@ -201,7 +246,7 @@ class TimerWheel:
                 while self._heap and self._heap[0][0] <= now:
                     _deadline, _seq, handle = heapq.heappop(self._heap)
                     if handle.cancelled:
-                        self.cancelled += 1
+                        self._dead -= 1
                         continue
                     due.append(handle)
                 for handle in due:
@@ -221,6 +266,13 @@ class TimerWheel:
                     continue  # actions took time: re-scan before sleeping
                 if not self._heap:
                     return
+                # Skip dead deadlines: waking for one buys nothing but
+                # the next.  The last entry stays even if dead — it is
+                # what keeps this thread alive between a cancel and the
+                # next schedule, at one wakeup per timeout period.
+                while len(self._heap) > 1 and self._heap[0][2].cancelled:
+                    heapq.heappop(self._heap)
+                    self._dead -= 1
                 target = self._heap[0][0]
                 if target - now <= self.tick:
                     # Near: a direct sleep straight to the deadline.

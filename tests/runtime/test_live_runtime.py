@@ -12,8 +12,17 @@ import time
 import pytest
 
 from repro.core.do_notation import do
-from repro.core.syscalls import sys_blio, sys_fork, sys_now, sys_sleep
-from repro.runtime.live_runtime import LiveRuntime
+from repro.core.smp import SmpScheduler
+from repro.core.syscalls import (
+    sys_blio,
+    sys_fork,
+    sys_now,
+    sys_sleep,
+    sys_yield,
+)
+from repro.runtime.live_runtime import HAS_EPOLL, LiveRuntime
+
+POLLERS = ["epoll", "select"] if HAS_EPOLL else ["select"]
 
 
 @pytest.fixture
@@ -177,3 +186,143 @@ class TestRealSockets:
         rt.run(until=lambda: len(done) == count, idle_timeout=10.0)
         listener.close()
         assert sorted(done) == list(range(count))
+
+
+def _echo_beside_a_spinner(rt, rounds=20):
+    """An echo server and its client share ``rt`` with a thread that
+    never stops yielding; returns how many round trips completed."""
+    listener = rt.make_listener()
+    port = listener.getsockname()[1]
+    stop, echoed = [], []
+
+    @do
+    def spinner():
+        while not stop:
+            yield sys_yield()
+
+    @do
+    def server():
+        conn = yield rt.io.accept(listener)
+        while True:
+            data = yield rt.io.read(conn, 4096)
+            if not data:
+                break
+            yield rt.io.write_all(conn, data)
+        yield rt.io.close(conn)
+
+    @do
+    def client():
+        conn = yield rt.io.connect(("127.0.0.1", port))
+        for index in range(rounds):
+            message = b"round-%d" % index
+            yield rt.io.write_all(conn, message)
+            reply = yield rt.io.read_exact(conn, len(message))
+            assert reply == message
+            echoed.append(index)
+        yield rt.io.close(conn)
+        stop.append(True)
+
+    rt.spawn(spinner(), name="spinner")
+    rt.spawn(server(), name="echo")
+    rt.spawn(client(), name="client")
+    rt.run(until=lambda: bool(stop), idle_timeout=5.0)
+    listener.close()
+    return len(echoed)
+
+
+class TestLoopTurn:
+    """One device check per turn — and a turn is bounded, so a thread
+    that is always ready cannot keep the loop from looking at I/O."""
+
+    @pytest.mark.parametrize("poller", POLLERS)
+    def test_spinning_thread_does_not_starve_io(self, poller):
+        rt = LiveRuntime(poller=poller)
+        try:
+            assert _echo_beside_a_spinner(rt) == 20
+        finally:
+            rt.shutdown()
+
+    def test_spinning_thread_does_not_starve_io_on_smp(self):
+        # ``SmpScheduler.ready`` is a count, not a deque: the turn's
+        # snapshot must work on both shapes.
+        rt = LiveRuntime(scheduler=SmpScheduler(workers=2))
+        try:
+            assert _echo_beside_a_spinner(rt) == 20
+        finally:
+            rt.shutdown()
+
+    @pytest.mark.parametrize("poller", POLLERS)
+    def test_devices_are_checked_once_per_turn(self, poller):
+        # Ten threads ready at once are one turn: one poll, not ten.
+        rt = LiveRuntime(poller=poller)
+        try:
+            polls = _count_polls(rt)
+            hops = 50
+
+            @do
+            def hopper():
+                for _ in range(hops):
+                    yield sys_yield()
+
+            for _ in range(10):
+                rt.spawn(hopper())
+            rt.run()
+            assert len(polls) <= hops + 5  # per turn, not per switch
+        finally:
+            rt.shutdown()
+
+    @pytest.mark.parametrize("poller", POLLERS)
+    def test_late_wake_byte_does_not_spin_the_loop(self, poller):
+        # A pool job queues its completion, then writes the wake byte;
+        # the loop can drain the completion in between.  The byte that
+        # arrives afterwards has no completion to announce, and must
+        # still be drained — a level-triggered pipe left readable turns
+        # every blocking poll into an immediate return.
+        rt = LiveRuntime(poller=poller)
+        try:
+            rt._wake_send.send(b"\0")
+            polls = _count_polls(rt)
+
+            @do
+            def idler():
+                yield sys_sleep(0.2)
+
+            rt.spawn(idler())
+            rt.run()
+            assert len(polls) <= 10, f"{len(polls)} polls in an idle 0.2 s"
+        finally:
+            rt.shutdown()
+
+    @pytest.mark.parametrize("poller", POLLERS)
+    def test_pool_completions_still_wake_a_sleeping_loop(self, poller):
+        rt = LiveRuntime(poller=poller)
+        try:
+            polls = _count_polls(rt)
+
+            @do
+            def worker():
+                for _ in range(5):
+                    yield sys_blio(lambda: time.sleep(0.01))
+                return "done"
+
+            started = time.monotonic()
+            tcb = rt.spawn(worker())
+            rt.run()
+            assert tcb.result == "done"
+            # Woken by the pipe, not by the 50 ms idle poll timeout.
+            assert time.monotonic() - started < 0.2
+            assert len(polls) <= 30
+        finally:
+            rt.shutdown()
+
+
+def _count_polls(rt):
+    polls: list = []
+    poll = rt.poller.poll
+
+    def counting(timeout):
+        polls.append(timeout)
+        return poll(timeout)
+
+    rt.poller.poll = counting
+    return polls

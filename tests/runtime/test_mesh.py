@@ -13,20 +13,30 @@ import struct
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.do_notation import do
 from repro.core.monad import pure
 from repro.core.syscalls import sys_sleep
+from repro.core.trace import SysFork, SysSpecial
+from repro.runtime.io_api import ConnectionClosed
 from repro.runtime.live_runtime import LiveRuntime
 from repro.runtime.mesh import (
+    KIND_CAST,
+    KIND_PING,
     KIND_REPLY,
     KIND_REQUEST,
     AdaptiveFlushCap,
+    FrameReader,
     MeshNode,
     MeshPeerDown,
+    MeshProtocolError,
     MeshRemoteError,
     MeshTimeout,
 )
+from repro.runtime.sim_runtime import SimRuntime
+from repro.simos.pipe import make_pipe
 
 _LEN = struct.Struct("!I")
 _HEAD = struct.Struct("!BQ")
@@ -203,23 +213,13 @@ class TestFramingEdges:
             for index in range(len(raw)):
                 yield rt.io.write_all(conn, raw[index:index + 1])
                 yield sys_sleep(0.001)
-            reply = bytearray()
-            while True:
-                data = yield rt.io.read(conn, 4096)
-                if not data:
-                    break
-                reply.extend(data)
-                # One whole reply frame is enough.
-                if len(reply) >= 4:
-                    (length,) = _LEN.unpack(bytes(reply[:4]))
-                    if len(reply) >= 4 + length:
-                        break
-            received.append(bytes(reply))
+            reply = yield FrameReader(rt.io, conn).recv()
+            received.append(reply)
             yield rt.io.close(conn)
 
         rt.spawn(dribbler())
         rt.run(until=lambda: bool(received), idle_timeout=10.0)
-        assert received[0] == frame_bytes(KIND_REPLY, 7, b"echo:dribble")
+        assert received[0] == (KIND_REPLY, 7, b"echo:dribble")
 
     def test_oversized_frame_downs_the_link(self, rt):
         node_a, _node_b = make_pair(rt, max_frame=1024)
@@ -240,6 +240,251 @@ class TestFramingEdges:
         rt.run(until=lambda: bool(finished), idle_timeout=5.0)
         assert finished == [b""]  # EOF: link closed, nothing served
         assert node_a.stats.served == 0
+
+
+def read_frames(chunks, max_frame=1 << 20, close=True):
+    """Push ``chunks`` through a simulated pipe, one write per virtual
+    millisecond, into a :class:`FrameReader`; returns the frames it
+    handed out, how it ended (``None`` for a clean EOF, else the
+    exception) and the reader."""
+    rt = SimRuntime()
+    r, w = make_pipe(capacity=1 << 20)
+    reader = FrameReader(rt.io, r, max_frame)
+    frames, ending = [], []
+
+    @do
+    def consume():
+        try:
+            while True:
+                frame = yield reader.recv()
+                if frame is None:
+                    ending.append(None)
+                    return
+                frames.append(frame)
+        except OSError as exc:
+            ending.append(exc)
+
+    @do
+    def produce():
+        for chunk in chunks:
+            yield rt.io.write_all(w, chunk)
+            yield sys_sleep(0.001)
+        if close:
+            yield rt.io.close(w)
+
+    rt.spawn(consume(), name="consume")
+    rt.spawn(produce(), name="produce")
+    rt.run(until=lambda: bool(ending))
+    return frames, ending[0], reader
+
+
+_frames = st.lists(
+    st.tuples(
+        st.sampled_from([KIND_REQUEST, KIND_REPLY, KIND_CAST, KIND_PING]),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.binary(max_size=300),  # empty bodies (pings) included
+    ),
+    max_size=8,
+)
+
+
+class TestFrameReader:
+    @settings(max_examples=60, deadline=None)
+    @given(frames=_frames, cuts=st.lists(st.integers(0, 4000), max_size=12))
+    def test_any_chunking_yields_the_same_frames(self, frames, cuts):
+        stream = b"".join(frame_bytes(*frame) for frame in frames)
+        edges = sorted({min(cut, len(stream)) for cut in cuts}
+                       | {0, len(stream)})
+        chunks = [stream[a:b] for a, b in zip(edges, edges[1:])]
+        got, ending, reader = read_frames(chunks)
+        assert got == frames
+        assert ending is None  # EOF between frames is a clean close
+        assert not reader._buf
+
+    def test_frames_already_buffered_cost_no_read(self):
+        rt = SimRuntime()
+        r, w = make_pipe(capacity=1 << 16)
+        w.write(b"".join(frame_bytes(KIND_CAST, i, b"x" * i)
+                         for i in range(5)))
+        reader = FrameReader(rt.io, r)
+        got = []
+
+        @do
+        def consume():
+            for _ in range(5):
+                got.append((yield reader.recv()))
+
+        rt.spawn(consume())
+        rt.run()
+        assert got == [(KIND_CAST, i, b"x" * i) for i in range(5)]
+        assert rt.backend.read_calls == 1
+
+    @pytest.mark.parametrize("length", [0, _HEAD.size - 1, (1 << 20) + 1,
+                                        64 * 1024 * 1024])
+    def test_bad_length_prefix_rejected_before_the_body(self, length):
+        # The writer stays open and never sends a body: a reader that
+        # tried to buffer toward ``length`` would wait forever.
+        got, ending, reader = read_frames(
+            [_LEN.pack(length) + b"tail"], close=False
+        )
+        assert got == []
+        assert isinstance(ending, MeshProtocolError)
+        assert len(reader._buf) <= _LEN.size + 4
+
+    def test_eof_mid_frame_is_connection_closed(self):
+        whole = frame_bytes(KIND_REQUEST, 1, b"complete")
+        torn = frame_bytes(KIND_REQUEST, 2, b"never finished")[:-3]
+        got, ending, _reader = read_frames([whole, torn])
+        assert got == [(KIND_REQUEST, 1, b"complete")]
+        assert isinstance(ending, ConnectionClosed)
+
+    def test_eof_inside_the_length_prefix_is_connection_closed(self):
+        got, ending, _reader = read_frames([b"\x00\x00"])
+        assert got == []
+        assert isinstance(ending, ConnectionClosed)
+
+
+def fork_names(rt):
+    """Names of every thread forked or spawned on ``rt`` from now on
+    (the scheduler reads the hook once per batch: install it from
+    outside the threads under test)."""
+    names: list = []
+
+    def record(_tcb, node):
+        if isinstance(node, SysFork):
+            names.append(node.name or "")
+        elif isinstance(node, SysSpecial) and node.kind == "spawn":
+            names.append(node.payload[1] or "")
+
+    rt.sched.on_syscall = record
+    return names
+
+
+class TestCallBudget:
+    def test_sequential_call_costs(self, rt):
+        """The fast path's cost, from the program's own counters: a
+        regression here fails in seconds, not after a benchmark set."""
+        node_a, node_b = make_pair(rt, timers=rt.timers)
+        warmed, done = [], []
+        calls = 200
+
+        @do
+        def warm():
+            yield node_a.call(1, b"warm")  # dial, spawn demux + sleeper
+            warmed.append(True)
+
+        @do
+        def caller():
+            for index in range(calls):
+                yield node_a.call(1, b"seq-%d" % index)
+            done.append(True)
+
+        rt.spawn(warm())
+        rt.run(until=lambda: bool(warmed), idle_timeout=5.0)
+
+        def snapshot():
+            return (rt.sched.stats()["total_switches"],
+                    rt.backend.read_calls,
+                    rt.timers.stats()["scheduled"],
+                    node_a.stats.frames_sent + node_b.stats.frames_sent,
+                    rt.timers.stats()["sleeper_spawns"])
+
+        before = snapshot()
+        rt.spawn(caller())
+        rt.run(until=lambda: bool(done), idle_timeout=10.0)
+        assert done
+        switches, reads, timers, frames, sleepers = (
+            (after - start) / calls
+            for after, start in zip(snapshot(), before)
+        )
+        assert switches <= 7, f"{switches} context switches per call"
+        assert reads <= 2.2, f"{reads} recv syscalls per call"
+        assert timers == 1, f"{timers} timers scheduled per call"
+        assert frames == 2, f"{frames} frames per call"
+        assert sleepers == 0  # schedule-then-cancel keeps one sleeper
+        assert rt.timers.armed <= 200  # dead deadlines do not pile up
+        assert node_a.stats.write_timeouts == 0
+
+
+class TestFanOutThreads:
+    def test_single_peer_fan_out_spawns_no_thread(self, rt):
+        node_a, _node_b = make_pair(rt)
+        results = []
+
+        names = fork_names(rt)
+
+        @do
+        def caller():
+            results.append((yield node_a.fan_out({1: b"only"})))
+
+        rt.spawn(caller())
+        rt.run(until=lambda: bool(results), idle_timeout=5.0)
+        assert results == [{1: b"echo:only"}]
+        assert any("demux" in name for name in names)  # the hook is live
+        assert not [name for name in names if "fanout" in name]
+
+    def test_n_peer_fan_out_spawns_n_minus_one(self, rt):
+        listeners = [rt.make_listener() for _ in range(3)]
+        peers = {i: ("127.0.0.1", l.getsockname()[1])
+                 for i, l in enumerate(listeners)}
+        nodes = [MeshNode(i, rt.io, l, peers, handler=echo_handler)
+                 for i, l in enumerate(listeners)]
+        for node in nodes:
+            rt.spawn(node.serve(), name=f"mesh-{node.index}")
+        results = []
+        names = fork_names(rt)
+
+        @do
+        def caller():
+            results.append(
+                (yield nodes[0].fan_out({1: b"one", 2: b"two"}))
+            )
+
+        rt.spawn(caller())
+        rt.run(until=lambda: bool(results), idle_timeout=5.0)
+        (merged,) = results
+        assert merged == {1: b"echo:one", 2: b"echo:two"}
+        assert list(merged) == [1, 2]  # result order follows ``bodies``
+        assert [name for name in names if "fanout" in name] == ["fanout-1"]
+
+    def test_empty_fan_out(self, rt):
+        node_a, _node_b = make_pair(rt)
+        results = []
+
+        @do
+        def caller():
+            results.append((yield node_a.fan_out({})))
+
+        rt.spawn(caller())
+        rt.run(until=lambda: bool(results), idle_timeout=5.0)
+        assert results == [{}]
+
+    @pytest.mark.parametrize("bodies", [
+        {0: b"self"},             # the caller-run call raises
+        {0: b"self", 1: b"far"},  # the spawned call raises
+    ])
+    def test_non_mesh_error_propagates_either_way(self, rt, bodies):
+        # A self-call short-circuits through the local handler, so its
+        # ValueError is not a MeshError: fan_out must let it through
+        # (only MeshError comes back as a value) whichever thread ran it.
+        @do
+        def broken(body):
+            yield sys_sleep(0)
+            raise ValueError("not a mesh failure")
+
+        node_a, _node_b = make_pair(rt, handler_a=broken)
+        outcome = []
+
+        @do
+        def caller():
+            try:
+                outcome.append((yield node_a.fan_out(bodies)))
+            except ValueError as exc:
+                outcome.append(exc)
+
+        rt.spawn(caller())
+        rt.run(until=lambda: bool(outcome), idle_timeout=5.0)
+        assert isinstance(outcome[0], ValueError)
 
 
 class TestFailureModes:
@@ -308,19 +553,16 @@ class TestFailureModes:
         assert isinstance(outcome[0], MeshTimeout)
         assert node.stats.timeouts == 1
 
-    def test_wedged_peer_write_times_out_as_peer_down(self, rt):
-        """A peer that accepts the link but stops *reading* (socket
-        buffers fill, the writer parks on EPOLLOUT forever) must fail
-        the writer with MeshPeerDown within write_timeout — the ROADMAP
-        mesh-hardening item."""
-        # Tiny buffers on both ends so a modest frame wedges the write.
+    def _choked_link_node(self, rt, peer_behavior, **kwargs):
+        """Node 0 whose link to peer 1 has 4 KiB socket buffers at both
+        ends, so a 1 MiB frame parks its flusher mid-write; peer 1 is
+        ``peer_behavior(listener)``."""
         fake = socket_mod.socket(socket_mod.AF_INET,
                                  socket_mod.SOCK_STREAM)
         fake.setsockopt(socket_mod.SOL_SOCKET, socket_mod.SO_RCVBUF, 4096)
         fake.bind(("127.0.0.1", 0))
         fake.listen(8)
         fake.setblocking(False)
-
         original_connect = rt.backend.nb_connect
 
         def small_buffer_connect(address, label="conn"):
@@ -330,43 +572,126 @@ class TestFailureModes:
             return sock
 
         rt.backend.nb_connect = small_buffer_connect
-
         listener = rt.make_listener()
         peers = {
             0: ("127.0.0.1", listener.getsockname()[1]),
             1: fake.getsockname(),
         }
         node = MeshNode(0, rt.io, listener, peers, handler=echo_handler,
-                        write_timeout=0.3)
+                        **kwargs)
         rt.spawn(node.serve(), name="mesh-real")
+        rt.spawn(peer_behavior(fake), name="choked-peer")
+        return node
+
+    def _send(self, rt, node, how, outcome):
+        body = b"w" * (1024 * 1024)
 
         @do
-        def accepts_but_never_reads():
+        def sender():
+            try:
+                if how == "cast":
+                    yield node.cast(1, body)
+                else:
+                    yield node.call(1, body, timeout=30.0)
+                outcome.append("sent")
+            except MeshPeerDown as exc:
+                outcome.append(exc)
+
+        rt.spawn(sender(), name=f"sender-{how}")
+
+    @pytest.mark.parametrize("how", ["cast", "call"])
+    def test_link_dying_mid_flush_fails_cast_and_call(self, rt, how):
+        # The peer hangs up while the frame is half written.  A cast
+        # learns it through its flush box (the KV then parks the hint
+        # locally); a call no longer waits for its flush, so it must
+        # learn it through its reply box when the link goes down.
+        @do
+        def accepts_then_hangs_up(fake):
+            conn = yield rt.io.accept(fake)
+            yield sys_sleep(0.1)
+            yield rt.io.close(conn)
+
+        node = self._choked_link_node(rt, accepts_then_hangs_up)
+        outcome = []
+        started = time.monotonic()
+        self._send(rt, node, how, outcome)
+        rt.run(until=lambda: bool(outcome), idle_timeout=10.0)
+        assert isinstance(outcome[0], MeshPeerDown)
+        assert time.monotonic() - started < 4.0  # not the write_timeout
+        assert node.stats.write_timeouts == 0
+        assert node.stats.peer_failures >= 1
+        assert node.connected_peers() == 0
+
+    @pytest.mark.parametrize("how", ["call", "cast"])
+    def test_wedged_peer_write_times_out_as_peer_down(self, rt, how):
+        """A peer that accepts the link but stops *reading* (socket
+        buffers fill, the writer parks on EPOLLOUT forever) must fail
+        the writer with MeshPeerDown within write_timeout — the ROADMAP
+        mesh-hardening item.  The watchdog is armed only because the
+        first write came back partial; a call learns of the failure
+        through its reply box, a cast through its flush box."""
+        @do
+        def accepts_but_never_reads(fake):
             conn = yield rt.io.accept(fake)
             while True:
                 yield sys_sleep(0.5)
                 _ = conn  # hold the connection open, read nothing
 
-        rt.spawn(accepts_but_never_reads(), name="wedged-peer")
+        node = self._choked_link_node(rt, accepts_but_never_reads,
+                                      write_timeout=0.3)
         outcome = []
-
-        @do
-        def caller():
-            try:
-                yield node.call(1, b"w" * (1024 * 1024), timeout=30.0)
-                outcome.append("reply")
-            except MeshPeerDown as exc:
-                outcome.append(exc)
-
         started = time.monotonic()
-        rt.spawn(caller())
+        self._send(rt, node, how, outcome)
         rt.run(until=lambda: bool(outcome), idle_timeout=10.0)
         # The failure came from the write watchdog, well before the 30s
         # call timeout — the wedged link no longer wedges the writer.
         assert isinstance(outcome[0], MeshPeerDown)
         assert time.monotonic() - started < 5.0
         assert node.stats.write_timeouts == 1
-        fake.close()
+
+    def test_failed_reply_write_strands_nothing(self, rt):
+        # A peer asks for big replies, never reads them, and hangs up.
+        # Nobody waits for a reply's flush, so the request threads are
+        # long gone (their ``inflight`` slots with them) and the failed
+        # write has no one to tell: it must simply not leave a thread
+        # parked or a counter stuck.
+        big = b"r" * (512 * 1024)
+        node_a, _node_b = make_pair(rt, handler_a=lambda body: pure(big),
+                                    max_inflight=1)
+        port = node_a.listener.getsockname()[1]
+        hung_up = []
+
+        @do
+        def greedy_client():
+            sock = socket_mod.socket(socket_mod.AF_INET,
+                                     socket_mod.SOCK_STREAM)
+            sock.setsockopt(socket_mod.SOL_SOCKET, socket_mod.SO_RCVBUF,
+                            4096)
+            sock.setblocking(False)
+            sock.connect_ex(("127.0.0.1", port))
+            yield sys_sleep(0.02)
+            for request_id in (1, 2, 3):
+                yield rt.io.write_all(
+                    sock, frame_bytes(KIND_REQUEST, request_id, b"more")
+                )
+                yield sys_sleep(0.02)
+            names.append("sent")
+            yield sys_sleep(0.1)
+            yield rt.io.close(sock)
+            hung_up.append(True)
+
+        names = fork_names(rt)
+        idle_threads = rt.sched.live_threads
+        rt.spawn(greedy_client(), name="greedy")
+        rt.run(until=lambda: bool(hung_up), idle_timeout=5.0)
+        rt.run(until=lambda: rt.sched.live_threads <= idle_threads,
+               idle_timeout=5.0)
+        assert node_a.stats.served == 3
+        # Each request got a worker although the first reply was still
+        # stuck in the socket: a queued reply does not hold its slot.
+        assert names.count("mesh-request") == 3
+        assert rt.sched.live_threads == idle_threads
+        assert node_a.stats.write_timeouts == 0
 
     def test_fan_out_with_one_dead_peer_merges_partials(self, rt):
         # Peer 2's address is a closed port: dial is refused.

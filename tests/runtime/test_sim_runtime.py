@@ -99,6 +99,27 @@ class TestEpollPath:
         rt.run()
         assert log == [("ready", True), ("data", b"wake up")]
 
+    def test_epoll_wait_on_a_readable_descriptor_resumes_at_once(self):
+        # Readiness is level-triggered, as on the live pollers: the mesh
+        # frame reader parks *before* reading when it believes the
+        # socket is empty, so data that raced the park must wake it.
+        rt = SimRuntime()
+        r, w = rt.kernel.make_pipe()
+        w.write(b"already here")
+        log = []
+
+        @do
+        def reader():
+            before = rt.kernel.clock.now
+            mask = yield sys_epoll_wait(r, EVENT_READ)
+            log.append((bool(mask & EVENT_READ), r.read(100)))
+            # No timer, no writer: only the pending readiness woke us.
+            assert rt.kernel.clock.now - before < 0.001
+
+        rt.spawn(reader())
+        rt.run()  # would raise DeadlockError if the wait parked for good
+        assert log == [(True, b"already here")]
+
     def test_netio_read_write_roundtrip(self):
         rt = SimRuntime()
         r, w = rt.kernel.make_pipe()

@@ -1,4 +1,4 @@
-"""The shared timer wheel: one heap, one sleeper, lazy cancellation.
+"""The shared timer wheel: one heap, one sleeper, free cancellation.
 
 Most tests run on :class:`~repro.runtime.sim_runtime.SimRuntime` — the
 wheel only uses ``sys_now``/``sys_sleep``/``sys_fork``, so virtual time
@@ -257,6 +257,115 @@ class TestEarliestDeadlineWake:
         assert wheel.cancelled == 1
         assert not wheel.running
         assert wheel.armed == 0
+
+
+class TestCancelledTimersCostNothing:
+    def test_cancel_drops_the_action_at_once(self):
+        # The closure (and the reply box / body it pins) must not live
+        # until the deadline.
+        wheel = TimerWheel()
+        handles = []
+
+        @do
+        def driver():
+            handle = yield wheel.schedule(5.0, lambda: None)
+            handle.cancel()
+            handles.append(handle)
+
+        run_sim(driver())
+        assert handles[0].action is None
+        assert handles[0].cancelled and not handles[0].fired
+
+    def test_cancelled_counts_each_entry_once(self):
+        wheel = TimerWheel()
+
+        @do
+        def driver():
+            handles = []
+            for index in range(300):
+                handles.append((yield wheel.schedule(5.0 + index, int)))
+            for handle in handles:
+                handle.cancel()
+                handle.cancel()  # twice is a no-op
+            # Rebuilds dropped entries early; the sleeper pops the rest.
+
+        run_sim(driver())
+        assert wheel.stats()["cancelled"] == 300
+        assert wheel.fired == 0
+        assert wheel.armed == 0
+
+    def test_schedule_then_cancel_keeps_the_heap_and_sleeper_bounded(self):
+        # The mesh-call pattern at rate: without rebuilds the heap would
+        # hold every dead entry until its deadline (10k here).
+        wheel = TimerWheel()
+        peak = [0]
+
+        @do
+        def driver():
+            for _ in range(10_000):
+                handle = yield wheel.schedule(5.0, lambda: None)
+                handle.cancel()
+                peak[0] = max(peak[0], wheel.armed)
+
+        run_sim(driver())
+        assert peak[0] <= 200
+        assert wheel.stats()["cancelled"] == 10_000
+        assert wheel.sleeper_spawns == 1  # no exit-and-respawn per timer
+        assert wheel.wakeups <= 2         # nothing ever came due
+
+    def test_rebuild_keeps_a_far_parked_sleepers_target(self):
+        from repro.core.syscalls import sys_sleep
+
+        wheel = TimerWheel()
+        seen = {}
+
+        @do
+        def driver():
+            first = yield wheel.schedule(5.0, lambda: None)
+            yield sys_sleep(0.01)  # the sleeper parks toward ``first``
+            target = wheel._sleep_target
+            assert target == first.deadline
+            first.cancel()
+            for _ in range(500):  # force several rebuilds
+                handle = yield wheel.schedule(6.0, lambda: None)
+                handle.cancel()
+            seen["target"] = wheel._sleep_target
+            seen["kept"] = any(entry[2] is first for entry in wheel._heap)
+            seen["running"] = wheel.running
+
+        run_sim(driver())
+        assert seen == {"target": seen["target"], "kept": True,
+                        "running": True}
+        assert seen["target"] is not None
+        assert wheel.sleeper_spawns == 1
+        assert wheel.stats()["cancelled"] == 501
+        assert wheel.armed == 0 and not wheel.running  # drained at the end
+
+    def test_live_timers_fire_in_order_across_a_rebuild(self):
+        wheel = TimerWheel()
+        fired: list[int] = []
+
+        @do
+        def driver():
+            doomed = []
+            for index in range(400):
+                # Live timers interleaved 1:3 with ones about to die,
+                # inserted out of deadline order.
+                delay = 1.0 + ((index * 7) % 400) * 0.01
+                handle = yield wheel.schedule(
+                    delay, (lambda i: lambda: fired.append(i))(delay)
+                )
+                if index % 4:
+                    doomed.append(handle)
+            for handle in doomed:
+                handle.cancel()
+            assert wheel.armed < 400  # at least one rebuild happened
+
+        run_sim(driver())
+        assert len(fired) == 100
+        assert fired == sorted(fired)
+        assert wheel.stats()["cancelled"] == 300
+        assert wheel.fired == 100
 
 
 class TestLiveSmoke:
