@@ -39,7 +39,6 @@ every follower resumes with a private copy -> response cached for TTL.
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
 from typing import Any
 
 from ..core.do_notation import do
@@ -47,6 +46,7 @@ from ..core.monad import M
 from ..core.sync import MVar
 from ..core.syscalls import sys_now
 from ..core.thread import join_all, spawn
+from ..http.cache import FileCache
 from ..http.client import HttpClient, HttpClientError, RequestTimeout
 from ..http.message import HttpError, HttpRequest, HttpResponse
 from ..http.server import EmptyFilesystem, LiveSocketLayer, WebServer
@@ -97,59 +97,58 @@ class Route:
                 f"{self.policy}>")
 
 
+class _Timed:
+    """A cached response and its expiry; sized by its body for the LRU."""
+
+    __slots__ = ("expires", "response")
+
+    def __init__(self, expires: float, response: HttpResponse) -> None:
+        self.expires = expires
+        self.response = response
+
+    def __len__(self) -> int:
+        return len(self.response.body)
+
+
 class ResponseCache:
-    """A TTL + byte-capped LRU of complete upstream responses.
+    """A TTL over the byte-capped LRU of complete upstream responses.
 
     Entries expire ``ttl`` seconds after insertion (checked against the
     runtime clock passed by the caller — works under both real and
-    virtual time) and evict oldest-first when the byte cap fills.
+    virtual time); byte accounting and oldest-first eviction are
+    :class:`~repro.http.cache.FileCache`'s.
     """
 
     def __init__(self, capacity_bytes: int, ttl: float) -> None:
-        self.capacity_bytes = capacity_bytes
         self.ttl = ttl
-        self._entries: OrderedDict[str, tuple[float, HttpResponse]] = (
-            OrderedDict()
-        )
-        self._used = 0
+        self._lru = FileCache(capacity_bytes)
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.expirations = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._lru.entry_count
+
+    @property
+    def evictions(self) -> int:
+        return self._lru.evictions
 
     def get(self, key: str, now: float) -> HttpResponse | None:
-        entry = self._entries.get(key)
+        entry = self._lru.get(key)
+        if entry is not None and now >= entry.expires:
+            self._lru.invalidate(key)
+            self.expirations += 1
+            entry = None
         if entry is None:
             self.misses += 1
             return None
-        expires, response = entry
-        if now >= expires:
-            del self._entries[key]
-            self._used -= len(response.body)
-            self.expirations += 1
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
         self.hits += 1
-        return response
+        return entry.response
 
     def put(self, key: str, response: HttpResponse, now: float) -> bool:
-        size = len(response.body)
-        if size > self.capacity_bytes or self.ttl <= 0:
+        if self.ttl <= 0:
             return False
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._used -= len(old[1].body)
-        while self._used + size > self.capacity_bytes and self._entries:
-            _key, (_expires, evicted) = self._entries.popitem(last=False)
-            self._used -= len(evicted.body)
-            self.evictions += 1
-        self._entries[key] = (now + self.ttl, response)
-        self._used += size
-        return True
+        return self._lru.put(key, _Timed(now + self.ttl, response))
 
 
 def _copy_response(response: HttpResponse) -> HttpResponse:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 
 from ..core.do_notation import do
-from ..core.syscalls import sys_aio_read, sys_blio
+from ..core.syscalls import sys_aio_read
 from ..runtime.sim_runtime import SimRuntime
 from ..simos.errors import OutOfMemoryError
 from ..simos.kernel import SimKernel

@@ -8,11 +8,11 @@ returning :class:`~repro.core.monad.M`, i.e. a :class:`~repro.app.kv
 gathered write — a pipelined batch of N commands costs one egress
 syscall, the same fast path PR-5 built for HTTP responses.
 
-The session loop mirrors :class:`~repro.http.server.HttpProtocol`:
-store-level failures become in-band error replies on a connection that
-stays up; parse-level failures are fatal (the stream may be desynced, so
-the only safe move is an error line and a drain-close); ``GeneratorExit``
-(abandonment) must not yield.
+The session mirrors :class:`~repro.http.server.HttpProtocol` on the
+shared :class:`~repro.runtime.driver.ConnectionDriver` (which reads and
+closes): store-level failures become in-band error replies on a
+connection that stays up; parse-level failures are fatal (the stream may
+be desynced, so the only safe move is an error line and a drain-close).
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from typing import Any
 
 from ..core.do_notation import do
 from ..core.monad import M
+from ..runtime.driver import CLOSE, DRAIN_CLOSE
 
-__all__ = ["CacheStats", "CacheParseError", "CacheProtocolBase"]
+__all__ = ["CacheStats", "CacheParseError", "CacheParser",
+           "CacheProtocolBase"]
 
 
 class CacheParseError(ValueError):
@@ -38,6 +40,35 @@ class CacheParseError(ValueError):
     def __init__(self, reply: bytes, detail: str = "") -> None:
         super().__init__(detail or reply.decode("latin-1").strip())
         self.reply = reply
+
+
+class CacheParser:
+    """The push-parser shell both dialects share: feed bytes, pop
+    commands.  Subclasses implement ``_advance() -> bool`` over
+    ``_buffer``, appending to ``_commands``."""
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+        self._commands: list = []
+
+    def feed(self, data, length: int | None = None) -> None:
+        """Add received bytes; ``length`` bounds the valid prefix (pooled
+        receive buffers are larger than the bytes received)."""
+        if length is None:
+            self._buffer.extend(data)
+        else:
+            self._buffer.extend(memoryview(data)[:length])
+        while self._advance():
+            pass
+
+    def next_command(self) -> Any:
+        if self._commands:
+            return self._commands.pop(0)
+        return None
+
+    @property
+    def buffered(self) -> int:
+        return len(self._buffer)
 
 
 class CacheStats:
@@ -83,7 +114,7 @@ class CacheStats:
 
 
 class CacheProtocolBase:
-    """The common session loop; subclasses supply parser and executor.
+    """The common reply loop; subclasses supply parser and executor.
 
     Subclass contract:
 
@@ -98,18 +129,11 @@ class CacheProtocolBase:
         The driver's admission-cap farewell.
     """
 
-    #: Ingress read size: pipelined cache batches are dense, so read
-    #: bigger than HTTP's 4 KiB to keep whole batches in one wakeup.
-    recv_bytes = 64 * 1024
+    parse_error = CacheParseError
 
-    def __init__(self, store: Any, stats: CacheStats | None = None,
-                 buffers: Any = None) -> None:
+    def __init__(self, store: Any, stats: CacheStats | None = None) -> None:
         self.store = store
         self.stats = stats if stats is not None else CacheStats()
-        #: Optional :class:`~repro.runtime.buffers.BufferPool`: with a
-        #: pool and a layer exposing ``recv_pooled``, ingress reads land
-        #: in leased reusable buffers instead of fresh allocations.
-        self.buffers = buffers
 
     # -- subclass hooks ------------------------------------------------
     def make_parser(self) -> Any:
@@ -122,89 +146,41 @@ class CacheProtocolBase:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    def handle_connection(self, layer: Any, conn: Any) -> M:
-        """One client session: commands in, batched replies out."""
-        return self._session(layer, conn)
-
-    def _send_bufs(self, layer: Any, conn: Any, bufs: list) -> M:
-        send_v = getattr(layer, "send_v", None)
-        if send_v is not None:
-            return send_v(conn, bufs)
-        return layer.send(conn, b"".join(bufs))
-
     @do
-    def _session(self, layer, conn):
+    def drain(self, layer, conn, parser, bad):
+        """Execute everything this read completed; all replies (and the
+        farewell for a parse error ``bad``) leave as one gathered write."""
         stats = self.stats
-        parser = self.make_parser()
-        # Abandonment closes this generator with GeneratorExit; no
-        # scheduler remains to run a monadic close then, so the finally
-        # must not yield on that path (same contract as HttpProtocol).
-        can_yield = True
-        drained = False
-        recv_pooled = None
-        if self.buffers is not None:
-            recv_pooled = getattr(layer, "recv_pooled", None)
-        try:
-            while True:
-                try:
-                    if recv_pooled is not None:
-                        # Pooled ingress: recv into a leased reusable
-                        # buffer, feed it in place, release (plain code)
-                        # before anything can yield.
-                        lease, count = yield recv_pooled(conn, self.buffers)
-                        if not count:
-                            lease.release()
-                            return  # client closed
-                        try:
-                            parser.feed(lease.data, count)
-                        finally:
-                            lease.release()
-                    else:
-                        data = yield layer.recv(conn, self.recv_bytes)
-                        if not data:
-                            return  # client closed
-                        parser.feed(data)
-                except CacheParseError as bad:
-                    stats.errors += 1
-                    yield layer.send(conn, bad.reply)
-                    stats.bytes_sent += len(bad.reply)
-                    # Drain-close: unread pipelined bytes would turn a
-                    # straight close into an RST that eats the reply.
-                    yield layer.shed(conn, b"")
-                    drained = True
-                    return
-                # Execute everything this read completed; all replies
-                # leave as one gathered write.
-                out: list = []
-                frames_before = stats.responses
-                closing = False
-                while True:
-                    command = parser.next_command()
-                    if command is None:
-                        break
-                    stats.commands += 1
-                    closing = yield self.execute(command, out)
-                    if closing:
-                        break
-                if out:
-                    frames = stats.responses - frames_before
-                    stats.send_batches += 1
-                    if frames > 1:
-                        stats.pipelined_batches += 1
-                    if frames > stats.max_responses_per_batch:
-                        stats.max_responses_per_batch = frames
-                    yield self._send_bufs(layer, conn, out)
-                    stats.bytes_sent += sum(len(buf) for buf in out)
-                if closing:
-                    return
-        except (ConnectionError, OSError):
-            return  # peer vanished: nothing to say to it
-        except GeneratorExit:
-            can_yield = False
-            raise
-        finally:
-            if can_yield and not drained:
-                yield layer.close(conn)
+        out: list = []
+        frames_before = stats.responses
+        closing = False
+        while True:
+            command = parser.next_command()
+            if command is None:
+                break
+            stats.commands += 1
+            closing = yield self.execute(command, out)
+            if closing:
+                break
+        if out:
+            frames = stats.responses - frames_before
+            stats.send_batches += 1
+            if frames > 1:
+                stats.pipelined_batches += 1
+            if frames > stats.max_responses_per_batch:
+                stats.max_responses_per_batch = frames
+        if bad is not None and not closing:
+            stats.errors += 1
+            out.append(bad.reply)
+        if out:
+            yield layer.send_v(conn, out)
+            stats.bytes_sent += sum(len(buf) for buf in out)
+        if closing:
+            return CLOSE  # quit: whatever followed it is not ours
+        if bad is not None:
+            # Drain-close: unread pipelined bytes would turn a straight
+            # close into an RST that eats the reply.
+            return DRAIN_CLOSE
 
     # -- shared executor helpers ---------------------------------------
     @staticmethod

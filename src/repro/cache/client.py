@@ -14,52 +14,12 @@ batching claims are about pipelined batches.
 
 from __future__ import annotations
 
-import socket
+from ..blocking import BlockingConnection
 
 __all__ = ["BlockingMemcacheClient", "BlockingRespClient", "RespError"]
 
 
-class _LineClient:
-    def __init__(self, port: int, host: str = "127.0.0.1",
-                 timeout: float = 5.0) -> None:
-        self.sock = socket.create_connection((host, port), timeout=timeout)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.buffer = bytearray()
-
-    def _fill(self) -> None:
-        chunk = self.sock.recv(65536)
-        if not chunk:
-            raise ConnectionError("server closed the connection")
-        self.buffer.extend(chunk)
-
-    def _read_line(self) -> bytes:
-        while True:
-            line_end = self.buffer.find(b"\r\n")
-            if line_end >= 0:
-                break
-            self._fill()
-        line = bytes(self.buffer[:line_end])
-        del self.buffer[:line_end + 2]
-        return line
-
-    def _read_exact(self, nbytes: int) -> bytes:
-        while len(self.buffer) < nbytes:
-            self._fill()
-        data = bytes(self.buffer[:nbytes])
-        del self.buffer[:nbytes]
-        return data
-
-    def close(self) -> None:
-        self.sock.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class BlockingMemcacheClient(_LineClient):
+class BlockingMemcacheClient(BlockingConnection):
     """One keep-alive connection speaking the memcache text protocol."""
 
     def set(self, key: str, value: bytes, flags: int = 0,
@@ -155,7 +115,7 @@ class RespError(Exception):
     """An ``-ERR ...`` reply, surfaced like redis clients do."""
 
 
-class BlockingRespClient(_LineClient):
+class BlockingRespClient(BlockingConnection):
     """One keep-alive connection speaking RESP2."""
 
     @staticmethod

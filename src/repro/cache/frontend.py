@@ -70,11 +70,10 @@ def build_cache_frontend(
     for free and any shard answers any key.  ``protocol`` selects the
     dialect from :data:`PROTOCOLS`.
 
-    The runtime's shared services ride along by default: ingress reads
-    use ``rt.buffers`` (pooled reusable receive buffers) and the
-    memcache dialect's ``exptime`` uses ``rt.timers`` — pass explicit
-    ``buffers=``/``timers=`` keywords (or ``None``-y values) through
-    ``protocol_kwargs`` to override or disable either.
+    The runtime's shared services ride along: ingress reads lease from
+    ``rt.buffers`` (through the socket layer) and the memcache dialect's
+    ``exptime`` uses ``rt.timers`` — pass an explicit ``timers=`` (or
+    ``None``) through ``protocol_kwargs`` to override or disable it.
     """
     try:
         protocol_cls = PROTOCOLS[protocol]
@@ -83,8 +82,6 @@ def build_cache_frontend(
             f"unknown cache protocol {protocol!r} "
             f"(have {sorted(PROTOCOLS)})"
         )
-    if "buffers" not in protocol_kwargs:
-        protocol_kwargs["buffers"] = getattr(rt, "buffers", None)
     if protocol == "memcache" and "timers" not in protocol_kwargs:
         protocol_kwargs["timers"] = getattr(rt, "timers", None)
     stats = CacheStats()

@@ -37,7 +37,7 @@ import zlib
 
 from ..core.do_notation import do
 from ..core.syscalls import sys_fork, sys_now
-from .base import CacheParseError, CacheProtocolBase, CacheStats
+from .base import CacheParseError, CacheParser, CacheProtocolBase, CacheStats
 
 __all__ = ["MemcacheParser", "MemcacheProtocol"]
 
@@ -65,7 +65,7 @@ def _valid_key(key: bytes) -> bool:
     return all(0x21 <= c <= 0x7E for c in key)
 
 
-class MemcacheParser:
+class MemcacheParser(CacheParser):
     """Push parser: feed bytes, pop command tuples.
 
     Byte-boundary safe (the property test feeds every split).  Commands
@@ -85,30 +85,10 @@ class MemcacheParser:
     """
 
     def __init__(self, max_value_bytes: int = _MAX_VALUE_BYTES) -> None:
+        super().__init__()
         self.max_value_bytes = max_value_bytes
-        self._buffer = bytearray()
-        self._commands: list[tuple] = []
         #: When mid data-block: (command-or-None, error-reply, size, noreply)
         self._pending: tuple | None = None
-
-    def feed(self, data, length: int | None = None) -> None:
-        """Add received bytes; ``length`` bounds the valid prefix (pooled
-        receive buffers are larger than the bytes received)."""
-        if length is None:
-            self._buffer.extend(data)
-        else:
-            self._buffer.extend(memoryview(data)[:length])
-        while self._advance():
-            pass
-
-    def next_command(self) -> tuple | None:
-        if self._commands:
-            return self._commands.pop(0)
-        return None
-
-    @property
-    def buffered(self) -> int:
-        return len(self._buffer)
 
     # ------------------------------------------------------------------
     def _advance(self) -> bool:
@@ -245,8 +225,8 @@ class MemcacheProtocol(CacheProtocolBase):
 
     def __init__(self, store, stats: CacheStats | None = None,
                  max_value_bytes: int = _MAX_VALUE_BYTES,
-                 buffers=None, timers=None) -> None:
-        super().__init__(store, stats, buffers=buffers)
+                 timers=None) -> None:
+        super().__init__(store, stats)
         self.max_value_bytes = max_value_bytes
         self.timers = timers
         #: key -> (flags, deadline_or_None); deadline is on the

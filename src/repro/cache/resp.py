@@ -17,7 +17,7 @@ self-consistent, and UTF-8 keys interoperate with the HTTP facade.
 from __future__ import annotations
 
 from ..core.do_notation import do
-from .base import CacheParseError, CacheProtocolBase, CacheStats
+from .base import CacheParseError, CacheParser, CacheProtocolBase, CacheStats
 
 __all__ = ["RespParser", "RespProtocol"]
 
@@ -45,7 +45,7 @@ def _decode_int(field: bytes, *, signed: bool = False) -> int | None:
     return int(field)
 
 
-class RespParser:
+class RespParser(CacheParser):
     """Push parser: feed bytes, pop commands as ``list[bytes]``.
 
     Byte-boundary safe.  Every wire-level mistake is fatal (RESP has no
@@ -55,31 +55,11 @@ class RespParser:
     """
 
     def __init__(self, max_bulk_bytes: int = _MAX_BULK_BYTES) -> None:
+        super().__init__()
         self.max_bulk_bytes = max_bulk_bytes
-        self._buffer = bytearray()
-        self._commands: list[list[bytes]] = []
         self._expected = 0          # elements outstanding in the array
         self._items: list[bytes] = []
         self._bulk_len = -1         # payload length mid-bulk, else -1
-
-    def feed(self, data, length: int | None = None) -> None:
-        """Add received bytes; ``length`` bounds the valid prefix (pooled
-        receive buffers are larger than the bytes received)."""
-        if length is None:
-            self._buffer.extend(data)
-        else:
-            self._buffer.extend(memoryview(data)[:length])
-        while self._advance():
-            pass
-
-    def next_command(self) -> list[bytes] | None:
-        if self._commands:
-            return self._commands.pop(0)
-        return None
-
-    @property
-    def buffered(self) -> int:
-        return len(self._buffer)
 
     # ------------------------------------------------------------------
     def _advance(self) -> bool:
@@ -163,9 +143,8 @@ class RespProtocol(CacheProtocolBase):
     """Executor: RESP commands against the monadic store."""
 
     def __init__(self, store, stats: CacheStats | None = None,
-                 max_bulk_bytes: int = _MAX_BULK_BYTES,
-                 buffers=None) -> None:
-        super().__init__(store, stats, buffers=buffers)
+                 max_bulk_bytes: int = _MAX_BULK_BYTES) -> None:
+        super().__init__(store, stats)
         self.max_bulk_bytes = max_bulk_bytes
 
     def make_parser(self) -> RespParser:

@@ -38,7 +38,7 @@ from .exceptions import ReproError
 from .monad import M
 from .scheduler import Scheduler, TCB
 from .syscalls import sys_stm
-from .trace import SysStm, SysThrow, Thunk, Trace
+from .trace import SysStm, SysThrow, Thunk
 
 __all__ = [
     "TVar",

@@ -13,7 +13,7 @@ registry so it is available on every scheduler.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
 from .monad import M, pure, sequence_m
 from .scheduler import Scheduler, TCB

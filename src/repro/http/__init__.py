@@ -1,7 +1,9 @@
 """The paper's case study: a simple web server for static pages (§5.2).
 
 * :mod:`repro.http.message` — request/response types and serialization;
-* :mod:`repro.http.parser` — an incremental, chunking-safe request parser;
+* :mod:`repro.http.framing` — the one HTTP/1.1 message-framing machine,
+  incremental and chunking-safe, shared by both parsers;
+* :mod:`repro.http.parser` — the request parser over it;
 * :mod:`repro.http.cache` — the application-managed file cache (the paper
   uses a fixed 100MB cache filled through AIO, bypassing the kernel);
 * :mod:`repro.http.server` — the monadic web server: one ``@do`` thread

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import socket
 
-from .client import ResponseParseError, ResponseParser
+from ..blocking import BlockingConnection
+from .client import ResponseParseError, ResponseParser, _encode_request
 
 __all__ = ["BlockingHttpClient", "read_response", "read_full_response"]
 
@@ -77,24 +78,13 @@ def read_full_response(
     return response.status_line, dict(response.headers), response.body
 
 
-class BlockingHttpClient:
+class BlockingHttpClient(BlockingConnection):
     """One keep-alive connection issuing GETs and reading full responses."""
-
-    def __init__(self, port: int, host: str = "127.0.0.1",
-                 timeout: float = 5.0) -> None:
-        self.sock = socket.create_connection((host, port), timeout=timeout)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.host = host
-        self.buffer = bytearray()
 
     def get(self, path: str, close: bool = False) -> tuple[str, bytes]:
         """GET ``path``; returns ``(status_line, body)``."""
-        connection = "close" if close else "keep-alive"
-        self.sock.sendall(
-            f"GET /{path.lstrip('/')} HTTP/1.1\r\nHost: {self.host}\r\n"
-            f"Connection: {connection}\r\n\r\n".encode()
-        )
-        return read_response(self.sock, self.buffer)
+        status_line, _headers, body = self.request("GET", path, close=close)
+        return status_line, body
 
     def request(
         self,
@@ -109,15 +99,11 @@ class BlockingHttpClient:
         Handles chunked responses, so it drives the KV facade
         (PUT/DELETE/MGET/kv-stats) end to end.
         """
-        lines = [f"{method} /{path.lstrip('/')} HTTP/1.1",
-                 f"Host: {self.host}",
-                 f"Connection: {'close' if close else 'keep-alive'}"]
-        if body:
-            lines.append(f"Content-Length: {len(body)}")
-        for name, value in (headers or {}).items():
-            lines.append(f"{name}: {value}")
-        payload = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-        self.sock.sendall(payload)
+        headers = {"Connection": "close" if close else "keep-alive",
+                   **(headers or {})}
+        self.sock.sendall(b"".join(_encode_request(
+            method, f"/{path.lstrip('/')}", self.host, headers, body
+        )))
         return read_full_response(
             self.sock, self.buffer, head_only=(method == "HEAD")
         )
@@ -125,12 +111,3 @@ class BlockingHttpClient:
     def send_raw(self, payload: bytes) -> None:
         """Write arbitrary bytes (pipelined bursts, malformed requests)."""
         self.sock.sendall(payload)
-
-    def close(self) -> None:
-        self.sock.close()
-
-    def __enter__(self) -> "BlockingHttpClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

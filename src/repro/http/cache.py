@@ -15,7 +15,11 @@ __all__ = ["FileCache"]
 
 
 class FileCache:
-    """LRU cache mapping paths to file contents, bounded in bytes."""
+    """LRU cache mapping paths to file contents, bounded in bytes.
+
+    An entry weighs ``len(entry)``: the gateway's response cache stores
+    whole responses here, sized by their body.
+    """
 
     def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes < 0:

@@ -3,14 +3,12 @@
 This is the public *outbound* HTTP API, the client-side mirror of
 :class:`~repro.http.server.WebServer`:
 
-* :class:`ResponseParser` — the one client-side response parser.  Push
-  bytes in, pop :class:`ClientResponse` objects out, exactly like the
-  server's :class:`~repro.http.parser.RequestParser` for requests.  It
-  understands every RFC 9112 response framing: Content-Length (strictly
-  validated), chunked transfer coding (extensions and trailers
-  included), the no-body statuses (1xx/204/304 and HEAD replies, driven
-  by an *expectation queue* of request methods so pipelined HEADs frame
-  correctly), and read-until-EOF bodies.  The blocking test/load client
+* :class:`ResponseParser` — the one client-side response parser: the
+  framing machine it shares with the server's request parser
+  (:mod:`repro.http.framing`) plus what only responses have — the
+  no-body statuses (1xx/204/304 and HEAD replies, driven by an
+  *expectation queue* of request methods so pipelined HEADs frame
+  correctly) and read-until-EOF bodies.  The blocking test/load client
   (:mod:`repro.http.blocking_client`) is a thin wrapper over this same
   parser.
 * :class:`HttpClient` — requests over a
@@ -40,6 +38,7 @@ from ..core.exceptions import ReproError
 from ..core.monad import M
 from ..runtime.io_api import ConnectionClosed
 from ..runtime.pool import ConnectionPool, PoolError
+from .framing import MessageParser
 
 __all__ = [
     "HttpClient",
@@ -53,7 +52,6 @@ __all__ = [
 
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 8 * 1024 * 1024
-_MAX_CHUNK_LINE_BYTES = 256
 
 #: Statuses that never carry a body (RFC 9112 §6.3).
 _NO_BODY_STATUSES = (204, 304)
@@ -115,14 +113,7 @@ class ClientResponse:
         return f"<ClientResponse {self.status} {len(self.body)}B>"
 
 
-def _strict_content_length(value: str) -> int:
-    # Same strictness as the server-side parser: ASCII digits only.
-    if not value or not value.isascii() or not value.isdigit():
-        raise ResponseParseError(f"bad Content-Length {value!r}")
-    return int(value)
-
-
-class ResponseParser:
+class ResponseParser(MessageParser):
     """A streaming response parser for a single connection.
 
     Feed it arbitrary byte chunks; pop complete responses.  Call
@@ -139,63 +130,35 @@ class ResponseParser:
         max_header_bytes: int = _MAX_HEADER_BYTES,
         max_body_bytes: int = _MAX_BODY_BYTES,
     ) -> None:
-        self.max_header_bytes = max_header_bytes
-        self.max_body_bytes = max_body_bytes
-        self._buffer = bytearray()
-        self._responses: list[ClientResponse] = []
+        super().__init__(max_header_bytes, max_body_bytes)
         self._expected: list[str] = []  # request methods, FIFO
-        self._pending: ClientResponse | None = None
-        self._mode: str | None = None  # "length"|"chunked"|"eof"
-        self._body_needed = 0
-        self._chunk_mode: str | None = None  # "size"|"data"|"trailer"
-        self._chunk_remaining = 0
-        self._chunk_parts: list[bytes] = []
-        self._chunk_total = 0
-        self._trailer_bytes = 0
-        self._eof_parts: list[bytes] = []
 
     # -- public --------------------------------------------------------
     def expect(self, method: str) -> None:
         """Queue the request method whose response arrives next."""
         self._expected.append(method.upper())
 
-    def feed(self, data: bytes) -> None:
-        """Add received bytes; may complete any number of responses."""
-        self._buffer.extend(data)
-        while self._advance():
-            pass
-
     def eof(self) -> None:
         """The peer closed the stream.  Completes a read-until-EOF body;
         raises :class:`ResponseParseError` if a framed message was cut
         short; a clean close between messages is a no-op."""
-        if self._pending is not None and self._mode == "eof":
-            response = self._pending
-            self._eof_parts.append(bytes(self._buffer))
-            del self._buffer[:]
-            response.body = b"".join(self._eof_parts)
-            self._finish(response)
-            return
-        if self._pending is not None or self._buffer:
+        if self._mode == "eof":
+            self._complete(b"".join(self._body_parts))
+        elif self._pending is not None or self._buffer:
             raise ResponseParseError("EOF mid-response")
 
     def next_response(self) -> ClientResponse | None:
         """Pop the oldest complete response, if any."""
-        if self._responses:
-            return self._responses.pop(0)
+        if self._messages:
+            return self._messages.pop(0)
         return None
-
-    @property
-    def buffered(self) -> int:
-        """Unconsumed bytes held (pipelined data)."""
-        return len(self._buffer)
 
     @property
     def idle(self) -> bool:
         """No partial message and no unconsumed bytes — the connection
         is safely reusable for the next request."""
         return (self._pending is None and not self._buffer
-                and not self._responses)
+                and not self._messages)
 
     def drain(self) -> bytes:
         """Remove and return the unconsumed buffered bytes (used by the
@@ -204,31 +167,10 @@ class ResponseParser:
         del self._buffer[:]
         return data
 
-    # -- state machine -------------------------------------------------
-    def _finish(self, response: ClientResponse) -> None:
-        self._pending = None
-        self._mode = None
-        self._chunk_mode = None
-        self._chunk_parts = []
-        self._chunk_total = 0
-        self._eof_parts = []
-        self._responses.append(response)
-
-    def _advance(self) -> bool:
-        if self._pending is not None:
-            if self._mode == "length":
-                return self._advance_body()
-            if self._mode == "chunked":
-                return self._advance_chunked()
-            # "eof": everything buffered belongs to the body.
-            if self._buffer:
-                self._eof_parts.append(bytes(self._buffer))
-                del self._buffer[:]
-                total = sum(len(part) for part in self._eof_parts)
-                if total > self.max_body_bytes:
-                    raise ResponseParseError("response body too large")
-            return False
-        return self._advance_headers()
+    # -- what differs from a request -----------------------------------
+    @staticmethod
+    def _error(_status: int, detail: str) -> ResponseParseError:
+        return ResponseParseError(detail)
 
     def _advance_headers(self) -> bool:
         if not self._expected:
@@ -236,162 +178,34 @@ class ResponseParser:
             # are a pipelined response for a not-yet-issued expect(), or
             # surplus garbage the caller detects via ``idle``).
             return False
-        end = self._buffer.find(b"\r\n\r\n")
-        if end < 0:
-            if len(self._buffer) > self.max_header_bytes:
-                raise ResponseParseError("header block too large")
-            return False
-        if end > self.max_header_bytes:
-            raise ResponseParseError("header block too large")
-        block = bytes(self._buffer[:end])
-        del self._buffer[:end + 4]
-        response = self._parse_header_block(block)
-        if response.status // 100 == 1:
-            # Informational: no body, and it does not consume the
-            # expectation — the final response is still coming.
-            self._responses.append(response)
-            return True
-        method = self._expected.pop(0) if self._expected else "GET"
-        if method == "HEAD" or response.status in _NO_BODY_STATUSES:
-            self._finish(response)
-            return True
-        encoding = response.headers.get("transfer-encoding")
-        length = response.headers.get("content-length")
-        if encoding is not None:
-            codings = [c.strip().lower()
-                       for c in encoding.split(",") if c.strip()]
-            if codings != ["chunked"]:
-                raise ResponseParseError(
-                    f"unsupported Transfer-Encoding {encoding!r}"
-                )
-            self._pending = response
-            self._mode = "chunked"
-            self._chunk_mode = "size"
-            self._chunk_parts = []
-            self._chunk_total = 0
-            self._trailer_bytes = 0
-            return True
-        if length is not None:
-            needed = _strict_content_length(length)
-            if needed > self.max_body_bytes:
-                raise ResponseParseError("response body too large")
-            self._pending = response
-            self._mode = "length"
-            self._body_needed = needed
-            return True
-        # No framing: the body runs to connection close (HTTP/1.0
-        # style).  The connection is not reusable afterwards.
-        response.framed = False
-        self._pending = response
-        self._mode = "eof"
-        self._eof_parts = []
-        return True
+        return super()._advance_headers()
 
-    def _advance_body(self) -> bool:
-        assert self._pending is not None
-        if len(self._buffer) < self._body_needed:
-            return False
-        response = self._pending
-        response.body = bytes(self._buffer[:self._body_needed])
-        del self._buffer[:self._body_needed]
-        self._body_needed = 0
-        self._finish(response)
-        return True
-
-    def _advance_chunked(self) -> bool:
-        buffer = self._buffer
-        while True:
-            if self._chunk_mode == "size":
-                line_end = buffer.find(b"\r\n")
-                if line_end < 0:
-                    if len(buffer) > _MAX_CHUNK_LINE_BYTES:
-                        raise ResponseParseError("chunk size line too long")
-                    return False
-                line = bytes(buffer[:line_end])
-                del buffer[:line_end + 2]
-                size_text = line.split(b";", 1)[0].strip()
-                size = self._parse_chunk_size(size_text)
-                if self._chunk_total + size > self.max_body_bytes:
-                    raise ResponseParseError("chunked body too large")
-                if size == 0:
-                    self._chunk_mode = "trailer"
-                else:
-                    self._chunk_remaining = size
-                    self._chunk_mode = "data"
-            elif self._chunk_mode == "data":
-                need = self._chunk_remaining + 2
-                if len(buffer) < need:
-                    return False
-                if bytes(buffer[self._chunk_remaining:need]) != b"\r\n":
-                    raise ResponseParseError("chunk not CRLF-terminated")
-                self._chunk_parts.append(
-                    bytes(buffer[:self._chunk_remaining])
-                )
-                self._chunk_total += self._chunk_remaining
-                del buffer[:need]
-                self._chunk_remaining = 0
-                self._chunk_mode = "size"
-            else:  # trailer section
-                line_end = buffer.find(b"\r\n")
-                if line_end < 0:
-                    if len(buffer) > self.max_header_bytes:
-                        raise ResponseParseError("trailer section too large")
-                    return False
-                line = bytes(buffer[:line_end])
-                del buffer[:line_end + 2]
-                if not line:
-                    response = self._pending
-                    assert response is not None
-                    response.body = b"".join(self._chunk_parts)
-                    self._finish(response)
-                    return True
-                if line.find(b":") <= 0:
-                    raise ResponseParseError(f"bad trailer line {line!r}")
-                self._trailer_bytes += line_end + 2
-                if self._trailer_bytes > self.max_header_bytes:
-                    raise ResponseParseError("trailer section too large")
-                # Trailer fields are validated for shape and discarded.
-
-    @staticmethod
-    def _parse_chunk_size(size_text: bytes) -> int:
-        if not size_text or any(
-            c not in b"0123456789abcdefABCDEF" for c in size_text
-        ):
-            raise ResponseParseError(f"bad chunk size {size_text!r}")
-        return int(size_text, 16)
-
-    def _parse_header_block(self, block: bytes) -> ClientResponse:
-        try:
-            text = block.decode("latin-1")
-        except UnicodeDecodeError:  # pragma: no cover - latin-1 total
-            raise ResponseParseError("undecodable header block")
-        lines = text.split("\r\n")
-        status_line = lines[0]
-        parts = status_line.split(" ", 2)
+    def _start(self, line: str, headers: dict[str, str]) -> ClientResponse:
+        parts = line.split(" ", 2)
         if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-            raise ResponseParseError(f"bad status line {status_line!r}")
-        version = parts[0]
+            raise ResponseParseError(f"bad status line {line!r}")
         if not (len(parts[1]) == 3 and parts[1].isascii()
                 and parts[1].isdigit()):
             raise ResponseParseError(f"bad status code {parts[1]!r}")
-        status = int(parts[1])
         reason = parts[2] if len(parts) == 3 else ""
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            colon = line.find(":")
-            if colon <= 0:
-                raise ResponseParseError(f"bad header line {line!r}")
-            name = line[:colon].strip().lower()
-            value = line[colon + 1:].strip()
-            if name in headers:
-                if name in ("content-length", "transfer-encoding"):
-                    raise ResponseParseError(f"duplicate {name} header")
-                headers[name] = f"{headers[name]}, {value}"
-            else:
-                headers[name] = value
-        return ClientResponse(status, reason, version, headers, status_line)
+        return ClientResponse(int(parts[1]), reason, parts[0], headers, line)
+
+    def _frame(self, response: ClientResponse) -> None:
+        # Informational (1xx): no body, and it does not consume the
+        # expectation (``or`` short-circuits before the pop) — the final
+        # response is still coming.
+        if (response.status // 100 == 1
+                or self._expected.pop(0) == "HEAD"
+                or response.status in _NO_BODY_STATUSES):
+            self._messages.append(response)
+        else:
+            super()._frame(response)
+
+    def _unframed(self, response: ClientResponse) -> None:
+        # No framing: the body runs to connection close (HTTP/1.0
+        # style).  The connection is not reusable afterwards.
+        response.framed = False
+        self._begin_body(response, "eof")
 
 
 # ----------------------------------------------------------------------
@@ -603,6 +417,7 @@ class HttpClient:
                 response = parser.next_response()
                 if response is None:
                     raise ConnectionClosed("EOF before response")
+                responses.append(response)  # its body ran to the close
         except Exception as exc:
             deadline.cancel()
             if deadline.fired:

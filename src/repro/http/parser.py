@@ -5,29 +5,25 @@ from a socket) and pop complete requests.  Splitting the input at any byte
 boundary yields identical parses — a property test pins this down, since
 network reads chunk unpredictably.
 
-Body framing follows RFC 9112: a request carries either a validated
-Content-Length body or a ``Transfer-Encoding: chunked`` body (size lines
-may carry extensions; an optional trailer section follows the terminal
-chunk).  A request that claims both framings is rejected with 400 — the
-classic request-smuggling ambiguity — as are duplicate Content-Length
-headers and length values that ``int()`` would quietly accept
-(``"+5"``, ``"1_0"``, non-ASCII digits).
+Message framing (header fields, strict Content-Length, the chunked
+machine, the bounds) is :class:`~repro.http.framing.MessageParser`'s,
+shared with the response parser; this module supplies the request line
+and the request's error type.  Every framing ambiguity — both
+Transfer-Encoding and Content-Length, duplicate framing headers,
+whitespace around a field name — is rejected with 400, the classic
+request-smuggling surface.
 """
 
 from __future__ import annotations
 
+from .framing import MessageParser
 from .message import HttpRequest
 
 __all__ = ["RequestParser", "HttpParseError"]
 
 _MAX_HEADER_BYTES = 16 * 1024
 _MAX_BODY_BYTES = 1 * 1024 * 1024
-_MAX_CHUNK_LINE_BYTES = 256
 _SUPPORTED_METHODS = ("GET", "HEAD", "POST", "PUT", "DELETE", "OPTIONS")
-
-# Headers where merging duplicates would change message framing or
-# routing semantics; everything else comma-joins per RFC 9110 §5.2.
-_NO_DUPLICATES = ("content-length", "host", "transfer-encoding")
 
 
 class HttpParseError(ValueError):
@@ -39,22 +35,8 @@ class HttpParseError(ValueError):
         self.detail = detail
 
 
-def _strict_content_length(value: str) -> int:
-    """Parse a Content-Length: ASCII digits only, no signs or separators.
-
-    Bare ``int()`` accepts ``"+5"``, ``" 7 "``, ``"1_0"``, and non-ASCII
-    digit runs like ``"١٢"`` — all of which an intermediary may read
-    differently than we would, which is exactly the desync that enables
-    request smuggling.  (``str.isdigit()`` alone is not enough: it is
-    True for non-ASCII digits, hence the explicit ASCII check.)
-    """
-    if not value or not value.isascii() or not value.isdigit():
-        raise HttpParseError(400, f"bad Content-Length {value!r}")
-    return int(value)
-
-
-class RequestParser:
-    """A streaming parser for a single connection.
+class RequestParser(MessageParser):
+    """A streaming request parser for a single connection.
 
     Memory is bounded: a header block that exceeds ``max_header_bytes``
     without completing is rejected with 431 (Request Header Fields Too
@@ -65,257 +47,27 @@ class RequestParser:
     by ``max_header_bytes``.
     """
 
+    #: A repeated Host would change routing, not framing: same answer.
+    _NO_DUPLICATES = MessageParser._NO_DUPLICATES + ("host",)
+    _error = HttpParseError
+
     def __init__(
         self,
         max_header_bytes: int = _MAX_HEADER_BYTES,
         max_body_bytes: int = _MAX_BODY_BYTES,
     ) -> None:
-        if max_header_bytes < 64:
-            raise ValueError("max_header_bytes must be >= 64")
-        if max_body_bytes < 0:
-            raise ValueError("max_body_bytes must be >= 0")
-        self.max_header_bytes = max_header_bytes
-        self.max_body_bytes = max_body_bytes
-        #: Bytes carried over *between* feeds (a request split across
-        #: recvs).  On the common one-recv-per-request path this stays
-        #: empty and the parser works directly over the caller's buffer.
-        self._buffer = bytearray()
-        self._requests: list[HttpRequest] = []
-        self._pending: HttpRequest | None = None
-        self._body_needed = 0
-        # Chunked-transfer state: mode is None (not chunked) or one of
-        # "size" / "data" / "trailer".
-        self._chunk_mode: str | None = None
-        self._chunk_remaining = 0
-        self._chunk_parts: list[bytes] = []
-        self._chunk_total = 0
-        self._trailer_bytes = 0
-        # The cursor, valid only inside feed(): parse source, read
-        # position, and end of valid data.
-        self._src: bytes | bytearray | None = None
-        self._pos = 0
-        self._end = 0
-
-    def feed(self, data, length: int | None = None) -> None:
-        """Add received bytes; may complete any number of requests.
-
-        ``data`` is ``bytes`` or ``bytearray``; ``length`` bounds the
-        valid prefix (pooled ``recv_into`` buffers are larger than the
-        bytes received — pass the backing buffer and the count, no
-        slicing copy needed).  A ``memoryview`` is accepted for
-        compatibility but materialized (views lack bounded ``find``).
-
-        Zero-copy discipline: when no bytes are carried over from a
-        previous feed (the common one-recv-per-request case), parsing
-        runs *directly over the caller's buffer* with a cursor — no
-        join, no intermediate buffer; only the request body (which must
-        outlive the reusable buffer) is copied out.  Any unconsumed
-        tail is copied into the carry-over buffer before returning, so
-        the caller may reuse ``data`` immediately after feed().
-        """
-        if isinstance(data, memoryview):
-            data = bytes(data if length is None else data[:length])
-            length = None
-        end = len(data) if length is None else length
-        if self._buffer:
-            # Carry-over path: join once, parse the joined bytes with
-            # the same cursor machinery, compact once at the end.
-            self._buffer.extend(memoryview(data)[:end])
-            src: bytes | bytearray = self._buffer
-            end = len(src)
-            owned = True
-        else:
-            src = data
-            owned = False
-        self._src = src
-        self._pos = 0
-        self._end = end
-        try:
-            while self._advance():
-                pass
-        finally:
-            pos = self._pos
-            self._src = None
-            if owned:
-                del src[:pos]
-            elif pos < end:
-                self._buffer.extend(memoryview(data)[pos:end])
+        super().__init__(max_header_bytes, max_body_bytes)
 
     def next_request(self) -> HttpRequest | None:
         """Pop the oldest complete request, if any."""
-        if self._requests:
-            return self._requests.pop(0)
+        if self._messages:
+            return self._messages.pop(0)
         return None
 
-    @property
-    def buffered(self) -> int:
-        """Unconsumed bytes carried over between feeds (split requests
-        and pipelined data)."""
-        return len(self._buffer)
-
-    # ------------------------------------------------------------------
-    def _extract(self, start: int, stop: int) -> bytes:
-        """Copy ``src[start:stop]`` out as bytes (one copy, no joins)."""
-        src = self._src
-        if type(src) is bytes:
-            return src[start:stop]
-        return bytes(memoryview(src)[start:stop])
-
-    @property
-    def _available(self) -> int:
-        return self._end - self._pos
-
-    def _advance(self) -> bool:
-        if self._pending is not None:
-            if self._chunk_mode is not None:
-                return self._advance_chunked()
-            return self._advance_body()
-        return self._advance_headers()
-
-    def _advance_headers(self) -> bool:
-        src, pos = self._src, self._pos
-        end = src.find(b"\r\n\r\n", pos, self._end)
-        if end < 0:
-            if self._available > self.max_header_bytes:
-                raise HttpParseError(431, "header block too large")
-            return False
-        if end - pos > self.max_header_bytes:
-            # A complete block arriving in one feed() must obey the same
-            # bound as one dribbled across many.
-            raise HttpParseError(431, "header block too large")
-        block = self._extract(pos, end)
-        self._pos = end + 4
-        request = self._parse_header_block(block)
-        encoding = request.headers.get("transfer-encoding")
-        length = request.headers.get("content-length")
-        if encoding is not None:
-            if length is not None:
-                # RFC 9112 §6.1: an ambiguous-framing request MUST be
-                # treated as an error, never resolved silently.
-                raise HttpParseError(
-                    400, "both Transfer-Encoding and Content-Length"
-                )
-            codings = [c.strip().lower()
-                       for c in encoding.split(",") if c.strip()]
-            if codings != ["chunked"]:
-                raise HttpParseError(
-                    501, f"unsupported Transfer-Encoding {encoding!r}"
-                )
-            self._pending = request
-            self._chunk_mode = "size"
-            self._chunk_parts = []
-            self._chunk_total = 0
-            self._trailer_bytes = 0
-            return True
-        if length is not None:
-            needed = _strict_content_length(length)
-            if needed > self.max_body_bytes:
-                raise HttpParseError(413, "body too large")
-            self._pending = request
-            self._body_needed = needed
-            return True
-        self._requests.append(request)
-        return True
-
-    def _advance_body(self) -> bool:
-        assert self._pending is not None
-        if self._available < self._body_needed:
-            return False
-        pos = self._pos
-        request = self._pending
-        # The one necessary copy: the body must outlive the (reusable)
-        # receive buffer it arrived in.
-        request.body = self._extract(pos, pos + self._body_needed)
-        self._pos = pos + self._body_needed
-        self._pending = None
-        self._body_needed = 0
-        self._requests.append(request)
-        return True
-
-    # -- chunked transfer coding ---------------------------------------
-    def _advance_chunked(self) -> bool:
-        """Run the chunked state machine as far as the buffer allows.
-
-        Returns True when the pending request completed (so the caller
-        loops and may start the next pipelined request), False when more
-        bytes are needed.
-        """
-        src = self._src
-        while True:
-            pos = self._pos
-            if self._chunk_mode == "size":
-                line_end = src.find(b"\r\n", pos, self._end)
-                if line_end < 0:
-                    if self._available > _MAX_CHUNK_LINE_BYTES:
-                        raise HttpParseError(400, "chunk size line too long")
-                    return False
-                line = self._extract(pos, line_end)
-                self._pos = line_end + 2
-                # Chunk extensions (";name=value") are legal and ignored.
-                size_text = line.split(b";", 1)[0].strip()
-                size = self._parse_chunk_size(size_text)
-                if self._chunk_total + size > self.max_body_bytes:
-                    raise HttpParseError(413, "chunked body too large")
-                if size == 0:
-                    self._chunk_mode = "trailer"
-                else:
-                    self._chunk_remaining = size
-                    self._chunk_mode = "data"
-            elif self._chunk_mode == "data":
-                data_end = pos + self._chunk_remaining
-                if self._available < self._chunk_remaining + 2:
-                    return False
-                if self._extract(data_end, data_end + 2) != b"\r\n":
-                    raise HttpParseError(400, "chunk not CRLF-terminated")
-                self._chunk_parts.append(self._extract(pos, data_end))
-                self._chunk_total += self._chunk_remaining
-                self._pos = data_end + 2
-                self._chunk_remaining = 0
-                self._chunk_mode = "size"
-            else:  # trailer section: zero or more fields, then CRLF
-                line_end = src.find(b"\r\n", pos, self._end)
-                if line_end < 0:
-                    if self._available > self.max_header_bytes:
-                        raise HttpParseError(431, "trailer section too large")
-                    return False
-                line = self._extract(pos, line_end)
-                self._pos = line_end + 2
-                if not line:
-                    request = self._pending
-                    assert request is not None
-                    request.body = b"".join(self._chunk_parts)
-                    self._pending = None
-                    self._chunk_mode = None
-                    self._chunk_parts = []
-                    self._chunk_total = 0
-                    self._requests.append(request)
-                    return True
-                if line.find(b":") <= 0:
-                    raise HttpParseError(400, f"bad trailer line {line!r}")
-                self._trailer_bytes += len(line) + 2
-                if self._trailer_bytes > self.max_header_bytes:
-                    raise HttpParseError(431, "trailer section too large")
-                # Trailer fields are validated for shape and discarded.
-
-    @staticmethod
-    def _parse_chunk_size(size_text: bytes) -> int:
-        # int(x, 16) accepts "0x5", "+5", and "1_0"; require bare hex.
-        if not size_text or any(
-            c not in b"0123456789abcdefABCDEF" for c in size_text
-        ):
-            raise HttpParseError(400, f"bad chunk size {size_text!r}")
-        return int(size_text, 16)
-
-    def _parse_header_block(self, block: bytes) -> HttpRequest:
-        try:
-            text = block.decode("latin-1")
-        except UnicodeDecodeError:  # pragma: no cover - latin-1 total
-            raise HttpParseError(400, "undecodable header block")
-        lines = text.split("\r\n")
-        request_line = lines[0]
-        parts = request_line.split(" ")
+    def _start(self, line: str, headers: dict[str, str]) -> HttpRequest:
+        parts = line.split(" ")
         if len(parts) != 3:
-            raise HttpParseError(400, f"bad request line {request_line!r}")
+            raise HttpParseError(400, f"bad request line {line!r}")
         method, target, version = parts
         if method not in _SUPPORTED_METHODS:
             raise HttpParseError(501, f"method {method!r} not implemented")
@@ -323,19 +75,4 @@ class RequestParser:
             raise HttpParseError(400, f"unsupported version {version!r}")
         if not target or len(target) > 4096:
             raise HttpParseError(414, "bad request target")
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            colon = line.find(":")
-            if colon <= 0:
-                raise HttpParseError(400, f"bad header line {line!r}")
-            name = line[:colon].strip().lower()
-            value = line[colon + 1:].strip()
-            if name in headers:
-                if name in _NO_DUPLICATES:
-                    raise HttpParseError(400, f"duplicate {name} header")
-                headers[name] = f"{headers[name]}, {value}"
-            else:
-                headers[name] = value
         return HttpRequest(method, target, version, headers)

@@ -6,7 +6,8 @@ program that uses asynchronous I/O mechanisms".  The stack is layered so
 HTTP is one protocol among several rather than the hard-wired only one:
 
 * :class:`~repro.runtime.driver.ConnectionDriver` (runtime layer) owns the
-  accept/admission/keep-alive/shed loop, protocol-agnostically;
+  accept/admission/shed loop and each connection's session — it reads
+  and it closes — protocol-agnostically;
 * :class:`HttpProtocol` implements the driver's protocol contract: parse
   requests, dispatch to a pluggable request *handler*, frame responses
   (Content-Length or chunked), map :class:`~repro.http.message.HttpError`
@@ -41,8 +42,19 @@ from ..core.syscalls import (
     sys_nbio,
     sys_now,
 )
-from ..runtime.driver import ConnectionDriver, IoSocketLayer
-from ..runtime.io_api import FileBody, NetIO
+from ..runtime.buffers import BufferPool
+from ..runtime.driver import (
+    CLOSE,
+    DRAIN_CLOSE,
+    ConnectionDriver,
+    IoSocketLayer,
+)
+from ..runtime.io_api import (
+    SENDFILE_WINDOW,
+    ConnectionClosed,
+    FileBody,
+    NetIO,
+)
 from ..simos.filesys import SimFileSystem
 from .cache import FileCache
 from .message import (
@@ -96,28 +108,45 @@ class AppTcpSocketLayer:
     def __init__(self, tcp: Any, port: int = 80) -> None:
         self.tcp = tcp
         self.port = port
+        self.buffers = BufferPool(name="app-tcp-recv")
 
     def setup(self) -> M:
         return self.tcp.listen(self.port)
 
-    def accept(self, listener: Any) -> M:
-        return self.tcp.accept(listener)
-
     def accept_batch(self, listener: Any, limit: int) -> M:
         # The app-level stack has no kernel accept queue to drain; a batch
         # is one connection.
-        return self.accept(listener).bind(lambda conn: pure([conn]))
+        return self.tcp.accept(listener).bind(lambda conn: pure([conn]))
 
-    def recv(self, conn: Any, nbytes: int) -> M:
-        return self.tcp.recv(conn, nbytes)
-
-    def send(self, conn: Any, data: bytes) -> M:
-        return self.tcp.send(conn, data)
+    @do
+    def recv_pooled(self, conn: Any):
+        # The stack delivers ``bytes``; one copy into a lease keeps the
+        # driver's ingress loop the same on every layer.
+        data = yield self.tcp.recv(conn, self.buffers.buffer_bytes)
+        lease = self.buffers.lease()
+        lease.data[:len(data)] = data
+        return lease, len(data)
 
     def send_v(self, conn: Any, bufs: list) -> M:
         # Gathered send down to the stack's iovec — the protocol's
         # header+body writes stop joining on this layer too.
         return self.tcp.send_v(conn, bufs)
+
+    @do
+    def sendfile(self, conn: Any, file: Any, offset: int, count: int):
+        # No kernel to splice in: positional reads through the blocking
+        # pool, then ordinary sends (``NetIO.sendfile``'s fallback shape).
+        sent = 0
+        while sent < count:
+            pos = offset + sent
+            window = min(count - sent, SENDFILE_WINDOW)
+            chunk = yield sys_blio(lambda: file.pread(pos, window))
+            if not chunk:
+                raise ConnectionClosed(f"file ended at {pos}, short of "
+                                       f"{offset + count}")
+            yield self.tcp.send(conn, chunk)
+            sent += len(chunk)
+        return sent
 
     def shed(self, conn: Any, farewell: bytes = b"") -> M:
         # Best effort: a peer that vanished mid-shed must not kill the
@@ -126,7 +155,7 @@ class AppTcpSocketLayer:
             return pure(None)
 
         farewell_op = (
-            sys_catch(self.send(conn, farewell), swallow)
+            sys_catch(self.tcp.send(conn, farewell), swallow)
             if farewell else pure(None)
         )
         return farewell_op.then(sys_catch(self.close(conn), swallow))
@@ -441,7 +470,8 @@ class HttpProtocol:
     """HTTP/1.x as one pluggable application protocol.
 
     Implements the :class:`~repro.runtime.driver.ConnectionDriver`
-    protocol contract.  Request handling is delegated to ``handler``
+    protocol contract (bytes in → replies out; the driver reads and
+    closes).  Request handling is delegated to ``handler``
     (``respond(request) -> M[HttpResponse]``); this class owns parsing,
     keep-alive/pipelining, response framing (Content-Length or chunked
     transfer encoding for responses of unknown length), and the
@@ -459,6 +489,8 @@ class HttpProtocol:
     #: syscall).
     DEFAULT_CHUNK_WATERMARK = 16 * 1024
 
+    parse_error = HttpParseError
+
     def __init__(
         self,
         handler: Any,
@@ -466,15 +498,9 @@ class HttpProtocol:
         max_header_bytes: int | None = None,
         max_body_bytes: int | None = None,
         chunk_watermark: int | None = None,
-        buffers: Any = None,
     ) -> None:
         self.handler = handler
         self.stats = stats if stats is not None else ServerStats()
-        #: Optional :class:`~repro.runtime.buffers.BufferPool` for
-        #: ingress: with a pool and a layer exposing ``recv_pooled``,
-        #: requests are received into leased reusable buffers and parsed
-        #: in place — zero allocations per read on the keep-alive path.
-        self.buffers = buffers
         self.chunk_watermark = (
             self.DEFAULT_CHUNK_WATERMARK if chunk_watermark is None
             else max(1, chunk_watermark)
@@ -485,20 +511,10 @@ class HttpProtocol:
         if max_body_bytes is not None:
             self._parser_kwargs["max_body_bytes"] = max_body_bytes
         # Validate limits now, not on the first connection.
-        RequestParser(**self._parser_kwargs)
+        self.make_parser()
 
-    def _send_bufs(self, layer: Any, conn: Any, bufs: list) -> M:
-        """Gathered send through the layer, with a join fallback.
-
-        The egress fast path: header + body (or header + many framed
-        chunks) leave as **one** vectored write on layers exposing
-        ``send_v``; layers without it (the app-level TCP stack) get the
-        joined bytes through plain ``send``.
-        """
-        send_v = getattr(layer, "send_v", None)
-        if send_v is not None:
-            return send_v(conn, bufs)
-        return layer.send(conn, b"".join(bufs))
+    def make_parser(self) -> RequestParser:
+        return RequestParser(**self._parser_kwargs)
 
     def shed_payload(self) -> bytes:
         """The driver's overload farewell: a pre-encoded 503."""
@@ -506,105 +522,48 @@ class HttpProtocol:
             HttpError(503, "connection capacity reached"), keep_alive=False
         ).encode()
 
-    def handle_connection(self, layer: Any, conn: Any) -> M:
-        """One client session: requests in, responses out, until close."""
-        return self._handle_connection(layer, conn)
-
     @do
-    def _handle_connection(self, layer, conn):
+    def drain(self, layer, conn, parser, bad):
+        """Answer every request the bytes so far completed, in order;
+        then the parse error ``bad``, if the stream broke after them."""
         stats = self.stats
-        parser = RequestParser(**self._parser_kwargs)
-        # When a benchmark or shutdown abandons this thread mid-session,
-        # the interpreter closes the generator with GeneratorExit; a
-        # monadic close cannot run then (nothing will resume us), so
-        # the finally below must not yield on that path.
-        can_yield = True
-        drained = False
-        try:
-            while True:
-                try:
-                    request = yield self._next_request(layer, conn, parser)
-                except HttpError as error:
-                    # Malformed request (431/413/400...): answer, then
-                    # the fatal drain-close.
-                    yield self._fatal_error(layer, conn, error,
-                                            keep_alive=False)
-                    drained = True
-                    return
-                if request is None:
-                    return  # client closed
-                stats.requests += 1
-                keep_alive = request.keep_alive
-                try:
-                    yield self._respond(layer, conn, request)
-                    stats.responses_ok += 1
-                except _ResponseAborted:
-                    return  # framing desynced mid-body: just hang up
-                except HttpError as error:
-                    if error.status >= 500:
-                        yield self._fatal_error(layer, conn, error,
-                                                keep_alive)
-                        drained = True
-                        return
-                    yield self._send_error(layer, conn, error, keep_alive)
-                except (ConnectionError, OSError):
-                    raise  # transport failure: the outer except handles it
-                except Exception as error:
-                    # A buggy handler must be contained as a 500, not
-                    # tear the connection down with no response (this
-                    # layer owns exception-to-error-response mapping for
-                    # *pluggable* handlers, not just well-behaved ones).
-                    yield self._fatal_error(
-                        layer, conn,
-                        HttpError(500, type(error).__name__),
-                        keep_alive=False,
-                    )
-                    drained = True
-                    return
-                if not keep_alive:
-                    return
-        except (ConnectionError, OSError):
-            return  # peer vanished: nothing to say to it
-        except GeneratorExit:
-            can_yield = False
-            raise
-        finally:
-            if can_yield and not drained:
-                yield layer.close(conn)
-
-    @do
-    def _next_request(self, layer, conn, parser):
-        recv_pooled = None
-        if self.buffers is not None:
-            recv_pooled = getattr(layer, "recv_pooled", None)
         while True:
             request = parser.next_request()
-            if request is not None:
-                return request
-            if recv_pooled is not None:
-                # Pooled ingress: recv into a leased reusable buffer and
-                # parse it in place; the parser copies out only what
-                # must outlive the buffer (bodies, split-request tails),
-                # so the lease can be released — plain code, safe on
-                # every path — before the next read.
-                lease, count = yield recv_pooled(conn, self.buffers)
-                if not count:
-                    lease.release()
-                    return None
-                try:
-                    parser.feed(lease.data, count)
-                except HttpParseError as bad:
-                    raise HttpError(bad.status, bad.detail)
-                finally:
-                    lease.release()
-                continue
-            data = yield layer.recv(conn, 4096)
-            if not data:
-                return None
+            if request is None:
+                break
+            stats.requests += 1
+            keep_alive = request.keep_alive
             try:
-                parser.feed(data)
-            except HttpParseError as bad:
-                raise HttpError(bad.status, bad.detail)
+                yield self._respond(layer, conn, request)
+                stats.responses_ok += 1
+            except _ResponseAborted:
+                return CLOSE  # framing desynced mid-body: just hang up
+            except HttpError as error:
+                yield self._send_error(layer, conn, error, keep_alive)
+                if error.status >= 500:
+                    return DRAIN_CLOSE
+            except (ConnectionError, OSError):
+                raise  # transport failure: the driver hangs up
+            except Exception as error:
+                # A buggy handler must be contained as a 500, not
+                # tear the connection down with no response (this
+                # layer owns exception-to-error-response mapping for
+                # *pluggable* handlers, not just well-behaved ones).
+                yield self._send_error(
+                    layer, conn, HttpError(500, type(error).__name__),
+                    keep_alive=False,
+                )
+                return DRAIN_CLOSE
+            if not keep_alive:
+                return CLOSE
+        if bad is not None:
+            # Malformed request (431/413/400...): answer, then the
+            # fatal drain-close.
+            yield self._send_error(
+                layer, conn, HttpError(bad.status, bad.detail),
+                keep_alive=False,
+            )
+            return DRAIN_CLOSE
 
     @do
     def _respond(self, layer, conn, request):
@@ -627,7 +586,7 @@ class HttpProtocol:
             return
         header = response.header_block()
         if request.method == "HEAD":
-            yield self._send_bufs(layer, conn, [header])
+            yield layer.send_v(conn, [header])
             self.stats.bytes_sent += len(header)
             return
         # Header + body as one gathered write: one syscall, and the two
@@ -636,45 +595,27 @@ class HttpProtocol:
             bufs = [header, response.body]
         else:
             bufs = [header]
-        yield self._send_bufs(layer, conn, bufs)
+        yield layer.send_v(conn, bufs)
         self.stats.bytes_sent += len(header) + len(response.body)
 
     @do
     def _send_file(self, layer, conn, request, response):
         """Send a file-region response: header from userspace, body
-        kernel-to-socket.
+        through the layer's ``sendfile`` (kernel-to-socket where there
+        is a kernel; it never transits this class either way).
 
-        The header block rides the usual gathered write; the body moves
-        with the layer's ``sendfile`` (never transiting the
-        application), falling back to pread-and-send streaming on layers
-        without it (the app-level TCP stack).  The open file is closed
-        on every exit path — close is plain code, so the ``finally`` is
-        safe even under abandonment (GeneratorExit).
+        The open file is closed on every exit path — close is plain
+        code, so the ``finally`` is safe even under abandonment
+        (GeneratorExit).
         """
         file = response.file
         try:
             header = response.header_block()
-            yield self._send_bufs(layer, conn, [header])
+            yield layer.send_v(conn, [header])
             self.stats.bytes_sent += len(header)
             if request.method == "HEAD" or file.count == 0:
                 return
-            sendfile = getattr(layer, "sendfile", None)
-            if sendfile is not None:
-                sent = yield sendfile(conn, file, file.offset, file.count)
-            else:
-                sent = 0
-                while sent < file.count:
-                    nbytes = min(file.count - sent, 64 * 1024)
-                    chunk = yield sys_blio(
-                        lambda off=file.offset + sent, n=nbytes:
-                            file.pread(off, n)
-                    )
-                    if not chunk:
-                        # The Content-Length is committed and short: an
-                        # error response here would corrupt framing.
-                        raise _ResponseAborted("file truncated mid-send")
-                    yield layer.send(conn, chunk)
-                    sent += len(chunk)
+            sent = yield layer.sendfile(conn, file, file.offset, file.count)
             self.stats.bytes_sent += sent
         finally:
             file.close()
@@ -690,7 +631,7 @@ class HttpProtocol:
         # instead of paying its own write.
         header = response.header_block()
         if request.method == "HEAD":
-            yield self._send_bufs(layer, conn, [header])
+            yield layer.send_v(conn, [header])
             self.stats.bytes_sent += len(header)
             return
         pending: list[bytes] = [header]
@@ -708,7 +649,7 @@ class HttpProtocol:
                 # up — an error response here would corrupt the chunk
                 # framing mid-body.
                 if pending:
-                    yield self._send_bufs(layer, conn, pending)
+                    yield layer.send_v(conn, pending)
                     self.stats.bytes_sent += pending_bytes
                 raise _ResponseAborted(repr(exc)) from exc
             if framed:
@@ -716,28 +657,19 @@ class HttpProtocol:
                 pending_bytes += len(framed)
             if pending_bytes >= self.chunk_watermark:
                 bufs, pending, pending_bytes = pending, [], 0
-                yield self._send_bufs(layer, conn, bufs)
+                yield layer.send_v(conn, bufs)
                 self.stats.bytes_sent += sum(len(buf) for buf in bufs)
         pending.append(LAST_CHUNK)
-        yield self._send_bufs(layer, conn, pending)
+        yield layer.send_v(conn, pending)
         self.stats.bytes_sent += pending_bytes + len(LAST_CHUNK)
 
     @do
     def _send_error(self, layer, conn, error, keep_alive):
         response = HttpResponse.for_error(error, keep_alive)
         header = response.header_block()
-        yield self._send_bufs(layer, conn, [header, response.body])
+        yield layer.send_v(conn, [header, response.body])
         self.stats.responses_err += 1
         self.stats.bytes_sent += len(header) + len(response.body)
-
-    @do
-    def _fatal_error(self, layer, conn, error, keep_alive):
-        # Fatal hangup: answer, then drain-close — a straight close with
-        # unread request bytes (pipelined or mid-body) in the receive
-        # queue degrades to an RST that destroys the error response in
-        # flight.  Callers set ``drained`` and return.
-        yield self._send_error(layer, conn, error, keep_alive)
-        yield layer.shed(conn, b"")
 
 
 class WebServer:
@@ -763,7 +695,6 @@ class WebServer:
         max_body_bytes: int | None = None,
         mtime_ttl: float = 0.25,
         chunk_watermark: int | None = None,
-        buffers: Any = None,
         sendfile: bool | None = None,
     ) -> None:
         self.layer = socket_layer
@@ -784,7 +715,6 @@ class WebServer:
             max_header_bytes=max_header_bytes,
             max_body_bytes=max_body_bytes,
             chunk_watermark=chunk_watermark,
-            buffers=buffers,
         )
         self.driver = ConnectionDriver(
             socket_layer,
@@ -816,7 +746,7 @@ class WebServer:
 
     def handle_client(self, conn: Any) -> M:
         """One client session (exposed for direct-drive tests)."""
-        return self.protocol.handle_connection(self.layer, conn)
+        return self.driver.handle_connection(conn)
 
     def stop(self) -> None:
         """Stop accepting new connections (current ones finish)."""
@@ -913,10 +843,6 @@ class EmptyFilesystem:
         raise FileNotFoundError(path)
 
 
-#: Backward-compatible private alias (pre-export name).
-_EmptyFilesystem = EmptyFilesystem
-
-
 def build_live_server(
     rt: Any,
     listener: Any,
@@ -932,7 +858,6 @@ def build_live_server(
     max_body_bytes: int | None = None,
     mtime_ttl: float = 0.25,
     chunk_watermark: int | None = None,
-    buffers: Any = None,
     sendfile: bool | None = None,
 ) -> WebServer:
     """Construct a :class:`WebServer` serving real sockets on ``rt``.
@@ -949,25 +874,20 @@ def build_live_server(
     memory (431/413 beyond them); ``mtime_ttl`` bounds the per-request
     conditional-GET stat cost (0 probes on every request);
     ``chunk_watermark`` sets how many framed-chunk bytes buffer before a
-    chunked response flushes one gathered write; ``buffers`` overrides
-    the ingress buffer pool (default: the runtime's shared ``rt.buffers``
-    — pass an explicit pool to isolate, or a false value to disable
-    pooled ingress); ``sendfile`` forces the static handler's
-    kernel-to-socket egress on or off (default: on exactly when a
-    ``docroot`` is given, which is when the filesystem can hand out real
-    fds).
+    chunked response flushes one gathered write; ``sendfile`` forces the
+    static handler's kernel-to-socket egress on or off (default: on
+    exactly when a ``docroot`` is given, which is when the filesystem can
+    hand out real fds).  Ingress reads lease their buffers from the
+    runtime's shared pool (``rt.buffers``).
     """
     fs: Any = DocRootFilesystem(docroot) if docroot else EmptyFilesystem()
-    if buffers is None:
-        buffers = getattr(rt, "buffers", None)
     server = WebServer(
         LiveSocketLayer(rt.io, listener), fs,
         cache_bytes=cache_bytes, read_chunk=read_chunk, name=name,
         accept_batch=accept_batch, max_connections=max_connections,
         handler=handler, max_header_bytes=max_header_bytes,
         max_body_bytes=max_body_bytes, mtime_ttl=mtime_ttl,
-        chunk_watermark=chunk_watermark, buffers=buffers or None,
-        sendfile=sendfile,
+        chunk_watermark=chunk_watermark, sendfile=sendfile,
     )
     for path, content in (site or {}).items():
         server.cache.put(path.lstrip("/"), content)

@@ -10,36 +10,67 @@ becomes one protocol among several (the KV service's mesh frames are
 another), which is exactly the "protocols among threads" composition the
 related work argues needs first-class treatment.
 
-The protocol contract is small and monadic:
+The driver owns an admitted connection **from accept to close**.  Who
+does what:
 
-``protocol.handle_connection(layer, conn) -> M``
-    The whole per-connection session as one monadic computation.  It owns
-    the connection: every exit path (normal return, monadic exception,
-    peer disconnect) must close ``conn`` through ``layer`` — except
-    abandonment (``GeneratorExit``), where no scheduler remains to run a
-    monadic close.
+* **Who reads** — the driver.  :meth:`ConnectionDriver.serve` is the one
+  ingress loop: ``layer.recv_pooled`` into a leased reusable buffer →
+  ``parser.feed(buffer, count)`` in place → lease released (plain code,
+  before anything can yield, so a parked connection pins no buffer) →
+  ``protocol.drain`` serves what the bytes completed → repeat.  The one
+  protocol that reads for itself is the mesh (its ``FrameReader`` pays
+  one read per frame): ``MeshNode``'s driver overrides ``serve`` and
+  inherits everything else.
+* **Who closes** — the driver, always.  A session ends with a verdict:
+  :data:`CLOSE` (plain close: EOF, ``Connection: close``, ``quit``, a
+  vanished peer) or :data:`DRAIN_CLOSE` (the protocol just answered a
+  fatal error and unread request bytes may remain — a straight close
+  would degrade to an RST that destroys the reply in flight, so the
+  driver closes through ``layer.shed``).  Protocols never close.
+* **Where the abandonment rule lives** — :meth:`ConnectionDriver
+  .handle_connection`, and only there.  When a shutdown or a benchmark drops the
+  runtime mid-session the interpreter closes the thread's generators
+  with ``GeneratorExit``; nothing will resume them, so a monadic close
+  cannot run and the session must not yield on that path.  Protocol
+  code needs no guard: its cleanup is plain code (lease and file
+  releases) or does not happen.
 
+The protocol contract is "bytes in → replies out":
+
+``protocol.make_parser() -> parser``
+    Fresh per-connection state.  ``parser.feed(buffer, count)`` is plain
+    code over the first ``count`` bytes of a buffer that is reused right
+    after it returns: the parser copies out whatever it keeps.
+``protocol.parse_error``
+    The exception type ``feed`` raises once the stream can no longer be
+    framed.  The driver stops reading and hands it to ``drain``.
+``protocol.drain(layer, conn, parser, bad) -> M[verdict]``
+    Serve everything the bytes so far completed, in order, writing
+    replies through ``layer``; then, if ``bad`` (the parse error) is not
+    ``None``, answer it and resolve to :data:`DRAIN_CLOSE`.  Resolve to
+    ``None`` to keep reading, :data:`CLOSE` to end the session.
+    Transport errors just propagate: the driver treats them as a
+    vanished peer.
 ``protocol.shed_payload() -> bytes``
     A pre-encoded farewell for connections refused under the admission
     cap (e.g. an HTTP 503).  May return ``b""`` for silent sheds.
 
-The socket-layer contract is the one :class:`repro.http.server
-.IoSocketLayer` established: ``setup``/``accept_batch``/``recv``/``send``/
-``shed``/``close``, all returning :class:`~repro.core.monad.M`; layers
-may additionally offer ``send_v(conn, bufs)`` (a gathered write —
-protocols fall back to joining when it is absent),
-``recv_pooled(conn, pool)``/``recv_into(conn, buf)`` (zero-allocation
-ingress into pooled buffers — protocols fall back to plain ``recv``),
-and ``sendfile(conn, file, offset, count)`` (kernel-to-socket static
-egress).
+The socket-layer contract is total — every layer (:class:`IoSocketLayer`
+over a ``NetIO``, and ``repro.http.server.AppTcpSocketLayer`` over the
+application-level TCP stack) implements all of ``setup``/
+``accept_batch``/``recv_pooled``/``send_v``/``sendfile``/``shed``/
+``close``, each returning :class:`~repro.core.monad.M`, so the driver
+and the protocols call them without probing.
+The receive-buffer pool belongs to the layer's I/O surface
+(``NetIO.buffers``, which the runtimes expose as ``rt.buffers``).
 
 Invariants the layers above rely on:
 
 * **One thread per admitted connection** — the driver forks exactly one
-  monadic thread per admitted connection and never touches the
-  connection again; ``stats.active`` is incremented before the fork and
-  decremented in a non-yielding ``finally`` (correct even under
-  abandonment), so ``active <= max_connections`` always holds.
+  monadic thread per admitted connection; ``stats.active`` is
+  incremented before the fork and decremented in a non-yielding
+  ``finally`` (correct even under abandonment), so
+  ``active <= max_connections`` always holds.
 * **Shedding never blocks the accept loop** — a connection refused at
   the cap gets the farewell + close through ``layer.shed``, which is
   best-effort and bounded; a flooding peer cannot head-of-line block
@@ -48,10 +79,9 @@ Invariants the layers above rely on:
   in-flight sessions run to completion (the cluster's drain window
   bounds how long that is allowed to take).  A listener torn down during
   shutdown is a clean exit, not an error.
-* **Protocol neutrality** — the driver never reads or writes connection
-  bytes itself; HTTP (:class:`~repro.http.server.HttpProtocol`) and the
-  mesh's frame protocol (:class:`~repro.runtime.mesh.MeshNode`) run on
-  identical drivers, differing only in the protocol object.
+* **Protocol neutrality** — the driver moves bytes but never interprets
+  them; HTTP, the cache dialects and the mesh's frame protocol run on
+  the same driver, differing only in the protocol object.
 """
 
 from __future__ import annotations
@@ -63,7 +93,12 @@ from ..core.monad import M, pure
 from ..core.syscalls import sys_fork
 from .io_api import NetIO
 
-__all__ = ["ConnectionDriver", "DriverStats", "IoSocketLayer"]
+__all__ = ["ConnectionDriver", "DriverStats", "IoSocketLayer",
+           "CLOSE", "DRAIN_CLOSE"]
+
+#: Session verdicts (see the module docstring): how the driver closes.
+CLOSE = "close"
+DRAIN_CLOSE = "drain-close"
 
 
 class IoSocketLayer:
@@ -71,9 +106,8 @@ class IoSocketLayer:
 
     Backend-agnostic: the same code path drives simulated kernel streams
     and real non-blocking sockets, because ``NetIO`` is the shared monadic
-    I/O surface of both runtimes.  (Historically defined in
-    ``repro.http.server``, which still re-exports it; it lives here
-    because every protocol on the driver needs it, not just HTTP.)
+    I/O surface of both runtimes.  It lives here (``repro.http.server``
+    re-exports it) because every protocol on the driver needs it.
     """
 
     def __init__(self, io: NetIO, listener: Any) -> None:
@@ -83,30 +117,16 @@ class IoSocketLayer:
     def setup(self) -> M:
         return pure(self.listener)
 
-    def accept(self, listener: Any) -> M:
-        return self.io.accept(listener)
-
     def accept_batch(self, listener: Any, limit: int) -> M:
         """Accept a burst: drain the listen queue up to ``limit`` per
         wakeup (resumes with a non-empty list)."""
         return self.io.accept_many(listener, limit)
 
-    def recv(self, conn: Any, nbytes: int) -> M:
-        return self.io.read(conn, nbytes)
-
-    def recv_into(self, conn: Any, buf: Any) -> M:
-        """Fill ``buf`` in place (zero-allocation ingress); resumes with
-        the byte count, 0 at EOF."""
-        return self.io.read_into(conn, buf)
-
-    def recv_pooled(self, conn: Any, pool: Any) -> M:
-        """Lease a pooled buffer and recv into it; resumes with
-        ``(lease, count)`` — the caller releases the lease (plain code)
-        after consuming the bytes."""
-        return self.io.read_pooled(conn, pool)
-
-    def send(self, conn: Any, data: bytes) -> M:
-        return self.io.write_all(conn, data)
+    def recv_pooled(self, conn: Any) -> M:
+        """Lease a buffer from ``io.buffers`` and recv into it; resumes
+        with ``(lease, count)`` — the caller releases the lease (plain
+        code) after consuming the bytes."""
+        return self.io.read_pooled(conn, self.io.buffers)
 
     def sendfile(self, conn: Any, file: Any, offset: int, count: int) -> M:
         """Kernel-to-socket send of an open file region (zero userspace
@@ -141,12 +161,14 @@ class DriverStats:
 
 
 class ConnectionDriver:
-    """Accept/admission/shed loop, parameterized by an application protocol.
+    """Accept/admission/shed loop and per-connection session, parameterized
+    by an application protocol.
 
     The driver is the server's root thread: it accepts bursts of
     connections, sheds the excess above ``max_connections`` with the
     protocol's farewell payload, and forks one monadic thread per admitted
-    connection running ``protocol.handle_connection``.
+    connection that reads, feeds the protocol's parser, lets the protocol
+    answer, and closes.
     """
 
     def __init__(
@@ -178,11 +200,6 @@ class ConnectionDriver:
     def main(self) -> M:
         """The root thread: accept loop spawning per-connection threads."""
         return self._main()
-
-    def handle_connection(self, conn: Any) -> M:
-        """One admitted session (exposed for direct-drive tests); does not
-        touch the admission counters."""
-        return self.protocol.handle_connection(self.layer, conn)
 
     def stop(self) -> None:
         """Stop accepting new connections (current ones finish)."""
@@ -221,6 +238,54 @@ class ConnectionDriver:
         # ``active`` pairs with the admission in ``_main``; the plain
         # (non-yielding) decrement is safe even under GeneratorExit.
         try:
-            yield self.protocol.handle_connection(self.layer, conn)
+            yield self.handle_connection(conn)
         finally:
             self.stats.active -= 1
+
+    @do
+    def handle_connection(self, conn):
+        """One admitted session, from the first read to the close (also
+        the direct-drive entry for tests: it does not touch the
+        admission counters)."""
+        layer = self.layer
+        verdict = CLOSE
+        abandoned = False
+        try:
+            verdict = yield self.serve(conn)
+        except (ConnectionError, OSError):
+            pass  # peer vanished: nothing to say to it
+        except GeneratorExit:
+            # Abandoned mid-session: nothing will resume this thread, so
+            # the monadic close below cannot run (module docstring).
+            abandoned = True
+            raise
+        finally:
+            if not abandoned:
+                if verdict is DRAIN_CLOSE:
+                    yield layer.shed(conn, b"")
+                else:
+                    yield layer.close(conn)
+
+    @do
+    def serve(self, conn):
+        """The session body: the one pooled-ingress loop.  Resumes with
+        the verdict (:data:`CLOSE` or :data:`DRAIN_CLOSE`)."""
+        layer = self.layer
+        protocol = self.protocol
+        parser = protocol.make_parser()
+        bad = None
+        while True:
+            lease, count = yield layer.recv_pooled(conn)
+            try:
+                if not count:
+                    return CLOSE  # peer closed
+                parser.feed(lease.data, count)
+            except protocol.parse_error as error:
+                bad = error
+            finally:
+                # Plain code, before anything below can yield: the bytes
+                # the parser keeps are its own copies.
+                lease.release()
+            verdict = yield protocol.drain(layer, conn, parser, bad)
+            if verdict is not None:
+                return verdict

@@ -24,6 +24,7 @@ from ..core.events import EVENT_READ, EVENT_WRITE
 from ..core.monad import M
 from ..core.syscalls import sys_blio, sys_epoll_wait, sys_nbio
 from ..simos.errors import WOULD_BLOCK
+from .buffers import BufferPool
 
 __all__ = ["NetIO", "ConnectionClosed", "FileBody", "WRITEV_IOV_LIMIT",
            "SENDFILE_WINDOW"]
@@ -134,6 +135,10 @@ class NetIO:
 
     def __init__(self, backend: Any) -> None:
         self.backend = backend
+        #: The shared receive-buffer pool (``rt.buffers``): every server
+        #: on this I/O surface leases ingress buffers from one free list,
+        #: so a warm pool costs zero allocations per request.
+        self.buffers = BufferPool()
         #: Regions sent through the userspace read+write fallback because
         #: the backend lacks ``nb_sendfile`` (bench evidence surface).
         self.sendfile_fallbacks = 0

@@ -50,7 +50,6 @@ from ..core.trace import (
     SysSleep,
 )
 from ..simos.errors import WOULD_BLOCK
-from .buffers import BufferPool
 from .io_api import ConnectionClosed, NetIO
 from .timer_wheel import TimerWheel
 
@@ -596,11 +595,9 @@ class LiveRuntime:
         # serviced by one on-demand sleeper thread, instead of a timer
         # thread per concern (see repro.runtime.timer_wheel).
         self.timers = TimerWheel(name="live-timers")
-        # The shared receive-buffer pool: every server built on this
-        # runtime leases ingress buffers from one free list, so a warm
-        # pool serves HTTP and cache front-ends alike with zero
-        # per-request allocations.
-        self.buffers = BufferPool(name="live-recv")
+        # The shared receive-buffer pool (owned by the I/O surface the
+        # socket layers read through).
+        self.buffers = self.io.buffers
         self._timers: list[tuple[float, int, TCB, Callable]] = []
         self._timer_seq = itertools.count()
         self.pool = concurrent.futures.ThreadPoolExecutor(

@@ -90,7 +90,7 @@ from ..core.monad import M, pure
 from ..core.sync import Mutex, MVar
 from ..core.syscalls import sys_epoll_wait, sys_fork, sys_throw
 from ..core.thread import join_all, spawn
-from .driver import ConnectionDriver, IoSocketLayer
+from .driver import CLOSE, ConnectionDriver, IoSocketLayer
 from .io_api import ConnectionClosed, NetIO
 from .timer_wheel import TimerWheel
 
@@ -384,21 +384,14 @@ class AdaptiveFlushCap:
         self._under = 0
 
 
-class _MeshServerProtocol:
-    """The mesh's server side as a :class:`~repro.runtime.driver
-    .ConnectionDriver` protocol — the second protocol on the same driver
-    that serves HTTP, sharing its accept batching and shutdown paths."""
+class _MeshDriver(ConnectionDriver):
+    """The mesh's server side: the shared driver's accept loop, shutdown,
+    close and abandonment rule, with a :class:`FrameReader` loop (one
+    read per frame) as the session body in place of the pooled-ingress
+    loop.  ``protocol`` is the :class:`MeshNode`."""
 
-    __slots__ = ("node",)
-
-    def __init__(self, node: "MeshNode") -> None:
-        self.node = node
-
-    def shed_payload(self) -> bytes:
-        return b""  # no farewell frame: a shed peer just redials
-
-    def handle_connection(self, layer: Any, conn: Any) -> M:
-        return self.node._serve_peer(conn)
+    def serve(self, conn: Any) -> M:
+        return self.protocol._serve_peer(conn)
 
 
 class MeshNode:
@@ -468,9 +461,9 @@ class MeshNode:
         self._links: dict[int, _PeerLink] = {}
         self._dial_mutexes: dict[int, Mutex] = {}
         self._request_ids = itertools.count(1)
-        self._driver = ConnectionDriver(
+        self._driver = _MeshDriver(
             IoSocketLayer(io, listener),
-            _MeshServerProtocol(self),
+            self,
             accept_batch=accept_batch,
             name=f"mesh{index}",
         )
@@ -530,6 +523,9 @@ class MeshNode:
     def stop(self) -> None:
         self._driver.stop()
 
+    def shed_payload(self) -> bytes:
+        return b""  # no farewell frame: a shed peer just redials
+
     @do
     def _serve_peer(self, conn):
         # One inbound peer link: read request frames, fork a worker per
@@ -542,41 +538,31 @@ class MeshNode:
         out = _Outbound(conn)
         reader = FrameReader(self.io, conn, self.max_frame)
         inflight = [0]
-        can_yield = True
-        try:
-            while True:
-                frame = yield reader.recv()
-                if frame is None:
-                    return  # peer closed cleanly
-                self.stats.frames_received += 1
-                kind, request_id, body = frame
-                if kind == KIND_PING:
-                    continue  # keepalive probe: reading it is the point
-                if kind not in (KIND_REQUEST, KIND_CAST):
-                    raise MeshProtocolError(
-                        f"unexpected frame kind {kind} on server link"
-                    )
-                one_way = kind == KIND_CAST
-                if inflight[0] >= self.max_inflight:
-                    yield self._serve_request(
-                        out, request_id, body, None, one_way
-                    )
-                    continue
-                inflight[0] += 1
-                yield sys_fork(
-                    self._serve_request(
-                        out, request_id, body, inflight, one_way,
-                    ),
-                    name="mesh-request",
+        while True:
+            frame = yield reader.recv()
+            if frame is None:
+                return CLOSE  # peer closed cleanly
+            self.stats.frames_received += 1
+            kind, request_id, body = frame
+            if kind == KIND_PING:
+                continue  # keepalive probe: reading it is the point
+            if kind not in (KIND_REQUEST, KIND_CAST):
+                raise MeshProtocolError(
+                    f"unexpected frame kind {kind} on server link"
                 )
-        except (ConnectionError, OSError):
-            return  # peer vanished; its pending calls fail on its side
-        except GeneratorExit:
-            can_yield = False
-            raise
-        finally:
-            if can_yield:
-                yield self.io.close(conn)
+            one_way = kind == KIND_CAST
+            if inflight[0] >= self.max_inflight:
+                yield self._serve_request(
+                    out, request_id, body, None, one_way
+                )
+                continue
+            inflight[0] += 1
+            yield sys_fork(
+                self._serve_request(
+                    out, request_id, body, inflight, one_way,
+                ),
+                name="mesh-request",
+            )
 
     @do
     def _serve_request(self, out, request_id, body, inflight,

@@ -34,7 +34,6 @@ from ..core.trace import (
 from ..simos.errors import WOULD_BLOCK
 from ..simos.kernel import SimKernel
 from ..simos.params import SimParams
-from .buffers import BufferPool
 from .io_api import NetIO
 from .timer_wheel import TimerWheel
 
@@ -240,7 +239,7 @@ class SimRuntime:
         # so mesh nodes and apps run unchanged on either runtime.
         self.timers = TimerWheel(name="sim-timers")
         # And the same shared receive-buffer pool surface.
-        self.buffers = BufferPool(name="sim-recv")
+        self.buffers = self.io.buffers
         self._install_handlers()
         # Account monadic thread footprints (drives the cache-pressure
         # model; three orders lighter than kernel stacks).

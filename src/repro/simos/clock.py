@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable
+from typing import Callable
 
 __all__ = ["VirtualClock", "TimerHandle"]
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Generator, Iterable
 
-from .errors import WOULD_BLOCK, OutOfMemoryError, SimOsError
+from .errors import WOULD_BLOCK, SimOsError
 from .kernel import SimKernel
 from ..core.events import EVENT_READ, EVENT_WRITE
 

@@ -13,7 +13,7 @@ Times are in seconds, sizes in bytes, rates in bytes/second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = ["SimParams", "DEFAULT_PARAMS"]
 

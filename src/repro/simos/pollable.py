@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..core.events import EVENT_READ, EVENT_WRITE  # noqa: F401 - re-export
-
 __all__ = ["Pollable", "Waiter"]
 
 

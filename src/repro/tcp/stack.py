@@ -18,7 +18,7 @@ not needed").
 from __future__ import annotations
 
 import random
-from typing import Any, Callable
+from typing import Callable
 
 from ..simos.clock import VirtualClock
 from .packet import (
@@ -28,7 +28,6 @@ from .packet import (
     FLAG_SYN,
     Segment,
     seq_add,
-    seq_le,
     seq_lt,
     seq_sub,
 )

@@ -20,6 +20,7 @@ from repro.http.client import HttpClient
 from repro.http.message import HttpResponse
 from repro.http.server import build_live_server
 from repro.runtime.live_runtime import LiveRuntime, make_listener
+from tests.http.test_client import AMBIGUOUS_RESPONSE, raw_upstream
 
 
 @pytest.fixture
@@ -276,6 +277,34 @@ class TestUpstreamHealth:
         assert pool.downs == 1
         assert pool.readmissions == 1
         assert gateway.extra_stats()["gw_upstreams_down"] == 0
+
+    def test_ambiguous_upstream_framing_is_502(self, rt):
+        # An upstream answering with both Transfer-Encoding and
+        # Content-Length is not relayed (the gateway would be choosing
+        # which reading its own clients get): 502, and the upstream
+        # connection is discarded with whatever the peer appended.
+        address, finish = raw_upstream(AMBIGUOUS_RESPONSE + b"trailing junk")
+        gw_listener, gateway = start_gateway(
+            rt, [{"prefix": "/", "upstreams": [address]}], cache_ttl=0.0,
+        )
+        client = front_client(rt, gw_listener)
+        results = []
+
+        @do
+        def body():
+            response = yield client.get("/data")
+            results.append(response)
+            yield client.close()
+            yield gateway.gateway.close()
+
+        run(rt, body())
+        finish()
+        gateway.stop()
+        gw_listener.close()
+        assert results[0].status == 502
+        pool = gateway.gateway.routes[0].clients[0].pool
+        assert pool.idle == 0 and pool.discards == 1
+        assert gateway.extra_stats()["gw_bad_gateway"] == 1
 
     def test_failover_masks_one_dead_upstream(self, rt):
         up_listener, upstream = start_upstream(rt)

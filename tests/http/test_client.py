@@ -149,6 +149,18 @@ class TestResponseParser:
             parser.feed(raw)
             parser.next_response()
 
+    def test_transfer_encoding_with_content_length_raises(self):
+        # Regression: TE silently won, so a peer could append bytes the
+        # Content-Length reading hides and leave them on a pooled socket.
+        parser = ResponseParser()
+        parser.expect("GET")
+        with pytest.raises(ResponseParseError):
+            parser.feed(
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n"
+                b"Content-Length: 3\r\n\r\n3\r\nabc\r\n0\r\n\r\n"
+            )
+        assert parser.next_response() is None
+
     def test_eof_mid_framed_body_raises(self):
         parser = ResponseParser()
         parser.expect("GET")
@@ -382,24 +394,7 @@ class TestHttpClient:
 
     def test_garbage_upstream_is_a_protocol_error(self, rt):
         # A raw TCP upstream speaking not-HTTP.
-        import socket
-        import threading
-
-        gate = threading.Event()
-        raw_listener = socket.socket()
-        raw_listener.bind(("127.0.0.1", 0))
-        raw_listener.listen(4)
-        address = raw_listener.getsockname()
-
-        def serve():
-            conn, _ = raw_listener.accept()
-            conn.recv(65536)
-            conn.sendall(b"SMTP READY\r\n\r\n")
-            gate.wait(5.0)
-            conn.close()
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
+        address, finish = raw_upstream(b"SMTP READY\r\n\r\n")
         client = HttpClient(rt.io, rt.timers, address, pool_size=1)
         errors = []
 
@@ -412,10 +407,54 @@ class TestHttpClient:
             yield client.close()
 
         run(rt, body())
-        gate.set()
-        thread.join(5.0)
-        raw_listener.close()
+        finish()
         assert len(errors) == 1
+
+    def test_ambiguous_framing_is_a_protocol_error_and_discards(self, rt):
+        # Transfer-Encoding + Content-Length from the upstream: surfaced
+        # as UpstreamProtocolError, and the connection (with whatever
+        # the peer appended) never goes back on the shelf.
+        address, finish = raw_upstream(AMBIGUOUS_RESPONSE)
+        client = HttpClient(rt.io, rt.timers, address, pool_size=1)
+        errors = []
+
+        @do
+        def body():
+            try:
+                yield client.get("/")
+            except UpstreamProtocolError as exc:
+                errors.append(exc)
+            yield client.close()
+
+        run(rt, body())
+        finish()
+        assert len(errors) == 1
+        assert "Transfer-Encoding and Content-Length" in str(errors[0])
+        assert client.pool.idle == 0
+        assert client.pool.stats()["discards"] == 1
+
+    def test_eof_delimited_response_is_returned_and_not_pooled(self, rt):
+        # Regression: the response completed by the peer's close was
+        # popped and dropped, so every HTTP/1.0-style body failed with
+        # "EOF before response".
+        address, finish = raw_upstream(
+            b"HTTP/1.0 200 OK\r\nServer: old\r\n\r\nruns to the close",
+            hold=False,
+        )
+        client = HttpClient(rt.io, rt.timers, address, pool_size=1)
+        results = []
+
+        @do
+        def body():
+            response = yield client.get("/")
+            results.append(response)
+            yield client.close()
+
+        run(rt, body())
+        finish()
+        assert results[0].body == b"runs to the close"
+        assert not results[0].framed
+        assert client.pool.idle == 0
 
     def test_no_timer_thread_per_request(self, rt):
         # The PR-5 assertion at the client layer: every request arms a
@@ -472,6 +511,44 @@ class TestHttpClient:
         assert all(body == b"hello world" for _, body in bodies)
         assert client.pool.dials <= 2  # bounded by the pool, not by load
         assert server.stats.connections <= 2
+
+
+# -- a raw TCP upstream that answers one request with fixed bytes -------
+AMBIGUOUS_RESPONSE = (
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n"
+    b"Content-Length: 3\r\n\r\n3\r\nabc\r\n0\r\n\r\n"
+)
+
+
+def raw_upstream(reply: bytes, hold: bool = True):
+    """Returns ``(address, finish)``; the server thread answers the
+    first request with ``reply`` and holds the socket open until
+    ``finish()`` (``hold=False``: closes it right after the reply)."""
+    import socket
+    import threading
+
+    gate = threading.Event()
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(4)
+
+    def serve():
+        conn, _ = listener.accept()
+        conn.recv(65536)
+        conn.sendall(reply)
+        if hold:
+            gate.wait(5.0)
+        conn.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+
+    def finish():
+        gate.set()
+        thread.join(5.0)
+        listener.close()
+
+    return listener.getsockname(), finish
 
 
 # -- tiny handler helpers ----------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.http.cache import FileCache
+from repro.http.client import ResponseParseError, ResponseParser
 from repro.http.message import (
     HttpError,
     HttpRequest,
@@ -308,6 +309,181 @@ class TestChunkedRequestBodies:
         second = parser.next_request()
         assert first.body == b"hello world"
         assert second.target == "/after"
+
+
+class TestFieldNameWhitespace:
+    """Regression: ``Transfer-Encoding : chunked`` and a line starting
+    with whitespace were ``.strip()``ped into framing headers — a field
+    a stricter intermediary ignores decided where our message ended
+    (RFC 9112 §5.1: no whitespace before the colon; §5.2: obs-fold is
+    rejected)."""
+
+    SMUGGLED = b"GET /admin HTTP/1.1\r\nHost: h\r\n\r\n"
+
+    @pytest.mark.parametrize("field", [
+        b"Transfer-Encoding : chunked",
+        b"Transfer-Encoding\t: chunked",
+        b"Content-Length : 5",
+        b" Transfer-Encoding: chunked",
+        b"\tContent-Length: 5",
+        b"X-Plain : value",
+    ])
+    def test_request_is_400(self, field):
+        parser = RequestParser()
+        with pytest.raises(HttpParseError) as info:
+            parser.feed(b"POST / HTTP/1.1\r\nHost: h\r\n" + field
+                        + b"\r\n\r\n")
+        assert info.value.status == 400
+
+    def test_obs_fold_continuation_is_400(self):
+        parser = RequestParser()
+        with pytest.raises(HttpParseError) as info:
+            parser.feed(b"GET / HTTP/1.1\r\nX-Long: part one\r\n"
+                        b"  part two\r\n\r\n")
+        assert info.value.status == 400
+
+    @pytest.mark.parametrize("field, payload", [
+        # A parser that ignores the odd field sees no body; one that
+        # strips it swallows /admin as the body: the embedded request
+        # is either real or hidden.
+        (b"Content-Length : %d" % len(SMUGGLED), SMUGGLED),
+        (b" Content-Length: %d" % len(SMUGGLED), SMUGGLED),
+        (b"Transfer-Encoding : chunked",
+         b"%x\r\n" % len(SMUGGLED) + SMUGGLED + b"\r\n0\r\n\r\n"),
+        (b"\tTransfer-Encoding: chunked",
+         b"%x\r\n" % len(SMUGGLED) + SMUGGLED + b"\r\n0\r\n\r\n"),
+    ])
+    def test_pipelined_smuggling_variants(self, field, payload):
+        # The request before the malformed one parses; the malformed one
+        # is an error, never a body that hides (or reveals) /admin.
+        parser = RequestParser()
+        with pytest.raises(HttpParseError) as info:
+            parser.feed(
+                b"GET /first HTTP/1.1\r\nHost: h\r\n\r\n"
+                b"POST /second HTTP/1.1\r\nHost: h\r\n" + field
+                + b"\r\n\r\n" + payload
+            )
+        assert info.value.status == 400
+        assert parser.next_request().target == "/first"
+        assert parser.next_request() is None
+
+    @pytest.mark.parametrize("field", [
+        b"Transfer-Encoding : chunked",
+        b"Content-Length : 2",
+        b" Content-Length: 2",
+        b"\tTransfer-Encoding: chunked",
+    ])
+    def test_response_is_a_parse_error(self, field):
+        parser = ResponseParser()
+        parser.expect("GET")
+        with pytest.raises(ResponseParseError):
+            parser.feed(b"HTTP/1.1 200 OK\r\nServer: s\r\n" + field
+                        + b"\r\n\r\nok")
+
+    def test_pipelined_response_variant(self):
+        parser = ResponseParser()
+        parser.expect("GET")
+        parser.expect("GET")
+        with pytest.raises(ResponseParseError):
+            parser.feed(
+                b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+                b"HTTP/1.1 200 OK\r\nContent-Length : 2\r\n\r\nno"
+            )
+        assert parser.next_response().body == b"ok"
+        assert parser.next_response() is None
+
+    def test_value_whitespace_is_still_trimmed(self):
+        request = parse_one(b"GET / HTTP/1.1\r\nHost:   spaced  \r\n\r\n")
+        assert request.header("host") == "spaced"
+
+
+def split_feed(parser, raw: bytes, cut_sizes) -> None:
+    position = 0
+    for size in cut_sizes:
+        parser.feed(raw[position:position + size])
+        position += size
+    parser.feed(raw[position:])
+
+
+class TestResponseByteSplitInvariance:
+    """The byte-split-at-any-boundary property, for the response side of
+    the one framing machine."""
+
+    FRAMED = (
+        b"HTTP/1.1 100 Continue\r\n\r\n"
+        b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
+        b"Content-Length: 11\r\n\r\nhello world"
+        b"HTTP/1.1 200 OK\r\nContent-Length: 5000\r\n\r\n"  # to a HEAD
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"5;name=value\r\nhello\r\n6 ; x\r\n world\r\n"
+        b"0;last\r\nX-Checksum: abc\r\nX-Two: 2\r\n\r\n"
+        b"HTTP/1.1 304 Not Modified\r\nETag: \"v1\"\r\n\r\n"
+        b"HTTP/1.0 200 OK\r\nServer: old\r\n\r\nruns to the close"
+    )
+    METHODS = ("GET", "HEAD", "GET", "GET", "GET")
+
+    @staticmethod
+    def summarize(parser) -> list[tuple]:
+        out = []
+        while True:
+            response = parser.next_response()
+            if response is None:
+                return out
+            out.append((response.status, dict(response.headers),
+                        response.body, response.framed,
+                        response.keep_alive))
+
+    def parse(self, cut_sizes) -> list[tuple]:
+        parser = ResponseParser()
+        for method in self.METHODS:
+            parser.expect(method)
+        split_feed(parser, self.FRAMED, cut_sizes)
+        parser.eof()
+        out = self.summarize(parser)
+        assert parser.idle
+        return out
+
+    def test_whole_buffer_reference(self):
+        statuses = [(status, body, framed)
+                    for status, _h, body, framed, _k in self.parse([])]
+        assert statuses == [
+            (100, b"", True),
+            (200, b"hello world", True),
+            (200, b"", True),
+            (200, b"hello world", True),
+            (304, b"", True),
+            (200, b"runs to the close", False),
+        ]
+
+    @given(st.lists(st.integers(1, 23), max_size=60))
+    def test_any_split_parses_identically(self, cut_sizes):
+        assert self.parse(cut_sizes) == self.parse([])
+
+    @given(st.lists(st.integers(1, 9), max_size=40))
+    def test_expectations_may_arrive_late(self, cut_sizes):
+        # Bytes that arrive before their expect() stay buffered and
+        # parse once the request is issued.
+        raw = (b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\na"
+               b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\nb")
+        parser = ResponseParser()
+        parser.expect("GET")
+        split_feed(parser, raw, cut_sizes)
+        assert parser.next_response().body == b"a"
+        assert parser.next_response() is None
+        assert not parser.idle
+        parser.expect("GET")
+        parser.feed(b"")
+        assert parser.next_response().body == b"b"
+        assert parser.idle
+
+
+def test_both_parsers_share_one_framing_machine():
+    # A second copy of the chunked machine (or of the strict length /
+    # header-field rules) cannot reappear unnoticed.
+    for name in ("feed", "_advance_chunked", "_parse_chunk_size",
+                 "_strict_content_length", "_parse_header_block",
+                 "_advance_body"):
+        assert getattr(RequestParser, name) is getattr(ResponseParser, name)
 
 
 class TestMessage:

@@ -1,0 +1,327 @@
+"""The connection session, owned by the driver.
+
+Unit level drives :class:`~repro.runtime.driver.ConnectionDriver` with a
+recording layer and a toy line protocol: who reads (the driver, through
+``recv_pooled``, releasing the lease before the protocol runs), who
+closes (the driver: ``close`` or the drain-close ``shed``, exactly once)
+and what abandonment does (no monadic close, no leaked lease).  Live
+level checks what HTTP and the cache dialects build on it: requests that
+completed before a malformed one are answered first.
+"""
+
+from __future__ import annotations
+
+import gc
+
+import pytest
+
+from repro.app.kv import KvNode
+from repro.cache import build_cache_frontend
+from repro.core.do_notation import do
+from repro.core.monad import pure
+from repro.core.syscalls import sys_sleep
+from repro.http.server import AppTcpSocketLayer, build_live_server
+from repro.runtime.buffers import BufferPool
+from repro.runtime.driver import CLOSE, DRAIN_CLOSE, ConnectionDriver
+from repro.runtime.io_api import ConnectionClosed, FileBody
+from repro.runtime.live_runtime import LiveRuntime
+from repro.runtime.sim_runtime import SimRuntime
+from repro.simos.net import DuplexPacketLink
+from repro.tcp.socket_api import install_tcp
+from repro.tcp.stack import TcpParams, TcpStack, connect_stacks
+from tests.http.test_http11_features import _drive as drive
+
+
+# ----------------------------------------------------------------------
+# Unit level: a recording layer and a toy protocol.
+# ----------------------------------------------------------------------
+class RecordingLayer:
+    """Scripted reads; records every close-side call."""
+
+    def __init__(self, reads) -> None:
+        self.reads = list(reads)
+        self.pool = BufferPool(buffer_bytes=64)
+        self.calls: list[tuple] = []
+        self.sent: list[bytes] = []
+
+    def recv_pooled(self, conn):
+        item = self.reads.pop(0) if self.reads else b""
+        if isinstance(item, BaseException):
+            @do
+            def fail():
+                yield pure(None)
+                raise item
+            return fail()
+        # A lease must never be held while the protocol runs.
+        assert self.pool.in_use == 0
+        lease = self.pool.lease()
+        lease.data[:len(item)] = item
+        return pure((lease, len(item)))
+
+    def send_v(self, conn, bufs):
+        self.sent.append(b"".join(bufs))
+        return pure(None)
+
+    def close(self, conn):
+        self.calls.append(("close", conn))
+        return pure(None)
+
+    def shed(self, conn, farewell=b""):
+        self.calls.append(("shed", conn, farewell))
+        return pure(None)
+
+
+class LineError(ValueError):
+    pass
+
+
+class LineParser:
+    def __init__(self) -> None:
+        self.lines: list[bytes] = []
+
+    def feed(self, data, count) -> None:
+        for line in bytes(data[:count]).split(b"\n"):
+            if line == b"BAD":
+                raise LineError("bad line")
+            if line:
+                self.lines.append(line)
+
+
+class LineProtocol:
+    """Echoes lines; ``quit`` ends the session, ``boom`` is a bug."""
+
+    parse_error = LineError
+
+    def __init__(self, layer) -> None:
+        self.layer = layer
+
+    def make_parser(self):
+        return LineParser()
+
+    def shed_payload(self) -> bytes:
+        return b""
+
+    @do
+    def drain(self, layer, conn, parser, bad):
+        assert layer.pool.in_use == 0
+        while parser.lines:
+            line = parser.lines.pop(0)
+            if line == b"boom":
+                raise RuntimeError("protocol bug")
+            yield layer.send_v(conn, [line])
+            if line == b"quit":
+                return CLOSE
+        if bad is not None:
+            yield layer.send_v(conn, [b"ERR"])
+            return DRAIN_CLOSE
+
+
+def run_session(reads):
+    rt = SimRuntime(uncaught="store")
+    layer = RecordingLayer(reads)
+    driver = ConnectionDriver(layer, LineProtocol(layer))
+    rt.spawn(driver.handle_connection("c1"), name="session")
+    rt.run()
+    return rt, layer
+
+
+class TestSessionVerdicts:
+    def test_eof_is_a_plain_close(self):
+        _rt, layer = run_session([b"a\nb\n", b"c\n", b""])
+        assert layer.sent == [b"a", b"b", b"c"]
+        assert layer.calls == [("close", "c1")]
+        assert layer.pool.in_use == 0
+
+    def test_protocol_close_verdict(self):
+        _rt, layer = run_session([b"a\nquit\nnever\n", b"unread"])
+        assert layer.sent == [b"a", b"quit"]
+        assert layer.calls == [("close", "c1")]
+
+    def test_parse_error_answers_completed_lines_then_drain_closes(self):
+        _rt, layer = run_session([b"a\nb\nBAD\nc\n", b"unread"])
+        # What completed before the break is served, then the error;
+        # the close is the drain-close (shed), and only that.
+        assert layer.sent == [b"a", b"b", b"ERR"]
+        assert layer.calls == [("shed", "c1", b"")]
+        assert layer.pool.in_use == 0
+
+    def test_transport_error_closes_quietly(self):
+        rt, layer = run_session([b"a\n", ConnectionClosed("gone")])
+        assert layer.sent == [b"a"]
+        assert layer.calls == [("close", "c1")]
+        assert not rt.sched.uncaught_errors
+
+    def test_protocol_bug_still_closes_then_propagates(self):
+        rt, layer = run_session([b"boom\n"])
+        assert layer.calls == [("close", "c1")]
+        assert any(isinstance(error, RuntimeError)
+                   for _tcb, error in rt.sched.uncaught_errors)
+
+    def test_abandonment_runs_no_monadic_close(self):
+        layer = RecordingLayer([])
+        driver = ConnectionDriver(layer, LineProtocol(layer))
+        gate = []
+
+        def parked_read(conn):
+            @do
+            def park():
+                lease = layer.pool.lease()
+                try:
+                    gate.append(True)
+                    yield sys_sleep(3600.0)
+                finally:
+                    lease.release()
+                return lease, 0
+            return park()
+
+        layer.recv_pooled = parked_read
+        rt = SimRuntime(uncaught="store")
+        rt.spawn(driver.handle_connection("c1"), name="session")
+        rt.run(until=lambda: bool(gate))
+        assert gate
+        del rt  # drop the runtime mid-session: generators are closed
+        gc.collect()
+        assert layer.calls == []
+        assert layer.pool.in_use == 0
+
+
+# ----------------------------------------------------------------------
+# The socket-layer contract is total: the app-level TCP layer too.
+# ----------------------------------------------------------------------
+class TestAppTcpLayerIsTotal:
+    def make_world(self):
+        rt = SimRuntime(uncaught="store")
+        clock = rt.kernel.clock
+        link = DuplexPacketLink(clock, 12.5e6, 0.001, seed=3)
+        server_stack = TcpStack(clock, "server", TcpParams(), seed=1)
+        client_stack = TcpStack(clock, "client", TcpParams(), seed=2)
+        connect_stacks(client_stack, server_stack, link)
+        ssock = install_tcp(rt.sched, server_stack)
+        csock = install_tcp(rt.sched, client_stack)
+        return rt, AppTcpSocketLayer(ssock, port=80), csock
+
+    def test_recv_pooled_and_sendfile(self):
+        rt, layer, csock = self.make_world()
+        blob = bytes(range(256)) * 1200  # > one SENDFILE_WINDOW
+        closed = []
+        file = FileBody(
+            None, len(blob),
+            pread=lambda offset, nbytes: blob[offset:offset + nbytes],
+            close=lambda: closed.append(True),
+        )
+        seen = []
+        received = bytearray()
+
+        @do
+        def server():
+            listener = yield layer.setup()
+            (conn,) = yield layer.accept_batch(listener, 8)
+            lease, count = yield layer.recv_pooled(conn)
+            seen.append(bytes(lease.data[:count]))
+            lease.release()
+            sent = yield layer.sendfile(conn, file, 100, len(blob) - 100)
+            seen.append(sent)
+            yield layer.close(conn)
+
+        @do
+        def client():
+            conn = yield csock.connect("server", 80)
+            yield csock.send(conn, b"send me the file")
+            while True:
+                data = yield csock.recv(conn, 65536)
+                if not data:
+                    break
+                received.extend(data)
+            yield csock.close(conn)
+
+        rt.spawn(server(), name="server")
+        rt.spawn(client(), name="client")
+        rt.run()
+        assert seen == [b"send me the file", len(blob) - 100]
+        assert bytes(received) == blob[100:]
+        assert layer.buffers.in_use == 0
+
+    def test_sendfile_of_a_truncated_file_is_a_transport_error(self):
+        rt, layer, csock = self.make_world()
+        file = FileBody(None, 4096, pread=lambda offset, nbytes: b"")
+        errors = []
+
+        @do
+        def server():
+            listener = yield layer.setup()
+            (conn,) = yield layer.accept_batch(listener, 8)
+            try:
+                yield layer.sendfile(conn, file, 0, 4096)
+            except ConnectionClosed as exc:
+                errors.append(exc)
+            yield layer.close(conn)
+
+        @do
+        def client():
+            conn = yield csock.connect("server", 80)
+            yield csock.recv(conn, 65536)
+            yield csock.close(conn)
+
+        rt.spawn(server(), name="server")
+        rt.spawn(client(), name="client")
+        rt.run()
+        assert len(errors) == 1
+
+
+# ----------------------------------------------------------------------
+# Live level: HTTP and memcache on the shared session.
+# ----------------------------------------------------------------------
+@pytest.fixture
+def rt():
+    runtime = LiveRuntime(uncaught="store")
+    yield runtime
+    runtime.shutdown()
+
+
+class TestLiveSessions:
+    @pytest.mark.parametrize("malformed", [
+        b"NONSENSE\r\n\r\n",
+        b"POST /x HTTP/1.1\r\nTransfer-Encoding : chunked\r\n\r\n"
+        b"0\r\n\r\n",
+        b"POST /x HTTP/1.1\r\n Content-Length: 3\r\n\r\nabc",
+    ])
+    def test_http_answers_completed_requests_before_the_400(self, rt,
+                                                            malformed):
+        listener = rt.make_listener()
+        server = build_live_server(rt, listener, site={"a": b"AAA"})
+        rt.spawn(server.main(), name="server")
+        data = drive(
+            rt, listener.getsockname()[1],
+            b"GET /a HTTP/1.1\r\nHost: h\r\n\r\n" + malformed
+            + b"GET /a HTTP/1.1\r\nHost: h\r\n\r\n",
+        )
+        server.stop()
+        listener.close()
+        first, _, rest = data.partition(b"AAA")
+        assert first.startswith(b"HTTP/1.1 200 OK")
+        assert rest.startswith(b"HTTP/1.1 400 ")
+        # Nothing after the malformed request is served.
+        assert data.count(b"HTTP/1.1 ") == 2
+        assert server.stats.requests == 1
+        assert server.stats.responses_err == 1
+        assert server.stats.active == 0
+        assert rt.buffers.in_use == 0
+
+    def test_memcache_batch_before_a_parse_error_is_answered(self, rt):
+        listener = rt.make_listener()
+        frontend = build_cache_frontend(rt, listener, KvNode(0, 1))
+        rt.spawn(frontend.main(), name="cache")
+        data = drive(
+            rt, listener.getsockname()[1],
+            b"set k 0 0 2 noreply\r\nhi\r\nget k\r\nset k 0 0 pony\r\n"
+            b"get k\r\n",
+        )
+        frontend.stop()
+        listener.close()
+        assert data == (b"VALUE k 0 2\r\nhi\r\nEND\r\n"
+                        b"CLIENT_ERROR bad command line format\r\n")
+        stats = frontend.stats
+        assert stats.commands == 2 and stats.errors == 1
+        # The replies and the farewell left as one gathered write.
+        assert stats.send_batches == 1
+        assert stats.active == 0
