@@ -769,9 +769,12 @@ class KvNode:
         without replication the failure surfaces as
         :class:`~repro.runtime.mesh.MeshError` — partial silence must
         not read as "those keys are absent".
+
+        A key named twice is fetched and counted once:
+        ``owned_ops``/``proxied_ops`` count distinct keys.
         """
         by_owner: dict[int, list[str]] = {}
-        for key in keys:
+        for key in dict.fromkeys(keys):
             by_owner.setdefault(self.ring.owner(key), []).append(key)
         merged: dict[str, bytes | None] = {}
         for key in by_owner.pop(self.index, []):

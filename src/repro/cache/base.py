@@ -8,6 +8,32 @@ returning :class:`~repro.core.monad.M`, i.e. a :class:`~repro.app.kv
 gathered write — a pipelined batch of N commands costs one egress
 syscall, the same fast path PR-5 built for HTTP responses.
 
+**The batch is planned, not just executed.**  One ingress read hands
+:meth:`CacheProtocolBase.drain` a whole pipelined burst, and a
+request's cost in this stack is counted in mesh round trips, so
+``drain`` splits the burst into maximal *runs* of same-class commands
+(each dialect's :meth:`~CacheProtocolBase.classify` names the class and
+the keys) and spends one round per run instead of one per command:
+
+* a run of consecutive :data:`READ` commands costs **one**
+  ``store.mget`` over the de-duplicated union of their keys (first-seen
+  order, at most :data:`MAX_READ_KEYS`); each command then formats its
+  own reply from that one result.  ``store.mget`` is called here and
+  nowhere else in the package;
+* a run of consecutive :data:`KEYED` commands whose key sets are
+  pairwise disjoint (at most :data:`MAX_OVERLAP`) executes
+  concurrently, each command on its own monadic thread into its own
+  reply list, the last one on the session thread;
+* a :data:`BARRIER` (anything that is neither) runs alone.
+
+A class change, a repeated key, a barrier or a cap ends a run, so the
+guarantees are those of strictly serial execution: replies leave in
+command order, two commands that touch the same key never overlap or
+reorder (``set k`` then ``get k`` in one burst reads the new value),
+and a single command is simply the run-of-one case of the same loop.
+What is *not* promised, and never was: an order between this
+connection's commands on different keys as seen by *other* connections.
+
 The session mirrors :class:`~repro.http.server.HttpProtocol` on the
 shared :class:`~repro.runtime.driver.ConnectionDriver` (which reads and
 closes): store-level failures become in-band error replies on a
@@ -17,14 +43,39 @@ be desynced, so the only safe move is an error line and a drain-close).
 
 from __future__ import annotations
 
-from typing import Any
+from collections import deque
+from typing import Any, Iterator
 
 from ..core.do_notation import do
 from ..core.monad import M
+from ..core.thread import join_all, spawn
 from ..runtime.driver import CLOSE, DRAIN_CLOSE
 
 __all__ = ["CacheStats", "CacheParseError", "CacheParser",
-           "CacheProtocolBase"]
+           "CacheProtocolBase", "READ", "KEYED", "BARRIER",
+           "MAX_READ_KEYS", "MAX_OVERLAP"]
+
+#: Command classes (what :meth:`CacheProtocolBase.classify` answers).
+#: READ: served from one ``store.mget`` of its keys, coalesces with its
+#: neighbours.  KEYED: touches exactly its keys through any other store
+#: op, overlaps with key-disjoint neighbours.  BARRIER: runs alone.
+READ = "read"
+KEYED = "keyed"
+BARRIER = "barrier"
+
+#: Most distinct keys one coalesced read carries.  256 keys of at most
+#: 250 bytes keep the ``mget`` *request* a mesh peer receives under one
+#: 64 KiB ``FrameReader`` read; the reply is bounded where its bytes are
+#: made (``MeshNode._enqueue`` refuses a frame above ``max_frame``, and
+#: a refused coalesced read falls back to one read per command).
+MAX_READ_KEYS = 256
+
+#: Most keyed commands of one burst in flight at once: one monadic
+#: thread and up to ``replication`` mesh frames each.  16 keeps a
+#: connection's burst well under the mesh's per-link ``max_inflight``
+#: (128), so one pipelining client cannot push its peers' readers into
+#: serving inline.
+MAX_OVERLAP = 16
 
 
 class CacheParseError(ValueError):
@@ -49,7 +100,7 @@ class CacheParser:
 
     def __init__(self) -> None:
         self._buffer = bytearray()
-        self._commands: list = []
+        self._commands: deque = deque()
 
     def feed(self, data, length: int | None = None) -> None:
         """Add received bytes; ``length`` bounds the valid prefix (pooled
@@ -63,7 +114,7 @@ class CacheParser:
 
     def next_command(self) -> Any:
         if self._commands:
-            return self._commands.pop(0)
+            return self._commands.popleft()
         return None
 
     @property
@@ -121,10 +172,18 @@ class CacheProtocolBase:
     ``make_parser()``
         A fresh per-connection parser with ``feed(bytes)`` (may raise
         :class:`CacheParseError`) and ``next_command()``.
-    ``execute(command, out) -> M[bool]``
+    ``classify(command) -> (class, keys)``
+        Plain code: :data:`READ`, :data:`KEYED` or :data:`BARRIER`, and
+        the store keys the command touches (empty for a barrier).  This
+        is all the batch plan in :meth:`drain` knows about a dialect.
+    ``execute(command, out, values=None) -> M[bool]``
         Run one command against ``self.store``, appending reply buffers
         to ``out``; resolve to True to close the connection (quit).
         Must bump ``stats.responses`` once per reply frame appended.
+        ``values`` is what :meth:`drain` already read for a READ
+        command — ``{key: value-or-None}``, or the exception the read
+        raised; without it the command reads its own keys through
+        :meth:`_read`.  Only a barrier may resolve to True.
     ``shed_payload() -> bytes``
         The driver's admission-cap farewell.
     """
@@ -139,7 +198,10 @@ class CacheProtocolBase:
     def make_parser(self) -> Any:
         raise NotImplementedError
 
-    def execute(self, command: Any, out: list) -> M:
+    def classify(self, command: Any) -> tuple[str, Any]:
+        raise NotImplementedError
+
+    def execute(self, command: Any, out: list, values: Any = None) -> M:
         raise NotImplementedError
 
     def shed_payload(self) -> bytes:
@@ -148,18 +210,40 @@ class CacheProtocolBase:
     # ------------------------------------------------------------------
     @do
     def drain(self, layer, conn, parser, bad):
-        """Execute everything this read completed; all replies (and the
-        farewell for a parse error ``bad``) leave as one gathered write."""
+        """Execute everything this read completed, one store round per
+        run (module docstring); all replies (and the farewell for a
+        parse error ``bad``) leave as one gathered write."""
         stats = self.stats
         out: list = []
         frames_before = stats.responses
         closing = False
-        while True:
-            command = parser.next_command()
-            if command is None:
-                break
-            stats.commands += 1
-            closing = yield self.execute(command, out)
+        for kind, run, union in self._runs(parser):
+            stats.commands += len(run)
+            if kind == READ:
+                values = yield self._read(list(union))
+                if len(run) > 1 and isinstance(values, Exception):
+                    # Failure isolation no worse than serial: every
+                    # command reads its own keys, answers its own outcome.
+                    values = None
+                for command in run:
+                    yield self.execute(command, out, values)
+                continue
+            # Keyed and key-disjoint (or a barrier, alone): every command
+            # but the last on a thread of its own, into its own replies.
+            outs: list[list] = [[] for _ in run]
+            handles = []
+            for command, own in zip(run[:-1], outs):
+                handle = yield spawn(self._contained(command, own),
+                                     name="cache-overlap")
+                handles.append(handle)
+            last = yield self._contained(run[-1], outs[-1])
+            outcomes = yield join_all(handles)
+            outcomes.append(last)
+            for own, outcome in zip(outs, outcomes):
+                if isinstance(outcome, Exception):
+                    raise outcome  # the first in command order, as serial
+                out += own
+            closing = last  # only a barrier, alone in its run, closes
             if closing:
                 break
         if out:
@@ -181,6 +265,70 @@ class CacheProtocolBase:
             # Drain-close: unread pipelined bytes would turn a straight
             # close into an RST that eats the reply.
             return DRAIN_CLOSE
+
+    def _runs(self, parser) -> Iterator[tuple[str, list, dict]]:
+        """Split what ``parser`` holds into maximal runs: ``(class,
+        commands, union of their keys in first-seen order)``.
+
+        Plain generator, popping lazily: the command that ended a run
+        is held to start the next, and nothing is popped past a barrier
+        until the caller comes back for more — after ``quit`` it never
+        does, so what followed is neither executed nor counted.
+        """
+        held = None
+        while True:
+            if held is None:
+                command = parser.next_command()
+                if command is None:
+                    return
+                held = (command, *self.classify(command))
+            command, kind, keys = held
+            held = None
+            run = [command]
+            union = dict.fromkeys(keys)
+            while kind != BARRIER:
+                command = parser.next_command()
+                if command is None:
+                    break
+                next_kind, keys = self.classify(command)
+                if next_kind != kind:
+                    joins = False
+                elif kind == READ:
+                    fresh = set(keys) - union.keys()
+                    joins = len(union) + len(fresh) <= MAX_READ_KEYS
+                else:
+                    joins = (len(run) < MAX_OVERLAP
+                             and union.keys().isdisjoint(keys))
+                if not joins:
+                    held = (command, next_kind, keys)
+                    break
+                run.append(command)
+                union.update(dict.fromkeys(keys))
+            yield kind, run, union
+
+    @do
+    def _read(self, keys):
+        """The package's one ``store.mget``.  A store failure resumes as
+        a *value* (the exception): the command it belongs to answers it
+        in-band and the connection stays up."""
+        try:
+            values = yield self.store.mget(keys)
+        except Exception as exc:
+            return exc
+        return values
+
+    @do
+    def _contained(self, command, out):
+        """``execute`` with an escaping exception resumed as a value, so
+        one raised on a spawned thread reaches the session thread (which
+        re-raises it in command order) instead of the scheduler's
+        uncaught policy.  No cleanup clause: an abandoned thread
+        (``GeneratorExit``) must not issue a monadic call."""
+        try:
+            closing = yield self.execute(command, out)
+        except Exception as exc:
+            return exc
+        return closing
 
     # -- shared executor helpers ---------------------------------------
     @staticmethod

@@ -6,6 +6,13 @@ key), ``set``, ``delete``, ``stats``, ``version``, ``quit``, with
 client can talk to the replicated cluster: any shard answers any key via
 the store's owner routing.
 
+For the batch plan in :meth:`~repro.cache.base.CacheProtocolBase.drain`
+``get``/``gets`` are *reads* (consecutive ones share one store ``mget``
+and each formats its reply — flags, lazy expiry, cas token, hit/miss
+counters — from that one result), ``set``/``delete`` are *keyed*
+(key-disjoint neighbours overlap), and everything else — ``stats``,
+``version``, ``quit``, unsupported and line-error tuples — is a barrier.
+
 Fidelity notes (documented, deliberate):
 
 * ``flags`` are stored (shard-locally, beside the raw value bytes the
@@ -37,7 +44,8 @@ import zlib
 
 from ..core.do_notation import do
 from ..core.syscalls import sys_fork, sys_now
-from .base import CacheParseError, CacheParser, CacheProtocolBase, CacheStats
+from .base import (BARRIER, KEYED, READ, CacheParseError, CacheParser,
+                   CacheProtocolBase, CacheStats)
 
 __all__ = ["MemcacheParser", "MemcacheProtocol"]
 
@@ -241,19 +249,27 @@ class MemcacheProtocol(CacheProtocolBase):
     def shed_payload(self) -> bytes:
         return b"SERVER_ERROR connection capacity reached\r\n"
 
-    def execute(self, command, out):
-        return self._execute(command, out)
+    def classify(self, command):
+        kind = command[0]
+        if kind == "get":
+            return READ, command[1]
+        if kind in ("set", "delete"):
+            return KEYED, (command[1],)
+        return BARRIER, ()
+
+    def execute(self, command, out, values=None):
+        return self._execute(command, out, values)
 
     @do
-    def _execute(self, command, out):
+    def _execute(self, command, out, values):
         stats = self.stats
         kind = command[0]
         if kind == "get":
             _, keys, with_cas = command
-            try:
-                values = yield self.store.mget(keys)
-            except Exception as exc:
-                self._server_error(out, exc)
+            if values is None:
+                values = yield self._read(keys)
+            if isinstance(values, Exception):
+                self._server_error(out, values)
                 return False
             now = None
             for key in keys:

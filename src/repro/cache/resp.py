@@ -12,12 +12,21 @@ payloads) or as inline whitespace-split lines; replies use the full
 RESP2 surface (simple strings, errors, integers, bulk, nil, arrays).
 Keys decode via UTF-8 with surrogateescape: any byte key is stable and
 self-consistent, and UTF-8 keys interoperate with the HTTP facade.
+
+For the batch plan in :meth:`~repro.cache.base.CacheProtocolBase.drain`
+``MGET``/``EXISTS`` are *reads* (consecutive ones share one store
+``mget``), ``GET``/``SET``/``DEL`` are *keyed* (key-disjoint
+neighbours overlap), and everything else is a barrier.  ``GET`` is
+deliberately not a read: it is the quorum read with read-repair
+(``KvNode.get``) where ``MGET`` is the primary read, and coalescing one
+into the other would silently change its consistency.
 """
 
 from __future__ import annotations
 
 from ..core.do_notation import do
-from .base import CacheParseError, CacheParser, CacheProtocolBase, CacheStats
+from .base import (BARRIER, KEYED, READ, CacheParseError, CacheParser,
+                   CacheProtocolBase, CacheStats)
 
 __all__ = ["RespParser", "RespProtocol"]
 
@@ -157,11 +166,23 @@ class RespProtocol(CacheProtocolBase):
     def _key(raw: bytes) -> str:
         return raw.decode("utf-8", "surrogateescape")
 
-    def execute(self, command, out):
-        return self._execute(command, out)
+    def classify(self, command):
+        name = command[0].upper()
+        count = len(command) - 1
+        if name in (b"MGET", b"EXISTS") and count:
+            return READ, [self._key(raw) for raw in command[1:]]
+        if (name == b"GET" and count == 1) or (name == b"SET" and count == 2):
+            return KEYED, (self._key(command[1]),)
+        if name == b"DEL" and count:
+            return KEYED, [self._key(raw) for raw in command[1:]]
+        # No store access: PING, chatter, QUIT, unknown, wrong arity.
+        return BARRIER, ()
+
+    def execute(self, command, out, values=None):
+        return self._execute(command, out, values)
 
     @do
-    def _execute(self, command, out):
+    def _execute(self, command, out, values):
         stats = self.stats
         name = command[0].upper()
         args = command[1:]
@@ -229,7 +250,10 @@ class RespProtocol(CacheProtocolBase):
                         f"'{name.decode().lower()}' command"))
                     return False
                 keys = [self._key(raw) for raw in args]
-                values = yield self.store.mget(keys)
+                if values is None:
+                    values = yield self._read(keys)
+                if isinstance(values, Exception):
+                    raise values
                 if name == b"EXISTS":
                     present = sum(values.get(key) is not None for key in keys)
                     self._reply(out, b":%d\r\n" % present)

@@ -611,6 +611,19 @@ class MeshNode:
             # The connection's flusher already died: fail fast instead
             # of queueing behind a drain that has passed.
             return sys_throw(out.failed)
+        if _HEAD.size + len(body) > self.max_frame:
+            # The bound is checked where the bytes are made: written
+            # whole, the frame would make the receiver's FrameReader
+            # raise and take the link — and every other call pending on
+            # it — down.  A request fails its own caller; a reply
+            # becomes an error reply (its caller gets MeshRemoteError).
+            refusal = MeshProtocolError(
+                f"frame body of {len(body)} bytes exceeds "
+                f"max_frame={self.max_frame}"
+            )
+            if kind not in (KIND_REPLY, KIND_ERROR):
+                return sys_throw(refusal)
+            kind, body = KIND_ERROR, repr(refusal).encode()
         header = frame_header(kind, request_id, len(body))
         out.queue.append(((header, body) if body else (header,), flushed))
         out.enqueued += 1
@@ -801,6 +814,8 @@ class MeshNode:
             link.pending[request_id] = box
             try:
                 yield self._enqueue(link.out, KIND_REQUEST, request_id, body)
+            except MeshProtocolError:
+                raise  # refused before it was queued: the link is fine
             except (ConnectionError, OSError) as exc:
                 yield self._fail_link(link)
                 raise MeshPeerDown(f"write to peer {peer} failed: {exc!r}")
@@ -845,6 +860,8 @@ class MeshNode:
         link = yield self._link(peer)
         try:
             yield self._enqueue_flushed(link.out, KIND_CAST, body)
+        except MeshProtocolError:
+            raise  # refused before it was queued: the link is fine
         except (ConnectionError, OSError) as exc:
             yield self._fail_link(link)
             raise MeshPeerDown(f"cast to peer {peer} failed: {exc!r}")

@@ -200,6 +200,23 @@ class TestMeshedNodes:
         assert merged[key_b] == b"vb"
         assert merged["ghost-x"] is None
 
+    def test_mget_fetches_and_counts_a_repeated_key_once(self, world):
+        rt, nodes = world
+        key_a = self._key_owned_by(nodes, owner=0)
+        key_b = self._key_owned_by(nodes, owner=1)
+        self.drive(rt, nodes[0].put(key_a, b"va"))
+        self.drive(rt, nodes[0].put(key_b, b"vb"))
+        before = [(n.owned_ops, n.proxied_ops) for n in nodes]
+        merged = self.drive(
+            rt, nodes[0].mget([key_a, key_b, key_a, key_b, key_b])
+        )
+        assert merged == {key_a: b"va", key_b: b"vb"}
+        after = [(n.owned_ops, n.proxied_ops) for n in nodes]
+        # One local read and one proxied key on the caller; the owner
+        # of key_b served that key once.
+        assert after[0] == (before[0][0] + 1, before[0][1] + 1)
+        assert after[1] == (before[1][0] + 1, before[1][1])
+
     def test_stats_all_reports_both_shards(self, world):
         rt, nodes = world
         key_b = self._key_owned_by(nodes, owner=1)

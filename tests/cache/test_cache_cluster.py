@@ -172,3 +172,61 @@ class TestRespCluster:
                 status, _, body = http.request("GET", "/kv/interop:resp")
                 assert status.endswith("200 OK")
                 assert body == b"from-resp"
+
+
+class TestBurstBudget:
+    """What one pipelined burst costs, from the program's own counters
+    (like ``tests/runtime/test_mesh.py::TestCallBudget``): the batch
+    plan regressing fails here in seconds, not after a
+    ``--workload cache_pipeline`` run."""
+
+    @pytest.fixture(scope="class")
+    def cluster(self):
+        server = ClusterServer(
+            kv_factory, shards=3, mesh=True, replication=2, write_quorum=1,
+            cache_port=0, cache_protocol="memcache", grace=0.1,
+        )
+        server.start()
+        yield server
+        server.stop()
+
+    @staticmethod
+    def counters(cluster):
+        workers = cluster.stats()["workers"]
+        return {
+            "calls": sum(w["mesh"]["calls"] for w in workers),
+            "batches": sum(w["app"]["cache_send_batches"] for w in workers),
+            "commands": sum(w["app"]["cache_commands"] for w in workers),
+            "max_frames": max(w["mesh"]["max_frames_per_flush"]
+                              for w in workers),
+        }
+
+    def test_set_burst_overlaps_and_get_burst_is_one_round(self, cluster):
+        keys = [f"burst:{i}" for i in range(32)]
+        with BlockingMemcacheClient(cluster.cache_port) as client:
+            before = self.counters(cluster)
+            assert before["max_frames"] <= 1
+            # 8 sets to distinct keys in one write: their replica
+            # writes are in flight together, so frames to one peer
+            # share a flush.  Serial execution never batches here.
+            assert client.pipeline_set(
+                [(key, key.encode()) for key in keys[:8]]
+            ) == 8
+            after_sets = self.counters(cluster)
+            assert after_sets["max_frames"] > 1
+            assert after_sets["batches"] - before["batches"] == 1
+            client.pipeline_set([(key, key.encode()) for key in keys[8:]])
+
+            before = self.counters(cluster)
+            replies = client.pipeline_get(
+                [keys[j:j + 4] for j in range(0, 32, 4)]
+            )
+            after = self.counters(cluster)
+        assert replies == [
+            {key: key.encode() for key in keys[j:j + 4]}
+            for j in range(0, 32, 4)
+        ]
+        # 32 keys on 3 shards: one mget to each remote owner, at most.
+        assert after["calls"] - before["calls"] <= 2
+        assert after["batches"] - before["batches"] == 1
+        assert after["commands"] - before["commands"] == 8

@@ -18,6 +18,7 @@ from repro.cache import build_cache_frontend
 from repro.core.do_notation import do
 from repro.core.monad import pure
 from repro.runtime.live_runtime import HAS_SENDMSG, LiveRuntime
+from tests.app.test_kv_replication import make_world
 
 
 @pytest.fixture
@@ -175,6 +176,27 @@ class TestMemcacheLive:
         assert data.startswith(b"SERVER_ERROR RuntimeError: store down\r\n")
         # The connection survived the store failure.
         assert b"VERSION " in data
+
+    def test_one_owner_down_fails_only_the_gets_that_need_it(self, rt):
+        # replication=1, shard 1 dead.  The coalesced read of the burst
+        # fails as a whole, so each get is read on its own: the one
+        # whose keys live here answers its value, its neighbours answer
+        # in-band, and the connection survives.
+        node = make_world(rt, 2, live={0}, replication=1)[0]
+        here = next(f"k{i}" for i in range(99) if node.ring.owner(f"k{i}") == 0)
+        gone = next(f"k{i}" for i in range(99) if node.ring.owner(f"k{i}") == 1)
+        node.store[here] = b"H"
+        _frontend, _node, port = _start(rt, "memcache", store=node)
+        payload = (f"get {gone}\r\nget {here}\r\nget {here} {gone}\r\n"
+                   "version\r\n").encode()
+        data = _drive(rt, port, payload, done=lambda got: b"VERSION" in got)
+        first, rest = data.split(b"\r\n", 1)
+        assert first.startswith(b"SERVER_ERROR MeshPeerDown")
+        assert rest.startswith(
+            b"VALUE %s 0 1\r\nH\r\nEND\r\nSERVER_ERROR MeshPeerDown"
+            % here.encode()
+        )
+        assert rest.count(b"\r\n") == 5  # value, END, error, VERSION
 
     def test_unsupported_storage_command_stays_framed(self, rt):
         _frontend, _node, port = _start(rt, "memcache")

@@ -241,6 +241,58 @@ class TestFramingEdges:
         assert finished == [b""]  # EOF: link closed, nothing served
         assert node_a.stats.served == 0
 
+    def test_oversized_reply_fails_its_call_not_the_link(self, rt):
+        # The sender checks max_frame where the bytes are made: the big
+        # reply becomes an error reply, and a second call pending on the
+        # same link (parked in its handler meanwhile) still succeeds.
+        @do
+        def handler(body):
+            if body == b"big":
+                return b"x" * 4096
+            yield sys_sleep(0.05)
+            return b"echo:" + body
+
+        node_a, _node_b = make_pair(rt, handler_b=handler, max_frame=1024)
+        outcomes = {}
+
+        @do
+        def caller(body):
+            try:
+                outcomes[body] = yield node_a.call(1, body)
+            except MeshRemoteError as exc:
+                outcomes[body] = exc
+
+        rt.spawn(caller(b"slow"))
+        rt.spawn(caller(b"big"))
+        rt.run(until=lambda: len(outcomes) == 2, idle_timeout=5.0)
+        assert outcomes[b"slow"] == b"echo:slow"
+        assert isinstance(outcomes[b"big"], MeshRemoteError)
+        assert "max_frame=1024" in str(outcomes[b"big"])
+        assert node_a.stats.peer_failures == 0
+        assert node_a.connected_peers() == 1
+
+    def test_oversized_request_fails_its_caller_not_the_link(self, rt):
+        node_a, node_b = make_pair(rt, max_frame=1024)
+        outcomes = []
+
+        @do
+        def caller():
+            outcomes.append((yield node_a.call(1, b"warm")))
+            for send in (node_a.call, node_a.cast):
+                try:
+                    yield send(1, b"x" * 4096)
+                except MeshProtocolError as exc:
+                    outcomes.append(exc)
+            outcomes.append((yield node_a.call(1, b"after")))
+
+        rt.spawn(caller())
+        rt.run(until=lambda: len(outcomes) == 4, idle_timeout=5.0)
+        assert outcomes[0] == b"echo:warm" and outcomes[3] == b"echo:after"
+        assert all(isinstance(exc, MeshProtocolError)
+                   for exc in outcomes[1:3])
+        assert node_a.stats.peer_failures == 0
+        assert node_b.stats.served == 2  # neither oversized frame left
+
 
 def read_frames(chunks, max_frame=1 << 20, close=True):
     """Push ``chunks`` through a simulated pipe, one write per virtual
