@@ -7,38 +7,26 @@ paper's qualitative claim (§5.1) that application-level primitives are
 "extremely lightweight" — scheduling work is small constant-factor Python,
 no OS involvement.
 
-Two entry points:
+Each ``test_*`` below is a pytest-benchmark microbenchmark::
 
-* under pytest (with pytest-benchmark) each ``test_*`` below is a timed
-  microbenchmark;
-* run stand-alone, ``--json`` merges a ``core`` section (context-switch /
-  spawn / nbio rates plus tracemalloc allocations per parked thread) into
-  an existing ``BENCH_live_http.json`` for the CI trend gate::
+    PYTHONPATH=src python -m pytest -q benchmarks/bench_primitives.py
 
-      PYTHONPATH=src python benchmarks/bench_primitives.py \
-          --json BENCH_live_http.json
+Per-thread memory (the other half of §5.1) is ``bench_memory.py``; its
+hard ceiling is gated in tier-1 by
+``tests/bench/test_runners.py::TestMemoryRunner``.
 """
 
 from __future__ import annotations
-
-import argparse
-import gc
-import json
-import os
-import time
-import tracemalloc
 
 from repro.core.do_notation import do
 from repro.core.monad import pure
 from repro.core.scheduler import Scheduler
 from repro.core.stm import TVar, modify_tvar
 from repro.core.sync import Channel, Mutex
-from repro.core.syscalls import sys_nbio, sys_sleep, sys_yield
-from repro.core.trace import SysSleep
+from repro.core.syscalls import sys_nbio, sys_yield
 
 SPAWN_COUNT = 10_000
 SWITCH_ROUNDS = 20_000
-PARKED_THREADS = 2_000
 
 
 def test_spawn_rate(benchmark):
@@ -164,165 +152,3 @@ def test_stm_transaction_rate(benchmark):
 
     assert benchmark(run) == rounds
 
-
-# ----------------------------------------------------------------------
-# Script mode: merge a "core" section into BENCH_live_http.json.
-# ----------------------------------------------------------------------
-def _best_of(fn, repeats: int = 3) -> float:
-    return max(fn() for _ in range(repeats))
-
-
-def measure_switch_rate() -> float:
-    """Yield-driven context switches per second (two threads, batch 1)."""
-
-    @do
-    def yielder(rounds):
-        for _ in range(rounds):
-            yield sys_yield()
-
-    sched = Scheduler(batch_limit=1)
-    sched.spawn(yielder(SWITCH_ROUNDS))
-    sched.spawn(yielder(SWITCH_ROUNDS))
-    start = time.perf_counter()
-    sched.run()
-    elapsed = time.perf_counter() - start
-    assert sched.total_switches >= 2 * SWITCH_ROUNDS
-    return sched.total_switches / elapsed
-
-
-def measure_spawn_rate() -> float:
-    """Threads created and run to completion per second."""
-
-    @do
-    def trivial():
-        yield pure(None)
-
-    sched = Scheduler()
-    for _ in range(SPAWN_COUNT):
-        sched.spawn(trivial())
-    start = time.perf_counter()
-    sched.run()
-    elapsed = time.perf_counter() - start
-    assert sched.stats()["live_threads"] == 0
-    return SPAWN_COUNT / elapsed
-
-
-def measure_nbio_rate() -> float:
-    """sys_nbio round trips per second (one thread, batched)."""
-    counter = {"n": 0}
-
-    @do
-    def worker(rounds):
-        for _ in range(rounds):
-            yield sys_nbio(lambda: counter.__setitem__("n", counter["n"] + 1))
-
-    sched = Scheduler(batch_limit=1024)
-    sched.spawn(worker(SWITCH_ROUNDS))
-    start = time.perf_counter()
-    sched.run()
-    elapsed = time.perf_counter() - start
-    assert counter["n"] == SWITCH_ROUNDS
-    return SWITCH_ROUNDS / elapsed
-
-
-def measure_parked_footprint() -> tuple[float, float]:
-    """tracemalloc (blocks, bytes) retained per parked ``@do`` thread.
-
-    Parks threads on ``sys_sleep`` via a registered handler that retains
-    the continuation the way a real device would, then diffs the traced
-    heap between a small and a large fleet so scheduler fixed costs
-    cancel out.  Allocation *counts* are deterministic for a given
-    Python version, which is why the trend gate can bound them hard.
-    """
-
-    @do
-    def parker():
-        yield sys_sleep(3600.0)
-
-    def park(n: int) -> Scheduler:
-        sched = Scheduler()
-        parked: list = []
-        sched._parked = parked  # retained alongside the scheduler
-
-        def handler(s, tcb, node):
-            tcb.state = "blocked"
-            parked.append((tcb, node))
-            return None
-
-        sched.register_syscall(SysSleep, handler)
-        for _ in range(n):
-            sched.spawn(parker())
-        sched.run()
-        return sched
-
-    gc.collect()
-    tracemalloc.start()
-    small = park(10)
-    gc.collect()
-    baseline_blocks = sum(
-        stat.count for stat in tracemalloc.take_snapshot().statistics("filename")
-    )
-    baseline_bytes, _ = tracemalloc.get_traced_memory()
-    large = park(10 + PARKED_THREADS)
-    gc.collect()
-    grown_blocks = sum(
-        stat.count for stat in tracemalloc.take_snapshot().statistics("filename")
-    )
-    grown_bytes, _ = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    del small, large
-    return (
-        (grown_blocks - baseline_blocks) / PARKED_THREADS,
-        (grown_bytes - baseline_bytes) / PARKED_THREADS,
-    )
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Core-interpreter primitive-cost microbench (paper "
-                    "§5.1): context-switch/spawn/nbio rates and per-"
-                    "parked-thread allocations."
-    )
-    parser.add_argument("--json", dest="json_path", default=None,
-                        help="merge results into this JSON file as the "
-                             "'core' section (created if missing)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="best-of-N repeats per rate point "
-                             "(default 3)")
-    args = parser.parse_args(argv)
-
-    section = {
-        "context_switches_per_sec": round(
-            _best_of(measure_switch_rate, args.repeats)
-        ),
-        "spawns_per_sec": round(_best_of(measure_spawn_rate, args.repeats)),
-        "nbio_syscalls_per_sec": round(
-            _best_of(measure_nbio_rate, args.repeats)
-        ),
-    }
-    blocks, nbytes = measure_parked_footprint()
-    section["parked_thread_blocks"] = round(blocks, 2)
-    section["parked_thread_bytes"] = round(nbytes, 1)
-
-    print(f"core: {section['context_switches_per_sec']} switches/s, "
-          f"{section['spawns_per_sec']} spawns/s, "
-          f"{section['nbio_syscalls_per_sec']} nbio/s, "
-          f"{section['parked_thread_blocks']} blocks / "
-          f"{section['parked_thread_bytes']} bytes per parked thread")
-
-    if args.json_path:
-        results: dict = {"bench": "live_http"}
-        if os.path.exists(args.json_path):
-            with open(args.json_path) as handle:
-                results = json.load(handle)
-        # Merge, don't replace (same discipline as bench_hotpath).
-        results.setdefault("core", {}).update(section)
-        with open(args.json_path, "w") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote core section into {args.json_path}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

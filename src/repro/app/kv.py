@@ -81,7 +81,7 @@ import hashlib
 import json
 import os
 from typing import Any
-from urllib.parse import parse_qs, unquote, urlsplit
+from urllib.parse import unquote, urlsplit
 
 from ..core.do_notation import do
 from ..core.monad import M, pure
@@ -948,9 +948,10 @@ class KvHttpHandler:
 
     @do
     def _mget(self, request):
-        query = parse_qs(urlsplit(request.target).query)
-        spec = ",".join(query.get("keys", []))
-        keys = [unquote(key) for key in spec.split(",") if key]
+        # Split on literal commas first; decode each key once, as `/kv/` does.
+        fields = urlsplit(request.target).query.split("&")
+        specs = [f[len("keys="):] for f in fields if f.startswith("keys=")]
+        keys = [unquote(k) for spec in specs for k in spec.split(",") if k]
         if not keys:
             raise HttpError(400, "mget needs ?keys=a,b,c")
         values = yield self.node.mget(keys)

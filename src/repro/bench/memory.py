@@ -15,6 +15,7 @@ below a kernel thread's 32KB stack reservation.
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
 
 from ..core.do_notation import do
@@ -38,7 +39,7 @@ def measure_monadic_thread_bytes(
     steps_per_thread: int = 1,
     use_do_notation: bool = True,
 ) -> dict:
-    """Spawn ``n_threads`` yield-looping threads; measure live bytes each.
+    """Spawn ``n_threads`` yield-looping threads; measure bytes, blocks each.
 
     Each thread is advanced ``steps_per_thread`` scheduler steps so its
     state is a genuine parked continuation, not an unstarted closure.
@@ -49,13 +50,11 @@ def measure_monadic_thread_bytes(
     gc.collect()
     tracemalloc.start()
     baseline, _peak = tracemalloc.get_traced_memory()
+    baseline_blocks = sys.getallocatedblocks()
 
-    if use_do_notation:
-        for _ in range(n_threads):
-            sched.spawn(parked_yield_thread())
-    else:
-        for _ in range(n_threads):
-            sched.spawn(_combinator_yield_loop())
+    make = parked_yield_thread if use_do_notation else _combinator_yield_loop
+    for _ in range(n_threads):
+        sched.spawn(make())
 
     for _ in range(steps_per_thread):
         for _ in range(n_threads):
@@ -63,12 +62,14 @@ def measure_monadic_thread_bytes(
 
     gc.collect()
     live, _peak = tracemalloc.get_traced_memory()
+    blocks = sys.getallocatedblocks() - baseline_blocks
     tracemalloc.stop()
     total = max(0, live - baseline)
     return {
         "threads": n_threads,
         "live_bytes": total,
         "bytes_per_thread": total / n_threads if n_threads else 0.0,
+        "blocks_per_thread": blocks / n_threads if n_threads else 0.0,
         "representation": "do-notation" if use_do_notation else "combinators",
     }
 

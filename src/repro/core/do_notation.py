@@ -45,7 +45,6 @@ Two implementations share these semantics:
 from __future__ import annotations
 
 import functools
-import os
 import sys
 import types
 from typing import Any, Callable, Generator
@@ -240,7 +239,7 @@ def _step(
 # absorbed by the wrapper.  This filter drops exactly that report — a
 # RuntimeError("generator ignored GeneratorExit") raised while finalizing a
 # generator created by a @do function — and forwards everything else to the
-# previously installed hook.  Set REPRO_NOISY_ABANDONMENT=1 to disable.
+# previously installed hook.
 # ----------------------------------------------------------------------
 _ABANDONED_ARGS = ("generator ignored GeneratorExit",)
 
@@ -261,5 +260,4 @@ def _filter_unraisable(unraisable, _previous=sys.unraisablehook):
     _previous(unraisable)
 
 
-if os.environ.get("REPRO_NOISY_ABANDONMENT") != "1":
-    sys.unraisablehook = _filter_unraisable
+sys.unraisablehook = _filter_unraisable

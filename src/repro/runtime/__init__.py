@@ -30,8 +30,8 @@ shared-nothing accept path — no lock, no handoff — which is how
 thread-to-event systems (NFork, Continuation-Passing C) scale on SMPs.
 The master process reserves the port, forks shards, aggregates their
 counters over pipe-based control channels, and respawns any shard that
-crashes.  See ``examples/cluster_server.py`` and
-``benchmarks/bench_live_http.py`` for the demo and the load harness.
+crashes.  See ``examples/cluster_server.py`` for the demo and
+``benchmarks/perf/`` for the pinned benchmark that measures it.
 """
 
 from .buffers import BufferLease, BufferPool

@@ -281,8 +281,9 @@ class TestKvCluster:
         assert aggregate["kv_proxied_ops"] == sources["proxied"] + put_proxied
         assert aggregate["kv_keys"] == len(keys)
         mesh_aggregate = stats["aggregate"]["mesh"]
-        assert mesh_aggregate["calls"] > 0
+        assert mesh_aggregate["calls"] >= aggregate["kv_proxied_ops"]
         assert mesh_aggregate["served"] > 0
+        assert mesh_aggregate["timeouts"] == 0
 
     def test_mget_merges_across_all_shards(self, cluster):
         keys = {f"mget:{i}": f"m-{i}".encode() for i in range(16)}
@@ -300,6 +301,23 @@ class TestKvCluster:
         # shards (all four owners appear with 64 vnodes and 16 keys).
         owners = {HashRing(4).owner(key) for key in keys}
         assert len(owners) > 1
+        client.close()
+
+    def test_mget_addresses_the_keys_single_key_routes_store(self, cluster):
+        # `/mget` splits on literal commas and decodes each key once, as
+        # `/kv/<key>` does: an encoded `%`, an encoded comma and a `+`
+        # name the same key on both routes.
+        stored = {"%2541": "%41", "a%2Cb": "a,b", "x+y": "x+y"}
+        client = BlockingHttpClient(cluster.port)
+        for encoded, key in stored.items():
+            client.request("PUT", f"/kv/{encoded}", key.encode())
+        spec = ",".join(stored)
+        status, _headers, body = client.request("GET", f"/mget?keys={spec}")
+        assert status.endswith("200 OK")
+        assert json.loads(body)["values"] == {
+            key: base64.b64encode(key.encode()).decode()
+            for key in stored.values()
+        }
         client.close()
 
     def test_kv_stats_streams_chunked_per_shard(self, cluster):

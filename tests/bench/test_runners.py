@@ -101,10 +101,20 @@ class TestMemoryRunner:
     def test_reports_positive_flat_cost(self):
         a = measure_monadic_thread_bytes(2_000, use_do_notation=False)
         b = measure_monadic_thread_bytes(4_000, use_do_notation=False)
-        assert 100 < a["bytes_per_thread"] < 5_000
+        assert 100 < a["bytes_per_thread"] < 600  # 489 measured on 3.11
         assert b["bytes_per_thread"] == pytest.approx(
             a["bytes_per_thread"], rel=0.2
         )
+
+    def test_do_thread_footprint_has_a_hard_ceiling(self):
+        # The paper's §5.1 per-thread memory claim as a gate: a parked
+        # ``@do`` thread (generator frame + trace node + TCB) measured
+        # 1049 B in 13.9 allocations on 3.11.  Allocation counts are
+        # deterministic for a Python version, so growth here is a code
+        # change in the interpreter's per-thread state, not noise.
+        result = measure_monadic_thread_bytes(2_000, use_do_notation=True)
+        assert result["bytes_per_thread"] <= 1_200
+        assert result["blocks_per_thread"] <= 16
 
 
 class TestHarness:

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.do_notation import do
 from repro.http.server import StaticFileHandler, build_live_server
+from repro.runtime.io_api import SENDFILE_WINDOW
 from repro.runtime.live_runtime import LiveRuntime
 
 def _payload() -> bytes:
@@ -137,8 +138,13 @@ class TestRangeConformance:
         response = _get(rt, port, b"bytes=0-9")
         _status, _headers, body = _split(response)
         assert body == _payload()[:10]
+        for header in (None, b"bytes=-8"):
+            _get(rt, port, header)
         assert server.stats.aio_reads == 0
-        assert rt.backend.sendfile_calls >= 1
+        # The file fits one SENDFILE_WINDOW: one sendfile(2) per GET.
+        assert len(_payload()) <= SENDFILE_WINDOW
+        assert rt.backend.sendfile_calls == 3
+        assert rt.backend.sendfile_bytes == 10 + len(_payload()) + 8
         # Nothing got pulled into the application cache on this path.
         assert server.cache.get("data.txt") is None
 

@@ -307,6 +307,41 @@ class TestLiveSessions:
         assert server.stats.active == 0
         assert rt.buffers.in_use == 0
 
+    def test_keep_alive_requests_share_one_ingress_buffer(self, rt):
+        # Request/response in lock step on ONE live connection: every
+        # ingress read leases from ``rt.buffers`` and the lease goes back
+        # before the session parks, so the whole conversation costs one
+        # pool allocation however long it runs.
+        listener = rt.make_listener()
+        server = build_live_server(rt, listener, site={"a": b"AAA"})
+        rt.spawn(server.main(), name="server")
+        rounds, finished = 40, []
+
+        @do
+        def client():
+            conn = yield rt.io.connect(listener.getsockname())
+            for _ in range(rounds):
+                yield rt.io.write_all(
+                    conn, b"GET /a HTTP/1.1\r\nHost: h\r\n\r\n"
+                )
+                data = b""
+                while not data.endswith(b"AAA"):
+                    data += yield rt.io.read(conn, 65536)
+            yield rt.io.close(conn)
+            finished.append(True)
+
+        rt.spawn(client(), name="keep-alive-client")
+        rt.run(until=lambda: bool(finished), idle_timeout=5.0)
+        server.stop()
+        listener.close()
+        assert finished, "client never completed"
+        assert server.stats.connections == 1
+        assert server.stats.requests == rounds
+        pool = rt.buffers.stats()
+        assert pool["leases"] >= rounds
+        assert pool["allocations"] == 1
+        assert pool["in_use"] == 0
+
     def test_memcache_batch_before_a_parse_error_is_answered(self, rt):
         listener = rt.make_listener()
         frontend = build_cache_frontend(rt, listener, KvNode(0, 1))
