@@ -17,7 +17,10 @@ Ring / replication rules (the invariants the service is built on):
   holds (last-write-wins).  Deletes are versioned tombstones: the version
   survives in the node's version map after the value is dropped, so a
   stale live value cannot resurrect a deleted key through read-repair.
-* **writes fan out** to the whole preference list concurrently; the op
+* **writes fan out** to the whole preference list concurrently — a
+  coordinator that holds a replica appends its own log record, runs the
+  fan-out, and waits for its own commit only after the fan-out joined,
+  so a durable write costs one commit wait, not two; the op
   succeeds once ``write_quorum`` replicas acked (a partial failure below
   the quorum surfaces as :class:`KvQuorumError`, a monadic exception).
   Each *failed* replica gets **hinted handoff**: the versioned write is
@@ -69,8 +72,16 @@ group flush fails is not acked (the client sees the failure) yet may
 stay visible to readers and be made durable by a later snapshot — the
 standard write-ambiguity of a last-write-wins store, the same as a
 write that reached only a subset of its replicas before erroring.  The
-guarantee is one-sided: an acked write is never lost; a failed write is
-not guaranteed lost.
+guarantee is one-sided: an acked write is never lost (acked ⇒ durable on
+every replica counted toward the quorum); a failed write is not
+guaranteed lost (failed ⇏ absent).  The failure order of the overlapped
+write is specified: if the coordinator's *own* flush fails, the op
+raises :class:`~repro.app.wal.WalError` (HTTP 503) only after the
+fan-out joined — a healthy remote replica holds the write durably, no
+mesh call or fan-out thread is left behind, and no hint is parked; if a
+*remote* leg fails (its error comes back as a value) and the local
+flush succeeds, the local ack counts, a hint is parked and logged, and
+the op fails with :class:`KvQuorumError` only below ``write_quorum``.
 """
 
 from __future__ import annotations
@@ -294,8 +305,7 @@ class KvNode:
     def _wal_versioned(self, key, version, value) -> M:
         if self.wal is None:
             return pure(0)
-        return self.wal.commit({"t": "w", "k": key, "ver": list(version),
-                                "v": _b64(value)})
+        return self.wal.commit(_versioned_record(key, version, value))
 
     def _wal_hint(self, target, key, version, value) -> M:
         if self.wal is None:
@@ -492,16 +502,15 @@ class KvNode:
         acked = 0
         rejected = False
         existed_any = False
+        barrier = None
         if is_local:
             applied, existed = self._apply_versioned(key, version, value)
-            if applied:
-                # Ack-after-commit: the local replica's ack counts only
-                # once the versioned apply is fsync-durable (the commit
-                # parks on the WAL's group-flush barrier).  The apply
-                # itself already happened: if the flush fails, the
-                # write errors to the client but may remain visible —
-                # see the module docstring's durability caveat.
-                yield self._wal_versioned(key, version, value)
+            if applied and self.wal is not None:
+                # The record joins the WAL batch now; the wait for its
+                # group flush comes after the fan-out below has joined,
+                # so the local commit and the replicas' overlap.
+                barrier = yield self.wal.append(
+                    _versioned_record(key, version, value))
             existed_any = existed_any or existed
             rejected = rejected or not applied
             acked += 1
@@ -526,6 +535,14 @@ class KvNode:
                 rejected = rejected or not decoded.get("applied", True)
                 acked += 1
                 acked_remote.append(peer)
+        if barrier is not None:
+            # Ack-after-commit: the local replica's ack counts only once
+            # the versioned apply is fsync-durable.  The apply itself
+            # already happened: if the flush fails, the write errors to
+            # the client (WalError, raised here — after the join, so no
+            # call or reply box is left behind) but may remain visible:
+            # see the module docstring's durability caveat.
+            yield self.wal.wait(barrier)
         return version, acked, existed_any, rejected, failures, acked_remote
 
     @do
@@ -880,6 +897,10 @@ class KvNode:
         raise ValueError(f"unknown kv mesh op {op!r}")
 
 
+def _versioned_record(key, version, value) -> dict:
+    return {"t": "w", "k": key, "ver": list(version), "v": _b64(value)}
+
+
 def _encode(message: dict) -> bytes:
     return json.dumps(message, separators=(",", ":")).encode()
 
@@ -913,6 +934,8 @@ class KvHttpHandler:
                 return response
         except KvQuorumError as exc:
             raise HttpError(503, f"write quorum not met: {exc}")
+        except WalError as exc:
+            raise HttpError(503, f"write not durable: {exc}")
         except MeshTimeout as exc:
             raise HttpError(504, f"owner shard timed out: {exc}")
         except MeshError as exc:

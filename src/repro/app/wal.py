@@ -10,11 +10,15 @@ per write — the gathered-write trick applied to durability:
   payload.  The CRC covers the payload, so a torn tail — a crash mid
   ``write`` — is detected byte-exactly on replay and truncated away;
   a record either replays whole or not at all.
-* **Group commit.**  Writers do not touch the disk.  ``commit()``
-  encodes the record, appends it to the in-memory pending batch, and
-  parks on the batch's **flush barrier** — an
-  :class:`~repro.core.sync.MVar` the writer ``read()``s (§4.7: readers
-  block without consuming, and one ``put`` wakes *all* of them).  A
+* **Group commit.**  Writers do not touch the disk.  ``append()``
+  encodes the record, adds it to the in-memory pending batch and
+  resumes with the batch's **flush barrier**; ``wait()`` parks on it —
+  an :class:`~repro.core.sync.MVar` the writer ``read()``s (§4.7:
+  readers block without consuming, and one ``put`` wakes *all* of
+  them).  ``commit()`` is ``append`` then ``wait``; a writer with other
+  work to start (the KV coordinator's replica fan-out) does it between
+  the two, so "my record is in the batch" and "the batch is durable"
+  are separate steps of one protocol with one park site.  A
   watermark (``group_max`` pending records) or a
   :class:`~repro.runtime.timer_wheel.TimerWheel` deadline
   (``flush_interval``) triggers the flusher, which swaps in a fresh
@@ -120,6 +124,10 @@ class ShardWal:
     ``sys_sleep`` thread serves as the fallback alarm.  ``state_fn``
     (set by the owning store) returns the full JSON-encodable state for
     snapshots; compaction is skipped while it is ``None``.
+
+    Writers use ``commit(record)``, or its two halves: ``append(record)``
+    resumes at once with the batch's barrier, ``wait(barrier)`` resumes
+    when that batch is on disk (``WalError`` if it never will be).
     """
 
     def __init__(
@@ -210,7 +218,8 @@ class ShardWal:
         Writers still parked on the flush barrier are woken with
         :class:`WalError` by the next flusher run (the armed deadline or
         an in-flight flush observes ``_closed`` and fails the batch);
-        new :meth:`commit` calls after close fail immediately.  For a
+        new :meth:`commit`/:meth:`append`/:meth:`wait` calls after close
+        fail immediately.  For a
         graceful stop that must drain instead of fail, run
         :meth:`flush_now` before closing."""
         self._closed = True
@@ -295,19 +304,20 @@ class ShardWal:
         return state, records
 
     # ------------------------------------------------------------------
-    # The write path: append to the batch, park on its barrier.
+    # The write path: append to the batch, wait on its barrier.
     # ------------------------------------------------------------------
     def commit(self, record: dict) -> M:
-        """Append ``record`` and resume once it is fsync-durable.
-
-        Many committers share one ``fsync``: the write parks on the
-        current batch's flush barrier and wakes when the group flush
-        lands.  Raises :class:`WalError` if the flush failed.
-        """
-        return self._commit(record)
+        """Append ``record`` and resume once it is fsync-durable:
+        :meth:`append`, then :meth:`wait` (raises :class:`WalError` if
+        the flush failed)."""
+        return self.append(record).bind(self.wait)
 
     @do
-    def _commit(self, record):
+    def append(self, record):
+        """Put ``record`` in the current batch, arm the batch's flush
+        trigger, and resume *without waiting* with the batch's barrier
+        (for :meth:`wait`).  The record is in the batch, not yet durable:
+        the caller may start other work before it waits."""
         if self._closed:
             raise WalError("wal is closed")
         if self._fd is None:
@@ -335,6 +345,16 @@ class ShardWal:
                                    name="wal-flush-alarm")
         # else: a flush is in flight; its loop picks this record up as
         # the next batch the moment the current fsync returns.
+        return barrier
+
+    @do
+    def wait(self, barrier):
+        """Resume with the group size once ``barrier``'s batch is
+        fsync-durable — the log's only park, and no park at all when the
+        flush already landed.  Raises :class:`WalError` if it failed, or
+        if the log was closed before the batch was flushed."""
+        if self._closed and not barrier.full:
+            raise WalError("wal closed before the batch was flushed")
         outcome = yield barrier.read()
         if isinstance(outcome, BaseException):
             raise WalError(f"wal flush failed: {outcome!r}") from outcome

@@ -26,8 +26,12 @@ Semantics:
   channel so the sleeper re-targets immediately.  Net: an idle-but-armed
   wheel (a 5 s keepalive, a parked lease timeout) costs **zero**
   wakeups until the deadline, where the old design ticked at ``1/tick``
-  per second.  A timer scheduled while the sleeper is in a near sleep is
-  still noticed within one ``tick`` — the same bound as before.
+  per second.  A near sleep cannot be interrupted, so a timer scheduled
+  *earlier* than the one the sleeper is near-sleeping toward gets a
+  one-shot helper thread that sleeps to it and runs the sleeper's own
+  due-firing routine: every timer fires at its deadline, and the helper
+  is forked only on that collision (``early_spawns``), never in the
+  steady schedule-fire-re-park pattern.
 * :meth:`TimerHandle.cancel` is plain (non-monadic) code callable from
   anywhere, and a cancelled timer costs nothing later: ``cancel`` drops
   the handle's ``action`` at once (the closure, and whatever reply box
@@ -117,8 +121,6 @@ class TimerWheel:
     #: The near/far horizon (seconds): a deadline within one tick is a
     #: direct ``sys_sleep`` (uninterruptible, but short); a farther one
     #: parks on the wake channel with an alarm armed at the deadline.
-    #: Also bounds how late the sleeper notices a timer scheduled
-    #: earlier than a near sleep already in progress.
     TICK = 0.05
 
     def __init__(self, name: str = "timers", tick: float = TICK) -> None:
@@ -135,6 +137,8 @@ class TimerWheel:
         #: Deadline the sleeper is currently parked toward (None while it
         #: is firing actions or not running) — the early-wake predicate.
         self._sleep_target: float | None = None
+        #: Deadline of the near sleep in progress (None otherwise).
+        self._near_target: float | None = None
         #: Deadline covered by the earliest in-flight alarm thread, so
         #: re-parking on an unchanged target does not fork a duplicate.
         self._alarm_target: float | None = None
@@ -146,6 +150,7 @@ class TimerWheel:
         self.cancelled = 0
         self.sleeper_spawns = 0
         self.alarm_spawns = 0
+        self.early_spawns = 0
         self.wakeups = 0
         self.action_errors = 0
 
@@ -167,6 +172,7 @@ class TimerWheel:
             "cancelled": self.cancelled,
             "sleeper_spawns": self.sleeper_spawns,
             "alarm_spawns": self.alarm_spawns,
+            "early_spawns": self.early_spawns,
             "wakeups": self.wakeups,
             "action_errors": self.action_errors,
             "armed": self.armed,
@@ -195,9 +201,14 @@ class TimerWheel:
         elif (self._sleep_target is not None
               and handle.deadline < self._sleep_target):
             # The sleeper is far-parked past this new deadline: wake it
-            # so it re-targets.  (A near sleep cannot be interrupted, but
-            # it is at most one tick long — the old notice bound.)
+            # so it re-targets.
             yield self._wake.try_put(True)
+        elif (self._near_target is not None
+              and handle.deadline < self._near_target):
+            # A near sleep cannot be interrupted: a one-shot helper
+            # covers this earlier deadline.
+            self.early_spawns += 1
+            yield sys_fork(self._early(delay), name=f"{self.name}-early")
         return handle
 
     def _note_cancel(self) -> None:
@@ -235,34 +246,47 @@ class TimerWheel:
         yield self._wake.try_put(True)
 
     @do
+    def _early(self, delay):
+        yield sys_sleep(delay)
+        yield self._fire_due()
+
+    @do
+    def _fire_due(self):
+        # The one pop-and-fire loop (sleeper and early helpers): resumes
+        # with ``(now, fired)``.  An entry is popped before its action
+        # runs, so whoever pops it fires it — exactly once.
+        now = yield sys_now()
+        due: list[TimerHandle] = []
+        while self._heap and self._heap[0][0] <= now:
+            _deadline, _seq, handle = heapq.heappop(self._heap)
+            if handle.cancelled:
+                self._dead -= 1
+                continue
+            due.append(handle)
+        for handle in due:
+            handle.fired = True
+            self.fired += 1
+            try:
+                result = handle.action()
+                if isinstance(result, M):
+                    yield result
+            except (KeyboardInterrupt, SystemExit, GeneratorExit):
+                raise
+            except BaseException:
+                # A broken action must not take down every other timer
+                # on the shard.
+                self.action_errors += 1
+        return now, len(due)
+
+    @do
     def _sleeper(self):
         # Exists only while the heap holds a live entry: an idle wheel
         # costs nothing, an armed one sleeps exactly to the next
         # deadline — zero wakeups in between.
         try:
             while self._heap:
-                now = yield sys_now()
-                due: list[TimerHandle] = []
-                while self._heap and self._heap[0][0] <= now:
-                    _deadline, _seq, handle = heapq.heappop(self._heap)
-                    if handle.cancelled:
-                        self._dead -= 1
-                        continue
-                    due.append(handle)
-                for handle in due:
-                    handle.fired = True
-                    self.fired += 1
-                    try:
-                        result = handle.action()
-                        if isinstance(result, M):
-                            yield result
-                    except (KeyboardInterrupt, SystemExit, GeneratorExit):
-                        raise
-                    except BaseException:
-                        # A broken action must not take down every other
-                        # timer on the shard.
-                        self.action_errors += 1
-                if due:
+                now, fired = yield self._fire_due()
+                if fired:
                     continue  # actions took time: re-scan before sleeping
                 if not self._heap:
                     return
@@ -276,7 +300,9 @@ class TimerWheel:
                 target = self._heap[0][0]
                 if target - now <= self.tick:
                     # Near: a direct sleep straight to the deadline.
+                    self._near_target = target
                     yield sys_sleep(max(0.0, target - now))
+                    self._near_target = None
                 else:
                     # Far: park on the wake channel with an alarm at the
                     # deadline.  schedule() of an earlier deadline fills
@@ -295,4 +321,4 @@ class TimerWheel:
             # Plain code: safe under GeneratorExit (abandonment).  The
             # next schedule() respawns the sleeper.
             self._running = False
-            self._sleep_target = None
+            self._sleep_target = self._near_target = None

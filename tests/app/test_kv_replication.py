@@ -12,11 +12,19 @@ import time
 import pytest
 
 from repro.api import ClusterServer, build_kv
-from repro.app.kv import HashRing, KvNode, KvQuorumError
+from repro.app.kv import HashRing, KvHttpHandler, KvNode, KvQuorumError
+from repro.app.wal import ShardWal, WalError
 from repro.core.do_notation import do
 from repro.http.blocking_client import BlockingHttpClient
+from repro.http.message import HttpError, HttpRequest
+from repro.http.server import HttpProtocol
+from repro.runtime.driver import ConnectionDriver
 from repro.runtime.live_runtime import LiveRuntime
 from repro.runtime.mesh import MeshNode
+
+from tests.app.test_wal import _broken_sync, _FakeTimers
+from tests.runtime.test_driver_session import RecordingLayer
+from tests.runtime.test_mesh import fork_names
 
 
 def kv_factory(ctx):
@@ -113,12 +121,13 @@ def rt():
     runtime.shutdown()
 
 
-def make_world(rt, count, live=None, replication=2, write_quorum=1):
+def make_world(rt, count, live=None, replication=2, write_quorum=1,
+               wals=None):
     """``count`` mesh peers, of which only ``live`` actually serve.
 
     A non-live peer's address is a closed port: dials fail fast, which
-    models a crashed shard.  Returns the KvNode list (None for dead
-    slots).
+    models a crashed shard.  ``wals`` (optional) is one ``ShardWal`` per
+    slot.  Returns the KvNode list (None for dead slots).
     """
     live = set(range(count)) if live is None else set(live)
     listeners = {}
@@ -138,7 +147,8 @@ def make_world(rt, count, live=None, replication=2, write_quorum=1):
             continue
         mesh = MeshNode(i, rt.io, listeners[i], peers, call_timeout=2.0)
         node = KvNode(i, count, mesh=mesh, replication=replication,
-                      write_quorum=write_quorum)
+                      write_quorum=write_quorum,
+                      wal=wals[i] if wals else None)
         rt.spawn(mesh.serve(), name=f"mesh-{i}")
         nodes.append(node)
     return nodes
@@ -328,6 +338,177 @@ class TestHintedHandoff:
         replayed = _drive(rt, node0.replay_hints(1))
         assert replayed == 0
         assert node0.hints_pending == 1  # kept for the next attempt
+
+
+# ----------------------------------------------------------------------
+# The durable write: the coordinator's log append overlaps the fan-out.
+# Flush deadlines are fired by hand (``_FakeTimers``): no wall clock.
+# ----------------------------------------------------------------------
+def _run_firing(rt, timers, done, idle=5.0):
+    """Run until ``done()``, firing every flush deadline once armed."""
+    fired = [0] * len(timers)
+
+    def step():
+        for slot, wheel in enumerate(timers):
+            for handle in wheel.scheduled[fired[slot]:]:
+                wheel.fire(rt, handle)
+            fired[slot] = len(wheel.scheduled)
+        return done()
+
+    rt.run(until=step, idle_timeout=idle)
+
+
+class TestOverlappedDurableWrite:
+    def _world(self, rt, tmp_path, count=2, live=None, write_quorum=2):
+        timers = [_FakeTimers() for _ in range(count)]
+        wals = [ShardWal(str(tmp_path / f"shard-{i}"), timers=timers[i])
+                for i in range(count)]
+        nodes = make_world(rt, count, live=live, replication=count,
+                           write_quorum=write_quorum, wals=wals)
+        return nodes, wals, timers
+
+    def test_one_commit_wait_on_the_critical_path(self, rt, tmp_path):
+        nodes, wals, timers = self._world(rt, tmp_path)
+        acked, info = [], {}
+
+        @do
+        def putter():
+            acked.append((yield nodes[0].put("k", b"v", info)))
+
+        rt.spawn(putter())
+        # The r_write frame reaches the replica while the coordinator's
+        # own flush deadline is still unfired (the parent sent it only
+        # after the local flush had landed).
+        rt.run(until=lambda: bool(wals[1]._pending), idle_timeout=2.0)
+        assert len(wals[1]._pending) == 1
+        assert len(wals[0]._pending) == 1 and wals[0].fsyncs == 0
+        # Both commits are in flight together, each under the one
+        # deadline its log armed: sequential commit waits per op = 1.
+        assert [len(wheel.scheduled) for wheel in timers] == [1, 1]
+
+        # The replica's flush lands and its reply returns: the fan-out
+        # joins, and only then does the coordinator wait on its barrier.
+        timers[1].fire(rt, timers[1].scheduled[0])
+        rt.run(until=lambda: bool(wals[0]._barrier.takers),
+               idle_timeout=5.0)
+        assert len(wals[0]._barrier.takers) == 1
+        assert wals[1].fsyncs == 1 and wals[0].fsyncs == 0
+        assert not nodes[0].mesh._links[1].pending
+        assert not acked  # ack-after-commit: the local record is not durable
+
+        timers[0].fire(rt, timers[0].scheduled[0])
+        rt.run(until=lambda: bool(acked), idle_timeout=5.0)
+        assert acked == [(True, None, False)]
+        assert info["acked"] == 2
+        assert [wal.fsyncs for wal in wals] == [1, 1]
+        assert [wal.appends for wal in wals] == [1, 1]
+        assert [len(wheel.scheduled) for wheel in timers] == [1, 1]
+        for wal in wals:
+            wal.close()
+
+    def test_local_flush_failure_surfaces_after_the_join(self, rt,
+                                                         tmp_path):
+        # Three replicas, so the fan-out runs one leg on a thread of its
+        # own and one on the coordinator's.
+        nodes, wals, timers = self._world(rt, tmp_path, count=3)
+        spawned = fork_names(rt)
+        exited = []
+        rt.sched.add_exit_watcher(lambda tcb: exited.append(tcb.name))
+        wals[0]._sync = _broken_sync
+        outcome = []
+
+        def legs(names):
+            return sum(1 for name in names
+                       if name and name.startswith("fanout-"))
+
+        @do
+        def putter():
+            try:
+                outcome.append((yield nodes[0].put("k", b"v")))
+            except WalError as exc:
+                # Raised only after the fan-out joined: both replies are
+                # in (each replica's record already fsynced), no call is
+                # pending, and the leg's thread has finished.
+                outcome.append((
+                    exc, [wal.fsyncs for wal in wals[1:]],
+                    [len(link.pending)
+                     for link in nodes[0].mesh._links.values()],
+                    legs(spawned), legs(exited),
+                ))
+
+        rt.spawn(putter())
+        _run_firing(rt, timers, lambda: bool(outcome))
+        exc, replica_fsyncs, pending_calls, forked, finished = outcome[0]
+        assert isinstance(exc, WalError)
+        assert replica_fsyncs == [1, 1] and pending_calls == [0, 0]
+        assert forked == finished == 1
+        assert wals[0].flush_failures == 1 and wals[0].fsyncs == 0
+        # One-sided: failed ⇏ absent.  The healthy replicas hold the
+        # write durably; recovering a replica's log brings it back.
+        assert nodes[1].store["k"] == nodes[2].store["k"] == b"v"
+        wals[1].close()
+        recovered = KvNode(0, 1, wal=ShardWal(wals[1].directory))
+        assert recovered.store["k"] == b"v"
+        recovered.wal.close()
+        # Nothing else is left behind: no hint, no leased buffer.
+        assert nodes[0].hints_pending == 0
+        assert rt.buffers.in_use == 0
+        wals[0].close()
+        wals[2].close()
+
+    def test_remote_failure_with_a_durable_local_write(self, rt, tmp_path):
+        # The other order: the remote leg fails (MeshPeerDown comes back
+        # as a value), the local flush succeeds — the local ack counts,
+        # the hint is parked *and logged*, and W=2 answers 503.
+        nodes, wals, timers = self._world(rt, tmp_path, live={0})
+        key = _key_with_replicas(nodes[0].ring, (0, 1))
+        handler = KvHttpHandler(nodes[0])
+        outcome = []
+
+        @do
+        def putter():
+            try:
+                yield handler.respond(HttpRequest(
+                    "PUT", f"/kv/{key}", "HTTP/1.1", {}, b"v"))
+            except HttpError as exc:
+                outcome.append(exc)
+
+        rt.spawn(putter())
+        _run_firing(rt, timers[:1], lambda: bool(outcome))
+        assert outcome[0].status == 503
+        assert "write quorum not met" in outcome[0].detail
+        assert "1/2" in outcome[0].detail
+        assert nodes[0].store[key] == b"v"
+        assert nodes[0].hints_pending == 1 and key in nodes[0].hints[1]
+        assert wals[0].appends == 2 and wals[0].fsyncs == 2
+        wals[0].close()
+
+    def test_failed_local_flush_answers_503_then_recovers(self, rt,
+                                                          tmp_path):
+        # A coordinator whose own group flush fails used to answer
+        # ``500 WalError`` through HttpProtocol's buggy-handler branch.
+        timers = _FakeTimers()
+        wal = ShardWal(str(tmp_path / "solo"), timers=timers)
+        protocol = HttpProtocol(KvHttpHandler(KvNode(0, 1, wal=wal)))
+
+        def put(value):
+            layer = RecordingLayer([
+                b"PUT /kv/k HTTP/1.1\r\nContent-Length: 4\r\n\r\n" + value,
+            ])
+            driver = ConnectionDriver(layer, protocol)
+            rt.spawn(driver.handle_connection("conn"), name="session")
+            _run_firing(rt, [timers], lambda: bool(layer.calls))
+            return b"".join(layer.sent)
+
+        wal._sync = _broken_sync
+        answer = put(b"lost")
+        assert answer.startswith(b"HTTP/1.1 503 "), answer
+        wal._sync = os.fsync
+        # 204 while the failed write stays visible (failed ⇏ absent),
+        # 201 once apply-on-commit staging lands.
+        assert put(b"kept").split()[1] in (b"201", b"204")
+        assert wal.flush_failures == 1 and wal.fsyncs == 1
+        wal.close()
 
 
 # ----------------------------------------------------------------------

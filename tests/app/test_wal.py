@@ -69,6 +69,10 @@ def _spawn_commits(rt, wal, records):
     return done
 
 
+def _broken_sync(fd):
+    raise OSError("simulated disk failure")
+
+
 class _FakeHandle:
     def __init__(self, delay, action):
         self.delay = delay
@@ -639,6 +643,91 @@ class TestGroupCommit:
         rt.spawn(writer())
         rt.run(until=lambda: bool(outcomes), idle_timeout=2.0)
         assert outcomes == ["error"]
+
+    def test_append_resumes_with_the_barrier_before_the_flush(self, rt,
+                                                              tmp_path):
+        # The first half of commit: the record is in the batch and the
+        # deadline is armed, but nothing was waited for or written.
+        timers = _FakeTimers()
+        wal = ShardWal(str(tmp_path / "w"), timers=timers)
+        steps = []
+
+        @do
+        def writer():
+            barrier = yield wal.append({"t": "w", "ver": [1, 0],
+                                        "k": "a", "v": ""})
+            steps.append(barrier)
+            steps.append((yield wal.wait(barrier)))
+
+        rt.spawn(writer())
+        rt.run(until=lambda: bool(steps), idle_timeout=2.0)
+        (barrier,) = steps
+        assert barrier is wal._barrier and not barrier.full
+        assert len(timers.scheduled) == 1 and wal.appends == 1
+        assert wal.fsyncs == 0
+        assert os.path.getsize(wal._segment_path(1)) == 0
+        timers.fire(rt, timers.scheduled[0])
+        rt.run(until=lambda: len(steps) == 2, idle_timeout=5.0)
+        assert steps[1] == 1 and barrier.full
+        assert os.path.getsize(wal._segment_path(1)) > 0
+        wal.close()
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_commit_is_append_then_wait(self, rt, tmp_path, broken):
+        # Committers and append/wait writers share one batch, one fire,
+        # one fsync and one outcome — the group size, or WalError.
+        timers = _FakeTimers()
+        wal = ShardWal(str(tmp_path / "w"), timers=timers)
+        if broken:
+            wal._sync = _broken_sync
+        outcomes = []
+
+        @do
+        def writer(i):
+            record = {"t": "w", "ver": [1, 0], "k": f"s{i}", "v": ""}
+            try:
+                if i % 2:
+                    outcomes.append((yield wal.commit(record)))
+                else:
+                    barrier = yield wal.append(record)
+                    outcomes.append((yield wal.wait(barrier)))
+            except WalError as exc:
+                outcomes.append(type(exc.__cause__))
+
+        for i in range(6):
+            rt.spawn(writer(i), name=f"split-writer-{i}")
+        rt.run(until=lambda: len(wal._pending) == 6, idle_timeout=2.0)
+        assert not outcomes and len(timers.scheduled) == 1
+        assert len(wal._barrier.takers) == 6
+        timers.fire(rt, timers.scheduled[0])
+        rt.run(until=lambda: len(outcomes) == 6, idle_timeout=5.0)
+        assert outcomes == [OSError if broken else 6] * 6
+        assert wal.appends == 6
+        assert (wal.fsyncs, wal.flush_failures) == (
+            (0, 1) if broken else (1, 0))
+        wal.close()
+
+    def test_wait_on_a_closed_log_raises_never_parks(self, rt, tmp_path):
+        # Appended, not yet waited, and the log is closed with the
+        # deadline unfired: the later wait fails at once.
+        timers = _FakeTimers()
+        wal = ShardWal(str(tmp_path / "w"), timers=timers)
+        barrier = _drive(rt, wal.append({"t": "w", "ver": [1, 0],
+                                         "k": "x", "v": ""}))
+        wal.close()
+        outcomes = []
+
+        @do
+        def waiter():
+            try:
+                outcomes.append((yield wal.wait(barrier)))
+            except WalError:
+                outcomes.append("error")
+
+        rt.spawn(waiter())
+        rt.run(until=lambda: bool(outcomes), idle_timeout=2.0)
+        assert outcomes == ["error"]
+        assert not barrier.takers and wal.fsyncs == 0
 
     def test_node_ack_waits_for_commit(self, rt, tmp_path):
         # End to end through KvNode: a put does not resume before its

@@ -8,8 +8,11 @@ runs on the live runtime to pin the wall-clock path.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.do_notation import do
 from repro.core.monad import pure
+from repro.core.syscalls import sys_now, sys_sleep
 from repro.runtime.live_runtime import LiveRuntime
 from repro.runtime.sim_runtime import SimRuntime
 from repro.runtime.timer_wheel import TimerWheel
@@ -216,8 +219,6 @@ class TestEarliestDeadlineWake:
         assert wheel.alarm_spawns == 1
 
     def test_earlier_schedule_retargets_a_parked_sleeper(self):
-        from repro.core.syscalls import sys_sleep
-
         wheel = TimerWheel()
         fired: list[str] = []
 
@@ -233,6 +234,57 @@ class TestEarliestDeadlineWake:
         assert fired == ["near", "far"]
         # One wake per deadline plus the early re-target wake.
         assert wheel.wakeups <= 3
+
+    def test_deadline_earlier_than_a_near_sleep_fires_on_time(self):
+        # The sleeper is in an uninterruptible near sleep toward 40 ms
+        # when 5 ms deadlines arrive (the WAL's group flush): they used
+        # to fire at 40 ms.  Each fires at its own deadline, once.
+        wheel = TimerWheel()
+        fired: list[tuple[str, float]] = []
+        handles = []
+
+        def note(name):
+            @do
+            def action():
+                fired.append((name, (yield sys_now())))
+            return action
+
+        @do
+        def driver():
+            handles.append((yield wheel.schedule(0.040, note("slow"))))
+            yield sys_sleep(0.001)
+            for name, delay in (("b", 0.005), ("a", 0.003), ("c", 0.009)):
+                handles.append((yield wheel.schedule(delay, note(name))))
+
+        run_sim(driver())
+        assert [name for name, _at in fired] == ["a", "b", "c", "slow"]
+        # (virtual time also charges a few microseconds per syscall)
+        assert [at for _name, at in fired] == pytest.approx(
+            [0.004, 0.006, 0.010, 0.040], abs=1e-4)
+        assert all(handle.fired for handle in handles)
+        assert wheel.fired == 4 and wheel.action_errors == 0
+        assert wheel.early_spawns == 3 and wheel.sleeper_spawns == 1
+        assert not wheel.running and wheel.armed == 0
+
+    def test_steady_flush_pattern_forks_no_thread_per_deadline(self):
+        # Far-parked sleeper -> 5 ms deadline -> fire -> re-park, 1000
+        # times (a shard with a keepalive armed, committing writes): the
+        # "no thread per timer" rule covers the early-deadline helper.
+        wheel = TimerWheel()
+        fired = []
+        cycles = 1000
+
+        @do
+        def driver():
+            yield wheel.schedule(100.0, lambda: fired.append("far"))
+            for index in range(cycles):
+                yield wheel.schedule(0.005, lambda: fired.append("flush"))
+                yield sys_sleep(0.010)
+
+        run_sim(driver())
+        assert fired == ["flush"] * cycles + ["far"]
+        assert wheel.sleeper_spawns == 1
+        assert wheel.alarm_spawns + wheel.early_spawns <= 2
 
     def test_cancelled_far_entry_is_dropped_without_firing(self):
         # A far entry cancelled while armed is discarded at its deadline
@@ -314,8 +366,6 @@ class TestCancelledTimersCostNothing:
         assert wheel.wakeups <= 2         # nothing ever came due
 
     def test_rebuild_keeps_a_far_parked_sleepers_target(self):
-        from repro.core.syscalls import sys_sleep
-
         wheel = TimerWheel()
         seen = {}
 
