@@ -54,8 +54,17 @@ The HTTP facade serves the store through the layered stack
   chunked transfer encoding (one JSON line per shard, including the
   replication/read-repair/handoff counters).
 
-The mesh wire format is JSON with base64 values (ops are small; the
-length-prefixed framing underneath handles the byte transport).
+The mesh wire format is the binary record of :mod:`repro.app.record`:
+a body is one record or, for ``mget``, a counted run of them, and a
+``WRITE`` or ``HINT`` body is byte for byte what the receiving shard
+appends to its log.  A reply the codec refuses — or an ``mget`` reply
+that does not cover exactly the keys asked for — is that call's
+:class:`~repro.runtime.mesh.MeshProtocolError`: a failed peer, never a
+handler bug or a silent miss.  JSON stays on the public HTTP surface
+(``/mget``, ``/kv-stats`` and the blob a ``STATS`` reply carries).
+Nothing is negotiated: peers from a build before the record codec answer
+each other with error replies, so upgrade across it with the cluster
+drained (and ``wal_dir`` empty, see :mod:`repro.app.wal`).
 
 **Durability** (optional, per shard): constructed with a
 :class:`~repro.app.wal.ShardWal`, every state change — versioned
@@ -99,7 +108,11 @@ from ..core.monad import M, pure
 from ..core.syscalls import sys_fork
 from ..http.message import HttpError, HttpRequest, HttpResponse
 from ..http.server import EmptyFilesystem, LiveSocketLayer, WebServer
-from ..runtime.mesh import MeshError, MeshNode, MeshTimeout
+from ..runtime.mesh import (MeshError, MeshNode, MeshProtocolError,
+                            MeshTimeout)
+from .record import (APPLIED, CLOCK, EXISTED, GET, HINT, MGET, STATS, WRITE,
+                     RecordError, decode, decode_run, encode, encode_run,
+                     is_run)
 from .wal import ShardWal, WalError
 
 __all__ = ["HashRing", "KvNode", "KvHttpHandler", "KvQuorumError",
@@ -179,21 +192,30 @@ class HashRing:
         return self.successors(key, self.replication)
 
 
-def _b64(value: bytes | None) -> str | None:
-    return None if value is None else base64.b64encode(value).decode()
-
-
-def _unb64(value: str | None) -> bytes | None:
-    return None if value is None else base64.b64decode(value)
-
-
 def _newer(a, b) -> bool:
     """Version comparison; ``None`` (never written) loses to any stamp."""
     if a is None:
         return False
     if b is None:
         return True
-    return tuple(a) > tuple(b)
+    return a > b
+
+
+def _answers(replies, peers, failures, decoder=decode):
+    """``(peer, decoded reply)`` for each of ``peers`` that answered a
+    fan-out.  A failed peer lands in ``failures`` instead, and so does
+    one whose bytes the codec refuses: a :class:`MeshProtocolError` for
+    that call only (the frame was well-formed, so the link stays up)."""
+    for peer in peers:
+        reply = replies.get(peer)
+        if isinstance(reply, bytes):
+            try:
+                yield peer, decoder(reply)
+                continue
+            except RecordError as exc:
+                reply = MeshProtocolError(
+                    f"peer {peer}: unreadable reply: {exc}")
+        failures[peer] = reply
 
 
 class KvNode:
@@ -281,7 +303,6 @@ class KvNode:
         tombstone: the value is dropped but the version stamp stays, so
         an older live copy can never win against the delete.
         """
-        version = tuple(version)
         existed = key in self.store
         current = self.versions.get(key)
         if current is not None and current >= version:
@@ -302,66 +323,46 @@ class KvNode:
     # start).  Helpers resume with 0 and log nothing when no WAL is
     # configured, so call sites stay unconditional.
     # ------------------------------------------------------------------
-    def _wal_versioned(self, key, version, value) -> M:
+    def _wal_commit(self, payload: bytes) -> M:
         if self.wal is None:
             return pure(0)
-        return self.wal.commit(_versioned_record(key, version, value))
+        return self.wal.commit(payload)
 
-    def _wal_hint(self, target, key, version, value) -> M:
-        if self.wal is None:
-            return pure(0)
-        return self.wal.commit({"t": "hint", "tg": target, "k": key,
-                                "ver": list(version), "v": _b64(value)})
-
-    def _wal_state(self) -> dict:
-        """Full state for a WAL snapshot (compaction)."""
-        return {
-            "clock": self.clock,
-            "store": {key: _b64(value)
-                      for key, value in self.store.items()},
-            "versions": {key: list(version)
-                         for key, version in self.versions.items()},
-            "hints": {
-                str(target): {
-                    key: [list(version), _b64(value)]
-                    for key, (version, value) in bucket.items()
-                }
-                for target, bucket in self.hints.items()
-            },
-        }
+    def _wal_state(self) -> list[bytes]:
+        """Full state for a WAL snapshot (compaction), as the records
+        the log itself would hold: the clock, one ``WRITE`` per stamped
+        key (tombstones included), one ``HINT`` per parked write."""
+        records = [encode(CLOCK, version=(self.clock, self.index))]
+        for key, version in self.versions.items():
+            records.append(encode(WRITE, key, version, self.store.get(key)))
+        for target, bucket in self.hints.items():
+            for key, (version, value) in bucket.items():
+                records.append(encode(HINT, key, version, value, target))
+        return records
 
     def _recover(self) -> None:
-        """Rebuild state from the WAL: snapshot first, then every
-        committed log record (plain code, runs once at construction)."""
-        state, records = self.wal.recover()
-        if state is not None:
-            self.store = {key: _unb64(value)
-                          for key, value in state.get("store", {}).items()}
-            self.versions = {
-                key: tuple(version)
-                for key, version in state.get("versions", {}).items()
-            }
-            self.clock = int(state.get("clock", 0))
-            for target, bucket in state.get("hints", {}).items():
-                self.hints[int(target)] = {
-                    key: (tuple(entry[0]), _unb64(entry[1]))
-                    for key, entry in bucket.items()
-                }
-        for record in records:
-            kind = record.get("t")
-            if kind == "w":
-                self._apply_versioned(record["k"], record["ver"],
-                                      _unb64(record.get("v")))
-            elif kind == "hint":
-                self._queue_hint(int(record["tg"]), record["k"],
-                                 record["ver"], _unb64(record.get("v")))
-            else:
+        """Rebuild state from the WAL: the snapshot's records, then every
+        committed log record, through one apply path (plain code, runs
+        once at construction)."""
+        for source, payload in self.wal.recover():
+            try:
+                op, flags, key, version, value, target = decode(payload)
+                if op not in (WRITE, HINT, CLOCK) or version is None:
+                    raise RecordError(
+                        f"op {op} (flags {flags:#x}) is not a WAL record "
+                        f"kind")
+            except RecordError as exc:
                 # A log from another build: skipping the record would
                 # lose an acked write without a word.
+                self.wal.close()
                 raise WalError(
-                    f"shard {self.index}: unknown WAL record kind "
-                    f"{kind!r} in {self.wal.directory}"
-                )
+                    f"shard {self.index}: {source}: {exc}") from None
+            if op == WRITE:
+                self._apply_versioned(key, version, value)
+            elif op == HINT:
+                self._queue_hint(target, key, version, value)
+            else:
+                self.clock = max(self.clock, version[0])
 
     @property
     def hints_pending(self) -> int:
@@ -478,7 +479,7 @@ class KvNode:
         if info is not None:
             info.update(replicas=len(replicas), acked=acked,
                         hinted=len(failures) if acked else 0,
-                        version=list(version))
+                        version=version)
         if acked < self.write_quorum:
             self.quorum_failures += 1
             detail = ", ".join(
@@ -503,14 +504,16 @@ class KvNode:
         rejected = False
         existed_any = False
         barrier = None
+        # One encoding: the mesh body each replica receives is the
+        # record it (and this node) appends to its log.
+        body = encode(WRITE, key, version, value)
         if is_local:
             applied, existed = self._apply_versioned(key, version, value)
             if applied and self.wal is not None:
                 # The record joins the WAL batch now; the wait for its
                 # group flush comes after the fan-out below has joined,
                 # so the local commit and the replicas' overlap.
-                barrier = yield self.wal.append(
-                    _versioned_record(key, version, value))
+                barrier = yield self.wal.append(body)
             existed_any = existed_any or existed
             rejected = rejected or not applied
             acked += 1
@@ -518,21 +521,15 @@ class KvNode:
         failures: dict[int, BaseException | None] = {}
         acked_remote: list[int] = []
         if remote:
-            body = _encode({"op": "r_write", "key": key,
-                            "version": list(version),
-                            "value": _b64(value)})
             replies = yield self.mesh.fan_out(
                 {peer: body for peer in remote}
             )
-            for peer in remote:
-                reply = replies.get(peer)
-                if reply is None or isinstance(reply, BaseException):
-                    failures[peer] = reply
-                    continue
-                decoded = _decode(reply)
-                self.clock = max(self.clock, decoded.get("clock", 0))
-                existed_any = existed_any or decoded.get("existed", False)
-                rejected = rejected or not decoded.get("applied", True)
+            for peer, (_op, flags, _key, stamp, _value, _target) in _answers(
+                    replies, remote, failures):
+                if stamp is not None:
+                    self.clock = max(self.clock, stamp[0])
+                existed_any = existed_any or bool(flags & EXISTED)
+                rejected = rejected or not flags & APPLIED
                 acked += 1
                 acked_remote.append(peer)
         if barrier is not None:
@@ -548,28 +545,26 @@ class KvNode:
     @do
     def _park_hint(self, target, key, version, value, is_local,
                    acked_remote):
-        if is_local or not acked_remote:
-            if self._queue_hint(target, key, version, value):
-                # Hints persist in the same log: a parked handoff must
-                # survive this node crashing before it replays.
-                yield self._wal_hint(target, key, version, value)
-            return None
-        body = _encode({"op": "r_hint", "target": target, "key": key,
-                        "version": list(version), "value": _b64(value)})
-        try:
-            yield self.mesh.cast(acked_remote[0], body)
-        except MeshError:
-            # The acked replica went down between the write and the hint
-            # forward: park locally as the live node of last resort.
-            if self._queue_hint(target, key, version, value):
-                yield self._wal_hint(target, key, version, value)
+        body = encode(HINT, key, version, value, target)
+        if not is_local and acked_remote:
+            try:
+                yield self.mesh.cast(acked_remote[0], body)
+                return None
+            except MeshError:
+                # The acked replica went down between the write and the
+                # hint forward: park here as the live node of last resort.
+                pass
+        if self._queue_hint(target, key, version, value):
+            # Hints persist in the same log: a parked handoff must
+            # survive this node crashing before it replays.
+            yield self._wal_commit(body)
         return None
 
     def _queue_hint(self, target, key, version, value) -> bool:
         bucket = self.hints.setdefault(target, {})
         old = bucket.get(key)
         if old is None or _newer(version, old[0]):
-            bucket[key] = (tuple(version), value)
+            bucket[key] = (version, value)
             # Counted only when something was actually parked/updated,
             # so queued - replayed tracks the real backlog.
             self.hints_queued += 1
@@ -600,25 +595,17 @@ class KvNode:
                                    self._local_get(key))
         remote = [peer for peer in replicas if peer != self.index]
         if remote:
-            body = _encode({"op": "r_get", "key": key})
+            body = encode(GET, key)
             replies = yield self.mesh.fan_out(
                 {peer: body for peer in remote}
             )
-            for peer in remote:
-                reply = replies.get(peer)
-                if reply is None or isinstance(reply, BaseException):
-                    failures[peer] = reply
-                    continue
-                decoded = _decode(reply)
-                version = decoded.get("version")
+            for peer, (_op, _flags, _key, version, value, _target) in _answers(
+                    replies, remote, failures):
                 if version is not None:
                     # Reads observe versions too: keep the clock ahead
                     # of every counter this node has seen.
                     self.clock = max(self.clock, version[0])
-                answers[peer] = (
-                    tuple(version) if version is not None else None,
-                    _unb64(decoded.get("value")),
-                )
+                answers[peer] = (version, value)
         if not answers:
             # Primary down AND every fallback successor down.
             failure = failures.get(replicas[0])
@@ -659,14 +646,12 @@ class KvNode:
         value.  Remote repairs are fire-and-forget one-way casts — a
         lost patch is re-detected by the next read."""
         self.read_repairs += 1
+        body = encode(WRITE, key, version, value)
         if peer == self.index:
             applied, _existed = self._apply_versioned(key, version, value)
             if applied:
-                yield self._wal_versioned(key, version, value)
+                yield self._wal_commit(body)
             return None
-        body = _encode({"op": "r_write", "key": key,
-                        "version": list(version), "value": _b64(value),
-                        "repair": True})
         yield sys_fork(self._cast_quietly(peer, body),
                        name="kv-read-repair")
         return None
@@ -702,11 +687,9 @@ class KvNode:
             bucket = self.hints.get(target)
             while bucket:
                 key, (version, value) = next(iter(bucket.items()))
-                body = _encode({"op": "r_write", "key": key,
-                                "version": list(version),
-                                "value": _b64(value), "handoff": True})
                 try:
-                    yield self.mesh.call(target, body)
+                    yield self.mesh.call(
+                        target, encode(WRITE, key, version, value))
                 except MeshError:
                     break  # still down: keep the rest for the next pass
                 current = bucket.get(key)
@@ -755,9 +738,7 @@ class KvNode:
             value = self.store.get(key)
             if version is None or value is None:
                 continue
-            body = _encode({"op": "r_write", "key": key,
-                            "version": list(version), "value": _b64(value),
-                            "handoff": True})
+            body = encode(WRITE, key, version, value)
             for peer in self.ring.replicas(key):
                 if peer == self.index:
                     continue
@@ -799,23 +780,28 @@ class KvNode:
             merged[key] = self._local_get(key)
         if not by_owner:
             return merged
-        bodies = {
-            owner: _encode({"op": "mget", "keys": group})
+        replies = yield self.mesh.fan_out({
+            owner: encode_run([encode(MGET, key) for key in group])
             for owner, group in by_owner.items()
-        }
-        replies = yield self.mesh.fan_out(bodies)
-        for owner, reply in replies.items():
-            if isinstance(reply, BaseException):
-                if self.replication > 1:
-                    # Primary down: read each key through its replicas.
-                    for key in by_owner[owner]:
-                        found, value, _proxied = yield self.get(key)
-                        merged[key] = value if found else None
-                    continue
-                raise reply
-            self.proxied_ops += len(by_owner[owner])
-            for key, value in _decode(reply)["values"].items():
-                merged[key] = _unb64(value)
+        })
+        failures: dict[int, BaseException | None] = {}
+        for owner, reply in _answers(replies, by_owner, failures, decode_run):
+            answered = {key: value for _op, _flags, key, _version, value,
+                        _target in reply}
+            if list(answered) != by_owner[owner]:
+                failures[owner] = MeshProtocolError(
+                    f"peer {owner}: mget reply does not cover the "
+                    f"{len(by_owner[owner])} keys asked for")
+                continue
+            self.proxied_ops += len(answered)
+            merged.update(answered)
+        for owner, failure in failures.items():
+            if self.replication <= 1:
+                raise failure
+            # Primary down: read each key through its replicas.
+            for key in by_owner[owner]:
+                found, value, _proxied = yield self.get(key)
+                merged[key] = value if found else None
         return merged
 
     @do
@@ -828,16 +814,20 @@ class KvNode:
             return results
         peers = [peer for peer in self.mesh.peers if peer != self.index]
         if peers:
-            body = _encode({"op": "stats"})
+            body = encode(STATS)
             replies = yield self.mesh.fan_out(
                 {peer: body for peer in peers}
             )
-            for peer in sorted(replies):
-                reply = replies[peer]
-                if isinstance(reply, BaseException):
-                    results.append({"index": peer, "error": repr(reply)})
-                else:
-                    results.append(_decode(reply)["stats"])
+            failures: dict[int, BaseException | None] = {}
+            for peer, (_op, _flags, _key, _version, blob, _target) in _answers(
+                    replies, peers, failures):
+                try:
+                    # The cold health path: its payload stays a JSON blob.
+                    results.append(json.loads(blob or b""))
+                except ValueError as exc:
+                    failures[peer] = exc
+            results += [{"index": peer, "error": repr(exc)}
+                        for peer, exc in failures.items()]
         results.sort(key=lambda entry: entry.get("index", -1))
         return results
 
@@ -849,64 +839,45 @@ class KvNode:
 
     @do
     def _serve_mesh(self, body):
-        message = _decode(body)
-        op = message.get("op")
-        if op == "stats":
+        if is_run(body):
+            asked = decode_run(body)
+            self.mesh_served_ops += 1
+            self.owned_ops += len(asked)
+            return encode_run([
+                encode(MGET, key, None, self.store.get(key))
+                for _op, _flags, key, _version, _value, _target in asked])
+        op, _flags, key, version, value, target = decode(body)
+        if op == STATS:
             # Health polling is not a data op: don't inflate counters.
-            return _encode({"stats": self.local_stats()})
+            return encode(STATS, value=_json(self.local_stats()))
         self.mesh_served_ops += 1
-        if op == "r_get":
-            key = message["key"]
-            version = self.versions.get(key)
-            value = self._local_get(key)
-            return _encode({
-                "found": value is not None,
-                "version": list(version) if version is not None else None,
-                "value": _b64(value),
-            })
-        if op == "r_write":
+        if op == GET:
+            return encode(GET, version=self.versions.get(key),
+                          value=self._local_get(key))
+        if version is None:
+            raise RecordError(f"mesh op {op} without a version stamp")
+        if op == WRITE:
             self.replica_writes += 1
-            value = _unb64(message.get("value"))
-            applied, existed = self._apply_versioned(
-                message["key"], message["version"], value,
-            )
+            applied, existed = self._apply_versioned(key, version, value)
             if applied:
                 # The mesh reply *is* the replica's ack: hold it until
                 # the versioned apply rides a group commit to disk.
-                yield self._wal_versioned(message["key"],
-                                          message["version"], value)
-            # ``clock`` lets a lagging coordinator merge and re-stamp.
-            return _encode({"applied": applied, "existed": existed,
-                            "clock": self.clock})
-        if op == "r_hint":
+                yield self._wal_commit(body)
+            # The stamp carries this node's clock, so a lagging
+            # coordinator can merge it and re-stamp.
+            return encode(WRITE, version=(self.clock, self.index),
+                          flags=APPLIED * applied | EXISTED * existed)
+        if op == HINT:
             # A coordinator without a replica forwarded a hint here (we
             # acked the write, so the data sits next to the hint).
-            value = _unb64(message.get("value"))
-            if self._queue_hint(int(message["target"]), message["key"],
-                                message["version"], value):
-                yield self._wal_hint(int(message["target"]),
-                                     message["key"], message["version"],
-                                     value)
-            return _encode({"parked": True})
-        if op == "mget":
-            values = {}
-            for key in message["keys"]:
-                self.owned_ops += 1
-                values[key] = _b64(self._local_get(key))
-            return _encode({"values": values})
-        raise ValueError(f"unknown kv mesh op {op!r}")
+            if self._queue_hint(target, key, version, value):
+                yield self._wal_commit(body)
+            return encode(HINT)
+        raise RecordError(f"not a kv mesh op: {op}")
 
 
-def _versioned_record(key, version, value) -> dict:
-    return {"t": "w", "k": key, "ver": list(version), "v": _b64(value)}
-
-
-def _encode(message: dict) -> bytes:
+def _json(message: dict) -> bytes:
     return json.dumps(message, separators=(",", ":")).encode()
-
-
-def _decode(body: bytes) -> dict:
-    return json.loads(body.decode())
 
 
 class KvHttpHandler:
@@ -978,8 +949,12 @@ class KvHttpHandler:
         if not keys:
             raise HttpError(400, "mget needs ?keys=a,b,c")
         values = yield self.node.mget(keys)
-        body = _encode({
-            "values": {key: _b64(value) for key, value in values.items()}
+        body = _json({
+            "values": {
+                key: None if value is None
+                else base64.b64encode(value).decode()
+                for key, value in values.items()
+            }
         })
         return HttpResponse(
             200, body=body, headers={"Content-Type": "application/json"}
@@ -990,7 +965,7 @@ class KvHttpHandler:
         shards = yield self.node.stats_all()
         # Length unknown until every shard answered: stream it chunked,
         # one JSON line per shard.
-        lines = [_encode(entry) + b"\n" for entry in shards]
+        lines = [_json(entry) + b"\n" for entry in shards]
         return HttpResponse(
             200,
             headers={"Content-Type": "application/json-lines"},

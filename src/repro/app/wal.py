@@ -6,12 +6,13 @@ This module makes a shard's state durable without paying one ``fsync``
 per write — the gathered-write trick applied to durability:
 
 * **CRC-framed records.**  Every append is one frame: a fixed header
-  (``crc32 | payload length``, :data:`_HEADER`) followed by a JSON
-  payload.  The CRC covers the payload, so a torn tail — a crash mid
+  (``crc32 | payload length``, :data:`_HEADER`) followed by the payload,
+  bytes the owner encoded (the KV's :mod:`repro.app.record` records;
+  never read here).  The CRC covers it, so a torn tail — a crash mid
   ``write`` — is detected byte-exactly on replay and truncated away;
   a record either replays whole or not at all.
 * **Group commit.**  Writers do not touch the disk.  ``append()``
-  encodes the record, adds it to the in-memory pending batch and
+  frames the record, adds it to the in-memory pending batch and
   resumes with the batch's **flush barrier**; ``wait()`` parks on it —
   an :class:`~repro.core.sync.MVar` the writer ``read()``s (§4.7:
   readers block without consuming, and one ``put`` wakes *all* of
@@ -36,8 +37,9 @@ per write — the gathered-write trick applied to durability:
   marking them clean, so the old tail can never be trusted again, and
   later acked records must not sit past torn bytes in the same file.
 * **Replay and torn-tail truncation.**  On start,
-  :meth:`ShardWal.recover` loads the newest snapshot (if any), then
-  replays every live segment in order.  Within a segment, the first
+  :meth:`ShardWal.recover` hands back the newest snapshot's payloads
+  (if any), then every live segment's in order, each tagged with its
+  file: one stream for one apply path.  Within a segment, the first
   short or CRC-mismatching frame ends that segment's committed prefix
   and the file is truncated there — a torn record was never acked (its
   flush failed or the process died mid-write).  Later segments still
@@ -45,11 +47,18 @@ per write — the gathered-write trick applied to durability:
   acked records legitimately live in segments past a torn one.
 * **Snapshot + compaction.**  When the live segment outgrows
   ``compact_bytes``, the flusher (already holding a synced log) rotates
-  appends to a fresh segment, writes the full state (via the owner's
-  ``state_fn``) to a CRC-framed snapshot file — temp file, ``fsync``,
-  atomic ``rename`` — and deletes the older segments.  The snapshot
-  names the segment it covers through, so a crash between rename and
+  appends to a fresh segment, writes a CRC-framed snapshot file — temp
+  file, ``fsync``, atomic ``rename`` — and deletes the older segments.
+  The snapshot is a header frame (:data:`_COVERS`: the segment it covers
+  through) then one frame per payload the owner's ``state_fn`` returned,
+  the kind of payloads the log holds, so a crash between rename and
   delete replays idempotently (versioned applies reject stale records).
+
+Nothing is versioned or negotiated.  A directory from a build whose
+payloads were JSON fails recovery with :class:`WalError` naming the file
+(the snapshot header is checked here, each payload by the owner) and is
+left untouched: drain such a shard and start it on an empty ``wal_dir``.
+``tools/wal_dump.py`` prints a directory record by record.
 
 The log is runtime-agnostic above the syscall layer: all disk I/O goes
 through ``sys_blio``, all timing through the shared timer wheel (or a
@@ -58,7 +67,6 @@ through ``sys_blio``, all timing through the shared timer wheel (or a
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import zlib
@@ -74,6 +82,8 @@ __all__ = ["ShardWal", "WalError", "frame_record", "read_frames"]
 
 #: Frame header: little-endian ``crc32(payload) | len(payload)``.
 _HEADER = struct.Struct("<II")
+#: A snapshot's first payload: the segment index it covers through.
+_COVERS = struct.Struct("<I")
 _SEGMENT_FMT = "wal-%08d.log"
 _SNAPSHOT = "snapshot.wal"
 
@@ -122,12 +132,13 @@ class ShardWal:
     ``timers`` is the shard's shared timer wheel (used to arm the group
     flush deadline without a thread per batch); without one a forked
     ``sys_sleep`` thread serves as the fallback alarm.  ``state_fn``
-    (set by the owning store) returns the full JSON-encodable state for
-    snapshots; compaction is skipped while it is ``None``.
+    (set by the owning store) returns the full state for a snapshot as
+    a list of payloads; compaction is skipped while it is ``None``.
 
-    Writers use ``commit(record)``, or its two halves: ``append(record)``
-    resumes at once with the batch's barrier, ``wait(barrier)`` resumes
-    when that batch is on disk (``WalError`` if it never will be).
+    Writers use ``commit(record)`` (``record``: the payload, already
+    encoded), or its two halves: ``append(record)`` resumes at once with
+    the batch's barrier, ``wait(barrier)`` resumes when that batch is on
+    disk (``WalError`` if it never will be).
     """
 
     def __init__(
@@ -138,7 +149,7 @@ class ShardWal:
         group_max: int = 128,
         compact_bytes: int = 4 * 1024 * 1024,
         timers: Any = None,
-        state_fn: Callable[[], dict] | None = None,
+        state_fn: Callable[[], list[bytes]] | None = None,
     ) -> None:
         self.directory = directory
         self.flush_interval = flush_interval
@@ -249,17 +260,17 @@ class ShardWal:
     # ------------------------------------------------------------------
     # Recovery: snapshot + committed log prefix, torn tail truncated.
     # ------------------------------------------------------------------
-    def recover(self) -> tuple[dict | None, list[dict]]:
+    def recover(self) -> list[tuple[str, bytes]]:
         """Load the durable state (plain code, runs once at start before
         the event loop serves traffic).
 
-        Returns ``(snapshot_state_or_None, records)`` where ``records``
-        is every committed log record after the snapshot, in append
-        order.  Side effects: torn tails are truncated on disk, segments
-        the snapshot covers are deleted, and the newest segment is
-        (re)opened for appending.
+        Returns ``(path, payload)`` pairs in replay order — the
+        snapshot's payloads, then every committed log payload after it
+        — ``path`` being the file read, for error messages.  Side
+        effects: torn tails are truncated on disk, segments the snapshot
+        covers are deleted, the newest segment is (re)opened to append.
         """
-        state: dict | None = None
+        records: list[tuple[str, bytes]] = []
         covered = 0
         snap_path = self._snapshot_path()
         try:
@@ -272,10 +283,14 @@ class ShardWal:
             with open(snap_path, "rb") as fh:
                 payloads, _end = read_frames(fh.read())
             if payloads:
-                state = json.loads(payloads[0].decode())
-                covered = int(state.get("segments_through", 0))
-                self.replayed_snapshot_keys = len(state.get("store", {}))
-        records: list[dict] = []
+                if len(payloads[0]) != _COVERS.size:
+                    # Not a header: another build's snapshot.  Refuse it
+                    # before any segment it may cover is deleted.
+                    raise WalError(f"{snap_path}: not a snapshot header "
+                                   f"({len(payloads[0])} bytes)")
+                (covered,) = _COVERS.unpack(payloads[0])
+                records.extend((snap_path, p) for p in payloads[1:])
+                self.replayed_snapshot_keys = len(records)
         segments = self._segments_on_disk()
         live = [index for index in segments if index > covered]
         for stale in (index for index in segments if index <= covered):
@@ -288,8 +303,7 @@ class ShardWal:
             with open(path, "rb") as fh:
                 data = fh.read()
             payloads, good_end = read_frames(data)
-            for payload in payloads:
-                records.append(json.loads(payload.decode()))
+            records.extend((path, payload) for payload in payloads)
             if good_end < len(data):
                 # Torn tail: truncate this segment to its committed
                 # prefix.  The torn record was never acked — its flush
@@ -299,14 +313,14 @@ class ShardWal:
                 # records legitimately live past a torn segment.
                 self.torn_bytes_truncated += len(data) - good_end
                 os.truncate(path, good_end)
-        self.replayed_records = len(records)
+        self.replayed_records = len(records) - self.replayed_snapshot_keys
         self._open_segment(live[-1] if live else covered + 1)
-        return state, records
+        return records
 
     # ------------------------------------------------------------------
     # The write path: append to the batch, wait on its barrier.
     # ------------------------------------------------------------------
-    def commit(self, record: dict) -> M:
+    def commit(self, record: bytes) -> M:
         """Append ``record`` and resume once it is fsync-durable:
         :meth:`append`, then :meth:`wait` (raises :class:`WalError` if
         the flush failed)."""
@@ -322,9 +336,7 @@ class ShardWal:
             raise WalError("wal is closed")
         if self._fd is None:
             self._open_segment(self._segment_index)
-        encoded = frame_record(
-            json.dumps(record, separators=(",", ":")).encode()
-        )
+        encoded = frame_record(record)
         self._pending.append(encoded)
         self.appends += 1
         self.bytes_appended += len(encoded)
@@ -460,13 +472,12 @@ class ShardWal:
     # ------------------------------------------------------------------
     @do
     def _compact(self):
-        state = self.state_fn()
         covered = self._segment_index
-        state["segments_through"] = covered
+        data = frame_record(_COVERS.pack(covered)) + b"".join(
+            map(frame_record, self.state_fn()))
         # Rotate first (plain code): appends from here land in the new
         # segment, which replays *after* the snapshot.
         self._open_segment(covered + 1)
-        payload = json.dumps(state, separators=(",", ":")).encode()
         snap_path = self._snapshot_path()
         tmp_path = snap_path + ".tmp"
 
@@ -474,11 +485,7 @@ class ShardWal:
             fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
                          0o644)
             try:
-                data = frame_record(payload)
-                written = 0
-                while written < len(data):
-                    written += self._write(fd, data[written:])
-                self._sync(fd)
+                self._write_and_sync(fd, data)
             finally:
                 os.close(fd)
             os.replace(tmp_path, snap_path)

@@ -4,7 +4,9 @@ rolling reload."""
 
 from __future__ import annotations
 
+import base64
 import collections
+import json
 import os
 import signal
 import time
@@ -13,14 +15,16 @@ import pytest
 
 from repro.api import ClusterServer, build_kv
 from repro.app.kv import HashRing, KvHttpHandler, KvNode, KvQuorumError
+from repro.app.record import MGET, decode_run, encode, encode_run
 from repro.app.wal import ShardWal, WalError
 from repro.core.do_notation import do
+from repro.core.monad import pure
 from repro.http.blocking_client import BlockingHttpClient
 from repro.http.message import HttpError, HttpRequest
 from repro.http.server import HttpProtocol
 from repro.runtime.driver import ConnectionDriver
 from repro.runtime.live_runtime import LiveRuntime
-from repro.runtime.mesh import MeshNode
+from repro.runtime.mesh import MeshNode, MeshProtocolError
 
 from tests.app.test_wal import _broken_sync, _FakeTimers
 from tests.runtime.test_driver_session import RecordingLayer
@@ -509,6 +513,142 @@ class TestOverlappedDurableWrite:
         assert put(b"kept").split()[1] in (b"201", b"204")
         assert wal.flush_failures == 1 and wal.fsyncs == 1
         wal.close()
+
+
+# ----------------------------------------------------------------------
+# Replies the codec refuses: a peer failure, never a handler bug, and a
+# short mget reply never reads as "those keys are absent".
+# ----------------------------------------------------------------------
+def _garbage(_body):
+    return pure(b"\xffnot a record")
+
+
+def _drops_last_key(body):
+    asked = [record[2] for record in decode_run(body)]
+    return pure(encode_run([encode(MGET, key, value=b"v")
+                            for key in asked[:-1]]))
+
+
+class TestUnreadableReplies:
+    def _world(self, rt, handler, **world):
+        """Shards 0 and 1; shard 1 answers every request with
+        ``handler``.  Resumes with the nodes and two keys shard 1 owns."""
+        nodes = make_world(rt, 2, **world)
+        nodes[1].mesh.handler = handler
+        keys = [key for key in (f"bad-{i}" for i in range(64))
+                if nodes[0].ring.owner(key) == 1][:2]
+        return nodes, keys
+
+    def _answer(self, rt, node, target):
+        layer = RecordingLayer([f"GET {target} HTTP/1.1\r\n\r\n".encode()])
+        driver = ConnectionDriver(layer, HttpProtocol(KvHttpHandler(node)))
+        rt.spawn(driver.handle_connection("conn"), name="session")
+        rt.run(until=lambda: bool(layer.sent), idle_timeout=5.0)
+        return b"".join(layer.sent)
+
+    def test_garbage_reply_is_a_protocol_error_and_answers_502(self, rt):
+        nodes, keys = self._world(rt, _garbage, replication=1)
+        kind, exc = _drive_error(rt, nodes[0].get(keys[0]), MeshProtocolError)
+        assert kind == "error" and "peer 1" in str(exc)
+        kind, exc = _drive_error(rt, nodes[0].mget(keys), MeshProtocolError)
+        assert kind == "error"
+        for target in (f"/kv/{keys[0]}", f"/mget?keys={','.join(keys)}"):
+            answer = self._answer(rt, nodes[0], target)
+            assert answer.startswith(b"HTTP/1.1 502 "), answer
+        # For that call only: the frame was well-formed, the link is up
+        # and serves the next call once the peer makes sense again.
+        link = nodes[0].mesh._links[1]
+        assert link.alive
+        nodes[1].mesh.handler = nodes[1]._handle_mesh
+        assert _drive(rt, nodes[0].mget(keys)) == dict.fromkeys(keys)
+        assert nodes[0].mesh._links[1] is link
+
+    def test_short_mget_reply_is_not_a_miss(self, rt):
+        nodes, keys = self._world(rt, _drops_last_key, replication=1)
+        kind, exc = _drive_error(rt, nodes[0].mget(keys), MeshProtocolError)
+        assert kind == "error" and "does not cover" in str(exc)
+        answer = self._answer(rt, nodes[0], f"/mget?keys={','.join(keys)}")
+        assert answer.startswith(b"HTTP/1.1 502 "), answer
+
+    def test_unreadable_replica_is_a_failed_replica(self, rt):
+        # Under replication it is one more way for a replica to fail:
+        # reads fall back to the copy that answers, a write counts no
+        # ack from it and parks a hint.
+        nodes, _keys = self._world(rt, _garbage, replication=2,
+                                   write_quorum=2)
+        nodes[0]._apply_versioned("k", (1, 0), b"local")
+        nodes[0].clock = 1
+        info = {}
+        assert _drive(rt, nodes[0].get("k", info)) == (True, b"local", False)
+        assert info["consulted"] == 1
+        assert _drive(rt, nodes[0].mget(["k"])) == {"k": b"local"}
+        kind, exc = _drive_error(rt, nodes[0].put("k", b"new"),
+                                 KvQuorumError)
+        assert kind == "error" and "1/2" in str(exc)
+        assert "MeshProtocolError" in str(exc)
+        assert nodes[0].hints[1]["k"] == ((2, 0), b"new")
+
+
+# ----------------------------------------------------------------------
+# The data path is records end to end: no JSON, no base64.
+# ----------------------------------------------------------------------
+class TestNoJsonOnTheDataPath:
+    def test_get_mget_and_durable_put_call_neither_json_nor_base64(
+        self, rt, tmp_path, monkeypatch
+    ):
+        calls = collections.Counter()
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[f"{module.__name__}.{name}"] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in ((json, "dumps"), (json, "loads"),
+                             (base64, "b64encode"), (base64, "b64decode")):
+            spy(module, name)
+        wals = [ShardWal(str(tmp_path / f"shard-{i}"), flush_interval=0.001)
+                for i in range(3)]
+        nodes = make_world(rt, 3, replication=2, write_quorum=2, wals=wals)
+        ring = nodes[0].ring
+        # One key per primary owner; "far" has both replicas remote.
+        keys = [_key_with_replicas(ring, wanted)
+                for wanted in ((0, 1), (1, 2), (2, 0))]
+        far = keys[1]
+        values = {key: bytes(range(256)) + key.encode() for key in keys}
+        for key, value in values.items():
+            info = {}
+            assert _drive(rt, nodes[0].put(key, value, info))[0]
+            assert info["acked"] == 2
+        assert [wal.appends for wal in wals] == [2, 2, 2]
+        info = {}
+        assert _drive(rt, nodes[0].get(far, info)) == (True, values[far],
+                                                       True)
+        assert info["consulted"] == 2
+        before = nodes[0].mesh.stats.calls
+        assert _drive(rt, nodes[0].mget(keys + ["nowhere"])) == {
+            **values, "nowhere": None}
+        assert nodes[0].mesh.stats.calls - before == 2  # two remote owners
+        assert calls == collections.Counter()
+        # The spies are live: the public JSON surface still goes through.
+        answer = []
+
+        @do
+        def http_mget():
+            response = yield KvHttpHandler(nodes[0]).respond(HttpRequest(
+                "GET", f"/mget?keys={far}", "HTTP/1.1", {}, b""))
+            answer.append(response.body)
+
+        rt.spawn(http_mget())
+        rt.run(until=lambda: bool(answer), idle_timeout=5.0)
+        assert calls == {"json.dumps": 1, "base64.b64encode": 1}
+        assert json.loads(answer[0]) == {"values": {
+            far: base64.b64encode(values[far]).decode()}}
+        for wal in wals:
+            wal.close()
 
 
 # ----------------------------------------------------------------------

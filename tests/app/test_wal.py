@@ -18,20 +18,26 @@ a durability claim is only as good as its fault harness):
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import shutil
+import subprocess
+import sys
 import threading
 import zlib
 
 import pytest
 
 from repro.app.kv import KvNode
+from repro.app.record import GET, HINT, WRITE, decode, encode
 from repro.app.wal import ShardWal, WalError, frame_record, read_frames
 from repro.core.do_notation import do
 from repro.core.monad import pure
 from repro.runtime.live_runtime import LiveRuntime
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 @pytest.fixture
@@ -71,6 +77,20 @@ def _spawn_commits(rt, wal, records):
 
 def _broken_sync(fd):
     raise OSError("simulated disk failure")
+
+
+def _w(key, version=(1, 0), value=b""):
+    """One ``w`` log record, as the KV node encodes it."""
+    return encode(WRITE, key, version, value)
+
+
+def _payloads(replayed):
+    return [payload for _path, payload in replayed]
+
+
+def _from_snapshot(replayed):
+    return [payload for path, payload in replayed
+            if path.endswith("snapshot.wal")]
 
 
 class _FakeHandle:
@@ -159,26 +179,24 @@ class TestRecovery:
         assert node2.versions["k3"] == (9, 0)  # the tombstone's stamp
         wal2.close()
         # replication=1 logs the same versioned records as N>=2.
-        _state, records = ShardWal(directory).recover()
-        assert [record["t"] for record in records] == ["w"] * 9
+        records = _payloads(ShardWal(directory).recover())
+        assert [decode(record)[0] for record in records] == [WRITE] * 9
 
     def test_unknown_record_kind_fails_recovery(self, rt, tmp_path):
         # A log written by another build must not replay as "nothing
         # happened": construction fails, naming the record kind.
         directory = str(tmp_path / "shard-0")
         wal = ShardWal(directory)
-        _drive(rt, wal.commit({"t": "zz", "k": "lost"}))
+        _drive(rt, wal.commit(encode(GET, "lost", (1, 0))))
         wal.close()
-        with pytest.raises(WalError, match="'zz'"):
+        with pytest.raises(WalError, match=f"op {GET} .* not a WAL record"):
             self._node(directory)
 
     def test_versioned_writes_and_hints_recover(self, rt, tmp_path):
         directory = str(tmp_path / "shard-0")
         node, wal = self._node(directory)
-        _drive(rt, wal.commit({"t": "w", "k": "vk", "ver": [7, 2],
-                               "v": "aGVsbG8="}))  # b"hello"
-        _drive(rt, wal.commit({"t": "hint", "tg": 3, "k": "hk",
-                               "ver": [9, 1], "v": "aGk="}))  # b"hi"
+        _drive(rt, wal.commit(_w("vk", (7, 2), b"hello")))
+        _drive(rt, wal.commit(encode(HINT, "hk", (9, 1), b"hi", target=3)))
         wal.close()
 
         node2, _wal2 = self._node(directory)
@@ -195,8 +213,7 @@ class TestRecovery:
         directory = str(tmp_path / "shard-0")
         timers = _FakeTimers()
         wal = ShardWal(directory, timers=timers)
-        _spawn_commits(rt, wal, [{"t": "w", "ver": [1, 0], "k": "ghost",
-                                  "v": ""}])
+        _spawn_commits(rt, wal, [_w("ghost")])
         rt.run(until=lambda: len(wal._pending) == 1, idle_timeout=2.0)
         wal.close()  # crash before the timer ever fired
 
@@ -229,6 +246,107 @@ class TestRecovery:
         assert "ck7" not in node2.store
         wal2.close()
 
+    def test_snapshot_alone_restores_the_same_state(self, rt, tmp_path):
+        # The snapshot holds the log's own record kinds (plus the
+        # clock): reopening from it alone gives back store, tombstone
+        # versions, clock and the parked hints per target.
+        directory = str(tmp_path / "shard-0")
+        wal = ShardWal(directory, compact_bytes=1)  # every flush compacts
+        node = KvNode(0, 1, wal=wal)
+        _drive(rt, node.put("bin", bytes(range(256))))
+        _drive(rt, node.put("empty", b""))
+        _drive(rt, node.put("cl\u00e9-\ud800", b"non-ascii key"))
+        _drive(rt, node.delete("bin"))
+        for target, key, version, value in [(2, "hk", (9, 1), b"hi"),
+                                            (2, "gone", (10, 1), None),
+                                            (3, "hk", (11, 0), b"")]:
+            assert node._queue_hint(target, key, version, value)
+            _drive(rt, node._wal_commit(
+                encode(HINT, key, version, value, target)))
+        node.clock += 7  # a counter observed on a read, never applied
+        _drive(rt, node.put("last", b"z"))
+        rt.run(until=lambda: wal.compactions >= 8 and not wal._flushing,
+               idle_timeout=5.0)
+        wal.close()
+
+        wal2 = ShardWal(directory)
+        node2 = KvNode(0, 1, wal=wal2)
+        # clock + 4 stamped keys + 3 hints, nothing from the log.
+        assert (wal2.replayed_snapshot_keys, wal2.replayed_records) == (8, 0)
+        assert node2.store == node.store and "bin" not in node2.store
+        assert node2.store["empty"] == b""
+        assert node2.versions == node.versions and "bin" in node2.versions
+        assert node2.clock == node.clock == node.versions["last"][0]
+        assert node2.hints == node.hints
+        assert node2.hints[2]["gone"] == ((10, 1), None)
+        wal2.close()
+
+    #: What the build before the record codec wrote (JSON payloads).
+    PARENT_RECORD = b'{"t":"w","k":"k0","ver":[1,0],"v":"djA="}'
+    PARENT_SNAPSHOT = (b'{"clock":1,"store":{"k0":"djA="},"versions":'
+                       b'{"k0":[1,0]},"hints":{},"segments_through":1}')
+
+    @pytest.mark.parametrize("name, payload", [
+        ("wal-00000001.log", PARENT_RECORD),
+        ("snapshot.wal", PARENT_SNAPSHOT),
+    ])
+    def test_a_json_log_or_snapshot_fails_loudly_and_stays_untouched(
+        self, tmp_path, name, payload
+    ):
+        directory = str(tmp_path / "shard-0")
+        os.makedirs(directory)
+        # A readable record first: the refusal must not depend on the
+        # bad payload being the first thing replayed.
+        files = {"wal-00000001.log": frame_record(_w("fine"))}
+        files[name] = files.get(name, b"") + frame_record(payload)
+        for file_name, data in files.items():
+            with open(os.path.join(directory, file_name), "wb") as fh:
+                fh.write(data)
+        wal = ShardWal(directory)
+        with pytest.raises(WalError) as raised:
+            KvNode(0, 1, wal=wal)
+        assert os.path.join(directory, name) in str(raised.value)
+        # Nothing was deleted (the JSON snapshot "covers" segment 1),
+        # truncated or appended, and the refused log is not writable.
+        assert sorted(os.listdir(directory)) == sorted(files)
+        for file_name, data in files.items():
+            with open(os.path.join(directory, file_name), "rb") as fh:
+                assert fh.read() == data
+        assert wal._fd is None
+
+    def test_wal_dump_prints_one_line_per_record(self, rt, tmp_path):
+        directory = str(tmp_path / "shard-0")
+        wal = ShardWal(directory, compact_bytes=1)
+        node = KvNode(0, 1, wal=wal)
+        _drive(rt, node.put("k\u00e9y", b"12345"))
+        rt.run(until=lambda: wal.compactions == 1 and not wal._flushing,
+               idle_timeout=5.0)
+        wal.compact_bytes = 1 << 30
+        _drive(rt, node.delete("k\u00e9y"))
+        _drive(rt, wal.commit(encode(HINT, "hk", (9, 1), b"hi", target=3)))
+        wal.close()
+        committed = os.path.getsize(wal._segment_path(2))
+        with open(wal._segment_path(2), "ab") as fh:
+            fh.write(frame_record(_w("torn"))[:-1])
+        result = subprocess.run(
+            [sys.executable, "tools/wal_dump.py", directory], cwd=ROOT,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "snapshot.wal[0] covers segments through 1",
+            "snapshot.wal[1] clock key='' version=(1, 0) target=0 "
+            "value_len=-",
+            "snapshot.wal[2] w key='k\u00e9y' version=(1, 0) target=0 "
+            "value_len=5",
+            "wal-00000002.log[0] w key='k\u00e9y' version=(2, 0) target=0 "
+            "value_len=-",
+            "wal-00000002.log[1] hint key='hk' version=(9, 1) target=3 "
+            "value_len=2",
+            f"wal-00000002.log: torn tail at byte {committed} "
+            f"({len(frame_record(_w('torn'))) - 1} bytes would be truncated)",
+        ]
+
     def test_recover_unlinks_stale_snapshot_tmp(self, tmp_path):
         # A crash mid-compaction leaves snapshot.wal.tmp behind; it was
         # never renamed, so recovery must clear it, not wait for the
@@ -239,9 +357,9 @@ class TestRecovery:
         with open(tmp, "wb") as fh:
             fh.write(b"half-written snapshot")
         wal = ShardWal(directory)
-        state, records = wal.recover()
+        replayed = wal.recover()
         wal.close()
-        assert state is None and records == []
+        assert replayed == []
         assert not os.path.exists(tmp)
 
     def test_recovery_replays_past_torn_segment(self, tmp_path):
@@ -251,23 +369,21 @@ class TestRecovery:
         directory = str(tmp_path / "rotated")
         os.makedirs(directory)
 
-        def encoded(key):
-            return json.dumps({"t": "w", "ver": [1, 0], "k": key,
-                               "v": ""}).encode()
-
-        torn = frame_record(encoded("torn"))
+        torn = frame_record(_w("torn"))
         seg1 = os.path.join(directory, "wal-00000001.log")
+        seg2 = os.path.join(directory, "wal-00000002.log")
         with open(seg1, "wb") as fh:
-            fh.write(frame_record(encoded("a")) + torn[:-3])
-        with open(os.path.join(directory, "wal-00000002.log"), "wb") as fh:
-            fh.write(frame_record(encoded("b")))
+            fh.write(frame_record(_w("a")) + torn[:-3])
+        with open(seg2, "wb") as fh:
+            fh.write(frame_record(_w("b")))
         wal = ShardWal(directory)
-        state, records = wal.recover()
+        replayed = wal.recover()
         wal.close()
-        assert state is None
-        assert [record["k"] for record in records] == ["a", "b"]
+        assert _from_snapshot(replayed) == []
+        assert [(path, decode(payload)[2]) for path, payload in replayed
+                ] == [(seg1, "a"), (seg2, "b")]
         assert wal.torn_bytes_truncated == len(torn) - 3
-        assert os.path.getsize(seg1) == len(frame_record(encoded("a")))
+        assert os.path.getsize(seg1) == len(frame_record(_w("a")))
 
     def test_stats_shape(self, rt, tmp_path):
         node, wal = self._node(str(tmp_path / "shard-0"))
@@ -294,10 +410,8 @@ class TestCrashPointSweep:
         wal = ShardWal(directory, timers=rt.timers, flush_interval=0.002)
         records = []
         for i in range(12):
-            records.append({
-                "t": "w", "k": f"key-{i}", "ver": [i + 1, 0],
-                "v": "A" * (4 * ((i * 7) % 11 + 1)),
-            })
+            records.append(_w(f"key-{i}", (i + 1, 0),
+                              b"A" * (4 * ((i * 7) % 11 + 1))))
         done = _spawn_commits(rt, wal, records)
         rt.run(until=lambda: len(done) == len(records), idle_timeout=5.0)
         assert len(done) == len(records)
@@ -339,9 +453,10 @@ class TestCrashPointSweep:
                 fh.write(data[:cut])
             expected = sum(1 for end in ends if end <= cut)
             replayer = ShardWal(scratch)
-            state, replayed = replayer.recover()
+            replayed = replayer.recover()
             replayer.close()
-            assert state is None
+            assert _from_snapshot(replayed) == []
+            replayed = _payloads(replayed)
             assert len(replayed) == expected, (
                 f"cut at {cut}: replayed {len(replayed)}, "
                 f"expected {expected}"
@@ -369,7 +484,7 @@ class TestCrashPointSweep:
         with open(os.path.join(scratch, "wal-00000001.log"), "wb") as fh:
             fh.write(bytes(corrupt))
         replayer = ShardWal(scratch)
-        _state, replayed = replayer.recover()
+        replayed = _payloads(replayer.recover())
         replayer.close()
         assert replayed == records[:4]
 
@@ -381,8 +496,7 @@ class TestGroupCommit:
     def test_n_writers_one_fsync(self, rt, tmp_path):
         timers = _FakeTimers()
         wal = ShardWal(str(tmp_path / "w"), timers=timers)
-        records = [{"t": "w", "ver": [1, 0], "k": f"g{i}", "v": ""}
-                   for i in range(10)]
+        records = [_w(f"g{i}") for i in range(10)]
         done = _spawn_commits(rt, wal, records)
         rt.run(until=lambda: len(wal._pending) == 10, idle_timeout=2.0)
         # All ten writers are parked on one barrier; exactly one flush
@@ -403,8 +517,7 @@ class TestGroupCommit:
                                                             tmp_path):
         timers = _FakeTimers()
         wal = ShardWal(str(tmp_path / "w"), timers=timers, group_max=4)
-        records = [{"t": "w", "ver": [1, 0], "k": f"wm{i}", "v": ""}
-                   for i in range(4)]
+        records = [_w(f"wm{i}") for i in range(4)]
         done = _spawn_commits(rt, wal, records)
         rt.run(until=lambda: len(done) == 4, idle_timeout=5.0)
         # The 4th append hit the watermark: the batch flushed while the
@@ -427,8 +540,7 @@ class TestGroupCommit:
             real_sync(fd)
 
         wal._sync = gated_sync
-        first = _spawn_commits(rt, wal, [{"t": "w", "ver": [1, 0],
-                                          "k": "early", "v": ""}])
+        first = _spawn_commits(rt, wal, [_w("early")])
         rt.run(until=lambda: len(wal._pending) == 1, idle_timeout=2.0)
         timers.fire(rt, timers.scheduled[0])
         rt.run(until=sync_started.is_set, idle_timeout=5.0)
@@ -436,8 +548,7 @@ class TestGroupCommit:
 
         # Mid-fsync arrival: parks on the *fresh* barrier, arms nothing
         # (the in-flight flusher loops straight into the next batch).
-        second = _spawn_commits(rt, wal, [{"t": "w", "ver": [1, 0],
-                                           "k": "late", "v": ""}])
+        second = _spawn_commits(rt, wal, [_w("late")])
         rt.run(until=lambda: len(wal._pending) == 1, idle_timeout=2.0)
         assert not second
         assert len(timers.scheduled) == 1
@@ -464,8 +575,7 @@ class TestGroupCommit:
         @do
         def writer(i):
             try:
-                yield wal.commit({"t": "w", "ver": [1, 0],
-                                  "k": f"f{i}", "v": ""})
+                yield wal.commit(_w(f"f{i}"))
                 errors.append(("acked", i))
             except WalError as exc:
                 errors.append(("error", exc))
@@ -482,8 +592,7 @@ class TestGroupCommit:
 
         # The log is not wedged: with the disk back, commits ack again.
         wal._sync = os.fsync
-        done = _spawn_commits(rt, wal, [{"t": "w", "ver": [1, 0],
-                                         "k": "after", "v": ""}])
+        done = _spawn_commits(rt, wal, [_w("after")])
         rt.run(until=lambda: len(wal._pending) == 1, idle_timeout=2.0)
         timers.fire(rt, timers.scheduled[-1])
         rt.run(until=lambda: bool(done), idle_timeout=5.0)
@@ -501,8 +610,7 @@ class TestGroupCommit:
         directory = str(tmp_path / "shard-0")
         timers = _FakeTimers()
         wal = ShardWal(directory, timers=timers)
-        first = _spawn_commits(rt, wal, [{"t": "w", "ver": [1, 0],
-                                          "k": "before", "v": ""}])
+        first = _spawn_commits(rt, wal, [_w("before")])
         rt.run(until=lambda: len(wal._pending) == 1, idle_timeout=2.0)
         timers.fire(rt, timers.scheduled[0])
         rt.run(until=lambda: bool(first), idle_timeout=5.0)
@@ -516,8 +624,7 @@ class TestGroupCommit:
         @do
         def failing_writer():
             try:
-                yield wal.commit({"t": "w", "ver": [1, 0], "k": "torn",
-                                  "v": ""})
+                yield wal.commit(_w("torn"))
                 errors.append("acked")
             except WalError:
                 errors.append("error")
@@ -531,8 +638,7 @@ class TestGroupCommit:
         assert wal._segment_index == 2
 
         wal._sync = os.fsync
-        after = _spawn_commits(rt, wal, [{"t": "w", "ver": [1, 0],
-                                          "k": "after", "v": ""}])
+        after = _spawn_commits(rt, wal, [_w("after")])
         rt.run(until=lambda: len(wal._pending) == 1, idle_timeout=2.0)
         timers.fire(rt, timers.scheduled[-1])
         rt.run(until=lambda: bool(after), idle_timeout=5.0)
@@ -549,10 +655,7 @@ class TestGroupCommit:
     def test_flush_now_flushes_pending(self, rt, tmp_path):
         timers = _FakeTimers()
         wal = ShardWal(str(tmp_path / "w"), timers=timers)
-        done = _spawn_commits(rt, wal, [
-            {"t": "w", "ver": [1, 0], "k": f"fn{i}", "v": ""}
-            for i in range(2)
-        ])
+        done = _spawn_commits(rt, wal, [_w(f"fn{i}") for i in range(2)])
         rt.run(until=lambda: len(wal._pending) == 2, idle_timeout=2.0)
         flushed = _drive(rt, wal.flush_now())
         assert flushed == 2
@@ -578,8 +681,7 @@ class TestGroupCommit:
             real_sync(fd)
 
         wal._sync = gated_sync
-        done = _spawn_commits(rt, wal, [{"t": "w", "ver": [1, 0],
-                                         "k": "slow", "v": ""}])
+        done = _spawn_commits(rt, wal, [_w("slow")])
         rt.run(until=lambda: len(wal._pending) == 1, idle_timeout=2.0)
         timers.fire(rt, timers.scheduled[0])
         rt.run(until=sync_started.is_set, idle_timeout=5.0)
@@ -613,8 +715,7 @@ class TestGroupCommit:
         @do
         def writer():
             try:
-                yield wal.commit({"t": "w", "ver": [1, 0], "k": "x",
-                                  "v": ""})
+                yield wal.commit(_w("x"))
                 outcomes.append("acked")
             except WalError:
                 outcomes.append("error")
@@ -634,8 +735,7 @@ class TestGroupCommit:
         @do
         def writer():
             try:
-                yield wal.commit({"t": "w", "ver": [1, 0], "k": "x",
-                                  "v": ""})
+                yield wal.commit(_w("x"))
                 outcomes.append("acked")
             except WalError:
                 outcomes.append("error")
@@ -654,8 +754,7 @@ class TestGroupCommit:
 
         @do
         def writer():
-            barrier = yield wal.append({"t": "w", "ver": [1, 0],
-                                        "k": "a", "v": ""})
+            barrier = yield wal.append(_w("a"))
             steps.append(barrier)
             steps.append((yield wal.wait(barrier)))
 
@@ -684,7 +783,7 @@ class TestGroupCommit:
 
         @do
         def writer(i):
-            record = {"t": "w", "ver": [1, 0], "k": f"s{i}", "v": ""}
+            record = _w(f"s{i}")
             try:
                 if i % 2:
                     outcomes.append((yield wal.commit(record)))
@@ -712,8 +811,7 @@ class TestGroupCommit:
         # deadline unfired: the later wait fails at once.
         timers = _FakeTimers()
         wal = ShardWal(str(tmp_path / "w"), timers=timers)
-        barrier = _drive(rt, wal.append({"t": "w", "ver": [1, 0],
-                                         "k": "x", "v": ""}))
+        barrier = _drive(rt, wal.append(_w("x")))
         wal.close()
         outcomes = []
 
