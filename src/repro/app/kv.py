@@ -703,8 +703,8 @@ class KvNode:
 
     def pump_tick(self, timers: Any) -> M:
         """One timer-wheel firing of the hint pump: fork a replay if
-        hints are parked (the wheel's sleeper must never block on mesh
-        I/O), then re-arm.  Stops re-arming once ``pump_running`` is
+        hints are parked (a slow replay must not stretch the pump's
+        period), then re-arm.  Stops re-arming once ``pump_running`` is
         cleared."""
         return self._pump_tick(timers)
 

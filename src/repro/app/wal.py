@@ -61,8 +61,8 @@ left untouched: drain such a shard and start it on an empty ``wal_dir``.
 ``tools/wal_dump.py`` prints a directory record by record.
 
 The log is runtime-agnostic above the syscall layer: all disk I/O goes
-through ``sys_blio``, all timing through the shared timer wheel (or a
-``sys_sleep`` fallback when no wheel is given).
+through ``sys_blio``, the flush deadline through the runtime's timer
+wheel.
 """
 
 from __future__ import annotations
@@ -129,9 +129,9 @@ def read_frames(data: bytes) -> tuple[list[bytes], int]:
 class ShardWal:
     """One shard's append-only log directory.
 
-    ``timers`` is the shard's shared timer wheel (used to arm the group
-    flush deadline without a thread per batch); without one a forked
-    ``sys_sleep`` thread serves as the fallback alarm.  ``state_fn``
+    ``timers`` is the runtime's timer wheel (``rt.timers``): a log that
+    commits arms its group-flush deadline there; only a log opened just
+    to :meth:`recover` does without.  ``state_fn``
     (set by the owning store) returns the full state for a snapshot as
     a list of payloads; compaction is skipped while it is ``None``.
 
@@ -348,13 +348,7 @@ class ShardWal:
             elif not self._alarm_armed:
                 # Deadline trigger: first writer of the batch arms it.
                 self._alarm_armed = True
-                if self.timers is not None:
-                    yield self.timers.schedule(
-                        self.flush_interval, self._flush_action
-                    )
-                else:
-                    yield sys_fork(self._sleep_flush(),
-                                   name="wal-flush-alarm")
+                yield self.timers.schedule(self.flush_interval, self._flush)
         # else: a flush is in flight; its loop picks this record up as
         # the next batch the moment the current fsync returns.
         return barrier
@@ -371,15 +365,6 @@ class ShardWal:
         if isinstance(outcome, BaseException):
             raise WalError(f"wal flush failed: {outcome!r}") from outcome
         return outcome
-
-    def _flush_action(self):
-        # Timer-wheel action: must be brief — fork the real flush.
-        return sys_fork(self._flush(), name="wal-flush")
-
-    @do
-    def _sleep_flush(self):
-        yield sys_sleep(self.flush_interval)
-        yield self._flush()
 
     @do
     def _flush(self):

@@ -43,7 +43,7 @@ import time
 import zlib
 
 from ..core.do_notation import do
-from ..core.syscalls import sys_fork, sys_now
+from ..core.syscalls import sys_now
 from .base import (BARRIER, KEYED, READ, CacheParseError, CacheParser,
                    CacheProtocolBase, CacheStats)
 
@@ -397,9 +397,9 @@ class MemcacheProtocol(CacheProtocolBase):
             if not armed or self._expiry.get(key) is not armed[0]:
                 return None
             self._forget_meta(key)
-            # The delete may route to the key's owner over the mesh:
-            # fork it rather than stall the wheel's sleeper.
-            return sys_fork(self._expire(key), name="memcache-expiry")
+            # The delete may route to the key's owner over the mesh;
+            # a monadic action runs on its own thread.
+            return self._expire(key)
 
         handle = yield self.timers.schedule(delay, sweep)
         armed.append(handle)

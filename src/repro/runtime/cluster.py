@@ -244,7 +244,7 @@ def _worker_main(
             write_timeout=config.mesh_write_timeout,
             # One deadline heap per shard: mesh call timeouts, write
             # watchdogs, keepalive ticks and the KV hint pump all share
-            # the runtime's wheel (and its single sleeper thread).
+            # the runtime's wheel.
             timers=rt.timers,
             keepalive_interval=config.mesh_keepalive,
         )

@@ -28,8 +28,6 @@ through the cluster stats protocol.
 from __future__ import annotations
 
 import concurrent.futures
-import heapq
-import itertools
 import os
 import select
 import selectors
@@ -39,7 +37,6 @@ from collections import deque
 from typing import Any, Callable
 
 from ..core.events import EVENT_READ, EVENT_WRITE
-from ..core.exceptions import DeadlockError
 from ..core.monad import M
 from ..core.scheduler import Scheduler, TCB
 from ..core.trace import (
@@ -590,16 +587,14 @@ class LiveRuntime:
         self.poller = make_poller(poller)
         self.backend = LiveBackend(on_close=self._discard_fd)
         self.io = NetIO(self.backend)
-        # The shared timer wheel: call timeouts, write watchdogs, the KV
-        # hint pump and mesh keepalives all ride one deadline heap
-        # serviced by one on-demand sleeper thread, instead of a timer
-        # thread per concern (see repro.runtime.timer_wheel).
-        self.timers = TimerWheel(name="live-timers")
+        # The runtime's one deadline heap: sys_sleep, call timeouts,
+        # write watchdogs, the KV hint pump and mesh keepalives are all
+        # entries in it, and ``run`` fires it once per turn (see
+        # repro.runtime.timer_wheel).
+        self.timers = TimerWheel(time.monotonic, self.spawn)
         # The shared receive-buffer pool (owned by the I/O surface the
         # socket layers read through).
         self.buffers = self.io.buffers
-        self._timers: list[tuple[float, int, TCB, Callable]] = []
-        self._timer_seq = itertools.count()
         self.pool = concurrent.futures.ThreadPoolExecutor(
             max_workers=pool_workers, thread_name_prefix="blio"
         )
@@ -672,9 +667,9 @@ class LiveRuntime:
 
     def _handle_sleep(self, _sched: Scheduler, tcb: TCB, node: SysSleep):
         tcb.state = "blocked"
-        deadline = time.monotonic() + node.duration
-        heapq.heappush(
-            self._timers, (deadline, next(self._timer_seq), tcb, node.cont)
+        cont = node.cont
+        self.timers.sleep(
+            node.duration, lambda: self.sched.resume_value(tcb, cont, None)
         )
         return None
 
@@ -738,33 +733,45 @@ class LiveRuntime:
         until: Callable[[], bool] | None = None,
         idle_timeout: float | None = None,
     ) -> None:
-        """Run until ``until()`` holds, all threads finish, or (if given)
-        nothing happens for ``idle_timeout`` seconds.
+        """Run until ``until()`` holds, every thread has finished with no
+        timer left armed, or (if given) nothing happens for
+        ``idle_timeout`` seconds.
 
         One *turn* runs every thread that was ready when the turn began,
-        then looks at the devices once: pool completions, sleep timers,
-        one ``poll`` (blocking only when no thread is ready).  A thread
-        that re-queues itself mid-turn (``sys_yield``, an exhausted
-        batch) or is forked lands behind the snapshot and runs next
-        turn, so a spinning thread cannot starve I/O, and the devices
-        cost one check per turn rather than one per context switch.
+        then looks at the devices once: pool completions, due timers
+        (sleeps and ``rt.timers`` entries, one heap), one ``poll``
+        (blocking only when no thread is ready, and no longer than the
+        next deadline).  A thread that re-queues itself mid-turn
+        (``sys_yield``, an exhausted batch) or is forked lands behind the
+        snapshot and runs next turn, so a spinning thread cannot starve
+        I/O, and the devices cost one check per turn rather than one per
+        context switch.
+
+        Deadlock is not detected here: a runtime whose threads are all
+        parked with nothing armed idles at 20 polls/s until ``until()``
+        or ``idle_timeout`` ends the run (a blocking-pool job may still
+        be in flight; the loop cannot tell).  Only ``SimRuntime.run``
+        raises ``DeadlockError``.
         """
         sched = self.sched
+        timers = self.timers
         last_progress = time.monotonic()
         while True:
             if until is not None and until():
                 return
-            progressed = self._drain_completions() | self._fire_timers()
+            progressed = self._drain_completions() | timers.fire_due()
+            if progressed and until is not None and until():
+                return  # a plain timer action may be what it waits for
             for _ in range(_ready_count(sched.ready)):
                 if not sched.step():
                     break
                 progressed = True
                 if until is not None and until():
                     return
-            if sched.live_threads == 0 and until is None:
+            if (until is None and sched.live_threads == 0
+                    and timers.next_deadline() is None):
                 return
-            timeout = self._next_timeout()
-            if self._poll_io(timeout):
+            if self._poll_io(self._next_timeout()):
                 progressed = True
             if progressed:
                 last_progress = time.monotonic()
@@ -772,22 +779,13 @@ class LiveRuntime:
                 time.monotonic() - last_progress > idle_timeout
             ):
                 return
-            elif timeout is None and not progressed and not sched.ready:
-                if sched.live_threads > 0 and not self._has_waiters():
-                    raise DeadlockError(
-                        f"{sched.live_threads} thread(s) blocked forever"
-                    )
 
-    def _has_waiters(self) -> bool:
-        return bool(self._timers) or self.poller.waiter_count > 0 or bool(
-            self._completions
-        )
-
-    def _next_timeout(self) -> float | None:
+    def _next_timeout(self) -> float:
         if self.sched.ready or self._completions:
             return 0.0
-        if self._timers:
-            return max(0.0, self._timers[0][0] - time.monotonic())
+        deadline = self.timers.next_deadline()
+        if deadline is not None:
+            return max(0.0, deadline - time.monotonic())
         if self.poller.waiter_count:
             return 0.1
         return 0.05
@@ -816,18 +814,7 @@ class LiveRuntime:
             progressed = True
         return progressed
 
-    def _fire_timers(self) -> bool:
-        now = time.monotonic()
-        progressed = False
-        while self._timers and self._timers[0][0] <= now:
-            _deadline, _seq, tcb, cont = heapq.heappop(self._timers)
-            self.sched.resume_value(tcb, cont, None)
-            progressed = True
-        return progressed
-
-    def _poll_io(self, timeout: float | None) -> bool:
-        if timeout is not None and timeout < 0:
-            timeout = 0
+    def _poll_io(self, timeout: float) -> bool:
         resumes = self.poller.poll(timeout)
         for tcb, cont, ready in resumes:
             self.sched.resume_value(tcb, cont, ready)

@@ -408,13 +408,13 @@ class MeshNode:
         io: NetIO,
         listener: Any,
         peers: dict[int, tuple],
+        timers: TimerWheel,
         handler: Callable[[bytes], M] | None = None,
         call_timeout: float = 5.0,
         write_timeout: float = 5.0,
         max_frame: int = DEFAULT_MAX_FRAME,
         accept_batch: int = 16,
         max_inflight: int = 128,
-        timers: TimerWheel | None = None,
         keepalive_interval: float | None = None,
         flush_max_iov: int = 64,
         flush_max_bytes: int = 256 * 1024,
@@ -436,13 +436,10 @@ class MeshNode:
         #: it the link's reader runs requests inline (backpressure: it
         #: stops pulling frames), bounding thread/memory growth per link.
         self.max_inflight = max_inflight
-        #: Shared deadline heap for call timeouts, write watchdogs and
-        #: keepalive ticks.  The cluster passes the runtime's wheel so
-        #: the whole shard shares one sleeper; a standalone node makes
-        #: its own.
-        self.timers = timers if timers is not None else TimerWheel(
-            name=f"mesh{index}-timers"
-        )
+        #: The runtime's deadline heap (``rt.timers``): call timeouts,
+        #: write watchdogs and keepalive ticks are entries in it, fired
+        #: by the runtime's loop.
+        self.timers = timers
         #: Ping idle client links every this many seconds (None/0 = no
         #: keepalive).  See the module docs: the ping's *write* is the
         #: wedge detector.
@@ -686,8 +683,10 @@ class MeshNode:
                 if watchdog is not None:
                     watchdog.cancel()
                     if watchdog.fired:
-                        # The wedge won the race against the final write
-                        # syscall: the connection is gone either way.
+                        # The watchdog fired as the final write went
+                        # through.  Its action runs on its own thread, so
+                        # the close may still be a step away — fired
+                        # means lost regardless.
                         yield self._fail_outbound(out, batch, None, True)
                         return
                 stats.flushes += 1
@@ -745,9 +744,9 @@ class MeshNode:
     # ------------------------------------------------------------------
     @do
     def _keepalive_tick(self):
-        # Runs on the wheel's sleeper: find links idle since the last
-        # tick, fork a pinger per idle link (the tick itself must never
-        # block on a wedged peer), then re-arm.
+        # Timer action: find links idle since the last tick, fork a
+        # pinger per idle link (one wedged peer must not hold up the
+        # pings to the others, or the re-arm), then re-arm.
         if not self._driver.running:
             return  # shutting down: stop re-arming
         for link in list(self._links.values()):

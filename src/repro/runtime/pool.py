@@ -48,7 +48,7 @@ from ..core.events import EVENT_WRITE
 from ..core.exceptions import ReproError
 from ..core.monad import M
 from ..core.sync import MVar
-from ..core.syscalls import sys_epoll_wait, sys_fork, sys_now
+from ..core.syscalls import sys_epoll_wait, sys_now
 
 __all__ = [
     "ConnectionPool",
@@ -291,9 +291,9 @@ class ConnectionPool:
                 + len(self._idle))
 
     def _expire(self, waiter: _Waiter):
-        # Timer action (plain code on the sleeper): win the state
-        # transition, then fill the box — the put cannot block because
-        # only the transition winner ever fills it.
+        # Timer action: win the state transition in plain code, then
+        # fill the box — the put cannot block because only the
+        # transition winner ever fills it.
         if waiter.state != "waiting":
             return None
         waiter.state = "dead"
@@ -385,8 +385,9 @@ class ConnectionPool:
                 ) from exc
             watchdog.cancel()
             if watchdog.fired:
-                # Lost the race: the watchdog closed the socket just as
-                # it connected.
+                # Lost the race: the watchdog fired just as the socket
+                # connected (its close runs on its own thread, now or a
+                # step from now).
                 self.connect_timeouts += 1
                 raise PoolTimeout(
                     f"{self.name}: connect timed out after "
@@ -449,12 +450,10 @@ class ConnectionPool:
         return None
 
     def _probe_action(self):
-        # Timer action (plain): fork the probe — the wheel sleeper must
-        # never block on a connect.
         self._probe_armed = False
         if self.closed or not self.down:
             return None
-        return sys_fork(self._probe(), name=f"{self.name}-probe")
+        return self._probe()
 
     @do
     def _probe(self):
@@ -499,7 +498,7 @@ class ConnectionPool:
         self._reaper_armed = False
         if self.closed or not self._idle:
             return None
-        return sys_fork(self._reap(), name=f"{self.name}-reaper")
+        return self._reap()
 
     @do
     def _reap(self):

@@ -235,9 +235,13 @@ class SimRuntime:
         self.epoll = self.kernel.make_epoll()
         self.aio = self.kernel.make_aio()
         self.pool = BlockingPool(self, blocking_pool_size)
-        # Same shared-timer surface as LiveRuntime (virtual clock here),
-        # so mesh nodes and apps run unchanged on either runtime.
-        self.timers = TimerWheel(name="sim-timers")
+        # The same deadline heap as LiveRuntime's, on the virtual clock:
+        # the calendar stays the time base (device completions live
+        # there) and carries one event at the heap's head deadline.
+        self.timers = TimerWheel(
+            self.backend.now, self.spawn, on_earlier=self._cover_timers
+        )
+        self._timers_event: Any = None
         # And the same shared receive-buffer pool surface.
         self.buffers = self.io.buffers
         self._install_handlers()
@@ -299,10 +303,23 @@ class SimRuntime:
     def _handle_sleep(self, _sched: Scheduler, tcb: TCB, node: SysSleep):
         tcb.state = "blocked"
         cont = node.cont
-        self.kernel.clock.schedule(
+        self.timers.sleep(
             node.duration, lambda: self.sched.resume_value(tcb, cont, None)
         )
         return None
+
+    def _cover_timers(self) -> None:
+        # Keep exactly one calendar event, at the earliest live deadline.
+        if self._timers_event is not None:
+            self._timers_event.cancel()
+        deadline = self.timers.next_deadline()
+        self._timers_event = None if deadline is None else (
+            self.kernel.clock.schedule_at(deadline, self._timers_due)
+        )
+
+    def _timers_due(self) -> None:
+        self.timers.fire_due()
+        self._cover_timers()
 
     def _handle_blio(self, _sched: Scheduler, tcb: TCB, node: SysBlio):
         self.kernel.charge(self.params.t_kernel_syscall)

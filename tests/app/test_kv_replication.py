@@ -149,7 +149,8 @@ def make_world(rt, count, live=None, replication=2, write_quorum=1,
         if i not in live:
             nodes.append(None)
             continue
-        mesh = MeshNode(i, rt.io, listeners[i], peers, call_timeout=2.0)
+        mesh = MeshNode(i, rt.io, listeners[i], peers, rt.timers,
+                        call_timeout=2.0)
         node = KvNode(i, count, mesh=mesh, replication=replication,
                       write_quorum=write_quorum,
                       wal=wals[i] if wals else None)
@@ -323,7 +324,7 @@ class TestHintedHandoff:
         host, port = node0.mesh.peers[1]
         listener = rt.make_listener(host, port)
         mesh1 = MeshNode(1, rt.io, listener, dict(node0.mesh.peers),
-                         call_timeout=2.0)
+                         rt.timers, call_timeout=2.0)
         node1 = KvNode(1, 2, mesh=mesh1, replication=2)
         rt.spawn(mesh1.serve(), name="mesh-1-revived")
         replayed = _drive(rt, node0.replay_hints(1))
@@ -610,7 +611,8 @@ class TestNoJsonOnTheDataPath:
         for module, name in ((json, "dumps"), (json, "loads"),
                              (base64, "b64encode"), (base64, "b64decode")):
             spy(module, name)
-        wals = [ShardWal(str(tmp_path / f"shard-{i}"), flush_interval=0.001)
+        wals = [ShardWal(str(tmp_path / f"shard-{i}"), flush_interval=0.001,
+                         timers=rt.timers)
                 for i in range(3)]
         nodes = make_world(rt, 3, replication=2, write_quorum=2, wals=wals)
         ring = nodes[0].ring

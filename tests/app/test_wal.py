@@ -115,7 +115,7 @@ class _FakeTimers:
         return pure(handle)
 
     def fire(self, rt, handle):
-        """Run one armed action the way the wheel's sleeper would."""
+        """Run one armed action the way the runtime's loop would."""
         result = handle.action()
         if result is not None:
             rt.spawn(result, name="fake-timer-action")
@@ -160,12 +160,16 @@ class TestFraming:
 # ----------------------------------------------------------------------
 class TestRecovery:
     def _node(self, directory, rt=None, **wal_kwargs):
+        # ``rt`` given: the log will commit, so it arms its flush
+        # deadline on the runtime's wheel.  Without: recover-only.
+        if rt is not None:
+            wal_kwargs.setdefault("timers", rt.timers)
         wal = ShardWal(directory, **wal_kwargs)
         return KvNode(0, 1, wal=wal), wal
 
     def test_puts_and_tombstones_recover(self, rt, tmp_path):
         directory = str(tmp_path / "shard-0")
-        node, wal = self._node(directory)
+        node, wal = self._node(directory, rt)
         for i in range(8):
             _drive(rt, node.put(f"k{i}", b"v%d" % i))
         _drive(rt, node.delete("k3"))
@@ -186,7 +190,7 @@ class TestRecovery:
         # A log written by another build must not replay as "nothing
         # happened": construction fails, naming the record kind.
         directory = str(tmp_path / "shard-0")
-        wal = ShardWal(directory)
+        wal = ShardWal(directory, timers=rt.timers)
         _drive(rt, wal.commit(encode(GET, "lost", (1, 0))))
         wal.close()
         with pytest.raises(WalError, match=f"op {GET} .* not a WAL record"):
@@ -194,7 +198,7 @@ class TestRecovery:
 
     def test_versioned_writes_and_hints_recover(self, rt, tmp_path):
         directory = str(tmp_path / "shard-0")
-        node, wal = self._node(directory)
+        node, wal = self._node(directory, rt)
         _drive(rt, wal.commit(_w("vk", (7, 2), b"hello")))
         _drive(rt, wal.commit(encode(HINT, "hk", (9, 1), b"hi", target=3)))
         wal.close()
@@ -223,7 +227,7 @@ class TestRecovery:
 
     def test_compaction_snapshots_and_prunes_segments(self, rt, tmp_path):
         directory = str(tmp_path / "shard-0")
-        wal = ShardWal(directory, compact_bytes=512)
+        wal = ShardWal(directory, compact_bytes=512, timers=rt.timers)
         node = KvNode(0, 1, wal=wal)
         for i in range(40):
             _drive(rt, node.put(f"ck{i}", b"value-%d" % i))
@@ -251,7 +255,8 @@ class TestRecovery:
         # clock): reopening from it alone gives back store, tombstone
         # versions, clock and the parked hints per target.
         directory = str(tmp_path / "shard-0")
-        wal = ShardWal(directory, compact_bytes=1)  # every flush compacts
+        wal = ShardWal(directory, compact_bytes=1,  # every flush compacts
+                       timers=rt.timers)
         node = KvNode(0, 1, wal=wal)
         _drive(rt, node.put("bin", bytes(range(256))))
         _drive(rt, node.put("empty", b""))
@@ -316,7 +321,7 @@ class TestRecovery:
 
     def test_wal_dump_prints_one_line_per_record(self, rt, tmp_path):
         directory = str(tmp_path / "shard-0")
-        wal = ShardWal(directory, compact_bytes=1)
+        wal = ShardWal(directory, compact_bytes=1, timers=rt.timers)
         node = KvNode(0, 1, wal=wal)
         _drive(rt, node.put("k\u00e9y", b"12345"))
         rt.run(until=lambda: wal.compactions == 1 and not wal._flushing,
@@ -386,7 +391,7 @@ class TestRecovery:
         assert os.path.getsize(seg1) == len(frame_record(_w("a")))
 
     def test_stats_shape(self, rt, tmp_path):
-        node, wal = self._node(str(tmp_path / "shard-0"))
+        node, wal = self._node(str(tmp_path / "shard-0"), rt)
         _drive(rt, node.put("s", b"1"))
         stats = wal.stats()
         for key in ("wal_appends", "wal_fsyncs", "wal_group_commits",

@@ -482,8 +482,8 @@ class TestHttpClient:
         spawned = [name for name in names if name]
         assert not any("sweeper" in name for name in spawned)
         assert not any("watchdog" in name for name in spawned)
-        sleepers = [name for name in spawned if "sleeper" in name]
-        assert len(sleepers) <= 5
+        assert not any("timer" in name or "sleeper" in name
+                       for name in spawned)
 
     def test_concurrent_requests_share_the_pool(self, rt):
         listener, server = start_upstream(rt)

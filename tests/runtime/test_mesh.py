@@ -66,10 +66,10 @@ def make_pair(rt, handler_a=echo_handler, handler_b=echo_handler, **kwargs):
         0: ("127.0.0.1", listener_a.getsockname()[1]),
         1: ("127.0.0.1", listener_b.getsockname()[1]),
     }
-    node_a = MeshNode(0, rt.io, listener_a, peers, handler=handler_a,
-                      **kwargs)
-    node_b = MeshNode(1, rt.io, listener_b, peers, handler=handler_b,
-                      **kwargs)
+    node_a = MeshNode(0, rt.io, listener_a, peers, rt.timers,
+                      handler=handler_a, **kwargs)
+    node_b = MeshNode(1, rt.io, listener_b, peers, rt.timers,
+                      handler=handler_b, **kwargs)
     rt.spawn(node_a.serve(), name="mesh-a")
     rt.spawn(node_b.serve(), name="mesh-b")
     return node_a, node_b
@@ -416,13 +416,13 @@ class TestCallBudget:
     def test_sequential_call_costs(self, rt):
         """The fast path's cost, from the program's own counters: a
         regression here fails in seconds, not after a benchmark set."""
-        node_a, node_b = make_pair(rt, timers=rt.timers)
+        node_a, node_b = make_pair(rt)
         warmed, done = [], []
         calls = 200
 
         @do
         def warm():
-            yield node_a.call(1, b"warm")  # dial, spawn demux + sleeper
+            yield node_a.call(1, b"warm")  # dial, spawn the demux
             warmed.append(True)
 
         @do
@@ -436,24 +436,26 @@ class TestCallBudget:
 
         def snapshot():
             return (rt.sched.stats()["total_switches"],
+                    rt.sched.stats()["total_syscalls"],
                     rt.backend.read_calls,
                     rt.timers.stats()["scheduled"],
-                    node_a.stats.frames_sent + node_b.stats.frames_sent,
-                    rt.timers.stats()["sleeper_spawns"])
+                    node_a.stats.frames_sent + node_b.stats.frames_sent)
 
         before = snapshot()
         rt.spawn(caller())
         rt.run(until=lambda: bool(done), idle_timeout=10.0)
         assert done
-        switches, reads, timers, frames, sleepers = (
+        switches, nodes, reads, timers, frames = (
             (after - start) / calls
             for after, start in zip(snapshot(), before)
         )
         assert switches <= 7, f"{switches} context switches per call"
+        # 35 at PR 18: arming the deadline is a heap push, not a
+        # sys_now node inside a @do region.
+        assert nodes <= 33, f"{nodes} trace nodes per call"
         assert reads <= 2.2, f"{reads} recv syscalls per call"
         assert timers == 1, f"{timers} timers scheduled per call"
         assert frames == 2, f"{frames} frames per call"
-        assert sleepers == 0  # schedule-then-cancel keeps one sleeper
         assert rt.timers.armed <= 200  # dead deadlines do not pile up
         assert node_a.stats.write_timeouts == 0
 
@@ -479,7 +481,8 @@ class TestFanOutThreads:
         listeners = [rt.make_listener() for _ in range(3)]
         peers = {i: ("127.0.0.1", l.getsockname()[1])
                  for i, l in enumerate(listeners)}
-        nodes = [MeshNode(i, rt.io, l, peers, handler=echo_handler)
+        nodes = [MeshNode(i, rt.io, l, peers, rt.timers,
+                          handler=echo_handler)
                  for i, l in enumerate(listeners)]
         for node in nodes:
             rt.spawn(node.serve(), name=f"mesh-{node.index}")
@@ -548,7 +551,8 @@ class TestFailureModes:
             0: ("127.0.0.1", listener.getsockname()[1]),
             1: ("127.0.0.1", fake.getsockname()[1]),
         }
-        node = MeshNode(0, rt.io, listener, peers, handler=echo_handler)
+        node = MeshNode(0, rt.io, listener, peers, rt.timers,
+                        handler=echo_handler)
         rt.spawn(node.serve(), name="mesh-real")
         rt.spawn(fake_behavior(fake), name="mesh-fake")
         return node
@@ -629,8 +633,8 @@ class TestFailureModes:
             0: ("127.0.0.1", listener.getsockname()[1]),
             1: fake.getsockname(),
         }
-        node = MeshNode(0, rt.io, listener, peers, handler=echo_handler,
-                        **kwargs)
+        node = MeshNode(0, rt.io, listener, peers, rt.timers,
+                        handler=echo_handler, **kwargs)
         rt.spawn(node.serve(), name="mesh-real")
         rt.spawn(peer_behavior(fake), name="choked-peer")
         return node
@@ -758,9 +762,9 @@ class TestFailureModes:
             1: ("127.0.0.1", listener_b.getsockname()[1]),
             2: dead_address,
         }
-        node_a = MeshNode(0, rt.io, listener_a, peers,
+        node_a = MeshNode(0, rt.io, listener_a, peers, rt.timers,
                           handler=echo_handler)
-        node_b = MeshNode(1, rt.io, listener_b, peers,
+        node_b = MeshNode(1, rt.io, listener_b, peers, rt.timers,
                           handler=echo_handler)
         rt.spawn(node_a.serve(), name="mesh-a")
         rt.spawn(node_b.serve(), name="mesh-b")
@@ -858,9 +862,9 @@ class TestBatchedEgress:
         assert node_b.stats.batched_flushes >= 1
 
     def test_no_timer_thread_per_call(self, rt):
-        # The shared wheel replaces per-call/per-link timer threads:
-        # N calls must fork zero sweeper/watchdog threads and at most a
-        # couple of wheel sleepers (one per idle->busy transition).
+        # Call timeouts are heap entries the loop fires: N calls fork
+        # zero sweeper/watchdog threads, nothing services the wheel, and
+        # no timer fired, so no ``timer-action`` thread either.
         names: list = []
         original = rt.sched._new_tcb
 
@@ -884,9 +888,8 @@ class TestBatchedEgress:
         spawned = [name for name in names if name]
         assert not any("sweeper" in name for name in spawned)
         assert not any("watchdog" in name for name in spawned)
-        sleepers = [name for name in spawned if "sleeper" in name]
-        # 20 calls, O(1) wheel sleepers (each timeout is a heap entry).
-        assert len(sleepers) <= 3
+        assert not any("timer" in name or "sleeper" in name
+                       for name in spawned)
         assert node_a.timers.scheduled >= 20
 
     def test_flush_caps_split_oversized_batches(self, rt):

@@ -350,5 +350,5 @@ class TestLifecycle:
         spawned = [name for name in names if name]
         assert not any("sweeper" in name for name in spawned)
         assert not any("watchdog" in name for name in spawned)
-        sleepers = [name for name in spawned if "sleeper" in name]
-        assert len(sleepers) <= 3
+        assert not any("timer" in name or "sleeper" in name
+                       for name in spawned)
