@@ -188,11 +188,8 @@ class GatewayHandler:
         self.not_found = 0
 
     # -- handler contract ----------------------------------------------
-    def respond(self, request: HttpRequest) -> M:
-        return self._respond(request)
-
     @do
-    def _respond(self, request):
+    def respond(self, request: HttpRequest):
         self.requests += 1
         route = self._match(request.path)
         if route is None:

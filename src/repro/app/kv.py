@@ -118,6 +118,15 @@ from .wal import ShardWal, WalError
 __all__ = ["HashRing", "KvNode", "KvHttpHandler", "KvQuorumError",
            "build_kv_app"]
 
+#: Seconds between hint-pump firings (the backstop behind ``peer_up``).
+HINT_REPLAY_INTERVAL = 1.0
+
+#: The counters ``local_stats`` reports bare and ``extra_stats`` with a
+#: ``kv_`` prefix (``keys`` is computed beside them).
+_COUNTERS = ("owned_ops", "proxied_ops", "mesh_served_ops",
+             "replica_writes", "read_repairs", "hints_queued",
+             "hints_replayed", "hints_pending", "quorum_failures")
+
 
 class KvQuorumError(MeshError):
     """A replicated write was acked by fewer than ``write_quorum``
@@ -235,7 +244,6 @@ class KvNode:
         vnodes: int = 64,
         replication: int = 1,
         write_quorum: int = 1,
-        hint_replay_interval: float = 1.0,
         wal: ShardWal | None = None,
     ) -> None:
         if mesh is None and shards != 1:
@@ -257,7 +265,6 @@ class KvNode:
         #: ``target shard -> {key: (version, value-or-None)}``.
         self.hints: dict[int, dict[str, tuple[tuple[int, int],
                                               bytes | None]]] = {}
-        self.hint_replay_interval = hint_replay_interval
         self.pump_running = False
         #: Single-key ops executed against the local store (this shard
         #: holds a replica of the key), whether over HTTP or the mesh.
@@ -368,21 +375,18 @@ class KvNode:
     def hints_pending(self) -> int:
         return sum(len(bucket) for bucket in self.hints.values())
 
+    def _counters(self, prefix: str = "") -> dict:
+        counters = {prefix + "keys": len(self.store)}
+        for name in _COUNTERS:
+            counters[prefix + name] = getattr(self, name)
+        return counters
+
     def local_stats(self) -> dict:
         stats = {
             "index": self.index,
-            "keys": len(self.store),
             "replication": self.replication,
             "write_quorum": self.write_quorum,
-            "owned_ops": self.owned_ops,
-            "proxied_ops": self.proxied_ops,
-            "mesh_served_ops": self.mesh_served_ops,
-            "replica_writes": self.replica_writes,
-            "read_repairs": self.read_repairs,
-            "hints_queued": self.hints_queued,
-            "hints_replayed": self.hints_replayed,
-            "hints_pending": self.hints_pending,
-            "quorum_failures": self.quorum_failures,
+            **self._counters(),
             "clock": self.clock,
         }
         if self.wal is not None:
@@ -391,18 +395,7 @@ class KvNode:
 
     def extra_stats(self) -> dict:
         """Numeric app counters for the cluster control snapshot."""
-        stats = {
-            "kv_keys": len(self.store),
-            "kv_owned_ops": self.owned_ops,
-            "kv_proxied_ops": self.proxied_ops,
-            "kv_mesh_served_ops": self.mesh_served_ops,
-            "kv_replica_writes": self.replica_writes,
-            "kv_read_repairs": self.read_repairs,
-            "kv_hints_queued": self.hints_queued,
-            "kv_hints_replayed": self.hints_replayed,
-            "kv_hints_pending": self.hints_pending,
-            "kv_quorum_failures": self.quorum_failures,
-        }
+        stats = self._counters("kv_")
         if self.wal is not None:
             # wal_appends / wal_fsyncs / wal_group_* / wal_replayed_*:
             # summed cluster-wide except wal_group_max (a high-water
@@ -666,7 +659,8 @@ class KvNode:
     # ------------------------------------------------------------------
     # Hinted handoff: replay parked writes when their target returns.
     # ------------------------------------------------------------------
-    def replay_hints(self, peer: int | None = None) -> M:
+    @do
+    def replay_hints(self, peer: int | None = None):
         """Replay parked writes to ``peer`` (or every hinted target).
 
         Resumes with the number of hints drained.  A target that is
@@ -675,10 +669,6 @@ class KvNode:
         ``on_peer_up`` hook) when a shard respawns or reloads; the
         periodic :meth:`pump_tick` is the backstop.
         """
-        return self._replay_hints(peer)
-
-    @do
-    def _replay_hints(self, peer):
         if self.mesh is None:
             return 0
         targets = [peer] if peer is not None else list(self.hints)
@@ -701,26 +691,23 @@ class KvNode:
                 self.hints.pop(target, None)
         return replayed
 
-    def pump_tick(self, timers: Any) -> M:
+    @do
+    def pump_tick(self, timers: Any):
         """One timer-wheel firing of the hint pump: fork a replay if
         hints are parked (a slow replay must not stretch the pump's
         period), then re-arm.  Stops re-arming once ``pump_running`` is
         cleared."""
-        return self._pump_tick(timers)
-
-    @do
-    def _pump_tick(self, timers):
         if not self.pump_running:
             return
         if self.hints:
             yield sys_fork(self._replay_quietly(), name="kv-hint-replay")
-        yield timers.schedule(self.hint_replay_interval,
-                              lambda: self._pump_tick(timers))
+        yield timers.schedule(HINT_REPLAY_INTERVAL,
+                              lambda: self.pump_tick(timers))
 
     @do
     def _replay_quietly(self):
         try:
-            yield self._replay_hints(None)
+            yield self.replay_hints()
         except MeshError:
             pass  # target still down: the next tick retries
 
@@ -748,7 +735,7 @@ class KvNode:
                 except MeshError:
                     continue  # best effort: we are shutting down
         try:
-            yield self._replay_hints(None)
+            yield self.replay_hints()
         except MeshError:
             pass
         return pushed
@@ -834,11 +821,8 @@ class KvNode:
     # ------------------------------------------------------------------
     # The mesh-inbound side: execute an op we hold a replica of.
     # ------------------------------------------------------------------
-    def _handle_mesh(self, body: bytes) -> M:
-        return self._serve_mesh(body)
-
     @do
-    def _serve_mesh(self, body):
+    def _handle_mesh(self, body: bytes):
         if is_run(body):
             asked = decode_run(body)
             self.mesh_served_ops += 1
@@ -887,11 +871,8 @@ class KvHttpHandler:
     def __init__(self, node: KvNode) -> None:
         self.node = node
 
-    def respond(self, request: HttpRequest) -> M:
-        return self._respond(request)
-
     @do
-    def _respond(self, request):
+    def respond(self, request: HttpRequest):
         path = request.path
         try:
             if path.startswith("/kv/"):
@@ -1057,7 +1038,7 @@ def build_kv_app(
         def main_with_pump():
             node.pump_running = True
             yield rt.timers.schedule(
-                node.hint_replay_interval,
+                HINT_REPLAY_INTERVAL,
                 lambda: node.pump_tick(rt.timers),
             )
             yield driver_main()

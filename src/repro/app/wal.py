@@ -497,7 +497,8 @@ class ShardWal:
         return None
 
     # ------------------------------------------------------------------
-    def flush_now(self) -> M:
+    @do
+    def flush_now(self):
         """Flush until nothing is pending and no flush is in flight —
         a test/shutdown convenience.
 
@@ -507,10 +508,6 @@ class ShardWal:
         barrier, so every record appended before the call is durable —
         or its writers saw :class:`WalError` — by the time it resumes.
         """
-        return self._flush_now()
-
-    @do
-    def _flush_now(self):
         flushed = 0
         while not self._closed and (self._pending or self._flushing):
             if not self._flushing:

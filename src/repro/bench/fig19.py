@@ -69,20 +69,6 @@ def _warm_app_cache(server, kernel, names: list[str], seed: int) -> None:
         server.cache.put(name, handle.content_at(0, size))
 
 
-def _warm_page_cache(kernel, names: list[str], seed: int) -> None:
-    """Fill the kernel page cache with a random resident set (whole files)."""
-    cache = kernel.fs.page_cache
-    page = cache.page_bytes
-    rng = random.Random(seed + 9002)
-    for index in rng.sample(range(len(names)), len(names)):
-        name = names[index]
-        pages = -(-kernel.fs.file_size(name) // page)
-        if cache.resident_pages + pages > cache.capacity_pages:
-            break
-        for page_index in range(pages):
-            cache.insert(name, page_index)
-
-
 def _request_for(name: str) -> bytes:
     return (
         f"GET /{name} HTTP/1.1\r\nHost: server\r\n\r\n"

@@ -257,11 +257,8 @@ class MemcacheProtocol(CacheProtocolBase):
             return KEYED, (command[1],)
         return BARRIER, ()
 
-    def execute(self, command, out, values=None):
-        return self._execute(command, out, values)
-
     @do
-    def _execute(self, command, out, values):
+    def execute(self, command, out, values=None):
         stats = self.stats
         kind = command[0]
         if kind == "get":

@@ -178,11 +178,8 @@ class RespProtocol(CacheProtocolBase):
         # No store access: PING, chatter, QUIT, unknown, wrong arity.
         return BARRIER, ()
 
-    def execute(self, command, out, values=None):
-        return self._execute(command, out, values)
-
     @do
-    def _execute(self, command, out, values):
+    def execute(self, command, out, values=None):
         stats = self.stats
         name = command[0].upper()
         args = command[1:]

@@ -16,7 +16,6 @@ from .events import EVENT_ERROR, EVENT_HUP, EVENT_READ, EVENT_WRITE
 from .exceptions import (
     DeadlockError,
     ReproError,
-    SchedulerShutdown,
     ThreadKilled,
     UncaughtThreadError,
     UnsupportedSyscallError,
@@ -52,7 +51,6 @@ from .sync import (
 )
 from .syscalls import (
     sys_aio_read,
-    sys_aio_write,
     sys_blio,
     sys_catch,
     sys_epoll_wait,
@@ -81,7 +79,7 @@ __all__ = [
     # syscalls
     "sys_nbio", "sys_blio", "sys_fork", "sys_yield", "sys_ret", "sys_throw",
     "sys_catch", "sys_finally", "sys_epoll_wait", "sys_aio_read",
-    "sys_aio_write", "sys_sleep", "sys_stm", "sys_tcp", "sys_special",
+    "sys_sleep", "sys_stm", "sys_tcp", "sys_special",
     "sys_get_tid", "sys_now",
     # scheduler
     "Scheduler", "TCB", "run_threads", "SmpScheduler",
@@ -96,5 +94,5 @@ __all__ = [
     "EVENT_READ", "EVENT_WRITE", "EVENT_ERROR", "EVENT_HUP",
     # errors
     "ReproError", "UncaughtThreadError", "DeadlockError", "ThreadKilled",
-    "UnsupportedSyscallError", "SchedulerShutdown",
+    "UnsupportedSyscallError",
 ]

@@ -8,7 +8,6 @@ __all__ = [
     "DeadlockError",
     "ThreadKilled",
     "UnsupportedSyscallError",
-    "SchedulerShutdown",
 ]
 
 
@@ -45,7 +44,3 @@ class ThreadKilled(ReproError):
 class UnsupportedSyscallError(ReproError):
     """A trace node reached a scheduler with no handler registered for it
     (e.g. ``sys_epoll_wait`` on a bare scheduler with no I/O backend)."""
-
-
-class SchedulerShutdown(ReproError):
-    """Delivered into surviving threads when a runtime shuts down."""

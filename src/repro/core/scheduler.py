@@ -363,19 +363,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Node interpretation
     # ------------------------------------------------------------------
-    def _interpret(self, tcb: TCB, node: Trace) -> Thunk | Trace | None:
-        """Handle one trace node; return the thread's next step to run
-        inline (a thunk or a ready node), or ``None`` if the thread parked,
-        yielded, or finished.
-
-        This is the dispatch-table equivalent of the paper's Figure 11
-        case analysis; :meth:`run_batch` inlines the same lookup.
-        """
-        fn = self._dispatch.get(type(node))
-        if fn is not None:
-            return fn(tcb, node)
-        return self._interpret_extension(tcb, node)
-
     def _do_gen(self, tcb: TCB, node: SysGen) -> Trace:
         # Enter (or re-enter, after an unwind re-armed it) a @do region:
         # the node itself is the handler frame, and driving it runs the
@@ -546,10 +533,6 @@ class Scheduler:
             "total_syscalls": self.total_syscalls,
             "total_switches": self.total_switches,
         }
-
-
-def _throw_thunk(exc: BaseException) -> Thunk:
-    return lambda: SysThrow(exc)
 
 
 def run_threads(

@@ -114,9 +114,9 @@ class SmpScheduler:
         return self.workers[worker].spawn(comp, name=name)
 
     # ------------------------------------------------------------------
-    # Device-loop surface: the runtime drives an SmpScheduler exactly like
-    # a single Scheduler (spawn/step/ready/resume*), so a LiveRuntime can
-    # wrap one for intra-process shard locality (see repro.runtime.cluster).
+    # Device-loop surface: the same spawn/step/ready/resume* a single
+    # Scheduler offers, so a device loop can resume a parked thread on
+    # its home worker.
     # ------------------------------------------------------------------
     @property
     def ready(self) -> int:

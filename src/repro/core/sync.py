@@ -457,16 +457,6 @@ class RWLock(_SyncPrimitive):
         """Drop the exclusive lock, preferring queued writers."""
         return self._op("release_write")
 
-    def with_read(self, comp: M) -> M:
-        """Run ``comp`` under a shared lock."""
-        return self.acquire_read().then(sys_finally(comp, self.release_read()))
-
-    def with_write(self, comp: M) -> M:
-        """Run ``comp`` under the exclusive lock."""
-        return self.acquire_write().then(
-            sys_finally(comp, self.release_write())
-        )
-
     def handle(
         self,
         sched: Scheduler,

@@ -26,7 +26,6 @@ from typing import Any, Callable
 from .monad import M, build_trace
 from .trace import (
     SysAioRead,
-    SysAioWrite,
     SysBlio,
     SysCatch,
     SysEndCatch,
@@ -56,7 +55,6 @@ __all__ = [
     "sys_finally",
     "sys_epoll_wait",
     "sys_aio_read",
-    "sys_aio_write",
     "sys_sleep",
     "sys_mutex_op",
     "sys_mvar_op",
@@ -195,11 +193,6 @@ def sys_aio_read(fd: Any, offset: int, nbytes: int) -> M:
     """Submit an asynchronous read; resume with the bytes read (possibly
     shorter than ``nbytes`` at end of file, empty at EOF)."""
     return M(lambda c: SysAioRead(fd, offset, nbytes, c))
-
-
-def sys_aio_write(fd: Any, offset: int, data: bytes) -> M:
-    """Submit an asynchronous write; resume with the byte count written."""
-    return M(lambda c: SysAioWrite(fd, offset, data, c))
 
 
 def sys_sleep(duration: float) -> M:

@@ -38,7 +38,6 @@ __all__ = [
     "DoProtocolError",
     "SysEpollWait",
     "SysAioRead",
-    "SysAioWrite",
     "SysSleep",
     "SysMutex",
     "SysMVar",
@@ -389,19 +388,6 @@ class SysAioRead(Trace):
         self.cont = cont
 
 
-class SysAioWrite(Trace):
-    """Asynchronous disk write; continuation receives the byte count."""
-
-    __slots__ = ("fd", "offset", "data", "cont")
-    TAG = "SYS_AIO_WRITE"
-
-    def __init__(self, fd: Any, offset: int, data: bytes, cont: Cont) -> None:
-        self.fd = fd
-        self.offset = offset
-        self.data = data
-        self.cont = cont
-
-
 class SysSleep(Trace):
     """Block the thread for ``duration`` seconds (timer event loop)."""
 
@@ -521,7 +507,7 @@ def format_trace_node(node: Trace) -> str:
         detail = f" value={node.value!r}"
     elif isinstance(node, SysEpollWait):
         detail = f" fd={node.fd!r} events={node.events!r}"
-    elif isinstance(node, (SysAioRead, SysAioWrite)):
+    elif isinstance(node, SysAioRead):
         detail = f" fd={node.fd!r} offset={node.offset}"
     elif isinstance(node, SysMutex):
         detail = f" op={node.op}"

@@ -17,7 +17,7 @@ import socket
 from ..blocking import BlockingConnection
 from .client import ResponseParseError, ResponseParser, _encode_request
 
-__all__ = ["BlockingHttpClient", "read_response", "read_full_response"]
+__all__ = ["BlockingHttpClient", "read_full_response"]
 
 
 def _read_one(sock: socket.socket, buffer: bytearray, method: str):
@@ -51,18 +51,6 @@ def _read_one(sock: socket.socket, buffer: bytearray, method: str):
         raise ConnectionError(str(exc)) from exc
     buffer.extend(parser.drain())
     return response
-
-
-def read_response(sock: socket.socket, buffer: bytearray) -> tuple[str, bytes]:
-    """Consume exactly one response from ``sock``.
-
-    ``buffer`` holds pipelined/keep-alive leftovers between calls (pass
-    the same bytearray for the connection's lifetime).  Returns
-    ``(status_line, body)``; raises :class:`ConnectionError` if the peer
-    closes mid-response.
-    """
-    response = _read_one(sock, buffer, "GET")
-    return response.status_line, response.body
 
 
 def read_full_response(
@@ -107,7 +95,3 @@ class BlockingHttpClient(BlockingConnection):
         return read_full_response(
             self.sock, self.buffer, head_only=(method == "HEAD")
         )
-
-    def send_raw(self, payload: bytes) -> None:
-        """Write arbitrary bytes (pipelined bursts, malformed requests)."""
-        self.sock.sendall(payload)

@@ -278,16 +278,17 @@ class HttpClient:
     def get(self, target: str, headers: dict[str, str] | None = None,
             timeout: float | None = None) -> M:
         """GET ``target``; resumes with a :class:`ClientResponse`."""
-        return self._request("GET", target, b"", headers, timeout)
+        return self.request("GET", target, b"", headers, timeout)
 
     def head(self, target: str, headers: dict[str, str] | None = None,
              timeout: float | None = None) -> M:
         """HEAD ``target``."""
-        return self._request("HEAD", target, b"", headers, timeout)
+        return self.request("HEAD", target, b"", headers, timeout)
 
+    @do
     def request(self, method: str, target: str, body: bytes = b"",
                 headers: dict[str, str] | None = None,
-                timeout: float | None = None) -> M:
+                timeout: float | None = None):
         """Any-method request; resumes with a :class:`ClientResponse`.
 
         Raises :class:`RequestTimeout` when the per-request deadline
@@ -295,33 +296,6 @@ class HttpClient:
         and the pool's errors (:class:`~repro.runtime.pool.UpstreamDown`,
         :class:`~repro.runtime.pool.PoolTimeout`, ...) unchanged.
         """
-        return self._request(method, target, body, headers, timeout)
-
-    def pipeline(self, requests: list, timeout: float | None = None) -> M:
-        """Issue several requests on one connection as **one** vectored
-        write, then read the responses back in order.  Each element of
-        ``requests`` is ``(method, target)`` or ``(method, target,
-        body)`` or ``(method, target, body, headers)``.  Resumes with a
-        list of :class:`ClientResponse`."""
-        return self._pipeline(list(requests), timeout)
-
-    def close(self) -> M:
-        """Close the underlying pool."""
-        return self.pool.close()
-
-    def stats(self) -> dict:
-        out = {
-            "requests": self.requests,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-        }
-        for key, value in self.pool.stats().items():
-            out[f"pool_{key}"] = value
-        return out
-
-    # -- internals -----------------------------------------------------
-    @do
-    def _request(self, method, target, body, headers, timeout):
         timeout = self.request_timeout if timeout is None else timeout
         bufs = _encode_request(method, target, self.host, headers, body)
         self.requests += 1
@@ -355,7 +329,12 @@ class HttpClient:
         raise self._mapped(last_exc, method, target)  # pragma: no cover
 
     @do
-    def _pipeline(self, requests, timeout):
+    def pipeline(self, requests: list, timeout: float | None = None):
+        """Issue several requests on one connection as **one** vectored
+        write, then read the responses back in order.  Each element of
+        ``requests`` is ``(method, target)`` or ``(method, target,
+        body)`` or ``(method, target, body, headers)``.  Resumes with a
+        list of :class:`ClientResponse`."""
         timeout = self.request_timeout if timeout is None else timeout
         methods = []
         bufs: list[bytes] = []
@@ -383,6 +362,21 @@ class HttpClient:
         yield self.pool.release(pc, discard=not reusable)
         return responses
 
+    def close(self) -> M:
+        """Close the underlying pool."""
+        return self.pool.close()
+
+    def stats(self) -> dict:
+        out = {
+            "requests": self.requests,
+            "retries": self.retries,
+            "timeouts": self.timeouts,
+        }
+        for key, value in self.pool.stats().items():
+            out[f"pool_{key}"] = value
+        return out
+
+    # -- internals -----------------------------------------------------
     @do
     def _exchange(self, pc, methods, bufs, timeout, progress):
         """Write the request bytes (one gathered write) and read

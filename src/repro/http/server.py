@@ -74,6 +74,9 @@ __all__ = ["WebServer", "IoSocketLayer", "KernelSocketLayer",
            "HttpProtocol", "StaticFileHandler",
            "DocRootFilesystem", "EmptyFilesystem", "build_live_server"]
 
+#: Bytes asked of one AIO read while loading a file into the cache.
+READ_CHUNK = 64 * 1024
+
 
 class KernelSocketLayer(IoSocketLayer):
     """Socket operations over kernel-style simulated streams.
@@ -228,14 +231,12 @@ class StaticFileHandler:
         self,
         fs: SimFileSystem,
         cache: FileCache,
-        read_chunk: int = 64 * 1024,
         stats: ServerStats | None = None,
         mtime_ttl: float = 0.25,
         sendfile: bool | None = None,
     ) -> None:
         self.fs = fs
         self.cache = cache
-        self.read_chunk = read_chunk
         self.stats = stats if stats is not None else ServerStats()
         self.mtime_ttl = mtime_ttl
         # Sendfile egress: default on exactly when the filesystem can
@@ -256,11 +257,8 @@ class StaticFileHandler:
     #: Sweep threshold for the validator dict (see ``_load``).
     _MTIME_SWEEP = 4096
 
-    def respond(self, request: HttpRequest) -> M:
-        return self._respond(request)
-
     @do
-    def _respond(self, request):
+    def respond(self, request: HttpRequest):
         if request.method not in ("GET", "HEAD"):
             raise HttpError(405, request.method)
         path = request.path.lstrip("/")
@@ -433,7 +431,7 @@ class StaticFileHandler:
             chunks = []
             offset = 0
             while True:
-                chunk = yield sys_aio_read(handle, offset, self.read_chunk)
+                chunk = yield sys_aio_read(handle, offset, READ_CHUNK)
                 self.stats.aio_reads += 1
                 if not chunk:
                     break
@@ -686,7 +684,6 @@ class WebServer:
         socket_layer: Any,
         fs: SimFileSystem,
         cache_bytes: int = 100 * 1024 * 1024,
-        read_chunk: int = 64 * 1024,
         name: str = "webserver",
         accept_batch: int = 64,
         max_connections: int | None = None,
@@ -700,12 +697,11 @@ class WebServer:
         self.layer = socket_layer
         self.fs = fs
         self.cache = FileCache(cache_bytes)
-        self.read_chunk = read_chunk
         self.name = name
         self.stats = ServerStats()
         if handler is None:
             handler = StaticFileHandler(
-                fs, self.cache, read_chunk=read_chunk, stats=self.stats,
+                fs, self.cache, stats=self.stats,
                 mtime_ttl=mtime_ttl, sendfile=sendfile,
             )
         self.handler = handler
@@ -849,7 +845,6 @@ def build_live_server(
     site: dict[str, bytes] | None = None,
     docroot: str | None = None,
     cache_bytes: int = 100 * 1024 * 1024,
-    read_chunk: int = 64 * 1024,
     name: str = "webserver",
     accept_batch: int = 64,
     max_connections: int | None = None,
@@ -883,7 +878,7 @@ def build_live_server(
     fs: Any = DocRootFilesystem(docroot) if docroot else EmptyFilesystem()
     server = WebServer(
         LiveSocketLayer(rt.io, listener), fs,
-        cache_bytes=cache_bytes, read_chunk=read_chunk, name=name,
+        cache_bytes=cache_bytes, name=name,
         accept_batch=accept_batch, max_connections=max_connections,
         handler=handler, max_header_bytes=max_header_bytes,
         max_body_bytes=max_body_bytes, mtime_ttl=mtime_ttl,

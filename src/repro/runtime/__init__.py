@@ -23,7 +23,7 @@ and proposes per-scheduler queues with work stealing —
 CPython, though, one process is one core of live serving, so
 :class:`repro.runtime.cluster.ClusterServer` replicates the architecture
 at the process level: ``N`` shard processes, each a complete
-``LiveRuntime`` event loop (optionally wrapping an ``SmpScheduler``), each
+``LiveRuntime`` event loop, each
 listening on the *same* port through its own ``SO_REUSEPORT`` socket.  The
 kernel hashes incoming connections across the shard listeners, giving a
 shared-nothing accept path — no lock, no handoff — which is how

@@ -4,9 +4,8 @@ The paper scales its hybrid model across CPUs by running several
 ``worker_main`` event loops; :class:`~repro.core.smp.SmpScheduler` models
 that inside one process.  Python's GIL means one process still serves live
 traffic on one core, so the cluster replicates the *whole runtime* instead:
-``N`` shard processes, each running its own :class:`LiveRuntime` event loop
-(optionally wrapping an ``SmpScheduler`` for intra-process locality), each
-with its own ``SO_REUSEPORT`` listener on one shared port.  The kernel
+``N`` shard processes, each running its own :class:`LiveRuntime` event loop,
+each with its own ``SO_REUSEPORT`` listener on one shared port.  The kernel
 hashes incoming connections across the listeners, so shards share nothing —
 no accept lock, no cross-process queue — which is the design NFork and
 Continuation-Passing C demonstrate for thread-to-event systems on SMPs.
@@ -46,7 +45,6 @@ import time
 from typing import Any, Callable
 
 from ..core.do_notation import do
-from ..core.smp import SmpScheduler
 from ..core.syscalls import sys_sleep
 from .live_runtime import LiveRuntime, make_listener
 from .mesh import MeshNode
@@ -54,6 +52,14 @@ from .mesh import MeshNode
 __all__ = ["AppContext", "ClusterConfig", "ClusterServer", "build_runtime"]
 
 _CRASH_EXIT_CODE = 86  # distinguishes a commanded crash from a real one
+
+#: How long the master waits for a forked shard's ``ready`` event.
+READY_TIMEOUT = 10.0
+
+#: Idle-link keepalive period for the mesh (seconds): each shard pings
+#: client links that sent nothing for one interval, so a wedged peer
+#: trips the write watchdog *before* real traffic blocks on it.
+MESH_KEEPALIVE = 5.0
 
 
 @dataclasses.dataclass
@@ -65,13 +71,9 @@ class ClusterConfig:
     shards: int = 2
     backlog: int = 1024
     batch_limit: int = 128
-    scheduler: str = "simple"     # "simple" | "smp"
-    smp_workers: int = 4
-    pool_workers: int = 4
     poller: str = "auto"          # "auto" | "epoll" | "select"
     respawn: bool = True
     grace: float = 0.25           # drain window after a stop command
-    ready_timeout: float = 10.0
     #: Shard-to-shard data plane: when on, every shard gets a mesh
     #: listener (one extra port, reserved by the master) and a
     #: :class:`~repro.runtime.mesh.MeshNode` dialed to every peer.
@@ -79,15 +81,6 @@ class ClusterConfig:
     #: Master-resolved mesh listener ports, one per shard index.  Shards
     #: learn the full address map from this at spawn.
     mesh_ports: tuple = ()
-    mesh_call_timeout: float = 5.0
-    #: Bound on one mesh frame write (a peer that stops reading is
-    #: declared wedged past it and its link is downed).
-    mesh_write_timeout: float = 5.0
-    #: Idle-link keepalive period for the mesh (seconds): each shard
-    #: pings client links that sent nothing for one interval, so a
-    #: wedged peer trips the write watchdog *before* real traffic
-    #: blocks on it.  ``None``/``0`` disables probing.
-    mesh_keepalive: float | None = 5.0
     #: Replication factor for replicated applications (e.g. the KV
     #: store's N-successor replication).
     replication: int = 1
@@ -149,20 +142,9 @@ def build_runtime(config: ClusterConfig) -> LiveRuntime:
     ``uncaught="store"`` so a failure in one client thread is recorded, not
     fatal to the whole shard.
     """
-    if config.scheduler == "smp":
-        sched: Any = SmpScheduler(
-            workers=config.smp_workers, batch_limit=config.batch_limit,
-            uncaught="store",
-        )
-    elif config.scheduler == "simple":
-        sched = None
-    else:
-        raise ValueError(f"unknown scheduler kind {config.scheduler!r}")
     return LiveRuntime(
         batch_limit=config.batch_limit,
         uncaught="store",
-        pool_workers=config.pool_workers,
-        scheduler=sched,
         poller=config.poller,
     )
 
@@ -196,11 +178,6 @@ def _parse_lines(buffer: bytearray) -> list[dict]:
 # ----------------------------------------------------------------------
 # The shard process.
 # ----------------------------------------------------------------------
-def _queue_depth(sched: Any) -> int:
-    ready = sched.ready
-    return ready if isinstance(ready, int) else len(ready)
-
-
 def _worker_main(
     index: int,
     config: ClusterConfig,
@@ -240,13 +217,11 @@ def _worker_main(
         }
         mesh = MeshNode(
             index, rt.io, mesh_listener, peers,
-            call_timeout=config.mesh_call_timeout,
-            write_timeout=config.mesh_write_timeout,
             # One deadline heap per shard: mesh call timeouts, write
             # watchdogs, keepalive ticks and the KV hint pump all share
             # the runtime's wheel.
             timers=rt.timers,
-            keepalive_interval=config.mesh_keepalive,
+            keepalive_interval=MESH_KEEPALIVE,
         )
     cache_listener: socket.socket | None = None
     if config.cache_port is not None:
@@ -286,7 +261,7 @@ def _worker_main(
             # the one-write-per-response property in situ.
             "io_write_calls": getattr(rt.backend, "write_calls", 0),
             "io_writev_calls": getattr(rt.backend, "writev_calls", 0),
-            "queue_depth": _queue_depth(rt.sched),
+            "queue_depth": len(rt.sched.ready),
             "live_threads": rt.sched.live_threads,
         }
         if mesh is not None:
@@ -617,13 +592,13 @@ class ClusterServer:
         return _WorkerHandle(index, process, parent_sock)
 
     def _await_ready(self, handle: _WorkerHandle) -> None:
-        deadline = time.monotonic() + self.config.ready_timeout
+        deadline = time.monotonic() + READY_TIMEOUT
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise RuntimeError(
                     f"shard {handle.index} not ready within "
-                    f"{self.config.ready_timeout}s"
+                    f"{READY_TIMEOUT}s"
                 )
             for message in handle.read_messages(min(remaining, 0.2)):
                 if message.get("event") == "ready":

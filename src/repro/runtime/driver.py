@@ -197,17 +197,14 @@ class ConnectionDriver:
         self._shed_payload = protocol.shed_payload()
 
     # ------------------------------------------------------------------
-    def main(self) -> M:
-        """The root thread: accept loop spawning per-connection threads."""
-        return self._main()
-
     def stop(self) -> None:
         """Stop accepting new connections (current ones finish)."""
         self.running = False
 
     # ------------------------------------------------------------------
     @do
-    def _main(self):
+    def main(self):
+        """The root thread: accept loop spawning per-connection threads."""
         layer = self.layer
         stats = self.stats
         listener = yield layer.setup()
@@ -235,7 +232,7 @@ class ConnectionDriver:
 
     @do
     def _admitted(self, conn):
-        # ``active`` pairs with the admission in ``_main``; the plain
+        # ``active`` pairs with the admission in ``main``; the plain
         # (non-yielding) decrement is safe even under GeneratorExit.
         try:
             yield self.handle_connection(conn)

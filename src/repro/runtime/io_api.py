@@ -12,7 +12,9 @@ Every wrapper loops: try the non-blocking operation via ``sys_nbio``; on
 ``WOULD_BLOCK``, park with ``sys_epoll_wait`` until the descriptor is ready,
 then retry.  The multithreaded programming style "makes it easy to hide the
 non-blocking I/O semantics and provide higher level abstractions" — these
-are those abstractions, shared by the simulated and live backends.
+are those abstractions, shared by the simulated and live backends.  Each
+operation is one ``@do`` generator method of :class:`NetIO`, defined once
+under its public name.
 """
 
 from __future__ import annotations
@@ -143,290 +145,136 @@ class NetIO:
         #: the backend lacks ``nb_sendfile`` (bench evidence surface).
         self.sendfile_fallbacks = 0
 
-        # Bind the generator wrappers once; they close over the backend.
-        @do
-        def _read(fd, nbytes):
-            while True:
-                data = yield sys_nbio(lambda: backend.nb_read(fd, nbytes))
-                if data is not WOULD_BLOCK:
-                    return data
-                yield sys_epoll_wait(fd, EVENT_READ)
-
-        @do
-        def _read_into(fd, buf):
-            # Zero-allocation ingress: the kernel fills ``buf`` in place
-            # (``recv_into``) instead of handing back a fresh ``bytes``
-            # per call.  Resumes with the byte count; 0 means EOF.
-            op = getattr(backend, "nb_recv_into", None)
-            if op is None:
-                # Fallback for backends without the primitive: one read
-                # plus one copy into the caller's buffer (still pooled —
-                # the parser path above stays uniform).
-                data = yield _read(fd, len(buf))
-                count = len(data)
-                buf[:count] = data
-                return count
-            while True:
-                count = yield sys_nbio(lambda: op(fd, buf))
-                if count is not WOULD_BLOCK:
-                    return count
-                yield sys_epoll_wait(fd, EVENT_READ)
-
-        @do
-        def _read_pooled(fd, pool):
-            # The keep-alive ingress loop: lease a pooled buffer, fill it
-            # with ``recv_into``, resume with ``(lease, count)``.  While
-            # *parked* waiting for bytes the lease is NOT held — an idle
-            # keep-alive connection pins zero buffers.  Release is plain
-            # code, so the abandonment guard below (GeneratorExit at a
-            # yield) can return the lease without a scheduler.
-            op = getattr(backend, "nb_recv_into", None)
-            if op is None:
-                data = yield _read(fd, pool.buffer_bytes)
-                lease = pool.lease()
-                count = len(data)
-                lease.data[:count] = data
-                return lease, count
-            lease = pool.lease()
-            try:
-                while True:
-                    count = yield sys_nbio(lambda: op(fd, lease.data))
-                    if count is not WOULD_BLOCK:
-                        return lease, count
-                    lease.release()
-                    yield sys_epoll_wait(fd, EVENT_READ)
-                    lease = pool.lease()
-            except BaseException:
-                # Error or abandonment mid-read: the caller never sees
-                # the lease, so hand it back here (idempotent).
-                lease.release()
-                raise
-
-        @do
-        def _read_exact(fd, nbytes):
-            chunks = []
-            remaining = nbytes
-            while remaining > 0:
-                data = yield _read(fd, remaining)
-                if not data:
-                    raise ConnectionClosed(
-                        f"EOF with {remaining} of {nbytes} bytes unread"
-                    )
-                chunks.append(data)
-                remaining -= len(data)
-            return b"".join(chunks)
-
-        @do
-        def _write(fd, data):
-            while True:
-                count = yield sys_nbio(lambda: backend.nb_write(fd, data))
-                if count is not WOULD_BLOCK:
-                    return count
-                yield sys_epoll_wait(fd, EVENT_WRITE)
-
-        @do
-        def _write_all(fd, data):
-            view = memoryview(data)
-            offset = 0
-            while offset < len(view):
-                count = yield _write(fd, bytes(view[offset:]))
-                offset += count
-            return len(view)
-
-        @do
-        def _writev(fd, bufs):
-            # One gathered write: some prefix of ``bufs`` hits the wire
-            # in one syscall.  Falls back to join+write when the backend
-            # has no scatter-gather primitive.
-            op = getattr(backend, "nb_writev", None)
-            if op is None:
-                count = yield _write(
-                    fd, b"".join(bytes(buf) for buf in bufs)
-                )
-                return count
-            while True:
-                count = yield sys_nbio(lambda: op(fd, bufs))
-                if count is not WOULD_BLOCK:
-                    return count
-                yield sys_epoll_wait(fd, EVENT_WRITE)
-
-        @do
-        def _write_all_v(fd, bufs):
-            # Write every buffer, resuming mid-iovec after partial
-            # writes — no intermediate concatenation on the sendmsg
-            # path (the whole point: header + body, or length-prefix +
-            # frame, is one syscall and zero copies in the application).
-            total = sum(len(buf) for buf in bufs)
-            rest = _unsent(bufs, 0)
-            while rest:
-                count = yield _writev(fd, rest[:WRITEV_IOV_LIMIT])
-                rest = _unsent(rest, count)
-            return total
-
-        @do
-        def _sendfile(fd, file, offset, count):
-            # Kernel-to-socket egress: the file region never visits
-            # userspace.  Windows of SENDFILE_WINDOW bytes, resuming
-            # after partial sends (the kernel accepts what the socket
-            # buffer holds); EOF before ``count`` bytes is a framing
-            # error — the Content-Length is already on the wire.
-            op = getattr(backend, "nb_sendfile", None)
-            if op is None:
-                total = yield _sendfile_fallback(fd, file, offset, count)
-                return total
-            sent = 0
-            while sent < count:
-                pos = offset + sent
-                window = min(count - sent, SENDFILE_WINDOW)
-                n = yield sys_nbio(lambda: op(fd, file, pos, window))
-                if n is WOULD_BLOCK:
-                    yield sys_epoll_wait(fd, EVENT_WRITE)
-                    continue
-                if not n:
-                    raise ConnectionClosed(
-                        f"sendfile hit EOF at {pos} with "
-                        f"{count - sent} of {count} bytes unsent"
-                    )
-                sent += n
-            return sent
-
-        @do
-        def _sendfile_fallback(fd, file, offset, count):
-            # Backends without the primitive (platforms without
-            # ``os.sendfile``): positional reads through the blocking
-            # pool, then ordinary vectored writes.  Byte-identical on
-            # the wire, just with the userspace copy the fast path
-            # avoids — counted so benches can tell the paths apart.
-            self.sendfile_fallbacks += 1
-            sent = 0
-            while sent < count:
-                pos = offset + sent
-                window = min(count - sent, SENDFILE_WINDOW)
-                chunk = yield sys_blio(lambda: file.pread(pos, window))
-                if not chunk:
-                    raise ConnectionClosed(
-                        f"sendfile fallback hit EOF at {pos} with "
-                        f"{count - sent} of {count} bytes unsent"
-                    )
-                yield _write_all(fd, chunk)
-                sent += len(chunk)
-            return sent
-
-        @do
-        def _accept(listener):
-            while True:
-                conn = yield sys_nbio(lambda: backend.nb_accept(listener))
-                if conn is not WOULD_BLOCK:
-                    return conn
-                yield sys_epoll_wait(listener, EVENT_READ)
-
-        def _drain_accepts(listener, limit):
-            # One event-loop turn drains the whole burst (up to ``limit``)
-            # instead of paying a scheduler round-trip per connection.
-            batch_op = getattr(backend, "nb_accept_batch", None)
-            if batch_op is not None:
-                return batch_op(listener, limit)
-            conns = []
-            while len(conns) < limit:
-                conn = backend.nb_accept(listener)
-                if conn is WOULD_BLOCK:
-                    break
-                conns.append(conn)
-            return conns
-
-        @do
-        def _accept_many(listener, limit):
-            while True:
-                batch = yield sys_nbio(
-                    lambda: _drain_accepts(listener, limit)
-                )
-                if batch:
-                    return batch
-                yield sys_epoll_wait(listener, EVENT_READ)
-
-        @do
-        def _read_until(fd, delimiter, max_bytes):
-            buffer = bytearray()
-            while True:
-                index = buffer.find(delimiter)
-                if index >= 0:
-                    return bytes(buffer), index
-                if len(buffer) >= max_bytes:
-                    raise ValueError(
-                        f"delimiter not found within {max_bytes} bytes"
-                    )
-                data = yield _read(fd, 4096)
-                if not data:
-                    raise ConnectionClosed("EOF before delimiter")
-                buffer.extend(data)
-
-        self._read = _read
-        self._read_into = _read_into
-        self._read_pooled = _read_pooled
-        self._read_exact = _read_exact
-        self._write = _write
-        self._write_all = _write_all
-        self._writev = _writev
-        self._write_all_v = _write_all_v
-        self._sendfile = _sendfile
-        self._accept = _accept
-        self._accept_many = _accept_many
-        self._read_until = _read_until
-
     # ------------------------------------------------------------------
     # Public monadic operations
     # ------------------------------------------------------------------
-    def read(self, fd: Any, nbytes: int) -> M:
+    @do
+    def read(self, fd: Any, nbytes: int):
         """Read up to ``nbytes``; blocks the thread (not the loop) until
         data is available.  Resumes with ``b""`` at EOF."""
-        return self._read(fd, nbytes)
+        backend = self.backend
+        while True:
+            data = yield sys_nbio(lambda: backend.nb_read(fd, nbytes))
+            if data is not WOULD_BLOCK:
+                return data
+            yield sys_epoll_wait(fd, EVENT_READ)
 
-    def read_into(self, fd: Any, buf: Any) -> M:
+    @do
+    def read_into(self, fd: Any, buf: Any):
         """Read into ``buf`` (a writable buffer) in place; resumes with
         the byte count (0 at EOF).  Zero-allocation on backends with
         ``nb_recv_into``; one read + copy elsewhere."""
-        return self._read_into(fd, buf)
+        op = getattr(self.backend, "nb_recv_into", None)
+        if op is None:
+            # Fallback for backends without the primitive: one read
+            # plus one copy into the caller's buffer (still pooled —
+            # the parser path above stays uniform).
+            data = yield self.read(fd, len(buf))
+            count = len(data)
+            buf[:count] = data
+            return count
+        while True:
+            count = yield sys_nbio(lambda: op(fd, buf))
+            if count is not WOULD_BLOCK:
+                return count
+            yield sys_epoll_wait(fd, EVENT_READ)
 
-    def read_pooled(self, fd: Any, pool: Any) -> M:
+    @do
+    def read_pooled(self, fd: Any, pool: Any):
         """Lease a buffer from ``pool`` and read into it; resumes with
         ``(lease, count)`` (count 0 at EOF).  The lease is *not* held
         while parked waiting for readiness, so idle connections pin no
         buffers; the caller owns the lease on resume and must
         ``release()`` it (plain code) when done with the bytes."""
-        return self._read_pooled(fd, pool)
+        op = getattr(self.backend, "nb_recv_into", None)
+        if op is None:
+            data = yield self.read(fd, pool.buffer_bytes)
+            lease = pool.lease()
+            count = len(data)
+            lease.data[:count] = data
+            return lease, count
+        lease = pool.lease()
+        try:
+            while True:
+                count = yield sys_nbio(lambda: op(fd, lease.data))
+                if count is not WOULD_BLOCK:
+                    return lease, count
+                lease.release()
+                yield sys_epoll_wait(fd, EVENT_READ)
+                lease = pool.lease()
+        except BaseException:
+            # Error or abandonment mid-read (GeneratorExit at a yield):
+            # the caller never sees the lease, so hand it back here —
+            # release is plain code and idempotent.
+            lease.release()
+            raise
 
-    def read_exact(self, fd: Any, nbytes: int) -> M:
+    @do
+    def read_exact(self, fd: Any, nbytes: int):
         """Read exactly ``nbytes``; raises :class:`ConnectionClosed` on a
         short stream."""
-        return self._read_exact(fd, nbytes)
+        chunks = []
+        remaining = nbytes
+        while remaining > 0:
+            data = yield self.read(fd, remaining)
+            if not data:
+                raise ConnectionClosed(
+                    f"EOF with {remaining} of {nbytes} bytes unread"
+                )
+            chunks.append(data)
+            remaining -= len(data)
+        return b"".join(chunks)
 
-    def read_until(self, fd: Any, delimiter: bytes, max_bytes: int = 65536) -> M:
-        """Read until ``delimiter`` appears; resumes with
-        ``(buffer, index_of_delimiter)``.  The buffer may extend past the
-        delimiter (pipelined bytes)."""
-        return self._read_until(fd, delimiter, max_bytes)
-
-    def write(self, fd: Any, data: bytes) -> M:
+    @do
+    def write(self, fd: Any, data: bytes):
         """Write some of ``data``; resumes with the count accepted."""
-        return self._write(fd, data)
+        backend = self.backend
+        while True:
+            count = yield sys_nbio(lambda: backend.nb_write(fd, data))
+            if count is not WOULD_BLOCK:
+                return count
+            yield sys_epoll_wait(fd, EVENT_WRITE)
 
-    def write_all(self, fd: Any, data: bytes) -> M:
+    @do
+    def write_all(self, fd: Any, data: bytes):
         """Write all of ``data``, blocking the thread as needed."""
-        return self._write_all(fd, data)
+        view = memoryview(data)
+        offset = 0
+        while offset < len(view):
+            count = yield self.write(fd, bytes(view[offset:]))
+            offset += count
+        return len(view)
 
-    def writev(self, fd: Any, bufs: list) -> M:
+    @do
+    def writev(self, fd: Any, bufs: list):
         """One gathered write of (a prefix of) ``bufs``; resumes with the
         byte count accepted.  One syscall on backends with scatter-gather
         (``sendmsg``); join + ``write`` elsewhere."""
-        return self._writev(fd, bufs)
+        op = getattr(self.backend, "nb_writev", None)
+        if op is None:
+            count = yield self.write(
+                fd, b"".join(bytes(buf) for buf in bufs)
+            )
+            return count
+        while True:
+            count = yield sys_nbio(lambda: op(fd, bufs))
+            if count is not WOULD_BLOCK:
+                return count
+            yield sys_epoll_wait(fd, EVENT_WRITE)
 
-    def write_all_v(self, fd: Any, bufs: list) -> M:
+    @do
+    def write_all_v(self, fd: Any, bufs: list):
         """Write every buffer in ``bufs`` in order, resuming mid-iovec
         after partial writes; resumes with the total byte count.  The
         fast path never concatenates: a header+body response or a
         length-prefix+frame message is one ``sendmsg`` with zero
         intermediate copies."""
-        return self._write_all_v(fd, bufs)
+        total = sum(len(buf) for buf in bufs)
+        rest = _unsent(bufs, 0)
+        while rest:
+            count = yield self.writev(fd, rest[:WRITEV_IOV_LIMIT])
+            rest = _unsent(rest, count)
+        return total
 
     def writev_nowait(self, fd: Any, bufs: list) -> M:
         """One gathered write of ``bufs`` that never parks: the kernel
@@ -459,9 +307,63 @@ class NetIO:
             raise ValueError("sendfile count must be >= 0")
         return self._sendfile(fd, file, offset, count)
 
-    def accept(self, listener: Any) -> M:
+    @do
+    def _sendfile(self, fd, file, offset, count):
+        # Windows of SENDFILE_WINDOW bytes, resuming after partial sends
+        # (the kernel accepts what the socket buffer holds); EOF before
+        # ``count`` bytes is a framing error — the Content-Length is
+        # already on the wire.
+        op = getattr(self.backend, "nb_sendfile", None)
+        if op is None:
+            total = yield self._sendfile_fallback(fd, file, offset, count)
+            return total
+        sent = 0
+        while sent < count:
+            pos = offset + sent
+            window = min(count - sent, SENDFILE_WINDOW)
+            n = yield sys_nbio(lambda: op(fd, file, pos, window))
+            if n is WOULD_BLOCK:
+                yield sys_epoll_wait(fd, EVENT_WRITE)
+                continue
+            if not n:
+                raise ConnectionClosed(
+                    f"sendfile hit EOF at {pos} with "
+                    f"{count - sent} of {count} bytes unsent"
+                )
+            sent += n
+        return sent
+
+    @do
+    def _sendfile_fallback(self, fd, file, offset, count):
+        # Backends without the primitive (platforms without
+        # ``os.sendfile``): positional reads through the blocking
+        # pool, then ordinary vectored writes.  Byte-identical on
+        # the wire, just with the userspace copy the fast path
+        # avoids — counted so benches can tell the paths apart.
+        self.sendfile_fallbacks += 1
+        sent = 0
+        while sent < count:
+            pos = offset + sent
+            window = min(count - sent, SENDFILE_WINDOW)
+            chunk = yield sys_blio(lambda: file.pread(pos, window))
+            if not chunk:
+                raise ConnectionClosed(
+                    f"sendfile fallback hit EOF at {pos} with "
+                    f"{count - sent} of {count} bytes unsent"
+                )
+            yield self.write_all(fd, chunk)
+            sent += len(chunk)
+        return sent
+
+    @do
+    def accept(self, listener: Any):
         """Accept one connection, blocking the thread until one arrives."""
-        return self._accept(listener)
+        backend = self.backend
+        while True:
+            conn = yield sys_nbio(lambda: backend.nb_accept(listener))
+            if conn is not WOULD_BLOCK:
+                return conn
+            yield sys_epoll_wait(listener, EVENT_READ)
 
     def accept_many(self, listener: Any, limit: int = 64) -> M:
         """Accept a *batch*: drain the listen queue until empty or ``limit``
@@ -470,6 +372,31 @@ class NetIO:
         if limit < 1:
             raise ValueError("accept batch limit must be >= 1")
         return self._accept_many(listener, limit)
+
+    @do
+    def _accept_many(self, listener, limit):
+        while True:
+            batch = yield sys_nbio(
+                lambda: self._drain_accepts(listener, limit)
+            )
+            if batch:
+                return batch
+            yield sys_epoll_wait(listener, EVENT_READ)
+
+    def _drain_accepts(self, listener: Any, limit: int) -> list:
+        # One event-loop turn drains the whole burst (up to ``limit``)
+        # instead of paying a scheduler round-trip per connection.
+        backend = self.backend
+        batch_op = getattr(backend, "nb_accept_batch", None)
+        if batch_op is not None:
+            return batch_op(listener, limit)
+        conns = []
+        while len(conns) < limit:
+            conn = backend.nb_accept(listener)
+            if conn is WOULD_BLOCK:
+                break
+            conns.append(conn)
+        return conns
 
     def shed(self, fd: Any, farewell: bytes = b"") -> M:
         """Best-effort farewell + clean close, for overload shedding.

@@ -5,7 +5,7 @@ devices are real: non-blocking sockets multiplexed through a persistent
 ``epoll`` interest set (with a ``selectors`` fallback on platforms without
 epoll), timers on the monotonic clock, and a thread pool for blocking
 operations (§4.6).  Linux AIO has no portable Python binding, so
-``sys_aio_read``/``sys_aio_write`` are routed through the blocking pool —
+``sys_aio_read`` is routed through the blocking pool —
 the paper's own fallback path for operations without an async interface.
 
 The hot path follows §4.4's argument that the application-level scheduler
@@ -41,7 +41,6 @@ from ..core.monad import M
 from ..core.scheduler import Scheduler, TCB
 from ..core.trace import (
     SysAioRead,
-    SysAioWrite,
     SysBlio,
     SysEpollWait,
     SysSleep,
@@ -58,6 +57,9 @@ __all__ = [
     "make_listener",
     "make_poller",
 ]
+
+#: Threads in the blocking-I/O pool (§4.6): file opens, stats, fsyncs.
+BLIO_WORKERS = 4
 
 HAS_EPOLL = hasattr(select, "epoll")
 HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
@@ -571,19 +573,9 @@ class LiveRuntime:
         self,
         batch_limit: int = 128,
         uncaught: str | Callable = "raise",
-        pool_workers: int = 8,
-        scheduler: Any = None,
         poller: str = "auto",
     ) -> None:
-        # Any Scheduler-shaped object works: a plain Scheduler (default) or
-        # an SmpScheduler for per-worker queues + stealing inside one
-        # process (the cluster parameterizes this per shard).  An injected
-        # scheduler arrives fully configured: it keeps its own batch_limit
-        # and uncaught policy, and this runtime's values apply only to the
-        # default scheduler it would otherwise build.
-        if scheduler is None:
-            scheduler = Scheduler(batch_limit=batch_limit, uncaught=uncaught)
-        self.sched = scheduler
+        self.sched = Scheduler(batch_limit=batch_limit, uncaught=uncaught)
         self.poller = make_poller(poller)
         self.backend = LiveBackend(on_close=self._discard_fd)
         self.io = NetIO(self.backend)
@@ -596,7 +588,7 @@ class LiveRuntime:
         # socket layers read through).
         self.buffers = self.io.buffers
         self.pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=pool_workers, thread_name_prefix="blio"
+            max_workers=BLIO_WORKERS, thread_name_prefix="blio"
         )
         # Completions from pool threads, drained on the main loop; the
         # self-pipe wakes a sleeping poll().
@@ -657,7 +649,6 @@ class LiveRuntime:
         sched.register_syscall(SysBlio, self._handle_blio)
         # AIO without a native interface: blocking pool (see module docs).
         sched.register_syscall(SysAioRead, self._handle_aio_read)
-        sched.register_syscall(SysAioWrite, self._handle_aio_write)
         sched.register_special("now", lambda _s, _t, _p: time.monotonic())
 
     def _handle_epoll_wait(self, _sched: Scheduler, tcb: TCB, node: SysEpollWait):
@@ -713,18 +704,6 @@ class LiveRuntime:
         self._submit_pool(tcb, action, node.cont)
         return None
 
-    def _handle_aio_write(self, _sched: Scheduler, tcb: TCB, node: SysAioWrite):
-        path, offset, data = node.fd, node.offset, node.data
-
-        def action() -> int:
-            mode = "r+b" if os.path.exists(path) else "wb"
-            with open(path, mode) as handle:
-                handle.seek(offset)
-                return handle.write(data)
-
-        self._submit_pool(tcb, action, node.cont)
-        return None
-
     # ------------------------------------------------------------------
     # The main loop
     # ------------------------------------------------------------------
@@ -762,7 +741,7 @@ class LiveRuntime:
             progressed = self._drain_completions() | timers.fire_due()
             if progressed and until is not None and until():
                 return  # a plain timer action may be what it waits for
-            for _ in range(_ready_count(sched.ready)):
+            for _ in range(len(sched.ready)):
                 if not sched.step():
                     break
                 progressed = True
@@ -826,12 +805,6 @@ class LiveRuntime:
         self.poller.close()
         self._wake_recv.close()
         self._wake_send.close()
-
-
-def _ready_count(ready: Any) -> int:
-    """Runnable activations: ``Scheduler.ready`` is a deque,
-    ``SmpScheduler.ready`` is already the count across workers."""
-    return ready if isinstance(ready, int) else len(ready)
 
 
 def _to_selector_mask(mask: int) -> int:

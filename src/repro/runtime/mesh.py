@@ -40,11 +40,13 @@ Invariants the rest of the stack builds on:
   frame is *queued* on the connection's outbound queue (header and body
   as separate buffers — zero concatenation) and a single flusher thread
   per connection, forked by the first enqueue of a loop turn, drains the
-  queue with one gathered write per batch (bounded by ``flush_max_iov``/
-  ``flush_max_bytes``).  Frames queued before the flusher first runs, or
-  while a flush is in flight, ride the same ``writev``, so N concurrent
-  calls/casts/replies on one link cost one syscall, not N.  The queue is
-  FIFO, so frames never interleave or reorder; ``stats.flushes``/
+  queue with one gathered write per batch (at most
+  :data:`FLUSH_MAX_FRAMES` frames — what one ``sendmsg`` can carry — and
+  about :data:`FLUSH_MAX_BYTES`).  Frames queued before the flusher
+  first runs, or while a flush is in flight, ride the same ``writev``, so
+  N concurrent calls/casts/replies on one link cost one syscall, not N
+  (one per 64 frames past that).  The queue is FIFO, so frames never
+  interleave or reorder; ``stats.flushes``/
   ``batched_flushes``/``max_frames_per_flush`` make the coalescing
   observable.  A *request* or *reply* is queued and forgotten — nobody
   parks until it is on the wire: a request's write failure reaches its
@@ -91,19 +93,17 @@ from ..core.sync import Mutex, MVar
 from ..core.syscalls import sys_epoll_wait, sys_fork, sys_throw
 from ..core.thread import join_all, spawn
 from .driver import CLOSE, ConnectionDriver, IoSocketLayer
-from .io_api import ConnectionClosed, NetIO
+from .io_api import WRITEV_IOV_LIMIT, ConnectionClosed, NetIO
 from .timer_wheel import TimerWheel
 
 __all__ = [
     "MeshNode",
-    "AdaptiveFlushCap",
     "MeshError",
     "MeshTimeout",
     "MeshPeerDown",
     "MeshRemoteError",
     "MeshProtocolError",
     "FrameReader",
-    "send_frame",
     "KIND_REQUEST",
     "KIND_REPLY",
     "KIND_ERROR",
@@ -129,6 +129,17 @@ DEFAULT_MAX_FRAME = 16 * 1024 * 1024
 #: What a :class:`FrameReader` asks the kernel for per ``recv``: far more
 #: than a typical frame, so one read drains the socket.
 READ_CHUNK = 64 * 1024
+
+#: Frames per gathered flush: a frame is at most two buffers (header,
+#: body) and one ``sendmsg`` takes ``WRITEV_IOV_LIMIT``, so this is the
+#: most one syscall can carry — a larger batch would only look like a
+#: partial write and arm the write watchdog on a healthy link.
+FLUSH_MAX_FRAMES = WRITEV_IOV_LIMIT // 2
+
+#: Rough byte bound on one flush (a frame is never split across it — the
+#: next flush picks it up), so one link's burst of large bodies does not
+#: hold the flusher through a single multi-megabyte write.
+FLUSH_MAX_BYTES = 256 * 1024
 
 
 class MeshError(OSError):
@@ -159,19 +170,6 @@ def frame_header(kind: int, request_id: int, body_len: int) -> bytes:
     whose body is ``body_len`` bytes."""
     return (_LEN.pack(_HEAD.size + body_len)
             + _HEAD.pack(kind, request_id))
-
-
-def send_frame(io: NetIO, fd: Any, kind: int, request_id: int,
-               body: bytes) -> M:
-    """Write one length-prefixed frame as a single gathered write
-    (header + body, one syscall, no concatenation) so frames from
-    different threads cannot interleave *within* a frame.  Test peers
-    and one-shot senders use this directly; :class:`MeshNode` goes
-    through the per-link outbound queue instead, which batches many
-    frames into one ``writev``."""
-    return io.write_all_v(
-        fd, [frame_header(kind, request_id, len(body)), body]
-    )
 
 
 class FrameReader:
@@ -289,7 +287,7 @@ class _PeerLink:
         self.conn = conn
         self.out = _Outbound(conn, link=self)
         #: request_id -> the MVar awaiting the reply (the caller owns
-        #: its deadline: ``_call`` cancels it however the call ends).
+        #: its deadline: ``call`` cancels it however the call ends).
         self.pending: dict[int, MVar] = {}
         self.alive = True
         #: ``out.enqueued`` at the last keepalive tick (idle detection).
@@ -334,56 +332,6 @@ class MeshStats:
         return self.frames_sent / self.flushes if self.flushes else 0.0
 
 
-class AdaptiveFlushCap:
-    """Backlog-adaptive bound on frames per gathered flush.
-
-    A static ``flush_max_iov`` forces a trade-off: small caps chop a
-    sustained burst into many ``writev`` calls, large caps let one link's
-    burst monopolize the flusher.  This tracker moves the cap instead:
-
-    * **grow** — a flush that *fills* the current cap with frames still
-      queued behind it (sustained backlog) doubles the cap, up to
-      ``ceiling``;
-    * **decay** — two consecutive flushes under half the cap (the burst
-      passed) halve it, back down to ``floor``.
-
-    Growth reacts immediately (the backlog is here now); decay needs
-    corroboration so one small flush between bursts does not thrash the
-    cap.  The current value is surfaced via ``MeshNode.health()``.
-    """
-
-    __slots__ = ("floor", "ceiling", "value", "grows", "decays", "_under")
-
-    def __init__(self, floor: int, ceiling: int) -> None:
-        if floor < 1:
-            raise ValueError("flush cap floor must be >= 1")
-        self.floor = floor
-        self.ceiling = max(floor, ceiling)
-        self.value = floor
-        self.grows = 0
-        self.decays = 0
-        self._under = 0
-
-    def note_flush(self, batch_len: int, backlog: int) -> None:
-        """Record one completed flush of ``batch_len`` frames that left
-        ``backlog`` frames still queued."""
-        if batch_len >= self.value and backlog > 0:
-            self._under = 0
-            if self.value < self.ceiling:
-                self.value = min(self.ceiling, self.value * 2)
-                self.grows += 1
-            return
-        if batch_len * 2 <= self.value:
-            self._under += 1
-            if self._under >= 2:
-                self._under = 0
-                if self.value > self.floor:
-                    self.value = max(self.floor, self.value // 2)
-                    self.decays += 1
-            return
-        self._under = 0
-
-
 class _MeshDriver(ConnectionDriver):
     """The mesh's server side: the shared driver's accept loop, shutdown,
     close and abandonment rule, with a :class:`FrameReader` loop (one
@@ -416,9 +364,6 @@ class MeshNode:
         accept_batch: int = 16,
         max_inflight: int = 128,
         keepalive_interval: float | None = None,
-        flush_max_iov: int = 64,
-        flush_max_bytes: int = 256 * 1024,
-        flush_max_iov_ceiling: int = 512,
     ) -> None:
         self.index = index
         self.io = io
@@ -444,16 +389,6 @@ class MeshNode:
         #: keepalive).  See the module docs: the ping's *write* is the
         #: wedge detector.
         self.keepalive_interval = keepalive_interval
-        #: Caps on one gathered flush: at most this many frames and
-        #: roughly this many bytes per ``writev`` (a frame is never
-        #: split across the caps — the next flush picks it up).
-        #: ``flush_max_iov`` is the *floor*: under sustained backlog the
-        #: adaptive cap grows from it toward ``flush_max_iov_ceiling``
-        #: (doubling per saturated flush) and decays back when the burst
-        #: passes; ``health()["flush_cap"]`` reports the live value.
-        self.flush_max_iov = flush_max_iov
-        self.flush_max_bytes = flush_max_bytes
-        self.flush_cap = AdaptiveFlushCap(flush_max_iov, flush_max_iov_ceiling)
         self.stats = MeshStats()
         self._links: dict[int, _PeerLink] = {}
         self._dial_mutexes: dict[int, Mutex] = {}
@@ -480,26 +415,14 @@ class MeshNode:
         return {
             "peers": len(self.peers),
             "connected_peers": self.connected_peers(),
-            "calls": stats.calls,
-            "casts": stats.casts,
-            "served": stats.served,
-            "timeouts": stats.timeouts,
-            "peer_failures": stats.peer_failures,
-            "write_timeouts": stats.write_timeouts,
-            "frames_sent": stats.frames_sent,
-            "flushes": stats.flushes,
-            "batched_flushes": stats.batched_flushes,
-            "max_frames_per_flush": stats.max_frames_per_flush,
-            "pings_sent": stats.pings_sent,
-            "flush_cap": self.flush_cap.value,
-            "flush_cap_grows": self.flush_cap.grows,
-            "flush_cap_decays": self.flush_cap.decays,
+            **{name: getattr(stats, name) for name in stats.__slots__},
         }
 
     # ------------------------------------------------------------------
     # Server side: accept peers, demux request frames, run the handler.
     # ------------------------------------------------------------------
-    def serve(self) -> M:
+    @do
+    def serve(self):
         """The mesh accept loop (spawn as one thread per shard).
 
         The loop itself is the shared :class:`ConnectionDriver`; this
@@ -508,13 +431,8 @@ class MeshNode:
         keepalive tick on the timer wheel.
         """
         if self.keepalive_interval:
-            return self._serve_with_keepalive()
-        return self._driver.main()
-
-    @do
-    def _serve_with_keepalive(self):
-        yield self.timers.schedule(self.keepalive_interval,
-                                   self._keepalive_tick)
+            yield self.timers.schedule(self.keepalive_interval,
+                                       self._keepalive_tick)
         yield self._driver.main()
 
     def stop(self) -> None:
@@ -651,14 +569,13 @@ class MeshNode:
         # this thread with an error, and every queued frame fails with
         # MeshPeerDown.
         stats = self.stats
-        cap = self.flush_cap
         try:
             while out.queue:
                 batch: list[tuple[tuple[bytes, ...], MVar | None]] = []
                 bufs: list[bytes] = []
                 nbytes = 0
-                while (out.queue and len(batch) < cap.value
-                        and nbytes < self.flush_max_bytes):
+                while (out.queue and len(batch) < FLUSH_MAX_FRAMES
+                        and nbytes < FLUSH_MAX_BYTES):
                     entry = out.queue.popleft()
                     batch.append(entry)
                     for buf in entry[0]:
@@ -695,7 +612,6 @@ class MeshNode:
                     stats.batched_flushes += 1
                 if len(batch) > stats.max_frames_per_flush:
                     stats.max_frames_per_flush = len(batch)
-                cap.note_flush(len(batch), len(out.queue))
                 for _bufs, flushed in batch:
                     if flushed is not None:
                         yield flushed.try_put(None)
@@ -773,7 +689,8 @@ class MeshNode:
     # ------------------------------------------------------------------
     # Client side: lazily dialed links, multiplexed calls.
     # ------------------------------------------------------------------
-    def call(self, peer: int, body: bytes, timeout: float | None = None) -> M:
+    @do
+    def call(self, peer: int, body: bytes, timeout: float | None = None):
         """RPC to ``peer``: resumes with the reply body.
 
         Raises :class:`MeshTimeout` after ``timeout`` (default: the
@@ -781,10 +698,6 @@ class MeshNode:
         fails, :class:`MeshRemoteError` if the peer handler raised.
         A self-call short-circuits through the local handler.
         """
-        return self._call(peer, body, timeout)
-
-    @do
-    def _call(self, peer, body, timeout):
         self.stats.calls += 1
         if peer == self.index:
             if self.handler is None:
@@ -834,7 +747,8 @@ class MeshNode:
             raise outcome
         return outcome
 
-    def cast(self, peer: int, body: bytes) -> M:
+    @do
+    def cast(self, peer: int, body: bytes):
         """One-way message to ``peer``: the remote handler runs, but no
         reply frame ever crosses the wire (at-most-once delivery).
 
@@ -844,10 +758,6 @@ class MeshNode:
         where a lost message is repaired by a later pass anyway —
         read-repair patches, hint forwarding.
         """
-        return self._cast(peer, body)
-
-    @do
-    def _cast(self, peer, body):
         self.stats.casts += 1
         if peer == self.index:
             if self.handler is None:
@@ -866,21 +776,18 @@ class MeshNode:
             raise MeshPeerDown(f"cast to peer {peer} failed: {exc!r}")
         return None
 
+    @do
     def fan_out(
         self,
         bodies: dict[int, bytes],
         timeout: float | None = None,
-    ) -> M:
+    ):
         """Concurrent calls to several peers with a per-peer timeout.
 
         Resumes with ``{peer: reply-bytes | MeshError}`` — one dead or
         slow peer yields its exception *as a value* instead of failing
         the whole fan-out, so callers can merge partial results.
         """
-        return self._fan_out(bodies, timeout)
-
-    @do
-    def _fan_out(self, bodies, timeout):
         @do
         def one(peer, body):
             try:
@@ -921,7 +828,7 @@ class MeshNode:
                 return link
             try:
                 conn = yield self.io.connect(
-                    tuple(self.peers[peer]), label=f"mesh-{peer}"
+                    self.peers[peer], label=f"mesh-{peer}"
                 )
             except (ConnectionError, OSError) as exc:
                 self.stats.peer_failures += 1

@@ -46,7 +46,6 @@ from typing import Any
 from ..core.do_notation import do
 from ..core.events import EVENT_WRITE
 from ..core.exceptions import ReproError
-from ..core.monad import M
 from ..core.sync import MVar
 from ..core.syscalls import sys_epoll_wait, sys_now
 
@@ -212,42 +211,16 @@ class ConnectionPool:
         }
 
     # -- leasing -------------------------------------------------------
-    def acquire(self, timeout: float | None = None) -> M:
+    @do
+    def acquire(self, timeout: float | None = None):
         """Lease a connection; resumes with a :class:`PooledConn`.
 
         Raises :class:`PoolTimeout` after ``timeout`` (default
         ``lease_timeout``) parked, :class:`UpstreamDown` while the
         upstream is latched down, :class:`PoolClosed` after close.
         """
-        return self._acquire(
-            self.lease_timeout if timeout is None else timeout
-        )
-
-    def release(self, pc: PooledConn, discard: bool = False) -> M:
-        """Return a lease.  ``discard`` closes the connection (broken or
-        non-reusable) instead of parking it idle; the freed slot is
-        offered to the oldest waiter as a fresh-dial ticket."""
-        return self._release(pc, discard)
-
-    def forfeit(self, pc: PooledConn) -> None:
-        """Abandonment hatch (plain code, callable under GeneratorExit):
-        drop the lease and best-effort close the socket.  Parked waiters
-        are *not* woken — they surface as lease timeouts."""
-        self._leased -= 1
-        self.forfeits += 1
-        try:
-            self.io.backend.close(pc.fd)
-        except OSError:
-            pass
-
-    def close(self) -> M:
-        """Close the pool: evict idle connections, fail parked waiters.
-        Leased connections are closed as they are released."""
-        return self._close()
-
-    # ------------------------------------------------------------------
-    @do
-    def _acquire(self, timeout):
+        if timeout is None:
+            timeout = self.lease_timeout
         if self.closed:
             raise PoolClosed(f"{self.name}: pool closed")
         if self.down:
@@ -286,6 +259,18 @@ class ConnectionPool:
         self.reuses += 1
         return outcome
 
+    def forfeit(self, pc: PooledConn) -> None:
+        """Abandonment hatch (plain code, callable under GeneratorExit):
+        drop the lease and best-effort close the socket.  Parked waiters
+        are *not* woken — they surface as lease timeouts."""
+        self._leased -= 1
+        self.forfeits += 1
+        try:
+            self.io.backend.close(pc.fd)
+        except OSError:
+            pass
+
+    # ------------------------------------------------------------------
     def _in_use(self) -> int:
         return (self._leased + self._dialing + self._reserved
                 + len(self._idle))
@@ -307,7 +292,10 @@ class ConnectionPool:
         return None
 
     @do
-    def _release(self, pc, discard):
+    def release(self, pc: PooledConn, discard: bool = False):
+        """Return a lease.  ``discard`` closes the connection (broken or
+        non-reusable) instead of parking it idle; the freed slot is
+        offered to the oldest waiter as a fresh-dial ticket."""
         self._leased -= 1
         if self.closed or self.down:
             yield self.io.close(pc.fd)
@@ -517,7 +505,9 @@ class ConnectionPool:
 
     # -- teardown ------------------------------------------------------
     @do
-    def _close(self):
+    def close(self):
+        """Close the pool: evict idle connections, fail parked waiters.
+        Leased connections are closed as they are released."""
         if self.closed:
             return None
         self.closed = True

@@ -25,7 +25,6 @@ from ..core.monad import M
 from ..core.scheduler import Scheduler, TCB
 from ..core.trace import (
     SysAioRead,
-    SysAioWrite,
     SysBlio,
     SysEpollWait,
     SysSleep,
@@ -267,7 +266,6 @@ class SimRuntime:
         sched = self.sched
         sched.register_syscall(SysEpollWait, self._handle_epoll_wait)
         sched.register_syscall(SysAioRead, self._handle_aio_read)
-        sched.register_syscall(SysAioWrite, self._handle_aio_write)
         sched.register_syscall(SysSleep, self._handle_sleep)
         sched.register_syscall(SysBlio, self._handle_blio)
         sched.register_special("now", lambda _s, _t, _p: self.kernel.clock.now)
@@ -292,12 +290,6 @@ class SimRuntime:
         self.kernel.charge(self.params.t_aio_submit)
         tcb.state = "blocked"
         self.aio.submit_read(node.fd, node.offset, node.nbytes, (tcb, node.cont))
-        return None
-
-    def _handle_aio_write(self, _sched: Scheduler, tcb: TCB, node: SysAioWrite):
-        self.kernel.charge(self.params.t_aio_submit)
-        tcb.state = "blocked"
-        self.aio.submit_write(node.fd, node.offset, node.data, (tcb, node.cont))
         return None
 
     def _handle_sleep(self, _sched: Scheduler, tcb: TCB, node: SysSleep):

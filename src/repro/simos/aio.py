@@ -21,8 +21,7 @@ class AioContext:
     """An AIO submission context with a harvestable completion queue."""
 
     def __init__(self, on_complete: Callable[[], None] | None = None) -> None:
-        #: Completed (token, payload) pairs awaiting harvest; payload is
-        #: ``bytes`` for reads and an ``int`` count for writes.
+        #: Completed (token, data) pairs awaiting harvest.
         self._completions: list[tuple[Any, Any]] = []
         #: Called on transition from no-completions to some.
         self.on_complete = on_complete
@@ -46,14 +45,6 @@ class AioContext:
         else:
             file.pread_buffered(offset, nbytes, on_data)
 
-    def submit_write(
-        self, file: SimFile, offset: int, data: bytes, token: Any
-    ) -> None:
-        """Queue an async write; the completion payload is the byte count."""
-        self.submitted += 1
-        self.in_flight += 1
-        file.pwrite_direct(offset, data, lambda count: self._finish(token, count))
-
     def _finish(self, token: Any, payload: Any) -> None:
         self.in_flight -= 1
         self.completed += 1
@@ -70,8 +61,3 @@ class AioContext:
             batch = self._completions[:max_events]
             del self._completions[:max_events]
         return batch
-
-    @property
-    def pending_completions(self) -> int:
-        """Completions queued and not yet harvested."""
-        return len(self._completions)

@@ -60,10 +60,6 @@ class PageCache:
         """Drop every cached page (the paper flushes before each trial)."""
         self._pages.clear()
 
-    @property
-    def resident_pages(self) -> int:
-        return len(self._pages)
-
 
 class SimFile:
     """An open file: a named, contiguous extent on the disk."""
@@ -148,22 +144,6 @@ class SimFile:
 
         self.fs.disk.submit(
             self.extent_start + span_start, span_end - span_start, on_disk_done
-        )
-
-    def pwrite_direct(
-        self, offset: int, data: bytes, callback: Callable[[int], None]
-    ) -> None:
-        """O_DIRECT write; completion receives the byte count.  Content is
-        synthetic, so only timing and extent bounds are modelled."""
-        if self.closed:
-            raise BadFileError(f"write on closed file {self.name!r}")
-        take = self._clamp(offset, len(data))
-        if take == 0:
-            self.fs.clock.schedule(0.0, lambda: callback(0))
-            return
-        self.fs.disk.submit(
-            self.extent_start + offset, take, lambda: callback(take),
-            is_write=True,
         )
 
     def close(self) -> None:

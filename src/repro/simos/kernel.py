@@ -90,18 +90,3 @@ class SimKernel:
     def make_aio(self, on_complete: Callable[[], None] | None = None) -> AioContext:
         """A fresh AIO context over this kernel's disk."""
         return AioContext(on_complete)
-
-    # ------------------------------------------------------------------
-    # Main-loop helper
-    # ------------------------------------------------------------------
-    def run_until(
-        self,
-        done: Callable[[], bool],
-        max_events: int = 100_000_000,
-    ) -> None:
-        """Advance the clock until ``done()`` or the calendar empties."""
-        fired = 0
-        while not done() and self.clock.advance():
-            fired += 1
-            if fired >= max_events:
-                raise RuntimeError("run_until exceeded max_events")

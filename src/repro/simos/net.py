@@ -63,11 +63,6 @@ class LinkShaper:
         self.clock.schedule_at(arrival, deliver)
         return arrival
 
-    @property
-    def utilization_until(self) -> float:
-        """Time at which the wire frees (for tests)."""
-        return self._next_free
-
 
 class StreamEnd(Pollable):
     """One end of a connected, reliable, shaped byte stream."""

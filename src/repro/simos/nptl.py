@@ -20,7 +20,7 @@ apples-to-apples.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from .errors import WOULD_BLOCK, SimOsError
 from .kernel import SimKernel
@@ -192,12 +192,6 @@ class NptlSim:
         self.spawned += 1
         self.run_queue.append((thread, None, None))
         return thread
-
-    def spawn_all(
-        self, gens: Iterable[Generator[KOp, Any, Any]]
-    ) -> list[KThread]:
-        """Spawn many threads; stops at the memory limit (re-raises)."""
-        return [self.spawn(gen) for gen in gens]
 
     def can_spawn(self, count: int = 1) -> bool:
         """Whether ``count`` more stacks fit in RAM."""

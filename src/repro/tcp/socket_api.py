@@ -43,39 +43,6 @@ class TcpSockets:
     def __init__(self, stack: TcpStack) -> None:
         self.stack = stack
 
-        @do
-        def _recv_exact(conn, nbytes):
-            chunks = []
-            remaining = nbytes
-            while remaining > 0:
-                data = yield self.recv(conn, remaining)
-                if not data:
-                    raise ConnectionError(
-                        f"EOF with {remaining} of {nbytes} bytes unread"
-                    )
-                chunks.append(data)
-                remaining -= len(data)
-            return b"".join(chunks)
-
-        @do
-        def _recv_until(conn, delimiter, max_bytes):
-            buffer = bytearray()
-            while True:
-                index = buffer.find(delimiter)
-                if index >= 0:
-                    return bytes(buffer), index
-                if len(buffer) >= max_bytes:
-                    raise ValueError(
-                        f"delimiter not found within {max_bytes} bytes"
-                    )
-                data = yield self.recv(conn, 4096)
-                if not data:
-                    raise ConnectionError("EOF before delimiter")
-                buffer.extend(data)
-
-        self._recv_exact = _recv_exact
-        self._recv_until = _recv_until
-
     # ------------------------------------------------------------------
     # Monadic operations
     # ------------------------------------------------------------------
@@ -104,14 +71,38 @@ class TcpSockets:
         """Receive up to ``nbytes``; resumes with ``b""`` at EOF."""
         return sys_tcp("recv", conn, nbytes)
 
-    def recv_exact(self, conn: TcpConn, nbytes: int) -> M:
+    @do
+    def recv_exact(self, conn: TcpConn, nbytes: int):
         """Receive exactly ``nbytes`` or raise ``ConnectionError``."""
-        return self._recv_exact(conn, nbytes)
+        chunks = []
+        remaining = nbytes
+        while remaining > 0:
+            data = yield self.recv(conn, remaining)
+            if not data:
+                raise ConnectionError(
+                    f"EOF with {remaining} of {nbytes} bytes unread"
+                )
+            chunks.append(data)
+            remaining -= len(data)
+        return b"".join(chunks)
 
+    @do
     def recv_until(self, conn: TcpConn, delimiter: bytes,
-                   max_bytes: int = 65536) -> M:
+                   max_bytes: int = 65536):
         """Receive until ``delimiter``; resumes with ``(buffer, index)``."""
-        return self._recv_until(conn, delimiter, max_bytes)
+        buffer = bytearray()
+        while True:
+            index = buffer.find(delimiter)
+            if index >= 0:
+                return bytes(buffer), index
+            if len(buffer) >= max_bytes:
+                raise ValueError(
+                    f"delimiter not found within {max_bytes} bytes"
+                )
+            data = yield self.recv(conn, 4096)
+            if not data:
+                raise ConnectionError("EOF before delimiter")
+            buffer.extend(data)
 
     def close(self, conn: TcpConn) -> M:
         """Orderly close (FIN after queued data)."""

@@ -253,14 +253,6 @@ class TcpStack:
             self.stats.rsts_sent += 1
         self._destroy(conn, ConnectionReset("connection aborted"))
 
-    def close_listener(self, listener: TcpListener) -> None:
-        """Stop accepting on a port."""
-        listener.closed = True
-        self.listeners.pop(listener.port, None)
-        while listener.accept_waiters:
-            cb = listener.accept_waiters.popleft()
-            cb(None, TcpError("listener closed"))
-
     # ==================================================================
     # Segment input (worker_tcp_input)
     # ==================================================================

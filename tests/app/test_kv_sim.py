@@ -1,0 +1,113 @@
+"""The replicated KV on virtual time: no sockets, no sleeps, no wall clock.
+
+Three :class:`MeshNode` + :class:`KvNode` shards stand inside one
+:class:`SimRuntime`; a peer's address is its ``kernel.net.listen()``
+listener, so the mesh dials, frames and times out on the simulated
+network and the virtual clock.  Everything a run does is a function of
+the program, so two runs end at the same instant after the same number
+of system calls — the seed of ROADMAP item 2 (deterministic simulation
+of the distributed layers).
+"""
+
+from __future__ import annotations
+
+from repro.app.kv import HashRing, KvNode, KvQuorumError
+from repro.core.do_notation import do
+from repro.runtime.mesh import MeshNode
+from repro.runtime.sim_runtime import SimRuntime
+
+SHARDS = 3
+
+
+def start_shard(rt, index, listeners):
+    mesh = MeshNode(index, rt.io, listeners[index], listeners, rt.timers)
+    node = KvNode(index, SHARDS, mesh=mesh, replication=2, write_quorum=2)
+    rt.spawn(mesh.serve(), name=f"mesh-{index}")
+    return node
+
+
+def run_program(program, down=()):
+    """Stand the cluster (shards in ``down`` refuse dials: their listener
+    is closed and nothing serves it), run ``program(rt, nodes,
+    listeners)`` to completion and return ``(rt, nodes, result)``."""
+    rt = SimRuntime()
+    listeners = {index: rt.kernel.net.listen() for index in range(SHARDS)}
+    nodes = {}
+    for index in range(SHARDS):
+        if index in down:
+            listeners[index].close()
+        else:
+            nodes[index] = start_shard(rt, index, listeners)
+    done = []
+
+    @do
+    def main():
+        done.append((yield program(rt, nodes, listeners)))
+
+    rt.spawn(main(), name="program")
+    rt.run(until=lambda: bool(done))
+    return rt, nodes, done[0]
+
+
+@do
+def put_get_mget(_rt, nodes, _listeners):
+    first, second = nodes[0].replicas("alpha")
+    outsider = next(i for i in range(SHARDS) if i not in (first, second))
+    created = yield nodes[first].put("alpha", b"1")
+    through_replica = yield nodes[second].get("alpha")
+    through_outsider = yield nodes[outsider].get("alpha")
+    merged = yield nodes[outsider].mget(["alpha", "beta"])
+    return created, through_replica, through_outsider, merged
+
+
+def test_put_get_mget_across_three_shards():
+    _rt, nodes, result = run_program(put_get_mget)
+    created, through_replica, through_outsider, merged = result
+    assert created == (True, None, False)
+    assert through_replica == (True, b"1", False)
+    assert through_outsider == (True, b"1", True)
+    assert merged == {"alpha": b"1", "beta": None}
+    holders = sorted(i for i, node in nodes.items() if "alpha" in node.store)
+    assert holders == sorted(nodes[0].replicas("alpha"))
+
+
+def test_the_same_program_ends_at_the_same_instant():
+    first, _, first_result = run_program(put_get_mget)
+    second, _, second_result = run_program(put_get_mget)
+    assert first_result == second_result
+    assert first.kernel.clock.now == second.kernel.clock.now > 0.0
+    assert first.sched.total_syscalls == second.sched.total_syscalls
+
+
+def test_refused_dial_parks_a_hint_that_replay_drains():
+    # Shard 2 is down: every dial to it is refused.  A write it should
+    # hold a replica of fails its quorum loudly, but the live replica
+    # keeps the value and parks a hint; once the shard is back at a new
+    # address, ``replay_hints`` delivers it.
+    ring = HashRing(SHARDS, replication=2)
+    key = next(f"k{n}" for n in range(100) if 2 in ring.replicas(f"k{n}"))
+    live = next(i for i in ring.replicas(key) if i != 2)
+
+    @do
+    def program(rt, nodes, listeners):
+        try:
+            yield nodes[live].put(key, b"v")
+            failed = None
+        except KvQuorumError as exc:
+            failed = exc
+        pending = nodes[live].hints_pending
+        # Respawn: a fresh listener, learned by the live shards.
+        listeners[2] = rt.kernel.net.listen()
+        for node in nodes.values():
+            node.mesh.peers[2] = listeners[2]
+        nodes[2] = start_shard(rt, 2, listeners)
+        replayed = yield nodes[live].replay_hints(2)
+        return failed, pending, replayed
+
+    _rt, nodes, (failed, pending, replayed) = run_program(program, down={2})
+    assert isinstance(failed, KvQuorumError)
+    assert (pending, replayed) == (1, 1)
+    assert nodes[live].hints_pending == 0
+    assert nodes[live].mesh.stats.peer_failures >= 1
+    assert nodes[2].store[key] == nodes[live].store[key] == b"v"
+

@@ -10,10 +10,8 @@ import time
 import pytest
 
 from repro.api import build_server
-from repro.core.smp import SmpScheduler
 from repro.http.blocking_client import BlockingHttpClient
-from repro.runtime.cluster import ClusterConfig, ClusterServer, build_runtime
-from repro.runtime.live_runtime import LiveRuntime
+from repro.runtime.cluster import ClusterServer
 
 SITE = {"index.html": b"<html>cluster under test</html>"}
 
@@ -264,40 +262,5 @@ class TestConfig:
             client.close()
             workers = cluster.stats()["workers"]
             assert workers[0]["poller"] == "select"
-        finally:
-            cluster.stop()
-
-    def test_bad_scheduler_kind(self):
-        with pytest.raises(ValueError):
-            build_runtime(ClusterConfig(scheduler="magic"))
-
-    def test_build_runtime_smp(self):
-        rt = build_runtime(ClusterConfig(scheduler="smp", smp_workers=3))
-        try:
-            assert isinstance(rt, LiveRuntime)
-            assert isinstance(rt.sched, SmpScheduler)
-            assert len(rt.sched.workers) == 3
-        finally:
-            rt.shutdown()
-
-    def test_smp_sharded_cluster_serves(self):
-        # The full stack: process shards whose runtimes wrap SmpScheduler
-        # (per-worker queues + stealing inside each shard).
-        cluster = ClusterServer(
-            app_factory, shards=2, scheduler="smp", smp_workers=2, grace=0.1
-        )
-        cluster.start()
-        try:
-            clients = []
-            for _ in range(8):
-                status, body, client = get(cluster.port)
-                assert status.endswith("200 OK")
-                assert body == SITE["index.html"]
-                clients.append(client)
-            for client in clients:
-                status, _, _ = get(cluster.port, client=client)
-                assert status.endswith("200 OK")
-                client.close()
-            assert cluster.stats()["aggregate"]["requests"] == 16
         finally:
             cluster.stop()

@@ -12,7 +12,6 @@ import time
 import pytest
 
 from repro.core.do_notation import do
-from repro.core.smp import SmpScheduler
 from repro.core.syscalls import (
     sys_blio,
     sys_fork,
@@ -237,15 +236,6 @@ class TestLoopTurn:
     @pytest.mark.parametrize("poller", POLLERS)
     def test_spinning_thread_does_not_starve_io(self, poller):
         rt = LiveRuntime(poller=poller)
-        try:
-            assert _echo_beside_a_spinner(rt) == 20
-        finally:
-            rt.shutdown()
-
-    def test_spinning_thread_does_not_starve_io_on_smp(self):
-        # ``SmpScheduler.ready`` is a count, not a deque: the turn's
-        # snapshot must work on both shapes.
-        rt = LiveRuntime(scheduler=SmpScheduler(workers=2))
         try:
             assert _echo_beside_a_spinner(rt) == 20
         finally:

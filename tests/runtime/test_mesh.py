@@ -23,11 +23,11 @@ from repro.core.trace import SysFork, SysSpecial
 from repro.runtime.io_api import ConnectionClosed
 from repro.runtime.live_runtime import LiveRuntime
 from repro.runtime.mesh import (
+    FLUSH_MAX_FRAMES,
     KIND_CAST,
     KIND_PING,
     KIND_REPLY,
     KIND_REQUEST,
-    AdaptiveFlushCap,
     FrameReader,
     MeshNode,
     MeshPeerDown,
@@ -893,119 +893,76 @@ class TestBatchedEgress:
         assert node_a.timers.scheduled >= 20
 
     def test_flush_caps_split_oversized_batches(self, rt):
-        # A burst larger than flush_max_iov still delivers everything,
-        # split across capped gathered writes.  The ceiling is pinned to
-        # the floor so the adaptive cap cannot grow mid-test.
+        # A burst larger than FLUSH_MAX_FRAMES is delivered whole and in
+        # queue order, split across capped gathered writes.
         seen = []
 
         def recording(body):
             seen.append(body)
             return pure(b"")
 
+        burst = FLUSH_MAX_FRAMES * 2 + 22
+        # ``max_inflight`` above the burst: every frame gets a forked
+        # worker and the scheduler runs those FIFO, so ``seen`` is the
+        # order the frames crossed the wire.
         node_a, _node_b = make_pair(rt, handler_b=recording,
-                                    flush_max_iov=4,
-                                    flush_max_iov_ceiling=4)
+                                    max_inflight=burst + 1)
         done = []
 
         @do
         def one_cast(index):
-            yield node_a.cast(1, b"x%02d" % index)
+            yield node_a.cast(1, b"x%03d" % index)
             done.append(index)
 
-        for index in range(10):
+        # Warm the link so the casts enqueue in spawn order instead of
+        # queueing on the dial mutex.
+        rt.spawn(one_cast(0))
+        rt.run(until=lambda: len(seen) == 1, idle_timeout=5.0)
+        for index in range(1, burst):
             rt.spawn(one_cast(index), name=f"cast-{index}")
-        rt.run(until=lambda: len(done) == 10 and len(seen) == 10,
+        rt.run(until=lambda: len(done) == burst and len(seen) == burst,
                idle_timeout=5.0)
-        assert sorted(seen) == sorted(b"x%02d" % index for index in range(10))
-        assert node_a.stats.max_frames_per_flush <= 4
-        assert node_a.stats.flushes >= 3  # ceil(10 / 4)
-        assert node_a.health()["flush_cap"] == 4  # pinned: never moved
+        assert seen == [b"x%03d" % index for index in range(burst)]
+        assert FLUSH_MAX_FRAMES == 64
+        assert 1 < node_a.stats.max_frames_per_flush <= FLUSH_MAX_FRAMES
+        assert node_a.stats.flushes >= 4  # 1 warm + ceil(149 / 64)
 
-    def test_adaptive_cap_grows_under_sustained_backlog(self, rt):
-        # A burst far larger than the floor saturates consecutive flushes,
-        # so the cap doubles toward the ceiling and health() shows it.
-        seen = []
+    def test_one_flush_is_one_gathered_write(self, rt):
+        # 200 concurrent casts x 6 rounds on one warm, healthy link: every
+        # flush is exactly one ``sendmsg`` (a batch never exceeds what one
+        # gathered write carries), so nothing looks like a partial write
+        # and no write watchdog is ever armed.
+        node_a, _node_b = make_pair(rt, handler_b=lambda body: pure(b""))
+        warmed = []
 
-        def recording(body):
-            seen.append(body)
-            return pure(b"")
+        @do
+        def warm():
+            yield node_a.call(1, b"warm")
+            warmed.append(True)
 
-        node_a, _node_b = make_pair(rt, handler_b=recording,
-                                    flush_max_iov=2,
-                                    flush_max_iov_ceiling=64)
+        rt.spawn(warm())
+        rt.run(until=lambda: bool(warmed), idle_timeout=5.0)
+        flushes = node_a.stats.flushes
+        writes = rt.backend.writev_calls
+        armed = rt.timers.stats()["scheduled"]
         done = []
 
         @do
         def one_cast(index):
-            yield node_a.cast(1, b"y%02d" % index)
+            yield node_a.cast(1, b"burst-%d" % index)
             done.append(index)
 
-        for index in range(12):
-            rt.spawn(one_cast(index), name=f"acast-{index}")
-        rt.run(until=lambda: len(done) == 12 and len(seen) == 12,
-               idle_timeout=5.0)
-        health = node_a.health()
-        assert health["flush_cap_grows"] >= 1
-        assert health["flush_cap"] > 2
-        assert node_a.stats.max_frames_per_flush > 2  # the growth engaged
-
-
-class TestAdaptiveFlushCap:
-    """Unit tests for the backlog-adaptive cap (no sockets involved)."""
-
-    def test_grows_on_saturated_flush_with_backlog(self):
-        cap = AdaptiveFlushCap(4, 16)
-        cap.note_flush(4, 10)
-        assert cap.value == 8
-        cap.note_flush(8, 3)
-        assert cap.value == 16
-        assert cap.grows == 2
-
-    def test_respects_ceiling(self):
-        cap = AdaptiveFlushCap(4, 16)
-        for _ in range(10):
-            cap.note_flush(cap.value, 100)
-        assert cap.value == 16
-
-    def test_saturated_flush_without_backlog_does_not_grow(self):
-        cap = AdaptiveFlushCap(4, 16)
-        cap.note_flush(4, 0)  # drained the queue exactly: burst over
-        assert cap.value == 4
-
-    def test_decays_after_two_underfilled_flushes(self):
-        cap = AdaptiveFlushCap(4, 64)
-        cap.note_flush(4, 10)
-        cap.note_flush(8, 10)
-        assert cap.value == 16
-        cap.note_flush(2, 0)
-        assert cap.value == 16  # one quiet flush: not yet
-        cap.note_flush(1, 0)
-        assert cap.value == 8
-        assert cap.decays == 1
-
-    def test_decay_stops_at_floor(self):
-        cap = AdaptiveFlushCap(4, 64)
-        for _ in range(20):
-            cap.note_flush(1, 0)
-        assert cap.value == 4
-
-    def test_moderate_flush_resets_decay_streak(self):
-        cap = AdaptiveFlushCap(4, 64)
-        cap.note_flush(4, 10)  # grow to 8
-        cap.note_flush(2, 0)   # under half: streak 1
-        cap.note_flush(5, 0)   # over half: streak resets
-        cap.note_flush(2, 0)   # streak 1 again
-        assert cap.value == 8
-
-    def test_floor_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveFlushCap(0, 8)
-
-    def test_ceiling_clamped_to_floor(self):
-        cap = AdaptiveFlushCap(8, 2)
-        assert cap.ceiling == 8
-        cap.note_flush(8, 5)
-        assert cap.value == 8  # floor == ceiling: static behavior
+        for round_ in range(6):
+            for index in range(200):
+                rt.spawn(one_cast(index), name=f"cast-{round_}-{index}")
+            rt.run(until=lambda: len(done) == 200 * (round_ + 1),
+                   idle_timeout=5.0)
+        assert len(done) == 1200
+        assert (node_a.stats.flushes - flushes
+                == rt.backend.writev_calls - writes)
+        assert rt.timers.stats()["scheduled"] == armed
+        assert node_a.stats.max_frames_per_flush <= FLUSH_MAX_FRAMES
+        assert node_a.stats.max_frames_per_flush > 1
 
 
 class TestKeepalive:
