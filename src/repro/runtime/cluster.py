@@ -253,9 +253,14 @@ def _worker_main(
             "shed": getattr(stats, "shed", 0),
             "capacity": getattr(app, "max_connections", None),
             # Event-loop overhead: cumulative epoll_ctl (or selector
-            # register/modify/unregister) traffic on this shard's poller.
+            # register/modify/unregister) traffic on this shard's poller,
+            # and the ``poll`` calls its loop made (those that could not
+            # block counted apart: turns that ended with work still
+            # ready).
             "poller": rt.poller.name,
             "poller_ctl": rt.poller.ctl_calls,
+            "poller_polls": rt.poller.polls,
+            "poller_zero_timeout_polls": rt.poller.zero_timeout_polls,
             # Egress syscall split: plain send() vs gathered sendmsg().
             # The hot-path bench divides these by responses to verify
             # the one-write-per-response property in situ.
@@ -747,7 +752,8 @@ class ClusterServer:
             for key in ("accepted", "requests", "responses_ok",
                         "responses_err", "bytes_sent", "queue_depth",
                         "active", "shed", "io_write_calls",
-                        "io_writev_calls")
+                        "io_writev_calls", "poller_ctl", "poller_polls",
+                        "poller_zero_timeout_polls")
         }
         saturations = [
             reply["saturation"] for reply in answered

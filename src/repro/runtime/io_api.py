@@ -276,25 +276,26 @@ class NetIO:
             rest = _unsent(rest, count)
         return total
 
-    def writev_nowait(self, fd: Any, bufs: list) -> M:
-        """One gathered write of ``bufs`` that never parks: the kernel
-        takes what it can right now.  Resumes with the unsent tail (ready
-        for :meth:`write_all_v`) — empty when everything went, all of
-        ``bufs`` when the socket would block.  Lets a writer learn, for
-        the price of the write it had to make anyway, whether finishing
-        is about to park."""
+    def try_writev(self, fd: Any, bufs: list) -> list:
+        """One gathered write of ``bufs`` right now — plain code, for a
+        caller already on the loop (a timer action): the kernel takes
+        what it can.  Returns the unsent tail (ready for
+        :meth:`write_all_v`) — empty when everything went, all of
+        ``bufs`` when the socket would block."""
         backend = self.backend
+        window = bufs[:WRITEV_IOV_LIMIT]
+        op = getattr(backend, "nb_writev", None)
+        if op is not None:
+            count = op(fd, window)
+        else:
+            count = backend.nb_write(fd, b"".join(window))
+        return _unsent(bufs, 0 if count is WOULD_BLOCK else count)
 
-        def attempt() -> list:
-            window = bufs[:WRITEV_IOV_LIMIT]
-            op = getattr(backend, "nb_writev", None)
-            if op is not None:
-                count = op(fd, window)
-            else:
-                count = backend.nb_write(fd, b"".join(window))
-            return _unsent(bufs, 0 if count is WOULD_BLOCK else count)
-
-        return sys_nbio(attempt)
+    def writev_nowait(self, fd: Any, bufs: list) -> M:
+        """:meth:`try_writev` as a monadic operation that never parks.
+        Lets a writer learn, for the price of the write it had to make
+        anyway, whether finishing is about to park."""
+        return sys_nbio(lambda: self.try_writev(fd, bufs))
 
     def sendfile(self, fd: Any, file: Any, offset: int, count: int) -> M:
         """Send ``count`` bytes of ``file`` from ``offset`` to ``fd``

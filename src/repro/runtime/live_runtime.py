@@ -21,8 +21,15 @@ only beats one-thread-per-connection if the event loop itself stays cheap:
   over ``selectors.DefaultSelector``.
 
 Both pollers expose ``ctl_adds``/``ctl_mods``/``ctl_dels`` counters so the
-no-rearm property is testable and per-shard loop overhead is observable
-through the cluster stats protocol.
+no-rearm property is testable, and ``polls``/``zero_timeout_polls`` so the
+loop's own turn count is; per-shard loop overhead is observable through
+the cluster stats protocol.
+
+The loop itself (:meth:`LiveRuntime.run`) is the paper's ``worker_main``
+(§4.2) with the device loops folded in: a *turn* takes threads off the
+ready queue until it is dry (at most :data:`TURN_STEPS` steps), fires the
+deadlines that are due, then polls once — so a fork or a wake-up runs in
+the turn that made it ready, and waiting is left to the one ``poll``.
 """
 
 from __future__ import annotations
@@ -60,6 +67,11 @@ __all__ = [
 
 #: Threads in the blocking-I/O pool (§4.6): file opens, stats, fsyncs.
 BLIO_WORKERS = 4
+
+#: Steps (``sched.step()`` calls, each at most ``batch_limit`` system
+#: calls) one loop turn takes before it looks at the devices whether or
+#: not the ready queue is dry.
+TURN_STEPS = 128
 
 HAS_EPOLL = hasattr(select, "epoll")
 HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
@@ -326,6 +338,9 @@ class EpollPoller:
         self.ctl_adds = 0
         self.ctl_mods = 0
         self.ctl_dels = 0
+        #: ``poll`` calls made, and how many of them could not block.
+        self.polls = 0
+        self.zero_timeout_polls = 0
 
     # -- bookkeeping ---------------------------------------------------
     @property
@@ -372,6 +387,9 @@ class EpollPoller:
 
     # -- events --------------------------------------------------------
     def poll(self, timeout: float | None) -> list[Resume]:
+        self.polls += 1
+        if timeout == 0:
+            self.zero_timeout_polls += 1
         try:
             events = self._epoll.poll(-1 if timeout is None else timeout)
         except InterruptedError:
@@ -478,6 +496,8 @@ class SelectorPoller:
         self.ctl_adds = 0
         self.ctl_mods = 0
         self.ctl_dels = 0
+        self.polls = 0  # see EpollPoller.polls
+        self.zero_timeout_polls = 0
 
     @property
     def ctl_calls(self) -> int:
@@ -509,6 +529,9 @@ class SelectorPoller:
         self._waiter_count += 1
 
     def poll(self, timeout: float | None) -> list[Resume]:
+        self.polls += 1
+        if timeout == 0:
+            self.zero_timeout_polls += 1
         events = self.selector.select(timeout)
         resumes: list[Resume] = []
         for key, mask in events:
@@ -716,15 +739,17 @@ class LiveRuntime:
         timer left armed, or (if given) nothing happens for
         ``idle_timeout`` seconds.
 
-        One *turn* runs every thread that was ready when the turn began,
-        then looks at the devices once: pool completions, due timers
-        (sleeps and ``rt.timers`` entries, one heap), one ``poll``
-        (blocking only when no thread is ready, and no longer than the
-        next deadline).  A thread that re-queues itself mid-turn
-        (``sys_yield``, an exhausted batch) or is forked lands behind the
-        snapshot and runs next turn, so a spinning thread cannot starve
-        I/O, and the devices cost one check per turn rather than one per
-        context switch.
+        One *turn* is the paper's ``worker_main`` (§4.2): take threads
+        off the ready queue until it is dry — a thread forked or woken
+        mid-turn (``sys_fork``, an MVar hand-off, ``sys_yield``) runs in
+        the turn that made it ready — then look at the devices once:
+        fire the deadlines that are due (sleeps and ``rt.timers``
+        entries, one heap; a deadline of "now" armed mid-turn fires
+        here, with every thread that could add to its work already
+        parked), then one ``poll``, blocking until the next deadline
+        unless something is still ready.  A turn takes at most
+        :data:`TURN_STEPS` steps, so a thread that is always ready
+        cannot keep the loop from I/O.
 
         Deadlock is not detected here: a runtime whose threads are all
         parked with nothing armed idles at 20 polls/s until ``until()``
@@ -738,15 +763,17 @@ class LiveRuntime:
         while True:
             if until is not None and until():
                 return
-            progressed = self._drain_completions() | timers.fire_due()
-            if progressed and until is not None and until():
-                return  # a plain timer action may be what it waits for
-            for _ in range(len(sched.ready)):
+            progressed = self._drain_completions()
+            for _ in range(TURN_STEPS):
                 if not sched.step():
                     break
                 progressed = True
                 if until is not None and until():
                     return
+            if timers.fire_due():
+                progressed = True
+                if until is not None and until():
+                    return  # a plain timer action may be what it waits for
             if (until is None and sched.live_threads == 0
                     and timers.next_deadline() is None):
                 return

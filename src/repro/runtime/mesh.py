@@ -38,15 +38,21 @@ Invariants the rest of the stack builds on:
   keepalive frame both sides silently discard.
 * **Batched egress** — senders never write the socket directly: each
   frame is *queued* on the connection's outbound queue (header and body
-  as separate buffers — zero concatenation) and a single flusher thread
-  per connection, forked by the first enqueue of a loop turn, drains the
-  queue with one gathered write per batch (at most
+  as separate buffers — zero concatenation), and the first enqueue on an
+  idle connection arms the flush as a deadline of "now" on the timer
+  wheel (``timers.schedule(0, ...)``).  The runtime fires it once its
+  ready queue is dry — every enqueuer of the turn, a worker forked or
+  woken mid-turn included, is in the queue by then — and the action, in
+  plain code on the loop, makes one gathered write per batch (at most
   :data:`FLUSH_MAX_FRAMES` frames — what one ``sendmsg`` can carry — and
-  about :data:`FLUSH_MAX_BYTES`).  Frames queued before the flusher
-  first runs, or while a flush is in flight, ride the same ``writev``, so
-  N concurrent calls/casts/replies on one link cost one syscall, not N
-  (one per 64 frames past that).  The queue is FIFO, so frames never
-  interleave or reorder; ``stats.flushes``/
+  about :data:`FLUSH_MAX_BYTES`), so N concurrent calls/casts/replies on
+  one link cost one syscall, not N (one per 64 frames past that), and a
+  frame costs no thread.  The action hands back an ``M`` — the wheel runs
+  it on a thread of its own — only for what plain code cannot do: fill
+  the flush boxes of casts and pings, write the batches beyond the first
+  (frames queued meanwhile ride them), finish a partial write.  One
+  flush owns a connection at a time (``out.flushing``) and the queue is
+  FIFO, so frames never interleave or reorder; ``stats.flushes``/
   ``batched_flushes``/``max_frames_per_flush`` make the coalescing
   observable.  A *request* or *reply* is queued and forgotten — nobody
   parks until it is on the wire: a request's write failure reaches its
@@ -67,8 +73,10 @@ Invariants the rest of the stack builds on:
   ``write_timeout`` watchdog on the wheel.  An unblocked link therefore
   costs zero watchdog timers; a flush that stalls past ``write_timeout``
   (the peer stopped reading) is downed by the wheel closing the
-  connection — the runtime wakes the parked flusher, and every waiter
+  connection — the runtime wakes the parked writer, and every waiter
   sees :class:`MeshPeerDown` (counted in ``stats.write_timeouts``).
+  Whatever a flush's write raises, ``OSError`` or not, is that same
+  link failure — a flush never ends with ``out.flushing`` still set.
   Link failures (dial refused, reset, EOF mid-call) raise
   :class:`MeshPeerDown` and fail every other call pending and every
   frame queued on the same link.
@@ -113,6 +121,7 @@ __all__ = [
 
 _LEN = struct.Struct("!I")
 _HEAD = struct.Struct("!BQ")
+_FRAME = struct.Struct("!IBQ")  # the two above, packed in one call
 
 KIND_REQUEST = 0
 KIND_REPLY = 1
@@ -138,7 +147,7 @@ FLUSH_MAX_FRAMES = WRITEV_IOV_LIMIT // 2
 
 #: Rough byte bound on one flush (a frame is never split across it — the
 #: next flush picks it up), so one link's burst of large bodies does not
-#: hold the flusher through a single multi-megabyte write.
+#: hold its flush through a single multi-megabyte write.
 FLUSH_MAX_BYTES = 256 * 1024
 
 
@@ -166,10 +175,9 @@ class MeshProtocolError(MeshError):
 # Framing (shared by both sides; also exercised directly by tests).
 # ----------------------------------------------------------------------
 def frame_header(kind: int, request_id: int, body_len: int) -> bytes:
-    """The 12-byte length-prefix + kind + request-id header for a frame
+    """The 13-byte length-prefix + kind + request-id header for a frame
     whose body is ``body_len`` bytes."""
-    return (_LEN.pack(_HEAD.size + body_len)
-            + _HEAD.pack(kind, request_id))
+    return _FRAME.pack(_HEAD.size + body_len, kind, request_id)
 
 
 class FrameReader:
@@ -218,7 +226,9 @@ class FrameReader:
                 need = _LEN.size + length
                 if len(buf) >= need:
                     kind, request_id = _HEAD.unpack_from(buf, _LEN.size)
-                    body = bytes(buf[_LEN.size + _HEAD.size:need])
+                    # One copy; the view must be gone before the resize.
+                    with memoryview(buf) as view:
+                        body = bytes(view[_FRAME.size:need])
                     del buf[:need]
                     return kind, request_id, body
             if self._drained:
@@ -245,15 +255,15 @@ _TIMED_OUT = _Timeout()
 
 
 class _Outbound:
-    """Per-connection outbound frame queue + its flusher state.
+    """Per-connection outbound frame queue + its flush state.
 
     ``queue`` entries are ``(bufs, flushed)``: the frame's buffers
     (header, body — never joined) and, for casts and pings only, an
-    :class:`~repro.core.sync.MVar` the flusher fills with ``None``
+    :class:`~repro.core.sync.MVar` the flush fills with ``None``
     (written) or an exception; requests and replies carry ``None`` —
     nobody waits for their write.  ``link`` is
-    the owning client :class:`_PeerLink` for client connections (so the
-    flusher can down the link on failure), ``None`` for inbound server
+    the owning client :class:`_PeerLink` for client connections (so a
+    failed flush can down the link), ``None`` for inbound server
     connections (their reader tears them down).
     """
 
@@ -263,8 +273,9 @@ class _Outbound:
     def __init__(self, conn: Any, link: "_PeerLink | None" = None) -> None:
         self.conn = conn
         self.queue: deque[tuple[tuple[bytes, ...], MVar | None]] = deque()
-        #: Whether a flusher thread currently owns the queue (at most
-        #: one per connection; enqueuers fork it on demand).
+        #: Whether a flush owns the queue — its trigger armed or its
+        #: write in progress (at most one per connection; the first
+        #: enqueue on an idle connection arms it).
         self.flushing = False
         self.link = link
         #: Frames ever enqueued — the keepalive tick compares this
@@ -272,9 +283,29 @@ class _Outbound:
         self.enqueued = 0
         #: Set (to the failure) once a flush on this connection has
         #: failed: later enqueues raise immediately instead of queueing
-        #: behind a dead flusher.  Sticky — a downed link is re-dialed
+        #: behind a flush that will never come.  Sticky — a downed link is re-dialed
         #: with a fresh ``_Outbound``, never resurrected.
         self.failed: MeshError | None = None
+
+    def take_batch(self) -> tuple[int, list[bytes], list[MVar]]:
+        """Pop the next batch off the queue (at most
+        :data:`FLUSH_MAX_FRAMES` frames, about :data:`FLUSH_MAX_BYTES`):
+        its frame count, its buffers in wire order, and the flush boxes
+        of its casts and pings."""
+        queue = self.queue
+        frames = nbytes = 0
+        bufs: list[bytes] = []
+        boxes: list[MVar] = []
+        while (queue and frames < FLUSH_MAX_FRAMES
+                and nbytes < FLUSH_MAX_BYTES):
+            frame, flushed = queue.popleft()
+            frames += 1
+            for buf in frame:
+                bufs.append(buf)
+                nbytes += len(buf)
+            if flushed is not None:
+                boxes.append(flushed)
+        return frames, bufs, boxes
 
 
 class _PeerLink:
@@ -317,7 +348,7 @@ class MeshStats:
         self.write_timeouts = 0
         self.frames_sent = 0
         self.frames_received = 0
-        #: Gathered writes issued by outbound-queue flushers.
+        #: Gathered writes issued by outbound-queue flushes.
         self.flushes = 0
         #: Flushes that carried more than one frame (coalescing engaged).
         self.batched_flushes = 0
@@ -517,13 +548,15 @@ class MeshNode:
     # ------------------------------------------------------------------
     def _enqueue(self, out, kind, request_id, body, flushed=None) -> M:
         # Queue the frame (header and body stay separate buffers: the
-        # flusher's writev gathers them) and fork the connection's
-        # flusher if none is running — nothing parks here.  Concurrent
-        # enqueuers on one connection all land in the queue before the
-        # forked flusher first runs — that is the once-per-loop-turn
-        # batching.  ``flushed`` is the box a cast or ping waits on.
+        # flush's writev gathers them) and, on an idle connection, arm
+        # the flush as a deadline of "now" — nothing parks here, and no
+        # thread is made.  The loop fires it once the ready queue is dry,
+        # so every enqueuer of this turn, forked or woken mid-turn
+        # included, lands in the queue first — that is the
+        # once-per-loop-turn batching.  ``flushed`` is the box a cast or
+        # ping waits on.
         if out.failed is not None:
-            # The connection's flusher already died: fail fast instead
+            # The connection's flush already failed: fail fast instead
             # of queueing behind a drain that has passed.
             return sys_throw(out.failed)
         if _HEAD.size + len(body) > self.max_frame:
@@ -545,76 +578,87 @@ class MeshNode:
         if out.flushing:
             return pure(None)
         out.flushing = True
-        return sys_fork(self._flusher(out), name="mesh-flush")
+        return self.timers.schedule(0, lambda: self._flush(out))
 
     @do
     def _enqueue_flushed(self, out, kind, body):
         # Casts and pings: park until the frame's batch is on the wire,
         # and raise if it never got there.
-        flushed = MVar(name="mesh-flush")
+        flushed = MVar(name="mesh-flushed")
         yield self._enqueue(out, kind, 0, body, flushed)
         outcome = yield flushed.take()
         if isinstance(outcome, BaseException):
             raise outcome
 
-    @do
-    def _flusher(self, out):
-        # The connection's single writer: drain the queue in bounded
-        # gathered writes until it is empty, then exit (the next
-        # enqueue forks a fresh one).  Each batch gets one write that
-        # cannot park; only if the kernel took less than all of it does
-        # the rest go through a parking write, watched on the timer
-        # wheel: a stall past ``write_timeout`` means the peer stopped
-        # reading — the wheel closes the connection, the runtime wakes
-        # this thread with an error, and every queued frame fails with
-        # MeshPeerDown.
+    def _count_flush(self, frames: int) -> None:
         stats = self.stats
+        stats.flushes += 1
+        stats.frames_sent += frames
+        if frames > 1:
+            stats.batched_flushes += 1
+        if frames > stats.max_frames_per_flush:
+            stats.max_frames_per_flush = frames
+
+    def _flush(self, out):
+        # The flush deadline's action — plain code, on the loop: the one
+        # gathered write of a batch that cannot park.  On a healthy link
+        # carrying requests and replies that is the whole flush; it
+        # returns an ``M`` (which ``fire_due`` gives a thread of its own)
+        # only for what plain code cannot do.  Whatever the write raises
+        # is a failed link, never a flush left ``flushing`` for good.
+        frames, bufs, boxes = out.take_batch()
         try:
-            while out.queue:
-                batch: list[tuple[tuple[bytes, ...], MVar | None]] = []
-                bufs: list[bytes] = []
-                nbytes = 0
-                while (out.queue and len(batch) < FLUSH_MAX_FRAMES
-                        and nbytes < FLUSH_MAX_BYTES):
-                    entry = out.queue.popleft()
-                    batch.append(entry)
-                    for buf in entry[0]:
-                        bufs.append(buf)
-                        nbytes += len(buf)
-                watchdog = None
-                try:
-                    rest = yield self.io.writev_nowait(out.conn, bufs)
-                    if rest:
-                        if self.write_timeout:
-                            watchdog = yield self.timers.schedule(
-                                self.write_timeout,
-                                lambda: self._wedge(out),
-                            )
-                        yield self.io.write_all_v(out.conn, rest)
-                except (ConnectionError, OSError) as exc:
-                    stalled = watchdog is not None and watchdog.fired
+            rest = self.io.try_writev(out.conn, bufs)
+        except Exception as exc:
+            return self._fail_outbound(out, boxes, exc, False)
+        if rest or boxes or out.queue:
+            return self._flusher(out, frames, boxes, rest)
+        self._count_flush(frames)
+        out.flushing = False
+        return None
+
+    @do
+    def _flusher(self, out, frames, boxes, rest):
+        # The thread a flush needs only for what is left after the
+        # action's write: ``rest`` of a partial write, the batch's flush
+        # ``boxes``, and the batches still queued (each gets the same
+        # non-parking write first).  A partial write means the rest is
+        # about to wait for the peer, so it goes through a parking write
+        # watched on the timer wheel: a stall past ``write_timeout``
+        # means the peer stopped reading — the wheel closes the
+        # connection, the runtime wakes this thread with an error, and
+        # every queued frame fails with MeshPeerDown.
+        watchdog = None
+        try:
+            while True:
+                if rest:
+                    if self.write_timeout:
+                        watchdog = yield self.timers.schedule(
+                            self.write_timeout, lambda: self._wedge(out)
+                        )
+                    yield self.io.write_all_v(out.conn, rest)
                     if watchdog is not None:
                         watchdog.cancel()
-                    yield self._fail_outbound(out, batch, exc, stalled)
+                        if watchdog.fired:
+                            # The watchdog fired as the final write went
+                            # through.  Its action runs on its own
+                            # thread, so the close may still be a step
+                            # away — fired means lost regardless.
+                            yield self._fail_outbound(out, boxes, None, True)
+                            return
+                        watchdog = None
+                self._count_flush(frames)
+                for flushed in boxes:
+                    yield flushed.try_put(None)
+                if not out.queue:
                     return
-                if watchdog is not None:
-                    watchdog.cancel()
-                    if watchdog.fired:
-                        # The watchdog fired as the final write went
-                        # through.  Its action runs on its own thread, so
-                        # the close may still be a step away — fired
-                        # means lost regardless.
-                        yield self._fail_outbound(out, batch, None, True)
-                        return
-                stats.flushes += 1
-                stats.frames_sent += len(batch)
-                if len(batch) > 1:
-                    stats.batched_flushes += 1
-                if len(batch) > stats.max_frames_per_flush:
-                    stats.max_frames_per_flush = len(batch)
-                for _bufs, flushed in batch:
-                    if flushed is not None:
-                        yield flushed.try_put(None)
+                frames, bufs, boxes = out.take_batch()
+                rest = yield self.io.writev_nowait(out.conn, bufs)
+        except Exception as exc:
+            stalled = watchdog is not None and watchdog.fired
+            if watchdog is not None:
+                watchdog.cancel()
+            yield self._fail_outbound(out, boxes, exc, stalled)
         finally:
             # Plain code: safe under GeneratorExit (abandonment).
             out.flushing = False
@@ -628,12 +672,11 @@ class MeshNode:
         self.stats.write_timeouts += 1
         yield self.io.close(out.conn)
 
-    @do
-    def _fail_outbound(self, out, batch, exc, stalled):
-        # Fail the in-flight batch and everything still queued (casts
-        # and pings through their flush box, requests through the link's
-        # pending reply boxes); down the owning client link (a server
-        # connection is torn down by its reader instead).
+    def _fail_outbound(self, out, boxes, exc, stalled) -> M:
+        # Fail the in-flight batch (``boxes``) and everything still
+        # queued: casts and pings through their flush box, requests
+        # through the link's pending reply boxes; down the owning client
+        # link (a server connection is torn down by its reader instead).
         if stalled:
             failure: MeshError = MeshPeerDown(
                 f"frame write stalled past write_timeout="
@@ -641,19 +684,22 @@ class MeshNode:
             )
         else:
             failure = MeshPeerDown(f"frame write failed: {exc!r}")
-        # Latch the failure *before* the first yield: an enqueue racing
-        # this drain (the try_put below is a scheduling point) must
-        # raise immediately, not park behind a drain that already
-        # snapshotted the queue.
+        # Latched here, in plain code, before any thread can run: a later
+        # enqueue raises at once instead of queueing behind a drain that
+        # already took the queue.
         out.failed = failure
-        entries = list(batch)
-        while out.queue:
-            entries.append(out.queue.popleft())
-        for _bufs, flushed in entries:
-            if flushed is not None:
-                yield flushed.try_put(failure)
-        if out.link is not None:
-            yield self._fail_link(out.link)
+        out.flushing = False
+        boxes = [*boxes, *(flushed for _frame, flushed in out.queue
+                           if flushed is not None)]
+        out.queue.clear()
+        return self._drain_failed(out.link, boxes, failure)
+
+    @do
+    def _drain_failed(self, link, boxes, failure):
+        for flushed in boxes:
+            yield flushed.try_put(failure)
+        if link is not None:
+            yield self._fail_link(link)
 
     # ------------------------------------------------------------------
     # Keepalive: ping idle client links from the timer wheel.
@@ -684,7 +730,7 @@ class MeshNode:
             # every other tick and double the wedge-detection latency).
             link.ka_mark = link.out.enqueued
         except (ConnectionError, OSError):
-            pass  # wedged/vanished: the flusher path downed the link
+            pass  # wedged/vanished: the failed flush downed the link
 
     # ------------------------------------------------------------------
     # Client side: lazily dialed links, multiplexed calls.
@@ -708,7 +754,9 @@ class MeshNode:
             raise MeshError(f"unknown peer {peer}")
         if timeout is None:
             timeout = self.call_timeout
-        link = yield self._link(peer)
+        link = self._links.get(peer)
+        if link is None or not link.alive:
+            link = yield self._link(peer)
         request_id = next(self._request_ids)
         box = MVar(name=f"mesh-call-{peer}-{request_id}")
         # The call's one timer: a heap entry on the shared wheel, not a
@@ -766,7 +814,9 @@ class MeshNode:
             return None
         if peer not in self.peers:
             raise MeshError(f"unknown peer {peer}")
-        link = yield self._link(peer)
+        link = self._links.get(peer)
+        if link is None or not link.alive:
+            link = yield self._link(peer)
         try:
             yield self._enqueue_flushed(link.out, KIND_CAST, body)
         except MeshProtocolError:
@@ -815,9 +865,7 @@ class MeshNode:
     # -- link management ----------------------------------------------
     @do
     def _link(self, peer):
-        link = self._links.get(peer)
-        if link is not None and link.alive:
-            return link
+        # Dial or redial (``call``/``cast`` take a live link themselves).
         mutex = self._dial_mutexes.setdefault(
             peer, Mutex(name=f"mesh-dial-{peer}")
         )

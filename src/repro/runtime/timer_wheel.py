@@ -5,10 +5,15 @@ shard — ``sys_sleep``, mesh call timeouts and write watchdogs, pool
 lease/connect timeouts, the WAL's flush deadline, keepalive and hint-pump
 ticks — is an entry in this heap, and the owning runtime fires it with
 :meth:`TimerWheel.fire_due` and :meth:`TimerWheel.next_deadline`.
-``LiveRuntime.run`` does so once per turn — fire what is due, step the
-ready threads, ``poll`` until the next deadline — so a deadline armed by
-any thread bounds the very next ``poll``, and no thread services the heap.
-``SimRuntime`` keeps one event at the head deadline on its calendar.
+``LiveRuntime.run`` does so once per turn — step the ready threads until
+none is left, fire what is due, ``poll`` until the next deadline — so a
+deadline armed by any thread bounds the very next ``poll``, and no thread
+services the heap.  ``SimRuntime`` keeps one event at the head deadline
+on its calendar, which it consults only when nothing is ready.  On both,
+then, a deadline of "now" (``schedule(0, action)``) means *once every
+ready thread has run, before the loop waits*: the mesh arms a
+connection's flush that way, and the action writes what the whole turn
+queued.
 
 * ``schedule(delay, action)`` resumes with a :class:`TimerHandle`: a heap
   push on the runtime's clock, zero trace nodes.  A plain ``action`` runs

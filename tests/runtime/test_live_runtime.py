@@ -19,7 +19,8 @@ from repro.core.syscalls import (
     sys_sleep,
     sys_yield,
 )
-from repro.runtime.live_runtime import HAS_EPOLL, LiveRuntime
+from repro.core.sync import MVar
+from repro.runtime.live_runtime import HAS_EPOLL, TURN_STEPS, LiveRuntime
 
 POLLERS = ["epoll", "select"] if HAS_EPOLL else ["select"]
 
@@ -230,8 +231,9 @@ def _echo_beside_a_spinner(rt, rounds=20):
 
 
 class TestLoopTurn:
-    """One device check per turn — and a turn is bounded, so a thread
-    that is always ready cannot keep the loop from looking at I/O."""
+    """A turn runs the ready queue dry, then checks the devices once —
+    and a turn is bounded, so a thread that is always ready cannot keep
+    the loop from looking at I/O."""
 
     @pytest.mark.parametrize("poller", POLLERS)
     def test_spinning_thread_does_not_starve_io(self, poller):
@@ -258,6 +260,37 @@ class TestLoopTurn:
                 rt.spawn(hopper())
             rt.run()
             assert len(polls) <= hops + 5  # per turn, not per switch
+        finally:
+            rt.shutdown()
+
+    @pytest.mark.parametrize("poller", POLLERS)
+    def test_forks_and_wakeups_run_in_the_turn_that_made_them_ready(
+            self, poller):
+        # A fork or an MVar hand-off used to land behind the turn's
+        # snapshot and buy a turn (and an empty poll) each: 50 polls.
+        hops = 50
+        for build in (_fork_chain, _mvar_ping_pong):
+            rt = LiveRuntime(poller=poller)
+            try:
+                finished = build(rt, hops)
+                rt.run()
+                assert finished == [hops], build.__name__
+                assert rt.poller.polls <= 3, build.__name__
+            finally:
+                rt.shutdown()
+
+    @pytest.mark.parametrize("poller", POLLERS)
+    def test_budget_exhausted_turn_polls_without_blocking(self, poller):
+        # More ready work than one turn's budget: the loop still looks
+        # at the devices between turns, and must not sleep there.
+        rt = LiveRuntime(poller=poller)
+        try:
+            polls = _count_polls(rt)
+            finished = _fork_chain(rt, 2 * TURN_STEPS + 1)
+            rt.run()
+            assert finished == [2 * TURN_STEPS + 1]
+            assert polls == [0, 0]  # one between turns; the third ends it
+            assert rt.poller.polls == rt.poller.zero_timeout_polls == 2
         finally:
             rt.shutdown()
 
@@ -304,6 +337,46 @@ class TestLoopTurn:
             assert len(polls) <= 30
         finally:
             rt.shutdown()
+
+
+def _fork_chain(rt, length):
+    """A thread that forks a thread that forks a thread...: one step
+    each; the last appends ``length`` to the returned list."""
+    finished: list = []
+
+    @do
+    def link(depth):
+        if depth == length:
+            finished.append(depth)
+        else:
+            yield sys_fork(link(depth + 1))
+
+    rt.spawn(link(1))
+    return finished
+
+
+def _mvar_ping_pong(rt, hops):
+    """Two threads hand a token back and forth through two MVars, each
+    hop waking the parked taker; appends ``hops`` to the returned list."""
+    ping, pong = MVar(name="ping"), MVar(name="pong")
+    finished: list = []
+
+    @do
+    def server():
+        for _ in range(hops // 2):
+            yield ping.put("ball")
+            yield pong.take()
+        finished.append(hops)
+
+    @do
+    def returner():
+        for _ in range(hops // 2):
+            ball = yield ping.take()
+            yield pong.put(ball)
+
+    rt.spawn(returner())
+    rt.spawn(server())
+    return finished
 
 
 def _count_polls(rt):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.do_notation import do
 from repro.core.monad import pure
+from repro.core.sync import MVar
 from repro.core.syscalls import sys_sleep
 from repro.core.trace import SysFork, SysSpecial
 from repro.runtime.io_api import ConnectionClosed
@@ -412,11 +413,31 @@ def fork_names(rt):
     return names
 
 
+WRITE_TIMEOUT = 3.0  # unlike any other delay a test node arms
+
+
+def armed_delays(rt):
+    """The delay of every ``rt.timers.schedule`` from now on.  A flush
+    trigger is 0, a call deadline ``call_timeout`` and a write watchdog
+    ``write_timeout`` — ``timers.scheduled`` alone cannot tell them
+    apart, so watchdog assertions give the node :data:`WRITE_TIMEOUT`
+    and look for it here."""
+    delays: list = []
+    schedule = rt.timers.schedule
+
+    def spy(delay, action):
+        delays.append(delay)
+        return schedule(delay, action)
+
+    rt.timers.schedule = spy
+    return delays
+
+
 class TestCallBudget:
     def test_sequential_call_costs(self, rt):
         """The fast path's cost, from the program's own counters: a
         regression here fails in seconds, not after a benchmark set."""
-        node_a, node_b = make_pair(rt)
+        node_a, node_b = make_pair(rt, write_timeout=WRITE_TIMEOUT)
         warmed, done = [], []
         calls = 200
 
@@ -437,27 +458,41 @@ class TestCallBudget:
         def snapshot():
             return (rt.sched.stats()["total_switches"],
                     rt.sched.stats()["total_syscalls"],
+                    rt.poller.polls,
                     rt.backend.read_calls,
                     rt.timers.stats()["scheduled"],
                     node_a.stats.frames_sent + node_b.stats.frames_sent)
 
         before = snapshot()
+        delays = armed_delays(rt)
+        names = fork_names(rt)
         rt.spawn(caller())
         rt.run(until=lambda: bool(done), idle_timeout=10.0)
         assert done
-        switches, nodes, reads, timers, frames = (
+        switches, nodes, polls, reads, timers, frames = (
             (after - start) / calls
             for after, start in zip(snapshot(), before)
         )
-        assert switches <= 7, f"{switches} context switches per call"
-        # 35 at PR 18: arming the deadline is a heap push, not a
-        # sys_now node inside a @do region.
-        assert nodes <= 33, f"{nodes} trace nodes per call"
+        # 7 / 33 at PR 19: a frame no longer costs a forked flusher (a
+        # TCB, a generator, three trace nodes, a switch), and a live
+        # link is taken without entering ``_link``.
+        assert switches <= 4.1, f"{switches} context switches per call"
+        assert nodes <= 20.1, f"{nodes} trace nodes per call"
+        # One blocking poll per frame: the request's flush and the
+        # reply's each fire off a dry ready queue, and nothing forked or
+        # woken mid-turn buys a turn of its own.
+        assert polls == 2, f"{polls} polls per call"
+        assert rt.poller.zero_timeout_polls <= 5
         assert reads <= 2.2, f"{reads} recv syscalls per call"
-        assert timers == 1, f"{timers} timers scheduled per call"
+        # The call's deadline, and one flush trigger per frame.
+        assert timers == 3, f"{timers} timers scheduled per call"
         assert frames == 2, f"{frames} frames per call"
+        assert delays.count(0) == 2 * calls
         assert rt.timers.armed <= 200  # dead deadlines do not pile up
+        assert WRITE_TIMEOUT not in delays  # zero watchdogs
         assert node_a.stats.write_timeouts == 0
+        assert rt.timers.stats()["action_errors"] == 0
+        assert "mesh-flush" not in names and "timer-action" not in names
 
 
 class TestFanOutThreads:
@@ -705,6 +740,53 @@ class TestFailureModes:
         assert time.monotonic() - started < 5.0
         assert node.stats.write_timeouts == 1
 
+    def test_any_exception_out_of_the_flush_write_downs_the_link(self, rt):
+        # The flush's write runs as a plain timer action: an exception
+        # the wheel merely counted would leave ``out.flushing`` set for
+        # good — every later frame queued behind a flush that never
+        # comes, every caller waiting out its ``call_timeout``.
+        node_a, _node_b = make_pair(rt)
+        outcomes = {}
+
+        @do
+        def attempt(how, send):
+            try:
+                outcomes[how] = yield send(1, b"x")
+            except MeshPeerDown as exc:
+                outcomes[how] = exc
+
+        rt.spawn(attempt("warm", node_a.call))
+        rt.run(until=lambda: "warm" in outcomes, idle_timeout=5.0)
+        out = node_a._links[1].out
+        write = rt.backend.nb_writev
+
+        def broken(fd, bufs):
+            if fd is out.conn:
+                raise RuntimeError("not an OSError")
+            return write(fd, bufs)
+
+        rt.backend.nb_writev = broken
+        started = time.monotonic()
+        rt.spawn(attempt("call", node_a.call))
+        rt.spawn(attempt("cast", node_a.cast))
+        rt.run(until=lambda: len(outcomes) == 3, idle_timeout=10.0)
+        assert time.monotonic() - started < 2.0  # not call_timeout
+        assert isinstance(outcomes["call"], MeshPeerDown)
+        assert isinstance(outcomes["cast"], MeshPeerDown)
+        assert "not an OSError" in str(out.failed)
+        assert not out.flushing and not out.queue
+        assert rt.timers.stats()["action_errors"] == 0
+        assert node_a.connected_peers() == 0
+        # The connection is latched dead; the peer is not: a later call
+        # dials a fresh link.
+        rt.spawn(attempt("late", lambda peer, body: node_a._enqueue(
+            out, KIND_REQUEST, 99, body)))
+        rt.backend.nb_writev = write
+        rt.spawn(attempt("redial", node_a.call))
+        rt.run(until=lambda: len(outcomes) == 5, idle_timeout=5.0)
+        assert outcomes["late"] is out.failed
+        assert outcomes["redial"] == b"echo:x"
+
     def test_failed_reply_write_strands_nothing(self, rt):
         # A peer asks for big replies, never reads them, and hangs up.
         # Nobody waits for a reply's flush, so the request threads are
@@ -861,6 +943,42 @@ class TestBatchedEgress:
         assert node_b.stats.flushes < 8
         assert node_b.stats.batched_flushes >= 1
 
+    def test_workers_woken_mid_turn_reply_in_one_gathered_write(self, rt):
+        # Eight request workers park on one MVar and pass it on as they
+        # wake, so each is made ready *during* the turn.  The flush is a
+        # deadline of "now", fired once the ready queue is dry: all
+        # eight replies leave in one ``sendmsg``.  (A flusher thread
+        # forked by the first reply ran mid-chain: two or more writes.)
+        parked = []
+        baton = MVar(name="baton")
+
+        @do
+        def gated(body):
+            parked.append(body)
+            token = yield baton.take()
+            yield baton.put(token)  # wakes the next worker, mid-turn
+            return b"r:" + body
+
+        node_a, node_b = make_pair(rt, handler_b=gated)
+        replies = []
+
+        @do
+        def one_call(index):
+            replies.append((yield node_a.call(1, b"%d" % index)))
+
+        for index in range(8):
+            rt.spawn(one_call(index), name=f"call-{index}")
+        rt.run(until=lambda: len(parked) == 8, idle_timeout=5.0)
+        assert len(parked) == 8 and node_b.stats.frames_sent == 0
+        writes = rt.backend.writev_calls
+        rt.spawn(baton.put("go"), name="release")
+        rt.run(until=lambda: len(replies) == 8, idle_timeout=5.0)
+        assert sorted(replies) == sorted(b"r:%d" % i for i in range(8))
+        assert rt.backend.writev_calls - writes == 1
+        assert node_b.stats.flushes == 1
+        assert node_b.stats.frames_sent == 8
+        assert node_b.stats.max_frames_per_flush == 8
+
     def test_no_timer_thread_per_call(self, rt):
         # Call timeouts are heap entries the loop fires: N calls fork
         # zero sweeper/watchdog threads, nothing services the wheel, and
@@ -932,7 +1050,8 @@ class TestBatchedEgress:
         # flush is exactly one ``sendmsg`` (a batch never exceeds what one
         # gathered write carries), so nothing looks like a partial write
         # and no write watchdog is ever armed.
-        node_a, _node_b = make_pair(rt, handler_b=lambda body: pure(b""))
+        node_a, _node_b = make_pair(rt, handler_b=lambda body: pure(b""),
+                                    write_timeout=WRITE_TIMEOUT)
         warmed = []
 
         @do
@@ -944,7 +1063,7 @@ class TestBatchedEgress:
         rt.run(until=lambda: bool(warmed), idle_timeout=5.0)
         flushes = node_a.stats.flushes
         writes = rt.backend.writev_calls
-        armed = rt.timers.stats()["scheduled"]
+        delays = armed_delays(rt)
         done = []
 
         @do
@@ -960,7 +1079,9 @@ class TestBatchedEgress:
         assert len(done) == 1200
         assert (node_a.stats.flushes - flushes
                 == rt.backend.writev_calls - writes)
-        assert rt.timers.stats()["scheduled"] == armed
+        # Nothing but flush triggers was armed, at most one a turn.
+        assert set(delays) == {0} and len(delays) <= 1200 / 64
+        assert node_a.stats.write_timeouts == 0
         assert node_a.stats.max_frames_per_flush <= FLUSH_MAX_FRAMES
         assert node_a.stats.max_frames_per_flush > 1
 
@@ -1037,3 +1158,45 @@ class TestKeepalive:
         rt.run(until=lambda: bool(outcome), idle_timeout=5.0)
         assert outcome and isinstance(outcome[0], MeshPeerDown)
         assert time.monotonic() - started < 2.0  # fast-fail, no hang
+
+
+class TestSimFlush:
+    def test_flush_fires_when_the_ready_queue_runs_dry_not_later(self):
+        # A zero-delay heap entry comes off the simulator's calendar
+        # exactly when nothing is ready, where the live loop fires it:
+        # between a frame's enqueue and its write only the CPU of the
+        # threads still running passes, never idle time — and the run
+        # does not end in DeadlockError with the frame still queued.
+        rt = SimRuntime()
+        listeners = {index: rt.kernel.net.listen() for index in range(2)}
+        nodes = [MeshNode(index, rt.io, listeners[index], listeners,
+                          rt.timers, handler=echo_handler)
+                 for index in range(2)]
+        for node in nodes:
+            rt.spawn(node.serve(), name=f"mesh-{node.index}")
+        clock = rt.kernel.clock
+        enqueued, written, replies = [], [], []
+
+        def stamping(log, fn):
+            def stamped(*args, **kwargs):
+                log.append(clock.now - clock.cpu_consumed)  # idle so far
+                return fn(*args, **kwargs)
+            return stamped
+
+        for node in nodes:
+            node._enqueue = stamping(enqueued, node._enqueue)
+        rt.backend.nb_writev = stamping(written, rt.backend.nb_writev)
+
+        @do
+        def caller():
+            for index in range(3):
+                replies.append((yield nodes[0].call(1, b"%d" % index)))
+
+        rt.spawn(caller(), name="caller")
+        rt.run(until=lambda: len(replies) == 3)
+        assert replies == [b"echo:0", b"echo:1", b"echo:2"]
+        assert len(enqueued) == len(written) == 6
+        assert written == pytest.approx(enqueued, abs=1e-9)
+        assert enqueued[-1] > enqueued[0]  # the wire itself takes time
+        assert rt.timers.stats()["action_errors"] == 0
+        assert nodes[0].stats.flushes + nodes[1].stats.flushes == 6

@@ -84,7 +84,8 @@ def test_cluster_stats_carry_every_key_the_harness_reads(harness, tmp_path):
         with BlockingMemcacheClient(cluster.cache_port) as client:
             assert client.set("gamma", b"3")
             assert client.get("gamma") == b"3"
-        flat = layers.flatten(cluster.stats())
+        stats = cluster.stats()
+        flat = layers.flatten(stats)
     finally:
         cluster.stop()
     wanted = {key for key in looked_up_keys()
@@ -93,6 +94,11 @@ def test_cluster_stats_carry_every_key_the_harness_reads(harness, tmp_path):
     # The ops above really were counted under those names.
     assert flat["mesh.calls"] >= 1 and flat["mesh.flushes"] >= 1
     assert flat["app.wal_appends"] >= 2 and flat["app.cache_commands"] == 2
+    # The loop's own poll counters (no harness reads them yet): per
+    # worker beside ``poller_ctl``, summed in the aggregate.
+    for key in ("poller_ctl", "poller_polls", "poller_zero_timeout_polls"):
+        assert flat[key] == sum(w[key] for w in stats["workers"])
+    assert flat["poller_polls"] > flat["poller_zero_timeout_polls"] >= 0
 
 
 @pytest.fixture

@@ -566,9 +566,16 @@ class TestCancelledTimersCostNothing:
 class _FiredNotYetRun:
     """A wheel at the worst moment of the one race the contract has: the
     deadline passed (``fired`` reads True) and the action's thread has
-    not taken its first step, so nothing the action does is visible."""
+    not taken its first step, so nothing the action does is visible.
+    A deadline of "now" is no watchdog (the mesh's flush trigger): it
+    goes to the real ``wheel`` and fires."""
+
+    def __init__(self, wheel):
+        self.wheel = wheel
 
     def schedule(self, delay, action):
+        if delay == 0:
+            return self.wheel.schedule(delay, action)
         return pure(types.SimpleNamespace(
             fired=True, cancelled=False, cancel=lambda: None))
 
@@ -576,11 +583,11 @@ class _FiredNotYetRun:
 class TestFiredMeansLost:
     def test_fired_is_set_before_a_monadic_action_takes_its_first_step(
             self, live):
-        # One busy turn lets a socket become readable *and* a deadline
-        # pass: the reader was made ready first, so it runs between
-        # ``fired = True`` and the action's thread.
-        reader, writer = socket.socketpair()
-        reader.setblocking(False)
+        # The loop fires deadlines off a dry ready queue, so the race
+        # needs two entries due in one turn: a sleeper's just ahead of
+        # the watchdog's.  One busy turn lets both pass; the sleeper is
+        # made ready first, so it runs between ``fired = True`` and the
+        # action's thread.
         effect: list[str] = []
         seen = []
 
@@ -591,31 +598,26 @@ class TestFiredMeansLost:
 
         @do
         def watcher(handle):
-            yield live.io.read(reader, 1)
+            yield sys_sleep(0.01)
             seen.append((handle.fired, list(effect)))
 
         @do
         def driver():
             handle = yield live.timers.schedule(0.02, action)
             yield sys_fork(watcher(handle), name="watcher")
-            yield sys_yield()  # the watcher parks on the read
-            writer.send(b"x")
+            yield sys_yield()  # the watcher parks in its sleep
             time.sleep(0.04)  # the busy turn
 
         live.spawn(driver(), name="driver")
-        try:
-            live.run(until=lambda: bool(seen) and bool(effect),
-                     idle_timeout=2.0)
-        finally:
-            reader.close()
-            writer.close()
+        live.run(until=lambda: bool(seen) and bool(effect),
+                 idle_timeout=2.0)
         assert seen == [(True, [])]
         assert effect == ["ran"]
 
     def test_mesh_flush_that_finishes_after_its_watchdog_fired_downs_the_link(
             self, live):
         node_a, _node_b = make_pair(live)
-        node_a.timers = _FiredNotYetRun()
+        node_a.timers = _FiredNotYetRun(live.timers)
         outcome = []
 
         @do
@@ -637,7 +639,7 @@ class TestFiredMeansLost:
             self, live):
         listener = make_listener()
         pool = make_pool(live, listener, size=1)
-        pool.timers = _FiredNotYetRun()
+        pool.timers = _FiredNotYetRun(live.timers)
         outcome = []
 
         @do
@@ -658,7 +660,7 @@ class TestFiredMeansLost:
             self, live):
         listener, server = start_upstream(live)
         client = make_client(live, listener, pool_size=1)
-        client.timers = _FiredNotYetRun()  # the pool keeps the real wheel
+        client.timers = _FiredNotYetRun(live.timers)  # the pool's is real
         results = []
 
         @do
