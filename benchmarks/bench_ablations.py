@@ -150,7 +150,7 @@ def test_a3_cache_size(benchmark, report):
         import random
 
         from repro.bench import fig19
-        from repro.http.server import KernelSocketLayer, WebServer
+        from repro.http.server import WebServer
         from repro.runtime.sim_runtime import SimRuntime
         from repro.simos.kernel import SimKernel
         from repro.simos.nptl import NptlSim
@@ -160,10 +160,7 @@ def test_a3_cache_size(benchmark, report):
         rt = SimRuntime(kernel=kernel, uncaught="store")
         scaled = int(cache_bytes * fig19._corpus_scale(fig19.DEFAULT_FILES))
         listener = kernel.net.listen(backlog=300)
-        server = WebServer(
-            KernelSocketLayer(rt.io, kernel.net, listener=listener),
-            kernel.fs, cache_bytes=scaled,
-        )
+        server = WebServer(rt.io, listener, kernel.fs, cache_bytes=scaled)
         fig19._warm_app_cache(server, kernel, names, seed=7)
         rt.spawn(server.main())
         clients = NptlSim(kernel, charge_cpu=False)
@@ -208,23 +205,31 @@ def test_a4_app_tcp_overhead(benchmark, report):
 
     payload = bytes(range(256)) * 512 * scale()  # 128KB * scale
 
+    @do
+    def sink(io, listener, done):
+        # The receiving side, once: the transport is its first argument
+        # (``rt.io`` or a ``TcpSockets``) — §4.8's "editing one line".
+        (conn,) = yield io.accept_many(listener, 1)
+        received = bytearray()
+        while len(received) < len(payload):
+            lease, count = yield io.read_pooled(conn, io.buffers)
+            received += lease.data[:count]
+            lease.release()
+            if not count:
+                break
+        done.append(bytes(received))
+
     def run_kernel_sockets() -> float:
         rt = SimRuntime()
         listener = rt.kernel.net.listen()
         done = []
 
         @do
-        def server():
-            conn = yield rt.io.accept(listener)
-            data = yield rt.io.read_exact(conn, len(payload))
-            done.append(data)
-
-        @do
         def client():
             conn = yield rt.io.connect(listener)
             yield rt.io.write_all(conn, payload)
 
-        rt.spawn(server())
+        rt.spawn(sink(rt.io, listener, done))
         rt.spawn(client())
         rt.run(until=lambda: bool(done))
         assert done[0] == payload
@@ -242,18 +247,11 @@ def test_a4_app_tcp_overhead(benchmark, report):
         done = []
 
         @do
-        def server():
-            listener = yield ssock.listen(80)
-            conn = yield ssock.accept(listener)
-            data = yield ssock.recv_exact(conn, len(payload))
-            done.append(data)
-
-        @do
         def client():
             conn = yield csock.connect("server", 80)
             yield csock.send(conn, payload)
 
-        rt.spawn(server())
+        rt.spawn(sink(ssock, server_stack.listen(80), done))
         rt.spawn(client())
         rt.run(until=lambda: bool(done))
         assert done[0] == payload

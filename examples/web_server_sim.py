@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 
 from repro.bench.fig19 import _build_site, _client_gen
-from repro.http.server import KernelSocketLayer, WebServer
+from repro.http.server import WebServer
 from repro.runtime.sim_runtime import SimRuntime
 from repro.simos.kernel import SimKernel
 from repro.simos.nptl import NptlSim
@@ -30,11 +30,9 @@ def run_point(connections: int) -> dict:
     names = _build_site(kernel, N_FILES)
     rt = SimRuntime(kernel=kernel, uncaught="store")
     listener = kernel.net.listen(backlog=connections + 16)
-    server = WebServer(
-        KernelSocketLayer(rt.io, kernel.net, listener=listener),
-        kernel.fs,
-        cache_bytes=CACHE_BYTES,
-    )
+    # The transport is the first argument: ``rt.io`` here, a
+    # ``TcpSockets`` (with ``stack.listen(80)``) for the app-level stack.
+    server = WebServer(rt.io, listener, kernel.fs, cache_bytes=CACHE_BYTES)
     rt.spawn(server.main(), name="webserver")
 
     clients = NptlSim(kernel, charge_cpu=False)

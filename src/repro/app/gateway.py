@@ -49,7 +49,7 @@ from ..core.thread import join_all, spawn
 from ..http.cache import FileCache
 from ..http.client import HttpClient, HttpClientError, RequestTimeout
 from ..http.message import HttpError, HttpRequest, HttpResponse
-from ..http.server import EmptyFilesystem, LiveSocketLayer, WebServer
+from ..http.server import EmptyFilesystem, WebServer
 from ..runtime.io_api import ConnectionClosed
 from ..runtime.pool import PoolError, PoolTimeout
 
@@ -439,7 +439,8 @@ def build_gateway(
         coalesce=coalesce, name=name,
     )
     server = WebServer(
-        LiveSocketLayer(rt.io, listener),
+        rt.io,
+        listener,
         EmptyFilesystem(),
         handler=handler,
         name=name,

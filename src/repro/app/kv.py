@@ -107,7 +107,7 @@ from ..core.do_notation import do
 from ..core.monad import M, pure
 from ..core.syscalls import sys_fork
 from ..http.message import HttpError, HttpRequest, HttpResponse
-from ..http.server import EmptyFilesystem, LiveSocketLayer, WebServer
+from ..http.server import EmptyFilesystem, WebServer
 from ..runtime.mesh import (MeshError, MeshNode, MeshProtocolError,
                             MeshTimeout)
 from .record import (APPLIED, CLOCK, EXISTED, GET, HINT, MGET, STATS, WRITE,
@@ -1021,7 +1021,8 @@ def build_kv_app(
                   replication=replication, write_quorum=write_quorum,
                   wal=wal)
     server = WebServer(
-        LiveSocketLayer(rt.io, listener),
+        rt.io,
+        listener,
         EmptyFilesystem(),
         handler=KvHttpHandler(node),
         name="kv",

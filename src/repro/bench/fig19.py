@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 
 from ..http.baseline import ApacheLikeServer
-from ..http.server import KernelSocketLayer, WebServer
+from ..http.server import WebServer
 from ..runtime.sim_runtime import SimRuntime
 from ..simos.kernel import SimKernel
 from ..simos.nptl import KConnect, KRead, KWrite, NptlSim, run_sims
@@ -124,11 +124,7 @@ def run_monadic(
     rt = SimRuntime(kernel=kernel, uncaught="store")
     cache_bytes = int(PAPER_CACHE * _corpus_scale(n_files))
     listener = kernel.net.listen(backlog=connections + 16)
-    server = WebServer(
-        KernelSocketLayer(rt.io, kernel.net, listener=listener),
-        kernel.fs,
-        cache_bytes=cache_bytes,
-    )
+    server = WebServer(rt.io, listener, kernel.fs, cache_bytes=cache_bytes)
     kernel.alloc_ram(cache_bytes)  # the app cache is resident memory
     # The cache starts cold: the paper flushes caches before each trial.
     rt.spawn(server.main(), name="server")

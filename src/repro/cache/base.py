@@ -209,7 +209,7 @@ class CacheProtocolBase:
 
     # ------------------------------------------------------------------
     @do
-    def drain(self, layer, conn, parser, bad):
+    def drain(self, io, conn, parser, bad):
         """Execute everything this read completed, one store round per
         run (module docstring); all replies (and the farewell for a
         parse error ``bad``) leave as one gathered write."""
@@ -257,7 +257,7 @@ class CacheProtocolBase:
             stats.errors += 1
             out.append(bad.reply)
         if out:
-            yield layer.send_v(conn, out)
+            yield io.write_all_v(conn, out)
             stats.bytes_sent += sum(len(buf) for buf in out)
         if closing:
             return CLOSE  # quit: whatever followed it is not ours

@@ -1,10 +1,10 @@
 """Wiring: a cache wire protocol on a connection driver over a store.
 
 The cache front-end is a sibling of the HTTP facade: same
-:class:`~repro.runtime.driver.ConnectionDriver`, same
-:class:`~repro.runtime.driver.IoSocketLayer`, different protocol object
-— the "protocols among threads" composition the driver was factored out
-for.  :func:`build_cache_frontend` assembles one; :class:`~repro.app.kv
+:class:`~repro.runtime.driver.ConnectionDriver`, same transport
+(``rt.io``), different protocol object — the "protocols among threads"
+composition the driver was factored out for.
+:func:`build_cache_frontend` assembles one; :class:`~repro.app.kv
 .build_kv_app` mounts it next to the HTTP listener so one shard serves
 both dialects over one store.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..core.monad import M
-from ..runtime.driver import ConnectionDriver, IoSocketLayer
+from ..runtime.driver import ConnectionDriver
 from .base import CacheStats
 from .memcache import MemcacheProtocol
 from .resp import RespProtocol
@@ -71,7 +71,7 @@ def build_cache_frontend(
     dialect from :data:`PROTOCOLS`.
 
     The runtime's shared services ride along: ingress reads lease from
-    ``rt.buffers`` (through the socket layer) and the memcache dialect's
+    ``rt.buffers`` (``rt.io``'s pool) and the memcache dialect's
     ``exptime`` uses ``rt.timers`` — pass an explicit ``timers=`` (or
     ``None``) through ``protocol_kwargs`` to override or disable it.
     """
@@ -87,7 +87,8 @@ def build_cache_frontend(
     stats = CacheStats()
     proto = protocol_cls(store, stats=stats, **protocol_kwargs)
     driver = ConnectionDriver(
-        IoSocketLayer(rt.io, listener),
+        rt.io,
+        listener,
         proto,
         accept_batch=accept_batch,
         max_connections=max_connections,

@@ -7,9 +7,10 @@
 * :mod:`repro.http.cache` — the application-managed file cache (the paper
   uses a fixed 100MB cache filled through AIO, bypassing the kernel);
 * :mod:`repro.http.server` — the monadic web server: one ``@do`` thread
-  per client, AIO for disk, exceptions for error paths, and a pluggable
-  socket layer (kernel-style sim sockets *or* the application-level TCP
-  stack — "by editing one line of code");
+  per client, AIO for disk, exceptions for error paths, over whichever
+  transport it is handed (``rt.io`` for kernel-style sockets *or*
+  ``TcpSockets`` for the application-level TCP stack — "by editing one
+  line of code");
 * :mod:`repro.http.client` — the monadic outbound side: the shared
   :class:`~repro.http.client.ResponseParser` (the one client-side
   response parser) and the pooled keep-alive
@@ -30,7 +31,7 @@ from .client import (
 )
 from .message import HttpError, HttpRequest, HttpResponse
 from .parser import HttpParseError, RequestParser
-from .server import KernelSocketLayer, AppTcpSocketLayer, WebServer
+from .server import WebServer
 from .baseline import ApacheLikeServer
 
 __all__ = [
@@ -39,6 +40,6 @@ __all__ = [
     "FileCache",
     "HttpClient", "ClientResponse", "ResponseParser", "ResponseParseError",
     "HttpClientError", "RequestTimeout", "UpstreamProtocolError",
-    "WebServer", "KernelSocketLayer", "AppTcpSocketLayer",
+    "WebServer",
     "ApacheLikeServer",
 ]

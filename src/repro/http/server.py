@@ -21,11 +21,14 @@ HTTP is one protocol among several rather than the hard-wired only one:
   (real docroots) the body instead moves kernel-to-socket via
   ``sendfile`` — zero userspace copies, no cache residency; other
   applications (``repro.app.kv``) plug in the same way;
-* the socket layer is pluggable: :class:`KernelSocketLayer` (simulated
-  kernel streams) or :class:`AppTcpSocketLayer` (the application-level TCP
-  stack).  Switching is the paper's "editing one line of code".
+* the transport is whatever the server is handed: ``rt.io``
+  (:class:`~repro.runtime.io_api.NetIO` — simulated kernel streams or
+  real sockets) or :class:`~repro.tcp.socket_api.TcpSockets` (the
+  application-level TCP stack).  ``WebServer(rt.io, kernel.net.listen(),
+  fs)`` against ``WebServer(tcp_sockets, stack.listen(80), fs)`` is the
+  paper's "editing one line of code".
 
-:class:`WebServer` composes the four into the historical façade.
+:class:`WebServer` composes the three into the historical façade.
 """
 
 from __future__ import annotations
@@ -34,27 +37,10 @@ import os
 from typing import Any
 
 from ..core.do_notation import do
-from ..core.monad import M, pure
-from ..core.syscalls import (
-    sys_aio_read,
-    sys_blio,
-    sys_catch,
-    sys_nbio,
-    sys_now,
-)
-from ..runtime.buffers import BufferPool
-from ..runtime.driver import (
-    CLOSE,
-    DRAIN_CLOSE,
-    ConnectionDriver,
-    IoSocketLayer,
-)
-from ..runtime.io_api import (
-    SENDFILE_WINDOW,
-    ConnectionClosed,
-    FileBody,
-    NetIO,
-)
+from ..core.monad import M
+from ..core.syscalls import sys_aio_read, sys_blio, sys_now
+from ..runtime.driver import CLOSE, DRAIN_CLOSE, ConnectionDriver
+from ..runtime.io_api import FileBody
 from ..simos.filesys import SimFileSystem
 from .cache import FileCache
 from .message import (
@@ -69,102 +55,11 @@ from .message import (
 )
 from .parser import HttpParseError, RequestParser
 
-__all__ = ["WebServer", "IoSocketLayer", "KernelSocketLayer",
-           "LiveSocketLayer", "AppTcpSocketLayer", "ServerStats",
-           "HttpProtocol", "StaticFileHandler",
+__all__ = ["WebServer", "ServerStats", "HttpProtocol", "StaticFileHandler",
            "DocRootFilesystem", "EmptyFilesystem", "build_live_server"]
 
 #: Bytes asked of one AIO read while loading a file into the cache.
 READ_CHUNK = 64 * 1024
-
-
-class KernelSocketLayer(IoSocketLayer):
-    """Socket operations over kernel-style simulated streams.
-
-    Pass ``listener`` to serve on an existing listening socket (benchmarks
-    create it up front so load generators can reference it); otherwise
-    ``setup`` creates one.
-    """
-
-    def __init__(self, io: NetIO, network: Any, listener: Any = None) -> None:
-        super().__init__(io, listener)
-        self.network = network
-
-    def setup(self) -> M:
-        if self.listener is not None:
-            return pure(self.listener)
-        return sys_nbio(lambda: self.network.listen())
-
-
-class LiveSocketLayer(IoSocketLayer):
-    """Socket operations over real non-blocking sockets (live runtime).
-
-    The listener is created up front (``repro.runtime.live_runtime
-    .make_listener``) so the caller controls binding — in cluster mode each
-    shard process makes its own ``SO_REUSEPORT`` listener on a shared port.
-    """
-
-
-class AppTcpSocketLayer:
-    """Socket operations over the application-level TCP stack."""
-
-    def __init__(self, tcp: Any, port: int = 80) -> None:
-        self.tcp = tcp
-        self.port = port
-        self.buffers = BufferPool(name="app-tcp-recv")
-
-    def setup(self) -> M:
-        return self.tcp.listen(self.port)
-
-    def accept_batch(self, listener: Any, limit: int) -> M:
-        # The app-level stack has no kernel accept queue to drain; a batch
-        # is one connection.
-        return self.tcp.accept(listener).bind(lambda conn: pure([conn]))
-
-    @do
-    def recv_pooled(self, conn: Any):
-        # The stack delivers ``bytes``; one copy into a lease keeps the
-        # driver's ingress loop the same on every layer.
-        data = yield self.tcp.recv(conn, self.buffers.buffer_bytes)
-        lease = self.buffers.lease()
-        lease.data[:len(data)] = data
-        return lease, len(data)
-
-    def send_v(self, conn: Any, bufs: list) -> M:
-        # Gathered send down to the stack's iovec — the protocol's
-        # header+body writes stop joining on this layer too.
-        return self.tcp.send_v(conn, bufs)
-
-    @do
-    def sendfile(self, conn: Any, file: Any, offset: int, count: int):
-        # No kernel to splice in: positional reads through the blocking
-        # pool, then ordinary sends (``NetIO.sendfile``'s fallback shape).
-        sent = 0
-        while sent < count:
-            pos = offset + sent
-            window = min(count - sent, SENDFILE_WINDOW)
-            chunk = yield sys_blio(lambda: file.pread(pos, window))
-            if not chunk:
-                raise ConnectionClosed(f"file ended at {pos}, short of "
-                                       f"{offset + count}")
-            yield self.tcp.send(conn, chunk)
-            sent += len(chunk)
-        return sent
-
-    def shed(self, conn: Any, farewell: bytes = b"") -> M:
-        # Best effort: a peer that vanished mid-shed must not kill the
-        # accept loop, and the connection closes on every path.
-        def swallow(_exc: BaseException) -> M:
-            return pure(None)
-
-        farewell_op = (
-            sys_catch(self.tcp.send(conn, farewell), swallow)
-            if farewell else pure(None)
-        )
-        return farewell_op.then(sys_catch(self.close(conn), swallow))
-
-    def close(self, conn: Any) -> M:
-        return self.tcp.close(conn)
 
 
 class ServerStats:
@@ -239,13 +134,13 @@ class StaticFileHandler:
         self.cache = cache
         self.stats = stats if stats is not None else ServerStats()
         self.mtime_ttl = mtime_ttl
-        # Sendfile egress: default on exactly when the filesystem can
-        # hand out open-file regions (real docroots); the in-memory
-        # site/cache path is unaffected either way.
-        if sendfile is None:
-            sendfile = getattr(fs, "open_sendfile", None) is not None
-        self.sendfile = bool(
-            sendfile and getattr(fs, "open_sendfile", None) is not None
+        # Sendfile egress: on exactly when the filesystem can hand out
+        # open-file regions (real docroots) and the caller did not
+        # switch it off; the in-memory site/cache path is unaffected
+        # either way.
+        self._open_sendfile = getattr(fs, "open_sendfile", None)
+        self.sendfile = self._open_sendfile is not None and (
+            sendfile is None or bool(sendfile)
         )
         #: Short-TTL probe cache: ``path -> (mtime, fresh_until)``.
         self._mtime_probes: dict[str, tuple[float | None, float]] = {}
@@ -275,21 +170,30 @@ class StaticFileHandler:
             if response is not None:
                 return response
         content = yield self._load(path, mtime)
+        status, headers, start, stop = self._entity(
+            request, mtime, len(content)
+        )
+        return HttpResponse(status, body=content[start:stop],
+                            headers=headers)
+
+    def _entity(self, request, mtime, size):
+        """Frame a ``size``-byte file for ``request``, whichever way the
+        body will travel: ``(status, headers, start, stop)`` — 200 with
+        the whole span, 206 with the satisfiable single range and its
+        ``Content-Range``, or 416 with ``bytes */size`` and an empty
+        span."""
         headers = {"Content-Type": guess_content_type(request.path)}
         if mtime is not None:
             headers["Last-Modified"] = http_date(mtime)
-        span = self._parse_range(request.header("range"), len(content))
+        span = self._parse_range(request.header("range"), size)
+        if span is None:
+            return 200, headers, 0, size
         if span == _UNSATISFIABLE:
-            headers["Content-Range"] = f"bytes */{len(content)}"
-            return HttpResponse(416, headers=headers)
-        if span is not None:
-            start, stop = span
-            headers["Content-Range"] = (
-                f"bytes {start}-{stop - 1}/{len(content)}"
-            )
-            return HttpResponse(206, body=content[start:stop],
-                                headers=headers)
-        return HttpResponse(200, body=content, headers=headers)
+            headers["Content-Range"] = f"bytes */{size}"
+            return 416, headers, 0, 0
+        start, stop = span
+        headers["Content-Range"] = f"bytes {start}-{stop - 1}/{size}"
+        return 206, headers, start, stop
 
     @do
     def _respond_sendfile(self, request, path, mtime):
@@ -300,15 +204,9 @@ class StaticFileHandler:
         ``None`` when the file does not exist — the caller falls through
         to the cache/AIO path, which raises the 404.
         """
-        # Re-probe the filesystem (not the construction-time decision):
-        # callers may swap ``fs`` for wrappers without ``open_sendfile``.
-        opener = getattr(self.fs, "open_sendfile", None)
-        if opener is None:
-            return None
-
         def open_file():
             try:
-                return opener(path)
+                return self._open_sendfile(path)
             except (FileNotFoundError, OSError):
                 return None
 
@@ -319,22 +217,14 @@ class StaticFileHandler:
             return None
         # Plain code from here to the return: no yield means no
         # abandonment window in which the open fd could leak.
-        size = file.count
-        headers = {"Content-Type": guess_content_type(request.path)}
-        if mtime is not None:
-            headers["Last-Modified"] = http_date(mtime)
-        status = 200
-        span = self._parse_range(request.header("range"), size)
-        if span == _UNSATISFIABLE:
+        status, headers, start, stop = self._entity(
+            request, mtime, file.count
+        )
+        if status == 416:
             file.close()
-            headers["Content-Range"] = f"bytes */{size}"
             return HttpResponse(416, headers=headers)
-        if span is not None:
-            start, stop = span
-            file.offset = start
-            file.count = stop - start
-            status = 206
-            headers["Content-Range"] = f"bytes {start}-{stop - 1}/{size}"
+        file.offset = start
+        file.count = stop - start
         return HttpResponse(status, headers=headers, file=file)
 
     @staticmethod
@@ -521,7 +411,7 @@ class HttpProtocol:
         ).encode()
 
     @do
-    def drain(self, layer, conn, parser, bad):
+    def drain(self, io, conn, parser, bad):
         """Answer every request the bytes so far completed, in order;
         then the parse error ``bad``, if the stream broke after them."""
         stats = self.stats
@@ -532,13 +422,17 @@ class HttpProtocol:
             stats.requests += 1
             keep_alive = request.keep_alive
             try:
-                yield self._respond(layer, conn, request)
+                yield self._respond(io, conn, request)
                 stats.responses_ok += 1
             except _ResponseAborted:
                 return CLOSE  # framing desynced mid-body: just hang up
             except HttpError as error:
-                yield self._send_error(layer, conn, error, keep_alive)
-                if error.status >= 500:
+                # A 5xx ends the session: say so (``Connection: close``),
+                # or a pooled client files the dead socket as reusable.
+                fatal = error.status >= 500
+                yield self._send_error(io, conn, error,
+                                       keep_alive and not fatal)
+                if fatal:
                     return DRAIN_CLOSE
             except (ConnectionError, OSError):
                 raise  # transport failure: the driver hangs up
@@ -548,7 +442,7 @@ class HttpProtocol:
                 # layer owns exception-to-error-response mapping for
                 # *pluggable* handlers, not just well-behaved ones).
                 yield self._send_error(
-                    layer, conn, HttpError(500, type(error).__name__),
+                    io, conn, HttpError(500, type(error).__name__),
                     keep_alive=False,
                 )
                 return DRAIN_CLOSE
@@ -558,19 +452,19 @@ class HttpProtocol:
             # Malformed request (431/413/400...): answer, then the
             # fatal drain-close.
             yield self._send_error(
-                layer, conn, HttpError(bad.status, bad.detail),
+                io, conn, HttpError(bad.status, bad.detail),
                 keep_alive=False,
             )
             return DRAIN_CLOSE
 
     @do
-    def _respond(self, layer, conn, request):
+    def _respond(self, io, conn, request):
         response = yield self.handler.respond(request)
         response.headers.setdefault(
             "Connection", "keep-alive" if request.keep_alive else "close"
         )
         if getattr(response, "file", None) is not None:
-            yield self._send_file(layer, conn, request, response)
+            yield self._send_file(io, conn, request, response)
             return
         if response.chunks is not None and request.version != "HTTP/1.1":
             # Chunked framing is an HTTP/1.1 construct; a 1.0 client
@@ -580,11 +474,11 @@ class HttpProtocol:
             response.body = b"".join(response.chunks)
             response.chunks = None
         if response.chunks is not None:
-            yield self._send_chunked(layer, conn, request, response)
+            yield self._send_chunked(io, conn, request, response)
             return
         header = response.header_block()
         if request.method == "HEAD":
-            yield layer.send_v(conn, [header])
+            yield io.write_all_v(conn, [header])
             self.stats.bytes_sent += len(header)
             return
         # Header + body as one gathered write: one syscall, and the two
@@ -593,14 +487,14 @@ class HttpProtocol:
             bufs = [header, response.body]
         else:
             bufs = [header]
-        yield layer.send_v(conn, bufs)
+        yield io.write_all_v(conn, bufs)
         self.stats.bytes_sent += len(header) + len(response.body)
 
     @do
-    def _send_file(self, layer, conn, request, response):
+    def _send_file(self, io, conn, request, response):
         """Send a file-region response: header from userspace, body
-        through the layer's ``sendfile`` (kernel-to-socket where there
-        is a kernel; it never transits this class either way).
+        through the transport's ``sendfile`` (kernel-to-socket where
+        there is a kernel; it never transits this class either way).
 
         The open file is closed on every exit path — close is plain
         code, so the ``finally`` is safe even under abandonment
@@ -609,17 +503,17 @@ class HttpProtocol:
         file = response.file
         try:
             header = response.header_block()
-            yield layer.send_v(conn, [header])
+            yield io.write_all_v(conn, [header])
             self.stats.bytes_sent += len(header)
             if request.method == "HEAD" or file.count == 0:
                 return
-            sent = yield layer.sendfile(conn, file, file.offset, file.count)
+            sent = yield io.sendfile(conn, file, file.offset, file.count)
             self.stats.bytes_sent += sent
         finally:
             file.close()
 
     @do
-    def _send_chunked(self, layer, conn, request, response):
+    def _send_chunked(self, io, conn, request, response):
         # Unknown total length: frame each element as one chunk, but
         # coalesce the wire writes — the header and framed chunks buffer
         # until ``chunk_watermark`` bytes are pending, then leave as one
@@ -629,7 +523,7 @@ class HttpProtocol:
         # instead of paying its own write.
         header = response.header_block()
         if request.method == "HEAD":
-            yield layer.send_v(conn, [header])
+            yield io.write_all_v(conn, [header])
             self.stats.bytes_sent += len(header)
             return
         pending: list[bytes] = [header]
@@ -647,7 +541,7 @@ class HttpProtocol:
                 # up — an error response here would corrupt the chunk
                 # framing mid-body.
                 if pending:
-                    yield layer.send_v(conn, pending)
+                    yield io.write_all_v(conn, pending)
                     self.stats.bytes_sent += pending_bytes
                 raise _ResponseAborted(repr(exc)) from exc
             if framed:
@@ -655,17 +549,17 @@ class HttpProtocol:
                 pending_bytes += len(framed)
             if pending_bytes >= self.chunk_watermark:
                 bufs, pending, pending_bytes = pending, [], 0
-                yield layer.send_v(conn, bufs)
+                yield io.write_all_v(conn, bufs)
                 self.stats.bytes_sent += sum(len(buf) for buf in bufs)
         pending.append(LAST_CHUNK)
-        yield layer.send_v(conn, pending)
+        yield io.write_all_v(conn, pending)
         self.stats.bytes_sent += pending_bytes + len(LAST_CHUNK)
 
     @do
-    def _send_error(self, layer, conn, error, keep_alive):
+    def _send_error(self, io, conn, error, keep_alive):
         response = HttpResponse.for_error(error, keep_alive)
         header = response.header_block()
-        yield layer.send_v(conn, [header, response.body])
+        yield io.write_all_v(conn, [header, response.body])
         self.stats.responses_err += 1
         self.stats.bytes_sent += len(header) + len(response.body)
 
@@ -676,12 +570,22 @@ class WebServer:
     With the default ``handler`` this is the paper's static-file server;
     pass any object with ``respond(request) -> M[HttpResponse]`` to serve
     a different application (e.g. the KV store's HTTP facade) through the
-    same driver, protocol, and socket layers.
+    same driver and protocol.  ``io`` is the transport (``rt.io`` or a
+    ``TcpSockets``) and ``listener`` what it listens on; ``accept_batch``
+    caps how many connections one wakeup drains, ``max_connections`` is
+    the admission cap (503 beyond it), ``max_header_bytes``/
+    ``max_body_bytes`` bound per-connection parser memory (431/413),
+    ``mtime_ttl`` bounds the conditional-GET stat cost (0 probes every
+    request), ``chunk_watermark`` is the framed-chunk bytes buffered
+    before a chunked response flushes, and ``sendfile`` switches the
+    static handler's kernel-to-socket egress off (default: on exactly
+    when ``fs`` can hand out real fds).
     """
 
     def __init__(
         self,
-        socket_layer: Any,
+        io: Any,
+        listener: Any,
         fs: SimFileSystem,
         cache_bytes: int = 100 * 1024 * 1024,
         name: str = "webserver",
@@ -694,7 +598,6 @@ class WebServer:
         chunk_watermark: int | None = None,
         sendfile: bool | None = None,
     ) -> None:
-        self.layer = socket_layer
         self.fs = fs
         self.cache = FileCache(cache_bytes)
         self.name = name
@@ -713,7 +616,8 @@ class WebServer:
             chunk_watermark=chunk_watermark,
         )
         self.driver = ConnectionDriver(
-            socket_layer,
+            io,
+            listener,
             self.protocol,
             accept_batch=accept_batch,
             max_connections=max_connections,
@@ -844,16 +748,7 @@ def build_live_server(
     listener: Any,
     site: dict[str, bytes] | None = None,
     docroot: str | None = None,
-    cache_bytes: int = 100 * 1024 * 1024,
-    name: str = "webserver",
-    accept_batch: int = 64,
-    max_connections: int | None = None,
-    handler: Any = None,
-    max_header_bytes: int | None = None,
-    max_body_bytes: int | None = None,
-    mtime_ttl: float = 0.25,
-    chunk_watermark: int | None = None,
-    sendfile: bool | None = None,
+    **server_kwargs: Any,
 ) -> WebServer:
     """Construct a :class:`WebServer` serving real sockets on ``rt``.
 
@@ -861,29 +756,12 @@ def build_live_server(
     existing listener (possibly one ``SO_REUSEPORT`` member of a shared
     port), plus content from a real ``docroot`` directory and/or an
     in-memory ``site`` mapping preloaded into the application cache.
-    ``max_connections`` is the per-shard admission cap (overload shedding);
-    ``accept_batch`` caps how many connections one wakeup drains;
-    ``handler`` swaps the static-file application for another one (any
-    object with ``respond(request) -> M[HttpResponse]``);
-    ``max_header_bytes``/``max_body_bytes`` bound per-connection parser
-    memory (431/413 beyond them); ``mtime_ttl`` bounds the per-request
-    conditional-GET stat cost (0 probes on every request);
-    ``chunk_watermark`` sets how many framed-chunk bytes buffer before a
-    chunked response flushes one gathered write; ``sendfile`` forces the
-    static handler's kernel-to-socket egress on or off (default: on
-    exactly when a ``docroot`` is given, which is when the filesystem can
-    hand out real fds).  Ingress reads lease their buffers from the
-    runtime's shared pool (``rt.buffers``).
+    Extra keyword arguments reach :class:`WebServer` (admission caps,
+    parser limits, ``handler``...).  Ingress reads lease their buffers
+    from the runtime's shared pool (``rt.buffers``).
     """
     fs: Any = DocRootFilesystem(docroot) if docroot else EmptyFilesystem()
-    server = WebServer(
-        LiveSocketLayer(rt.io, listener), fs,
-        cache_bytes=cache_bytes, name=name,
-        accept_batch=accept_batch, max_connections=max_connections,
-        handler=handler, max_header_bytes=max_header_bytes,
-        max_body_bytes=max_body_bytes, mtime_ttl=mtime_ttl,
-        chunk_watermark=chunk_watermark, sendfile=sendfile,
-    )
+    server = WebServer(rt.io, listener, fs, **server_kwargs)
     for path, content in (site or {}).items():
         server.cache.put(path.lstrip("/"), content)
     return server

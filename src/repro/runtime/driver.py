@@ -14,7 +14,7 @@ The driver owns an admitted connection **from accept to close**.  Who
 does what:
 
 * **Who reads** — the driver.  :meth:`ConnectionDriver.serve` is the one
-  ingress loop: ``layer.recv_pooled`` into a leased reusable buffer →
+  ingress loop: ``io.read_pooled`` into a leased reusable buffer →
   ``parser.feed(buffer, count)`` in place → lease released (plain code,
   before anything can yield, so a parked connection pins no buffer) →
   ``protocol.drain`` serves what the bytes completed → repeat.  The one
@@ -26,7 +26,7 @@ does what:
   vanished peer) or :data:`DRAIN_CLOSE` (the protocol just answered a
   fatal error and unread request bytes may remain — a straight close
   would degrade to an RST that destroys the reply in flight, so the
-  driver closes through ``layer.shed``).  Protocols never close.
+  driver closes through ``io.shed``).  Protocols never close.
 * **Where the abandonment rule lives** — :meth:`ConnectionDriver
   .handle_connection`, and only there.  When a shutdown or a benchmark drops the
   runtime mid-session the interpreter closes the thread's generators
@@ -44,9 +44,9 @@ The protocol contract is "bytes in → replies out":
 ``protocol.parse_error``
     The exception type ``feed`` raises once the stream can no longer be
     framed.  The driver stops reading and hands it to ``drain``.
-``protocol.drain(layer, conn, parser, bad) -> M[verdict]``
+``protocol.drain(io, conn, parser, bad) -> M[verdict]``
     Serve everything the bytes so far completed, in order, writing
-    replies through ``layer``; then, if ``bad`` (the parse error) is not
+    replies through ``io``; then, if ``bad`` (the parse error) is not
     ``None``, answer it and resolve to :data:`DRAIN_CLOSE`.  Resolve to
     ``None`` to keep reading, :data:`CLOSE` to end the session.
     Transport errors just propagate: the driver treats them as a
@@ -55,14 +55,18 @@ The protocol contract is "bytes in → replies out":
     A pre-encoded farewell for connections refused under the admission
     cap (e.g. an HTTP 503).  May return ``b""`` for silent sheds.
 
-The socket-layer contract is total — every layer (:class:`IoSocketLayer`
-over a ``NetIO``, and ``repro.http.server.AppTcpSocketLayer`` over the
-application-level TCP stack) implements all of ``setup``/
-``accept_batch``/``recv_pooled``/``send_v``/``sendfile``/``shed``/
-``close``, each returning :class:`~repro.core.monad.M`, so the driver
-and the protocols call them without probing.
-The receive-buffer pool belongs to the layer's I/O surface
-(``NetIO.buffers``, which the runtimes expose as ``rt.buffers``).
+The transport contract: ``io`` is the transport itself —
+:class:`~repro.runtime.io_api.NetIO` (``rt.io``: simulated kernel
+streams or real sockets) or :class:`~repro.tcp.socket_api.TcpSockets`
+(the application-level TCP stack) — and ``listener`` is whatever that
+transport listens on (``kernel.net.listen()``, ``make_listener()``,
+``stack.listen(port)``).  Both implement ``accept_many``/
+``read_pooled``/``write_all_v``/``sendfile``/``shed``/``close``, each
+returning :class:`~repro.core.monad.M`, and own a receive-buffer pool
+``buffers``; the driver calls the first, second and last two, the
+protocols the middle two, nothing probes, and moving a server from one
+transport to the other is the first constructor argument (§4.8's
+"editing one line of code").
 
 Invariants the layers above rely on:
 
@@ -72,7 +76,7 @@ Invariants the layers above rely on:
   ``finally`` (correct even under abandonment), so
   ``active <= max_connections`` always holds.
 * **Shedding never blocks the accept loop** — a connection refused at
-  the cap gets the farewell + close through ``layer.shed``, which is
+  the cap gets the farewell + close through ``io.shed``, which is
   best-effort and bounded; a flooding peer cannot head-of-line block
   accepts.
 * **Shutdown is cooperative** — ``stop()`` only stops *accepting*;
@@ -89,61 +93,13 @@ from __future__ import annotations
 from typing import Any
 
 from ..core.do_notation import do
-from ..core.monad import M, pure
 from ..core.syscalls import sys_fork
-from .io_api import NetIO
 
-__all__ = ["ConnectionDriver", "DriverStats", "IoSocketLayer",
-           "CLOSE", "DRAIN_CLOSE"]
+__all__ = ["ConnectionDriver", "DriverStats", "CLOSE", "DRAIN_CLOSE"]
 
 #: Session verdicts (see the module docstring): how the driver closes.
 CLOSE = "close"
 DRAIN_CLOSE = "drain-close"
-
-
-class IoSocketLayer:
-    """Socket operations over a :class:`NetIO` and an existing listener.
-
-    Backend-agnostic: the same code path drives simulated kernel streams
-    and real non-blocking sockets, because ``NetIO`` is the shared monadic
-    I/O surface of both runtimes.  It lives here (``repro.http.server``
-    re-exports it) because every protocol on the driver needs it.
-    """
-
-    def __init__(self, io: NetIO, listener: Any) -> None:
-        self.io = io
-        self.listener = listener
-
-    def setup(self) -> M:
-        return pure(self.listener)
-
-    def accept_batch(self, listener: Any, limit: int) -> M:
-        """Accept a burst: drain the listen queue up to ``limit`` per
-        wakeup (resumes with a non-empty list)."""
-        return self.io.accept_many(listener, limit)
-
-    def recv_pooled(self, conn: Any) -> M:
-        """Lease a buffer from ``io.buffers`` and recv into it; resumes
-        with ``(lease, count)`` — the caller releases the lease (plain
-        code) after consuming the bytes."""
-        return self.io.read_pooled(conn, self.io.buffers)
-
-    def sendfile(self, conn: Any, file: Any, offset: int, count: int) -> M:
-        """Kernel-to-socket send of an open file region (zero userspace
-        body copies); resumes with the byte count sent."""
-        return self.io.sendfile(conn, file, offset, count)
-
-    def send_v(self, conn: Any, bufs: list) -> M:
-        """Gathered send: every buffer in order, one syscall where the
-        backend supports scatter-gather (the egress fast path)."""
-        return self.io.write_all_v(conn, bufs)
-
-    def shed(self, conn: Any, farewell: bytes = b"") -> M:
-        """Overload path: best-effort farewell + close, never blocking."""
-        return self.io.shed(conn, farewell)
-
-    def close(self, conn: Any) -> M:
-        return self.io.close(conn)
 
 
 class DriverStats:
@@ -173,7 +129,8 @@ class ConnectionDriver:
 
     def __init__(
         self,
-        socket_layer: Any,
+        io: Any,
+        listener: Any,
         protocol: Any,
         accept_batch: int = 64,
         max_connections: int | None = None,
@@ -184,7 +141,8 @@ class ConnectionDriver:
             raise ValueError("accept_batch must be >= 1")
         if max_connections is not None and max_connections < 1:
             raise ValueError("max_connections must be >= 1 (or None)")
-        self.layer = socket_layer
+        self.io = io
+        self.listener = listener
         self.protocol = protocol
         self.accept_batch = accept_batch
         self.max_connections = max_connections
@@ -205,26 +163,26 @@ class ConnectionDriver:
     @do
     def main(self):
         """The root thread: accept loop spawning per-connection threads."""
-        layer = self.layer
+        io = self.io
         stats = self.stats
-        listener = yield layer.setup()
         while self.running:
             try:
-                conns = yield layer.accept_batch(listener, self.accept_batch)
+                conns = yield io.accept_many(self.listener,
+                                             self.accept_batch)
             except (OSError, ValueError):
                 if self.running:
                     raise
                 return  # listener torn down during shutdown
             for conn in conns:
                 if not self.running:
-                    yield layer.close(conn)
+                    yield io.close(conn)
                     continue
                 if (self.max_connections is not None
                         and stats.active >= self.max_connections):
                     # Admission control: answer with the protocol's
                     # farewell and hang up, without spawning a thread.
                     stats.shed += 1
-                    yield layer.shed(conn, self._shed_payload)
+                    yield io.shed(conn, self._shed_payload)
                     continue
                 stats.connections += 1
                 stats.active += 1
@@ -244,7 +202,7 @@ class ConnectionDriver:
         """One admitted session, from the first read to the close (also
         the direct-drive entry for tests: it does not touch the
         admission counters)."""
-        layer = self.layer
+        io = self.io
         verdict = CLOSE
         abandoned = False
         try:
@@ -259,20 +217,20 @@ class ConnectionDriver:
         finally:
             if not abandoned:
                 if verdict is DRAIN_CLOSE:
-                    yield layer.shed(conn, b"")
+                    yield io.shed(conn, b"")
                 else:
-                    yield layer.close(conn)
+                    yield io.close(conn)
 
     @do
     def serve(self, conn):
         """The session body: the one pooled-ingress loop.  Resumes with
         the verdict (:data:`CLOSE` or :data:`DRAIN_CLOSE`)."""
-        layer = self.layer
+        io = self.io
         protocol = self.protocol
         parser = protocol.make_parser()
         bad = None
         while True:
-            lease, count = yield layer.recv_pooled(conn)
+            lease, count = yield io.read_pooled(conn, io.buffers)
             try:
                 if not count:
                     return CLOSE  # peer closed
@@ -283,6 +241,6 @@ class ConnectionDriver:
                 # Plain code, before anything below can yield: the bytes
                 # the parser keeps are its own copies.
                 lease.release()
-            verdict = yield protocol.drain(layer, conn, parser, bad)
+            verdict = yield protocol.drain(io, conn, parser, bad)
             if verdict is not None:
                 return verdict

@@ -29,7 +29,7 @@ from ..simos.errors import WOULD_BLOCK
 from .buffers import BufferPool
 
 __all__ = ["NetIO", "ConnectionClosed", "FileBody", "WRITEV_IOV_LIMIT",
-           "SENDFILE_WINDOW"]
+           "SENDFILE_WINDOW", "copy_file_region"]
 
 
 class ConnectionClosed(OSError):
@@ -115,19 +115,41 @@ def _unsent(bufs: list, count: int) -> list:
     return []
 
 
+@do
+def copy_file_region(send, file, offset, count):
+    """Send ``count`` bytes of ``file`` from ``offset`` through userspace:
+    positional reads on the blocking pool, each chunk handed to
+    ``send(chunk) -> M`` (which sends all of it).  The one copy loop
+    under ``NetIO.sendfile``'s fallback and ``TcpSockets.sendfile``;
+    resumes with the byte count.  EOF before ``count`` bytes is a
+    framing error — the Content-Length is already on the wire."""
+    sent = 0
+    while sent < count:
+        pos = offset + sent
+        window = min(count - sent, SENDFILE_WINDOW)
+        chunk = yield sys_blio(lambda: file.pread(pos, window))
+        if not chunk:
+            raise ConnectionClosed(
+                f"file ended at {pos} with {count - sent} of {count} "
+                f"bytes unsent"
+            )
+        yield send(chunk)
+        sent += len(chunk)
+    return sent
+
+
 class NetIO:
     """Monadic, blocking-style I/O over a non-blocking backend.
 
-    ``backend`` must provide ``nb_read``, ``nb_write``, ``nb_accept``,
+    ``backend`` must provide ``nb_read``, ``nb_recv_into(fd, buf)``
+    (fill a caller buffer in place), ``nb_write``, ``nb_accept``,
     ``nb_connect`` and ``close`` with the ``WOULD_BLOCK`` convention.
     Optionally it may provide ``nb_accept_batch(listener, limit)`` (a
     native accept-queue drain; otherwise ``accept_many`` loops
     ``nb_accept``), ``nb_shed(fd, farewell)`` (an orderly
     farewell/FIN/drain close used by overload shedding),
     ``nb_writev(fd, bufs)`` (a scatter-gather write; otherwise the
-    vectored operations degrade to a join + ``nb_write``),
-    ``nb_recv_into(fd, buf)`` (fill a caller buffer in place; otherwise
-    ``read_into``/``read_pooled`` copy one ``nb_read`` result), and
+    vectored operations degrade to a join + ``nb_write``), and
     ``nb_sendfile(fd, file, offset, count)`` (kernel-to-socket egress;
     otherwise ``sendfile`` reads through the blocking pool and writes).
     A backend may also set any optional op to None to force its
@@ -160,39 +182,13 @@ class NetIO:
             yield sys_epoll_wait(fd, EVENT_READ)
 
     @do
-    def read_into(self, fd: Any, buf: Any):
-        """Read into ``buf`` (a writable buffer) in place; resumes with
-        the byte count (0 at EOF).  Zero-allocation on backends with
-        ``nb_recv_into``; one read + copy elsewhere."""
-        op = getattr(self.backend, "nb_recv_into", None)
-        if op is None:
-            # Fallback for backends without the primitive: one read
-            # plus one copy into the caller's buffer (still pooled —
-            # the parser path above stays uniform).
-            data = yield self.read(fd, len(buf))
-            count = len(data)
-            buf[:count] = data
-            return count
-        while True:
-            count = yield sys_nbio(lambda: op(fd, buf))
-            if count is not WOULD_BLOCK:
-                return count
-            yield sys_epoll_wait(fd, EVENT_READ)
-
-    @do
     def read_pooled(self, fd: Any, pool: Any):
         """Lease a buffer from ``pool`` and read into it; resumes with
         ``(lease, count)`` (count 0 at EOF).  The lease is *not* held
         while parked waiting for readiness, so idle connections pin no
         buffers; the caller owns the lease on resume and must
         ``release()`` it (plain code) when done with the bytes."""
-        op = getattr(self.backend, "nb_recv_into", None)
-        if op is None:
-            data = yield self.read(fd, pool.buffer_bytes)
-            lease = pool.lease()
-            count = len(data)
-            lease.data[:count] = data
-            return lease, count
+        op = self.backend.nb_recv_into
         lease = pool.lease()
         try:
             while True:
@@ -316,7 +312,13 @@ class NetIO:
         # already on the wire.
         op = getattr(self.backend, "nb_sendfile", None)
         if op is None:
-            total = yield self._sendfile_fallback(fd, file, offset, count)
+            # Platforms without ``os.sendfile``: byte-identical on the
+            # wire, with the userspace copy the fast path avoids —
+            # counted so benches can tell the paths apart.
+            self.sendfile_fallbacks += 1
+            total = yield copy_file_region(
+                lambda chunk: self.write_all(fd, chunk), file, offset, count
+            )
             return total
         sent = 0
         while sent < count:
@@ -332,28 +334,6 @@ class NetIO:
                     f"{count - sent} of {count} bytes unsent"
                 )
             sent += n
-        return sent
-
-    @do
-    def _sendfile_fallback(self, fd, file, offset, count):
-        # Backends without the primitive (platforms without
-        # ``os.sendfile``): positional reads through the blocking
-        # pool, then ordinary vectored writes.  Byte-identical on
-        # the wire, just with the userspace copy the fast path
-        # avoids — counted so benches can tell the paths apart.
-        self.sendfile_fallbacks += 1
-        sent = 0
-        while sent < count:
-            pos = offset + sent
-            window = min(count - sent, SENDFILE_WINDOW)
-            chunk = yield sys_blio(lambda: file.pread(pos, window))
-            if not chunk:
-                raise ConnectionClosed(
-                    f"sendfile fallback hit EOF at {pos} with "
-                    f"{count - sent} of {count} bytes unsent"
-                )
-            yield self.write_all(fd, chunk)
-            sent += len(chunk)
         return sent
 
     @do

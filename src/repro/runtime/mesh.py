@@ -100,7 +100,7 @@ from ..core.monad import M, pure
 from ..core.sync import Mutex, MVar
 from ..core.syscalls import sys_epoll_wait, sys_fork, sys_throw
 from ..core.thread import join_all, spawn
-from .driver import CLOSE, ConnectionDriver, IoSocketLayer
+from .driver import CLOSE, ConnectionDriver
 from .io_api import WRITEV_IOV_LIMIT, ConnectionClosed, NetIO
 from .timer_wheel import TimerWheel
 
@@ -425,7 +425,8 @@ class MeshNode:
         self._dial_mutexes: dict[int, Mutex] = {}
         self._request_ids = itertools.count(1)
         self._driver = _MeshDriver(
-            IoSocketLayer(io, listener),
+            io,
+            listener,
             self,
             accept_batch=accept_batch,
             name=f"mesh{index}",

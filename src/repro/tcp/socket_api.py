@@ -2,10 +2,14 @@
 
 "A library (written in the monadic thread language) hides the ``sys_tcp``
 call and provides the same high-level programming interfaces as standard
-socket operations" (§4.8).  :class:`TcpSockets` is that library: the web
-server code runs unchanged over kernel-style sim sockets or over this
-stack — the "editing one line of code" claim, which the A4 ablation
-exercises.
+socket operations" (§4.8).  :class:`TcpSockets` is that library, and the
+claim is literal: it answers to the same transport names as
+:class:`~repro.runtime.io_api.NetIO` (``accept_many``/``read_pooled``/
+``write_all_v``/``sendfile``/``shed``/``close``, plus the ``buffers``
+pool), so ``ConnectionDriver(tcp_sockets, stack.listen(port), protocol)``
+and ``WebServer(tcp_sockets, stack.listen(80), fs)`` differ from their
+kernel-socket spelling in the first two arguments only — the "editing
+one line of code", which the A4 ablation exercises.
 
 ``install_tcp`` registers the ``SYS_TCP`` handler on a scheduler.  The
 handler is a shared dispatcher: each operation names its stack (directly
@@ -20,10 +24,12 @@ from typing import Any
 
 from ..core.do_notation import do
 from ..core.exceptions import UnsupportedSyscallError
-from ..core.monad import M
+from ..core.monad import M, pure
 from ..core.scheduler import Scheduler, TCB
-from ..core.syscalls import sys_tcp
+from ..core.syscalls import sys_catch, sys_tcp
 from ..core.trace import SysTcp, SysThrow, Thunk
+from ..runtime.buffers import BufferPool
+from ..runtime.io_api import copy_file_region
 from .stack import TcpStack
 from .tcb import TcpConn, TcpListener
 
@@ -42,6 +48,8 @@ class TcpSockets:
 
     def __init__(self, stack: TcpStack) -> None:
         self.stack = stack
+        #: The transport's receive-buffer pool (``NetIO.buffers``' twin).
+        self.buffers = BufferPool(name="app-tcp-recv")
 
     # ------------------------------------------------------------------
     # Monadic operations
@@ -58,7 +66,12 @@ class TcpSockets:
         """Active open; resumes with the established connection."""
         return sys_tcp("connect", self.stack, remote_addr, remote_port)
 
-    def send_v(self, conn: TcpConn, bufs) -> M:
+    def accept_many(self, listener: TcpListener, limit: int = 64) -> M:
+        """Resumes with a non-empty list of connections.  The stack has
+        no kernel accept queue to drain: a batch is one connection."""
+        return self.accept(listener).bind(lambda conn: pure([conn]))
+
+    def write_all_v(self, conn: TcpConn, bufs) -> M:
         """Gathered send: every buffer in order, enqueued as iovec slices
         in the stack (no join); resumes with the total byte count."""
         return sys_tcp("sendv", conn, bufs)
@@ -70,6 +83,25 @@ class TcpSockets:
     def recv(self, conn: TcpConn, nbytes: int) -> M:
         """Receive up to ``nbytes``; resumes with ``b""`` at EOF."""
         return sys_tcp("recv", conn, nbytes)
+
+    @do
+    def read_pooled(self, conn: TcpConn, pool: BufferPool):
+        """Receive into a buffer leased from ``pool``; resumes with
+        ``(lease, count)`` (count 0 at EOF) and the caller releases the
+        lease.  The stack delivers ``bytes``, so this is one copy."""
+        data = yield self.recv(conn, pool.buffer_bytes)
+        lease = pool.lease()
+        lease.data[:len(data)] = data
+        return lease, len(data)
+
+    def sendfile(self, conn: TcpConn, file: Any, offset: int,
+                 count: int) -> M:
+        """Send a region of an open file (a ``FileBody``); resumes with
+        the byte count.  No kernel to splice in: positional reads
+        through the blocking pool, then ordinary sends."""
+        return copy_file_region(
+            lambda chunk: self.send(conn, chunk), file, offset, count
+        )
 
     @do
     def recv_exact(self, conn: TcpConn, nbytes: int):
@@ -103,6 +135,19 @@ class TcpSockets:
             if not data:
                 raise ConnectionError("EOF before delimiter")
             buffer.extend(data)
+
+    def shed(self, conn: TcpConn, farewell: bytes = b"") -> M:
+        """Best-effort farewell + close: a peer that vanished mid-shed
+        must not kill the accept loop, and the connection closes on
+        every path."""
+        def swallow(_exc: BaseException) -> M:
+            return pure(None)
+
+        farewell_op = (
+            sys_catch(self.send(conn, farewell), swallow)
+            if farewell else pure(None)
+        )
+        return farewell_op.then(sys_catch(self.close(conn), swallow))
 
     def close(self, conn: TcpConn) -> M:
         """Orderly close (FIN after queued data)."""

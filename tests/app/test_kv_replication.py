@@ -27,7 +27,7 @@ from repro.runtime.live_runtime import LiveRuntime
 from repro.runtime.mesh import MeshNode, MeshProtocolError
 
 from tests.app.test_wal import _broken_sync, _FakeTimers
-from tests.runtime.test_driver_session import RecordingLayer
+from tests.runtime.test_driver_session import RecordingTransport
 from tests.runtime.test_mesh import fork_names
 
 
@@ -497,13 +497,13 @@ class TestOverlappedDurableWrite:
         protocol = HttpProtocol(KvHttpHandler(KvNode(0, 1, wal=wal)))
 
         def put(value):
-            layer = RecordingLayer([
+            io = RecordingTransport([
                 b"PUT /kv/k HTTP/1.1\r\nContent-Length: 4\r\n\r\n" + value,
             ])
-            driver = ConnectionDriver(layer, protocol)
+            driver = ConnectionDriver(io, None, protocol)
             rt.spawn(driver.handle_connection("conn"), name="session")
-            _run_firing(rt, [timers], lambda: bool(layer.calls))
-            return b"".join(layer.sent)
+            _run_firing(rt, [timers], lambda: bool(io.calls))
+            return b"".join(io.sent)
 
         wal._sync = _broken_sync
         answer = put(b"lost")
@@ -541,11 +541,13 @@ class TestUnreadableReplies:
         return nodes, keys
 
     def _answer(self, rt, node, target):
-        layer = RecordingLayer([f"GET {target} HTTP/1.1\r\n\r\n".encode()])
-        driver = ConnectionDriver(layer, HttpProtocol(KvHttpHandler(node)))
+        io = RecordingTransport(
+            [f"GET {target} HTTP/1.1\r\n\r\n".encode()])
+        driver = ConnectionDriver(io, None,
+                                  HttpProtocol(KvHttpHandler(node)))
         rt.spawn(driver.handle_connection("conn"), name="session")
-        rt.run(until=lambda: bool(layer.sent), idle_timeout=5.0)
-        return b"".join(layer.sent)
+        rt.run(until=lambda: bool(io.sent), idle_timeout=5.0)
+        return b"".join(io.sent)
 
     def test_garbage_reply_is_a_protocol_error_and_answers_502(self, rt):
         nodes, keys = self._world(rt, _garbage, replication=1)

@@ -11,7 +11,7 @@ chunkings, for both dialects.  The directed cases name the plan itself,
 read off a recording store: how many ``mget``s, which keys, what ran
 concurrently.
 
-Everything runs on a :class:`SimRuntime` with a scripted layer (no
+Everything runs on a :class:`SimRuntime` with a scripted transport (no
 sockets): the store parks every operation on the virtual clock, so
 overlapped commands really interleave and finish out of order.
 """
@@ -35,17 +35,17 @@ from repro.core.syscalls import sys_sleep
 from repro.runtime.buffers import BufferPool
 from repro.runtime.driver import CLOSE, DRAIN_CLOSE, ConnectionDriver
 from repro.runtime.sim_runtime import SimRuntime
-from tests.runtime.test_driver_session import RecordingLayer
+from tests.runtime.test_driver_session import RecordingTransport
 from tests.runtime.test_mesh import fork_names
 
 
-class ScriptedLayer(RecordingLayer):
+class ScriptedTransport(RecordingTransport):
     """Each scripted chunk is one ingress read (EOF after the last), in
     buffers large enough for a whole pipelined burst."""
 
     def __init__(self, chunks) -> None:
         super().__init__(chunks)
-        self.pool = BufferPool(buffer_bytes=64 * 1024)
+        self.buffers = BufferPool(buffer_bytes=64 * 1024)
 
     @property
     def closed_by(self) -> list[str]:
@@ -124,7 +124,7 @@ class SerialDrain:
     plan — pop a command, execute it, repeat."""
 
     @do
-    def drain(self, layer, conn, parser, bad):
+    def drain(self, io, conn, parser, bad):
         stats = self.stats
         out: list = []
         frames_before = stats.responses
@@ -148,7 +148,7 @@ class SerialDrain:
             stats.errors += 1
             out.append(bad.reply)
         if out:
-            yield layer.send_v(conn, out)
+            yield io.write_all_v(conn, out)
             stats.bytes_sent += sum(len(buf) for buf in out)
         if closing:
             return CLOSE
@@ -165,23 +165,23 @@ class SerialResp(SerialDrain, RespProtocol):
 
 
 def run_session(protocol_type, chunks, store=None):
-    """One whole connection; returns ``(layer, store, protocol)``."""
+    """One whole connection; returns ``(io, store, protocol)``."""
     store = store if store is not None else RecordingStore()
     rt = SimRuntime(uncaught="raise")
-    layer = ScriptedLayer(chunks)
+    io = ScriptedTransport(chunks)
     protocol = protocol_type(store)
-    driver = ConnectionDriver(layer, protocol)
+    driver = ConnectionDriver(io, None, protocol)
     rt.spawn(driver.handle_connection("c1"), name="session")
     rt.run()
-    assert layer.pool.in_use == 0
-    return layer, store, protocol
+    assert io.buffers.in_use == 0
+    return io, store, protocol
 
 
 def observed(protocol_type, chunks):
-    layer, store, protocol = run_session(protocol_type, chunks)
+    io, store, protocol = run_session(protocol_type, chunks)
     return {
-        "replies": b"".join(layer.sent),
-        "closed_by": layer.closed_by,
+        "replies": b"".join(io.sent),
+        "closed_by": io.closed_by,
         "store": store.data,
         "stats": protocol.stats.as_dict(),
     }
@@ -290,8 +290,8 @@ class TestPlannedEqualsSerial:
 # Directed: the plan itself, read off the recording store.
 # ----------------------------------------------------------------------
 def memcache_session(payload, store=None):
-    layer, store, protocol = run_session(MemcacheProtocol, [payload], store)
-    return b"".join(layer.sent), layer, store, protocol
+    io, store, protocol = run_session(MemcacheProtocol, [payload], store)
+    return b"".join(io.sent), io, store, protocol
 
 
 class TestReadsCoalesce:
@@ -300,7 +300,7 @@ class TestReadsCoalesce:
         store.data.update(a=b"A", b=b"B", c=b"C")
         payload = (b"get a b\r\nget b c\r\ngets a\r\nget ghost\r\n"
                    b"get c a\r\nget b\r\nget a a\r\nget c ghost\r\n")
-        replies, layer, store, protocol = memcache_session(payload, store)
+        replies, io, store, protocol = memcache_session(payload, store)
         assert store.mgets == [["a", "b", "c", "ghost"]]
         assert replies.count(b"END\r\n") == 8
         assert replies.startswith(
@@ -311,11 +311,11 @@ class TestReadsCoalesce:
         assert (stats.commands, stats.responses) == (8, 8)
         # Hit/miss counters stay per command per key.
         assert (stats.get_hits, stats.get_misses) == (11, 2)
-        assert len(layer.sent) == 1 and stats.send_batches == 1
+        assert len(io.sent) == 1 and stats.send_batches == 1
 
     def test_a_write_between_reads_splits_them_and_is_seen(self):
         payload = b"get a\r\nset a 0 0 3\r\nnew\r\nget a\r\n"
-        replies, _layer, store, _protocol = memcache_session(payload)
+        replies, _io, store, _protocol = memcache_session(payload)
         assert store.mgets == [["a"], ["a"]]
         assert replies == (b"END\r\nSTORED\r\n"
                            b"VALUE a 0 3\r\nnew\r\nEND\r\n")
@@ -323,17 +323,17 @@ class TestReadsCoalesce:
     def test_resp_mget_and_exists_coalesce_but_get_does_not(self):
         payload = (resp(b"MGET", b"a", b"b") + resp(b"EXISTS", b"b", b"c")
                    + resp(b"GET", b"a") + resp(b"MGET", b"c"))
-        layer, store, _protocol = run_session(RespProtocol, [payload])
+        io, store, _protocol = run_session(RespProtocol, [payload])
         assert store.mgets == [["a", "b", "c"], ["c"]]
         assert ("get", "a") in store.ops  # the quorum read, untouched
-        assert b"".join(layer.sent) == (
+        assert b"".join(io.sent) == (
             b"*2\r\n$-1\r\n$-1\r\n:0\r\n$-1\r\n*1\r\n$-1\r\n"
         )
 
     def test_more_keys_than_the_cap_split_instead_of_failing(self):
         count = MAX_READ_KEYS + 10
         payload = b"".join(b"get key-%d\r\n" % i for i in range(count))
-        replies, _layer, store, protocol = memcache_session(payload)
+        replies, _io, store, protocol = memcache_session(payload)
         assert [len(keys) for keys in store.mgets] == [MAX_READ_KEYS, 10]
         assert replies == b"END\r\n" * count
         assert protocol.stats.commands == count
@@ -344,7 +344,7 @@ class TestKeyedOverlap:
         # RecordingStore asserts it where it would happen; the last
         # write in command order wins.
         payload = b"set a 0 0 1\r\n1\r\nset a 0 0 1\r\n2\r\nget a\r\n"
-        replies, _layer, store, _protocol = memcache_session(payload)
+        replies, _io, store, _protocol = memcache_session(payload)
         assert store.max_writing == 1
         assert store.data == {"a": b"2"}
         assert replies.endswith(b"VALUE a 0 1\r\n2\r\nEND\r\n")
@@ -352,7 +352,7 @@ class TestKeyedOverlap:
     def test_sets_to_distinct_keys_overlap_and_reply_in_order(self):
         payload = (b"set a 0 0 1\r\n1\r\ndelete b\r\nset c 0 0 1\r\n3\r\n"
                    b"set d 0 0 1 noreply\r\n4\r\n")
-        replies, _layer, store, protocol = memcache_session(payload)
+        replies, _io, store, protocol = memcache_session(payload)
         assert store.max_writing == 4
         # "a" parks longest: its thread finishes last, replies first.
         assert replies == b"STORED\r\nNOT_FOUND\r\nSTORED\r\n"
@@ -364,7 +364,7 @@ class TestKeyedOverlap:
         payload = b"".join(
             b"set key-%d 0 0 1\r\nx\r\n" % i for i in range(count)
         )
-        replies, _layer, store, _protocol = memcache_session(payload)
+        replies, _io, store, _protocol = memcache_session(payload)
         assert store.max_writing == MAX_OVERLAP
         assert replies == b"STORED\r\n" * count
         assert len(store.data) == count
@@ -384,14 +384,14 @@ class TestKeyedOverlap:
                 return super().execute(command, out, values)
 
         rt = SimRuntime(uncaught="store")
-        layer = ScriptedLayer([b"set a 0 0 1\r\n1\r\nset b 0 0 1\r\n2\r\n"])
-        driver = ConnectionDriver(layer, Buggy(RecordingStore()))
+        io = ScriptedTransport([b"set a 0 0 1\r\n1\r\nset b 0 0 1\r\n2\r\n"])
+        driver = ConnectionDriver(io, None, Buggy(RecordingStore()))
         rt.spawn(driver.handle_connection("c1"), name="session")
         rt.run()
         [(tcb, exc)] = rt.sched.uncaught_errors
         assert tcb.name == "session"
         assert isinstance(exc, ZeroDivisionError)
-        assert layer.sent == [] and layer.closed_by == ["close"]
+        assert io.sent == [] and io.closed_by == ["close"]
 
 
     def test_abandonment_issues_no_monadic_call(self, monkeypatch):
@@ -406,8 +406,8 @@ class TestKeyedOverlap:
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
         store = ParkedStore()
         rt = SimRuntime(uncaught="store")
-        layer = ScriptedLayer([b"set a 0 0 1\r\n1\r\nset b 0 0 1\r\n2\r\n"])
-        driver = ConnectionDriver(layer, MemcacheProtocol(store))
+        io = ScriptedTransport([b"set a 0 0 1\r\n1\r\nset b 0 0 1\r\n2\r\n"])
+        driver = ConnectionDriver(io, None, MemcacheProtocol(store))
         rt.spawn(driver.handle_connection("c1"), name="session")
         rt.run(until=lambda: len(store.writing) == 2)
         assert store.writing == {"a", "b"}  # both parked, overlapped
@@ -415,26 +415,26 @@ class TestKeyedOverlap:
         gc.collect()
         assert unraisable == []
         assert store.writing == set()  # the store's plain cleanup ran
-        assert layer.sent == [] and layer.closed_by == []
+        assert io.sent == [] and io.closed_by == []
 
 
 class TestBarriersAndEndings:
     def test_quit_mid_batch_ends_execution_and_counting(self):
         payload = (b"get a\r\nget b\r\nquit\r\n"
                    b"set a 0 0 1\r\n1\r\nget a\r\n")
-        replies, layer, store, protocol = memcache_session(payload)
+        replies, io, store, protocol = memcache_session(payload)
         assert replies == b"END\r\nEND\r\n"
         assert store.mgets == [["a", "b"]] and store.ops == []
         assert protocol.stats.commands == 3  # get, get, quit
-        assert layer.closed_by == ["close"]
+        assert io.closed_by == ["close"]
 
     def test_parse_error_after_a_coalesced_run(self):
         payload = b"get a\r\nget b\r\nbogus verb\r\nget c\r\n"
-        replies, layer, store, protocol = memcache_session(payload)
+        replies, io, store, protocol = memcache_session(payload)
         assert replies == b"END\r\nEND\r\nERROR\r\n"
         assert store.mgets == [["a", "b"]]
-        assert len(layer.sent) == 1  # replies and farewell: one write
-        assert layer.closed_by == ["shed"]  # drain-close
+        assert len(io.sent) == 1  # replies and farewell: one write
+        assert io.closed_by == ["shed"]  # drain-close
         assert protocol.stats.commands == 2
 
     @pytest.mark.parametrize("payload, spawned", [
@@ -446,11 +446,11 @@ class TestBarriersAndEndings:
             self, payload, spawned):
         rt = SimRuntime(uncaught="raise")
         names = fork_names(rt)
-        layer = ScriptedLayer([payload])
-        driver = ConnectionDriver(layer, MemcacheProtocol(RecordingStore()))
+        io = ScriptedTransport([payload])
+        driver = ConnectionDriver(io, None, MemcacheProtocol(RecordingStore()))
         rt.spawn(driver.handle_connection("c1"), name="session")
         rt.run()
-        assert len(layer.sent) == 1
+        assert len(io.sent) == 1
         assert names.count("cache-overlap") == spawned
 
 
@@ -459,7 +459,7 @@ class TestFailureIsolation:
         store = RecordingStore(failing={"down"})
         store.data["up"] = b"U"
         payload = b"get up\r\nget down up\r\nget up\r\nversion\r\n"
-        replies, layer, store, protocol = memcache_session(payload, store)
+        replies, io, store, protocol = memcache_session(payload, store)
         assert replies.startswith(
             b"VALUE up 0 1\r\nU\r\nEND\r\n"
             b"SERVER_ERROR RuntimeError: owner down\r\n"
@@ -469,7 +469,7 @@ class TestFailureIsolation:
         assert store.mgets == [["up", "down"], ["up"], ["down", "up"],
                                ["up"]]
         assert protocol.stats.errors == 1
-        assert layer.closed_by == ["close"]  # EOF, not a hang-up
+        assert io.closed_by == ["close"]  # EOF, not a hang-up
 
     def test_resp_neighbours_answer_their_own_outcome(self):
         store = RecordingStore(failing={"down"})
@@ -477,9 +477,9 @@ class TestFailureIsolation:
         payload = (resp(b"MGET", b"up") + resp(b"EXISTS", b"down")
                    + resp(b"SET", b"down", b"x") + resp(b"SET", b"up", b"V")
                    + resp(b"PING"))
-        layer, store, _protocol = run_session(RespProtocol, [payload],
+        io, store, _protocol = run_session(RespProtocol, [payload],
                                               store)
-        assert b"".join(layer.sent) == (
+        assert b"".join(io.sent) == (
             b"*1\r\n$1\r\nU\r\n"
             b"-ERR RuntimeError: owner down\r\n"
             b"-ERR RuntimeError: owner down\r\n"

@@ -19,9 +19,10 @@ from repro.http.client import (
     ResponseParser,
     UpstreamProtocolError,
 )
-from repro.http.message import HttpResponse
+from repro.http.message import HttpError, HttpResponse
 from repro.runtime.live_runtime import LiveRuntime, make_listener
 from repro.http.server import build_live_server
+from tests.http.test_http11_features import _drive as drive
 
 
 # ----------------------------------------------------------------------
@@ -314,6 +315,50 @@ class TestHttpClient:
         listener.close()
         assert results[0].body == b"alpha beta gamma"
         assert results[0].header("transfer-encoding") == "chunked"
+
+    def test_5xx_from_a_handler_ends_the_session_and_says_so(self, rt):
+        # The driver drain-closes after a handler's 5xx, so the reply
+        # must carry ``Connection: close`` — otherwise a pooled client
+        # files the dead socket as reusable.  A 4xx stays persistent.
+        class Shard:
+            def respond(self, request):
+                if request.path == "/down":
+                    raise HttpError(503, "quorum not met")
+                if request.path == "/ghost":
+                    raise HttpError(404, request.path)
+                return pure_response(HttpResponse(200, body=b"ok"))
+
+        listener, server = start_upstream(rt, handler=Shard())
+        wire = drive(
+            rt, listener.getsockname()[1],
+            b"GET /ghost HTTP/1.1\r\n\r\nGET /down HTTP/1.1\r\n\r\n",
+        )  # returns at EOF: the server hung up after the 503
+        missing, _, down = wire.partition(b"HTTP/1.1 503 ")
+        assert missing.startswith(b"HTTP/1.1 404 ")
+        assert b"Connection: close\r\n" not in missing
+        assert b"Connection: close\r\n" in down
+        assert wire.count(b"HTTP/1.1 ") == 2
+
+        client = make_client(rt, listener, pool_size=1)
+        seen = []
+
+        @do
+        def body():
+            for target in ("/ghost", "/down"):
+                response = yield client.get(target)
+                seen.append((response.status, response.keep_alive,
+                             client.pool.discards))
+            after = yield client.get("/index.html")
+            seen.append((after.status, after.body))
+            yield client.close()
+
+        run(rt, body())
+        server.stop()
+        listener.close()
+        assert seen == [(404, True, 0), (503, False, 1), (200, b"ok")]
+        # The 404's socket was reused for the 503; the 503's was not.
+        assert client.pool.dials == 2 and client.pool.reuses == 1
+        assert client.retries == 0
 
     def test_pipeline_one_write_many_responses(self, rt):
         site = {"a": b"AA", "b": b"BBB", "c": b"C"}

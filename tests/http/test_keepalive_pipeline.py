@@ -12,7 +12,6 @@ import pytest
 from repro.core.do_notation import do
 from repro.http.server import (
     DocRootFilesystem,
-    KernelSocketLayer,
     WebServer,
     build_live_server,
 )
@@ -94,10 +93,7 @@ def driver(request, tmp_path):
         rt = SimRuntime(uncaught="store")
         rt.kernel.fs.create_file("index.html", len(BODY))
         listener = rt.kernel.net.listen()
-        server = WebServer(
-            KernelSocketLayer(rt.io, rt.kernel.net, listener=listener),
-            rt.kernel.fs,
-        )
+        server = WebServer(rt.io, listener, rt.kernel.fs)
         rt.spawn(server.main(), name="server")
         yield Driver(rt, server, listener, live=False)
         return

@@ -1,4 +1,4 @@
-"""End-to-end web-server tests: monadic server (both socket layers) and
+"""End-to-end web-server tests: monadic server (both transports) and
 the Apache-like baseline."""
 
 from __future__ import annotations
@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.do_notation import do
 from repro.http.baseline import ApacheLikeServer
-from repro.http.server import AppTcpSocketLayer, KernelSocketLayer, WebServer
+from repro.http.server import WebServer
 from repro.runtime.sim_runtime import SimRuntime
 from repro.simos.net import DuplexPacketLink
 from repro.simos.nptl import KConnect, KRead, KWrite, NptlSim, run_sims
@@ -26,7 +26,7 @@ class TestKernelLayerServer:
         rt = SimRuntime(uncaught="store")
         make_site(rt, files or {"index.html": 300, "data.bin": 5000})
         server = WebServer(
-            KernelSocketLayer(rt.io, rt.kernel.net), rt.kernel.fs,
+            rt.io, rt.kernel.net.listen(), rt.kernel.fs,
             cache_bytes=cache_bytes,
         )
         return rt, server
@@ -34,15 +34,10 @@ class TestKernelLayerServer:
     def run_request(self, rt, server, raw_request, reads=1):
         """Spawn the server, issue raw bytes, return response bytes."""
         responses = []
-        if server.layer.listener is None:
-            server.layer.listener = rt.kernel.net.listen()
-        self.listener = server.layer.listener
 
         @do
         def client():
-            # The server's listener is created inside main(); find it by
-            # connecting to the network's most recent listener.
-            conn = yield rt.io.connect(self.listener)
+            conn = yield rt.io.connect(server.driver.listener)
             yield rt.io.write_all(conn, raw_request)
             collected = bytearray()
             while True:
@@ -147,7 +142,7 @@ class TestAppTcpLayerServer:
         connect_stacks(client_stack, server_stack, link)
         ssock = install_tcp(rt.sched, server_stack)
         csock = install_tcp(rt.sched, client_stack)
-        server = WebServer(AppTcpSocketLayer(ssock, port=80), rt.kernel.fs)
+        server = WebServer(ssock, server_stack.listen(80), rt.kernel.fs)
         return rt, server, csock
 
     def test_get_over_app_tcp(self):

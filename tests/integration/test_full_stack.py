@@ -10,7 +10,7 @@ from repro.core.exceptions import ThreadKilled
 from repro.core.sync import Semaphore
 from repro.core.syscalls import sys_aio_read, sys_blio, sys_fork, sys_sleep
 from repro.http.message import HttpError
-from repro.http.server import AppTcpSocketLayer, KernelSocketLayer, WebServer
+from repro.http.server import WebServer
 from repro.runtime.sim_runtime import SimRuntime
 from repro.simos.net import DuplexPacketLink
 from repro.tcp.socket_api import install_tcp
@@ -36,7 +36,7 @@ class TestHttpOverLossyTcp:
         rt = SimRuntime(uncaught="store")
         rt.kernel.fs.create_file("page.html", 24_000)
         ssock, csock = make_tcp_world(rt, loss=loss, seed=seed)
-        server = WebServer(AppTcpSocketLayer(ssock, port=80), rt.kernel.fs)
+        server = WebServer(ssock, ssock.stack.listen(80), rt.kernel.fs)
         rt.spawn(server.main(), name="server")
         bodies = []
 
@@ -202,10 +202,7 @@ class TestServerErrorPaths:
         rt = SimRuntime(uncaught="store")
         rt.kernel.fs.create_file("ok.html", 100)
         listener = rt.kernel.net.listen()
-        server = WebServer(
-            KernelSocketLayer(rt.io, rt.kernel.net, listener=listener),
-            rt.kernel.fs,
-        )
+        server = WebServer(rt.io, listener, rt.kernel.fs)
         rt.spawn(server.main())
         results = {}
 

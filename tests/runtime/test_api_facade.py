@@ -57,7 +57,7 @@ class TestBuilders:
         other = make_listener()
         ctx = AppContext(rt=rt, listener=listener)
         server = build_server(ctx=ctx, listener=other, site={})
-        assert server.layer.listener is other
+        assert server.driver.listener is other
         listener.close()
         other.close()
 

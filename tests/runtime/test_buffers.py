@@ -112,19 +112,6 @@ class _RecvIntoBackend:
         return True
 
 
-class _PlainReadBackend:
-    """No ``nb_recv_into``: read_pooled must fall back through read()."""
-
-    def __init__(self, payload):
-        self.payload = payload
-        self.read_calls = 0
-
-    def nb_read(self, fd, nbytes):
-        self.read_calls += 1
-        data, self.payload = self.payload[:nbytes], self.payload[nbytes:]
-        return data
-
-
 def _run(comp):
     run_threads([comp])
 
@@ -229,23 +216,6 @@ class TestReadPooled:
         assert pool.stats()["in_use"] == 0
         assert pool.pooled == 1
 
-    def test_fallback_without_nb_recv_into(self):
-        backend = _PlainReadBackend(b"fallback bytes")
-        io = NetIO(backend)
-        pool = BufferPool(buffer_bytes=64)
-        results = []
-
-        @do
-        def reader():
-            lease, count = yield io.read_pooled("fd", pool)
-            results.append(bytes(lease.data[:count]))
-            lease.release()
-
-        _run(reader())
-        assert results == [b"fallback bytes"]
-        assert backend.read_calls == 1
-        assert pool.stats()["in_use"] == 0
-
     def test_eof_returns_zero_count_with_live_lease(self):
         backend = _RecvIntoBackend([b""])
         io = NetIO(backend)
@@ -261,35 +231,3 @@ class TestReadPooled:
         _run(reader())
         assert results == [0]
         assert pool.stats()["in_use"] == 0
-
-
-class TestReadInto:
-    def test_fills_caller_buffer(self):
-        backend = _RecvIntoBackend([b"abc"])
-        io = NetIO(backend)
-        buf = bytearray(16)
-        results = []
-
-        @do
-        def reader():
-            count = yield io.read_into("fd", buf)
-            results.append(count)
-
-        _run(reader())
-        assert results == [3]
-        assert bytes(buf[:3]) == b"abc"
-
-    def test_fallback_copies_through_read(self):
-        backend = _PlainReadBackend(b"xyz")
-        io = NetIO(backend)
-        buf = bytearray(8)
-        results = []
-
-        @do
-        def reader():
-            count = yield io.read_into("fd", buf)
-            results.append(count)
-
-        _run(reader())
-        assert results == [3]
-        assert bytes(buf[:3]) == b"xyz"

@@ -1,8 +1,8 @@
 """The connection session, owned by the driver.
 
 Unit level drives :class:`~repro.runtime.driver.ConnectionDriver` with a
-recording layer and a toy line protocol: who reads (the driver, through
-``recv_pooled``, releasing the lease before the protocol runs), who
+recording transport and a toy line protocol: who reads (the driver, through
+``read_pooled``, releasing the lease before the protocol runs), who
 closes (the driver: ``close`` or the drain-close ``shed``, exactly once)
 and what abandonment does (no monadic close, no leaked lease).  Live
 level checks what HTTP and the cache dialects build on it: requests that
@@ -20,7 +20,8 @@ from repro.cache import build_cache_frontend
 from repro.core.do_notation import do
 from repro.core.monad import pure
 from repro.core.syscalls import sys_sleep
-from repro.http.server import AppTcpSocketLayer, build_live_server
+from repro.cache.memcache import MemcacheProtocol
+from repro.http.server import build_live_server
 from repro.runtime.buffers import BufferPool
 from repro.runtime.driver import CLOSE, DRAIN_CLOSE, ConnectionDriver
 from repro.runtime.io_api import ConnectionClosed, FileBody
@@ -33,18 +34,19 @@ from tests.http.test_http11_features import _drive as drive
 
 
 # ----------------------------------------------------------------------
-# Unit level: a recording layer and a toy protocol.
+# Unit level: a recording transport and a toy protocol.
 # ----------------------------------------------------------------------
-class RecordingLayer:
+class RecordingTransport:
     """Scripted reads; records every close-side call."""
 
     def __init__(self, reads) -> None:
         self.reads = list(reads)
-        self.pool = BufferPool(buffer_bytes=64)
+        self.buffers = BufferPool(buffer_bytes=64)
         self.calls: list[tuple] = []
         self.sent: list[bytes] = []
 
-    def recv_pooled(self, conn):
+    def read_pooled(self, conn, pool):
+        assert pool is self.buffers
         item = self.reads.pop(0) if self.reads else b""
         if isinstance(item, BaseException):
             @do
@@ -53,12 +55,12 @@ class RecordingLayer:
                 raise item
             return fail()
         # A lease must never be held while the protocol runs.
-        assert self.pool.in_use == 0
-        lease = self.pool.lease()
+        assert pool.in_use == 0
+        lease = pool.lease()
         lease.data[:len(item)] = item
         return pure((lease, len(item)))
 
-    def send_v(self, conn, bufs):
+    def write_all_v(self, conn, bufs):
         self.sent.append(b"".join(bufs))
         return pure(None)
 
@@ -92,9 +94,6 @@ class LineProtocol:
 
     parse_error = LineError
 
-    def __init__(self, layer) -> None:
-        self.layer = layer
-
     def make_parser(self):
         return LineParser()
 
@@ -102,70 +101,70 @@ class LineProtocol:
         return b""
 
     @do
-    def drain(self, layer, conn, parser, bad):
-        assert layer.pool.in_use == 0
+    def drain(self, io, conn, parser, bad):
+        assert io.buffers.in_use == 0
         while parser.lines:
             line = parser.lines.pop(0)
             if line == b"boom":
                 raise RuntimeError("protocol bug")
-            yield layer.send_v(conn, [line])
+            yield io.write_all_v(conn, [line])
             if line == b"quit":
                 return CLOSE
         if bad is not None:
-            yield layer.send_v(conn, [b"ERR"])
+            yield io.write_all_v(conn, [b"ERR"])
             return DRAIN_CLOSE
 
 
 def run_session(reads):
     rt = SimRuntime(uncaught="store")
-    layer = RecordingLayer(reads)
-    driver = ConnectionDriver(layer, LineProtocol(layer))
+    io = RecordingTransport(reads)
+    driver = ConnectionDriver(io, None, LineProtocol())
     rt.spawn(driver.handle_connection("c1"), name="session")
     rt.run()
-    return rt, layer
+    return rt, io
 
 
 class TestSessionVerdicts:
     def test_eof_is_a_plain_close(self):
-        _rt, layer = run_session([b"a\nb\n", b"c\n", b""])
-        assert layer.sent == [b"a", b"b", b"c"]
-        assert layer.calls == [("close", "c1")]
-        assert layer.pool.in_use == 0
+        _rt, io = run_session([b"a\nb\n", b"c\n", b""])
+        assert io.sent == [b"a", b"b", b"c"]
+        assert io.calls == [("close", "c1")]
+        assert io.buffers.in_use == 0
 
     def test_protocol_close_verdict(self):
-        _rt, layer = run_session([b"a\nquit\nnever\n", b"unread"])
-        assert layer.sent == [b"a", b"quit"]
-        assert layer.calls == [("close", "c1")]
+        _rt, io = run_session([b"a\nquit\nnever\n", b"unread"])
+        assert io.sent == [b"a", b"quit"]
+        assert io.calls == [("close", "c1")]
 
     def test_parse_error_answers_completed_lines_then_drain_closes(self):
-        _rt, layer = run_session([b"a\nb\nBAD\nc\n", b"unread"])
+        _rt, io = run_session([b"a\nb\nBAD\nc\n", b"unread"])
         # What completed before the break is served, then the error;
         # the close is the drain-close (shed), and only that.
-        assert layer.sent == [b"a", b"b", b"ERR"]
-        assert layer.calls == [("shed", "c1", b"")]
-        assert layer.pool.in_use == 0
+        assert io.sent == [b"a", b"b", b"ERR"]
+        assert io.calls == [("shed", "c1", b"")]
+        assert io.buffers.in_use == 0
 
     def test_transport_error_closes_quietly(self):
-        rt, layer = run_session([b"a\n", ConnectionClosed("gone")])
-        assert layer.sent == [b"a"]
-        assert layer.calls == [("close", "c1")]
+        rt, io = run_session([b"a\n", ConnectionClosed("gone")])
+        assert io.sent == [b"a"]
+        assert io.calls == [("close", "c1")]
         assert not rt.sched.uncaught_errors
 
     def test_protocol_bug_still_closes_then_propagates(self):
-        rt, layer = run_session([b"boom\n"])
-        assert layer.calls == [("close", "c1")]
+        rt, io = run_session([b"boom\n"])
+        assert io.calls == [("close", "c1")]
         assert any(isinstance(error, RuntimeError)
                    for _tcb, error in rt.sched.uncaught_errors)
 
     def test_abandonment_runs_no_monadic_close(self):
-        layer = RecordingLayer([])
-        driver = ConnectionDriver(layer, LineProtocol(layer))
+        io = RecordingTransport([])
+        driver = ConnectionDriver(io, None, LineProtocol())
         gate = []
 
-        def parked_read(conn):
+        def parked_read(conn, pool):
             @do
             def park():
-                lease = layer.pool.lease()
+                lease = pool.lease()
                 try:
                     gate.append(True)
                     yield sys_sleep(3600.0)
@@ -174,34 +173,39 @@ class TestSessionVerdicts:
                 return lease, 0
             return park()
 
-        layer.recv_pooled = parked_read
+        io.read_pooled = parked_read
         rt = SimRuntime(uncaught="store")
         rt.spawn(driver.handle_connection("c1"), name="session")
         rt.run(until=lambda: bool(gate))
         assert gate
         del rt  # drop the runtime mid-session: generators are closed
         gc.collect()
-        assert layer.calls == []
-        assert layer.pool.in_use == 0
+        assert io.calls == []
+        assert io.buffers.in_use == 0
 
 
 # ----------------------------------------------------------------------
-# The socket-layer contract is total: the app-level TCP layer too.
+# The transport contract is total: the app-level TCP stack too.
 # ----------------------------------------------------------------------
+def make_tcp_world(rt, loss=0.0, seed=3):
+    """Server and client ``TcpSockets`` joined by one packet link."""
+    clock = rt.kernel.clock
+    link = DuplexPacketLink(clock, 12.5e6, 0.001, loss=loss, seed=seed)
+    server_stack = TcpStack(clock, "server", TcpParams(), seed=1)
+    client_stack = TcpStack(clock, "client", TcpParams(), seed=2)
+    connect_stacks(client_stack, server_stack, link)
+    return (install_tcp(rt.sched, server_stack),
+            install_tcp(rt.sched, client_stack), link)
+
+
 class TestAppTcpLayerIsTotal:
     def make_world(self):
         rt = SimRuntime(uncaught="store")
-        clock = rt.kernel.clock
-        link = DuplexPacketLink(clock, 12.5e6, 0.001, seed=3)
-        server_stack = TcpStack(clock, "server", TcpParams(), seed=1)
-        client_stack = TcpStack(clock, "client", TcpParams(), seed=2)
-        connect_stacks(client_stack, server_stack, link)
-        ssock = install_tcp(rt.sched, server_stack)
-        csock = install_tcp(rt.sched, client_stack)
-        return rt, AppTcpSocketLayer(ssock, port=80), csock
+        ssock, csock, _link = make_tcp_world(rt)
+        return rt, ssock, ssock.stack.listen(80), csock
 
     def test_recv_pooled_and_sendfile(self):
-        rt, layer, csock = self.make_world()
+        rt, io, listener, csock = self.make_world()
         blob = bytes(range(256)) * 1200  # > one SENDFILE_WINDOW
         closed = []
         file = FileBody(
@@ -214,14 +218,13 @@ class TestAppTcpLayerIsTotal:
 
         @do
         def server():
-            listener = yield layer.setup()
-            (conn,) = yield layer.accept_batch(listener, 8)
-            lease, count = yield layer.recv_pooled(conn)
+            (conn,) = yield io.accept_many(listener, 8)
+            lease, count = yield io.read_pooled(conn, io.buffers)
             seen.append(bytes(lease.data[:count]))
             lease.release()
-            sent = yield layer.sendfile(conn, file, 100, len(blob) - 100)
+            sent = yield io.sendfile(conn, file, 100, len(blob) - 100)
             seen.append(sent)
-            yield layer.close(conn)
+            yield io.close(conn)
 
         @do
         def client():
@@ -239,22 +242,21 @@ class TestAppTcpLayerIsTotal:
         rt.run()
         assert seen == [b"send me the file", len(blob) - 100]
         assert bytes(received) == blob[100:]
-        assert layer.buffers.in_use == 0
+        assert io.buffers.in_use == 0
 
     def test_sendfile_of_a_truncated_file_is_a_transport_error(self):
-        rt, layer, csock = self.make_world()
+        rt, io, listener, csock = self.make_world()
         file = FileBody(None, 4096, pread=lambda offset, nbytes: b"")
         errors = []
 
         @do
         def server():
-            listener = yield layer.setup()
-            (conn,) = yield layer.accept_batch(listener, 8)
+            (conn,) = yield io.accept_many(listener, 8)
             try:
-                yield layer.sendfile(conn, file, 0, 4096)
+                yield io.sendfile(conn, file, 0, 4096)
             except ConnectionClosed as exc:
                 errors.append(exc)
-            yield layer.close(conn)
+            yield io.close(conn)
 
         @do
         def client():
@@ -266,6 +268,62 @@ class TestAppTcpLayerIsTotal:
         rt.spawn(client(), name="client")
         rt.run()
         assert len(errors) == 1
+
+
+class TestOneDriverTwoTransports:
+    """``ConnectionDriver(transport, listener, protocol)`` is the whole
+    composition: no adapter between the driver and either transport."""
+
+    #: A pipelined burst: 24 sets of ~1 KiB, one multi-key get, quit.
+    BURST = b"".join(
+        b"set k%d 0 0 %d\r\n%s\r\n" % (i, size, b"%c" % (97 + i) * size)
+        for i, size in enumerate(range(1000, 1024))
+    ) + b"get %s\r\nquit\r\n" % b" ".join(b"k%d" % i for i in range(24))
+
+    def serve_burst(self, rt, io, listener, connect, send, recv):
+        """A memcache driver on transport ``io``; the client pipelines
+        :attr:`BURST` and reads to EOF.  Returns every reply byte."""
+        driver = ConnectionDriver(io, listener,
+                                  MemcacheProtocol(KvNode(0, 1)))
+        replies = []
+
+        @do
+        def client():
+            conn = yield connect()
+            yield send(conn, self.BURST)
+            collected = bytearray()
+            while True:
+                data = yield recv(conn, 65536)
+                if not data:
+                    break
+                collected.extend(data)
+            replies.append(bytes(collected))
+
+        rt.spawn(driver.main(), name="cache")
+        rt.spawn(client(), name="client")
+        rt.run(until=lambda: bool(replies))
+        assert not rt.sched.uncaught_errors
+        return replies[0]
+
+    def test_memcache_over_lossy_tcp_matches_kernel_streams(self):
+        rt = SimRuntime(uncaught="store")
+        listener = rt.kernel.net.listen()
+        kernel = self.serve_burst(
+            rt, rt.io, listener,
+            lambda: rt.io.connect(listener), rt.io.write_all, rt.io.read,
+        )
+        assert kernel.count(b"STORED\r\n") == 24
+        assert kernel.count(b"VALUE k") == 24 and kernel.endswith(b"END\r\n")
+
+        rt = SimRuntime(uncaught="store")
+        ssock, csock, link = make_tcp_world(rt, loss=0.05, seed=11)
+        lossy = self.serve_burst(
+            rt, ssock, ssock.stack.listen(11211),
+            lambda: csock.connect("server", 11211), csock.send, csock.recv,
+        )
+        assert lossy == kernel
+        assert link.a_to_b.dropped + link.b_to_a.dropped > 0
+        assert ssock.buffers.in_use == 0
 
 
 # ----------------------------------------------------------------------

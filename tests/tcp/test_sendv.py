@@ -1,16 +1,16 @@
 """Gathered sends through the application-level TCP stack.
 
-``TcpSockets.send_v`` enqueues every buffer as memoryview slices into
+``TcpSockets.write_all_v`` enqueues every buffer as memoryview slices into
 the send window's iovec — never joined into one bytes object.  These
 tests pin the ordering/parity guarantees at the monadic API, the
-zero-copy enqueue at the stack level, and the HTTP server's use of
-``AppTcpSocketLayer.send_v`` for its header+body gathered writes.
+zero-copy enqueue at the stack level, and the HTTP server's use of it
+for its header+body gathered writes.
 """
 
 from __future__ import annotations
 
 from repro.core.do_notation import do
-from repro.http.server import AppTcpSocketLayer, WebServer
+from repro.http.server import WebServer
 from repro.runtime.sim_runtime import SimRuntime
 from repro.simos.net import DuplexPacketLink
 from repro.tcp.socket_api import install_tcp
@@ -53,7 +53,7 @@ class TestSendV:
         @do
         def client():
             conn = yield csock.connect("server", 80)
-            count = yield csock.send_v(conn, bufs)
+            count = yield csock.write_all_v(conn, bufs)
             counts.append(count)
             yield csock.close(conn)
 
@@ -71,7 +71,7 @@ class TestSendV:
         @do
         def client():
             conn = yield csock.connect("server", 80)
-            count = yield csock.send_v(conn, [b"", b"a", b"", b"b", b""])
+            count = yield csock.write_all_v(conn, [b"", b"a", b"", b"b", b""])
             counts.append(count)
             yield csock.close(conn)
 
@@ -87,7 +87,7 @@ class TestSendV:
         @do
         def client():
             conn = yield csock.connect("server", 80)
-            count = yield csock.send_v(conn, [b"", b""])
+            count = yield csock.write_all_v(conn, [b"", b""])
             counts.append(count)
             yield csock.close(conn)
 
@@ -117,7 +117,7 @@ class TestSendV:
         @do
         def client():
             conn = yield csock.connect("server", 80)
-            count = yield csock.send_v(conn, bufs)
+            count = yield csock.write_all_v(conn, bufs)
             counts.append(count)
             yield csock.close(conn)
 
@@ -141,7 +141,7 @@ class TestSendV:
             conn = yield csock.connect("server", 80)
             yield csock.close(conn)
             try:
-                yield csock.send_v(conn, [b"too", b"late"])
+                yield csock.write_all_v(conn, [b"too", b"late"])
             except TcpError as exc:
                 failures.append(exc)
 
@@ -186,7 +186,7 @@ class TestSendV:
 
 class TestHttpOverSendV:
     """The HTTP server's gathered header+body write rides
-    ``AppTcpSocketLayer.send_v`` — one stack call, zero joins."""
+    ``TcpSockets.write_all_v`` — one stack call, zero joins."""
 
     def make_site_world(self):
         rt = SimRuntime(uncaught="store")
@@ -198,20 +198,19 @@ class TestHttpOverSendV:
         connect_stacks(client_stack, server_stack, link)
         ssock = install_tcp(rt.sched, server_stack)
         csock = install_tcp(rt.sched, client_stack)
-        layer = AppTcpSocketLayer(ssock, port=80)
-        server = WebServer(layer, rt.kernel.fs)
-        return rt, server, layer, csock
+        server = WebServer(ssock, server_stack.listen(80), rt.kernel.fs)
+        return rt, server, ssock, csock
 
     def test_response_uses_send_v(self):
-        rt, server, layer, csock = self.make_site_world()
+        rt, server, ssock, csock = self.make_site_world()
         calls: list[int] = []
-        original = layer.send_v
+        original = ssock.write_all_v
 
-        def counting_send_v(conn, bufs):
+        def counting_write_all_v(conn, bufs):
             calls.append(len(bufs))
             return original(conn, bufs)
 
-        layer.send_v = counting_send_v
+        ssock.write_all_v = counting_write_all_v
         responses = []
 
         @do
