@@ -1,18 +1,22 @@
 """The event-driven runtime: the paper's Figure 14, executable.
 
 A runtime wires the programmable :class:`~repro.core.scheduler.Scheduler`
-(the ``worker_main`` loops) to device event loops through an I/O backend:
+to device event loops through an I/O backend.  There is one loop,
+:meth:`repro.runtime.loop.Runtime.run` (the paper's ``worker_main``), and
+two kernels under it:
 
 * :class:`repro.runtime.sim_runtime.SimRuntime` — deterministic execution
   against the simulated kernel (:mod:`repro.simos`): virtual time, CPU cost
-  accounting, epoll/AIO harvesting, a blocking-I/O pool.  All benchmarks
-  run here.
+  accounting, epoll/AIO harvesting, a blocking-I/O pool.  The paper-figure
+  reproductions run here.
 * :class:`repro.runtime.live_runtime.LiveRuntime` — execution against the
   real OS: non-blocking sockets multiplexed with ``select``/``epoll`` and a
   thread pool for blocking calls.  The runnable network examples use this.
 
-Both expose the same monadic I/O surface (:class:`repro.runtime.io_api.NetIO`
-— the paper's Figure 10 wrappers), so server code is backend-agnostic.
+Both run the same turn and expose the same monadic I/O surface
+(:class:`repro.runtime.io_api.NetIO` — the paper's Figure 10 wrappers),
+so server code is backend-agnostic and a program orders its work the
+same way in virtual time as on the real OS.
 
 Scaling out: cluster mode
 =========================

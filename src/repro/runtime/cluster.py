@@ -61,6 +61,10 @@ READY_TIMEOUT = 10.0
 #: trips the write watchdog *before* real traffic blocks on it.
 MESH_KEEPALIVE = 5.0
 
+#: Longest a stopping shard waits for its app's drain push (seconds;
+#: never less than the configured ``grace``).
+DRAIN_CAP = 3.0
+
 
 @dataclasses.dataclass
 class ClusterConfig:
@@ -69,9 +73,6 @@ class ClusterConfig:
     host: str = "127.0.0.1"
     port: int = 0                 # 0: master resolves an ephemeral port
     shards: int = 2
-    backlog: int = 1024
-    batch_limit: int = 128
-    poller: str = "auto"          # "auto" | "epoll" | "select"
     respawn: bool = True
     grace: float = 0.25           # drain window after a stop command
     #: Shard-to-shard data plane: when on, every shard gets a mesh
@@ -136,17 +137,13 @@ class AppContext:
 AppFactory = Callable[[AppContext], Any]
 
 
-def build_runtime(config: ClusterConfig) -> LiveRuntime:
-    """One shard's runtime, per the cluster parameters.
+def build_runtime() -> LiveRuntime:
+    """One shard's runtime.
 
     ``uncaught="store"`` so a failure in one client thread is recorded, not
     fatal to the whole shard.
     """
-    return LiveRuntime(
-        batch_limit=config.batch_limit,
-        uncaught="store",
-        poller=config.poller,
-    )
+    return LiveRuntime(uncaught="store")
 
 
 # ----------------------------------------------------------------------
@@ -199,17 +196,14 @@ def _worker_main(
     # Ctrl-C goes to the whole process group, and shards must outlive the
     # SIGINT long enough to drain.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    rt = build_runtime(config)
-    listener = make_listener(
-        config.host, config.port, backlog=config.backlog, reuse_port=True
-    )
+    rt = build_runtime()
+    listener = make_listener(config.host, config.port, reuse_port=True)
     mesh: MeshNode | None = None
     if config.mesh:
         # The master reserved one mesh port per shard; every shard learns
         # the whole address map here, at spawn.
         mesh_listener = make_listener(
-            config.host, config.mesh_ports[index],
-            backlog=config.backlog, reuse_port=True,
+            config.host, config.mesh_ports[index], reuse_port=True
         )
         peers = {
             peer: (config.host, port)
@@ -226,8 +220,7 @@ def _worker_main(
     cache_listener: socket.socket | None = None
     if config.cache_port is not None:
         cache_listener = make_listener(
-            config.host, config.cache_port,
-            backlog=config.backlog, reuse_port=True,
+            config.host, config.cache_port, reuse_port=True
         )
     app = app_factory(AppContext(
         rt=rt, listener=listener, mesh=mesh, cache_listener=cache_listener,
@@ -334,50 +327,51 @@ def _worker_main(
     })
     rt.run(until=lambda: state["stop"])
 
-    # Graceful drain: stop accepting, give in-flight responses a window.
+    # Graceful stop: the listeners stop accepting, then the drain window,
+    # then the mesh.  The mesh serves through the window because every
+    # shard may be stopping at once: a peer's drain push must still find
+    # it accepting and answering.
     if hasattr(app, "stop"):
         app.stop()
-    if mesh is not None:
-        mesh.stop()  # inbound only: outbound links keep working below
     drain = getattr(app, "drain", None)
-    drained: list[bool] = []
+    window = {"drained": not callable(drain), "grace": False, "cap": False}
     if callable(drain):
         # Replicated apps push their state to peers before exiting (a
         # rolling restart must not take the last live copy of a key
-        # down with it); give the push a wider window than the
-        # response-drain grace, but exit as soon as it finishes.
+        # down with it).
         @do
         def _drain_app():
             try:
                 yield drain()
             finally:
-                drained.append(True)
+                window["drained"] = True
 
         rt.spawn(_drain_app(), name=f"shard{index}-drain")
-    grace_deadline = time.monotonic() + config.grace
-    hard_deadline = (time.monotonic() + max(config.grace, 3.0)
-                     if callable(drain) else grace_deadline)
-    rt.run(
-        until=lambda: time.monotonic() >= hard_deadline or (
-            bool(drained) and time.monotonic() >= grace_deadline
-        ),
-        idle_timeout=max(config.grace, 0.05),
-    )
+
+    @do
+    def drain_window():
+        # In-flight responses get ``grace``; the push gets a wider
+        # window, but the shard exits as soon as it finishes.  Both
+        # deadlines are entries in the loop's heap, so the loop wakes
+        # for them whatever else is armed.
+        yield sys_sleep(config.grace)
+        window["grace"] = True
+        yield sys_sleep(max(0.0, DRAIN_CAP - config.grace))
+        window["cap"] = True
+
+    rt.spawn(drain_window(), name=f"shard{index}-drain-window")
+    rt.run(until=lambda: window["grace"]
+           and (window["drained"] or window["cap"]))
     _send_msg(ctrl, snapshot(event="stopped"))
-    try:
-        listener.close()
-    except OSError:
-        pass
-    if cache_listener is not None:
-        try:
-            cache_listener.close()
-        except OSError:
-            pass
     if mesh is not None:
-        try:
-            mesh.listener.close()
-        except OSError:
-            pass
+        mesh.stop()
+    mesh_listener = mesh.listener if mesh is not None else None
+    for sock in (listener, cache_listener, mesh_listener):
+        if sock is not None:
+            try:
+                sock.close()
+            except OSError:
+                pass
     rt.shutdown()
 
 

@@ -143,18 +143,17 @@ class NetIO:
 
     ``backend`` must provide ``nb_read``, ``nb_recv_into(fd, buf)``
     (fill a caller buffer in place), ``nb_write``, ``nb_accept``,
-    ``nb_connect`` and ``close`` with the ``WOULD_BLOCK`` convention.
-    Optionally it may provide ``nb_accept_batch(listener, limit)`` (a
-    native accept-queue drain; otherwise ``accept_many`` loops
-    ``nb_accept``), ``nb_shed(fd, farewell)`` (an orderly
-    farewell/FIN/drain close used by overload shedding),
-    ``nb_writev(fd, bufs)`` (a scatter-gather write; otherwise the
-    vectored operations degrade to a join + ``nb_write``), and
-    ``nb_sendfile(fd, file, offset, count)`` (kernel-to-socket egress;
-    otherwise ``sendfile`` reads through the blocking pool and writes).
-    A backend may also set any optional op to None to force its
-    fallback.  All methods return :class:`~repro.core.monad.M`
-    computations.
+    ``nb_accept_batch(listener, limit)`` (drain the accept queue),
+    ``nb_shed(fd, farewell)`` (the best-effort farewell + close of
+    overload shedding), ``nb_connect`` and ``close`` with the
+    ``WOULD_BLOCK`` convention.  Two ops are optional, for platforms
+    that lack the syscall: ``nb_writev(fd, bufs)`` (a scatter-gather
+    write; without it the vectored operations degrade to a join +
+    ``nb_write``) and ``nb_sendfile(fd, file, offset, count)``
+    (kernel-to-socket egress; without it ``sendfile`` reads through the
+    blocking pool and writes).  A backend may set either to None to
+    force its fallback.  All methods return
+    :class:`~repro.core.monad.M` computations.
     """
 
     def __init__(self, backend: Any) -> None:
@@ -356,54 +355,24 @@ class NetIO:
 
     @do
     def _accept_many(self, listener, limit):
+        # One event-loop turn drains the whole burst (up to ``limit``)
+        # instead of paying a scheduler round-trip per connection.
+        batch_op = self.backend.nb_accept_batch
         while True:
-            batch = yield sys_nbio(
-                lambda: self._drain_accepts(listener, limit)
-            )
+            batch = yield sys_nbio(lambda: batch_op(listener, limit))
             if batch:
                 return batch
             yield sys_epoll_wait(listener, EVENT_READ)
-
-    def _drain_accepts(self, listener: Any, limit: int) -> list:
-        # One event-loop turn drains the whole burst (up to ``limit``)
-        # instead of paying a scheduler round-trip per connection.
-        backend = self.backend
-        batch_op = getattr(backend, "nb_accept_batch", None)
-        if batch_op is not None:
-            return batch_op(listener, limit)
-        conns = []
-        while len(conns) < limit:
-            conn = backend.nb_accept(listener)
-            if conn is WOULD_BLOCK:
-                break
-            conns.append(conn)
-        return conns
 
     def shed(self, fd: Any, farewell: bytes = b"") -> M:
         """Best-effort farewell + clean close, for overload shedding.
 
         Never blocks the thread: one non-blocking attempt to send
-        ``farewell`` (a pre-encoded response), then a clean close.
-        Backends with a ``nb_shed`` primitive (the live backend) get the
-        full farewell/FIN/drain sequence so the peer sees an orderly end
-        of stream rather than a reset."""
-        backend = self.backend
-        shed_op = getattr(backend, "nb_shed", None)
-        if shed_op is not None:
-            return sys_nbio(lambda: shed_op(fd, farewell))
-
-        def action() -> None:
-            if farewell:
-                try:
-                    backend.nb_write(fd, farewell)
-                except OSError:
-                    pass
-            try:
-                backend.close(fd)
-            except OSError:
-                pass
-
-        return sys_nbio(action)
+        ``farewell`` (a pre-encoded response), then a close the peer
+        sees as an orderly end of stream (the live backend also sends a
+        FIN and drains what the peer already sent, so the close does
+        not degrade into a reset)."""
+        return sys_nbio(lambda: self.backend.nb_shed(fd, farewell))
 
     def connect(self, target: Any, label: str = "conn") -> M:
         """Connect to a listener/address; resumes with the stream end."""

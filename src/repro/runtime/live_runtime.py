@@ -1,12 +1,13 @@
 """The live runtime: monadic threads over the real operating system.
 
-Same architecture as :class:`~repro.runtime.sim_runtime.SimRuntime`, but the
-devices are real: non-blocking sockets multiplexed through a persistent
-``epoll`` interest set (with a ``selectors`` fallback on platforms without
-epoll), timers on the monotonic clock, and a thread pool for blocking
-operations (§4.6).  Linux AIO has no portable Python binding, so
-``sys_aio_read`` is routed through the blocking pool —
-the paper's own fallback path for operations without an async interface.
+The real-OS kernel under the one event loop (:mod:`repro.runtime.loop`;
+:class:`~repro.runtime.sim_runtime.SimRuntime` is the other kernel):
+non-blocking sockets multiplexed through a persistent ``epoll`` interest
+set (with a ``selectors`` fallback on platforms without epoll), timers on
+the monotonic clock, and a thread pool for blocking operations (§4.6).
+Linux AIO has no portable Python binding, so ``sys_aio_read`` is routed
+through the blocking pool — the paper's own fallback path for operations
+without an async interface.
 
 The hot path follows §4.4's argument that the application-level scheduler
 only beats one-thread-per-connection if the event loop itself stays cheap:
@@ -25,11 +26,12 @@ no-rearm property is testable, and ``polls``/``zero_timeout_polls`` so the
 loop's own turn count is; per-shard loop overhead is observable through
 the cluster stats protocol.
 
-The loop itself (:meth:`LiveRuntime.run`) is the paper's ``worker_main``
-(§4.2) with the device loops folded in: a *turn* takes threads off the
-ready queue until it is dry (at most :data:`TURN_STEPS` steps), fires the
-deadlines that are due, then polls once — so a fork or a wake-up runs in
-the turn that made it ready, and waiting is left to the one ``poll``.
+This kernel's two loop hooks: ``_collect`` drains the blocking pool's
+completions, and ``_poll`` is one ``poller.poll`` — bounded by the next
+deadline, or a 0.1 s (0.05 s with no descriptor waited on) cadence when
+none is armed, since a pool job may still be in flight.  So deadlock is
+not detected here: a runtime whose threads are all parked with nothing
+armed idles until ``until()`` or ``idle_timeout`` ends the run.
 """
 
 from __future__ import annotations
@@ -44,17 +46,11 @@ from collections import deque
 from typing import Any, Callable
 
 from ..core.events import EVENT_READ, EVENT_WRITE
-from ..core.monad import M
 from ..core.scheduler import Scheduler, TCB
-from ..core.trace import (
-    SysAioRead,
-    SysBlio,
-    SysEpollWait,
-    SysSleep,
-)
+from ..core.trace import SysAioRead, SysBlio, SysEpollWait
 from ..simos.errors import WOULD_BLOCK
-from .io_api import ConnectionClosed, NetIO
-from .timer_wheel import TimerWheel
+from .io_api import ConnectionClosed
+from .loop import Runtime
 
 __all__ = [
     "LiveRuntime",
@@ -67,11 +63,6 @@ __all__ = [
 
 #: Threads in the blocking-I/O pool (§4.6): file opens, stats, fsyncs.
 BLIO_WORKERS = 4
-
-#: Steps (``sched.step()`` calls, each at most ``batch_limit`` system
-#: calls) one loop turn takes before it looks at the devices whether or
-#: not the ready queue is dry.
-TURN_STEPS = 128
 
 HAS_EPOLL = hasattr(select, "epoll")
 HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
@@ -589,8 +580,8 @@ def make_poller(kind: str = "auto") -> EpollPoller | SelectorPoller:
     raise ValueError(f"unknown poller kind {kind!r}")
 
 
-class LiveRuntime:
-    """Scheduler + real-OS device loops."""
+class LiveRuntime(Runtime):
+    """The one event loop over real-OS devices."""
 
     def __init__(
         self,
@@ -598,18 +589,9 @@ class LiveRuntime:
         uncaught: str | Callable = "raise",
         poller: str = "auto",
     ) -> None:
-        self.sched = Scheduler(batch_limit=batch_limit, uncaught=uncaught)
+        super().__init__(LiveBackend(on_close=self._discard_fd),
+                         time.monotonic, batch_limit, uncaught)
         self.poller = make_poller(poller)
-        self.backend = LiveBackend(on_close=self._discard_fd)
-        self.io = NetIO(self.backend)
-        # The runtime's one deadline heap: sys_sleep, call timeouts,
-        # write watchdogs, the KV hint pump and mesh keepalives are all
-        # entries in it, and ``run`` fires it once per turn (see
-        # repro.runtime.timer_wheel).
-        self.timers = TimerWheel(time.monotonic, self.spawn)
-        # The shared receive-buffer pool (owned by the I/O surface the
-        # socket layers read through).
-        self.buffers = self.io.buffers
         self.pool = concurrent.futures.ThreadPoolExecutor(
             max_workers=BLIO_WORKERS, thread_name_prefix="blio"
         )
@@ -623,7 +605,10 @@ class LiveRuntime:
         self._wake_recv.setblocking(False)
         self._wake_send.setblocking(False)
         self.poller.register_wake(self._wake_recv)
-        self._install_handlers()
+        self.sched.register_syscall(SysEpollWait, self._handle_epoll_wait)
+        self.sched.register_syscall(SysBlio, self._handle_blio)
+        # AIO without a native interface: blocking pool (see module docs).
+        self.sched.register_syscall(SysAioRead, self._handle_aio_read)
 
     def _discard_fd(self, fd: Any) -> None:
         """Drop poller state for a closing fd and wake its parked waiters.
@@ -644,13 +629,6 @@ class LiveRuntime:
                 ),
             )
 
-    # ------------------------------------------------------------------
-    # Spawning and listeners
-    # ------------------------------------------------------------------
-    def spawn(self, comp: M | Callable[[], M], name: str | None = None) -> TCB:
-        """Spawn a monadic thread."""
-        return self.sched.spawn(comp, name=name)
-
     def make_listener(
         self,
         host: str = "127.0.0.1",
@@ -665,26 +643,9 @@ class LiveRuntime:
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-    def _install_handlers(self) -> None:
-        sched = self.sched
-        sched.register_syscall(SysEpollWait, self._handle_epoll_wait)
-        sched.register_syscall(SysSleep, self._handle_sleep)
-        sched.register_syscall(SysBlio, self._handle_blio)
-        # AIO without a native interface: blocking pool (see module docs).
-        sched.register_syscall(SysAioRead, self._handle_aio_read)
-        sched.register_special("now", lambda _s, _t, _p: time.monotonic())
-
     def _handle_epoll_wait(self, _sched: Scheduler, tcb: TCB, node: SysEpollWait):
         tcb.state = "blocked"
         self.poller.wait(node.fd, node.events, tcb, node.cont)
-        return None
-
-    def _handle_sleep(self, _sched: Scheduler, tcb: TCB, node: SysSleep):
-        tcb.state = "blocked"
-        cont = node.cont
-        self.timers.sleep(
-            node.duration, lambda: self.sched.resume_value(tcb, cont, None)
-        )
         return None
 
     def _submit_pool(self, tcb: TCB, action: Callable[[], Any], cont: Callable) -> None:
@@ -728,75 +689,9 @@ class LiveRuntime:
         return None
 
     # ------------------------------------------------------------------
-    # The main loop
+    # The loop hooks
     # ------------------------------------------------------------------
-    def run(
-        self,
-        until: Callable[[], bool] | None = None,
-        idle_timeout: float | None = None,
-    ) -> None:
-        """Run until ``until()`` holds, every thread has finished with no
-        timer left armed, or (if given) nothing happens for
-        ``idle_timeout`` seconds.
-
-        One *turn* is the paper's ``worker_main`` (§4.2): take threads
-        off the ready queue until it is dry — a thread forked or woken
-        mid-turn (``sys_fork``, an MVar hand-off, ``sys_yield``) runs in
-        the turn that made it ready — then look at the devices once:
-        fire the deadlines that are due (sleeps and ``rt.timers``
-        entries, one heap; a deadline of "now" armed mid-turn fires
-        here, with every thread that could add to its work already
-        parked), then one ``poll``, blocking until the next deadline
-        unless something is still ready.  A turn takes at most
-        :data:`TURN_STEPS` steps, so a thread that is always ready
-        cannot keep the loop from I/O.
-
-        Deadlock is not detected here: a runtime whose threads are all
-        parked with nothing armed idles at 20 polls/s until ``until()``
-        or ``idle_timeout`` ends the run (a blocking-pool job may still
-        be in flight; the loop cannot tell).  Only ``SimRuntime.run``
-        raises ``DeadlockError``.
-        """
-        sched = self.sched
-        timers = self.timers
-        last_progress = time.monotonic()
-        while True:
-            if until is not None and until():
-                return
-            progressed = self._drain_completions()
-            for _ in range(TURN_STEPS):
-                if not sched.step():
-                    break
-                progressed = True
-                if until is not None and until():
-                    return
-            if timers.fire_due():
-                progressed = True
-                if until is not None and until():
-                    return  # a plain timer action may be what it waits for
-            if (until is None and sched.live_threads == 0
-                    and timers.next_deadline() is None):
-                return
-            if self._poll_io(self._next_timeout()):
-                progressed = True
-            if progressed:
-                last_progress = time.monotonic()
-            elif idle_timeout is not None and (
-                time.monotonic() - last_progress > idle_timeout
-            ):
-                return
-
-    def _next_timeout(self) -> float:
-        if self.sched.ready or self._completions:
-            return 0.0
-        deadline = self.timers.next_deadline()
-        if deadline is not None:
-            return max(0.0, deadline - time.monotonic())
-        if self.poller.waiter_count:
-            return 0.1
-        return 0.05
-
-    def _drain_completions(self) -> bool:
+    def _collect(self) -> bool:
         poller = self.poller
         if poller.wake_ready:
             # Only when the poller saw the wake pipe readable: an
@@ -820,7 +715,11 @@ class LiveRuntime:
             progressed = True
         return progressed
 
-    def _poll_io(self, timeout: float) -> bool:
+    def _poll(self, timeout: float | None) -> bool:
+        if self._completions:
+            timeout = 0.0
+        elif timeout is None:
+            timeout = 0.1 if self.poller.waiter_count else 0.05
         resumes = self.poller.poll(timeout)
         for tcb, cont, ready in resumes:
             self.sched.resume_value(tcb, cont, ready)

@@ -1,9 +1,11 @@
 """The deterministic runtime over the simulated kernel.
 
 This is the paper's event-driven system (Figure 14) realized on one
-simulated CPU: the scheduler's ready queue, the epoll loop (Figure 16), the
-AIO completion loop, the blocking-I/O pool, and timers, all interleaved on
-the virtual clock with explicit CPU cost accounting:
+simulated CPU: the one event loop of :mod:`repro.runtime.loop` — the
+same turn :class:`~repro.runtime.live_runtime.LiveRuntime` runs — over
+the simulated epoll loop (Figure 16), AIO completion loop and
+blocking-I/O pool, all on the virtual clock with explicit CPU cost
+accounting:
 
 * ``t_monadic_switch`` per scheduler batch (thread switch);
 * ``t_monadic_syscall`` per trace node dispatched;
@@ -13,6 +15,13 @@ the virtual clock with explicit CPU cost accounting:
   still a real system call — the monadic design wins on *scheduling*
   costs, not by magicking syscalls away.  That bookkeeping honesty is what
   makes the Figure 18 comparison meaningful.
+
+This kernel's two loop hooks: ``_collect`` harvests epoll and AIO, and
+``_poll`` runs the calendar (device completions, packet arrivals, the
+blocking pool, kernel-thread schedulers sharing the clock) one event at
+a time until a thread is ready or the deadline passes; idle virtual time
+jumps to the deadline.  With no deadline armed and an empty calendar,
+nothing can ever wake the parked threads: :class:`DeadlockError`.
 """
 
 from __future__ import annotations
@@ -23,18 +32,10 @@ from typing import Any, Callable
 from ..core.exceptions import DeadlockError
 from ..core.monad import M
 from ..core.scheduler import Scheduler, TCB
-from ..core.trace import (
-    SysAioRead,
-    SysBlio,
-    SysEpollWait,
-    SysSleep,
-    Thunk,
-)
-from ..simos.errors import WOULD_BLOCK
+from ..core.trace import SysAioRead, SysBlio, SysEpollWait, Thunk
+from ..simos.errors import WOULD_BLOCK, SimOsError
 from ..simos.kernel import SimKernel
-from ..simos.params import SimParams
-from .io_api import NetIO
-from .timer_wheel import TimerWheel
+from .loop import Runtime
 
 __all__ = ["SimRuntime", "SimBackend", "BlockingPool"]
 
@@ -153,6 +154,28 @@ class SimBackend:
         self.kernel.charge(self.params.t_kernel_syscall)
         return listener.accept()
 
+    def nb_accept_batch(self, listener: Any, limit: int) -> list:
+        """Drain the accept queue, up to ``limit`` connections: one
+        charged ``accept`` per connection, plus the one that finds the
+        queue empty.  An empty batch means park on the listener."""
+        conns = []
+        while len(conns) < limit:
+            conn = self.nb_accept(listener)
+            if conn is WOULD_BLOCK:
+                break
+            conns.append(conn)
+        return conns
+
+    def nb_shed(self, fd: Any, farewell: bytes) -> None:
+        """Overload-shedding close: one attempt at the farewell, then
+        close (both charged as the calls they are)."""
+        if farewell:
+            try:
+                self.nb_write(fd, farewell)
+            except SimOsError:
+                pass  # peer already gone: nothing to say to it
+        self.close(fd)
+
     def nb_connect(self, listener: Any, label: str = "conn"):
         """Initiate a connection to a simulated listener."""
         self.kernel.charge(self.params.t_kernel_syscall)
@@ -214,43 +237,35 @@ class BlockingPool:
         self.runtime.kernel.clock.schedule(delay, complete)
 
 
-class SimRuntime:
-    """Scheduler + device loops on the simulated kernel."""
+class SimRuntime(Runtime):
+    """The one event loop over the simulated kernel, in virtual time."""
 
     def __init__(
         self,
         kernel: SimKernel | None = None,
-        params: SimParams | None = None,
         batch_limit: int = 128,
         uncaught: str | Callable = "raise",
         blocking_pool_size: int = 16,
-        disk_policy: str = "clook",
     ) -> None:
-        self.kernel = kernel if kernel is not None else SimKernel(params, disk_policy)
+        self.kernel = kernel if kernel is not None else SimKernel()
         self.params = self.kernel.params
-        self.sched = Scheduler(batch_limit=batch_limit, uncaught=uncaught)
-        self.backend = SimBackend(self.kernel)
-        self.io = NetIO(self.backend)
+        backend = SimBackend(self.kernel)
+        super().__init__(backend, backend.now, batch_limit, uncaught)
         self.epoll = self.kernel.make_epoll()
         self.aio = self.kernel.make_aio()
         self.pool = BlockingPool(self, blocking_pool_size)
-        # The same deadline heap as LiveRuntime's, on the virtual clock:
-        # the calendar stays the time base (device completions live
-        # there) and carries one event at the heap's head deadline.
-        self.timers = TimerWheel(
-            self.backend.now, self.spawn, on_earlier=self._cover_timers
-        )
-        self._timers_event: Any = None
-        # And the same shared receive-buffer pool surface.
-        self.buffers = self.io.buffers
-        self._install_handlers()
+        #: Kernel-thread schedulers sharing this clock (``run_hybrid``).
+        self._kernel_threads: list = []
+        self._switches_charged = 0
+        sched = self.sched
+        sched.register_syscall(SysEpollWait, self._handle_epoll_wait)
+        sched.register_syscall(SysAioRead, self._handle_aio_read)
+        sched.register_syscall(SysBlio, self._handle_blio)
+        sched.on_syscall = self._charge_syscall
         # Account monadic thread footprints (drives the cache-pressure
         # model; three orders lighter than kernel stacks).
-        self.sched.add_exit_watcher(self._on_thread_exit)
+        sched.add_exit_watcher(self._on_thread_exit)
 
-    # ------------------------------------------------------------------
-    # Spawning
-    # ------------------------------------------------------------------
     def spawn(self, comp: M | Callable[[], M], name: str | None = None) -> TCB:
         """Spawn a monadic thread on this runtime."""
         self.kernel.alloc_ram(self.params.monadic_thread_bytes)
@@ -262,22 +277,23 @@ class SimRuntime:
     # ------------------------------------------------------------------
     # Syscall handlers (the scheduler-extension registry in action)
     # ------------------------------------------------------------------
-    def _install_handlers(self) -> None:
-        sched = self.sched
-        sched.register_syscall(SysEpollWait, self._handle_epoll_wait)
-        sched.register_syscall(SysAioRead, self._handle_aio_read)
-        sched.register_syscall(SysSleep, self._handle_sleep)
-        sched.register_syscall(SysBlio, self._handle_blio)
-        sched.register_special("now", lambda _s, _t, _p: self.kernel.clock.now)
-        sched.on_syscall = self._charge_syscall
-
     def _charge_syscall(self, _tcb: TCB, _node: Any) -> None:
-        # Uniform per-node cost.  The @do fast path (SysGen) produces the
-        # same node sequence as the combinator reference — region entry,
-        # each suspension, SysEndCatch/SysThrow on exit — so virtual-time
-        # accounting is identical on both paths.  Installing this hook is
-        # what re-enables the scheduler's per-node instrumentation branch;
-        # a live runtime leaves it None and skips the work entirely.
+        # A batch's first node pays its thread switch (the scheduler
+        # counts switches; the loop's ``sched.step()`` stays unwrapped).
+        # Then the uniform per-node cost.  The @do fast path (SysGen)
+        # produces the same node sequence as the combinator reference —
+        # region entry, each suspension, SysEndCatch/SysThrow on exit —
+        # so virtual-time accounting is identical on both paths.
+        # Installing this hook is what re-enables the scheduler's
+        # per-node instrumentation branch; a live runtime leaves it None
+        # and skips the work entirely.
+        switches = self.sched.total_switches
+        if switches != self._switches_charged:
+            self.kernel.charge(
+                (switches - self._switches_charged)
+                * self.params.t_monadic_switch
+            )
+            self._switches_charged = switches
         self.kernel.charge(self.params.t_monadic_syscall)
 
     def _handle_epoll_wait(self, _sched: Scheduler, tcb: TCB, node: SysEpollWait):
@@ -292,27 +308,6 @@ class SimRuntime:
         self.aio.submit_read(node.fd, node.offset, node.nbytes, (tcb, node.cont))
         return None
 
-    def _handle_sleep(self, _sched: Scheduler, tcb: TCB, node: SysSleep):
-        tcb.state = "blocked"
-        cont = node.cont
-        self.timers.sleep(
-            node.duration, lambda: self.sched.resume_value(tcb, cont, None)
-        )
-        return None
-
-    def _cover_timers(self) -> None:
-        # Keep exactly one calendar event, at the earliest live deadline.
-        if self._timers_event is not None:
-            self._timers_event.cancel()
-        deadline = self.timers.next_deadline()
-        self._timers_event = None if deadline is None else (
-            self.kernel.clock.schedule_at(deadline, self._timers_due)
-        )
-
-    def _timers_due(self) -> None:
-        self.timers.fire_due()
-        self._cover_timers()
-
     def _handle_blio(self, _sched: Scheduler, tcb: TCB, node: SysBlio):
         self.kernel.charge(self.params.t_kernel_syscall)
         tcb.state = "blocked"
@@ -320,106 +315,60 @@ class SimRuntime:
         return None
 
     # ------------------------------------------------------------------
-    # The device loops (worker_epoll / worker_aio), interleaved
+    # The loop hooks: the device loops (worker_epoll / worker_aio)
     # ------------------------------------------------------------------
-    def _harvest_epoll(self) -> bool:
-        events = self.epoll.harvest()
+    def _collect(self) -> bool:
+        return self._harvest(self.epoll) | self._harvest(self.aio)
+
+    def _harvest(self, device: Any) -> bool:
+        # One ``epoll_wait``/``io_getevents`` per harvest that finds
+        # anything, plus a per-event cost: O(ready), not O(interested).
+        events = device.harvest()
         if not events:
             return False
         self.kernel.charge(
             self.params.t_epoll_wait + len(events) * self.params.t_epoll_event
         )
-        for (tcb, cont), mask in events:
-            self.sched.resume_value(tcb, cont, mask)
+        for (tcb, cont), value in events:
+            self.sched.resume_value(tcb, cont, value)
         return True
 
-    def _harvest_aio(self) -> bool:
-        completions = self.aio.harvest()
-        if not completions:
-            return False
-        self.kernel.charge(
-            self.params.t_epoll_wait + len(completions) * self.params.t_epoll_event
-        )
-        for (tcb, cont), payload in completions:
-            self.sched.resume_value(tcb, cont, payload)
-        return True
-
-    # ------------------------------------------------------------------
-    # The main loop
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        until: Callable[[], bool] | None = None,
-        max_steps: int = 1_000_000_000,
-    ) -> None:
-        """Run until ``until()`` holds (if given) or no work remains.
-
-        Raises :class:`DeadlockError` if live threads remain parked with
-        an empty calendar and no condition was requested.
-        """
-        sched = self.sched
+    def _poll(self, timeout: float | None) -> bool:
         clock = self.kernel.clock
-        for _step in range(max_steps):
-            if until is not None and until():
-                return
-            harvested = self._harvest_epoll() | self._harvest_aio()
-            if sched.ready:
-                self.kernel.charge(self.params.t_monadic_switch)
-                sched.step()
-                continue
-            if harvested:
-                continue
-            if not clock.advance():
-                if until is not None:
-                    raise DeadlockError(
-                        "runtime idle before the until() condition held"
-                    )
-                if sched.live_threads > 0:
-                    raise DeadlockError(
-                        f"{sched.live_threads} thread(s) blocked forever"
-                    )
-                return
-        raise RuntimeError("run() exceeded max_steps")
+        limit = None if timeout is None else clock.now + timeout
+        while True:
+            clock.run_due()
+            # Kernel threads (``run_hybrid``) run one each per look, and
+            # only when no monadic thread is ready: the monadic side first.
+            if (self._collect() or self.sched.ready
+                    or any([sim.step() for sim in self._kernel_threads])):
+                return True
+            when = clock.next_event_time()
+            if when is None or (limit is not None and when > limit):
+                break
+            clock.advance()
+        if limit is None:
+            raise DeadlockError(
+                f"{self.sched.live_threads} thread(s) parked with no "
+                f"deadline armed and an empty calendar"
+            )
+        clock.now = max(clock.now, limit)
+        return False
 
-    def run_all(self) -> None:
-        """Run until every thread has finished."""
-        self.run()
-
-    def run_hybrid(
-        self,
-        sims: list,
-        until: Callable[[], bool],
-        max_steps: int = 1_000_000_000,
-    ) -> None:
+    def run_hybrid(self, sims: list, until: Callable[[], bool]) -> None:
         """Drive this runtime *and* kernel-thread schedulers on one clock.
 
         Used by benchmarks where the monadic server shares a simulated
         world with kernel-thread load generators (the paper's separate
         client machine).  ``sims`` are :class:`repro.simos.nptl.NptlSim`
-        instances sharing this runtime's kernel clock.
+        instances sharing this runtime's kernel clock; the loop's poll
+        runs their ready threads.
         """
-        sched = self.sched
-        clock = self.kernel.clock
-        for _step in range(max_steps):
-            if until():
-                return
-            progressed = self._harvest_epoll() | self._harvest_aio()
-            if sched.ready:
-                self.kernel.charge(self.params.t_monadic_switch)
-                sched.step()
-                continue
-            for sim in sims:
-                if sim.run_queue:
-                    thread, value, exc = sim.run_queue.popleft()
-                    sim._run_thread(thread, value, exc)
-                    progressed = True
-            if progressed:
-                continue
-            if not clock.advance():
-                raise DeadlockError(
-                    "hybrid world idle before the until() condition held"
-                )
-        raise RuntimeError("run_hybrid() exceeded max_steps")
+        self._kernel_threads = list(sims)
+        try:
+            self.run(until=until)
+        finally:
+            self._kernel_threads = []
 
     # ------------------------------------------------------------------
     # Introspection

@@ -5,15 +5,14 @@ shard — ``sys_sleep``, mesh call timeouts and write watchdogs, pool
 lease/connect timeouts, the WAL's flush deadline, keepalive and hint-pump
 ticks — is an entry in this heap, and the owning runtime fires it with
 :meth:`TimerWheel.fire_due` and :meth:`TimerWheel.next_deadline`.
-``LiveRuntime.run`` does so once per turn — step the ready threads until
-none is left, fire what is due, ``poll`` until the next deadline — so a
-deadline armed by any thread bounds the very next ``poll``, and no thread
-services the heap.  ``SimRuntime`` keeps one event at the head deadline
-on its calendar, which it consults only when nothing is ready.  On both,
-then, a deadline of "now" (``schedule(0, action)``) means *once every
-ready thread has run, before the loop waits*: the mesh arms a
-connection's flush that way, and the action writes what the whole turn
-queued.
+The one loop turn (:meth:`repro.runtime.loop.Runtime.run`, on both
+kernels) does so once per turn — step the ready threads until none is
+left, fire what is due, ``poll`` until the next deadline — so a deadline
+armed by any thread bounds the very next ``poll``, and no thread services
+the heap.  A deadline of "now" (``schedule(0, action)``) therefore means
+*once every ready thread has run, before the loop looks at its devices*:
+the mesh arms a connection's flush that way, and the action writes what
+the whole turn queued.
 
 * ``schedule(delay, action)`` resumes with a :class:`TimerHandle`: a heap
   push on the runtime's clock, zero trace nodes.  A plain ``action`` runs
@@ -80,16 +79,13 @@ _COMPACT_MIN_ENTRIES = 100
 
 class TimerWheel:
     """One deadline heap; the owning runtime's loop fires it.  ``now`` is
-    the runtime's clock, ``spawn(comp, name=)`` starts the thread a
-    monadic action runs on, and ``on_earlier`` (if given) is called when
-    a push becomes the earliest deadline — for a runtime that keeps the
-    head on a calendar instead of reading it every turn."""
+    the runtime's clock, and ``spawn(comp, name=)`` starts the thread a
+    monadic action runs on."""
 
-    def __init__(self, now: Callable[[], float], spawn: Callable[..., Any],
-                 on_earlier: Callable[[], None] | None = None) -> None:
+    def __init__(self, now: Callable[[], float],
+                 spawn: Callable[..., Any]) -> None:
         self._now = now
         self._spawn = spawn
-        self._on_earlier = on_earlier
         self._heap: list[tuple[float, int, TimerHandle]] = []
         #: Cancelled entries still in the heap (the rebuild trigger).
         self._dead = 0
@@ -132,10 +128,7 @@ class TimerWheel:
 
     def _push(self, delay: float, action: Callable[[], Any]) -> TimerHandle:
         handle = TimerHandle(self._now() + delay, action, self)
-        item = (handle.deadline, next(self._seq), handle)
-        heapq.heappush(self._heap, item)
-        if self._on_earlier is not None and self._heap[0] is item:
-            self._on_earlier()
+        heapq.heappush(self._heap, (handle.deadline, next(self._seq), handle))
         return handle
 
     def _note_cancel(self) -> None:

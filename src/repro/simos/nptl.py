@@ -206,11 +206,17 @@ class NptlSim:
         while True:
             if done is not None and done():
                 return
-            if self.run_queue:
-                thread, value, exc = self.run_queue.popleft()
-                self._run_thread(thread, value, exc)
-            elif not self.clock.advance():
+            if not self.step() and not self.clock.advance():
                 return
+
+    def step(self) -> bool:
+        """Run the next ready thread for one timeslice; whether one was
+        ready."""
+        if not self.run_queue:
+            return False
+        thread, value, exc = self.run_queue.popleft()
+        self._run_thread(thread, value, exc)
+        return True
 
     def _charge(self, seconds: float) -> None:
         if self.charge_cpu:
@@ -403,15 +409,7 @@ def run_sims(
     while True:
         if done is not None and done():
             return
-        progressed = False
-        for sim in sims:
-            if sim.run_queue:
-                thread, value, exc = sim.run_queue.popleft()
-                sim._run_thread(thread, value, exc)
-                progressed = True
-        if progressed:
-            continue
-        if not kernel.clock.advance():
+        if not any([sim.step() for sim in sims]) and not kernel.clock.advance():
             return
 
 

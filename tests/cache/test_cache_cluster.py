@@ -11,6 +11,8 @@ pipelined batches) is read back through the control-plane counters.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.api import ClusterServer, build_kv
@@ -230,3 +232,26 @@ class TestBurstBudget:
         assert after["calls"] - before["calls"] <= 2
         assert after["batches"] - before["batches"] == 1
         assert after["commands"] - before["commands"] == 8
+
+
+class TestGracefulStop:
+    def test_a_replicated_cluster_stops_inside_its_drain_window(self):
+        # Every shard stops at once, and each pushes the keys it holds to
+        # their other replica.  A peer's mesh keeps serving through its
+        # own drain window, so no push waits out the 5 s mesh call
+        # timeout, and the window ends on its own deadlines.
+        server = ClusterServer(
+            kv_factory, shards=3, mesh=True, replication=2, write_quorum=1,
+            cache_port=0, cache_protocol="memcache", grace=0.1,
+        )
+        server.start()
+        try:
+            with BlockingMemcacheClient(server.cache_port) as client:
+                assert client.pipeline_set(
+                    [(f"stop:{i}", b"v%d" % i) for i in range(40)]
+                ) == 40
+        finally:
+            started = time.monotonic()
+            server.stop()
+            elapsed = time.monotonic() - started
+        assert elapsed < 1.5, f"stop() took {elapsed:.2f} s"

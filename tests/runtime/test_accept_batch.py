@@ -106,12 +106,21 @@ class TestLiveAcceptBatch:
 
 class TestSimAcceptBatch:
     def test_generic_drain_over_sim_backend(self):
-        """NetIO's batch path works on backends without nb_accept_batch
-        (the simulated kernel): repeated nb_accept inside one nbio turn."""
+        """The simulated kernel drains its accept queue through the same
+        backend op as the live one: ``nb_accept_batch``, inside one nbio
+        step (NetIO has no per-backend fallback to take instead)."""
         rt = SimRuntime()
         listener = rt.kernel.net.listen()
         batches = []
         echoed = []
+        drains = []
+        native = rt.backend.nb_accept_batch
+
+        def counting(listener, limit):
+            drains.append(limit)
+            return native(listener, limit)
+
+        rt.backend.nb_accept_batch = counting
 
         @do
         def server():
@@ -133,3 +142,4 @@ class TestSimAcceptBatch:
         rt.run()
         assert sum(len(batch) for batch in batches) == 3
         assert sorted(echoed) == [b"c0", b"c1", b"c2"]
+        assert drains and set(drains) == {8}

@@ -248,19 +248,3 @@ class TestConfig:
     def test_shards_validation(self):
         with pytest.raises(ValueError):
             ClusterServer(app_factory, shards=0)
-
-    def test_select_poller_cluster_serves(self):
-        # The portable fallback loop, end to end through the cluster.
-        cluster = ClusterServer(
-            app_factory, shards=1, grace=0.1, poller="select"
-        )
-        cluster.start()
-        try:
-            status, body, client = get(cluster.port)
-            assert status.endswith("200 OK")
-            assert body == SITE["index.html"]
-            client.close()
-            workers = cluster.stats()["workers"]
-            assert workers[0]["poller"] == "select"
-        finally:
-            cluster.stop()

@@ -20,7 +20,8 @@ from repro.core.syscalls import (
     sys_yield,
 )
 from repro.core.sync import MVar
-from repro.runtime.live_runtime import HAS_EPOLL, TURN_STEPS, LiveRuntime
+from repro.runtime.live_runtime import HAS_EPOLL, LiveRuntime
+from repro.runtime.loop import TURN_STEPS
 
 POLLERS = ["epoll", "select"] if HAS_EPOLL else ["select"]
 

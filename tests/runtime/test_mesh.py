@@ -1162,11 +1162,11 @@ class TestKeepalive:
 
 class TestSimFlush:
     def test_flush_fires_when_the_ready_queue_runs_dry_not_later(self):
-        # A zero-delay heap entry comes off the simulator's calendar
-        # exactly when nothing is ready, where the live loop fires it:
-        # between a frame's enqueue and its write only the CPU of the
-        # threads still running passes, never idle time — and the run
-        # does not end in DeadlockError with the frame still queued.
+        # A zero-delay heap entry fires once the ready queue runs dry,
+        # in the one loop turn both kernels share: between a frame's
+        # enqueue and its write only the CPU of the threads still
+        # running passes, never idle time — and the run does not end in
+        # DeadlockError with the frame still queued.
         rt = SimRuntime()
         listeners = {index: rt.kernel.net.listen() for index in range(2)}
         nodes = [MeshNode(index, rt.io, listeners[index], listeners,

@@ -42,7 +42,7 @@ def live():
 
 def run_sim(rt, comp) -> None:
     rt.spawn(comp, name="driver")
-    rt.run_all()
+    rt.run()
 
 
 def thread_names(rt) -> list:
@@ -214,8 +214,8 @@ class TestCancellation:
 
 class TestSleeperLifecycle:
     """What sleeps toward the next deadline is the runtime's own loop
-    (``poll``'s timeout; on the simulator, the calendar): no thread is
-    created to serve the heap, and none lingers once it drains."""
+    (``poll``'s timeout, on both kernels): no thread is created to serve
+    the heap, and none lingers once it drains."""
 
     def test_one_sleeper_serves_many_timers(self, rt):
         wheel = rt.timers
@@ -246,11 +246,11 @@ class TestSleeperLifecycle:
             yield wheel.schedule(0.02, lambda: stages.append("b"))
 
         rt.spawn(first(), name="first")
-        rt.run_all()  # returns: the drained wheel keeps nothing alive
+        rt.run()  # returns: the drained wheel keeps nothing alive
         assert stages == ["a"]
         assert wheel.armed == 0 and rt.sched.live_threads == 0
         rt.spawn(second(), name="second")
-        rt.run_all()
+        rt.run()
         assert stages == ["a", "b"]
 
     def test_recurring_action_reschedules_on_the_same_sleeper(self, rt):
