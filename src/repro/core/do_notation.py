@@ -33,13 +33,18 @@ Two implementations share these semantics:
   generator in one :class:`~repro.core.trace.SysGen` node, and the
   scheduler ``send``/``throw``s results directly into the generator frame
   — no per-yield continuation closures or trampoline cells, no delegating
-  wrapper generator.  The node doubles as the region's handler frame.
+  wrapper generator.  The node doubles as the region's handler frame, and
+  a ``@do`` call yielded inside the region runs inline on the region's
+  stack of suspended callers: a nested call is a Python call and costs no
+  trace node, so a node is a system call, as in the paper's trace.
 
 * The **slow path** (:func:`do_slow`): the original closure-trampoline
-  driver wrapping the generator in one ``SYS_CATCH`` region.  It is kept
-  as the executable reference implementation; the differential tests in
-  ``tests/core/test_do_fastpath_differential.py`` pin the two paths to
-  identical observable behavior (results, exception order, node counts).
+  driver wrapping the generator in one ``SYS_CATCH`` region per call.  It
+  is kept as the executable reference implementation; the differential
+  tests in ``tests/core/test_do_fastpath_differential.py`` pin the two
+  paths to identical observable behavior (results, exception order, side
+  effects).  Node counts differ by one rule: a nested ``@do`` call costs
+  the slow path two nodes (region entry and exit) and the fast path none.
 """
 
 from __future__ import annotations
@@ -60,11 +65,33 @@ from .trace import (
     Trace,
 )
 
-__all__ = ["do", "do_slow", "DoProtocolError"]
+__all__ = ["do", "do_slow", "DoCall", "DoProtocolError"]
 
 #: Code objects of every ``@do``-driven generator function; used to target
 #: the abandoned-thread noise filter below at exactly our generators.
 _do_codes: set = set()
+
+
+class DoCall(M):
+    """A call of a ``@do`` function: the generator function and its
+    arguments, not yet started.
+
+    As an ``M`` it opens one region — :meth:`run` builds the
+    :class:`~repro.core.trace.SysGen` that owns the generator.  Yielded
+    inside a region, it is never run: ``SysGen._drive`` starts the callee
+    in place of its caller, like ``yield from``.
+    """
+
+    __slots__ = ("genfunc", "args", "kwargs")
+
+    def __init__(self, genfunc: Callable[..., Generator[M, Any, Any]],
+                 args: tuple, kwargs: dict) -> None:
+        self.genfunc = genfunc
+        self.args = args
+        self.kwargs = kwargs
+
+    def run(self, c: Callable[[Any], Trace]) -> Trace:
+        return SysGen(self.genfunc(*self.args, **self.kwargs), c)
 
 
 def do(genfunc: Callable[..., Generator[M, Any, Any]]) -> Callable[..., M]:
@@ -72,19 +99,15 @@ def do(genfunc: Callable[..., Generator[M, Any, Any]]) -> Callable[..., M]:
 
     The generator must yield :class:`M` values; its ``return`` value becomes
     the computation's result.  Calling the decorated function does not run
-    any code — like every ``M``, the computation starts when a scheduler
-    forces its trace (which, on this fast path, is the :class:`SysGen`
-    node owning the generator).
+    any code: it returns a :class:`DoCall`, which starts when a scheduler
+    forces its trace or when an enclosing ``@do`` generator yields it.
     """
 
     _do_codes.add(genfunc.__code__)
 
     @functools.wraps(genfunc)
     def make(*args: Any, **kwargs: Any) -> M:
-        def run(c: Callable[[Any], Trace]) -> Trace:
-            return SysGen(genfunc(*args, **kwargs), c)
-
-        return M(run)
+        return DoCall(genfunc, args, kwargs)
 
     # Expose the original generator function for introspection/testing.
     make.__wrapped__ = genfunc

@@ -42,7 +42,13 @@ from .trace import (
     Thunk,
 )
 
-__all__ = ["TCB", "Scheduler", "SyscallHandler", "STATES"]
+__all__ = ["TCB", "Scheduler", "SyscallHandler", "STATES", "BATCH_LIMIT"]
+
+#: The default fairness quantum: system calls a thread runs before the
+#: scheduler switches.  A nested ``@do`` call costs no node, so a node is
+#: a real system call; 16 lets one step cover several requests of a
+#: keep-alive session without one connection holding the loop.
+BATCH_LIMIT = 16
 
 #: Thread lifecycle states.
 STATES = ("ready", "running", "blocked", "done", "failed")
@@ -122,8 +128,9 @@ class Scheduler:
     batch_limit:
         Maximum number of system calls a thread executes before the
         scheduler switches to the next ready thread.  ``1`` reproduces the
-        naive round-robin of Figure 11; the default batches for locality
-        as §4.2 describes.  (Ablation A1 measures this choice.)
+        naive round-robin of Figure 11; the default (:data:`BATCH_LIMIT`)
+        batches for locality as §4.2 describes.  (Ablation A1 measures
+        this choice.)
     uncaught:
         Policy for exceptions that unwind past the last handler frame:
         ``"raise"`` (default — abort ``run`` with
@@ -143,7 +150,7 @@ class Scheduler:
 
     def __init__(
         self,
-        batch_limit: int = 128,
+        batch_limit: int = BATCH_LIMIT,
         uncaught: str | Callable[[TCB, BaseException], None] = "raise",
     ) -> None:
         if batch_limit < 1:
@@ -474,7 +481,8 @@ class Scheduler:
         """Pop one handler frame and run its handler, or finish the thread.
 
         A live :class:`SysGen` frame routes the exception into its
-        generator (so ``try``/``except``/``finally`` inside ``@do`` run):
+        innermost generator (so ``try``/``except``/``finally`` inside
+        ``@do`` run, callee first, then each caller it escapes into):
         the exception is armed on the node and the node itself is returned,
         re-entering :meth:`_do_gen` which re-pushes the frame and drives —
         mirroring the slow path's re-armed ``SysCatch``, at the same node
@@ -537,7 +545,7 @@ class Scheduler:
 
 def run_threads(
     comps: Iterable[M],
-    batch_limit: int = 128,
+    batch_limit: int = BATCH_LIMIT,
     uncaught: str | Callable[[TCB, BaseException], None] = "raise",
 ) -> list[TCB]:
     """Convenience: run computations to completion on a fresh scheduler.

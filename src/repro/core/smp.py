@@ -25,7 +25,7 @@ from typing import Any, Callable
 
 from .exceptions import DeadlockError
 from .monad import M
-from .scheduler import TCB, Scheduler, SyscallHandler
+from .scheduler import BATCH_LIMIT, TCB, Scheduler, SyscallHandler
 from .trace import Trace
 
 __all__ = ["SmpScheduler"]
@@ -62,7 +62,7 @@ class SmpScheduler:
     def __init__(
         self,
         workers: int = 4,
-        batch_limit: int = 128,
+        batch_limit: int = BATCH_LIMIT,
         uncaught: str | Callable[[TCB, BaseException], None] = "raise",
         steal_seed: int = 0,
     ) -> None:

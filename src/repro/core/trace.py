@@ -215,38 +215,44 @@ class _Bounce(Trace):
 
 _BOUNCE = _Bounce()
 
-# The ``M`` class, injected lazily on first drive (``monad`` imports this
-# module, so importing it at top level would be circular).
+# ``M`` and ``DoCall``, injected lazily on first drive (``monad`` imports
+# this module, so importing them at top level would be circular).
 _M_cls: type | None = None
+_DoCall: type | None = None
 
 
 class SysGen(Trace):
     """``@do`` fast path: a protected region that *is* the live generator.
 
-    One node per ``@do`` call plays three roles at once:
+    A thread, a ``sys_fork``/``spawn`` body or a ``sys_catch`` body that is
+    a ``@do`` call opens one region; one node plays three roles at once:
 
     * the **trace node** announcing region entry — the scheduler pushes it
       onto the thread's handler stack and drives it;
     * the **handler frame** — ``Scheduler._unwind`` delivers monadic
-      exceptions straight into the generator (``gen.throw``) while it is
-      live, and passes them through once it has finished;
+      exceptions straight into the innermost generator (``gen.throw``)
+      while the region is live, and passes them through once it has
+      finished;
     * the owner of the **reusable continuation** :attr:`k` — system calls
       store ``k`` in their nodes, and resuming it ``send()``s the result
       directly into the generator frame.
 
-    This replaces the slow path's per-call ``SysCatch`` region and
-    per-yield closure/trampoline-cell allocations (``do_notation._step``)
-    while preserving its exact semantics *and* node counts: entry costs one
-    node (``SysGen`` vs ``SysCatch``), each suspension costs the suspended
-    node itself, normal exit returns ``SysEndCatch`` and an uncaught
-    exception returns ``SysThrow`` — so handler-frame bookkeeping, join
-    results, kill delivery and the simulator's per-node time charging are
-    unchanged.  The combinator path (``M.bind`` et al.) remains the
-    reference implementation; differential tests pin the two together.
+    A ``@do`` call yielded inside the region (a :class:`DoCall`) is driven
+    inline, the way ``yield from`` drives a subgenerator: the caller is
+    pushed onto :attr:`callers` and the callee becomes :attr:`gen`; the
+    callee's return value, or its exception, pops back into the caller.
+    So a nested call costs no trace node — as in the paper, where ``bind``
+    is closure composition and a node is a system call — and the region
+    costs one node on entry (``SysGen`` vs the slow path's ``SysCatch``),
+    each suspension the suspended node itself, and ``SysEndCatch`` /
+    ``SysThrow`` when the outermost generator ends.  The combinator path
+    (``do_slow``) remains the reference implementation; differential tests
+    pin the two together (the slow path pays two nodes per nested call).
     """
 
     __slots__ = (
         "gen",
+        "callers",
         "cont",
         "finished",
         "k",
@@ -260,6 +266,9 @@ class SysGen(Trace):
 
     def __init__(self, gen: Any, cont: Cont) -> None:
         self.gen = gen
+        # Suspended callers of ``gen``, innermost last; created on the
+        # first nested call.
+        self.callers: list | None = None
         self.cont = cont
         self.finished = False
         self._active = False
@@ -287,7 +296,8 @@ class SysGen(Trace):
         return self._drive()
 
     def throw_in(self, exc: BaseException) -> None:
-        """Arm ``exc`` for delivery into the generator on the next drive."""
+        """Arm ``exc`` for delivery into the innermost generator on the
+        next drive."""
         self._value = None
         self._exc = exc
 
@@ -295,15 +305,17 @@ class SysGen(Trace):
         """Advance the generator to its next real system call.
 
         Returns the next trace node.  Yields that complete synchronously
-        are flattened by the bounce trampoline, so consecutive pure steps
-        use constant Python stack.
+        are flattened by the bounce trampoline and nested calls by the
+        :attr:`callers` stack, so both use constant Python stack.
         """
-        global _M_cls
+        global _M_cls, _DoCall
         if _M_cls is None:
+            from .do_notation import DoCall as _imported_call
             from .monad import M as _imported_m
 
-            _M_cls = _imported_m
+            _M_cls, _DoCall = _imported_m, _imported_call
         gen = self.gen
+        callers = self.callers
         value, exc = self._value, self._exc
         self._value = self._exc = None
         while True:
@@ -313,22 +325,51 @@ class SysGen(Trace):
                 else:
                     item = gen.send(value)
             except StopIteration as stop:
+                if callers:
+                    gen = self.gen = callers.pop()
+                    value, exc = stop.value, None
+                    continue
                 self.finished = True
                 return SysEndCatch(stop.value)
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as raised:
+                if callers:
+                    gen = self.gen = callers.pop()
+                    value, exc = None, raised
+                    continue
                 self.finished = True
                 return SysThrow(raised)
 
+            if type(item) is _DoCall:
+                # A nested @do call: suspend the caller and run the callee
+                # in its place.  Creating the callee's generator can fail
+                # (bad arity); that lands in the caller.
+                try:
+                    callee = item.genfunc(*item.args, **item.kwargs)
+                except (KeyboardInterrupt, SystemExit):
+                    raise
+                except BaseException as raised:
+                    value, exc = None, raised
+                    continue
+                if callers is None:
+                    callers = self.callers = []
+                callers.append(gen)
+                gen = self.gen = callee
+                value = exc = None
+                continue
+
             if not isinstance(item, _M_cls):
-                self.finished = True
-                return SysThrow(
-                    DoProtocolError(
-                        f"@do generator yielded {item!r}; expected a "
-                        "computation (an M value, e.g. from a sys_* call)"
-                    )
+                error = DoProtocolError(
+                    f"@do generator yielded {item!r}; expected a "
+                    "computation (an M value, e.g. from a sys_* call)"
                 )
+                if callers:
+                    gen = self.gen = callers.pop()
+                    value, exc = None, error
+                    continue
+                self.finished = True
+                return SysThrow(error)
 
             # Trampoline: if the computation calls ``k`` synchronously
             # (pure glue), latch the value and loop instead of recursing.

@@ -36,13 +36,16 @@ armed idles until ``until()`` or ``idle_timeout`` ends the run.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import select
 import selectors
 import socket
 import time
 from collections import deque
+# By name, at import: ``concurrent.futures`` loads its executors on first
+# attribute access, so a shard forked from a master that never touched
+# it would pay that import (~3 ms) on every start.
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
 from ..core.events import EVENT_READ, EVENT_WRITE
@@ -585,14 +588,13 @@ class LiveRuntime(Runtime):
 
     def __init__(
         self,
-        batch_limit: int = 128,
         uncaught: str | Callable = "raise",
         poller: str = "auto",
     ) -> None:
         super().__init__(LiveBackend(on_close=self._discard_fd),
-                         time.monotonic, batch_limit, uncaught)
+                         time.monotonic, uncaught)
         self.poller = make_poller(poller)
-        self.pool = concurrent.futures.ThreadPoolExecutor(
+        self.pool = ThreadPoolExecutor(
             max_workers=BLIO_WORKERS, thread_name_prefix="blio"
         )
         # Completions from pool threads, drained on the main loop; the

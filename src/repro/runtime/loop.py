@@ -48,10 +48,9 @@ class Runtime:
         self,
         backend: Any,
         clock: Callable[[], float],
-        batch_limit: int = 128,
         uncaught: str | Callable = "raise",
     ) -> None:
-        self.sched = Scheduler(batch_limit=batch_limit, uncaught=uncaught)
+        self.sched = Scheduler(uncaught=uncaught)
         self.backend = backend
         self.io = NetIO(backend)
         # The shared receive-buffer pool (owned by the I/O surface).

@@ -243,14 +243,13 @@ class SimRuntime(Runtime):
     def __init__(
         self,
         kernel: SimKernel | None = None,
-        batch_limit: int = 128,
         uncaught: str | Callable = "raise",
         blocking_pool_size: int = 16,
     ) -> None:
         self.kernel = kernel if kernel is not None else SimKernel()
         self.params = self.kernel.params
         backend = SimBackend(self.kernel)
-        super().__init__(backend, backend.now, batch_limit, uncaught)
+        super().__init__(backend, backend.now, uncaught)
         self.epoll = self.kernel.make_epoll()
         self.aio = self.kernel.make_aio()
         self.pool = BlockingPool(self, blocking_pool_size)
@@ -280,10 +279,11 @@ class SimRuntime(Runtime):
     def _charge_syscall(self, _tcb: TCB, _node: Any) -> None:
         # A batch's first node pays its thread switch (the scheduler
         # counts switches; the loop's ``sched.step()`` stays unwrapped).
-        # Then the uniform per-node cost.  The @do fast path (SysGen)
-        # produces the same node sequence as the combinator reference —
-        # region entry, each suspension, SysEndCatch/SysThrow on exit —
-        # so virtual-time accounting is identical on both paths.
+        # Then the uniform per-node cost.  A node is a system call: a
+        # thread's @do region costs its entry (SysGen), each suspension
+        # and its SysEndCatch/SysThrow exit, while a nested @do call runs
+        # inline in the region and is charged nothing, like any other
+        # Python call between system calls.
         # Installing this hook is what re-enables the scheduler's
         # per-node instrumentation branch; a live runtime leaves it None
         # and skips the work entirely.

@@ -1,12 +1,19 @@
 """Differential tests: the ``@do`` fast path against the slow reference.
 
 :func:`repro.core.do_notation.do` drives generators through the scheduler
-(``SysGen`` — the generator *is* the continuation); :func:`do_slow` is the
+(``SysGen`` — the generator *is* the continuation, and a nested ``@do`` call
+runs inline on the region's stack of callers); :func:`do_slow` is the
 original closure-trampoline driver kept as the executable reference.  Both
 must be observably identical: same results, same exception types and
-ordering, same side-effect order, same node counts (``total_syscalls`` /
-per-TCB ``syscall_count`` — the simulator charges virtual time per node, so
-count parity is a semantic requirement, not an optimization detail).
+ordering, same side-effect order, same thread states and uncaught errors.
+
+Node counts (``total_syscalls`` / per-TCB ``syscall_count``) follow their
+own rule instead of equality: a nested ``@do`` call costs the fast path no
+node, where the slow path pays two for a call that returns (its region's
+``SysCatch`` and ``SysEndCatch``) and four for one that raises (entry, the
+throw, the throw passing its finished frame, the caller's re-armed region).
+So per thread the fast path never costs more, and programs without nested
+calls cost exactly the same.
 
 Every test here builds one program, runs it through both decorators on
 fresh schedulers, and compares everything observable.
@@ -24,6 +31,10 @@ from repro.core.exceptions import ThreadKilled
 from repro.core.monad import pure
 from repro.core.scheduler import Scheduler
 from repro.core.syscalls import sys_catch, sys_nbio, sys_sleep, sys_throw, sys_yield
+from repro.core.trace import DoProtocolError, SysSleep
+
+#: What the two drivers must agree on exactly.
+SEMANTICS = ("log", "results", "errors", "states", "uncaught")
 
 
 def run_differential(build, *, batch_limit=128):
@@ -31,7 +42,7 @@ def run_differential(build, *, batch_limit=128):
 
     ``build`` returns one computation (or a list of them) when given a
     ``@do``-equivalent decorator and a shared side-effect log.  Returns the
-    two observation dicts (fast first) for the caller to assert equality.
+    two observation dicts (fast first) for the caller to compare.
     """
     observations = []
     for impl in (do, do_slow):
@@ -56,9 +67,25 @@ def run_differential(build, *, batch_limit=128):
     return observations
 
 
-def assert_identical(build, **kwargs):
+def run_both(build, **kwargs):
+    """Both drivers' observations, checked against each other: identical
+    semantics, and per thread the fast path costs no more nodes."""
     fast, slow = run_differential(build, **kwargs)
-    assert fast == slow, f"fast/slow divergence:\nfast: {fast}\nslow: {slow}"
+    diverged = {key: (fast[key], slow[key]) for key in SEMANTICS if fast[key] != slow[key]}
+    assert not diverged, f"fast/slow divergence (fast, slow): {diverged}"
+    for fast_count, slow_count in zip(fast["syscall_counts"], slow["syscall_counts"]):
+        assert fast_count <= slow_count, (fast["syscall_counts"], slow["syscall_counts"])
+    return fast, slow
+
+
+def assert_identical(build, *, nested_calls=0, **kwargs):
+    """:func:`run_both`, plus the node rule for programs whose nested
+    ``@do`` calls all return: each costs the slow path exactly two nodes
+    and the fast path none.  Returns the fast path's observations."""
+    fast, slow = run_both(build, **kwargs)
+    assert slow["total_syscalls"] == fast["total_syscalls"] + 2 * nested_calls, (
+        fast["total_syscalls"], slow["total_syscalls"], nested_calls,
+    )
     return fast
 
 
@@ -109,9 +136,11 @@ class TestReturnAndResults:
 
             return outer()
 
-        obs = assert_identical(build)
+        obs = assert_identical(build, nested_calls=2)
         assert obs["results"] == [14]
         assert obs["log"] == [("inner", 3), ("inner", 4), "outer-done"]
+        # Entry, two yields, SysEndCatch, SysRet (the slow path: 9).
+        assert obs["total_syscalls"] == 5
 
 
 class TestExceptionSemantics:
@@ -206,9 +235,12 @@ class TestExceptionSemantics:
 
             return outer()
 
-        obs = assert_identical(build)
-        assert obs["results"] == ["ok"]
-        assert obs["log"] == ["inner-caught", "outer-caught"]
+        fast, slow = run_both(build)
+        assert fast["results"] == ["ok"]
+        assert fast["log"] == ["inner-caught", "outer-caught"]
+        # Entry, the yield, SysEndCatch, SysRet; the raising nested call
+        # costs the slow path four more.
+        assert (fast["total_syscalls"], slow["total_syscalls"]) == (4, 8)
 
     def test_sys_catch_around_do_and_do_around_sys_catch(self):
         def build(impl, log):
@@ -285,8 +317,6 @@ class TestKillSemantics:
             log: list = []
             parked: list = []
             sched = Scheduler(uncaught="store")
-            from repro.core.trace import SysSleep
-
             sched.register_syscall(
                 SysSleep,
                 lambda s, tcb, node: (parked.append((tcb, node.cont)), None)[1],
@@ -309,6 +339,106 @@ class TestKillSemantics:
             assert tcb.state == "failed", impl.__name__
             assert isinstance(tcb.error, ThreadKilled), impl.__name__
             assert log == ["cleanup"], impl.__name__
+
+
+class TestNestedCallErrors:
+    """A failure inside a nested ``@do`` call lands in its caller."""
+
+    def test_nested_protocol_error_is_caught_by_the_caller(self):
+        def build(impl, log):
+            @impl
+            def callee():
+                yield sys_yield()
+                yield 42  # not a computation
+
+            @impl
+            def caller():
+                try:
+                    yield callee()
+                except DoProtocolError:
+                    log.append("caught")
+                finally:
+                    log.append("finally")
+                return "ok"
+
+            return caller()
+
+        fast, _slow = run_both(build)
+        assert fast["results"] == ["ok"]
+        assert fast["states"] == ["done"]
+        assert fast["log"] == ["caught", "finally"]
+
+    def test_bad_arity_callee_is_caught_by_the_caller(self):
+        def build(impl, log):
+            @impl
+            def callee(x):
+                yield sys_yield()
+                return x
+
+            @impl
+            def caller():
+                try:
+                    yield callee(1, 2)  # TypeError creating the generator
+                except TypeError:
+                    log.append("caught")
+                value = yield callee(3)
+                return value
+
+            return caller()
+
+        fast, _slow = run_both(build)
+        assert fast["results"] == [3]
+        assert fast["log"] == ["caught"]
+
+    def test_kill_three_calls_deep_runs_finalizers_innermost_first(self):
+        for impl in (do, do_slow):
+            log: list = []
+            parked: list = []
+            sched = Scheduler(uncaught="store")
+            sched.register_syscall(
+                SysSleep,
+                lambda s, tcb, node: (parked.append((tcb, node.cont)), None)[1],
+            )
+
+            @impl
+            def level(depth):
+                try:
+                    if depth == 3:
+                        yield sys_sleep(60.0)
+                    else:
+                        yield level(depth + 1)
+                finally:
+                    log.append(depth)
+
+            tcb = sched.spawn(level(1))
+            sched.run()
+            assert parked, impl.__name__
+            sched.kill(tcb)
+            parked_tcb, cont = parked[0]
+            sched.resume_value(parked_tcb, cont, None)
+            sched.run()
+            assert tcb.state == "failed", impl.__name__
+            assert isinstance(tcb.error, ThreadKilled), impl.__name__
+            assert log == [3, 2, 1], impl.__name__
+
+    def test_deep_recursive_chain_uses_constant_stack(self):
+        # 10,000 nested calls, ten times the default recursion limit: a
+        # driver that recursed per call would overflow.
+        def build(impl, log):
+            @impl
+            def down(n):
+                if n == 0:
+                    yield sys_yield()
+                    return 0
+                below = yield down(n - 1)
+                return below + 1
+
+            return down(10_000)
+
+        obs = assert_identical(build, nested_calls=10_000)
+        assert obs["results"] == [10_000]
+        # Entry, the one yield, SysEndCatch, SysRet.
+        assert obs["total_syscalls"] == 4
 
 
 class TestPureYieldBounces:
@@ -367,8 +497,6 @@ class TestAbandonedThreads:
 
             parked: list = []
             sched = Scheduler()
-            from repro.core.trace import SysSleep
-
             sched.register_syscall(
                 SysSleep,
                 lambda s, tcb, node: (parked.append((tcb, node)), None)[1],
@@ -415,8 +543,12 @@ class TestCounterSemantics:
 
             return [parent(), child(4)]
 
-        obs = assert_identical(build)
-        assert obs["results"] == [5, 4]
+        fast, slow = run_both(build)
+        assert fast["results"] == [5, 4]
+        # parent: entry, five yields, SysEndCatch, SysRet; its two nested
+        # calls cost the slow path four more.  child(4) runs its own region.
+        assert fast["syscall_counts"] == [8, 7]
+        assert slow["syscall_counts"] == [12, 7]
 
     def test_batch_limit_one_interleaving_matches(self):
         def build(impl, log):
@@ -444,7 +576,8 @@ class TestCounterSemantics:
     )
 )
 def test_property_random_programs_identical(ops):
-    """Random mixed programs observe no fast/slow divergence at all."""
+    """Random mixed programs observe no fast/slow divergence, and their
+    nested calls are the only difference in node counts."""
 
     def build(impl, log):
         @impl
@@ -474,5 +607,4 @@ def test_property_random_programs_identical(ops):
 
         return prog()
 
-    fast, slow = run_differential(build)
-    assert fast == slow
+    assert_identical(build, nested_calls=ops.count("nested"))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -143,6 +145,33 @@ class TestYieldAndFairness:
         sched.run()
         # With batch 1 and round-robin, a and b strictly alternate.
         assert log == ["a", "b", "a", "b", "a", "b"]
+
+    def test_default_quantum_alternates_request_loops_within_eight(self):
+        # Two always-ready request loops: an iteration reads (one
+        # sys_nbio) and answers through one nested @do call around one
+        # more.  A nested call costs no node, so an iteration is two
+        # system calls, and the default quantum must switch threads
+        # within eight iterations — one busy connection cannot hold the
+        # loop for a long run of requests.
+        log = []
+
+        @do
+        def answer():
+            yield sys_nbio(lambda: None)
+
+        @do
+        def serve(tag, n):
+            for _ in range(n):
+                yield sys_nbio(lambda t=tag: log.append(t))
+                yield answer()
+
+        sched = Scheduler()
+        sched.spawn(serve("a", 100))
+        sched.spawn(serve("b", 100))
+        sched.run()
+        runs = [len(list(group)) for _tag, group in itertools.groupby(log)]
+        assert sorted(log) == ["a"] * 100 + ["b"] * 100
+        assert max(runs) <= 8, runs
 
     def test_batching_keeps_thread_running(self):
         log = []
