@@ -8,13 +8,16 @@ This generalizes the paper's Figure 11 ``worker_main``:
   before switching to another thread to improve locality" (§4.2);
 * per-thread **handler stacks** implementing ``SYS_CATCH``/``SYS_THROW``
   (§4.3) — pushed on catch, popped on return or throw;
-* a **registry** of syscall handlers, the hook through which everything
-  event-driven plugs in: epoll and AIO loops (§4.5), the blocking-I/O pool
-  (§4.6), synchronization (§4.7) and the TCP stack (§4.8) all register
-  handlers here.  This is the "programmable scheduler" of the hybrid model.
+* two extension hooks — the "programmable scheduler" of the hybrid model.
+  A kernel **registers a handler per device node type**: epoll and AIO
+  loops (§4.5), the blocking-I/O pool (§4.6), sleep and the clock, the
+  TCP stack (§4.8).  A library system call needs no registration: a
+  :class:`~repro.core.trace.SysCall` node names the function that
+  interprets it, which is how synchronization (§4.7), STM and
+  ``spawn``/``join`` are built.
 
 The scheduler knows nothing about time or devices; the runtime
-(:mod:`repro.runtime`) drives it and wires device loops to the registry.
+(:mod:`repro.runtime`) drives it and registers its device handlers.
 """
 
 from __future__ import annotations
@@ -28,14 +31,13 @@ from .exceptions import ThreadKilled, UncaughtThreadError, UnsupportedSyscallErr
 from .monad import M, build_trace
 from .trace import (
     SysBlio,
+    SysCall,
     SysCatch,
     SysEndCatch,
     SysFork,
     SysGen,
-    SysJoin,
     SysNBIO,
     SysRet,
-    SysSpecial,
     SysThrow,
     SysYield,
     Trace,
@@ -138,16 +140,6 @@ class Scheduler:
         :attr:`uncaught_errors`), or a callable ``(tcb, exc) -> None``.
     """
 
-    #: Handlers shared by every scheduler instance.  Library extensions with
-    #: no per-scheduler state (mutexes, MVars, STM, join) register here at
-    #: import time so they "just work" on any scheduler; instance handlers
-    #: (devices, TCP) take precedence.
-    default_handlers: dict[type, SyscallHandler] = {}
-
-    #: Named specials shared by every scheduler instance (same precedence
-    #: rule: instance registrations win).
-    default_specials: dict[str, Callable[["Scheduler", TCB, Any], Any]] = {}
-
     def __init__(
         self,
         batch_limit: int = BATCH_LIMIT,
@@ -162,14 +154,10 @@ class Scheduler:
         self.ready: deque[tuple[TCB, Thunk | Trace]] = deque()
         self.uncaught_errors: list[tuple[TCB, BaseException]] = []
         self._tids = itertools.count(1)
-        self._handlers: dict[type, SyscallHandler] = {}
-        self._specials: dict[str, Callable[["Scheduler", TCB, Any], Any]] = {}
         self._exit_watchers: list[Callable[[TCB], None]] = []
         # Precomputed node-type -> bound interpreter dispatch.  Built-in
-        # node types are installed here once; ``register_syscall`` adds
-        # instance handlers.  Class-level ``default_handlers`` are *not*
-        # cached (extensions register them at import time, possibly after
-        # this scheduler exists) — the miss path resolves them dynamically.
+        # node types are installed here once; ``register_syscall`` adds a
+        # kernel's device handlers.
         self._dispatch: dict[type, Callable[[TCB, Trace], Thunk | Trace | None]] = {
             SysGen: self._do_gen,
             SysNBIO: self._do_nbio,
@@ -179,8 +167,7 @@ class Scheduler:
             SysCatch: self._do_catch,
             SysEndCatch: self._do_endcatch,
             SysThrow: self._do_throw,
-            SysJoin: self._do_join,
-            SysSpecial: self._do_special,
+            SysCall: self._do_call,
         }
         self._builtin_types = frozenset(self._dispatch)
         #: Number of live (not finished) threads.
@@ -191,35 +178,23 @@ class Scheduler:
         self.total_switches = 0
         #: Optional instrumentation hook, called per node: (tcb, node).
         self.on_syscall: Callable[[TCB, Trace], None] | None = None
-        self.register_special("get_tid", lambda sched, tcb, _payload: tcb.tid)
 
     # ------------------------------------------------------------------
-    # Extension registry
+    # Device registry
     # ------------------------------------------------------------------
     def register_syscall(self, node_type: type, handler: SyscallHandler) -> None:
-        """Install ``handler`` for trace nodes of ``node_type``.
+        """Install ``handler`` for trace nodes of the device type ``node_type``.
 
         The handler may: perform the operation and return the next trace
         (synchronous completion — the thread keeps running in its batch);
         park the thread by storing a resume thunk somewhere and return
         ``None``; or requeue via :meth:`resume` and return ``None``.
+        Built-in node types keep their interpretation: registering one
+        raises :class:`ValueError`.
         """
-        self._handlers[node_type] = handler
-        if node_type not in self._builtin_types:
-            # Cache straight into the dispatch table: one dict hit per
-            # node instead of the lookup chain.  Built-in node types keep
-            # their built-in interpretation (as before, when the if/elif
-            # chain consulted handlers only after the built-in cases).
-            self._dispatch[node_type] = partial(handler, self)
-
-    def register_special(
-        self, kind: str, func: Callable[["Scheduler", TCB, Any], Any]
-    ) -> None:
-        """Install a named extension for ``sys_special(kind, payload)``.
-
-        ``func`` runs synchronously and its return value resumes the thread.
-        """
-        self._specials[kind] = func
+        if node_type in self._builtin_types:
+            raise ValueError(f"{node_type.__name__} is interpreted by the scheduler")
+        self._dispatch[node_type] = partial(handler, self)
 
     def add_exit_watcher(self, func: Callable[[TCB], None]) -> None:
         """Call ``func(tcb)`` whenever a thread finishes (done or failed)."""
@@ -415,67 +390,24 @@ class Scheduler:
     def _do_throw(self, tcb: TCB, node: SysThrow) -> Thunk | Trace | None:
         return self._unwind(tcb, node.exc)
 
-    def _do_join(self, tcb: TCB, node: SysJoin) -> Trace | None:
-        target: TCB = node.target
-        if target.state == "done":
+    def _do_call(self, tcb: TCB, node: SysCall) -> Thunk | Trace | None:
+        # A library system call carries its own interpreter.
+        return node.fn(self, tcb, node.arg, node.cont)
+
+    def _interpret_extension(self, tcb: TCB, node: Trace) -> Thunk | Trace | None:
+        """Dispatch-table miss: a device node no kernel registered."""
+        if type(node) is SysBlio:
+            # With no blocking pool wired (bare scheduler / tests), run
+            # the action inline like SYS_NBIO.
             try:
-                return node.cont(target.result)
+                return node.cont(node.action())
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as raised:
                 return SysThrow(raised)
-        if target.state == "failed":
-            return SysThrow(target.error)
-        if target.waiters is None:
-            target.waiters = []
-        target.waiters.append((tcb, node.cont))
-        tcb.state = "blocked"
-        return None
-
-    def _do_special(self, tcb: TCB, node: SysSpecial) -> Trace:
-        func = self._specials.get(node.kind)
-        if func is None:
-            func = Scheduler.default_specials.get(node.kind)
-        if func is None:
-            return SysThrow(
-                UnsupportedSyscallError(
-                    f"no handler registered for sys_special({node.kind!r})"
-                )
-            )
-        try:
-            return node.cont(func(self, tcb, node.payload))
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as raised:
-            return SysThrow(raised)
-
-    def _interpret_extension(self, tcb: TCB, node: Trace) -> Thunk | Trace | None:
-        """Dispatch-table miss: class-level default handlers and fallbacks.
-
-        Default handlers are looked up dynamically on purpose — sync/STM/
-        TCP extensions register them at import time, which may happen after
-        this scheduler was constructed.
-        """
-        node_type = type(node)
-        handler = self._handlers.get(node_type)
-        if handler is None:
-            handler = Scheduler.default_handlers.get(node_type)
-        if handler is None:
-            if node_type is SysBlio:
-                # With no blocking pool wired (bare scheduler / tests), run
-                # the action inline like SYS_NBIO.
-                try:
-                    return node.cont(node.action())
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except BaseException as raised:
-                    return SysThrow(raised)
-            return SysThrow(
-                UnsupportedSyscallError(
-                    f"no handler registered for {node_type.TAG}"
-                )
-            )
-        return handler(self, tcb, node)
+        return SysThrow(
+            UnsupportedSyscallError(f"no handler registered for {node.TAG}")
+        )
 
     def _unwind(self, tcb: TCB, exc: BaseException) -> Thunk | Trace | None:
         """Pop one handler frame and run its handler, or finish the thread.
@@ -551,7 +483,7 @@ def run_threads(
     """Convenience: run computations to completion on a fresh scheduler.
 
     Only suitable for programs that use no device syscalls (pure thread
-    control, nbio, exceptions, sync primitives registered by default).
+    control, nbio, exceptions, the sync, STM and join system calls).
     Returns the TCBs in spawn order.
     """
     sched = Scheduler(batch_limit=batch_limit, uncaught=uncaught)

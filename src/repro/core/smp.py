@@ -93,11 +93,6 @@ class SmpScheduler:
         for worker in self.workers:
             worker.register_syscall(node_type, handler)
 
-    def register_special(self, kind: str, func: Callable) -> None:
-        """Install a named special on every worker."""
-        for worker in self.workers:
-            worker.register_special(kind, func)
-
     # ------------------------------------------------------------------
     # Spawning: round-robin placement (cheapest balanced default).
     # ------------------------------------------------------------------

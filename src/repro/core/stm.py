@@ -37,8 +37,8 @@ from typing import Any, Callable
 from .exceptions import ReproError
 from .monad import M
 from .scheduler import Scheduler, TCB
-from .syscalls import sys_stm
-from .trace import SysStm, SysThrow, Thunk
+from .syscalls import sys_call
+from .trace import Cont, SysCall, SysThrow
 
 __all__ = [
     "TVar",
@@ -143,14 +143,20 @@ class Tx:
 class _ParkedTx:
     """A thread parked on ``retry``, waiting for any of its TVars to move."""
 
-    __slots__ = ("sched", "tcb", "node", "tvars", "armed")
+    __slots__ = ("sched", "tcb", "transaction", "cont", "tvars", "armed")
 
     def __init__(
-        self, sched: Scheduler, tcb: TCB, node: SysStm, tvars: list[TVar]
+        self,
+        sched: Scheduler,
+        tcb: TCB,
+        transaction: Callable[["Tx"], Any],
+        cont: Cont,
+        tvars: list[TVar],
     ) -> None:
         self.sched = sched
         self.tcb = tcb
-        self.node = node
+        self.transaction = transaction
+        self.cont = cont
         self.tvars = tvars
         self.armed = True
         for tvar in tvars:
@@ -166,21 +172,20 @@ class _ParkedTx:
                 tvar._waiters.remove(self)
             except ValueError:
                 pass
-        node = self.node
-        # Re-issue the syscall: the scheduler re-interprets SYS_STM and the
-        # transaction gets a fresh attempt.
-        self.sched.resume(self.tcb, lambda: node)
+        # Re-issue the system call: the transaction gets a fresh attempt.
+        self.sched.resume(
+            self.tcb, SysCall(_atomically, self.transaction, self.cont)
+        )
 
 
 def atomically(transaction: Callable[[Tx], Any]) -> M:
     """Run ``transaction`` atomically; resume with its result.
 
-    Submitted to the scheduler via the ``SYS_STM`` system call, the Python
-    rendering of the paper's "monadic threads can simply use sys_nbio to
-    submit STM computations" — except blocking ``retry`` is supported too,
-    implemented as a scheduler extension.
+    One library system call, the Python rendering of the paper's "monadic
+    threads can simply use sys_nbio to submit STM computations" — except
+    that blocking ``retry`` is supported too: the call parks the thread.
     """
-    return sys_stm(transaction)
+    return sys_call(_atomically, transaction)
 
 
 def read_tvar(tvar: TVar) -> M:
@@ -224,9 +229,10 @@ def _commit(tx: Tx) -> None:
         parked.fire()
 
 
-def _handle_stm(sched: Scheduler, tcb: TCB, node: SysStm) -> Thunk | None:
-    """Scheduler handler for ``SYS_STM``: attempt, commit or park."""
-    transaction = node.transaction
+def _atomically(
+    sched: Scheduler, tcb: TCB, transaction: Callable[[Tx], Any], cont: Cont
+):
+    """Interpret ``atomically``: attempt, commit or park."""
     for _attempt in range(MAX_ATTEMPTS):
         try:
             status, result, tx = run_transaction(transaction)
@@ -234,26 +240,21 @@ def _handle_stm(sched: Scheduler, tcb: TCB, node: SysStm) -> Thunk | None:
             raise
         except BaseException as exc:
             # The transaction body failed: nothing commits, the exception
-            # propagates monadically to the thread.  (Bind ``exc`` now:
-            # Python clears the except-variable when the block exits.)
-            return lambda raised=exc: SysThrow(raised)
+            # propagates monadically to the thread.
+            return SysThrow(exc)
         if not _validate(tx):
             continue
         if status == "retry":
             tvars = list(tx._reads)
             if not tvars:
-                return lambda: SysThrow(
+                return SysThrow(
                     StmError("retry with an empty read set can never wake")
                 )
-            _ParkedTx(sched, tcb, node, tvars)
+            _ParkedTx(sched, tcb, transaction, cont, tvars)
             tcb.state = "blocked"
             return None
         _commit(tx)
-        cont = node.cont
         return lambda: cont(result)
-    return lambda: SysThrow(
+    return SysThrow(
         StmError(f"transaction failed validation {MAX_ATTEMPTS} times")
     )
-
-
-Scheduler.default_handlers[SysStm] = _handle_stm

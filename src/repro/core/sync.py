@@ -1,4 +1,4 @@
-"""Blocking thread synchronization as scheduler extensions (§4.7).
+"""Blocking thread synchronization as library system calls (§4.7).
 
 The paper represents a mutex as "a memory reference that points to a pair
 ``(l, q)`` where ``l`` indicates whether the mutex is locked, and ``q`` is a
@@ -6,11 +6,17 @@ linked list of thread traces blocking on this mutex.  Locking a locked mutex
 adds the trace to the waiting queue inside the mutex; unlocking a mutex with
 a non-empty waiting queue dispatches the next available trace to the
 scheduler's ready queue."  :class:`Mutex` below is exactly that, with FIFO
-direct handoff.  :class:`MVar` follows Concurrent Haskell.  The remaining
-primitives (:class:`Channel`, :class:`BoundedChannel`, :class:`Semaphore`,
-:class:`RWLock`, :class:`WaitGroup`) use the generic ``SYS_SYNC`` extension
-node, demonstrating the "programmer can define their own synchronization
-primitives as system calls" path.
+direct handoff.  :class:`MVar` follows Concurrent Haskell;
+:class:`Channel`, :class:`BoundedChannel`, :class:`Semaphore`,
+:class:`RWLock` and :class:`WaitGroup` complete the set.
+
+Each operation is one :class:`~repro.core.trace.SysCall` node naming the
+method that interprets it: ``Mutex.acquire()`` is
+``sys_call(self._acquire)``, and the scheduler calls
+``self._acquire(sched, tcb, arg, cont)``, which returns the thread's next
+step or parks the thread on the primitive's own queue.  That is the
+paper's "the programmer can define their own synchronization primitives
+as system calls" — nothing is registered with the scheduler.
 
 All operations return :class:`~repro.core.monad.M` computations; use them
 with ``yield`` inside ``@do`` threads.
@@ -24,8 +30,8 @@ from typing import Any, Callable
 from .exceptions import ReproError
 from .monad import M
 from .scheduler import Scheduler, TCB
-from .syscalls import sys_finally, sys_mutex_op, sys_mvar_op
-from .trace import SysMVar, SysMutex, SysSync, Thunk, Trace
+from .syscalls import sys_call, sys_finally, sys_throw
+from .trace import Cont, SysThrow, Thunk
 
 __all__ = [
     "Mutex",
@@ -43,8 +49,14 @@ class SyncError(ReproError):
     """Misuse of a synchronization primitive (e.g. double release)."""
 
 
-def _value_thunk(cont: Callable[[Any], Trace], value: Any) -> Thunk:
+def _value_thunk(cont: Cont, value: Any) -> Thunk:
     return lambda: cont(value)
+
+
+def _park(tcb: TCB, queue: deque, entry: tuple) -> None:
+    """Block ``tcb`` on ``queue``; whoever pops ``entry`` resumes it."""
+    queue.append(entry)
+    tcb.state = "blocked"
 
 
 class Mutex:
@@ -54,63 +66,50 @@ class Mutex:
     never observed free while threads are queued (no barging).
     """
 
-    __slots__ = ("locked", "queue", "name", "owner")
+    __slots__ = ("locked", "queue", "name")
 
     def __init__(self, name: str | None = None) -> None:
         self.locked = False
         self.queue: deque = deque()
         self.name = name
-        self.owner: int | None = None
 
     def acquire(self) -> M:
         """Block until the mutex is held by the calling thread."""
-        return sys_mutex_op(self, "acquire")
+        return sys_call(self._acquire)
 
     def try_acquire(self) -> M:
         """Resume with ``True`` if the lock was taken, ``False`` otherwise."""
-        return sys_mutex_op(self, "try_acquire")
+        return sys_call(self._try_acquire)
 
     def release(self) -> M:
         """Release the mutex; throws :class:`SyncError` if it is not held."""
-        return sys_mutex_op(self, "release")
+        return sys_call(self._release)
 
     def with_lock(self, comp: M) -> M:
         """Run ``comp`` holding the mutex, releasing on success or failure."""
         return self.acquire().then(sys_finally(comp, self.release()))
 
-    def handle(
-        self,
-        sched: Scheduler,
-        tcb: TCB,
-        op: str,
-        cont: Callable[[Any], Trace],
-    ) -> Thunk | None:
-        if op == "acquire":
-            if not self.locked:
-                self.locked = True
-                self.owner = tcb.tid
-                return _value_thunk(cont, None)
-            self.queue.append((tcb, cont))
-            tcb.state = "blocked"
-            return None
-        if op == "try_acquire":
-            if not self.locked:
-                self.locked = True
-                self.owner = tcb.tid
-                return _value_thunk(cont, True)
-            return _value_thunk(cont, False)
-        if op == "release":
-            if not self.locked:
-                return _raise_thunk(SyncError("release of unlocked mutex"))
-            if self.queue:
-                waiter, waiter_cont = self.queue.popleft()
-                self.owner = waiter.tid
-                sched.resume_value(waiter, waiter_cont, None)
-            else:
-                self.locked = False
-                self.owner = None
+    def _acquire(self, _sched: Scheduler, tcb: TCB, _arg: Any, cont: Cont):
+        if not self.locked:
+            self.locked = True
             return _value_thunk(cont, None)
-        return _raise_thunk(SyncError(f"unknown mutex op {op!r}"))
+        return _park(tcb, self.queue, (tcb, cont))
+
+    def _try_acquire(self, _sched: Scheduler, _tcb: TCB, _arg: Any, cont: Cont):
+        if self.locked:
+            return _value_thunk(cont, False)
+        self.locked = True
+        return _value_thunk(cont, True)
+
+    def _release(self, sched: Scheduler, _tcb: TCB, _arg: Any, cont: Cont):
+        if not self.locked:
+            return SysThrow(SyncError("release of unlocked mutex"))
+        if self.queue:
+            waiter, waiter_cont = self.queue.popleft()
+            sched.resume_value(waiter, waiter_cont, None)
+        else:
+            self.locked = False
+        return _value_thunk(cont, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "locked" if self.locked else "free"
@@ -142,74 +141,70 @@ class MVar:
 
     def take(self) -> M:
         """Remove and return the value, blocking while empty."""
-        return sys_mvar_op(self, "take")
+        return sys_call(self._take)
 
     def put(self, value: Any) -> M:
         """Fill the box with ``value``, blocking while full."""
-        return sys_mvar_op(self, "put", value)
+        return sys_call(self._put, value)
 
     def read(self) -> M:
         """Return the value without removing it, blocking while empty."""
-        return sys_mvar_op(self, "read")
+        return sys_call(self._read)
 
     def try_take(self) -> M:
         """Resume with the value, or ``None`` if the box was empty."""
-        return sys_mvar_op(self, "try_take")
+        return sys_call(self._try_take)
 
     def try_put(self, value: Any) -> M:
         """Resume with ``True`` if the value was stored, else ``False``."""
-        return sys_mvar_op(self, "try_put", value)
+        return sys_call(self._try_put, value)
 
     def modify(self, func: Callable[[Any], Any]) -> M:
         """Atomically replace the contents with ``func(old)``; resume with
         the new value.  (Atomic because take+put cannot interleave with
-        another take while the box is empty.)"""
-        return self.take().bind(lambda old: self._put_pure(func(old)))
+        another take while the box is empty.)  If ``func`` raises, the old
+        value goes back in the box before the exception propagates, as in
+        Haskell's ``modifyMVar_`` — later takers are never stranded."""
 
-    def _put_pure(self, new: Any) -> M:
-        return self.put(new).fmap(lambda _: new)
+        def update(old: Any) -> M:
+            try:
+                new = func(old)
+            except (KeyboardInterrupt, SystemExit):
+                raise
+            except BaseException as exc:
+                return self.put(old).then(sys_throw(exc))
+            return self.put(new).fmap(lambda _: new)
 
-    def handle(
-        self,
-        sched: Scheduler,
-        tcb: TCB,
-        op: str,
-        value: Any,
-        cont: Callable[[Any], Trace],
-    ) -> Thunk | None:
-        if op == "take":
-            if self._full:
-                taken = self._value
-                self._refill_from_putter(sched)
-                return _value_thunk(cont, taken)
-            self.takers.append((tcb, cont, False))
-            tcb.state = "blocked"
-            return None
-        if op == "read":
-            if self._full:
-                return _value_thunk(cont, self._value)
-            self.takers.append((tcb, cont, True))
-            tcb.state = "blocked"
-            return None
-        if op == "put":
-            if not self._full:
-                self._deliver(sched, value)
-                return _value_thunk(cont, None)
-            self.putters.append((tcb, cont, value))
-            tcb.state = "blocked"
-            return None
-        if op == "try_take":
-            if not self._full:
-                return _value_thunk(cont, None)
-            taken = self._value
-            self._refill_from_putter(sched)
-            return _value_thunk(cont, taken)
-        if op == "try_put":
-            if self._full:
-                return _value_thunk(cont, False)
-            self._deliver(sched, value)
-            return _value_thunk(cont, True)
-        return _raise_thunk(SyncError(f"unknown MVar op {op!r}"))
+        return self.take().bind(update)
+
+    def _take(self, sched: Scheduler, tcb: TCB, _arg: Any, cont: Cont):
+        if not self._full:
+            return _park(tcb, self.takers, (tcb, cont, False))
+        taken = self._value
+        self._refill_from_putter(sched)
+        return _value_thunk(cont, taken)
+
+    def _read(self, _sched: Scheduler, tcb: TCB, _arg: Any, cont: Cont):
+        if not self._full:
+            return _park(tcb, self.takers, (tcb, cont, True))
+        return _value_thunk(cont, self._value)
+
+    def _put(self, sched: Scheduler, tcb: TCB, value: Any, cont: Cont):
+        if self._full:
+            return _park(tcb, self.putters, (tcb, cont, value))
+        self._deliver(sched, value)
+        return _value_thunk(cont, None)
+
+    def _try_take(self, sched: Scheduler, tcb: TCB, arg: Any, cont: Cont):
+        if not self._full:
+            return _value_thunk(cont, None)
+        return self._take(sched, tcb, arg, cont)
+
+    def _try_put(self, sched: Scheduler, _tcb: TCB, value: Any, cont: Cont):
+        if self._full:
+            return _value_thunk(cont, False)
+        self._deliver(sched, value)
+        return _value_thunk(cont, True)
 
     def _deliver(self, sched: Scheduler, value: Any) -> None:
         """Store ``value``, waking readers and at most one taker."""
@@ -243,26 +238,7 @@ class MVar:
         return f"<MVar {self.name or ''} {state}>"
 
 
-class _SyncPrimitive:
-    """Base for primitives using the generic ``SYS_SYNC`` node."""
-
-    __slots__ = ()
-
-    def _op(self, op: str, value: Any = None) -> M:
-        return M(lambda c: SysSync(self, op, value, c))
-
-    def handle(
-        self,
-        sched: Scheduler,
-        tcb: TCB,
-        op: str,
-        value: Any,
-        cont: Callable[[Any], Trace],
-    ) -> Thunk | None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class Channel(_SyncPrimitive):
+class Channel:
     """An unbounded FIFO channel (Haskell's ``Chan``): writes never block."""
 
     __slots__ = ("items", "readers", "name")
@@ -274,48 +250,39 @@ class Channel(_SyncPrimitive):
 
     def write(self, value: Any) -> M:
         """Enqueue ``value``; never blocks."""
-        return self._op("write", value)
+        return sys_call(self._write, value)
 
     def read(self) -> M:
         """Dequeue the next value, blocking while the channel is empty."""
-        return self._op("read")
+        return sys_call(self._read)
 
     def try_read(self) -> M:
         """Resume with ``(True, value)`` or ``(False, None)``."""
-        return self._op("try_read")
+        return sys_call(self._try_read)
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def handle(
-        self,
-        sched: Scheduler,
-        tcb: TCB,
-        op: str,
-        value: Any,
-        cont: Callable[[Any], Trace],
-    ) -> Thunk | None:
-        if op == "write":
-            if self.readers:
-                reader, reader_cont = self.readers.popleft()
-                sched.resume_value(reader, reader_cont, value)
-            else:
-                self.items.append(value)
-            return _value_thunk(cont, None)
-        if op == "read":
-            if self.items:
-                return _value_thunk(cont, self.items.popleft())
-            self.readers.append((tcb, cont))
-            tcb.state = "blocked"
-            return None
-        if op == "try_read":
-            if self.items:
-                return _value_thunk(cont, (True, self.items.popleft()))
+    def _write(self, sched: Scheduler, _tcb: TCB, value: Any, cont: Cont):
+        if self.readers:
+            reader, reader_cont = self.readers.popleft()
+            sched.resume_value(reader, reader_cont, value)
+        else:
+            self.items.append(value)
+        return _value_thunk(cont, None)
+
+    def _read(self, _sched: Scheduler, tcb: TCB, _arg: Any, cont: Cont):
+        if not self.items:
+            return _park(tcb, self.readers, (tcb, cont))
+        return _value_thunk(cont, self.items.popleft())
+
+    def _try_read(self, _sched: Scheduler, _tcb: TCB, _arg: Any, cont: Cont):
+        if not self.items:
             return _value_thunk(cont, (False, None))
-        return _raise_thunk(SyncError(f"unknown Channel op {op!r}"))
+        return _value_thunk(cont, (True, self.items.popleft()))
 
 
-class BoundedChannel(_SyncPrimitive):
+class BoundedChannel:
     """A bounded FIFO channel: writers block while the buffer is full."""
 
     __slots__ = ("capacity", "items", "readers", "writers", "name")
@@ -331,55 +298,39 @@ class BoundedChannel(_SyncPrimitive):
 
     def write(self, value: Any) -> M:
         """Enqueue ``value``, blocking while the buffer is full."""
-        return self._op("write", value)
+        return sys_call(self._write, value)
 
     def read(self) -> M:
         """Dequeue the next value, blocking while the buffer is empty."""
-        return self._op("read")
+        return sys_call(self._read)
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def handle(
-        self,
-        sched: Scheduler,
-        tcb: TCB,
-        op: str,
-        value: Any,
-        cont: Callable[[Any], Trace],
-    ) -> Thunk | None:
-        if op == "write":
-            if self.readers:
-                reader, reader_cont = self.readers.popleft()
-                sched.resume_value(reader, reader_cont, value)
-                return _value_thunk(cont, None)
-            if len(self.items) < self.capacity:
-                self.items.append(value)
-                return _value_thunk(cont, None)
-            self.writers.append((tcb, cont, value))
-            tcb.state = "blocked"
-            return None
-        if op == "read":
-            if self.items:
-                item = self.items.popleft()
-                if self.writers:
-                    writer, writer_cont, pending = self.writers.popleft()
-                    self.items.append(pending)
-                    sched.resume_value(writer, writer_cont, None)
-                return _value_thunk(cont, item)
-            if self.writers:
-                # capacity buffer empty but writers queued (capacity == 0
-                # cannot happen; this covers direct handoff after drains).
-                writer, writer_cont, pending = self.writers.popleft()
-                sched.resume_value(writer, writer_cont, None)
-                return _value_thunk(cont, pending)
-            self.readers.append((tcb, cont))
-            tcb.state = "blocked"
-            return None
-        return _raise_thunk(SyncError(f"unknown BoundedChannel op {op!r}"))
+    def _write(self, sched: Scheduler, tcb: TCB, value: Any, cont: Cont):
+        if self.readers:
+            reader, reader_cont = self.readers.popleft()
+            sched.resume_value(reader, reader_cont, value)
+        elif len(self.items) < self.capacity:
+            self.items.append(value)
+        else:
+            return _park(tcb, self.writers, (tcb, cont, value))
+        return _value_thunk(cont, None)
+
+    def _read(self, sched: Scheduler, tcb: TCB, _arg: Any, cont: Cont):
+        # Writers queue only behind a full buffer, so an empty buffer
+        # means no writer is waiting.
+        if not self.items:
+            return _park(tcb, self.readers, (tcb, cont))
+        item = self.items.popleft()
+        if self.writers:
+            writer, writer_cont, pending = self.writers.popleft()
+            self.items.append(pending)
+            sched.resume_value(writer, writer_cont, None)
+        return _value_thunk(cont, item)
 
 
-class Semaphore(_SyncPrimitive):
+class Semaphore:
     """A counting semaphore with FIFO wakeup."""
 
     __slots__ = ("count", "waiters", "name")
@@ -393,42 +344,32 @@ class Semaphore(_SyncPrimitive):
 
     def acquire(self) -> M:
         """Decrement the counter, blocking while it is zero."""
-        return self._op("acquire")
+        return sys_call(self._acquire)
 
     def release(self) -> M:
         """Increment the counter, waking one waiter if any."""
-        return self._op("release")
+        return sys_call(self._release)
 
     def with_permit(self, comp: M) -> M:
         """Run ``comp`` holding one permit, releasing on success or failure."""
         return self.acquire().then(sys_finally(comp, self.release()))
 
-    def handle(
-        self,
-        sched: Scheduler,
-        tcb: TCB,
-        op: str,
-        _value: Any,
-        cont: Callable[[Any], Trace],
-    ) -> Thunk | None:
-        if op == "acquire":
-            if self.count > 0:
-                self.count -= 1
-                return _value_thunk(cont, None)
-            self.waiters.append((tcb, cont))
-            tcb.state = "blocked"
-            return None
-        if op == "release":
-            if self.waiters:
-                waiter, waiter_cont = self.waiters.popleft()
-                sched.resume_value(waiter, waiter_cont, None)
-            else:
-                self.count += 1
-            return _value_thunk(cont, None)
-        return _raise_thunk(SyncError(f"unknown Semaphore op {op!r}"))
+    def _acquire(self, _sched: Scheduler, tcb: TCB, _arg: Any, cont: Cont):
+        if self.count == 0:
+            return _park(tcb, self.waiters, (tcb, cont))
+        self.count -= 1
+        return _value_thunk(cont, None)
+
+    def _release(self, sched: Scheduler, _tcb: TCB, _arg: Any, cont: Cont):
+        if self.waiters:
+            waiter, waiter_cont = self.waiters.popleft()
+            sched.resume_value(waiter, waiter_cont, None)
+        else:
+            self.count += 1
+        return _value_thunk(cont, None)
 
 
-class RWLock(_SyncPrimitive):
+class RWLock:
     """A writer-preferring readers/writer lock."""
 
     __slots__ = ("readers_active", "writer_active", "read_waiters",
@@ -443,56 +384,46 @@ class RWLock(_SyncPrimitive):
 
     def acquire_read(self) -> M:
         """Take a shared lock; blocks while a writer holds or waits."""
-        return self._op("acquire_read")
+        return sys_call(self._acquire_read)
 
     def release_read(self) -> M:
         """Drop a shared lock."""
-        return self._op("release_read")
+        return sys_call(self._release_read)
 
     def acquire_write(self) -> M:
         """Take the exclusive lock; blocks while any lock is held."""
-        return self._op("acquire_write")
+        return sys_call(self._acquire_write)
 
     def release_write(self) -> M:
         """Drop the exclusive lock, preferring queued writers."""
-        return self._op("release_write")
+        return sys_call(self._release_write)
 
-    def handle(
-        self,
-        sched: Scheduler,
-        tcb: TCB,
-        op: str,
-        _value: Any,
-        cont: Callable[[Any], Trace],
-    ) -> Thunk | None:
-        if op == "acquire_read":
-            if not self.writer_active and not self.write_waiters:
-                self.readers_active += 1
-                return _value_thunk(cont, None)
-            self.read_waiters.append((tcb, cont))
-            tcb.state = "blocked"
-            return None
-        if op == "release_read":
-            if self.readers_active <= 0:
-                return _raise_thunk(SyncError("release_read without lock"))
-            self.readers_active -= 1
-            if self.readers_active == 0:
-                self._promote(sched)
-            return _value_thunk(cont, None)
-        if op == "acquire_write":
-            if not self.writer_active and self.readers_active == 0:
-                self.writer_active = True
-                return _value_thunk(cont, None)
-            self.write_waiters.append((tcb, cont))
-            tcb.state = "blocked"
-            return None
-        if op == "release_write":
-            if not self.writer_active:
-                return _raise_thunk(SyncError("release_write without lock"))
-            self.writer_active = False
+    def _acquire_read(self, _sched: Scheduler, tcb: TCB, _arg: Any, cont: Cont):
+        if self.writer_active or self.write_waiters:
+            return _park(tcb, self.read_waiters, (tcb, cont))
+        self.readers_active += 1
+        return _value_thunk(cont, None)
+
+    def _release_read(self, sched: Scheduler, _tcb: TCB, _arg: Any, cont: Cont):
+        if self.readers_active <= 0:
+            return SysThrow(SyncError("release_read without lock"))
+        self.readers_active -= 1
+        if self.readers_active == 0:
             self._promote(sched)
-            return _value_thunk(cont, None)
-        return _raise_thunk(SyncError(f"unknown RWLock op {op!r}"))
+        return _value_thunk(cont, None)
+
+    def _acquire_write(self, _sched: Scheduler, tcb: TCB, _arg: Any, cont: Cont):
+        if self.writer_active or self.readers_active:
+            return _park(tcb, self.write_waiters, (tcb, cont))
+        self.writer_active = True
+        return _value_thunk(cont, None)
+
+    def _release_write(self, sched: Scheduler, _tcb: TCB, _arg: Any, cont: Cont):
+        if not self.writer_active:
+            return SysThrow(SyncError("release_write without lock"))
+        self.writer_active = False
+        self._promote(sched)
+        return _value_thunk(cont, None)
 
     def _promote(self, sched: Scheduler) -> None:
         """Wake the next writer, or every queued reader."""
@@ -507,7 +438,7 @@ class RWLock(_SyncPrimitive):
             sched.resume_value(reader, reader_cont, None)
 
 
-class WaitGroup(_SyncPrimitive):
+class WaitGroup:
     """Wait for a collection of tasks: ``add``, ``done``, ``wait``."""
 
     __slots__ = ("count", "waiters", "name")
@@ -521,63 +452,30 @@ class WaitGroup(_SyncPrimitive):
 
     def add(self, n: int = 1) -> M:
         """Add ``n`` outstanding tasks."""
-        return self._op("add", n)
+        return sys_call(self._add, n)
 
     def done(self) -> M:
         """Mark one task complete, waking waiters when the count hits zero."""
-        return self._op("add", -1)
+        return sys_call(self._add, -1)
 
     def wait(self) -> M:
         """Block until the outstanding count reaches zero."""
-        return self._op("wait")
+        return sys_call(self._wait)
 
-    def handle(
-        self,
-        sched: Scheduler,
-        tcb: TCB,
-        op: str,
-        value: Any,
-        cont: Callable[[Any], Trace],
-    ) -> Thunk | None:
-        if op == "add":
-            self.count += value
-            if self.count < 0:
-                return _raise_thunk(SyncError("WaitGroup count went negative"))
-            if self.count == 0:
-                while self.waiters:
-                    waiter, waiter_cont = self.waiters.popleft()
-                    sched.resume_value(waiter, waiter_cont, None)
-            return _value_thunk(cont, None)
-        if op == "wait":
-            if self.count == 0:
-                return _value_thunk(cont, None)
-            self.waiters.append((tcb, cont))
-            tcb.state = "blocked"
-            return None
-        return _raise_thunk(SyncError(f"unknown WaitGroup op {op!r}"))
+    def _add(self, sched: Scheduler, _tcb: TCB, n: int, cont: Cont):
+        # Check before applying: a rejected ``done`` leaves the count as
+        # it was, so waiters still wake at zero.
+        count = self.count + n
+        if count < 0:
+            return SysThrow(SyncError("WaitGroup count went negative"))
+        self.count = count
+        if count == 0:
+            while self.waiters:
+                waiter, waiter_cont = self.waiters.popleft()
+                sched.resume_value(waiter, waiter_cont, None)
+        return _value_thunk(cont, None)
 
-
-def _raise_thunk(exc: BaseException) -> Thunk:
-    from .trace import SysThrow
-
-    return lambda: SysThrow(exc)
-
-
-# ----------------------------------------------------------------------
-# Default scheduler handlers
-# ----------------------------------------------------------------------
-def _handle_mutex(sched: Scheduler, tcb: TCB, node: SysMutex) -> Thunk | None:
-    return node.mutex.handle(sched, tcb, node.op, node.cont)
-
-
-def _handle_mvar(sched: Scheduler, tcb: TCB, node: SysMVar) -> Thunk | None:
-    return node.mvar.handle(sched, tcb, node.op, node.value, node.cont)
-
-
-def _handle_sync(sched: Scheduler, tcb: TCB, node: SysSync) -> Thunk | None:
-    return node.primitive.handle(sched, tcb, node.op, node.value, node.cont)
-
-
-Scheduler.default_handlers[SysMutex] = _handle_mutex
-Scheduler.default_handlers[SysMVar] = _handle_mvar
-Scheduler.default_handlers[SysSync] = _handle_sync
+    def _wait(self, _sched: Scheduler, tcb: TCB, _arg: Any, cont: Cont):
+        if self.count:
+            return _park(tcb, self.waiters, (tcb, cont))
+        return _value_thunk(cont, None)

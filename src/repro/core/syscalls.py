@@ -4,8 +4,10 @@ Following the paper (§3.1), "system calls" are the thread operations visible
 to monadic threads: thread control (``sys_fork``, ``sys_yield``, ``sys_ret``),
 effectful I/O (``sys_nbio``, ``sys_blio``), asynchronous I/O
 (``sys_epoll_wait``, ``sys_aio_read``, ...), exceptions (``sys_throw``,
-``sys_catch``), synchronization (``sys_mutex``, ``sys_mvar``, ``sys_stm``)
-and the application-level TCP interface (``sys_tcp``).
+``sys_catch``), the clock (``sys_now``), the application-level TCP
+interface (``sys_tcp``), and ``sys_call``, the library system call that
+carries its own interpreter — synchronization (§4.7), STM and
+``spawn``/``join`` are built on it.
 
 Each system call is a monadic operation that creates exactly one trace node,
 filling the node's continuation fields with the current continuation —
@@ -30,14 +32,12 @@ from .trace import (
     SysCatch,
     SysEndCatch,
     SysEpollWait,
+    SysCall,
     SysFork,
-    SysMVar,
-    SysMutex,
     SysNBIO,
+    SysNow,
     SysRet,
     SysSleep,
-    SysSpecial,
-    SysStm,
     SysTcp,
     SysThrow,
     SysYield,
@@ -56,11 +56,8 @@ __all__ = [
     "sys_epoll_wait",
     "sys_aio_read",
     "sys_sleep",
-    "sys_mutex_op",
-    "sys_mvar_op",
-    "sys_stm",
     "sys_tcp",
-    "sys_special",
+    "sys_call",
     "sys_get_tid",
     "sys_now",
 ]
@@ -200,43 +197,40 @@ def sys_sleep(duration: float) -> M:
     return M(lambda c: SysSleep(duration, c))
 
 
-def sys_mutex_op(mutex: Any, op: str) -> M:
-    """Mutex primitive (§4.7); prefer :class:`repro.core.sync.Mutex`."""
-    return M(lambda c: SysMutex(mutex, op, c))
-
-
-def sys_mvar_op(mvar: Any, op: str, value: Any = None) -> M:
-    """MVar primitive; prefer :class:`repro.core.sync.MVar`."""
-    return M(lambda c: SysMVar(mvar, op, value, c))
-
-
-def sys_stm(transaction: Any) -> M:
-    """Run an STM transaction atomically; blocks on ``retry`` until one of
-    the TVars it read changes (see :mod:`repro.core.stm`)."""
-    return M(lambda c: SysStm(transaction, c))
-
-
 def sys_tcp(op: str, *args: Any) -> M:
     """User interface of the application-level TCP stack (§4.8); prefer the
     socket wrappers in :mod:`repro.tcp.socket_api`."""
     return M(lambda c: SysTcp(op, args, c))
 
 
-def sys_special(kind: str, payload: Any = None) -> M:
-    """Invoke a named scheduler extension (registered via
-    :meth:`repro.core.scheduler.Scheduler.register_special`)."""
-    return M(lambda c: SysSpecial(kind, payload, c))
+def sys_call(fn: Callable[..., Any], arg: Any = None) -> M:
+    """A library system call interpreted by ``fn(sched, tcb, arg, cont)``.
+
+    ``fn`` returns the thread's next step — a thunk such as
+    ``lambda: cont(value)``, or a ready node such as a ``SysThrow`` — or
+    parks the thread where something will resume it and returns ``None``
+    (see :class:`~repro.core.trace.SysCall`).  The primitives of
+    :mod:`repro.core.sync`, :mod:`repro.core.stm` and
+    :mod:`repro.core.thread` are all built this way.
+    """
+    return M(lambda c: SysCall(fn, arg, c))
+
+
+def _get_tid(_sched: Any, tcb: Any, _arg: Any, cont: Callable[[Any], Trace]):
+    tid = tcb.tid
+    return lambda: cont(tid)
 
 
 def sys_get_tid() -> M:
-    """Resume with the current thread's id (a built-in special)."""
-    return sys_special("get_tid")
+    """Resume with the current thread's id."""
+    return sys_call(_get_tid)
 
 
 def sys_now() -> M:
     """Resume with the current time in seconds.
 
     Under the simulated runtime this is virtual time; under the live backend
-    it is the OS monotonic clock.
+    it is the OS monotonic clock.  A bare scheduler has no clock: there the
+    call throws :class:`~repro.core.exceptions.UnsupportedSyscallError`.
     """
-    return sys_special("now")
+    return M(SysNow)

@@ -6,9 +6,8 @@ the scheduler's TCBs: ``spawn`` returns a :class:`ThreadHandle`, and
 ``handle.join()`` is a blocking system call that resumes with the thread's
 result (rethrowing its exception, if it failed).
 
-``spawn`` is implemented as a scheduler *special* — the same extension
-mechanism application code can use — registered in the class-level default
-registry so it is available on every scheduler.
+``spawn`` and ``join`` are library system calls (``sys_call``) — the same
+extension mechanism application code can use, with nothing registered.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from typing import Callable, Iterable
 
 from .monad import M, pure, sequence_m
 from .scheduler import Scheduler, TCB
-from .syscalls import sys_special
-from .trace import SysJoin
+from .syscalls import sys_call
+from .trace import Cont, SysThrow
 
 __all__ = ["ThreadHandle", "spawn", "join_all", "ThreadGroup"]
 
@@ -51,8 +50,7 @@ class ThreadHandle:
 
         If the thread failed, its exception is rethrown in the joiner.
         """
-        tcb = self.tcb
-        return M(lambda c: SysJoin(tcb, c))
+        return sys_call(_join, self.tcb)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ThreadHandle {self.tcb!r}>"
@@ -64,7 +62,26 @@ def spawn(comp: M | Callable[[], M], name: str | None = None) -> M:
     Unlike :func:`repro.core.syscalls.sys_fork` (which resumes with
     ``None``), the handle supports ``join``.
     """
-    return sys_special("spawn", (comp, name)).fmap(ThreadHandle)
+    return sys_call(_spawn, (comp, name))
+
+
+def _spawn(sched: Scheduler, _tcb: TCB, arg: tuple, cont: Cont):
+    comp, name = arg
+    handle = ThreadHandle(sched.spawn(comp, name=name))
+    return lambda: cont(handle)
+
+
+def _join(_sched: Scheduler, tcb: TCB, target: TCB, cont: Cont):
+    if target.state == "done":
+        result = target.result
+        return lambda: cont(result)
+    if target.state == "failed":
+        return SysThrow(target.error)
+    if target.waiters is None:
+        target.waiters = []
+    target.waiters.append((tcb, cont))
+    tcb.state = "blocked"
+    return None
 
 
 def join_all(handles: Iterable[ThreadHandle]) -> M:
@@ -101,11 +118,3 @@ class ThreadGroup:
 
     def __len__(self) -> int:
         return len(self.handles)
-
-
-def _special_spawn(sched: Scheduler, _tcb: TCB, payload: tuple) -> TCB:
-    comp, name = payload
-    return sched.spawn(comp, name=name)
-
-
-Scheduler.default_specials["spawn"] = _special_spawn

@@ -39,13 +39,9 @@ __all__ = [
     "SysEpollWait",
     "SysAioRead",
     "SysSleep",
-    "SysMutex",
-    "SysMVar",
-    "SysSync",
-    "SysStm",
+    "SysNow",
+    "SysCall",
     "SysTcp",
-    "SysJoin",
-    "SysSpecial",
     "Thunk",
     "Cont",
     "format_trace_node",
@@ -62,10 +58,13 @@ Cont = Callable[[Any], "Trace"]
 class Trace:
     """Base class for every trace node.
 
-    Nodes are plain records.  They deliberately carry no behaviour: the
-    meaning of each node is given by the scheduler (or by a scheduler
-    extension registered for it), which is exactly the paper's point — the
-    scheduler is an ordinary, user-programmable event loop.
+    Nodes are plain records.  The scheduler gives each its meaning, in one
+    of three ways: built-in control nodes (fork, yield, exceptions, ``@do``
+    regions) it interprets itself; device nodes (epoll, blocking I/O, AIO,
+    sleep, the clock, TCP) are interpreted by the handler a kernel
+    registered for their type; and a :class:`SysCall` names the function
+    that interprets it.  That is the paper's point — the scheduler is an
+    ordinary, user-programmable event loop.
     """
 
     __slots__ = ()
@@ -440,58 +439,38 @@ class SysSleep(Trace):
         self.cont = cont
 
 
-class SysMutex(Trace):
-    """Mutex operation (paper §4.7): ``op`` is ``"acquire"`` or ``"release"``."""
+class SysNow(Trace):
+    """Resume with the kernel's clock (virtual time on the simulator)."""
 
-    __slots__ = ("mutex", "op", "cont")
-    TAG = "SYS_MUTEX"
+    __slots__ = ("cont",)
+    TAG = "SYS_NOW"
 
-    def __init__(self, mutex: Any, op: str, cont: Cont) -> None:
-        self.mutex = mutex
-        self.op = op
+    def __init__(self, cont: Cont) -> None:
         self.cont = cont
 
 
-class SysMVar(Trace):
-    """MVar operation: ``op`` in ``{"take", "put", "read", "try_take", "try_put"}``."""
+class SysCall(Trace):
+    """A library system call that carries its own interpreter.
 
-    __slots__ = ("mvar", "op", "value", "cont")
-    TAG = "SYS_MVAR"
-
-    def __init__(self, mvar: Any, op: str, value: Any, cont: Cont) -> None:
-        self.mvar = mvar
-        self.op = op
-        self.value = value
-        self.cont = cont
-
-
-class SysSync(Trace):
-    """Generic synchronization operation on a primitive object.
-
-    ``primitive`` implements ``handle(sched, tcb, op, value, cont)`` — the
-    scheduler-extension protocol used by channels, semaphores, etc.
-    (Mutexes and MVars keep their dedicated, paper-named nodes.)
+    The scheduler interprets the node by calling
+    ``fn(sched, tcb, arg, cont)`` and treats the result as it treats any
+    handler's: the thread's next step to run inline (a thunk such as
+    ``lambda: cont(value)``, or a ready node such as a ``SysThrow``), or
+    ``None`` when ``fn`` parked the thread somewhere that resumes it
+    later.  Mutexes, MVars, channels, STM, ``spawn`` and ``join`` are
+    all this node — the paper's "the programmer can define their own
+    synchronization primitives as system calls" (§4.7), with nothing to
+    register.  ``fn`` must not call ``cont`` itself: an exception raised
+    by the continuation belongs to the thread, and only forcing the
+    returned thunk delivers it there.
     """
 
-    __slots__ = ("primitive", "op", "value", "cont")
-    TAG = "SYS_SYNC"
+    __slots__ = ("fn", "arg", "cont")
+    TAG = "SYS_CALL"
 
-    def __init__(self, primitive: Any, op: str, value: Any, cont: Cont) -> None:
-        self.primitive = primitive
-        self.op = op
-        self.value = value
-        self.cont = cont
-
-
-class SysStm(Trace):
-    """Run an STM transaction atomically; park on ``retry`` until a read
-    TVar changes (paper §4.7 uses GHC's STM; ours is built from scratch)."""
-
-    __slots__ = ("transaction", "cont")
-    TAG = "SYS_STM"
-
-    def __init__(self, transaction: Any, cont: Cont) -> None:
-        self.transaction = transaction
+    def __init__(self, fn: Callable[..., Any], arg: Any, cont: Cont) -> None:
+        self.fn = fn
+        self.arg = arg
         self.cont = cont
 
 
@@ -508,39 +487,6 @@ class SysTcp(Trace):
         self.cont = cont
 
 
-class SysJoin(Trace):
-    """Block until the target thread (a scheduler TCB) finishes.
-
-    The continuation receives the target's result; if the target failed,
-    its exception is rethrown in the joining thread instead.
-    """
-
-    __slots__ = ("target", "cont")
-    TAG = "SYS_JOIN"
-
-    def __init__(self, target: Any, cont: Cont) -> None:
-        self.target = target
-        self.cont = cont
-
-
-class SysSpecial(Trace):
-    """Extension point: a syscall dispatched by a registered handler.
-
-    Scheduler extensions (new I/O mechanisms, custom synchronization — the
-    paper's "the programmer can easily add more system I/O interfaces") can
-    define their own node classes, but ad-hoc extensions may simply use this
-    tagged node.
-    """
-
-    __slots__ = ("kind", "payload", "cont")
-    TAG = "SYS_SPECIAL"
-
-    def __init__(self, kind: str, payload: Any, cont: Cont) -> None:
-        self.kind = kind
-        self.payload = payload
-        self.cont = cont
-
-
 def format_trace_node(node: Trace) -> str:
     """Render a single node for debug output, e.g. ``<SYS_FORK child>``."""
     detail = ""
@@ -550,14 +496,10 @@ def format_trace_node(node: Trace) -> str:
         detail = f" fd={node.fd!r} events={node.events!r}"
     elif isinstance(node, SysAioRead):
         detail = f" fd={node.fd!r} offset={node.offset}"
-    elif isinstance(node, SysMutex):
-        detail = f" op={node.op}"
-    elif isinstance(node, SysMVar):
-        detail = f" op={node.op}"
     elif isinstance(node, SysTcp):
         detail = f" op={node.op}"
-    elif isinstance(node, SysSpecial):
-        detail = f" kind={node.kind}"
+    elif isinstance(node, SysCall):
+        detail = f" fn={getattr(node.fn, '__qualname__', node.fn)}"
     elif isinstance(node, SysGen):
         code = getattr(node.gen, "gi_code", None)
         if code is not None:

@@ -36,6 +36,7 @@ armed idles until ``until()`` or ``idle_timeout`` ends the run.
 
 from __future__ import annotations
 
+import errno
 import os
 import select
 import selectors
@@ -250,7 +251,7 @@ class LiveBackend:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setblocking(False)
         code = sock.connect_ex(address)
-        if code not in (0, 115, 36):  # EINPROGRESS variants
+        if code not in (0, errno.EINPROGRESS):
             sock.close()
             raise OSError(code, os.strerror(code))
         return sock
@@ -571,29 +572,19 @@ class SelectorPoller:
         self.selector.close()
 
 
-def make_poller(kind: str = "auto") -> EpollPoller | SelectorPoller:
-    """Build the I/O poller: ``"epoll"``, ``"select"``, or ``"auto"``
-    (persistent epoll where the platform has it, selectors elsewhere)."""
-    if kind == "auto":
-        kind = "epoll" if HAS_EPOLL else "select"
-    if kind == "epoll":
-        return EpollPoller()
-    if kind == "select":
-        return SelectorPoller()
-    raise ValueError(f"unknown poller kind {kind!r}")
+def make_poller() -> EpollPoller | SelectorPoller:
+    """Build the I/O poller the platform offers: persistent epoll where
+    ``select.epoll`` exists, selectors elsewhere."""
+    return EpollPoller() if HAS_EPOLL else SelectorPoller()
 
 
 class LiveRuntime(Runtime):
     """The one event loop over real-OS devices."""
 
-    def __init__(
-        self,
-        uncaught: str | Callable = "raise",
-        poller: str = "auto",
-    ) -> None:
+    def __init__(self, uncaught: str | Callable = "raise") -> None:
         super().__init__(LiveBackend(on_close=self._discard_fd),
                          time.monotonic, uncaught)
-        self.poller = make_poller(poller)
+        self.poller = make_poller()
         self.pool = ThreadPoolExecutor(
             max_workers=BLIO_WORKERS, thread_name_prefix="blio"
         )

@@ -4,7 +4,7 @@ Figure 14 draws one scheduler loop over device loops that can be swapped.
 :class:`Runtime` is that loop.  It owns what every kernel shares: the
 scheduler, the monadic I/O surface ``io`` with its receive-buffer pool
 ``buffers``, the deadline heap ``timers`` (``sys_sleep`` is an entry in
-it), the ``now`` special, and :meth:`Runtime.run`, the turn.  A kernel
+it), the clock behind ``sys_now``, and :meth:`Runtime.run`, the turn.  A kernel
 subclass supplies the rest: a backend, a clock, its device handlers
 (epoll, blocking I/O, AIO) and two hooks:
 
@@ -29,7 +29,7 @@ from typing import Any, Callable
 
 from ..core.monad import M
 from ..core.scheduler import Scheduler, TCB
-from ..core.trace import SysSleep
+from ..core.trace import SysNow, SysSleep
 from .io_api import NetIO
 from .timer_wheel import TimerWheel
 
@@ -61,7 +61,7 @@ class Runtime:
         self.timers = TimerWheel(clock, self.spawn)
         self._clock = clock
         self.sched.register_syscall(SysSleep, self._handle_sleep)
-        self.sched.register_special("now", lambda _s, _t, _p: clock())
+        self.sched.register_syscall(SysNow, self._handle_now)
 
     def spawn(self, comp: M | Callable[[], M], name: str | None = None) -> TCB:
         """Spawn a monadic thread."""
@@ -74,6 +74,11 @@ class Runtime:
             node.duration, lambda: self.sched.resume_value(tcb, cont, None)
         )
         return None
+
+    def _handle_now(self, _sched: Scheduler, _tcb: TCB, node: SysNow):
+        now = self._clock()
+        cont = node.cont
+        return lambda: cont(now)
 
     def run(
         self,

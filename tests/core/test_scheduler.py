@@ -23,7 +23,6 @@ from repro.core.syscalls import (
     sys_get_tid,
     sys_nbio,
     sys_ret,
-    sys_special,
     sys_throw,
     sys_yield,
 )
@@ -267,16 +266,6 @@ class TestUncaughtPolicy:
         def worker():
             try:
                 yield sys_epoll_wait(1, 1)  # no backend on bare scheduler
-            except UnsupportedSyscallError:
-                return "refused"
-
-        assert run_threads([worker()])[0].result == "refused"
-
-    def test_unknown_special_is_thread_error(self):
-        @do
-        def worker():
-            try:
-                yield sys_special("no-such-extension")
             except UnsupportedSyscallError:
                 return "refused"
 

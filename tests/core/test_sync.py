@@ -248,6 +248,25 @@ class TestMVar:
 
         assert run_threads([worker()])[0].result == 30
 
+    def test_failing_modify_puts_the_old_value_back(self):
+        # As Haskell's modifyMVar_: the error reaches the caller, and the
+        # box holds the old value again instead of stranding every taker.
+        box = MVar(10)
+
+        def boom(_old):
+            raise ValueError("boom")
+
+        @do
+        def worker():
+            try:
+                yield box.modify(boom)
+            except ValueError as exc:
+                caught = str(exc)
+            value = yield box.read()
+            return caught, value
+
+        assert run_threads([worker()])[0].result == ("boom", 10)
+
     def test_producer_consumer_pipeline(self):
         box = MVar()
         received = []
@@ -590,6 +609,22 @@ class TestWaitGroup:
                 return "caught"
 
         assert run_threads([worker()])[0].result == "caught"
+
+    def test_rejected_done_leaves_the_count_alone(self):
+        # A ``done`` below zero is refused before it applies: the count
+        # stays 0, so ``wait`` returns at once instead of parking forever.
+        group = WaitGroup()
+
+        @do
+        def worker():
+            try:
+                yield group.done()
+            except SyncError:
+                pass
+            yield group.wait()
+            return group.count
+
+        assert run_threads([worker()])[0].result == 0
 
 
 @settings(max_examples=25)

@@ -13,14 +13,15 @@ from repro.core.events import (
 )
 from repro.core.monad import pure
 from repro.core.scheduler import Scheduler, run_threads
-from repro.core.syscalls import sys_get_tid, sys_special
+from repro.core.sync import Mutex, MVar
+from repro.core.syscalls import sys_get_tid
 from repro.core.trace import (
+    SysCall,
     SysEpollWait,
     SysFork,
-    SysMutex,
     SysNBIO,
+    SysNow,
     SysRet,
-    SysSpecial,
     SysTcp,
     format_trace_node,
 )
@@ -61,20 +62,18 @@ class TestTraceFormatting:
         assert "SYS_FORK" in format_trace_node(
             SysFork(lambda: SysRet(None), lambda: SysRet(None))
         )
-        assert "op=take" in format_trace_node(
-            __import__("repro.core.trace", fromlist=["SysMVar"]).SysMVar(
-                None, "take", None, lambda v: SysRet(v)
-            )
-        )
         assert "op=recv" in format_trace_node(
             SysTcp("recv", (), lambda v: SysRet(v))
         )
-        assert "kind=now" in format_trace_node(
-            SysSpecial("now", None, lambda v: SysRet(v))
-        )
-        assert "op=acquire" in format_trace_node(
-            SysMutex(None, "acquire", lambda v: SysRet(v))
-        )
+        assert "SYS_NOW" in format_trace_node(SysNow(lambda v: SysRet(v)))
+
+    def test_syscall_shows_its_interpreter(self):
+        # A library system call is named by the function interpreting it.
+        def node(fn):
+            return format_trace_node(SysCall(fn, None, lambda v: SysRet(v)))
+
+        assert node(MVar()._take) == "<SYS_CALL fn=MVar._take>"
+        assert node(Mutex()._acquire) == "<SYS_CALL fn=Mutex._acquire>"
 
     def test_repr_uses_formatter(self):
         assert repr(SysRet("x")) == format_trace_node(SysRet("x"))
@@ -85,25 +84,11 @@ class TestSchedulerHelpers:
         tcbs = run_threads([pure(1), pure(2), pure(3)])
         assert [tcb.result for tcb in tcbs] == [1, 2, 3]
 
-    def test_custom_special_registration(self):
-        sched = Scheduler()
-        sched.register_special("answer", lambda _s, _t, payload: payload * 2)
-        tcb = sched.spawn(sys_special("answer", 21))
-        sched.run()
-        assert tcb.result == 42
-
     def test_get_tid_matches_tcb(self):
         sched = Scheduler()
         tcb = sched.spawn(sys_get_tid())
         sched.run()
         assert tcb.result == tcb.tid
-
-    def test_instance_special_overrides_default(self):
-        sched = Scheduler()
-        sched.register_special("spawn", lambda _s, _t, _p: "shadowed")
-        tcb = sched.spawn(sys_special("spawn", (pure(None), None)))
-        sched.run()
-        assert tcb.result == "shadowed"
 
     def test_exit_watcher_sees_every_exit(self):
         sched = Scheduler()

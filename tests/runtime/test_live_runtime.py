@@ -20,10 +20,18 @@ from repro.core.syscalls import (
     sys_yield,
 )
 from repro.core.sync import MVar
+from repro.runtime import live_runtime
 from repro.runtime.live_runtime import HAS_EPOLL, LiveRuntime
 from repro.runtime.loop import TURN_STEPS
 
 POLLERS = ["epoll", "select"] if HAS_EPOLL else ["select"]
+
+
+def _live(monkeypatch, poller):
+    """A runtime on ``poller``.  The platform picks the poller, so the
+    selector path is the one a platform without epoll gets."""
+    monkeypatch.setattr(live_runtime, "HAS_EPOLL", poller == "epoll")
+    return LiveRuntime()
 
 
 @pytest.fixture
@@ -237,17 +245,17 @@ class TestLoopTurn:
     the loop from looking at I/O."""
 
     @pytest.mark.parametrize("poller", POLLERS)
-    def test_spinning_thread_does_not_starve_io(self, poller):
-        rt = LiveRuntime(poller=poller)
+    def test_spinning_thread_does_not_starve_io(self, poller, monkeypatch):
+        rt = _live(monkeypatch, poller)
         try:
             assert _echo_beside_a_spinner(rt) == 20
         finally:
             rt.shutdown()
 
     @pytest.mark.parametrize("poller", POLLERS)
-    def test_devices_are_checked_once_per_turn(self, poller):
+    def test_devices_are_checked_once_per_turn(self, poller, monkeypatch):
         # Ten threads ready at once are one turn: one poll, not ten.
-        rt = LiveRuntime(poller=poller)
+        rt = _live(monkeypatch, poller)
         try:
             polls = _count_polls(rt)
             hops = 50
@@ -266,12 +274,12 @@ class TestLoopTurn:
 
     @pytest.mark.parametrize("poller", POLLERS)
     def test_forks_and_wakeups_run_in_the_turn_that_made_them_ready(
-            self, poller):
+            self, poller, monkeypatch):
         # A fork or an MVar hand-off used to land behind the turn's
         # snapshot and buy a turn (and an empty poll) each: 50 polls.
         hops = 50
         for build in (_fork_chain, _mvar_ping_pong):
-            rt = LiveRuntime(poller=poller)
+            rt = _live(monkeypatch, poller)
             try:
                 finished = build(rt, hops)
                 rt.run()
@@ -281,10 +289,11 @@ class TestLoopTurn:
                 rt.shutdown()
 
     @pytest.mark.parametrize("poller", POLLERS)
-    def test_budget_exhausted_turn_polls_without_blocking(self, poller):
+    def test_budget_exhausted_turn_polls_without_blocking(self, poller,
+                                                          monkeypatch):
         # More ready work than one turn's budget: the loop still looks
         # at the devices between turns, and must not sleep there.
-        rt = LiveRuntime(poller=poller)
+        rt = _live(monkeypatch, poller)
         try:
             polls = _count_polls(rt)
             finished = _fork_chain(rt, 2 * TURN_STEPS + 1)
@@ -296,13 +305,13 @@ class TestLoopTurn:
             rt.shutdown()
 
     @pytest.mark.parametrize("poller", POLLERS)
-    def test_late_wake_byte_does_not_spin_the_loop(self, poller):
+    def test_late_wake_byte_does_not_spin_the_loop(self, poller, monkeypatch):
         # A pool job queues its completion, then writes the wake byte;
         # the loop can drain the completion in between.  The byte that
         # arrives afterwards has no completion to announce, and must
         # still be drained — a level-triggered pipe left readable turns
         # every blocking poll into an immediate return.
-        rt = LiveRuntime(poller=poller)
+        rt = _live(monkeypatch, poller)
         try:
             rt._wake_send.send(b"\0")
             polls = _count_polls(rt)
@@ -318,8 +327,9 @@ class TestLoopTurn:
             rt.shutdown()
 
     @pytest.mark.parametrize("poller", POLLERS)
-    def test_pool_completions_still_wake_a_sleeping_loop(self, poller):
-        rt = LiveRuntime(poller=poller)
+    def test_pool_completions_still_wake_a_sleeping_loop(self, poller,
+                                                         monkeypatch):
+        rt = _live(monkeypatch, poller)
         try:
             polls = _count_polls(rt)
 

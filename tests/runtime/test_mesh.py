@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import thread
 from repro.core.do_notation import do
 from repro.core.monad import pure
 from repro.core.sync import MVar
 from repro.core.syscalls import sys_sleep
-from repro.core.trace import SysFork, SysSpecial
+from repro.core.trace import SysCall, SysFork
 from repro.runtime.io_api import ConnectionClosed
 from repro.runtime.live_runtime import LiveRuntime
 from repro.runtime.mesh import (
@@ -406,8 +407,8 @@ def fork_names(rt):
     def record(_tcb, node):
         if isinstance(node, SysFork):
             names.append(node.name or "")
-        elif isinstance(node, SysSpecial) and node.kind == "spawn":
-            names.append(node.payload[1] or "")
+        elif isinstance(node, SysCall) and node.fn is thread._spawn:
+            names.append(node.arg[1] or "")
 
     rt.sched.on_syscall = record
     return names

@@ -18,6 +18,7 @@ import pytest
 from repro.core.do_notation import do
 from repro.core.events import EVENT_READ, EVENT_WRITE
 from repro.core.syscalls import sys_fork
+from repro.runtime import live_runtime
 from repro.runtime.live_runtime import (
     HAS_EPOLL,
     EpollPoller,
@@ -149,23 +150,31 @@ class TestEpollInterestSet:
             poller.close()
 
 
+def _without_epoll(monkeypatch):
+    """Stand in for a platform that lacks ``select.epoll``."""
+    monkeypatch.setattr(live_runtime, "HAS_EPOLL", False)
+
+
 class TestMakePoller:
     def test_auto_prefers_epoll_where_available(self):
-        poller = make_poller("auto")
+        poller = make_poller()
         try:
             assert poller.name == ("epoll" if HAS_EPOLL else "select")
         finally:
             poller.close()
 
-    def test_explicit_select(self):
-        poller = make_poller("select")
+    def test_explicit_select(self, monkeypatch):
+        # The platform, not the caller, selects the fallback.
+        _without_epoll(monkeypatch)
+        poller = make_poller()
         try:
             assert isinstance(poller, SelectorPoller)
         finally:
             poller.close()
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        # There is no kind to ask for: the platform decides.
+        with pytest.raises(TypeError):
             make_poller("kqueue-someday")
 
 
@@ -215,7 +224,7 @@ class TestRuntimeHotPath:
     def test_keepalive_cycles_do_not_rearm(self):
         """End to end: many echo round trips over one connection keep the
         epoll_ctl count flat (no per-wait re-registration)."""
-        rt = LiveRuntime(poller="epoll")
+        rt = LiveRuntime()
         try:
             assert isinstance(rt.poller, EpollPoller)
             _echo_roundtrips(rt, cycles=50)
@@ -231,8 +240,9 @@ class TestRuntimeHotPath:
 
 
 class TestSelectorFallback:
-    def test_echo_roundtrips_on_fallback_loop(self):
-        rt = LiveRuntime(poller="select")
+    def test_echo_roundtrips_on_fallback_loop(self, monkeypatch):
+        _without_epoll(monkeypatch)
+        rt = LiveRuntime()
         try:
             assert isinstance(rt.poller, SelectorPoller)
             assert rt.poller.name == "select"
@@ -243,8 +253,9 @@ class TestSelectorFallback:
         finally:
             rt.shutdown()
 
-    def test_fallback_concurrent_clients(self):
-        rt = LiveRuntime(poller="select")
+    def test_fallback_concurrent_clients(self, monkeypatch):
+        _without_epoll(monkeypatch)
+        rt = LiveRuntime()
         try:
             listener = rt.make_listener()
             port = listener.getsockname()[1]
