@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 
 from repro import do, sys_fork
-from repro.runtime import LiveRuntime
+from repro.runtime import LiveRuntime, make_listener
 
 
 def make_server(rt: LiveRuntime, listener):
@@ -61,7 +61,7 @@ def demo_client(rt: LiveRuntime, port: int, ident: int, transcript: list):
 def main() -> None:
     serve_forever = "--serve" in sys.argv
     rt = LiveRuntime()
-    listener = rt.make_listener()
+    listener = make_listener()
     port = listener.getsockname()[1]
     print(f"echo server listening on 127.0.0.1:{port}")
     rt.spawn(make_server(rt, listener), name="acceptor")

@@ -276,7 +276,9 @@ def _worker_main(
     def handle(message: dict) -> None:
         command = message.get("cmd")
         if command == "stats":
-            _send_msg(ctrl, snapshot())
+            # Echo the request's number: the master drops a reply that
+            # arrives after its own call gave up on it.
+            _send_msg(ctrl, dict(snapshot(), seq=message.get("seq")))
         elif command == "stop":
             state["stop"] = True
         elif command == "peer_up":
@@ -466,12 +468,14 @@ class ClusterServer:
         self.config = config
         self.app_factory = app_factory
         self._ctx = multiprocessing.get_context("fork")
-        self._reservation: socket.socket | None = None
-        self._mesh_reservations: list[socket.socket] = []
-        self._cache_reservation: socket.socket | None = None
+        #: Port reservations the master holds across respawns: the
+        #: serving port, the cache port if any, then one mesh port per
+        #: shard.
+        self._reserved: list[socket.socket] = []
         self._workers: list[_WorkerHandle] = []
         self._lock = threading.RLock()
         self._stats_lock = threading.Lock()  # serializes stats() readers
+        self._stats_seq = 0  # numbers each stats() request
         self._stopping = False
         self._monitor: threading.Thread | None = None
         #: Number of crashed shards replaced by the monitor.
@@ -481,16 +485,18 @@ class ClusterServer:
         self.cache_port: int | None = None
 
     # -- lifecycle -----------------------------------------------------
-    @staticmethod
-    def _reserve(host: str, port: int) -> socket.socket:
-        """A bound, never-listening ``SO_REUSEPORT`` socket: reserves the
-        port for (re)binding shards without joining the kernel's listener
-        group (a non-listening socket receives no connections)."""
+    def _reserve(self, port: int) -> int:
+        """Bind a never-listening ``SO_REUSEPORT`` socket and return its
+        port: it reserves the port for (re)binding shards without joining
+        the kernel's listener group (a non-listening socket receives no
+        connections).  The socket joins ``_reserved`` before it binds, so
+        a failing bind leaves every socket for ``stop()`` to close."""
         reservation = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._reserved.append(reservation)
         reservation.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         reservation.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        reservation.bind((host, port))
-        return reservation
+        reservation.bind((self.config.host, port))
+        return reservation.getsockname()[1]
 
     def start(self) -> "ClusterServer":
         """Reserve the port(s), fork every shard, wait until all accept."""
@@ -504,44 +510,24 @@ class ClusterServer:
                     f"mesh_ports must name one port per shard "
                     f"({len(wanted)} != {self.config.shards})"
                 )
-        reservation = self._reserve(self.config.host, self.config.port)
-        self._reservation = reservation
-        self.port = reservation.getsockname()[1]
-        self.config = dataclasses.replace(self.config, port=self.port)
-        if self.config.cache_port is not None:
-            # The cache front-end port is reserved exactly like the
-            # serving port: one SO_REUSEPORT group shared by all shards.
-            try:
-                self._cache_reservation = self._reserve(
-                    self.config.host, self.config.cache_port
-                )
-            except BaseException:
-                self.stop(timeout=1.0)
-                raise
-            self.cache_port = self._cache_reservation.getsockname()[1]
-            self.config = dataclasses.replace(
-                self.config, cache_port=self.cache_port
-            )
-        if self.config.mesh:
-            # One data-plane port per shard, reserved the same way so
-            # respawned/reloaded shards rebind their mesh listeners.  A
-            # port already in use must not leak the sockets bound so far
-            # (appending one at a time keeps them reachable by stop()).
-            try:
-                for port in wanted:
-                    self._mesh_reservations.append(
-                        self._reserve(self.config.host, port)
-                    )
-            except BaseException:
-                self.stop(timeout=1.0)
-                raise
-            self.config = dataclasses.replace(
-                self.config,
-                mesh_ports=tuple(
-                    sock.getsockname()[1]
-                    for sock in self._mesh_reservations
-                ),
-            )
+        mesh_ports = self.config.mesh_ports
+        try:
+            self.port = self._reserve(self.config.port)
+            if self.config.cache_port is not None:
+                # The cache front-end port is one SO_REUSEPORT group
+                # shared by all shards, exactly like the serving port.
+                self.cache_port = self._reserve(self.config.cache_port)
+            if self.config.mesh:
+                # One data-plane port per shard, so respawned/reloaded
+                # shards rebind their mesh listeners.
+                mesh_ports = tuple(self._reserve(port) for port in wanted)
+        except BaseException:
+            self.stop(timeout=1.0)
+            raise
+        self.config = dataclasses.replace(
+            self.config, port=self.port, cache_port=self.cache_port,
+            mesh_ports=mesh_ports,
+        )
         try:
             with self._lock:
                 for index in range(self.config.shards):
@@ -562,23 +548,11 @@ class ClusterServer:
     def _spawn_worker(self, index: int) -> _WorkerHandle:
         parent_sock, child_sock = socket.socketpair()
         # Master-side fds the child must drop post-fork: sibling control
-        # sockets, this worker's own master end, and the port reservation
-        # (the master alone holds the port across respawns).
+        # sockets, this worker's own master end, and the port reservations
+        # (the master alone holds the ports across respawns).
         inherited = [parent_sock.fileno()]
-        for handle in self._workers:
-            try:
-                inherited.append(handle.sock.fileno())
-            except OSError:
-                pass
-        if self._reservation is not None:
-            inherited.append(self._reservation.fileno())
-        if self._cache_reservation is not None:
-            inherited.append(self._cache_reservation.fileno())
-        for reservation in self._mesh_reservations:
-            try:
-                inherited.append(reservation.fileno())
-            except OSError:
-                pass
+        inherited += [handle.sock.fileno() for handle in self._workers]
+        inherited += [sock.fileno() for sock in self._reserved]
         process = self._ctx.Process(
             target=_worker_main,
             args=(index, self.config, self.app_factory, child_sock,
@@ -620,26 +594,20 @@ class ClusterServer:
             _send_msg(handle.sock, {"cmd": "stop"})
         deadline = time.monotonic() + timeout
         for handle in workers:
-            handle.process.join(timeout=max(0.1, deadline - time.monotonic()))
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=1.0)
-            handle.close()
-        if self._reservation is not None:
-            self._reservation.close()
-            self._reservation = None
-        if self._cache_reservation is not None:
-            try:
-                self._cache_reservation.close()
-            except OSError:
-                pass
-            self._cache_reservation = None
-        for reservation in self._mesh_reservations:
-            try:
-                reservation.close()
-            except OSError:
-                pass
-        self._mesh_reservations = []
+            self._retire(handle, max(0.1, deadline - time.monotonic()))
+        reserved, self._reserved = self._reserved, []
+        for sock in reserved:
+            sock.close()
+
+    @staticmethod
+    def _retire(handle: _WorkerHandle, timeout: float) -> None:
+        """Give a shard told to stop ``timeout`` seconds to exit, then
+        terminate it; close its control socket."""
+        handle.process.join(timeout=timeout)
+        if handle.process.is_alive():
+            handle.process.terminate()
+            handle.process.join(timeout=1.0)
+        handle.close()
 
     def __enter__(self) -> "ClusterServer":
         return self.start()
@@ -716,10 +684,14 @@ class ClusterServer:
         gets a zero-timeout drain of already-arrived replies.
         """
         with self._stats_lock:
+            # A reply that missed an earlier call's deadline is still in
+            # the pipe: only one echoing this call's number answers it.
+            self._stats_seq += 1
+            seq = self._stats_seq
             with self._lock:
                 handles = list(self._workers)
                 for handle in handles:
-                    _send_msg(handle.sock, {"cmd": "stats"})
+                    _send_msg(handle.sock, {"cmd": "stats", "seq": seq})
             per_worker: list[dict | None] = []
             deadline = time.monotonic() + timeout
             for handle in handles:
@@ -728,7 +700,8 @@ class ClusterServer:
                     remaining = max(0.0, deadline - time.monotonic())
                     arrived = handle.read_messages(remaining)
                     for message in arrived:
-                        if message.get("event") == "stats":
+                        if (message.get("event") == "stats"
+                                and message.pop("seq", None) == seq):
                             reply = message
                             break
                     if reply is None and not arrived:
@@ -804,7 +777,7 @@ class ClusterServer:
         replacement is spawned and awaited before the next shard rolls —
         so all other shards keep serving throughout and the cluster never
         has fewer than ``shards - 1`` listeners.  The port reservations
-        (serving port and mesh ports) stay bound in the master across the
+        (serving, cache and mesh ports) stay bound in the master across the
         whole roll.  Returns the new pids, index-ordered.
 
         If a replacement fails to come up the roll stops with
@@ -820,11 +793,7 @@ class ClusterServer:
                     break
                 handle = self._workers[slot]
                 _send_msg(handle.sock, {"cmd": "stop"})
-                handle.process.join(timeout=timeout)
-                if handle.process.is_alive():
-                    handle.process.terminate()
-                    handle.process.join(timeout=1.0)
-                handle.close()
+                self._retire(handle, timeout)
                 if self._replace_worker(slot) is None:
                     raise RuntimeError(
                         f"shard {handle.index} failed to come back "

@@ -3,28 +3,26 @@
 The real-OS kernel under the one event loop (:mod:`repro.runtime.loop`;
 :class:`~repro.runtime.sim_runtime.SimRuntime` is the other kernel):
 non-blocking sockets multiplexed through a persistent ``epoll`` interest
-set (with a ``selectors`` fallback on platforms without epoll), timers on
-the monotonic clock, and a thread pool for blocking operations (§4.6).
-Linux AIO has no portable Python binding, so ``sys_aio_read`` is routed
-through the blocking pool — the paper's own fallback path for operations
-without an async interface.
+set, timers on the monotonic clock, and a thread pool for blocking
+operations (§4.6).  Linux AIO has no portable Python binding, so
+``sys_aio_read`` is routed through the blocking pool — the paper's own
+fallback path for operations without an async interface.
 
 The hot path follows §4.4's argument that the application-level scheduler
 only beats one-thread-per-connection if the event loop itself stays cheap:
+:class:`Poller` keeps every descriptor *persistently* registered and
+issues ``epoll_ctl`` only when the combined interest mask widens.  The
+canonical keep-alive cycle — park on ``EPOLLIN``, fire, handle a request,
+park on ``EPOLLIN`` again — costs zero ``epoll_ctl`` calls after the first
+registration, instead of an add/del pair per wait.  There is one poller on
+every platform: where ``select.epoll`` is missing (macOS, the BSDs) the
+same algorithm runs over :class:`_SelectorEpoll`, which gives
+``selectors.DefaultSelector`` epoll's calls and semantics.
 
-* :class:`EpollPoller` keeps every descriptor *persistently* registered and
-  issues ``epoll_ctl`` only when the combined interest mask actually
-  changes.  The canonical keep-alive cycle — park on ``EPOLLIN``, fire,
-  handle a request, park on ``EPOLLIN`` again — costs zero ``epoll_ctl``
-  calls after the first registration, instead of an add/del pair per wait.
-* :class:`SelectorPoller` is the portable fallback (macOS dev boxes, or any
-  platform without ``select.epoll``): the original register-per-wait loop
-  over ``selectors.DefaultSelector``.
-
-Both pollers expose ``ctl_adds``/``ctl_mods``/``ctl_dels`` counters so the
-no-rearm property is testable, and ``polls``/``zero_timeout_polls`` so the
-loop's own turn count is; per-shard loop overhead is observable through
-the cluster stats protocol.
+The poller counts ``ctl_adds``/``ctl_mods``/``ctl_dels`` so the no-rearm
+property is testable, and ``polls``/``zero_timeout_polls`` so the loop's
+own turn count is; per-shard loop overhead is observable through the
+cluster stats protocol.
 
 This kernel's two loop hooks: ``_collect`` drains the blocking pool's
 completions, and ``_poll`` is one ``poller.poll`` — bounded by the next
@@ -56,20 +54,18 @@ from ..simos.errors import WOULD_BLOCK
 from .io_api import ConnectionClosed
 from .loop import Runtime
 
-__all__ = [
-    "LiveRuntime",
-    "LiveBackend",
-    "EpollPoller",
-    "SelectorPoller",
-    "make_listener",
-    "make_poller",
-]
+__all__ = ["LiveRuntime", "LiveBackend", "Poller", "make_listener"]
 
 #: Threads in the blocking-I/O pool (§4.6): file opens, stats, fsyncs.
 BLIO_WORKERS = 4
 
+#: The one platform switch, read when a :class:`Poller` is built.
 HAS_EPOLL = hasattr(select, "epoll")
 HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
+
+#: epoll's event bits: the Linux ABI, which ``select.POLL*`` shares.  The
+#: poller speaks them over either multiplexer.
+EPOLLIN, EPOLLPRI, EPOLLOUT, EPOLLERR, EPOLLHUP = 0x1, 0x2, 0x4, 0x8, 0x10
 
 
 def make_listener(
@@ -301,7 +297,62 @@ class _FdEntry:
 Resume = tuple[TCB, Callable, int]
 
 
-class EpollPoller:
+class _SelectorEpoll:
+    """``select.epoll`` where the platform has none: epoll's five calls
+    over ``selectors.DefaultSelector`` (kqueue, devpoll, poll or select).
+
+    It keeps epoll's semantics too.  Masks are epoll's bits; a 0 mask
+    stays registered for nothing; one ``poll`` reports each descriptor
+    once (kqueue reports read and write readiness as two events);
+    registering a number again replaces its stale key — :class:`Poller`
+    does so only once the old descriptor closed behind its back, which
+    the kernel drops from an epoll set; unregistering or modifying an
+    unknown number raises ``OSError``.
+    """
+
+    def __init__(self) -> None:
+        self._selector = selectors.DefaultSelector()
+        # fileno -> selector events; 0 is registered for nothing.
+        self._events: dict[int, int] = {}
+
+    def register(self, fileno: int, mask: int) -> None:
+        if fileno in self._events:
+            self.unregister(fileno)
+        self._events[fileno] = 0
+        self.modify(fileno, mask)
+
+    def modify(self, fileno: int, mask: int) -> None:
+        old = self._events.get(fileno)
+        if old is None:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
+        new = ((selectors.EVENT_READ if mask & (EPOLLIN | EPOLLPRI) else 0)
+               | (selectors.EVENT_WRITE if mask & EPOLLOUT else 0))
+        if old and new:
+            self._selector.modify(fileno, new)
+        elif old:
+            self._selector.unregister(fileno)
+        elif new:
+            self._selector.register(fileno, new)
+        self._events[fileno] = new
+
+    def unregister(self, fileno: int) -> None:
+        self.modify(fileno, 0)
+        del self._events[fileno]
+
+    def poll(self, timeout: float) -> list[tuple[int, int]]:
+        ready: dict[int, int] = {}
+        for key, events in self._selector.select(
+                None if timeout < 0 else timeout):
+            ready[key.fd] = ready.get(key.fd, 0) | (
+                (EPOLLIN if events & selectors.EVENT_READ else 0)
+                | (EPOLLOUT if events & selectors.EVENT_WRITE else 0))
+        return list(ready.items())
+
+    def close(self) -> None:
+        self._selector.close()
+
+
+class Poller:
     """Persistent ``epoll`` interest sets: ``epoll_ctl`` only on change.
 
     Registration is *sticky*: firing an event resumes the matching waiters
@@ -311,14 +362,18 @@ class EpollPoller:
     to the live interest, which prevents busy-wakeups from lingering
     ``EPOLLOUT``/readable-but-unclaimed descriptors.  Descriptors stay in
     the interest set (possibly with mask 0) until closed.
+
+    The platform picks the multiplexer, not the algorithm: ``select.epoll``
+    where it exists (:data:`HAS_EPOLL`), else :class:`_SelectorEpoll`.
     """
 
-    name = "epoll"
-
     def __init__(self) -> None:
-        if not HAS_EPOLL:
-            raise RuntimeError("select.epoll unavailable on this platform")
-        self._epoll = select.epoll()
+        if HAS_EPOLL:
+            self.name = "epoll"
+            self._epoll = select.epoll()
+        else:
+            self.name = "selectors"
+            self._epoll = _SelectorEpoll()
         self._entries: dict[int, _FdEntry] = {}  # keyed by fileno
         self._wake_fileno: int | None = None
         #: Set when ``poll`` saw the wake pipe readable; the runtime
@@ -348,7 +403,7 @@ class EpollPoller:
 
     def register_wake(self, fd: Any) -> None:
         self._wake_fileno = fd.fileno()
-        self._epoll.register(self._wake_fileno, select.EPOLLIN)
+        self._epoll.register(self._wake_fileno, EPOLLIN)
 
     # -- waiting -------------------------------------------------------
     def wait(self, fd: Any, mask: int, tcb: TCB, cont: Callable) -> None:
@@ -473,118 +528,13 @@ class EpollPoller:
         self._epoll.close()
 
 
-class SelectorPoller:
-    """The portable fallback loop over ``selectors.DefaultSelector``.
-
-    Register-per-wait, unregister-on-fire — the original live-runtime
-    behavior, kept for platforms without ``select.epoll`` (and as the
-    reference the persistent path is benchmarked against).
-    """
-
-    name = "select"
-
-    def __init__(self) -> None:
-        self.selector = selectors.DefaultSelector()
-        self._entries: dict[Any, _FdEntry] = {}  # keyed by fd object
-        self._waiter_count = 0  # incremental: read every loop iteration
-        self.wake_ready = False  # see EpollPoller.wake_ready
-        self.ctl_adds = 0
-        self.ctl_mods = 0
-        self.ctl_dels = 0
-        self.polls = 0  # see EpollPoller.polls
-        self.zero_timeout_polls = 0
-
-    @property
-    def ctl_calls(self) -> int:
-        return self.ctl_adds + self.ctl_mods + self.ctl_dels
-
-    @property
-    def waiter_count(self) -> int:
-        return self._waiter_count
-
-    def register_wake(self, fd: Any) -> None:
-        self.selector.register(fd, selectors.EVENT_READ, None)
-
-    def wait(self, fd: Any, mask: int, tcb: TCB, cont: Callable) -> None:
-        entry = self._entries.get(fd)
-        if entry is None:
-            entry = _FdEntry(fd)
-            self._entries[fd] = entry
-            entry.waiters.append((mask, tcb, cont))
-            self.selector.register(
-                fd, _to_selector_mask(entry.interest_mask()), entry
-            )
-            self.ctl_adds += 1
-        else:
-            entry.waiters.append((mask, tcb, cont))
-            self.selector.modify(
-                fd, _to_selector_mask(entry.interest_mask()), entry
-            )
-            self.ctl_mods += 1
-        self._waiter_count += 1
-
-    def poll(self, timeout: float | None) -> list[Resume]:
-        self.polls += 1
-        if timeout == 0:
-            self.zero_timeout_polls += 1
-        events = self.selector.select(timeout)
-        resumes: list[Resume] = []
-        for key, mask in events:
-            if key.data is None:
-                self.wake_ready = True  # the wake pipe
-                continue
-            entry: _FdEntry = key.data
-            ready = _from_selector_mask(mask)
-            remaining: list[tuple[int, TCB, Callable]] = []
-            for want, tcb, cont in entry.waiters:
-                hit = want & ready
-                if hit:
-                    resumes.append((tcb, cont, hit))
-                else:
-                    remaining.append((want, tcb, cont))
-            self._waiter_count -= len(entry.waiters) - len(remaining)
-            entry.waiters = remaining
-            if remaining:
-                self.selector.modify(
-                    key.fileobj, _to_selector_mask(entry.interest_mask()),
-                    entry,
-                )
-                self.ctl_mods += 1
-            else:
-                self.selector.unregister(key.fileobj)
-                self.ctl_dels += 1
-                del self._entries[key.fileobj]
-        return resumes
-
-    def discard(self, fd: Any) -> list[tuple[TCB, Callable]]:
-        entry = self._entries.pop(fd, None)
-        if entry is None:
-            return []
-        self._waiter_count -= len(entry.waiters)
-        try:
-            self.selector.unregister(fd)
-            self.ctl_dels += 1
-        except (KeyError, ValueError, OSError):
-            pass
-        return [(tcb, cont) for _mask, tcb, cont in entry.waiters]
-
-    def close(self) -> None:
-        self.selector.close()
-
-
-def make_poller() -> EpollPoller | SelectorPoller:
-    """Build the I/O poller the platform offers: persistent epoll where
-    ``select.epoll`` exists, selectors elsewhere."""
-    return EpollPoller() if HAS_EPOLL else SelectorPoller()
-
-
 class LiveRuntime(Runtime):
     """The one event loop over real-OS devices."""
 
     def __init__(self, uncaught: str | Callable = "raise") -> None:
         super().__init__(LiveBackend(on_close=self._discard_fd),
                          time.monotonic, uncaught)
-        self.poller = make_poller()
+        self.poller = Poller()
         self.pool = ThreadPoolExecutor(
             max_workers=BLIO_WORKERS, thread_name_prefix="blio"
         )
@@ -621,17 +571,6 @@ class LiveRuntime(Runtime):
                     "descriptor closed while parked in epoll_wait"
                 ),
             )
-
-    def make_listener(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        backlog: int = 1024,
-        reuse_port: bool = False,
-    ) -> socket.socket:
-        """A non-blocking listening socket; use port 0 for an ephemeral
-        port (read it back with ``listener.getsockname()``)."""
-        return make_listener(host, port, backlog=backlog, reuse_port=reuse_port)
 
     # ------------------------------------------------------------------
     # Handlers
@@ -726,43 +665,23 @@ class LiveRuntime(Runtime):
         self._wake_send.close()
 
 
-def _to_selector_mask(mask: int) -> int:
-    selector_mask = 0
+def _to_epoll_mask(mask: int) -> int:
+    epoll_mask = 0
     if mask & EVENT_READ:
-        selector_mask |= selectors.EVENT_READ
+        epoll_mask |= EPOLLIN
     if mask & EVENT_WRITE:
-        selector_mask |= selectors.EVENT_WRITE
-    return selector_mask or selectors.EVENT_READ
+        epoll_mask |= EPOLLOUT
+    return epoll_mask
 
 
-def _from_selector_mask(mask: int) -> int:
+def _from_epoll_mask(epoll_mask: int) -> int:
     ours = 0
-    if mask & selectors.EVENT_READ:
+    if epoll_mask & (EPOLLIN | EPOLLPRI):
         ours |= EVENT_READ
-    if mask & selectors.EVENT_WRITE:
+    if epoll_mask & EPOLLOUT:
         ours |= EVENT_WRITE
+    if epoll_mask & (EPOLLERR | EPOLLHUP):
+        # Error/hangup wakes both directions: the waiter's retry
+        # observes the failure through its non-blocking call.
+        ours |= EVENT_READ | EVENT_WRITE
     return ours
-
-
-if HAS_EPOLL:
-    _EPOLL_ERRORS = select.EPOLLERR | select.EPOLLHUP
-
-    def _to_epoll_mask(mask: int) -> int:
-        epoll_mask = 0
-        if mask & EVENT_READ:
-            epoll_mask |= select.EPOLLIN
-        if mask & EVENT_WRITE:
-            epoll_mask |= select.EPOLLOUT
-        return epoll_mask
-
-    def _from_epoll_mask(epoll_mask: int) -> int:
-        ours = 0
-        if epoll_mask & (select.EPOLLIN | select.EPOLLPRI):
-            ours |= EVENT_READ
-        if epoll_mask & select.EPOLLOUT:
-            ours |= EVENT_WRITE
-        if epoll_mask & _EPOLL_ERRORS:
-            # Error/hangup wakes both directions: the waiter's retry
-            # observes the failure through its non-blocking call.
-            ours |= EVENT_READ | EVENT_WRITE
-        return ours

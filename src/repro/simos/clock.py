@@ -123,13 +123,11 @@ class VirtualClock:
         """Whether any non-cancelled event is pending."""
         return self.next_event_time() is not None
 
-    def run_until_idle(self, max_events: int | None = None) -> int:
+    def run_until_idle(self) -> int:
         """Drain the calendar; return the number of events fired."""
         fired = 0
         while self.advance():
             fired += 1
-            if max_events is not None and fired >= max_events:
-                break
         return fired
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -13,7 +13,7 @@ which is exactly why idle connections are free (Figure 18).
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from .pollable import Pollable, Waiter
 
@@ -23,11 +23,9 @@ __all__ = ["EpollSim"]
 class EpollSim:
     """Collects readiness events from pollables for batch harvesting."""
 
-    def __init__(self, on_ready: Callable[[], None] | None = None) -> None:
+    def __init__(self) -> None:
         #: Ready (token, mask) pairs awaiting harvest.
         self._ready: list[tuple[Any, int]] = []
-        #: Called (once per transition from empty) when events arrive.
-        self.on_ready = on_ready
         #: Total registrations ever made (stats).
         self.registrations = 0
         #: Total events delivered through harvest (stats).
@@ -42,20 +40,13 @@ class EpollSim:
 
         def deliver(ready_mask: int) -> None:
             self._live_waiters -= 1
-            was_empty = not self._ready
             self._ready.append((token, ready_mask))
-            if was_empty and self.on_ready is not None:
-                self.on_ready()
 
         return pollable.add_waiter(mask, deliver)
 
-    def harvest(self, max_events: int | None = None) -> list[tuple[Any, int]]:
+    def harvest(self) -> list[tuple[Any, int]]:
         """Collect pending events (like ``epoll_wait`` with timeout 0)."""
-        if max_events is None or max_events >= len(self._ready):
-            batch, self._ready = self._ready, []
-        else:
-            batch = self._ready[:max_events]
-            del self._ready[:max_events]
+        batch, self._ready = self._ready, []
         self.events_delivered += len(batch)
         return batch
 

@@ -11,8 +11,6 @@ same kernel instance, so they see identical hardware:
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .aio import AioContext
 from .clock import VirtualClock
 from .disk import DiskModel
@@ -83,10 +81,10 @@ class SimKernel:
         """A FIFO with the configured kernel buffer size."""
         return make_pipe(self.params.pipe_buffer_bytes)
 
-    def make_epoll(self, on_ready: Callable[[], None] | None = None) -> EpollSim:
+    def make_epoll(self) -> EpollSim:
         """A fresh epoll instance."""
-        return EpollSim(on_ready)
+        return EpollSim()
 
-    def make_aio(self, on_complete: Callable[[], None] | None = None) -> AioContext:
+    def make_aio(self) -> AioContext:
         """A fresh AIO context over this kernel's disk."""
-        return AioContext(on_complete)
+        return AioContext()

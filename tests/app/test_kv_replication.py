@@ -23,7 +23,7 @@ from repro.http.blocking_client import BlockingHttpClient
 from repro.http.message import HttpError, HttpRequest
 from repro.http.server import HttpProtocol
 from repro.runtime.driver import ConnectionDriver
-from repro.runtime.live_runtime import LiveRuntime
+from repro.runtime.live_runtime import LiveRuntime, make_listener
 from repro.runtime.mesh import MeshNode, MeshProtocolError
 
 from tests.app.test_wal import _broken_sync, _FakeTimers
@@ -137,7 +137,7 @@ def make_world(rt, count, live=None, replication=2, write_quorum=1,
     listeners = {}
     peers = {}
     for i in range(count):
-        listener = rt.make_listener()
+        listener = make_listener()
         address = ("127.0.0.1", listener.getsockname()[1])
         peers[i] = address
         if i in live:
@@ -322,7 +322,7 @@ class TestHintedHandoff:
         assert node0.hints_queued == len(keys)
         # Resurrect peer 1 on its advertised address.
         host, port = node0.mesh.peers[1]
-        listener = rt.make_listener(host, port)
+        listener = make_listener(host, port)
         mesh1 = MeshNode(1, rt.io, listener, dict(node0.mesh.peers),
                          rt.timers, call_timeout=2.0)
         node1 = KvNode(1, 2, mesh=mesh1, replication=2)

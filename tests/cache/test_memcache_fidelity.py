@@ -18,7 +18,7 @@ from repro.app.kv import KvNode
 from repro.cache import build_cache_frontend
 from repro.core.do_notation import do
 from repro.core.monad import pure
-from repro.runtime.live_runtime import LiveRuntime
+from repro.runtime.live_runtime import LiveRuntime, make_listener
 
 
 @pytest.fixture
@@ -29,7 +29,7 @@ def rt():
 
 
 def _start(rt, store=None, **kwargs):
-    listener = rt.make_listener()
+    listener = make_listener()
     node = store if store is not None else KvNode(0, 1)
     frontend = build_cache_frontend(rt, listener, node,
                                     protocol="memcache", **kwargs)

@@ -15,7 +15,7 @@ from repro.core.do_notation import do
 from repro.core.monad import pure
 from repro.http.message import HttpResponse
 from repro.http.server import build_live_server
-from repro.runtime.live_runtime import HAS_SENDMSG, LiveRuntime
+from repro.runtime.live_runtime import HAS_SENDMSG, LiveRuntime, make_listener
 
 BODY = b"<html>gathered!</html>"
 
@@ -28,7 +28,7 @@ def rt():
 
 
 def _start(rt, handler=None, **kwargs):
-    listener = rt.make_listener()
+    listener = make_listener()
     server = build_live_server(
         rt, listener, site={"/index.html": BODY}, handler=handler, **kwargs
     )

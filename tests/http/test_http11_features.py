@@ -20,7 +20,7 @@ from repro.http.message import (
 )
 from repro.http.parser import HttpParseError, RequestParser
 from repro.http.server import build_live_server
-from repro.runtime.live_runtime import LiveRuntime
+from repro.runtime.live_runtime import LiveRuntime, make_listener
 
 BODY = b"<html>http11 features</html>"
 
@@ -164,7 +164,7 @@ def live(tmp_path):
     servers = []
 
     def start(**kwargs):
-        listener = rt.make_listener()
+        listener = make_listener()
         server = build_live_server(
             rt, listener, docroot=str(tmp_path), **kwargs
         )

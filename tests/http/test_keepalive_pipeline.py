@@ -15,7 +15,7 @@ from repro.http.server import (
     WebServer,
     build_live_server,
 )
-from repro.runtime.live_runtime import LiveRuntime
+from repro.runtime.live_runtime import LiveRuntime, make_listener
 from repro.runtime.sim_runtime import SimRuntime
 
 BODY = b"<html>" + b"k" * 250 + b"</html>"
@@ -99,7 +99,7 @@ def driver(request, tmp_path):
         return
     rt = LiveRuntime(uncaught="store")
     (tmp_path / "index.html").write_bytes(BODY)
-    listener = rt.make_listener()
+    listener = make_listener()
     port = listener.getsockname()[1]
     server = build_live_server(rt, listener, docroot=str(tmp_path))
     rt.spawn(server.main(), name="server")

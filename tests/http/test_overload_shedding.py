@@ -8,7 +8,7 @@ import pytest
 from repro.core.do_notation import do
 from repro.core.syscalls import sys_sleep
 from repro.http.server import build_live_server
-from repro.runtime.live_runtime import LiveRuntime
+from repro.runtime.live_runtime import LiveRuntime, make_listener
 
 SITE = {"index.html": b"<html>capacity test</html>"}
 REQUEST = b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n"
@@ -30,7 +30,7 @@ def _one_response(data: bytes) -> bytes | None:
 @pytest.fixture
 def capped():
     rt = LiveRuntime(uncaught="store")
-    listener = rt.make_listener()
+    listener = make_listener()
     server = build_live_server(
         rt, listener, site=SITE, max_connections=2, accept_batch=8
     )
@@ -126,7 +126,7 @@ class TestAdmissionCap:
 
     def test_uncapped_server_never_sheds(self):
         rt = LiveRuntime(uncaught="store")
-        listener = rt.make_listener()
+        listener = make_listener()
         server = build_live_server(rt, listener, site=SITE)
         try:
             assert server.max_connections is None
@@ -163,7 +163,7 @@ class TestAdmissionCap:
 
     def test_cap_validation(self):
         rt = LiveRuntime()
-        listener = rt.make_listener()
+        listener = make_listener()
         try:
             with pytest.raises(ValueError):
                 build_live_server(rt, listener, site=SITE, max_connections=0)

@@ -13,7 +13,7 @@ import pytest
 from repro.core.do_notation import do
 from repro.http.server import StaticFileHandler, build_live_server
 from repro.runtime.io_api import SENDFILE_WINDOW
-from repro.runtime.live_runtime import LiveRuntime
+from repro.runtime.live_runtime import LiveRuntime, make_listener
 
 def _payload() -> bytes:
     return b"".join(b"%03d-" % i for i in range(25))  # 100 bytes
@@ -26,7 +26,7 @@ def live(tmp_path):
     servers = []
 
     def start(**kwargs):
-        listener = rt.make_listener()
+        listener = make_listener()
         server = build_live_server(
             rt, listener, docroot=str(tmp_path), **kwargs
         )

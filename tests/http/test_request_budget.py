@@ -14,7 +14,7 @@ import pytest
 
 from repro.http.blocking_client import BlockingHttpClient
 from repro.http.server import build_live_server
-from repro.runtime.live_runtime import HAS_SENDMSG, LiveRuntime
+from repro.runtime.live_runtime import HAS_SENDMSG, LiveRuntime, make_listener
 
 PAGE = b"x" * 1024
 REQUESTS = 200
@@ -24,7 +24,7 @@ REQUESTS = 200
 class TestRequestBudget:
     def test_keep_alive_get_costs(self):
         rt = LiveRuntime(uncaught="store")
-        listener = rt.make_listener()
+        listener = make_listener()
         server = build_live_server(rt, listener, site={"page": PAGE})
         rt.spawn(server.main(), name="server")
         client = BlockingHttpClient(listener.getsockname()[1])

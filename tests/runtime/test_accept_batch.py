@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from repro.core.do_notation import do
-from repro.runtime.live_runtime import LiveRuntime
+from repro.runtime.live_runtime import LiveRuntime, make_listener
 from repro.runtime.sim_runtime import SimRuntime
 
 
@@ -31,7 +31,7 @@ def _preconnect(port: int, count: int) -> list[socket.socket]:
 
 class TestLiveAcceptBatch:
     def test_burst_drained_in_one_batch(self, rt):
-        listener = rt.make_listener()
+        listener = make_listener()
         port = listener.getsockname()[1]
         clients = _preconnect(port, 6)
         batches = []
@@ -52,7 +52,7 @@ class TestLiveAcceptBatch:
         assert len(batches[0]) == 6
 
     def test_batch_cap_is_respected(self, rt):
-        listener = rt.make_listener()
+        listener = make_listener()
         port = listener.getsockname()[1]
         clients = _preconnect(port, 6)
         batches = []
@@ -73,7 +73,7 @@ class TestLiveAcceptBatch:
         assert [len(batch) for batch in batches] == [4, 2]
 
     def test_parks_on_empty_queue_then_wakes(self, rt):
-        listener = rt.make_listener()
+        listener = make_listener()
         port = listener.getsockname()[1]
         batches = []
 
@@ -98,7 +98,7 @@ class TestLiveAcceptBatch:
         assert len(batches[0]) == 1
 
     def test_limit_validation(self, rt):
-        listener = rt.make_listener()
+        listener = make_listener()
         with pytest.raises(ValueError):
             rt.io.accept_many(listener, 0)
         listener.close()

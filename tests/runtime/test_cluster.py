@@ -225,7 +225,7 @@ class TestOverloadStats:
                 assert worker["capacity"] == 8
                 assert worker["shed"] == 0
                 assert 0.0 <= worker["saturation"] <= 1.0
-                assert worker["poller"] in ("epoll", "select")
+                assert worker["poller"] in ("epoll", "selectors")
                 assert worker["poller_ctl"] >= 0
             aggregate = stats["aggregate"]
             assert aggregate["active"] == 1
@@ -242,6 +242,47 @@ class TestOverloadStats:
             assert worker["capacity"] is None
             assert worker["saturation"] is None
         assert stats["aggregate"]["saturation_max"] is None
+
+
+class _SlowFirstSnapshot:
+    """A web server whose first stats snapshot takes 0.5 s."""
+
+    def __init__(self, app):
+        self._app = app
+        self._slow = True
+
+    def __getattr__(self, name):
+        return getattr(self._app, name)
+
+    def extra_stats(self):
+        if self._slow:
+            self._slow = False
+            time.sleep(0.5)
+        return {}
+
+
+def slow_first_snapshot_factory(ctx):
+    return _SlowFirstSnapshot(build_server(ctx=ctx, site=SITE))
+
+
+class TestStatsReplies:
+    def test_a_late_reply_does_not_answer_the_next_call(self):
+        # The first reply misses its call's deadline and stays in the
+        # pipe; the next call must read its own snapshot, taken after
+        # the GET, not the one a call old.
+        cluster = ClusterServer(slow_first_snapshot_factory, shards=1,
+                                grace=0.1)
+        cluster.start()
+        try:
+            assert cluster.stats(timeout=0.1)["workers"] == [None]
+            status, _, client = get(cluster.port)
+            assert status.endswith("200 OK")
+            client.close()
+            stats = cluster.stats()
+            assert stats["aggregate"]["requests"] == 1
+            assert "seq" not in stats["workers"][0]
+        finally:
+            cluster.stop()
 
 
 class TestConfig:

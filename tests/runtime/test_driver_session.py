@@ -25,7 +25,7 @@ from repro.http.server import build_live_server
 from repro.runtime.buffers import BufferPool
 from repro.runtime.driver import CLOSE, DRAIN_CLOSE, ConnectionDriver
 from repro.runtime.io_api import ConnectionClosed, FileBody
-from repro.runtime.live_runtime import LiveRuntime
+from repro.runtime.live_runtime import LiveRuntime, make_listener
 from repro.runtime.sim_runtime import SimRuntime
 from repro.simos.net import DuplexPacketLink
 from repro.tcp.socket_api import install_tcp
@@ -345,7 +345,7 @@ class TestLiveSessions:
     ])
     def test_http_answers_completed_requests_before_the_400(self, rt,
                                                             malformed):
-        listener = rt.make_listener()
+        listener = make_listener()
         server = build_live_server(rt, listener, site={"a": b"AAA"})
         rt.spawn(server.main(), name="server")
         data = drive(
@@ -370,7 +370,7 @@ class TestLiveSessions:
         # ingress read leases from ``rt.buffers`` and the lease goes back
         # before the session parks, so the whole conversation costs one
         # pool allocation however long it runs.
-        listener = rt.make_listener()
+        listener = make_listener()
         server = build_live_server(rt, listener, site={"a": b"AAA"})
         rt.spawn(server.main(), name="server")
         rounds, finished = 40, []
@@ -401,7 +401,7 @@ class TestLiveSessions:
         assert pool["in_use"] == 0
 
     def test_memcache_batch_before_a_parse_error_is_answered(self, rt):
-        listener = rt.make_listener()
+        listener = make_listener()
         frontend = build_cache_frontend(rt, listener, KvNode(0, 1))
         rt.spawn(frontend.main(), name="cache")
         data = drive(

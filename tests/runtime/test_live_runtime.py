@@ -21,15 +21,16 @@ from repro.core.syscalls import (
 )
 from repro.core.sync import MVar
 from repro.runtime import live_runtime
-from repro.runtime.live_runtime import HAS_EPOLL, LiveRuntime
+from repro.runtime.live_runtime import HAS_EPOLL, LiveRuntime, make_listener
 from repro.runtime.loop import TURN_STEPS
 
 POLLERS = ["epoll", "select"] if HAS_EPOLL else ["select"]
 
 
 def _live(monkeypatch, poller):
-    """A runtime on ``poller``.  The platform picks the poller, so the
-    selector path is the one a platform without epoll gets."""
+    """A runtime whose poller runs over ``poller``'s multiplexer.  The
+    platform picks it, so ``"select"`` is what a platform without epoll
+    gets: the same poller over ``selectors``."""
     monkeypatch.setattr(live_runtime, "HAS_EPOLL", poller == "epoll")
     return LiveRuntime()
 
@@ -101,7 +102,7 @@ class TestBlockingPool:
 
 class TestRealSockets:
     def test_echo_server_over_localhost(self, rt):
-        listener = rt.make_listener()
+        listener = make_listener()
         port = listener.getsockname()[1]
         replies = []
 
@@ -137,7 +138,7 @@ class TestRealSockets:
         assert sorted(replies) == sorted(f"hello-{i}".encode() for i in range(n))
 
     def test_bulk_transfer(self, rt):
-        listener = rt.make_listener()
+        listener = make_listener()
         port = listener.getsockname()[1]
         payload = b"x" * (256 * 1024)
         received = []
@@ -162,7 +163,7 @@ class TestRealSockets:
         assert received == [payload]
 
     def test_many_concurrent_clients(self, rt):
-        listener = rt.make_listener()
+        listener = make_listener()
         port = listener.getsockname()[1]
         done = []
 
@@ -200,7 +201,7 @@ class TestRealSockets:
 def _echo_beside_a_spinner(rt, rounds=20):
     """An echo server and its client share ``rt`` with a thread that
     never stops yielding; returns how many round trips completed."""
-    listener = rt.make_listener()
+    listener = make_listener()
     port = listener.getsockname()[1]
     stop, echoed = [], []
 

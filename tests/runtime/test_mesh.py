@@ -23,7 +23,7 @@ from repro.core.sync import MVar
 from repro.core.syscalls import sys_sleep
 from repro.core.trace import SysCall, SysFork
 from repro.runtime.io_api import ConnectionClosed
-from repro.runtime.live_runtime import LiveRuntime
+from repro.runtime.live_runtime import LiveRuntime, make_listener
 from repro.runtime.mesh import (
     FLUSH_MAX_FRAMES,
     KIND_CAST,
@@ -62,8 +62,8 @@ def echo_handler(body):
 
 def make_pair(rt, handler_a=echo_handler, handler_b=echo_handler, **kwargs):
     """Two mesh nodes, both served on one runtime."""
-    listener_a = rt.make_listener()
-    listener_b = rt.make_listener()
+    listener_a = make_listener()
+    listener_b = make_listener()
     peers = {
         0: ("127.0.0.1", listener_a.getsockname()[1]),
         1: ("127.0.0.1", listener_b.getsockname()[1]),
@@ -515,7 +515,7 @@ class TestFanOutThreads:
         assert not [name for name in names if "fanout" in name]
 
     def test_n_peer_fan_out_spawns_n_minus_one(self, rt):
-        listeners = [rt.make_listener() for _ in range(3)]
+        listeners = [make_listener() for _ in range(3)]
         peers = {i: ("127.0.0.1", l.getsockname()[1])
                  for i, l in enumerate(listeners)}
         nodes = [MeshNode(i, rt.io, l, peers, rt.timers,
@@ -582,8 +582,8 @@ class TestFanOutThreads:
 class TestFailureModes:
     def _fake_peer_node(self, rt, fake_behavior):
         """Node 0 whose peer 1 is a raw endpoint driven by the test."""
-        listener = rt.make_listener()
-        fake = rt.make_listener()
+        listener = make_listener()
+        fake = make_listener()
         peers = {
             0: ("127.0.0.1", listener.getsockname()[1]),
             1: ("127.0.0.1", fake.getsockname()[1]),
@@ -665,7 +665,7 @@ class TestFailureModes:
             return sock
 
         rt.backend.nb_connect = small_buffer_connect
-        listener = rt.make_listener()
+        listener = make_listener()
         peers = {
             0: ("127.0.0.1", listener.getsockname()[1]),
             1: fake.getsockname(),
@@ -835,12 +835,12 @@ class TestFailureModes:
 
     def test_fan_out_with_one_dead_peer_merges_partials(self, rt):
         # Peer 2's address is a closed port: dial is refused.
-        dead = rt.make_listener()
+        dead = make_listener()
         dead_address = ("127.0.0.1", dead.getsockname()[1])
         dead.close()
 
-        listener_a = rt.make_listener()
-        listener_b = rt.make_listener()
+        listener_a = make_listener()
+        listener_b = make_listener()
         peers = {
             0: ("127.0.0.1", listener_a.getsockname()[1]),
             1: ("127.0.0.1", listener_b.getsockname()[1]),

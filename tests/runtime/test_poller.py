@@ -1,14 +1,16 @@
-"""The live-runtime I/O pollers: persistent epoll interest sets and the
-portable selectors fallback.
+"""The live runtime's one poller: a persistent epoll interest set, over
+the kernel's epoll or, where the platform has none, over ``selectors``.
 
-The tentpole property under test: the epoll poller mutates the kernel
-interest set only when the combined waiter mask actually *changes* — the
-canonical park → fire → re-park cycle of a keep-alive connection costs
-zero ``epoll_ctl`` calls after first registration.
+The property under test: the poller mutates the interest set only when
+the combined waiter mask *widens* — the canonical park → fire → re-park
+cycle of a keep-alive connection costs zero ``epoll_ctl`` calls after
+first registration, whichever multiplexer is underneath.
 """
 
 from __future__ import annotations
 
+import os
+import selectors
 import socket
 import threading
 import time
@@ -19,15 +21,7 @@ from repro.core.do_notation import do
 from repro.core.events import EVENT_READ, EVENT_WRITE
 from repro.core.syscalls import sys_fork
 from repro.runtime import live_runtime
-from repro.runtime.live_runtime import (
-    HAS_EPOLL,
-    EpollPoller,
-    LiveRuntime,
-    SelectorPoller,
-    make_poller,
-)
-
-needs_epoll = pytest.mark.skipif(not HAS_EPOLL, reason="platform lacks epoll")
+from repro.runtime.live_runtime import LiveRuntime, Poller, make_listener
 
 
 @pytest.fixture
@@ -40,10 +34,17 @@ def pair():
     b.close()
 
 
-@needs_epoll
+def _without_epoll(monkeypatch):
+    """Stand in for a platform that lacks ``select.epoll``."""
+    monkeypatch.setattr(live_runtime, "HAS_EPOLL", False)
+
+
 class TestEpollInterestSet:
+    """The interest-set rules over the platform's multiplexer: the
+    kernel's epoll where there is one."""
+
     def make(self):
-        return EpollPoller()
+        return Poller()
 
     def test_repark_same_mask_is_free(self, pair):
         """The keep-alive cycle: after the first registration, parking on
@@ -150,38 +151,69 @@ class TestEpollInterestSet:
             poller.close()
 
 
-def _without_epoll(monkeypatch):
-    """Stand in for a platform that lacks ``select.epoll``."""
-    monkeypatch.setattr(live_runtime, "HAS_EPOLL", False)
+class TestSelectorInterestSet(TestEpollInterestSet):
+    """The same rules, ctl counts included, on a platform without
+    epoll: the poller runs over ``selectors.DefaultSelector``."""
 
-
-class TestMakePoller:
-    def test_auto_prefers_epoll_where_available(self):
-        poller = make_poller()
-        try:
-            assert poller.name == ("epoll" if HAS_EPOLL else "select")
-        finally:
-            poller.close()
-
-    def test_explicit_select(self, monkeypatch):
-        # The platform, not the caller, selects the fallback.
+    @pytest.fixture(autouse=True)
+    def _selectors(self, monkeypatch):
         _without_epoll(monkeypatch)
-        poller = make_poller()
+
+    def test_the_platform_picks_the_multiplexer(self):
+        poller = self.make()
         try:
-            assert isinstance(poller, SelectorPoller)
+            assert poller.name == "selectors"
         finally:
             poller.close()
 
-    def test_unknown_kind_rejected(self):
-        # There is no kind to ask for: the platform decides.
-        with pytest.raises(TypeError):
-            make_poller("kqueue-someday")
+
+class _SplitEvents(selectors.DefaultSelector):
+    """Reports a descriptor's read and write readiness as two events, as
+    kqueue does."""
+
+    def select(self, timeout=None):
+        return [
+            (key, bit)
+            for key, events in super().select(timeout)
+            for bit in (selectors.EVENT_READ, selectors.EVENT_WRITE)
+            if events & bit
+        ]
+
+
+class TestSplitEvents:
+    def test_read_and_write_events_are_one_report(self, pair, monkeypatch):
+        _without_epoll(monkeypatch)
+        monkeypatch.setattr(selectors, "DefaultSelector", _SplitEvents)
+        a, b = pair
+        poller = Poller()
+        try:
+            reader, writer = object(), object()
+            poller.wait(a, EVENT_READ, reader, lambda v: v)
+            poller.wait(a, EVENT_WRITE, writer, lambda v: v)
+            b.send(b"x")
+            resumes = poller.poll(1.0)
+            assert sorted((id(tcb), ready) for tcb, _c, ready in resumes) == (
+                sorted([(id(reader), EVENT_READ), (id(writer), EVENT_WRITE)])
+            )
+            ctl = poller.ctl_calls
+            for _cycle in range(3):
+                # The reader re-parks on the sticky read+write mask; an
+                # idle poll that fires it must not count the write half
+                # as a spurious fire and narrow the descriptor away.
+                poller.wait(a, EVENT_READ, reader, lambda v: v)
+                resumes = poller.poll(1.0)
+                assert [(tcb, ready) for tcb, _c, ready in resumes] == [
+                    (reader, EVENT_READ)
+                ]
+            assert poller.ctl_calls == ctl
+        finally:
+            poller.close()
 
 
 def _echo_roundtrips(rt: LiveRuntime, cycles: int, payload: bytes = b"ping"):
     """An echo server on ``rt`` driven by a blocking client thread for
     ``cycles`` request/response round trips.  Returns when done."""
-    listener = rt.make_listener()
+    listener = make_listener()
     port = listener.getsockname()[1]
     finished = []
 
@@ -219,14 +251,13 @@ def _echo_roundtrips(rt: LiveRuntime, cycles: int, payload: bytes = b"ping"):
     assert finished, "client thread never completed"
 
 
-@needs_epoll
 class TestRuntimeHotPath:
     def test_keepalive_cycles_do_not_rearm(self):
         """End to end: many echo round trips over one connection keep the
         epoll_ctl count flat (no per-wait re-registration)."""
         rt = LiveRuntime()
         try:
-            assert isinstance(rt.poller, EpollPoller)
+            assert isinstance(rt.poller, Poller)
             _echo_roundtrips(rt, cycles=50)
             # Budget: listener ADD + connection ADD + teardown DELs + a
             # handful of spurious-narrowing MODs.  Fifty cycles of
@@ -244,12 +275,13 @@ class TestSelectorFallback:
         _without_epoll(monkeypatch)
         rt = LiveRuntime()
         try:
-            assert isinstance(rt.poller, SelectorPoller)
-            assert rt.poller.name == "select"
+            assert rt.poller.name == "selectors"
             _echo_roundtrips(rt, cycles=20)
-            # The fallback re-registers per wait: churn is expected — the
-            # loop must simply work.
-            assert rt.poller.ctl_calls > 0
+            # The same sticky interest set: no per-wait re-registration.
+            assert rt.poller.ctl_calls <= 10, (
+                f"selector churn: adds={rt.poller.ctl_adds} "
+                f"mods={rt.poller.ctl_mods} dels={rt.poller.ctl_dels}"
+            )
         finally:
             rt.shutdown()
 
@@ -257,7 +289,7 @@ class TestSelectorFallback:
         _without_epoll(monkeypatch)
         rt = LiveRuntime()
         try:
-            listener = rt.make_listener()
+            listener = make_listener()
             port = listener.getsockname()[1]
             done = []
 
@@ -291,4 +323,55 @@ class TestSelectorFallback:
             listener.close()
             assert sorted(done) == list(range(10))
         finally:
+            rt.shutdown()
+
+
+def _socket_numbered(fileno):
+    """One end of a fresh socket pair, moved onto descriptor ``fileno``;
+    returns ``(that end, its peer)``."""
+    fresh, peer = socket.socketpair()
+    if fresh.fileno() != fileno:  # the lowest free number, usually
+        os.dup2(fresh.fileno(), fileno)
+        fresh.close()
+        fresh = socket.socket(fileno=fileno)
+    fresh.setblocking(False)
+    peer.setblocking(False)
+    return fresh, peer
+
+
+class TestReusedDescriptorNumber:
+    @pytest.mark.parametrize("epoll", [True, False],
+                             ids=["epoll", "selectors"])
+    def test_parks_and_fires(self, epoll, monkeypatch):
+        """A descriptor closed behind the poller's back (not through
+        ``io.close``) while a thread is parked on it: a new socket that
+        gets its number parks and fires like any other."""
+        if not epoll:
+            _without_epoll(monkeypatch)
+        rt = LiveRuntime()
+        first, first_peer = socket.socketpair()
+        first.setblocking(False)
+        stranded, got = [], []
+
+        @do
+        def reader(sock, into):
+            into.append((yield rt.io.read(sock, 16)))
+
+        try:
+            rt.spawn(reader(first, stranded))
+            rt.run(until=lambda: rt.poller.waiter_count == 1)
+            number = first.fileno()
+            first.close()
+            reused, peer = _socket_numbered(number)
+            try:
+                rt.spawn(reader(reused, got))  # parks before the write
+                rt.spawn(rt.io.write_all(peer, b"hello"))
+                rt.run(until=lambda: bool(got), idle_timeout=2.0)
+                assert got == [b"hello"]
+                assert stranded == []
+            finally:
+                reused.close()
+                peer.close()
+        finally:
+            first_peer.close()
             rt.shutdown()

@@ -270,18 +270,6 @@ class TestEpollAndAio:
         events = dict(epoll.harvest())
         assert set(events) == {"conn-1", "conn-2"}
 
-    def test_epoll_on_ready_fires_once_per_batch(self):
-        kernel = SimKernel()
-        wakeups = []
-        epoll = kernel.make_epoll(on_ready=lambda: wakeups.append(1))
-        r, w = kernel.make_pipe()
-        r2, w2 = kernel.make_pipe()
-        epoll.register(r, EVENT_READ, "a")
-        epoll.register(r2, EVENT_READ, "b")
-        w.write(b"x")
-        w2.write(b"y")
-        assert len(wakeups) == 1  # second event found a non-empty queue
-
     def test_epoll_idle_interest_is_free(self):
         kernel = SimKernel()
         epoll = kernel.make_epoll()
