@@ -200,7 +200,7 @@ def test_a4_app_tcp_overhead(benchmark, report):
     from repro.core.syscalls import sys_fork
     from repro.runtime.sim_runtime import SimRuntime
     from repro.simos.net import DuplexPacketLink
-    from repro.tcp.socket_api import install_tcp
+    from repro.tcp.socket_api import TcpSockets
     from repro.tcp.stack import TcpParams, TcpStack, connect_stacks
 
     payload = bytes(range(256)) * 512 * scale()  # 128KB * scale
@@ -242,8 +242,8 @@ def test_a4_app_tcp_overhead(benchmark, report):
         server_stack = TcpStack(clock, "server", TcpParams(), seed=1)
         client_stack = TcpStack(clock, "client", TcpParams(), seed=2)
         connect_stacks(client_stack, server_stack, link)
-        ssock = install_tcp(rt.sched, server_stack)
-        csock = install_tcp(rt.sched, client_stack)
+        ssock = TcpSockets(server_stack)
+        csock = TcpSockets(client_stack)
         done = []
 
         @do

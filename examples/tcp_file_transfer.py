@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro import do, sys_aio_read, sys_blio
 from repro.runtime import SimRuntime
 from repro.simos.net import DuplexPacketLink
-from repro.tcp import TcpParams, TcpStack, install_tcp
+from repro.tcp import TcpParams, TcpSockets, TcpStack
 from repro.tcp.stack import connect_stacks
 
 FILE_NAME = "dataset.bin"
@@ -39,8 +39,8 @@ def build_world():
     sender_stack = TcpStack(clock, "sender", TcpParams(), seed=1)
     receiver_stack = TcpStack(clock, "receiver", TcpParams(), seed=2)
     connect_stacks(sender_stack, receiver_stack, link)
-    send_sock = install_tcp(rt.sched, sender_stack)
-    recv_sock = install_tcp(rt.sched, receiver_stack)
+    send_sock = TcpSockets(sender_stack)
+    recv_sock = TcpSockets(receiver_stack)
     return rt, send_sock, recv_sock, sender_stack
 
 

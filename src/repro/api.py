@@ -34,6 +34,7 @@ from .http.client import HttpClient
 from .http.server import WebServer
 from .http.server import build_live_server as _build_live_server
 from .runtime.cluster import AppContext, ClusterConfig, ClusterServer
+from .runtime.driver import ConnectionDriver
 from .runtime.live_runtime import LiveRuntime, make_listener
 from .runtime.pool import ConnectionPool
 from .runtime.timer_wheel import TimerWheel
@@ -123,7 +124,7 @@ def build_cache(
     rt: Any = None,
     listener: Any = None,
     **kwargs: Any,
-) -> Any:
+) -> ConnectionDriver:
     """A cache wire-protocol front-end (memcache/RESP) over ``store``.
 
     ``store`` is any monadic KV surface; ``protocol`` defaults to

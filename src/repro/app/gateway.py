@@ -347,8 +347,6 @@ class GatewayHandler:
         """Numeric gateway counters for the cluster control snapshot."""
         pools = [client.pool for route in self.routes
                  for client in route.clients]
-        leases = sum(pool.leases for pool in pools)
-        reuses = sum(pool.reuses for pool in pools)
         out = {
             "gw_requests": self.requests,
             "gw_upstream_requests": self.upstream_requests,
@@ -362,9 +360,8 @@ class GatewayHandler:
             "gw_bad_gateway": self.bad_gateway,
             "gw_not_found": self.not_found,
             "gw_pool_dials": sum(pool.dials for pool in pools),
-            "gw_pool_leases": leases,
-            "gw_pool_reuses": reuses,
-            "gw_reuse_ratio": (reuses / leases) if leases else 0.0,
+            "gw_pool_leases": sum(pool.leases for pool in pools),
+            "gw_pool_reuses": sum(pool.reuses for pool in pools),
             "gw_upstreams_down": sum(
                 1 for pool in pools if pool.down
             ),

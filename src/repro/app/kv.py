@@ -241,7 +241,6 @@ class KvNode:
         index: int,
         shards: int,
         mesh: MeshNode | None = None,
-        vnodes: int = 64,
         replication: int = 1,
         write_quorum: int = 1,
         wal: ShardWal | None = None,
@@ -252,8 +251,7 @@ class KvNode:
         self.shards = shards
         self.replication = max(1, min(replication, shards))
         self.write_quorum = max(1, min(write_quorum, self.replication))
-        self.ring = HashRing(shards, vnodes=vnodes,
-                             replication=self.replication)
+        self.ring = HashRing(shards, replication=self.replication)
         self.mesh = mesh
         self.store: dict[str, bytes] = {}
         #: Per-key version stamps: ``key -> (counter, coordinator)``.
@@ -968,14 +966,10 @@ def build_kv_app(
     rt: Any,
     listener: Any,
     mesh: MeshNode | None = None,
-    shards: int | None = None,
-    index: int | None = None,
-    vnodes: int = 64,
     replication: int = 1,
     write_quorum: int = 1,
     cache_listener: Any = None,
     cache_protocol: str = "memcache",
-    cache_max_connections: int | None = None,
     wal_dir: str | None = None,
     wal_flush_interval: float = 0.005,
     wal_group_max: int = 128,
@@ -993,12 +987,14 @@ def build_kv_app(
     the WAL's group-flush deadline — no thread of its own), an
     ``on_peer_up`` hook for the cluster control protocol, and a
     graceful-stop ``drain``.  Extra keyword arguments
-    reach :class:`WebServer` (admission caps, parser limits...).
+    reach :class:`WebServer` (admission caps, parser limits...).  The
+    ring places each shard at :class:`HashRing`'s default point count.
 
     ``cache_listener`` mounts a second wire protocol over the same node:
     a :mod:`repro.cache` front-end (``cache_protocol`` picks the dialect,
-    ``"memcache"`` or ``"resp"``) whose accept loop forks next to the
-    HTTP one — one store, two dialects, same owner routing.
+    ``"memcache"`` or ``"resp"``; its port takes every connection) whose
+    accept loop forks next to the HTTP one — one store, two dialects,
+    same owner routing.
 
     ``wal_dir`` turns on durability: the shard appends every state
     change to ``<wal_dir>/shard-<index>`` and acks only after the group
@@ -1006,20 +1002,17 @@ def build_kv_app(
     start.  ``wal_flush_interval``/``wal_group_max`` tune the commit
     deadline and the batch watermark.
     """
-    if mesh is not None:
-        index = mesh.index if index is None else index
-        shards = len(mesh.peers) if shards is None else shards
+    index, shards = (0, 1) if mesh is None else (mesh.index, len(mesh.peers))
     wal = None
     if wal_dir is not None:
         wal = ShardWal(
-            os.path.join(wal_dir, f"shard-{index or 0}"),
+            os.path.join(wal_dir, f"shard-{index}"),
             flush_interval=wal_flush_interval,
             group_max=wal_group_max,
             timers=rt.timers,
         )
-    node = KvNode(index or 0, shards or 1, mesh=mesh, vnodes=vnodes,
-                  replication=replication, write_quorum=write_quorum,
-                  wal=wal)
+    node = KvNode(index, shards, mesh=mesh, replication=replication,
+                  write_quorum=write_quorum, wal=wal)
     server = WebServer(
         rt.io,
         listener,
@@ -1061,14 +1054,12 @@ def build_kv_app(
 
         frontend = build_cache_frontend(
             rt, cache_listener, node, protocol=cache_protocol,
-            max_connections=cache_max_connections,
         )
         app_main = server.main
 
         @do
         def main_with_cache():
-            yield sys_fork(frontend.main(),
-                           name=f"kv-cache-{frontend.kind}")
+            yield sys_fork(frontend.main(), name=f"kv-{frontend.name}")
             yield app_main()
 
         app_stop = server.stop
@@ -1080,7 +1071,8 @@ def build_kv_app(
 
         def extra_stats() -> dict:
             merged = dict(app_extra())
-            merged.update(frontend.extra_stats())
+            for name, value in frontend.stats.as_dict().items():
+                merged[f"cache_{name}"] = value
             return merged
 
         server.main = main_with_cache

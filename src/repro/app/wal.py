@@ -149,14 +149,13 @@ class ShardWal:
         group_max: int = 128,
         compact_bytes: int = 4 * 1024 * 1024,
         timers: Any = None,
-        state_fn: Callable[[], list[bytes]] | None = None,
     ) -> None:
         self.directory = directory
         self.flush_interval = flush_interval
         self.group_max = max(1, group_max)
         self.compact_bytes = compact_bytes
         self.timers = timers
-        self.state_fn = state_fn
+        self.state_fn: Callable[[], list[bytes]] | None = None
         os.makedirs(directory, exist_ok=True)
         #: Encoded frames awaiting the next flush.
         self._pending: list[bytes] = []

@@ -9,7 +9,7 @@ gathered-write egress path.
 
 from .base import CacheParseError, CacheProtocolBase, CacheStats
 from .client import BlockingMemcacheClient, BlockingRespClient, RespError
-from .frontend import PROTOCOLS, CacheFrontend, build_cache_frontend
+from .frontend import PROTOCOLS, build_cache_frontend
 from .memcache import MemcacheParser, MemcacheProtocol
 from .resp import RespParser, RespProtocol
 
@@ -21,7 +21,6 @@ __all__ = [
     "BlockingRespClient",
     "RespError",
     "PROTOCOLS",
-    "CacheFrontend",
     "build_cache_frontend",
     "MemcacheParser",
     "MemcacheProtocol",

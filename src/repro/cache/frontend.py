@@ -1,55 +1,29 @@
 """Wiring: a cache wire protocol on a connection driver over a store.
 
-The cache front-end is a sibling of the HTTP facade: same
+The cache front-end is a sibling of the HTTP server: same
 :class:`~repro.runtime.driver.ConnectionDriver`, same transport
 (``rt.io``), different protocol object — the "protocols among threads"
 composition the driver was factored out for.
-:func:`build_cache_frontend` assembles one; :class:`~repro.app.kv
-.build_kv_app` mounts it next to the HTTP listener so one shard serves
-both dialects over one store.
+:func:`build_cache_frontend` configures one and returns the driver
+itself; :func:`~repro.app.kv.build_kv_app` mounts it next to the HTTP
+listener so one shard serves both dialects over one store.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..core.monad import M
 from ..runtime.driver import ConnectionDriver
 from .base import CacheStats
 from .memcache import MemcacheProtocol
 from .resp import RespProtocol
 
-__all__ = ["PROTOCOLS", "CacheFrontend", "build_cache_frontend"]
+__all__ = ["PROTOCOLS", "build_cache_frontend"]
 
 PROTOCOLS = {
     "memcache": MemcacheProtocol,
     "resp": RespProtocol,
 }
-
-
-class CacheFrontend:
-    """One cache listener: driver + protocol + shared stats."""
-
-    def __init__(self, driver: ConnectionDriver, protocol: Any,
-                 stats: CacheStats, kind: str) -> None:
-        self.driver = driver
-        self.protocol = protocol
-        self.stats = stats
-        self.kind = kind
-
-    def main(self) -> M:
-        return self.driver.main()
-
-    def stop(self) -> None:
-        self.driver.stop()
-
-    def extra_stats(self) -> dict[str, int]:
-        """Protocol counters under a ``cache_`` prefix, for the cluster
-        control protocol's numeric-counter aggregation."""
-        return {
-            f"cache_{name}": value
-            for name, value in self.stats.as_dict().items()
-        }
 
 
 def build_cache_frontend(
@@ -61,8 +35,10 @@ def build_cache_frontend(
     max_connections: int | None = None,
     name: str | None = None,
     **protocol_kwargs: Any,
-) -> CacheFrontend:
-    """A cache front-end over ``store`` on an existing listener.
+) -> ConnectionDriver:
+    """A cache front-end over ``store`` on an existing listener: the
+    connection driver running the dialect's protocol, whose ``stats`` is
+    the protocol's :class:`~repro.cache.base.CacheStats`.
 
     ``store`` is any monadic KV (``get``/``put``/``delete``/``mget``
     returning ``M``) — in the cluster it is the shard's
@@ -86,7 +62,7 @@ def build_cache_frontend(
         protocol_kwargs["timers"] = getattr(rt, "timers", None)
     stats = CacheStats()
     proto = protocol_cls(store, stats=stats, **protocol_kwargs)
-    driver = ConnectionDriver(
+    return ConnectionDriver(
         rt.io,
         listener,
         proto,
@@ -95,4 +71,3 @@ def build_cache_frontend(
         stats=stats,
         name=name or f"cache-{protocol}",
     )
-    return CacheFrontend(driver, proto, stats, protocol)

@@ -61,7 +61,6 @@ from .syscalls import (
     sys_now,
     sys_ret,
     sys_sleep,
-    sys_tcp,
     sys_throw,
     sys_yield,
 )
@@ -77,7 +76,7 @@ __all__ = [
     # syscalls
     "sys_nbio", "sys_blio", "sys_fork", "sys_yield", "sys_ret", "sys_throw",
     "sys_catch", "sys_finally", "sys_epoll_wait", "sys_aio_read",
-    "sys_sleep", "sys_tcp", "sys_get_tid", "sys_now",
+    "sys_sleep", "sys_get_tid", "sys_now",
     # scheduler
     "Scheduler", "TCB", "run_threads", "SmpScheduler",
     # threads

@@ -10,11 +10,11 @@ This generalizes the paper's Figure 11 ``worker_main``:
   (§4.3) — pushed on catch, popped on return or throw;
 * two extension hooks — the "programmable scheduler" of the hybrid model.
   A kernel **registers a handler per device node type**: epoll and AIO
-  loops (§4.5), the blocking-I/O pool (§4.6), sleep and the clock, the
-  TCP stack (§4.8).  A library system call needs no registration: a
+  loops (§4.5), the blocking-I/O pool (§4.6), sleep and the clock.  A
+  library system call needs no registration: a
   :class:`~repro.core.trace.SysCall` node names the function that
-  interprets it, which is how synchronization (§4.7), STM and
-  ``spawn``/``join`` are built.
+  interprets it, which is how synchronization (§4.7), STM,
+  ``spawn``/``join`` and the TCP sockets (§4.8) are built.
 
 The scheduler knows nothing about time or devices; the runtime
 (:mod:`repro.runtime`) drives it and registers its device handlers.

@@ -4,10 +4,10 @@ Following the paper (§3.1), "system calls" are the thread operations visible
 to monadic threads: thread control (``sys_fork``, ``sys_yield``, ``sys_ret``),
 effectful I/O (``sys_nbio``, ``sys_blio``), asynchronous I/O
 (``sys_epoll_wait``, ``sys_aio_read``, ...), exceptions (``sys_throw``,
-``sys_catch``), the clock (``sys_now``), the application-level TCP
-interface (``sys_tcp``), and ``sys_call``, the library system call that
-carries its own interpreter — synchronization (§4.7), STM and
-``spawn``/``join`` are built on it.
+``sys_catch``), the clock (``sys_now``), and ``sys_call``, the library
+system call that carries its own interpreter — synchronization (§4.7),
+STM, ``spawn``/``join`` and the application-level TCP sockets (§4.8) are
+built on it.
 
 Each system call is a monadic operation that creates exactly one trace node,
 filling the node's continuation fields with the current continuation —
@@ -38,7 +38,6 @@ from .trace import (
     SysNow,
     SysRet,
     SysSleep,
-    SysTcp,
     SysThrow,
     SysYield,
     Trace,
@@ -56,7 +55,6 @@ __all__ = [
     "sys_epoll_wait",
     "sys_aio_read",
     "sys_sleep",
-    "sys_tcp",
     "sys_call",
     "sys_get_tid",
     "sys_now",
@@ -197,12 +195,6 @@ def sys_sleep(duration: float) -> M:
     return M(lambda c: SysSleep(duration, c))
 
 
-def sys_tcp(op: str, *args: Any) -> M:
-    """User interface of the application-level TCP stack (§4.8); prefer the
-    socket wrappers in :mod:`repro.tcp.socket_api`."""
-    return M(lambda c: SysTcp(op, args, c))
-
-
 def sys_call(fn: Callable[..., Any], arg: Any = None) -> M:
     """A library system call interpreted by ``fn(sched, tcb, arg, cont)``.
 
@@ -210,8 +202,9 @@ def sys_call(fn: Callable[..., Any], arg: Any = None) -> M:
     ``lambda: cont(value)``, or a ready node such as a ``SysThrow`` — or
     parks the thread where something will resume it and returns ``None``
     (see :class:`~repro.core.trace.SysCall`).  The primitives of
-    :mod:`repro.core.sync`, :mod:`repro.core.stm` and
-    :mod:`repro.core.thread` are all built this way.
+    :mod:`repro.core.sync`, :mod:`repro.core.stm`,
+    :mod:`repro.core.thread` and :mod:`repro.tcp.socket_api` are all
+    built this way.
     """
     return M(lambda c: SysCall(fn, arg, c))
 

@@ -41,7 +41,6 @@ __all__ = [
     "SysSleep",
     "SysNow",
     "SysCall",
-    "SysTcp",
     "Thunk",
     "Cont",
     "format_trace_node",
@@ -61,9 +60,9 @@ class Trace:
     Nodes are plain records.  The scheduler gives each its meaning, in one
     of three ways: built-in control nodes (fork, yield, exceptions, ``@do``
     regions) it interprets itself; device nodes (epoll, blocking I/O, AIO,
-    sleep, the clock, TCP) are interpreted by the handler a kernel
-    registered for their type; and a :class:`SysCall` names the function
-    that interprets it.  That is the paper's point — the scheduler is an
+    sleep, the clock) are interpreted by the handler a kernel registered
+    for their type; and a :class:`SysCall` names the function that
+    interprets it.  That is the paper's point — the scheduler is an
     ordinary, user-programmable event loop.
     """
 
@@ -474,19 +473,6 @@ class SysCall(Trace):
         self.cont = cont
 
 
-class SysTcp(Trace):
-    """``sys_tcp`` — user interface of the application-level TCP stack
-    (paper §4.8).  ``op`` names the socket operation, ``args`` its payload."""
-
-    __slots__ = ("op", "args", "cont")
-    TAG = "SYS_TCP"
-
-    def __init__(self, op: str, args: tuple, cont: Cont) -> None:
-        self.op = op
-        self.args = args
-        self.cont = cont
-
-
 def format_trace_node(node: Trace) -> str:
     """Render a single node for debug output, e.g. ``<SYS_FORK child>``."""
     detail = ""
@@ -496,8 +482,6 @@ def format_trace_node(node: Trace) -> str:
         detail = f" fd={node.fd!r} events={node.events!r}"
     elif isinstance(node, SysAioRead):
         detail = f" fd={node.fd!r} offset={node.offset}"
-    elif isinstance(node, SysTcp):
-        detail = f" op={node.op}"
     elif isinstance(node, SysCall):
         detail = f" fn={getattr(node.fn, '__qualname__', node.fn)}"
     elif isinstance(node, SysGen):

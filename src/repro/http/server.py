@@ -28,7 +28,9 @@ HTTP is one protocol among several rather than the hard-wired only one:
   fs)`` against ``WebServer(tcp_sockets, stack.listen(80), fs)`` is the
   paper's "editing one line of code".
 
-:class:`WebServer` composes the three into the historical façade.
+:class:`WebServer` is the driver configured with HTTP: it builds the
+stats, the handler and the protocol, and is the
+:class:`~repro.runtime.driver.ConnectionDriver` they run on.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import os
 from typing import Any
 
 from ..core.do_notation import do
-from ..core.monad import M
 from ..core.syscalls import sys_aio_read, sys_blio, sys_now
 from ..runtime.driver import CLOSE, DRAIN_CLOSE, ConnectionDriver
 from ..runtime.io_api import FileBody
@@ -564,8 +565,9 @@ class HttpProtocol:
         self.stats.bytes_sent += len(header) + len(response.body)
 
 
-class WebServer:
-    """The historical façade: driver + HTTP protocol + request handler.
+class WebServer(ConnectionDriver):
+    """The HTTP server: a connection driver whose protocol is
+    :class:`HttpProtocol` over a request handler.
 
     With the default ``handler`` this is the paper's static-file server;
     pass any object with ``respond(request) -> M[HttpResponse]`` to serve
@@ -598,59 +600,29 @@ class WebServer:
         chunk_watermark: int | None = None,
         sendfile: bool | None = None,
     ) -> None:
-        self.fs = fs
         self.cache = FileCache(cache_bytes)
-        self.name = name
-        self.stats = ServerStats()
+        stats = ServerStats()
         if handler is None:
             handler = StaticFileHandler(
-                fs, self.cache, stats=self.stats,
+                fs, self.cache, stats=stats,
                 mtime_ttl=mtime_ttl, sendfile=sendfile,
             )
-        self.handler = handler
-        self.protocol = HttpProtocol(
+        protocol = HttpProtocol(
             handler,
-            stats=self.stats,
+            stats=stats,
             max_header_bytes=max_header_bytes,
             max_body_bytes=max_body_bytes,
             chunk_watermark=chunk_watermark,
         )
-        self.driver = ConnectionDriver(
+        super().__init__(
             io,
             listener,
-            self.protocol,
+            protocol,
             accept_batch=accept_batch,
             max_connections=max_connections,
-            stats=self.stats,
+            stats=stats,
             name=name,
         )
-
-    # -- driver surface (kept for existing callers) --------------------
-    @property
-    def accept_batch(self) -> int:
-        """Accept-queue drain cap per loop wakeup (batched accepts)."""
-        return self.driver.accept_batch
-
-    @property
-    def max_connections(self) -> int | None:
-        """Admission cap: connections beyond this are shed with a 503."""
-        return self.driver.max_connections
-
-    @property
-    def running(self) -> bool:
-        return self.driver.running
-
-    def main(self) -> M:
-        """The server's root thread: accept loop spawning client threads."""
-        return self.driver.main()
-
-    def handle_client(self, conn: Any) -> M:
-        """One client session (exposed for direct-drive tests)."""
-        return self.driver.handle_connection(conn)
-
-    def stop(self) -> None:
-        """Stop accepting new connections (current ones finish)."""
-        self.driver.stop()
 
 
 # ----------------------------------------------------------------------

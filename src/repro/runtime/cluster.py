@@ -24,10 +24,12 @@ Layout:
   ordinary monadic thread reading the control socket through ``rt.io``,
   so control traffic multiplexes with serving traffic on the same loop.
 
-The application contract is :class:`~repro.http.server.WebServer`-shaped:
-``app.main()`` returns the root monadic computation (the accept loop),
-``app.stats`` carries counters (``connections``, ``requests``, ...), and
-``app.stop()`` stops accepting.  Any object with that surface clusters.
+The application contract is
+:class:`~repro.runtime.driver.ConnectionDriver`-shaped, and every app
+builder returns a driver: ``app.main()`` returns the root monadic
+computation (the accept loop), ``app.stats`` carries counters
+(``connections``, ``requests``, ...), and ``app.stop()`` stops
+accepting.  Any object with that surface clusters.
 """
 
 from __future__ import annotations

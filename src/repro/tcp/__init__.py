@@ -20,18 +20,19 @@ streams:
 * :mod:`repro.tcp.tcb` — the transmission control block and state enum;
 * :mod:`repro.tcp.stack` — the engine: demux, state machine, timers
   (the paper's ``worker_tcp_input`` / ``worker_tcp_timer`` loops);
-* :mod:`repro.tcp.socket_api` — monadic sockets over ``sys_tcp``, giving
-  the same high-level interface as the standard socket wrappers, so the
-  web server switches stacks "by editing one line of code".
+* :mod:`repro.tcp.socket_api` — monadic sockets, each blocking operation
+  a library system call parked on the stack's callback, giving the same
+  high-level interface as the standard socket wrappers, so the web
+  server switches stacks "by editing one line of code".
 """
 
 from .packet import Segment, FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_RST, FLAG_SYN
 from .stack import TcpParams, TcpStack, TcpError, ConnectionReset
-from .socket_api import TcpSockets, install_tcp
+from .socket_api import TcpSockets
 
 __all__ = [
     "Segment",
     "FLAG_SYN", "FLAG_ACK", "FLAG_FIN", "FLAG_RST", "FLAG_PSH",
     "TcpStack", "TcpParams", "TcpError", "ConnectionReset",
-    "TcpSockets", "install_tcp",
+    "TcpSockets",
 ]

@@ -3,7 +3,8 @@
 Slow start, congestion avoidance, fast retransmit and fast recovery
 (RFC 5681 shape), in units of bytes:
 
-* slow start: ``cwnd += mss`` per new ACK, until ``ssthresh``;
+* slow start: from ``cwnd = 2*mss``, ``cwnd += mss`` per new ACK, until
+  ``ssthresh``;
 * congestion avoidance: ``cwnd += mss*mss/cwnd`` per new ACK;
 * 3 duplicate ACKs: ``ssthresh = flight/2``, ``cwnd = ssthresh + 3*mss``,
   retransmit the lost segment, inflate by ``mss`` per further dup ACK;
@@ -26,9 +27,9 @@ class RenoCongestion:
     __slots__ = ("mss", "cwnd", "ssthresh", "state", "dupacks",
                  "fast_retransmits", "timeouts")
 
-    def __init__(self, mss: int, initial_window_segments: int = 2) -> None:
+    def __init__(self, mss: int) -> None:
         self.mss = mss
-        self.cwnd = initial_window_segments * mss
+        self.cwnd = 2 * mss
         self.ssthresh = 64 * 1024
         self.state = SLOW_START
         self.dupacks = 0

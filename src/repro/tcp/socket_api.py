@@ -11,36 +11,78 @@ and ``WebServer(tcp_sockets, stack.listen(80), fs)`` differ from their
 kernel-socket spelling in the first two arguments only — the "editing
 one line of code", which the A4 ablation exercises.
 
-``install_tcp`` registers the ``SYS_TCP`` handler on a scheduler.  The
-handler is a shared dispatcher: each operation names its stack (directly
-for ``listen``/``connect``, through the listener/connection object
-otherwise), so several hosts' stacks can coexist on one scheduler — the
-benchmarks run client and server hosts in one simulated world.
+What the library hides is no node of its own.  Each blocking operation
+is a library system call (:func:`~repro.core.syscalls.sys_call`) whose
+interpreter — ``_accept``, ``_connect``, ``_send``, ``_sendv``,
+``_recv`` — parks the thread on the stack's ``(value, error)`` callback,
+and ``listen`` and ``close`` complete inline as ``sys_nbio``.  Nothing is
+registered on a scheduler: each operation names its stack (directly or
+through the listener/connection), so several hosts' stacks share one
+scheduler — the benchmarks run client and server hosts in one simulated
+world.  An error the stack raises at call time is thrown in the calling
+thread.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from ..core.do_notation import do
-from ..core.exceptions import UnsupportedSyscallError
 from ..core.monad import M, pure
 from ..core.scheduler import Scheduler, TCB
-from ..core.syscalls import sys_catch, sys_tcp
-from ..core.trace import SysTcp, SysThrow, Thunk
+from ..core.syscalls import sys_call, sys_catch, sys_nbio
+from ..core.trace import Cont, SysThrow
 from ..runtime.buffers import BufferPool
 from ..runtime.io_api import copy_file_region
 from .stack import TcpStack
 from .tcb import TcpConn, TcpListener
 
-__all__ = ["TcpSockets", "install_tcp", "handle_sys_tcp"]
+__all__ = ["TcpSockets"]
 
 
-def install_tcp(sched: Scheduler, stack: TcpStack) -> "TcpSockets":
-    """Register the shared ``SYS_TCP`` dispatcher on ``sched`` and return
-    the monadic socket API bound to ``stack``."""
-    sched.register_syscall(SysTcp, handle_sys_tcp)
-    return TcpSockets(stack)
+def _park(sched: Scheduler, tcb: TCB, cont: Cont,
+          start: Callable[..., Any], *args: Any) -> SysThrow | None:
+    """Park ``tcb`` on ``start(*args, callback)``, a stack operation that
+    answers ``callback(value, error)``; an error the stack raises at call
+    time is the thread's instead."""
+    tcb.state = "blocked"
+
+    def resume(value: Any, error: BaseException | None) -> None:
+        if error is not None:
+            sched.resume_error(tcb, error)
+        else:
+            sched.resume_value(tcb, cont, value)
+
+    try:
+        start(*args, resume)
+    except Exception as exc:
+        tcb.state = "running"
+        return SysThrow(exc)
+    return None
+
+
+def _accept(sched: Scheduler, tcb: TCB, listener: TcpListener, cont: Cont):
+    return _park(sched, tcb, cont, listener.stack.accept, listener)
+
+
+def _connect(sched: Scheduler, tcb: TCB, arg: tuple, cont: Cont):
+    stack, remote_addr, remote_port = arg
+    return _park(sched, tcb, cont, stack.connect, remote_addr, remote_port)
+
+
+def _send(sched: Scheduler, tcb: TCB, arg: tuple, cont: Cont):
+    conn, data = arg
+    return _park(sched, tcb, cont, conn.stack.send, conn, data)
+
+
+def _sendv(sched: Scheduler, tcb: TCB, arg: tuple, cont: Cont):
+    conn, bufs = arg
+    return _park(sched, tcb, cont, conn.stack.sendv, conn, bufs)
+
+
+def _recv(sched: Scheduler, tcb: TCB, arg: tuple, cont: Cont):
+    conn, nbytes = arg
+    return _park(sched, tcb, cont, conn.stack.recv, conn, nbytes)
 
 
 class TcpSockets:
@@ -56,15 +98,15 @@ class TcpSockets:
     # ------------------------------------------------------------------
     def listen(self, port: int, backlog: int = 128) -> M:
         """Open a listening socket; resumes with the listener."""
-        return sys_tcp("listen", self.stack, port, backlog)
+        return sys_nbio(lambda: self.stack.listen(port, backlog))
 
     def accept(self, listener: TcpListener) -> M:
         """Block until a connection is established; resumes with it."""
-        return sys_tcp("accept", listener)
+        return sys_call(_accept, listener)
 
     def connect(self, remote_addr: str, remote_port: int) -> M:
         """Active open; resumes with the established connection."""
-        return sys_tcp("connect", self.stack, remote_addr, remote_port)
+        return sys_call(_connect, (self.stack, remote_addr, remote_port))
 
     def accept_many(self, listener: TcpListener, limit: int = 64) -> M:
         """Resumes with a non-empty list of connections.  The stack has
@@ -74,15 +116,15 @@ class TcpSockets:
     def write_all_v(self, conn: TcpConn, bufs) -> M:
         """Gathered send: every buffer in order, enqueued as iovec slices
         in the stack (no join); resumes with the total byte count."""
-        return sys_tcp("sendv", conn, bufs)
+        return sys_call(_sendv, (conn, bufs))
 
     def send(self, conn: TcpConn, data: bytes) -> M:
         """Send all of ``data`` (flow-controlled); resumes with its length."""
-        return sys_tcp("send", conn, data)
+        return sys_call(_send, (conn, data))
 
     def recv(self, conn: TcpConn, nbytes: int) -> M:
         """Receive up to ``nbytes``; resumes with ``b""`` at EOF."""
-        return sys_tcp("recv", conn, nbytes)
+        return sys_call(_recv, (conn, nbytes))
 
     @do
     def read_pooled(self, conn: TcpConn, pool: BufferPool):
@@ -118,24 +160,6 @@ class TcpSockets:
             remaining -= len(data)
         return b"".join(chunks)
 
-    @do
-    def recv_until(self, conn: TcpConn, delimiter: bytes,
-                   max_bytes: int = 65536):
-        """Receive until ``delimiter``; resumes with ``(buffer, index)``."""
-        buffer = bytearray()
-        while True:
-            index = buffer.find(delimiter)
-            if index >= 0:
-                return bytes(buffer), index
-            if len(buffer) >= max_bytes:
-                raise ValueError(
-                    f"delimiter not found within {max_bytes} bytes"
-                )
-            data = yield self.recv(conn, 4096)
-            if not data:
-                raise ConnectionError("EOF before delimiter")
-            buffer.extend(data)
-
     def shed(self, conn: TcpConn, farewell: bytes = b"") -> M:
         """Best-effort farewell + close: a peer that vanished mid-shed
         must not kill the accept loop, and the connection closes on
@@ -151,59 +175,4 @@ class TcpSockets:
 
     def close(self, conn: TcpConn) -> M:
         """Orderly close (FIN after queued data)."""
-        return sys_tcp("close", conn)
-
-    def abort(self, conn: TcpConn) -> M:
-        """Hard close (RST)."""
-        return sys_tcp("abort", conn)
-
-
-def handle_sys_tcp(sched: Scheduler, tcb: TCB, node: SysTcp) -> Thunk | None:
-    """The shared ``SYS_TCP`` scheduler handler."""
-    op = node.op
-    cont = node.cont
-
-    if op == "listen":
-        stack, port, backlog = node.args
-        listener = stack.listen(port, backlog)
-        return lambda: cont(listener)
-
-    if op == "close":
-        (conn,) = node.args
-        conn.stack.close(conn)
-        return lambda: cont(None)
-
-    if op == "abort":
-        (conn,) = node.args
-        conn.stack.abort(conn)
-        return lambda: cont(None)
-
-    # Blocking operations: park, resume from the stack's callback.
-    tcb.state = "blocked"
-
-    def resume(value: Any, error: BaseException | None) -> None:
-        if error is not None:
-            sched.resume_error(tcb, error)
-        else:
-            sched.resume_value(tcb, cont, value)
-
-    if op == "accept":
-        (listener,) = node.args
-        listener.stack.accept(listener, resume)
-    elif op == "connect":
-        stack, remote_addr, remote_port = node.args
-        stack.connect(remote_addr, remote_port, resume)
-    elif op == "send":
-        conn, data = node.args
-        conn.stack.send(conn, data, resume)
-    elif op == "sendv":
-        conn, bufs = node.args
-        conn.stack.sendv(conn, bufs, resume)
-    elif op == "recv":
-        conn, nbytes = node.args
-        conn.stack.recv(conn, nbytes, resume)
-    else:
-        tcb.state = "running"
-        exc = UnsupportedSyscallError(f"unknown sys_tcp op {op!r}")
-        return lambda: SysThrow(exc)
-    return None
+        return sys_nbio(lambda: conn.stack.close(conn))

@@ -444,7 +444,7 @@ class TestKeepAliveReuse:
         assert upstream.stats.connections <= 2
         stats = gateway.extra_stats()
         assert stats["gw_pool_dials"] <= 2
-        assert stats["gw_reuse_ratio"] >= 0.9
+        assert stats["gw_pool_reuses"] / stats["gw_pool_leases"] >= 0.9
 
 
 class TestFanout:

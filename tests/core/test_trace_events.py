@@ -11,7 +11,7 @@ from repro.core.events import (
     EVENT_WRITE,
     describe_events,
 )
-from repro.core.monad import pure
+from repro.core.monad import build_trace, pure
 from repro.core.scheduler import Scheduler, run_threads
 from repro.core.sync import Mutex, MVar
 from repro.core.syscalls import sys_get_tid
@@ -22,9 +22,11 @@ from repro.core.trace import (
     SysNBIO,
     SysNow,
     SysRet,
-    SysTcp,
     format_trace_node,
 )
+from repro.simos.clock import VirtualClock
+from repro.tcp.socket_api import TcpSockets
+from repro.tcp.stack import TcpStack
 
 
 class TestEventMasks:
@@ -62,9 +64,6 @@ class TestTraceFormatting:
         assert "SYS_FORK" in format_trace_node(
             SysFork(lambda: SysRet(None), lambda: SysRet(None))
         )
-        assert "op=recv" in format_trace_node(
-            SysTcp("recv", (), lambda v: SysRet(v))
-        )
         assert "SYS_NOW" in format_trace_node(SysNow(lambda v: SysRet(v)))
 
     def test_syscall_shows_its_interpreter(self):
@@ -74,6 +73,10 @@ class TestTraceFormatting:
 
         assert node(MVar()._take) == "<SYS_CALL fn=MVar._take>"
         assert node(Mutex()._acquire) == "<SYS_CALL fn=Mutex._acquire>"
+        # So is a socket operation of the application-level TCP stack.
+        sockets = TcpSockets(TcpStack(VirtualClock(), "host"))
+        recv = build_trace(sockets.recv(None, 16))
+        assert format_trace_node(recv) == "<SYS_CALL fn=_recv>"
 
     def test_repr_uses_formatter(self):
         assert repr(SysRet("x")) == format_trace_node(SysRet("x"))

@@ -324,8 +324,8 @@ class TestMtimeProbeCache:
         # fix: the blocking-pool hop is amortized over the TTL window).
         rt, start, _root = live
         server, port = start()
-        counting = _CountingFs(server.handler.fs)
-        server.handler.fs = counting
+        counting = _CountingFs(server.protocol.handler.fs)
+        server.protocol.handler.fs = counting
         raw = b"GET /index.html HTTP/1.1\r\nConnection: close\r\n\r\n"
         for _ in range(3):
             data = _drive(rt, port, raw)
@@ -337,8 +337,8 @@ class TestMtimeProbeCache:
         # revalidates against the real filesystem.
         rt, start, _root = live
         server, port = start(mtime_ttl=0)
-        counting = _CountingFs(server.handler.fs)
-        server.handler.fs = counting
+        counting = _CountingFs(server.protocol.handler.fs)
+        server.protocol.handler.fs = counting
         raw = b"GET /index.html HTTP/1.1\r\nConnection: close\r\n\r\n"
         for _ in range(3):
             data = _drive(rt, port, raw)

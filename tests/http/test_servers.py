@@ -11,7 +11,7 @@ from repro.http.server import WebServer
 from repro.runtime.sim_runtime import SimRuntime
 from repro.simos.net import DuplexPacketLink
 from repro.simos.nptl import KConnect, KRead, KWrite, NptlSim, run_sims
-from repro.tcp.socket_api import install_tcp
+from repro.tcp.socket_api import TcpSockets
 from repro.tcp.stack import TcpParams, TcpStack, connect_stacks
 
 
@@ -37,7 +37,7 @@ class TestKernelLayerServer:
 
         @do
         def client():
-            conn = yield rt.io.connect(server.driver.listener)
+            conn = yield rt.io.connect(server.listener)
             yield rt.io.write_all(conn, raw_request)
             collected = bytearray()
             while True:
@@ -140,8 +140,8 @@ class TestAppTcpLayerServer:
         server_stack = TcpStack(clock, "server", TcpParams(), seed=1)
         client_stack = TcpStack(clock, "client", TcpParams(), seed=2)
         connect_stacks(client_stack, server_stack, link)
-        ssock = install_tcp(rt.sched, server_stack)
-        csock = install_tcp(rt.sched, client_stack)
+        ssock = TcpSockets(server_stack)
+        csock = TcpSockets(client_stack)
         server = WebServer(ssock, server_stack.listen(80), rt.kernel.fs)
         return rt, server, csock
 

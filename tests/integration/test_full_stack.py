@@ -13,7 +13,7 @@ from repro.http.message import HttpError
 from repro.http.server import WebServer
 from repro.runtime.sim_runtime import SimRuntime
 from repro.simos.net import DuplexPacketLink
-from repro.tcp.socket_api import install_tcp
+from repro.tcp.socket_api import TcpSockets
 from repro.tcp.stack import TcpParams, TcpStack, connect_stacks
 
 
@@ -25,12 +25,13 @@ def make_tcp_world(rt, loss=0.0, seed=0):
     server_stack = TcpStack(clock, "server", TcpParams(), seed=1)
     client_stack = TcpStack(clock, "client", TcpParams(), seed=2)
     connect_stacks(client_stack, server_stack, link)
-    return install_tcp(rt.sched, server_stack), install_tcp(rt.sched, client_stack)
+    return TcpSockets(server_stack), TcpSockets(client_stack)
 
 
 class TestHttpOverLossyTcp:
-    """The complete paper stack: monadic HTTP server -> sys_tcp -> TCP
-    engine -> lossy packet link, with AIO disk reads underneath."""
+    """The complete paper stack: monadic HTTP server -> socket system
+    calls -> TCP engine -> lossy packet link, with AIO disk reads
+    underneath."""
 
     def fetch_over_tcp(self, loss, seed=11, n_clients=4):
         rt = SimRuntime(uncaught="store")

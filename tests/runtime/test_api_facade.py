@@ -14,6 +14,7 @@ from repro.api import (
 )
 from repro.http.blocking_client import BlockingHttpClient
 from repro.runtime.cluster import ClusterConfig, ClusterServer
+from repro.runtime.driver import ConnectionDriver
 from repro.runtime.live_runtime import LiveRuntime, make_listener
 
 
@@ -29,6 +30,8 @@ class TestBuilders:
         listener = make_listener()
         server = build_server(rt=rt, listener=listener,
                               site={"x": b"content"})
+        # A server is the connection driver itself, configured.
+        assert isinstance(server, ConnectionDriver)
         assert server.cache.get("x") == b"content"
         listener.close()
 
@@ -43,6 +46,7 @@ class TestBuilders:
         ctx = AppContext(rt=rt, listener=listener,
                          config=ClusterConfig(wal_group_max=7))
         app = build_kv(ctx=ctx)
+        assert isinstance(app, ConnectionDriver)
         assert app.kv.replication == 1
         assert app.wal is None  # ClusterConfig's wal_dir default
         # An explicit keyword overrides ctx.config; the rest still flow.
@@ -57,7 +61,7 @@ class TestBuilders:
         other = make_listener()
         ctx = AppContext(rt=rt, listener=listener)
         server = build_server(ctx=ctx, listener=other, site={})
-        assert server.driver.listener is other
+        assert server.listener is other
         listener.close()
         other.close()
 
@@ -68,6 +72,7 @@ class TestBuilders:
             rt=rt, listener=listener,
             routes=[{"prefix": "/", "upstreams": [upstream.getsockname()]}],
         )
+        assert isinstance(server, ConnectionDriver)
         assert server.gateway.routes[0].prefix == "/"
         assert callable(server.extra_stats)
         listener.close()
@@ -79,7 +84,8 @@ class TestBuilders:
 
         listener = make_listener()
         frontend = build_cache(rt=rt, listener=listener, store=NullStore())
-        assert frontend is not None
+        assert isinstance(frontend, ConnectionDriver)
+        assert frontend.stats is frontend.protocol.stats
         listener.close()
 
 

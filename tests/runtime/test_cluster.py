@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from repro.api import build_server
+from repro.api import build_gateway, build_kv, build_server
+from repro.cache.client import BlockingMemcacheClient
 from repro.http.blocking_client import BlockingHttpClient
 from repro.runtime.cluster import ClusterServer
 
@@ -283,6 +284,49 @@ class TestStatsReplies:
             assert "seq" not in stats["workers"][0]
         finally:
             cluster.stop()
+
+
+def kv_factory(ctx):
+    return build_kv(ctx=ctx)
+
+
+class TestAppCounters:
+    def test_gateway_and_kv_shards_report_integer_counters(self, tmp_path):
+        # The master sums every number under ``app`` across shards, so
+        # each must be a count: a per-shard ratio would add up to nonsense.
+        kv = ClusterServer(kv_factory, shards=1, wal_dir=str(tmp_path),
+                           cache_port=0, grace=0.1)
+        kv.start()
+
+        def gateway_factory(ctx):
+            return build_gateway(ctx=ctx, routes=[{
+                "prefix": "/", "upstreams": [("127.0.0.1", kv.port)],
+            }])
+
+        gateway = ClusterServer(gateway_factory, shards=2, grace=0.1)
+        gateway.start()
+        try:
+            with BlockingMemcacheClient(kv.cache_port) as client:
+                assert client.set("alpha", b"1")
+            with BlockingHttpClient(gateway.port) as client:
+                for _ in range(4):
+                    status, body = client.get("/kv/alpha")
+                    assert (status.split()[1], body) == ("200", b"1")
+            snapshots = [kv.stats(), gateway.stats()]
+        finally:
+            gateway.stop()
+            kv.stop()
+        for stats in snapshots:
+            sections = [worker["app"] for worker in stats["workers"]]
+            sections.append(stats["aggregate"]["app"])
+            for section in sections:
+                assert {key: type(value).__name__
+                        for key, value in section.items()
+                        if type(value) is not int} == {}
+        kv_app, gateway_app = (stats["aggregate"]["app"]
+                               for stats in snapshots)
+        assert kv_app["cache_sets"] == 1 and kv_app["wal_appends"] >= 1
+        assert gateway_app["gw_requests"] == 4
 
 
 class TestConfig:

@@ -28,7 +28,7 @@ from repro.runtime.io_api import ConnectionClosed, FileBody
 from repro.runtime.live_runtime import LiveRuntime, make_listener
 from repro.runtime.sim_runtime import SimRuntime
 from repro.simos.net import DuplexPacketLink
-from repro.tcp.socket_api import install_tcp
+from repro.tcp.socket_api import TcpSockets
 from repro.tcp.stack import TcpParams, TcpStack, connect_stacks
 from tests.http.test_http11_features import _drive as drive
 
@@ -194,8 +194,8 @@ def make_tcp_world(rt, loss=0.0, seed=3):
     server_stack = TcpStack(clock, "server", TcpParams(), seed=1)
     client_stack = TcpStack(clock, "client", TcpParams(), seed=2)
     connect_stacks(client_stack, server_stack, link)
-    return (install_tcp(rt.sched, server_stack),
-            install_tcp(rt.sched, client_stack), link)
+    return (TcpSockets(server_stack),
+            TcpSockets(client_stack), link)
 
 
 class TestAppTcpLayerIsTotal:

@@ -13,7 +13,7 @@ from repro.core.do_notation import do
 from repro.http.server import WebServer
 from repro.runtime.sim_runtime import SimRuntime
 from repro.simos.net import DuplexPacketLink
-from repro.tcp.socket_api import install_tcp
+from repro.tcp.socket_api import TcpSockets
 from repro.tcp.stack import TcpError, TcpParams, TcpStack, connect_stacks
 
 
@@ -24,8 +24,8 @@ def make_world(params: TcpParams | None = None):
     server_stack = TcpStack(clock, "server", params or TcpParams(), seed=1)
     client_stack = TcpStack(clock, "client", params or TcpParams(), seed=2)
     connect_stacks(client_stack, server_stack, link)
-    ssock = install_tcp(rt.sched, server_stack)
-    csock = install_tcp(rt.sched, client_stack)
+    ssock = TcpSockets(server_stack)
+    csock = TcpSockets(client_stack)
     return rt, ssock, csock
 
 
@@ -196,8 +196,8 @@ class TestHttpOverSendV:
         server_stack = TcpStack(clock, "server", TcpParams(), seed=1)
         client_stack = TcpStack(clock, "client", TcpParams(), seed=2)
         connect_stacks(client_stack, server_stack, link)
-        ssock = install_tcp(rt.sched, server_stack)
-        csock = install_tcp(rt.sched, client_stack)
+        ssock = TcpSockets(server_stack)
+        csock = TcpSockets(client_stack)
         server = WebServer(ssock, server_stack.listen(80), rt.kernel.fs)
         return rt, server, ssock, csock
 

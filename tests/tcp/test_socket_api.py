@@ -1,8 +1,8 @@
 """Monadic threads speaking through the application-level TCP stack.
 
-This is the paper's full vertical: ``@do`` threads -> ``sys_tcp`` ->
-scheduler handler -> TCP engine -> lossy packet link -> peer stack ->
-callbacks -> thread resumption.
+This is the paper's full vertical: ``@do`` threads -> library system
+calls -> TCP engine -> lossy packet link -> peer stack -> callbacks ->
+thread resumption.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from repro.core.do_notation import do
 from repro.core.syscalls import sys_fork
 from repro.runtime.sim_runtime import SimRuntime
 from repro.simos.net import DuplexPacketLink
-from repro.tcp.socket_api import install_tcp
-from repro.tcp.stack import TcpParams, TcpStack, connect_stacks
+from repro.tcp.socket_api import TcpSockets
+from repro.tcp.stack import TcpError, TcpParams, TcpStack, connect_stacks
 
 
 def make_world(loss=0.0, seed=0):
@@ -27,8 +27,8 @@ def make_world(loss=0.0, seed=0):
     server_stack = TcpStack(clock, "server", TcpParams(), seed=1)
     client_stack = TcpStack(clock, "client", TcpParams(), seed=2)
     connect_stacks(client_stack, server_stack, link)
-    server_sock = install_tcp(rt.sched, server_stack)
-    client_sock = install_tcp(rt.sched, client_stack)
+    server_sock = TcpSockets(server_stack)
+    client_sock = TcpSockets(client_stack)
     return rt, server_sock, client_sock
 
 
@@ -116,29 +116,6 @@ class TestMonadicSockets:
         rt.run(until=lambda: bool(received))
         assert received[0] == payload
 
-    def test_recv_until_line_protocol(self):
-        rt, ssock, csock = make_world()
-        lines = []
-
-        @do
-        def server():
-            listener = yield ssock.listen(80)
-            conn = yield ssock.accept(listener)
-            buffer, index = yield ssock.recv_until(conn, b"\r\n")
-            lines.append(buffer[:index])
-            yield ssock.close(conn)
-
-        @do
-        def client():
-            conn = yield csock.connect("server", 80)
-            yield csock.send(conn, b"GET /index.html HTTP/1.0\r\n")
-            yield csock.close(conn)
-
-        rt.spawn(server())
-        rt.spawn(client())
-        rt.run(until=lambda: bool(lines))
-        assert lines == [b"GET /index.html HTTP/1.0"]
-
     def test_connect_refused_raises_in_thread(self):
         rt, _ssock, csock = make_world()
         outcome = []
@@ -175,3 +152,39 @@ class TestMonadicSockets:
         rt.spawn(client())
         rt.run(until=lambda: bool(got))
         assert got == [b""]
+
+
+class TestCallTimeErrors:
+    """An error the stack raises when called is thrown in the calling
+    thread, where its ``except`` can catch it; ``rt.run`` returns."""
+
+    def test_second_listen_on_a_port_raises_in_thread(self):
+        rt, ssock, _csock = make_world()
+        caught = []
+
+        @do
+        def server():
+            yield ssock.listen(80)
+            try:
+                yield ssock.listen(80)
+            except TcpError as exc:
+                caught.append(str(exc))
+
+        rt.spawn(server())
+        rt.run()
+        assert caught == ["port 80 already listening"]
+
+    def test_connect_without_a_route_raises_in_thread(self):
+        rt, _ssock, csock = make_world()
+        caught = []
+
+        @do
+        def client():
+            try:
+                yield csock.connect("nowhere", 80)
+            except TcpError as exc:
+                caught.append(str(exc))
+
+        rt.spawn(client())
+        rt.run()
+        assert caught == ["no route to 'nowhere'"]
