@@ -303,28 +303,12 @@ class GatewayHandler:
         # failed upstream becomes an error entry, not a failed request.
         self.fanouts += 1
         headers = self._forward_headers(request)
-
-        @do
-        def one(index, client):
-            self.upstream_requests += 1
-            try:
-                upstream = yield client.request(
-                    request.method, request.target, request.body,
-                    headers=headers,
-                )
-            except _FAILOVER_ERRORS as exc:
-                self.upstream_errors += 1
-                return {"upstream": index, "error": type(exc).__name__}
-            return {
-                "upstream": index,
-                "status": upstream.status,
-                "body": upstream.body.decode("latin-1"),
-            }
-
         handles = []
         for index, client in enumerate(route.clients):
-            handle = yield spawn(one(index, client),
-                                 name=f"{self.name}-fan-{index}")
+            handle = yield spawn(
+                self._fan_one(index, client, request, headers),
+                name=f"{self.name}-fan-{index}",
+            )
             handles.append(handle)
         results = yield join_all(handles)
         succeeded = [r for r in results if "error" not in r]
@@ -341,6 +325,24 @@ class GatewayHandler:
         return HttpResponse(
             200, body=body, headers={"Content-Type": "application/json"}
         )
+
+    @do
+    def _fan_one(self, index, client, request, headers):
+        # One upstream of a fan-out: its result entry, or its error.
+        self.upstream_requests += 1
+        try:
+            upstream = yield client.request(
+                request.method, request.target, request.body,
+                headers=headers,
+            )
+        except _FAILOVER_ERRORS as exc:
+            self.upstream_errors += 1
+            return {"upstream": index, "error": type(exc).__name__}
+        return {
+            "upstream": index,
+            "status": upstream.status,
+            "body": upstream.body.decode("latin-1"),
+        }
 
     # -- observability -------------------------------------------------
     def extra_stats(self) -> dict:

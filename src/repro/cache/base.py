@@ -73,8 +73,9 @@ MAX_READ_KEYS = 256
 #: Most keyed commands of one burst in flight at once: one monadic
 #: thread and up to ``replication`` mesh frames each.  16 keeps a
 #: connection's burst well under the mesh's per-link ``max_inflight``
-#: (128), so one pipelining client cannot push its peers' readers into
-#: serving inline.
+#: (128 parked handlers), so one pipelining client cannot push a peer's
+#: reader to the cap, where a parked handler keeps the reading and the
+#: link stops pulling frames.
 MAX_OVERLAP = 16
 
 

@@ -31,7 +31,14 @@ Invariants the rest of the stack builds on:
   :class:`~repro.runtime.io_api.ConnectionClosed`.
 * **Multiplexing** — each persistent link carries many in-flight calls,
   matched by ``request_id``; a per-link *demux* thread reads reply frames
-  and fulfills the matching :class:`~repro.core.sync.MVar`.
+  and fulfills the matching :class:`~repro.core.sync.MVar`.  On the
+  server side the thread that reads a request runs its handler inline —
+  a call between monadic functions is a direct call, so a request costs
+  a thread only if it suspends.  A handler that parks keeps the reader's
+  thread, and at the end of that turn the reading moves to a fresh one
+  (``stats.handoffs``): a slow handler never blocks later frames, and
+  ``max_inflight`` parked handlers per link is the cap past which the
+  reader keeps its handler and stops pulling frames (backpressure).
   ``kind 3`` (*cast*) is one-way: the server runs the handler and sends
   no reply (used for read-repair patches and hint forwarding, where
   at-most-once delivery is acceptable).  ``kind 4`` (*ping*) is an empty
@@ -40,17 +47,22 @@ Invariants the rest of the stack builds on:
   frame is *queued* on the connection's outbound queue (header and body
   as separate buffers — zero concatenation), and the first enqueue on an
   idle connection arms the flush as a deadline of "now" on the timer
-  wheel (``timers.schedule(0, ...)``).  The runtime fires it once its
-  ready queue is dry — every enqueuer of the turn, a worker forked or
-  woken mid-turn included, is in the queue by then — and the action, in
-  plain code on the loop, makes one gathered write per batch (at most
-  :data:`FLUSH_MAX_FRAMES` frames — what one ``sendmsg`` can carry — and
-  about :data:`FLUSH_MAX_BYTES`), so N concurrent calls/casts/replies on
-  one link cost one syscall, not N (one per 64 frames past that), and a
-  frame costs no thread.  The action hands back an ``M`` — the wheel runs
-  it on a thread of its own — only for what plain code cannot do: fill
-  the flush boxes of casts and pings, write the batches beyond the first
-  (frames queued meanwhile ride them), finish a partial write.  One
+  wheel (``timers.schedule(0, ...)``).  A server link's reader arms it
+  before it runs a handler, so the reply usually finds it armed, and the
+  action's first act is the hand-off check (while a ``_flusher`` thread
+  owns the flush, the reader arms a zero-delay check of its own).  The
+  runtime fires it once its ready queue is dry — every enqueuer of the
+  turn, a thread forked or woken mid-turn included, is in the queue by
+  then — and the action, in plain code on the loop, makes one gathered
+  write per batch (at most :data:`FLUSH_MAX_FRAMES` frames — what one
+  ``sendmsg`` can carry — and about :data:`FLUSH_MAX_BYTES`; an empty
+  batch writes nothing), so N concurrent calls/casts/replies on one link
+  cost one syscall, not N (one per 64 frames past that), and a frame
+  costs no thread.  The action hands back an ``M`` — the wheel runs it
+  on a thread of its own — only for what plain code cannot do: fill the
+  flush boxes of casts and pings, write the batches beyond the first
+  (frames queued meanwhile ride them), finish a partial write, read a
+  link whose handler parked.  One
   flush owns a connection at a time (``out.flushing``) and the queue is
   FIFO, so frames never interleave or reorder; ``stats.flushes``/
   ``batched_flushes``/``max_frames_per_flush`` make the coalescing
@@ -267,8 +279,8 @@ class _Outbound:
     connections (their reader tears them down).
     """
 
-    __slots__ = ("conn", "queue", "flushing", "link", "enqueued",
-                 "failed")
+    __slots__ = ("conn", "queue", "flushing", "flusher", "link",
+                 "inbound", "enqueued", "failed")
 
     def __init__(self, conn: Any, link: "_PeerLink | None" = None) -> None:
         self.conn = conn
@@ -277,7 +289,14 @@ class _Outbound:
         #: write in progress (at most one per connection; the first
         #: enqueue on an idle connection arms it).
         self.flushing = False
+        #: Whether that flush is a ``_flusher`` thread (a partial write,
+        #: casts' boxes, batches past the first) rather than a trigger
+        #: armed for the end of this turn.
+        self.flusher = False
         self.link = link
+        #: The :class:`_Inbound` serving this connection (server side
+        #: only): its flush trigger is also its hand-off check.
+        self.inbound: _Inbound | None = None
         #: Frames ever enqueued — the keepalive tick compares this
         #: against its last mark to find idle links.
         self.enqueued = 0
@@ -308,6 +327,35 @@ class _Outbound:
         return frames, bufs, boxes
 
 
+class _Inbound:
+    """One accepted peer link: who reads it, and the handlers that kept
+    their thread.
+
+    The reader serves each request inline.  A handler that parks keeps
+    the reader's thread; at the end of that turn the link's flush
+    trigger (armed before the handler ran) moves the reading to a fresh
+    thread, and ``generation`` tells the old reader it no longer reads.
+    """
+
+    __slots__ = ("out", "reader", "generation", "handling", "parked",
+                 "ended")
+
+    def __init__(self, conn: Any, reader: FrameReader) -> None:
+        self.out = _Outbound(conn)
+        self.out.inbound = self
+        self.reader = reader
+        #: Hand-offs so far; a reader whose generation is behind it has
+        #: passed the reading on.
+        self.generation = 0
+        #: The current reader is inside a handler.
+        self.handling = False
+        #: Handlers that parked and kept their thread.
+        self.parked = 0
+        #: The session's verdict (or what ended the reading), once the
+        #: reading has left the session thread.
+        self.ended = MVar(name="mesh-session")
+
+
 class _PeerLink:
     """One persistent client connection to a peer, with demux state."""
 
@@ -328,10 +376,10 @@ class _PeerLink:
 class MeshStats:
     """Data-plane counters, surfaced through cluster ``stats()``."""
 
-    __slots__ = ("calls", "casts", "served", "timeouts", "peer_failures",
-                 "write_timeouts", "frames_sent", "frames_received",
-                 "flushes", "batched_flushes", "max_frames_per_flush",
-                 "pings_sent")
+    __slots__ = ("calls", "casts", "served", "handoffs", "timeouts",
+                 "peer_failures", "write_timeouts", "frames_sent",
+                 "frames_received", "flushes", "batched_flushes",
+                 "max_frames_per_flush", "pings_sent")
 
     def __init__(self) -> None:
         #: Client-side calls issued (including failed ones).
@@ -340,6 +388,9 @@ class MeshStats:
         self.casts = 0
         #: Requests this node's handler served for peers.
         self.served = 0
+        #: Served requests whose handler parked: the reading moved to a
+        #: fresh thread and the handler kept the reader's.
+        self.handoffs = 0
         #: Calls that hit their per-peer timeout.
         self.timeouts = 0
         #: Link failures observed (dial refused, reset, EOF mid-call).
@@ -356,6 +407,11 @@ class MeshStats:
         self.max_frames_per_flush = 0
         #: Keepalive probes written to idle links.
         self.pings_sent = 0
+
+    #: What ``MeshNode.health()`` exports: every counter but
+    #: ``handoffs``, which stays off the cluster snapshot's key set and
+    #: is read from ``stats`` directly.
+    EXPORTED = tuple(name for name in __slots__ if name != "handoffs")
 
     @property
     def frames_per_flush(self) -> float:
@@ -408,9 +464,12 @@ class MeshNode:
         self.write_timeout = write_timeout
         self.max_frame = max_frame
         self.accept_batch = accept_batch
-        #: Per-inbound-link cap on concurrently executing requests; past
-        #: it the link's reader runs requests inline (backpressure: it
-        #: stops pulling frames), bounding thread/memory growth per link.
+        #: Per-inbound-link cap on parked requests.  The reader serves
+        #: each request inline and hands the reading to a fresh thread
+        #: only when a handler parks; with ``max_inflight`` handlers
+        #: parked, the next one that parks keeps the reading
+        #: (backpressure: the link stops pulling frames), bounding
+        #: thread/memory growth per link.
         self.max_inflight = max_inflight
         #: The runtime's deadline heap (``rt.timers``): call timeouts,
         #: write watchdogs and keepalive ticks are entries in it, fired
@@ -447,7 +506,7 @@ class MeshNode:
         return {
             "peers": len(self.peers),
             "connected_peers": self.connected_peers(),
-            **{name: getattr(stats, name) for name in stats.__slots__},
+            **{name: getattr(stats, name) for name in stats.EXPORTED},
         }
 
     # ------------------------------------------------------------------
@@ -475,21 +534,40 @@ class MeshNode:
 
     @do
     def _serve_peer(self, conn):
-        # One inbound peer link: read request frames, fork a worker per
-        # request (a slow handler must not block later frames).  Replies
-        # go through the connection's outbound queue, so replies to a
-        # burst of concurrent requests leave as one gathered write.
-        # ``inflight`` caps the workers: at the cap the reader serves
-        # inline instead — it stops pulling frames, which is
-        # backpressure on the peer.
-        out = _Outbound(conn)
-        reader = FrameReader(self.io, conn, self.max_frame)
-        inflight = [0]
+        # One inbound peer link, on the session thread.  Requests run
+        # inline on whichever thread reads the link; a handler that
+        # parks keeps its thread and the reading moves on (``_hand_off``).
+        # If that happened here, the reader that meets the end of the
+        # session — EOF or a protocol error — reports it through
+        # ``ended``, so the driver still owns the close.
+        inbound = _Inbound(conn, FrameReader(self.io, conn, self.max_frame))
+        verdict = yield self._read_requests(inbound)
+        if verdict is None:
+            verdict = yield inbound.ended.take()
+            if isinstance(verdict, BaseException):
+                raise verdict
+        return verdict
+
+    @do
+    def _read_requests(self, inbound):
+        # The link's reader: read a frame, serve it inline.  Before the
+        # handler runs, a deadline is armed for the end of this turn —
+        # the reply's flush trigger, so an answer that is ready at once
+        # costs no extra timer — and if the handler parked by then, the
+        # trigger hands the reading to a fresh thread.  Replies go
+        # through the connection's outbound queue, so replies to a
+        # burst of requests leave as one gathered write.  Resumes with
+        # the session's verdict, or ``None`` once this reader's handler
+        # has returned after the reading moved on.
+        generation = inbound.generation
+        reader = inbound.reader
+        out = inbound.out
+        stats = self.stats
         while True:
             frame = yield reader.recv()
             if frame is None:
                 return CLOSE  # peer closed cleanly
-            self.stats.frames_received += 1
+            stats.frames_received += 1
             kind, request_id, body = frame
             if kind == KIND_PING:
                 continue  # keepalive probe: reading it is the point
@@ -497,52 +575,73 @@ class MeshNode:
                 raise MeshProtocolError(
                     f"unexpected frame kind {kind} on server link"
                 )
-            one_way = kind == KIND_CAST
-            if inflight[0] >= self.max_inflight:
-                yield self._serve_request(
-                    out, request_id, body, None, one_way
+            inbound.handling = True
+            if not out.flushing:
+                out.flushing = True
+                yield self.timers.schedule(0, lambda: self._flush(out))
+            elif out.flusher:
+                # A ``_flusher`` thread owns the flush, so no trigger
+                # fires at the end of this turn: arm the check alone.
+                yield self.timers.schedule(
+                    0, lambda: self._hand_off(inbound)
                 )
-                continue
-            inflight[0] += 1
-            yield sys_fork(
-                self._serve_request(
-                    out, request_id, body, inflight, one_way,
-                ),
-                name="mesh-request",
-            )
+            yield self._serve_request(out, request_id, body,
+                                      kind == KIND_CAST)
+            if inbound.generation != generation:
+                inbound.parked -= 1
+                return None  # the reading moved on while this one parked
+            inbound.handling = False
+
+    def _hand_off(self, inbound) -> M | None:
+        # End of a turn (the flush trigger's first act, plain code): a
+        # reader still inside its handler has parked.  Below the cap the
+        # handler keeps this thread and the reading moves to a fresh one
+        # — the returned ``M``, which the wheel runs on a thread of its
+        # own.  At the cap the reader keeps its handler: backpressure.
+        if not inbound.handling or inbound.parked >= self.max_inflight:
+            return None
+        inbound.handling = False
+        inbound.generation += 1
+        inbound.parked += 1
+        self.stats.handoffs += 1
+        return self._read_on(inbound)
 
     @do
-    def _serve_request(self, out, request_id, body, inflight,
-                       one_way=False):
+    def _read_on(self, inbound):
+        # A successor reader.  The session thread owns the close, so the
+        # end of the reading goes to it through ``ended``.
         try:
-            try:
-                if self.handler is None:
-                    raise MeshError(
-                        f"shard {self.index} has no mesh handler"
-                    )
-                reply = yield self.handler(body)
-                kind = KIND_REPLY
-            except (KeyboardInterrupt, SystemExit, GeneratorExit):
-                raise
-            except BaseException as exc:
-                # ANY handler failure becomes an error reply — including
-                # OSError subclasses (every MeshError is one): the caller
-                # must fail fast with MeshRemoteError, not sit out its
-                # whole timeout waiting for a reply that never comes.
-                reply = repr(exc).encode()
-                kind = KIND_ERROR
-            self.stats.served += 1
-            if one_way:
-                return  # a cast gets no reply, success or failure
-            try:
-                # Queued, not awaited: if the write fails the peer is
-                # gone and its caller learns that on its own side.
-                yield self._enqueue(out, kind, request_id, reply)
-            except (ConnectionError, OSError):
-                return  # the connection already failed: nothing to send
-        finally:
-            if inflight is not None:
-                inflight[0] -= 1
+            verdict = yield self._read_requests(inbound)
+        except Exception as exc:
+            verdict = exc
+        if verdict is not None:
+            yield inbound.ended.put(verdict)
+
+    @do
+    def _serve_request(self, out, request_id, body, one_way):
+        try:
+            if self.handler is None:
+                raise MeshError(f"shard {self.index} has no mesh handler")
+            reply = yield self.handler(body)
+            kind = KIND_REPLY
+        except (KeyboardInterrupt, SystemExit, GeneratorExit):
+            raise
+        except BaseException as exc:
+            # ANY handler failure becomes an error reply — including
+            # OSError subclasses (every MeshError is one): the caller
+            # must fail fast with MeshRemoteError, not sit out its
+            # whole timeout waiting for a reply that never comes.
+            reply = repr(exc).encode()
+            kind = KIND_ERROR
+        self.stats.served += 1
+        if one_way:
+            return  # a cast gets no reply, success or failure
+        try:
+            # Queued, not awaited: if the write fails the peer is gone
+            # and its caller learns that on its own side.
+            yield self._enqueue(out, kind, request_id, reply)
+        except (ConnectionError, OSError):
+            return  # the connection already failed: nothing to send
 
     # ------------------------------------------------------------------
     # Egress: per-connection outbound queues, one gathered flush each.
@@ -601,18 +700,36 @@ class MeshNode:
             stats.max_frames_per_flush = frames
 
     def _flush(self, out):
-        # The flush deadline's action — plain code, on the loop: the one
-        # gathered write of a batch that cannot park.  On a healthy link
-        # carrying requests and replies that is the whole flush; it
-        # returns an ``M`` (which ``fire_due`` gives a thread of its own)
-        # only for what plain code cannot do.  Whatever the write raises
-        # is a failed link, never a flush left ``flushing`` for good.
+        # The flush deadline's action — plain code, on the loop.  On an
+        # inbound link it first checks for a hand-off (a handler that
+        # parked this turn).  Then the one gathered write of a batch
+        # that cannot park; an empty batch (the trigger a reader armed
+        # for a cast or a parked handler) writes nothing.  On a healthy link carrying requests
+        # and replies that is the whole flush; it returns an ``M``
+        # (which ``fire_due`` gives a thread of its own) only for what
+        # plain code cannot do.  Whatever the write raises is a failed
+        # link, never a flush left ``flushing`` for good.
+        successor = None
+        if out.inbound is not None:
+            successor = self._hand_off(out.inbound)
+        more = self._write_batch(out)
+        if successor is None:
+            return more
+        if more is None:
+            return successor
+        return sys_fork(successor, name="mesh-reader").then(more)
+
+    def _write_batch(self, out) -> M | None:
         frames, bufs, boxes = out.take_batch()
+        if not frames:
+            out.flushing = False
+            return None
         try:
             rest = self.io.try_writev(out.conn, bufs)
         except Exception as exc:
             return self._fail_outbound(out, boxes, exc, False)
         if rest or boxes or out.queue:
+            out.flusher = True
             return self._flusher(out, frames, boxes, rest)
         self._count_flush(frames)
         out.flushing = False
@@ -662,7 +779,7 @@ class MeshNode:
             yield self._fail_outbound(out, boxes, exc, stalled)
         finally:
             # Plain code: safe under GeneratorExit (abandonment).
-            out.flushing = False
+            out.flushing = out.flusher = False
 
     @do
     def _wedge(self, out):
@@ -839,14 +956,6 @@ class MeshNode:
         slow peer yields its exception *as a value* instead of failing
         the whole fan-out, so callers can merge partial results.
         """
-        @do
-        def one(peer, body):
-            try:
-                reply = yield self.call(peer, body, timeout)
-                return peer, reply
-            except MeshError as exc:
-                return peer, exc
-
         # The caller makes the last call itself (for one peer: the only
         # one) and spawns threads just for the others: each ``call`` can
         # park on a slow dial without delaying the rest, and a
@@ -856,12 +965,22 @@ class MeshNode:
         *others, mine = bodies.items()
         handles = []
         for peer, body in others:
-            handle = yield spawn(one(peer, body), name=f"fanout-{peer}")
+            handle = yield spawn(self._call_or_error(peer, body, timeout),
+                                 name=f"fanout-{peer}")
             handles.append(handle)
-        own = yield one(*mine)
+        own = yield self._call_or_error(*mine, timeout)
         results = yield join_all(handles)
         results.append(own)
         return dict(results)
+
+    @do
+    def _call_or_error(self, peer, body, timeout):
+        # One leg of a fan-out: ``(peer, reply | MeshError)``.
+        try:
+            reply = yield self.call(peer, body, timeout)
+            return peer, reply
+        except MeshError as exc:
+            return peer, exc
 
     # -- link management ----------------------------------------------
     @do

@@ -111,3 +111,34 @@ def test_refused_dial_parks_a_hint_that_replay_drains():
     assert nodes[live].mesh.stats.peer_failures >= 1
     assert nodes[2].store[key] == nodes[live].store[key] == b"v"
 
+
+def test_a_get_costs_what_the_mesh_path_costs():
+    # Virtual time makes the per-GET interpreter cost exact.  Through a
+    # replica a GET makes one remote call, through an outsider a fan-out
+    # to both replicas.  The peer's reader serves each request on its
+    # own thread (the KV's GET never parks), so a remote leg costs no
+    # thread there.
+    gets = 20
+
+    @do
+    def program(rt, nodes, _listeners):
+        first, second = nodes[0].replicas("alpha")
+        outsider = next(i for i in range(SHARDS) if i not in (first, second))
+        yield nodes[first].put("alpha", b"1")
+        costs = {}
+        for path, via in (("replica", second), ("outsider", outsider)):
+            yield nodes[via].get("alpha")  # dial the links first
+            before = rt.sched.stats()
+            for _ in range(gets):
+                yield nodes[via].get("alpha")
+            after = rt.sched.stats()
+            costs[path] = tuple(
+                (after[key] - before[key]) / gets
+                for key in ("total_switches", "total_syscalls"))
+        return costs
+
+    _rt, nodes, costs = run_program(program)
+    # (switches, trace nodes) per GET; (4, 10) and (10, 25) when every
+    # request forked a thread of its own.
+    assert costs == {"replica": (3.0, 6.0), "outsider": (8.0, 17.0)}
+    assert sum(node.mesh.stats.handoffs for node in nodes.values()) == 0

@@ -16,12 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import thread
+from repro.core import do_notation, thread
 from repro.core.do_notation import do
 from repro.core.monad import pure
 from repro.core.sync import MVar
 from repro.core.syscalls import sys_sleep
 from repro.core.trace import SysCall, SysFork
+from repro.runtime import mesh as mesh_module
 from repro.runtime.io_api import ConnectionClosed
 from repro.runtime.live_runtime import LiveRuntime, make_listener
 from repro.runtime.mesh import (
@@ -476,10 +477,12 @@ class TestCallBudget:
         )
         # 7 / 33 at PR 19: a frame no longer costs a forked flusher (a
         # TCB, a generator, three trace nodes, a switch), and a live
-        # link is taken without entering ``_link``.
-        assert switches <= 4.1, f"{switches} context switches per call"
-        # 10.0: a nested @do call costs no node.
-        assert nodes <= 10.1, f"{nodes} trace nodes per call"
+        # link is taken without entering ``_link``.  3 (reader, demux,
+        # caller): the peer's reader serves the request itself.
+        assert switches <= 3.1, f"{switches} context switches per call"
+        # 6.0: a nested @do call costs no node, and a request that does
+        # not park costs no thread.
+        assert nodes <= 6.1, f"{nodes} trace nodes per call"
         # One blocking poll per frame: the request's flush and the
         # reply's each fire off a dry ready queue, and nothing forked or
         # woken mid-turn buys a turn of its own.
@@ -495,6 +498,220 @@ class TestCallBudget:
         assert node_a.stats.write_timeouts == 0
         assert rt.timers.stats()["action_errors"] == 0
         assert "mesh-flush" not in names and "timer-action" not in names
+
+
+def new_threads(rt):
+    """Names of every thread created on ``rt`` from now on, however it
+    was made (a fork, a spawn, a timer action's thread)."""
+    names: list = []
+    original = rt.sched._new_tcb
+
+    def recording(name):
+        names.append(name)
+        return original(name)
+
+    rt.sched._new_tcb = recording
+    return names
+
+
+def gated_handler(gates, parked):
+    """A handler that parks a request whose body names a gate (an
+    :class:`MVar`) until the gate is filled, and echoes any other."""
+    @do
+    def handler(body):
+        gate = gates.get(body)
+        if gate is not None:
+            parked.append(body)
+            yield gate.take()
+        return b"echo:" + body
+    return handler
+
+
+def raw_peer(node, rcvbuf=None):
+    """A blocking client socket connected to ``node``'s mesh listener
+    (the connection completes in the kernel; the node accepts it on the
+    next run)."""
+    sock = socket_mod.socket(socket_mod.AF_INET, socket_mod.SOCK_STREAM)
+    if rcvbuf is not None:
+        sock.setsockopt(socket_mod.SOL_SOCKET, socket_mod.SO_RCVBUF, rcvbuf)
+    sock.connect(("127.0.0.1", node.listener.getsockname()[1]))
+    return sock
+
+
+def read_reply_ids(rt, sock, count):
+    """Read ``count`` reply frames off ``sock`` on ``rt``: their ids."""
+    sock.setblocking(False)
+    reader = FrameReader(rt.io, sock)
+    ids = []
+
+    @do
+    def drain():
+        while len(ids) < count:
+            kind, request_id, _body = yield reader.recv()
+            assert kind == KIND_REPLY
+            ids.append(request_id)
+
+    rt.spawn(drain(), name="drain")
+    rt.run(until=lambda: len(ids) == count, idle_timeout=5.0)
+    return ids
+
+
+class TestHandOff:
+    """A request runs on the thread that read it; only a handler that
+    parks costs a thread (the reading moves on at the end of its turn)."""
+
+    def test_a_handler_that_returns_at_once_forks_nothing(self, rt):
+        node_a, node_b = make_pair(rt)
+        replies = []
+
+        @do
+        def one_call(index):
+            replies.append((yield node_a.call(1, b"%d" % index)))
+
+        rt.spawn(one_call(0))
+        rt.run(until=lambda: bool(replies), idle_timeout=5.0)
+        for index in range(1, 9):
+            rt.spawn(one_call(index), name=f"call-{index}")
+        names = new_threads(rt)
+        rt.run(until=lambda: len(replies) == 9, idle_timeout=5.0)
+        assert sorted(replies) == sorted(b"echo:%d" % i for i in range(9))
+        assert names == []
+        assert node_b.stats.served == 9
+        assert node_b.stats.handoffs == 0
+
+    def test_a_parked_handler_hands_the_reading_on(self, rt):
+        gates, parked = {b"slow": MVar(name="gate")}, []
+        node_a, node_b = make_pair(
+            rt, handler_b=gated_handler(gates, parked))
+        replies = []
+
+        @do
+        def one_call(body):
+            replies.append((yield node_a.call(1, body)))
+
+        rt.spawn(one_call(b"slow"))
+        rt.run(until=lambda: bool(parked), idle_timeout=5.0)
+        rt.spawn(one_call(b"fast"))
+        rt.run(until=lambda: bool(replies), idle_timeout=5.0)
+        # The second request on the link was answered while the first
+        # still held the thread that read it.
+        assert replies == [b"echo:fast"]
+        assert node_b.stats.handoffs == 1
+        rt.spawn(gates[b"slow"].put(None))
+        rt.run(until=lambda: len(replies) == 2, idle_timeout=5.0)
+        assert replies == [b"echo:fast", b"echo:slow"]
+        assert node_b.stats.served == 2
+        assert node_b.stats.handoffs == 1
+
+    @pytest.mark.parametrize("ending", ["eof", "bad_kind"])
+    def test_a_successor_that_meets_the_end_ends_the_session(self, rt,
+                                                             ending):
+        # The session thread parked in its handler; the successor reader
+        # meets EOF or a reply frame (not allowed on a server link).  The
+        # driver still closes once the session thread's handler returns.
+        gates, parked = {b"slow": MVar(name="gate")}, []
+        node_a, _node_b = make_pair(
+            rt, handler_a=gated_handler(gates, parked))
+        driver = node_a._driver
+        rt.run(until=lambda: True)  # the accept loops are parked
+        idle_threads = rt.sched.live_threads
+        sock = raw_peer(node_a)
+        sock.sendall(frame_bytes(KIND_REQUEST, 1, b"slow"))
+        rt.run(until=lambda: node_a.stats.handoffs == 1, idle_timeout=5.0)
+        assert driver.stats.active == 1
+        if ending == "eof":
+            sock.shutdown(socket_mod.SHUT_WR)
+        else:
+            sock.sendall(frame_bytes(KIND_REPLY, 7, b"stray"))
+        # The successor's end waits for the session thread, which still
+        # owns the connection.
+        rt.run(until=lambda: False, idle_timeout=0.1)
+        assert driver.stats.active == 1
+        rt.spawn(gates[b"slow"].put(None))
+        rt.run(until=lambda: driver.stats.active == 0, idle_timeout=5.0)
+        assert driver.stats.active == 0
+        rt.run(until=lambda: rt.sched.live_threads <= idle_threads,
+               idle_timeout=5.0)
+        assert rt.sched.live_threads == idle_threads
+        # The driver closed the connection (the reply, queued after the
+        # session's end was known, has no one left to read it).
+        sock.settimeout(5.0)
+        assert sock.recv(64) == b""
+        sock.close()
+
+    def test_at_the_cap_the_parked_request_keeps_the_reading(self, rt):
+        gates = {b"a": MVar(name="gate-a"), b"b": MVar(name="gate-b")}
+        parked = []
+        node_a, node_b = make_pair(
+            rt, handler_b=gated_handler(gates, parked), max_inflight=1)
+        replies = []
+
+        @do
+        def one_call(body):
+            replies.append((yield node_a.call(1, body)))
+
+        rt.spawn(one_call(b"a"))
+        rt.run(until=lambda: parked == [b"a"], idle_timeout=5.0)
+        rt.spawn(one_call(b"b"))
+        rt.run(until=lambda: parked == [b"a", b"b"], idle_timeout=5.0)
+        rt.spawn(one_call(b"c"))
+        rt.run(until=lambda: False, idle_timeout=0.1)
+        # "a" kept its thread; "b" is at the cap, so it keeps the reading
+        # and "c" waits behind it.
+        assert replies == []
+        assert node_b.stats.handoffs == 1
+        rt.spawn(gates[b"b"].put(None))
+        rt.run(until=lambda: len(replies) == 2, idle_timeout=5.0)
+        assert replies == [b"echo:b", b"echo:c"]
+        rt.spawn(gates[b"a"].put(None))
+        rt.run(until=lambda: len(replies) == 3, idle_timeout=5.0)
+        assert replies[2] == b"echo:a"
+        assert node_b.stats.handoffs == 1
+
+    @pytest.mark.parametrize("together", [False, True])
+    def test_a_handler_parked_behind_a_flusher_still_hands_off(self, rt,
+                                                               together):
+        # The first reply is too big for the peer's window, so a
+        # ``_flusher`` thread owns the link's flush: no flush trigger
+        # fires at the end of a later turn.  A handler that parks then
+        # must still hand the reading on.  ``together``: both requests
+        # arrive in one read, so the trigger that starts the partial
+        # write is also the one that hands off.
+        big = b"B" * (4 * 1024 * 1024)
+        gates, parked = {b"slow": MVar(name="gate")}, []
+        echo = gated_handler(gates, parked)
+        node_a, _node_b = make_pair(
+            rt, handler_a=lambda body: pure(big) if body == b"big"
+            else echo(body), write_timeout=30.0)
+        outs = []
+        enqueue = node_a._enqueue
+
+        def spy(out, *args, **kwargs):
+            outs.append(out)
+            return enqueue(out, *args, **kwargs)
+
+        node_a._enqueue = spy
+        sock = raw_peer(node_a, rcvbuf=4096)
+        first, second = (frame_bytes(KIND_REQUEST, 1, b"big"),
+                         frame_bytes(KIND_REQUEST, 2, b"slow"))
+        if together:
+            sock.sendall(first + second)
+        else:
+            sock.sendall(first)
+            rt.run(until=lambda: bool(outs) and outs[0].flusher,
+                   idle_timeout=5.0)
+            sock.sendall(second)
+        rt.run(until=lambda: bool(parked) and outs[0].flusher,
+               idle_timeout=5.0)
+        assert outs[0].flusher
+        sock.sendall(frame_bytes(KIND_REQUEST, 3, b"fast"))
+        rt.run(until=lambda: node_a.stats.served == 2, idle_timeout=5.0)
+        assert node_a.stats.served == 2  # "big" and "fast"
+        assert node_a.stats.handoffs == 1
+        assert outs[0].flusher  # the first reply is still being written
+        rt.spawn(gates[b"slow"].put(None))
+        assert read_reply_ids(rt, sock, 3) == [1, 3, 2]
+        sock.close()
 
 
 class TestFanOutThreads:
@@ -538,6 +755,40 @@ class TestFanOutThreads:
         assert merged == {1: b"echo:one", 2: b"echo:two"}
         assert list(merged) == [1, 2]  # result order follows ``bodies``
         assert [name for name in names if "fanout" in name] == ["fanout-1"]
+
+    def test_fan_out_decorates_nothing_per_call(self, rt, monkeypatch):
+        # Each leg is a method, not a ``@do`` closure defined per call:
+        # a fan-out costs no ``do()`` (and no ``functools.update_wrapper``).
+        listeners = [make_listener() for _ in range(3)]
+        peers = {i: ("127.0.0.1", l.getsockname()[1])
+                 for i, l in enumerate(listeners)}
+        nodes = [MeshNode(i, rt.io, l, peers, rt.timers,
+                          handler=echo_handler)
+                 for i, l in enumerate(listeners)]
+        for node in nodes:
+            rt.spawn(node.serve(), name=f"mesh-{node.index}")
+        results = []
+
+        @do
+        def caller():
+            for _ in range(2):
+                results.append(
+                    (yield nodes[0].fan_out({1: b"one", 2: b"two"})))
+
+        decorations = []
+        original = do_notation.do
+
+        def counting(genfunc):
+            decorations.append(genfunc.__name__)
+            return original(genfunc)
+
+        # Patched where it is defined and where the mesh bound it.
+        monkeypatch.setattr(do_notation, "do", counting)
+        monkeypatch.setattr(mesh_module, "do", counting)
+        rt.spawn(caller())
+        rt.run(until=lambda: len(results) == 2, idle_timeout=5.0)
+        assert results == [{1: b"echo:one", 2: b"echo:two"}] * 2
+        assert decorations == []
 
     def test_empty_fan_out(self, rt):
         node_a, _node_b = make_pair(rt)
@@ -791,8 +1042,9 @@ class TestFailureModes:
 
     def test_failed_reply_write_strands_nothing(self, rt):
         # A peer asks for big replies, never reads them, and hangs up.
-        # Nobody waits for a reply's flush, so the request threads are
-        # long gone (their ``inflight`` slots with them) and the failed
+        # Nobody waits for a reply's flush, so every request is served
+        # although the first reply is still stuck in the socket (a
+        # queued reply holds no ``max_inflight`` slot), and the failed
         # write has no one to tell: it must simply not leave a thread
         # parked or a counter stuck.
         big = b"r" * (512 * 1024)
@@ -815,21 +1067,16 @@ class TestFailureModes:
                     sock, frame_bytes(KIND_REQUEST, request_id, b"more")
                 )
                 yield sys_sleep(0.02)
-            names.append("sent")
             yield sys_sleep(0.1)
             yield rt.io.close(sock)
             hung_up.append(True)
 
-        names = fork_names(rt)
         idle_threads = rt.sched.live_threads
         rt.spawn(greedy_client(), name="greedy")
         rt.run(until=lambda: bool(hung_up), idle_timeout=5.0)
         rt.run(until=lambda: rt.sched.live_threads <= idle_threads,
                idle_timeout=5.0)
         assert node_a.stats.served == 3
-        # Each request got a worker although the first reply was still
-        # stuck in the socket: a queued reply does not hold its slot.
-        assert names.count("mesh-request") == 3
         assert rt.sched.live_threads == idle_threads
         assert node_a.stats.write_timeouts == 0
 
@@ -940,14 +1187,15 @@ class TestBatchedEgress:
             b"echo:req-%d" % index for index in range(8)
         )
         # Server-side replies batched (the handler is synchronous, so
-        # all eight workers finish within one loop turn).
+        # the reader serves all eight within one loop turn).
         assert node_b.stats.frames_sent == 8
         assert node_b.stats.flushes < 8
         assert node_b.stats.batched_flushes >= 1
 
     def test_workers_woken_mid_turn_reply_in_one_gathered_write(self, rt):
-        # Eight request workers park on one MVar and pass it on as they
-        # wake, so each is made ready *during* the turn.  The flush is a
+        # Eight requests park on one MVar (each hands the reading on)
+        # and pass it on as they wake, so each is made ready *during*
+        # the turn.  The flush is a
         # deadline of "now", fired once the ready queue is dry: all
         # eight replies leave in one ``sendmsg``.  (A flusher thread
         # forked by the first reply ran mid-chain: two or more writes.)
@@ -1022,11 +1270,9 @@ class TestBatchedEgress:
             return pure(b"")
 
         burst = FLUSH_MAX_FRAMES * 2 + 22
-        # ``max_inflight`` above the burst: every frame gets a forked
-        # worker and the scheduler runs those FIFO, so ``seen`` is the
-        # order the frames crossed the wire.
-        node_a, _node_b = make_pair(rt, handler_b=recording,
-                                    max_inflight=burst + 1)
+        # The reader serves each frame inline, in the order it read
+        # them, so ``seen`` is the order the frames crossed the wire.
+        node_a, _node_b = make_pair(rt, handler_b=recording)
         done = []
 
         @do
