@@ -121,6 +121,12 @@ __all__ = ["HashRing", "KvNode", "KvHttpHandler", "KvQuorumError",
 #: Seconds between hint-pump firings (the backstop behind ``peer_up``).
 HINT_REPLAY_INTERVAL = 1.0
 
+#: Keys a :class:`HashRing` remembers the placement of before its memo
+#: starts over.  At the cap the memo's table is ~0.4 MiB, plus the key
+#: strings it keeps alive (~60 B each for a short ASCII key, so ~1.4 MiB
+#: in all for 16 Ki such keys); the preference lists are shared.
+RING_MEMO_KEYS = 16 * 1024
+
 #: The counters ``local_stats`` reports bare and ``extra_stats`` with a
 #: ``kv_`` prefix (``keys`` is computed beside them).
 _COUNTERS = ("owned_ops", "proxied_ops", "mesh_served_ops",
@@ -141,6 +147,15 @@ class HashRing:
     shard process (builtin ``hash`` is salted per process).
     ``replication`` is the default preference-list length served by
     :meth:`replicas` (clamped to the shard count).
+
+    :meth:`replicas` (and :meth:`owner`, its element 0) is memoised: the
+    preference list of every ring point is built once, at construction,
+    and a key seen before costs one ``dict.get`` instead of an md5 and a
+    bisect.  The memo starts over at :data:`RING_MEMO_KEYS` keys.  The
+    lists it returns are shared by every key landing on the same ring
+    point, so a caller must never mutate one (the call sites in this
+    module only test membership, iterate and index).
+    :meth:`successors` walks the ring afresh and is the reference.
     """
 
     def __init__(self, shards: int, vnodes: int = 64,
@@ -166,23 +181,19 @@ class HashRing:
         points.sort()
         self._hashes = [point for point, _shard in points]
         self._owners = [shard for _point, shard in points]
+        #: ``_lists[i]``: the preference list of a key whose point falls
+        #: just before ring point ``i``.
+        self._lists = [self._walk(start, self.replication)
+                       for start in range(len(points))]
+        self._memo: dict[str, list[int]] = {}
 
     def _point(self, key: str) -> int:
         digest = hashlib.md5(key.encode("utf-8", "surrogatepass")).digest()
         return int.from_bytes(digest[:8], "big")
 
-    def owner(self, key: str) -> int:
-        """The shard owning ``key`` (clockwise successor on the ring)."""
-        index = bisect.bisect_right(self._hashes, self._point(key))
-        if index == len(self._hashes):
-            index = 0
-        return self._owners[index]
-
-    def successors(self, key: str, count: int) -> list[int]:
-        """The first ``count`` *distinct* shards clockwise from ``key``'s
-        ring point — the key's preference list; element 0 is the primary
-        owner.  Capped at the shard count."""
-        start = bisect.bisect_right(self._hashes, self._point(key))
+    def _walk(self, start: int, count: int) -> list[int]:
+        """The first ``count`` distinct shards clockwise from ring point
+        ``start`` (capped at the shard count)."""
         total = len(self._owners)
         want = min(count, self.shards)
         found: list[int] = []
@@ -196,9 +207,27 @@ class HashRing:
                     break
         return found
 
+    def owner(self, key: str) -> int:
+        """The shard owning ``key`` (clockwise successor on the ring)."""
+        return self.replicas(key)[0]
+
+    def successors(self, key: str, count: int) -> list[int]:
+        """The first ``count`` *distinct* shards clockwise from ``key``'s
+        ring point — the key's preference list; element 0 is the primary
+        owner.  Capped at the shard count."""
+        return self._walk(bisect.bisect_right(self._hashes, self._point(key)),
+                          count)
+
     def replicas(self, key: str) -> list[int]:
-        """``key``'s preference list at the ring's replication factor."""
-        return self.successors(key, self.replication)
+        """``key``'s preference list at the ring's replication factor
+        (shared: do not mutate it)."""
+        found = self._memo.get(key)
+        if found is None:
+            if len(self._memo) >= RING_MEMO_KEYS:
+                self._memo.clear()
+            index = bisect.bisect_right(self._hashes, self._point(key))
+            found = self._memo[key] = self._lists[index % len(self._lists)]
+        return found
 
 
 def _newer(a, b) -> bool:

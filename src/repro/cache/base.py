@@ -258,8 +258,8 @@ class CacheProtocolBase:
             stats.errors += 1
             out.append(bad.reply)
         if out:
-            yield io.write_all_v(conn, out)
-            stats.bytes_sent += sum(len(buf) for buf in out)
+            sent = yield io.write_all_v(conn, out)
+            stats.bytes_sent += sent
         if closing:
             return CLOSE  # quit: whatever followed it is not ours
         if bad is not None:

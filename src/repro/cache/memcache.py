@@ -62,15 +62,19 @@ _LINE_ONLY_UNSUPPORTED = (b"incr", b"decr", b"touch", b"flush_all",
 _ERROR = b"ERROR\r\n"
 
 
+#: The protocol's key alphabet: printable ASCII, no whitespace.
+_KEY_ALPHABET = bytes(range(0x21, 0x7F))
+
+
 def _digits(field: bytes) -> bool:
-    return bool(field) and all(c in b"0123456789" for c in field)
+    # bytes.isdigit: ASCII digits only, and False when empty.
+    return field.isdigit()
 
 
 def _valid_key(key: bytes) -> bool:
-    if not key or len(key) > _MAX_KEY_BYTES:
-        return False
-    # Printable ASCII, no whitespace (the protocol's key alphabet).
-    return all(0x21 <= c <= 0x7E for c in key)
+    # One C-level pass: deleting the alphabet must leave nothing.
+    return (0 < len(key) <= _MAX_KEY_BYTES
+            and not key.translate(None, _KEY_ALPHABET))
 
 
 class MemcacheParser(CacheParser):

@@ -49,7 +49,7 @@ def _bulk(value: bytes) -> list[bytes]:
 
 def _decode_int(field: bytes, *, signed: bool = False) -> int | None:
     body = field[1:] if signed and field[:1] == b"-" else field
-    if not body or any(c not in b"0123456789" for c in body):
+    if not body.isdigit():  # ASCII digits only; False when empty
         return None
     return int(field)
 

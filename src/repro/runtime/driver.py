@@ -62,11 +62,11 @@ streams or real sockets) or :class:`~repro.tcp.socket_api.TcpSockets`
 transport listens on (``kernel.net.listen()``, ``make_listener()``,
 ``stack.listen(port)``).  Both implement ``accept_many``/
 ``read_pooled``/``write_all_v``/``sendfile``/``shed``/``close``, each
-returning :class:`~repro.core.monad.M`, and own a receive-buffer pool
-``buffers``; the driver calls the first, second and last two, the
-protocols the middle two, nothing probes, and moving a server from one
-transport to the other is the first constructor argument (§4.8's
-"editing one line of code").
+returning :class:`~repro.core.monad.M` (``write_all_v`` resumes with
+the byte count it wrote), and own a receive-buffer pool ``buffers``; the
+driver calls the first, second and last two, the protocols the middle
+two, nothing probes, and moving a server from one transport to the other
+is the first constructor argument (§4.8's "editing one line of code").
 
 Invariants the layers above rely on:
 

@@ -263,11 +263,17 @@ class NetIO:
         after partial writes; resumes with the total byte count.  The
         fast path never concatenates: a header+body response or a
         length-prefix+frame message is one ``sendmsg`` with zero
-        intermediate copies."""
-        total = sum(len(buf) for buf in bufs)
+        intermediate copies.  A write the kernel takes whole costs no
+        per-buffer pass after it: only a short write walks ``bufs`` to
+        find where to resume."""
+        total = sum(map(len, bufs))
         rest = _unsent(bufs, 0)
+        sent = 0
         while rest:
             count = yield self.writev(fd, rest[:WRITEV_IOV_LIMIT])
+            sent += count
+            if sent == total:
+                break
             rest = _unsent(rest, count)
         return total
 
@@ -284,7 +290,11 @@ class NetIO:
             count = op(fd, window)
         else:
             count = backend.nb_write(fd, b"".join(window))
-        return _unsent(bufs, 0 if count is WOULD_BLOCK else count)
+        if count is WOULD_BLOCK:
+            return _unsent(bufs, 0)
+        if count == sum(map(len, bufs)):
+            return []
+        return _unsent(bufs, count)
 
     def writev_nowait(self, fd: Any, bufs: list) -> M:
         """:meth:`try_writev` as a monadic operation that never parks.

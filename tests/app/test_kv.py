@@ -6,11 +6,14 @@ from __future__ import annotations
 
 import base64
 import collections
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.api import ClusterServer
+from repro.app import kv
 from repro.app.kv import HashRing, KvHttpHandler, KvNode, KvQuorumError
 from repro.core.do_notation import do
 from repro.http.blocking_client import BlockingHttpClient
@@ -58,6 +61,66 @@ class TestHashRing:
             HashRing(0)
         with pytest.raises(ValueError):
             HashRing(2, vnodes=0)
+
+
+def _placement_digest(shards: int, replication: int) -> str:
+    ring = HashRing(shards, replication=replication)
+    placement = bytes(shard for i in range(1024)
+                      for shard in ring.replicas(f"key-{i:04d}"))
+    return hashlib.sha256(placement).hexdigest()
+
+
+class TestPlacementMemo:
+    """``replicas``/``owner`` answer from a memo over per-point lists;
+    ``successors`` walks the ring afresh and is the reference."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("replication", [1, 2, 3])
+    def test_memo_agrees_with_the_walk(self, shards, replication):
+        ring = HashRing(shards, replication=replication)
+        keys = [f"key-{i}" for i in range(2000)]
+        for _pass in range(2):  # cold, then from the memo
+            for key in keys:
+                assert ring.replicas(key) == ring.successors(
+                    key, replication)
+                assert ring.owner(key) == ring.successors(key, 1)[0]
+
+    @given(st.text(), st.integers(1, 5), st.integers(1, 3))
+    def test_any_text_key(self, key, shards, replication):
+        # st.text() includes lone surrogates ("surrogatepass" hashing).
+        ring = HashRing(shards, replication=replication)
+        assert ring.replicas(key) == ring.successors(key, replication)
+        assert ring.owner(key) == ring.successors(key, 1)[0]
+
+    def test_a_repeated_key_is_not_hashed_again(self, monkeypatch):
+        ring = HashRing(3, replication=2)
+        first = ring.replicas("alpha")
+        calls = []
+        point = ring._point
+        monkeypatch.setattr(ring, "_point",
+                            lambda key: calls.append(key) or point(key))
+        for _ in range(10):
+            assert ring.replicas("alpha") is first
+            assert ring.owner("alpha") == first[0]
+        assert calls == []
+
+    def test_the_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(kv, "RING_MEMO_KEYS", 64)
+        ring = HashRing(3, replication=2)
+        for i in range(64 + 100):
+            ring.replicas(f"key-{i}")
+            assert len(ring._memo) <= 64
+        assert ring.replicas("key-0") == ring.successors("key-0", 2)
+
+    def test_no_key_moved(self):
+        # Placement of key-0000..key-1023 as the ring computed it before
+        # the memo: the memo is a cache, never a re-hash.
+        assert _placement_digest(3, 2) == (
+            "32d59d223f91ea01e91f607a80e5045ad480c3adb8ff751d101e9f99633f6b45")
+        assert _placement_digest(5, 3) == (
+            "81892c7bbaf54ed08b717e38b8b373f677f3c68141a077d71d7c9259c8d36580")
+        assert _placement_digest(4, 1) == (
+            "d5454009c6b1e7e828646eb9ccc1bbafbe308fcc694bea137b7f9fd26f7d6676")
 
 
 # ----------------------------------------------------------------------

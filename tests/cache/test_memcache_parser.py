@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.cache.base import CacheParseError
-from repro.cache.memcache import MemcacheParser
+from repro.cache.memcache import MemcacheParser, _digits, _valid_key
+from repro.cache.resp import _decode_int
 
 
 def parse_all(raw: bytes) -> list[tuple]:
@@ -147,3 +148,55 @@ class TestByteSplitInvariance:
             got.append(command)
         assert got == expected
         assert parser.buffered == 0
+
+
+# ----------------------------------------------------------------------
+# The per-byte rules the C-level validators must keep.
+# ----------------------------------------------------------------------
+def reference_valid_key(key: bytes) -> bool:
+    """Printable ASCII, no whitespace, 1..250 bytes."""
+    return 0 < len(key) <= 250 and all(0x21 <= c <= 0x7E for c in key)
+
+
+def reference_digits(field: bytes) -> bool:
+    return bool(field) and all(c in b"0123456789" for c in field)
+
+
+def reference_decode_int(field: bytes, signed: bool) -> int | None:
+    body = field[1:] if signed and field[:1] == b"-" else field
+    if not body or any(c not in b"0123456789" for c in body):
+        return None
+    return int(field)
+
+
+#: Empty, the edges of the alphabet and of the length rule, every ASCII
+#: whitespace byte, non-ASCII digits' UTF-8 and a sign in odd places.
+EDGE_FIELDS = [
+    b"", b"a" * 250, b"a" * 251, b"\x20", b"\x21", b"\x7e", b"\x7f", b"\x80",
+    b"\xff", b"key\x7f", b"ke\x80y", *(bytes([c]) for c in b" \t\n\r\x0b\x0c"),
+    b"a b", b"a\tb", b"\x1c", b"0", b"007", b"-", b"-0", b"--1", b"+1",
+    b"1-", " ".join("\u0661\u0662").encode(), "\u0661".encode(), b"\xb2",
+]
+
+
+class TestValidatorsMatchTheirByteRules:
+    @pytest.mark.parametrize("field", EDGE_FIELDS)
+    def test_edges(self, field):
+        self._check(field)
+
+    @given(st.binary(max_size=300))
+    def test_arbitrary_bytes(self, field):
+        self._check(field)
+
+    @given(st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=0x80),
+                   max_size=260))
+    def test_near_the_alphabet(self, text):
+        self._check(text.encode("utf-8"))
+
+    @staticmethod
+    def _check(field: bytes) -> None:
+        assert _valid_key(field) is reference_valid_key(field)
+        assert _digits(field) is reference_digits(field)
+        for signed in (False, True):
+            assert (_decode_int(field, signed=signed)
+                    == reference_decode_int(field, signed))

@@ -62,7 +62,7 @@ class RecordingTransport:
 
     def write_all_v(self, conn, bufs):
         self.sent.append(b"".join(bufs))
-        return pure(None)
+        return pure(sum(map(len, bufs)))
 
     def close(self, conn):
         self.calls.append(("close", conn))

@@ -11,7 +11,8 @@ import socket
 
 from repro.core.do_notation import do
 from repro.core.scheduler import run_threads
-from repro.runtime.io_api import NetIO
+from repro.runtime import io_api
+from repro.runtime.io_api import WRITEV_IOV_LIMIT, NetIO
 from repro.runtime.live_runtime import HAS_SENDMSG, LiveRuntime
 from repro.simos.errors import WOULD_BLOCK
 
@@ -172,6 +173,83 @@ class TestWriteAllV:
         _run(writer())
         assert results == [3]
         assert bytes(backend.written) == b"abc"
+
+
+class TestWholeWriteFastPath:
+    """A write the kernel takes whole resumes at once: no per-buffer
+    ``_unsent`` walk after the ``sendmsg``."""
+
+    @staticmethod
+    def _log_walks(monkeypatch, backend):
+        log = []
+        unsent = io_api._unsent
+        writev = backend.nb_writev
+
+        def counting_unsent(bufs, count):
+            log.append(("unsent", count))
+            return unsent(bufs, count)
+
+        def logging_writev(fd, bufs):
+            log.append(("sendmsg", len(bufs)))
+            return writev(fd, bufs)
+
+        monkeypatch.setattr(io_api, "_unsent", counting_unsent)
+        backend.nb_writev = logging_writev
+        return log
+
+    def test_a_whole_write_resumes_with_the_total(self, monkeypatch):
+        backend = _VecBackend()
+        log = self._log_walks(monkeypatch, backend)
+        io = NetIO(backend)
+        bufs = [b"VALUE k%d 0 5\r\n" % i for i in range(100)]
+        results = []
+
+        @do
+        def writer():
+            results.append((yield io.write_all_v("fd", bufs)))
+
+        _run(writer())
+        assert results == [sum(map(len, bufs))]
+        assert bytes(backend.written) == b"".join(bufs)
+        assert backend.writev_calls == 1
+        assert log[log.index(("sendmsg", 100)):] == [("sendmsg", 100)]
+
+    def test_try_writev_full_write_returns_empty(self, monkeypatch):
+        backend = _VecBackend()
+        log = self._log_walks(monkeypatch, backend)
+        io = NetIO(backend)
+        bufs = [b"x" * 7 for _ in range(100)]
+        assert io.try_writev("fd", bufs) == []
+        assert log == [("sendmsg", 100)]
+
+    def test_try_writev_partial_and_would_block(self):
+        backend = _VecBackend(cap=5)
+        io = NetIO(backend)
+        rest = io.try_writev("fd", [b"aaaa", b"bbbb"])
+        assert [bytes(buf) for buf in rest] == [b"bbb"]
+
+        class Blocked(_VecBackend):
+            def nb_writev(self, fd, bufs):
+                return WOULD_BLOCK
+
+        bufs = [b"", b"ab", b"c"]
+        assert NetIO(Blocked()).try_writev("fd", bufs) == [b"ab", b"c"]
+
+    def test_more_buffers_than_one_iovec_split_into_windows(self):
+        backend = _VecBackend()
+        io = NetIO(backend)
+        count = 2 * WRITEV_IOV_LIMIT + 44
+        bufs = [bytes([65 + i % 26]) * 3 for i in range(count)]
+        results = []
+
+        @do
+        def writer():
+            results.append((yield io.write_all_v("fd", bufs)))
+
+        _run(writer())
+        assert backend.writev_iovs == [WRITEV_IOV_LIMIT, WRITEV_IOV_LIMIT, 44]
+        assert bytes(backend.written) == b"".join(bufs)
+        assert results == [3 * count]
 
 
 class TestLiveSendmsg:
