@@ -122,10 +122,18 @@ __all__ = ["HashRing", "KvNode", "KvHttpHandler", "KvQuorumError",
 HINT_REPLAY_INTERVAL = 1.0
 
 #: Keys a :class:`HashRing` remembers the placement of before its memo
-#: starts over.  At the cap the memo's table is ~0.4 MiB, plus the key
-#: strings it keeps alive (~60 B each for a short ASCII key, so ~1.4 MiB
-#: in all for 16 Ki such keys); the preference lists are shared.
+#: starts over.  A memory bound, not a tuned value: the memo only pays
+#: when keys repeat within this many lookups.
 RING_MEMO_KEYS = 16 * 1024
+
+#: Longest key (in characters) the memo keeps alive; a longer key is
+#: placed by the same lookup but not remembered.  Memcache's key limit.
+#: With :data:`RING_MEMO_KEYS` this bounds the memo at the cap: ~0.4 MiB
+#: of table plus the key strings it keeps alive — ~1.3 MiB in all for
+#: short ASCII keys (``key-00042``), ~5 MiB for 250-character ASCII keys
+#: and ~17 MiB at worst (250-character keys holding a character outside
+#: the BMP, so stored at 4 bytes each).  The preference lists are shared.
+RING_MEMO_KEY_CHARS = 250
 
 #: The counters ``local_stats`` reports bare and ``extra_stats`` with a
 #: ``kv_`` prefix (``keys`` is computed beside them).
@@ -151,7 +159,8 @@ class HashRing:
     :meth:`replicas` (and :meth:`owner`, its element 0) is memoised: the
     preference list of every ring point is built once, at construction,
     and a key seen before costs one ``dict.get`` instead of an md5 and a
-    bisect.  The memo starts over at :data:`RING_MEMO_KEYS` keys.  The
+    bisect.  The memo starts over at :data:`RING_MEMO_KEYS` keys and
+    never keeps a key longer than :data:`RING_MEMO_KEY_CHARS`.  The
     lists it returns are shared by every key landing on the same ring
     point, so a caller must never mutate one (the call sites in this
     module only test membership, iterate and index).
@@ -223,10 +232,12 @@ class HashRing:
         (shared: do not mutate it)."""
         found = self._memo.get(key)
         if found is None:
-            if len(self._memo) >= RING_MEMO_KEYS:
-                self._memo.clear()
             index = bisect.bisect_right(self._hashes, self._point(key))
-            found = self._memo[key] = self._lists[index % len(self._lists)]
+            found = self._lists[index % len(self._lists)]
+            if len(key) <= RING_MEMO_KEY_CHARS:
+                if len(self._memo) >= RING_MEMO_KEYS:
+                    self._memo.clear()
+                self._memo[key] = found
         return found
 
 

@@ -112,6 +112,17 @@ class TestPlacementMemo:
             assert len(ring._memo) <= 64
         assert ring.replicas("key-0") == ring.successors("key-0", 2)
 
+    def test_a_long_key_is_placed_but_not_kept(self):
+        ring = HashRing(3, replication=2)
+        ring.replicas("alpha")
+        for key in ("k" * 65536, "\U0001F600" * 251):
+            assert ring.replicas(key) == ring.successors(key, 2)
+            assert ring.owner(key) == ring.successors(key, 1)[0]
+            assert len(ring._memo) == 1
+        edge = "k" * kv.RING_MEMO_KEY_CHARS
+        assert ring.replicas(edge) == ring.successors(edge, 2)
+        assert edge in ring._memo
+
     def test_no_key_moved(self):
         # Placement of key-0000..key-1023 as the ring computed it before
         # the memo: the memo is a cache, never a re-hash.
