@@ -4,7 +4,8 @@ Four shard processes serve one ``SO_REUSEPORT`` port.  Keys are placed on
 shards by a consistent-hash ring; each shard holds a persistent mesh link
 to every peer, so *any* shard answers *any* key: ops on keys it owns run
 locally, the rest are proxied to the owner over the data plane.  Multi-key
-ops (``/mget``, ``/kv-stats``) fan out to every owner and merge.
+ops fan out and merge: ``/mget`` reads each key from one replica (this
+shard's copy, else one fixed peer's), ``/kv-stats`` asks every shard.
 
 With ``--replication N`` every key lives on its N ring successors:
 writes fan out to all replicas (``--quorum`` acks required to succeed,

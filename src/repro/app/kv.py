@@ -28,11 +28,20 @@ Ring / replication rules (the invariants the service is built on):
   replica, else the first replica that acked) and replayed when the peer
   comes back — triggered by the cluster control protocol's ``peer_up``
   event after a respawn/reload, and by a periodic hint pump as backstop.
-* **reads consult the preference list** (primary's answer preferred, so
-  a healthy cluster reads exactly like the unreplicated one), fall back
-  to successors when the primary is down, return the newest version seen,
-  and **read-repair** any answering replica that was stale or missing —
-  patched with the newest versioned value over one-way mesh casts.
+* **a** ``get`` **consults the whole preference list** (primary's answer
+  preferred, so a healthy cluster reads exactly like the unreplicated
+  one), falls back to successors when the primary is down, returns the
+  newest version seen, and **read-repairs** any answering replica that
+  was stale or missing — patched with the newest versioned value over
+  one-way mesh casts.
+* **an** ``mget`` **reads each key from one replica**, chosen by a rule
+  of (shard, key) alone: this shard's own copy when it holds one, else
+  the holder first in its fixed peer order ``(peer - index) % shards``.
+  A write returns only after every leg of its fan-out joined, so in a
+  healthy cluster every replica holds every acked write and one replica
+  answers as well as the primary did; a failed peer's keys fall back to
+  the ``get`` path.  A shard refuses a mesh read of a key it holds no
+  replica of (an error reply, never a miss).
 * on a graceful stop each shard **drains**: it pushes every key it holds
   to the key's other replicas, so a rolling ``reload()`` never drops the
   last live copy of a key.
@@ -292,6 +301,11 @@ class KvNode:
         self.replication = max(1, min(replication, shards))
         self.write_quorum = max(1, min(write_quorum, self.replication))
         self.ring = HashRing(shards, replication=self.replication)
+        #: ``peer -> (peer - index) % shards``: this shard's fixed peer
+        #: order, which picks the replica an ``mget`` reads a remote key
+        #: from.
+        self._peer_rank = [(peer - index) % shards
+                           for peer in range(shards)].__getitem__
         self.mesh = mesh
         self.store: dict[str, bytes] = {}
         #: Per-key version stamps: ``key -> (counter, coordinator)``.
@@ -785,46 +799,56 @@ class KvNode:
     def mget(self, keys):
         """Cross-shard multi-get; resumes with ``{key: value-or-None}``.
 
-        Keys are grouped by primary owner: the local group reads
-        directly, every remote group is one mesh call, all owners
-        queried concurrently.  Under replication a failed owner's group
-        falls back to per-key replicated reads (with read-repair);
-        without replication the failure surfaces as
-        :class:`~repro.runtime.mesh.MeshError` — partial silence must
-        not read as "those keys are absent".
+        Each key is read from one replica, chosen by a rule that depends
+        only on (this shard, key): a key this shard holds a replica of
+        reads locally, any other key from the holder that comes first in
+        this shard's fixed peer order ``(peer - index) % shards``.  One
+        connection's reads of a key therefore always hit the same
+        replica, and every remote group is one mesh call, all peers
+        queried concurrently.  With ``replication=1`` that is the key's
+        owner.  Under replication a failed peer's group falls back to
+        per-key replicated reads (with read-repair); without replication
+        the failure surfaces as :class:`~repro.runtime.mesh.MeshError` —
+        partial silence must not read as "those keys are absent".
 
         A key named twice is fetched and counted once:
         ``owned_ops``/``proxied_ops`` count distinct keys.
         """
-        by_owner: dict[int, list[str]] = {}
-        for key in dict.fromkeys(keys):
-            by_owner.setdefault(self.ring.owner(key), []).append(key)
+        index = self.index
+        rank = self._peer_rank
         merged: dict[str, bytes | None] = {}
-        for key in by_owner.pop(self.index, []):
-            self.owned_ops += 1
-            merged[key] = self._local_get(key)
-        if not by_owner:
+        by_peer: dict[int, list[str]] = {}
+        for key in dict.fromkeys(keys):
+            replicas = self.ring.replicas(key)
+            if index in replicas:
+                self.owned_ops += 1
+                merged[key] = self._local_get(key)
+            else:
+                by_peer.setdefault(min(replicas, key=rank),
+                                   []).append(key)
+        if not by_peer:
             return merged
         replies = yield self.mesh.fan_out({
-            owner: encode_run([encode(MGET, key) for key in group])
-            for owner, group in by_owner.items()
+            peer: encode_run([encode(MGET, key) for key in group])
+            for peer, group in by_peer.items()
         })
         failures: dict[int, BaseException | None] = {}
-        for owner, reply in _answers(replies, by_owner, failures, decode_run):
+        for peer, reply in _answers(replies, by_peer, failures, decode_run):
             answered = {key: value for _op, _flags, key, _version, value,
                         _target in reply}
-            if list(answered) != by_owner[owner]:
-                failures[owner] = MeshProtocolError(
-                    f"peer {owner}: mget reply does not cover the "
-                    f"{len(by_owner[owner])} keys asked for")
+            if list(answered) != by_peer[peer]:
+                failures[peer] = MeshProtocolError(
+                    f"peer {peer}: mget reply does not cover the "
+                    f"{len(by_peer[peer])} keys asked for")
                 continue
             self.proxied_ops += len(answered)
             merged.update(answered)
-        for owner, failure in failures.items():
+        for peer, failure in failures.items():
             if self.replication <= 1:
                 raise failure
-            # Primary down: read each key through its replicas.
-            for key in by_owner[owner]:
+            # The chosen replica is down: read each key through all of
+            # its replicas.
+            for key in by_peer[peer]:
                 found, value, _proxied = yield self.get(key)
                 merged[key] = value if found else None
         return merged
@@ -859,11 +883,20 @@ class KvNode:
     # ------------------------------------------------------------------
     # The mesh-inbound side: execute an op we hold a replica of.
     # ------------------------------------------------------------------
+    def _require_replica(self, key: str) -> None:
+        """A read routed to a shard holding no replica of ``key`` is a
+        routing bug: refuse it, so it can never read as "absent"."""
+        if self.index not in self.ring.replicas(key):
+            raise RecordError(
+                f"shard {self.index} holds no replica of {key!r}")
+
     @do
     def _handle_mesh(self, body: bytes):
         if is_run(body):
             asked = decode_run(body)
             self.mesh_served_ops += 1
+            for record in asked:
+                self._require_replica(record[2])
             self.owned_ops += len(asked)
             return encode_run([
                 encode(MGET, key, None, self.store.get(key))
@@ -874,6 +907,7 @@ class KvNode:
             return encode(STATS, value=_json(self.local_stats()))
         self.mesh_served_ops += 1
         if op == GET:
+            self._require_replica(key)
             return encode(GET, version=self.versions.get(key),
                           value=self._local_get(key))
         if version is None:

@@ -17,9 +17,9 @@ For the batch plan in :meth:`~repro.cache.base.CacheProtocolBase.drain`
 ``MGET``/``EXISTS`` are *reads* (consecutive ones share one store
 ``mget``), ``GET``/``SET``/``DEL`` are *keyed* (key-disjoint
 neighbours overlap), and everything else is a barrier.  ``GET`` is
-deliberately not a read: it is the quorum read with read-repair
-(``KvNode.get``) where ``MGET`` is the primary read, and coalescing one
-into the other would silently change its consistency.
+deliberately not a read: it is the all-replica read with read-repair
+(``KvNode.get``) where ``MGET`` is the one-replica read, and coalescing
+one into the other would silently change its consistency.
 """
 
 from __future__ import annotations

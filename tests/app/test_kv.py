@@ -6,16 +6,19 @@ from __future__ import annotations
 
 import base64
 import collections
+import functools
 import hashlib
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.api import ClusterServer
 from repro.app import kv
 from repro.app.kv import HashRing, KvHttpHandler, KvNode, KvQuorumError
+from repro.app.record import decode_run
 from repro.core.do_notation import do
+from repro.core.scheduler import Scheduler
 from repro.http.blocking_client import BlockingHttpClient
 from repro.http.message import HttpError, HttpRequest
 from repro.runtime.live_runtime import LiveRuntime
@@ -132,6 +135,148 @@ class TestPlacementMemo:
             "81892c7bbaf54ed08b717e38b8b373f677f3c68141a077d71d7c9259c8d36580")
         assert _placement_digest(4, 1) == (
             "d5454009c6b1e7e828646eb9ccc1bbafbe308fcc694bea137b7f9fd26f7d6676")
+
+
+# ----------------------------------------------------------------------
+# The mget plan: which replica each key is read from.
+# ----------------------------------------------------------------------
+class _RecordingMesh:
+    """Serves each fan-out leg through the target node's own mesh
+    handler (so a misrouted key fails loudly) and records ``{peer:
+    keys}`` per call."""
+
+    def __init__(self, nodes):
+        self.nodes = nodes
+        self.calls: list[dict[int, list[str]]] = []
+        self.handler = None
+
+    @do
+    def fan_out(self, bodies):
+        self.calls.append({peer: [record[2] for record in decode_run(body)]
+                           for peer, body in bodies.items()})
+        replies = {}
+        for peer, body in bodies.items():
+            replies[peer] = yield self.nodes[peer]._handle_mesh(body)
+        return replies
+
+
+def _value(key):
+    return b"v:" + key.encode()
+
+
+@functools.cache
+def _routing_world(shards, replication):
+    nodes = {}
+    for index in range(shards):
+        nodes[index] = KvNode(index, shards, mesh=_RecordingMesh(nodes),
+                              replication=replication)
+    return nodes
+
+
+def _plan(shards, replication, batches):
+    """Every shard runs an ``mget`` of every batch; each key is stored
+    on exactly its replicas.  Returns ``{shard: [(merged, calls)]}``,
+    one entry per batch."""
+    nodes = _routing_world(shards, replication)
+    for key in {key for batch in batches for key in batch}:
+        for replica in nodes[0].replicas(key):
+            nodes[replica]._apply_versioned(key, (1, 0), _value(key))
+    sched = Scheduler()
+    plans = {index: [] for index in nodes}
+
+    @do
+    def main():
+        for index, node in nodes.items():
+            for batch in batches:
+                before = len(node.mesh.calls)
+                merged = yield node.mget(batch)
+                plans[index].append((merged, node.mesh.calls[before:]))
+
+    sched.spawn(main())
+    sched.run()
+    return plans
+
+
+_KEY = st.one_of(
+    st.integers(0, 2047).map(lambda n: f"key-{n}"),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+_BATCH = st.lists(_KEY, max_size=24)
+_GRID = pytest.mark.parametrize("shards,replication", [
+    (shards, replication)
+    for shards in range(1, 6) for replication in range(1, 4)])
+
+
+def _targets(calls):
+    return {key: peer for call in calls
+            for peer, keys in call.items() for key in keys}
+
+
+class TestMgetRouting:
+    """``KvNode.mget`` reads each key from one replica, by a rule of
+    (shard, key) alone: its own copy, else the holder first in the
+    shard's fixed peer order."""
+
+    @_GRID
+    @settings(max_examples=10, deadline=None)
+    @given(batch=_BATCH)
+    def test_every_key_is_read_from_one_of_its_replicas(
+            self, shards, replication, batch):
+        ring = HashRing(shards, replication=replication)
+        for index, [(merged, calls)] in _plan(
+                shards, replication, [batch]).items():
+            assert merged == {key: _value(key) for key in batch}
+            asked = [key for call in calls
+                     for keys in call.values() for key in keys]
+            assert len(asked) == len(set(asked))
+            for key, peer in _targets(calls).items():
+                assert peer != index and peer in ring.replicas(key)
+                # The first holder in this shard's fixed peer order.
+                assert peer == min(ring.replicas(key),
+                                   key=lambda p: (p - index) % shards)
+
+    @_GRID
+    @settings(max_examples=10, deadline=None)
+    @given(batch=_BATCH)
+    def test_a_key_this_shard_holds_costs_no_call(
+            self, shards, replication, batch):
+        ring = HashRing(shards, replication=replication)
+        for index, [(_merged, calls)] in _plan(
+                shards, replication, [batch]).items():
+            remote = {key for key in batch
+                      if index not in ring.replicas(key)}
+            assert set(_targets(calls)) == remote
+            assert len(calls) == (1 if remote else 0)
+
+    @_GRID
+    @settings(max_examples=10, deadline=None)
+    @given(first=_BATCH, second=_BATCH)
+    def test_a_keys_target_is_the_same_in_every_batch(
+            self, shards, replication, first, second):
+        alone = [[key] for key in first + second]
+        for plans in _plan(shards, replication,
+                           [first, second, *alone]).values():
+            seen: dict[str, int] = {}
+            for _merged, calls in plans:
+                for key, peer in _targets(calls).items():
+                    assert seen.setdefault(key, peer) == peer
+
+    @pytest.mark.parametrize("shards", range(1, 6))
+    @settings(max_examples=10, deadline=None)
+    @given(batch=_BATCH)
+    def test_replication_one_groups_like_the_owner(self, shards, batch):
+        ring = HashRing(shards)
+        for index, [(_merged, calls)] in _plan(shards, 1, [batch]).items():
+            assert _targets(calls) == {
+                key: ring.owner(key) for key in batch
+                if ring.owner(key) != index}
+
+    @settings(max_examples=100, deadline=None)
+    @given(batch=_BATCH)
+    def test_three_shards_at_replication_two_make_at_most_one_call(
+            self, batch):
+        for [(_merged, calls)] in _plan(3, 2, [batch]).values():
+            assert sum(len(call) for call in calls) <= 1
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.http.message import HttpError, HttpRequest
 from repro.http.server import HttpProtocol
 from repro.runtime.driver import ConnectionDriver
 from repro.runtime.live_runtime import LiveRuntime, make_listener
-from repro.runtime.mesh import MeshNode, MeshProtocolError
+from repro.runtime.mesh import MeshNode, MeshProtocolError, MeshRemoteError
 
 from tests.app.test_wal import _broken_sync, _FakeTimers
 from tests.runtime.test_driver_session import RecordingTransport
@@ -573,6 +573,21 @@ class TestUnreadableReplies:
         answer = self._answer(rt, nodes[0], f"/mget?keys={','.join(keys)}")
         assert answer.startswith(b"HTTP/1.1 502 "), answer
 
+    def test_a_misrouted_read_is_refused_not_a_miss(self, rt, monkeypatch):
+        # A coordinator whose placement disagrees with its peers' (a
+        # routing bug) asks shard 2 for a key only shard 1 holds.  Shard
+        # 2 refuses the GET record and the MGET run, so both reads fail
+        # instead of answering "absent".
+        nodes = make_world(rt, 3, replication=1)
+        key = next(key for key in (f"m{i}" for i in range(100))
+                   if nodes[0].ring.owner(key) == 1)
+        _drive(rt, nodes[0].put(key, b"v"))
+        monkeypatch.setattr(nodes[0].ring, "replicas", lambda _key: [2])
+        for read in (nodes[0].get(key), nodes[0].mget([key])):
+            kind, exc = _drive_error(rt, read, MeshRemoteError)
+            assert kind == "error" and "holds no replica" in str(exc)
+        assert nodes[1].store[key] == b"v"
+
     def test_unreadable_replica_is_a_failed_replica(self, rt):
         # Under replication it is one more way for a replica to fail:
         # reads fall back to the copy that answers, a write counts no
@@ -635,7 +650,9 @@ class TestNoJsonOnTheDataPath:
         before = nodes[0].mesh.stats.calls
         assert _drive(rt, nodes[0].mget(keys + ["nowhere"])) == {
             **values, "nowhere": None}
-        assert nodes[0].mesh.stats.calls - before == 2  # two remote owners
+        # Shard 0 holds a replica of two keys and reads them locally;
+        # the rest (both replicas remote) go to one peer in one call.
+        assert nodes[0].mesh.stats.calls - before == 1
         assert calls == collections.Counter()
         # The spies are live: the public JSON surface still goes through.
         answer = []

@@ -142,3 +142,68 @@ def test_a_get_costs_what_the_mesh_path_costs():
     # request forked a thread of its own.
     assert costs == {"replica": (3.0, 6.0), "outsider": (8.0, 17.0)}
     assert sum(node.mesh.stats.handoffs for node in nodes.values()) == 0
+
+
+def _keys_of_every_primary(ring):
+    """One key per primary shard, 0 to ``SHARDS - 1``."""
+    keys = {}
+    for n in range(1000):
+        keys.setdefault(ring.owner(f"m{n}"), f"m{n}")
+    return [keys[shard] for shard in range(SHARDS)]
+
+
+def test_an_mget_over_every_shard_costs_one_call():
+    # The coordinator reads the keys it holds a replica of locally and
+    # the rest from one fixed peer: one mesh call, whatever the batch.
+    keys = _keys_of_every_primary(HashRing(SHARDS, replication=2))
+    mgets = 20
+
+    @do
+    def program(rt, nodes, _listeners):
+        for key in keys:
+            yield nodes[0].put(key, key.encode())
+        yield nodes[0].mget(keys)  # dial the links first
+        calls = sum(node.mesh.stats.calls for node in nodes.values())
+        before = rt.sched.stats()
+        for _ in range(mgets):
+            merged = yield nodes[0].mget(keys)
+        after = rt.sched.stats()
+        calls = (sum(node.mesh.stats.calls for node in nodes.values())
+                 - calls) / mgets
+        return merged, calls, tuple(
+            (after[key] - before[key]) / mgets
+            for key in ("total_switches", "total_syscalls"))
+
+    _rt, _nodes, (merged, calls, cost) = run_program(program)
+    assert merged == {key: key.encode() for key in keys}
+    # (switches, trace nodes) per mget: what a GET through a replica
+    # costs.  Grouped by primary owner it was two calls, (8, 17).
+    assert calls == 1.0
+    assert cost == (3.0, 6.0)
+
+
+def test_an_mget_whose_chosen_peer_is_down_reads_every_replica():
+    # Shard 0 lacks a key whose replicas are shards 1 and 2, and its
+    # fixed peer order picks shard 1.  With shard 1 refusing dials, the
+    # key falls back to the per-key read, which shard 2 answers with the
+    # newest value.
+    ring = HashRing(SHARDS, replication=2)
+    remote = next(f"k{n}" for n in range(1000)
+                  if ring.replicas(f"k{n}") in ([1, 2], [2, 1]))
+    local = next(f"k{n}" for n in range(1000)
+                 if ring.replicas(f"k{n}") in ([0, 2], [2, 0]))
+
+    @do
+    def program(_rt, nodes, _listeners):
+        for value in (b"old", b"new"):
+            for key in (remote, local):
+                try:
+                    yield nodes[2].put(key, value)
+                except KvQuorumError:
+                    pass  # shard 1 is down: 2 and 0 keep the write
+        merged = yield nodes[0].mget([remote, local])
+        return merged
+
+    _rt, nodes, merged = run_program(program, down={1})
+    assert merged == {remote: b"new", local: b"new"}
+    assert nodes[0].mesh.stats.peer_failures >= 1
