@@ -301,11 +301,6 @@ class KvNode:
         self.replication = max(1, min(replication, shards))
         self.write_quorum = max(1, min(write_quorum, self.replication))
         self.ring = HashRing(shards, replication=self.replication)
-        #: ``peer -> (peer - index) % shards``: this shard's fixed peer
-        #: order, which picks the replica an ``mget`` reads a remote key
-        #: from.
-        self._peer_rank = [(peer - index) % shards
-                           for peer in range(shards)].__getitem__
         self.mesh = mesh
         self.store: dict[str, bytes] = {}
         #: Per-key version stamps: ``key -> (counter, coordinator)``.
@@ -814,8 +809,7 @@ class KvNode:
         A key named twice is fetched and counted once:
         ``owned_ops``/``proxied_ops`` count distinct keys.
         """
-        index = self.index
-        rank = self._peer_rank
+        index, shards = self.index, self.shards
         merged: dict[str, bytes | None] = {}
         by_peer: dict[int, list[str]] = {}
         for key in dict.fromkeys(keys):
@@ -824,8 +818,9 @@ class KvNode:
                 self.owned_ops += 1
                 merged[key] = self._local_get(key)
             else:
-                by_peer.setdefault(min(replicas, key=rank),
-                                   []).append(key)
+                # The holder first in this shard's fixed peer order.
+                peer = min(replicas, key=lambda p: (p - index) % shards)
+                by_peer.setdefault(peer, []).append(key)
         if not by_peer:
             return merged
         replies = yield self.mesh.fan_out({

@@ -148,7 +148,6 @@ class _RecordingMesh:
     def __init__(self, nodes):
         self.nodes = nodes
         self.calls: list[dict[int, list[str]]] = []
-        self.handler = None
 
     @do
     def fan_out(self, bodies):

@@ -328,8 +328,6 @@ def deliver(loss, duplicate, jitter, seed, size):
     it ended, having asserted that ending's invariant.
 
     * ``"delivered"``: the receiver saw exactly the sent bytes, in order.
-    * ``"client gave up"``: the client's bounded SYN retries ran out; its
-      connect failed with :class:`ConnectionTimeout`.
     * ``"server gave up"``: the server's bounded SYN-ACK retries ran out
       (like Linux's ``tcp_synack_retries``) because every ACK of the
       client's was lost.  The client is ESTABLISHED on a connection the
@@ -345,10 +343,7 @@ def deliver(loss, duplicate, jitter, seed, size):
     b.accept(b.listeners[80], accepted)
     a.connect("hostB", 80, connected)
     clock.run_until_idle()
-    if connected.errors:
-        assert [type(e) for e in connected.errors] == [ConnectionTimeout]
-        assert not accepted.values
-        return "client gave up"
+    assert not connected.errors
     client = connected.values[0]
     payload = bytes((i * 31 + seed) % 256 for i in range(size))
     if not accepted.values:
@@ -376,22 +371,18 @@ def deliver(loss, duplicate, jitter, seed, size):
     return "delivered"
 
 
-#: Links on which a handshake gives up (about 0.6% of handshakes at
-#: ``loss=0.25``), with how each ends.
-GAVE_UP = [
-    (dict(loss=0.25, duplicate=0.0, jitter=0.0, seed=31), "server gave up"),
-    (dict(loss=0.25, duplicate=0.0, jitter=0.0078, seed=44),
-     "server gave up"),
-    (dict(loss=0.25, duplicate=0.0, jitter=0.0078, seed=398),
-     "server gave up"),
-    (dict(loss=0.25, duplicate=0.0, jitter=0.0, seed=1990),
-     "client gave up"),
+#: Links on which the server gives up its handshake (about 0.5% of
+#: handshakes at ``loss=0.25``).
+SERVER_GAVE_UP = [
+    dict(loss=0.25, duplicate=0.0, jitter=0.0, seed=31),
+    dict(loss=0.25, duplicate=0.0, jitter=0.0078, seed=44),
+    dict(loss=0.25, duplicate=0.0, jitter=0.0078, seed=398),
 ]
 
 
-@pytest.mark.parametrize("link,ending", GAVE_UP)
-def test_a_handshake_that_gave_up_ends_the_client_too(link, ending):
-    assert deliver(size=1000, **link) == ending
+@pytest.mark.parametrize("link", SERVER_GAVE_UP)
+def test_a_server_that_gave_up_resets_the_client(link):
+    assert deliver(size=1000, **link) == "server gave up"
 
 
 @settings(max_examples=12, deadline=None)
@@ -404,11 +395,10 @@ def test_a_handshake_that_gave_up_ends_the_client_too(link, ending):
 )
 @example(loss=0.25, duplicate=0.0, jitter=0.0, seed=31, size=1000)
 @example(loss=0.25, duplicate=0.0, jitter=0.0078, seed=398, size=60_000)
-@example(loss=0.25, duplicate=0.0, jitter=0.0, seed=1990, size=1000)
 @example(loss=0.25, duplicate=0.2, jitter=0.01, seed=9, size=60_000)
 def test_reliable_delivery_property(loss, duplicate, jitter, seed, size):
     """THE TCP invariant: whatever the link does, the receiver sees
-    exactly the sent bytes, in order — unless a handshake gave up after
-    its bounded retries, and then the client learns it (see
-    :func:`deliver`)."""
+    exactly the sent bytes, in order — unless the server gave up its
+    handshake after its bounded SYN-ACK retries, and then the half-open
+    client is reset (see :func:`deliver`)."""
     deliver(loss, duplicate, jitter, seed, size)
