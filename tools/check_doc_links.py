@@ -9,12 +9,17 @@ Two reference forms are checked:
 * markdown links — ``[text](path)`` (external ``http(s)://``/``mailto:``
   targets and in-page ``#anchors`` are skipped; relative targets resolve
   against the *containing file's* directory);
-* backtick path spans — a single-token `` `like/this.py` `` containing a
-  ``/`` (or a bare top-level ``FILE.md``) with a known source suffix,
-  resolved against the repository root.  Spans with spaces (shell
-  command lines) are ignored token-wise except for tokens that look like
-  paths, so a copy-pasteable ``python benchmarks/foo.py --flag`` line
-  still has its script path checked.
+* backtick path spans — every token that ends in a known suffix
+  (``PATH_SUFFIXES``), whether or not it contains a ``/``, resolved
+  against the repository root, then against the document's own
+  directory.  A bare name such as `` `kv.py` `` is therefore read as a
+  file at the top of the repository (or beside the document), so cite a
+  source file by its repo-root path (`` `src/repro/app/kv.py` ``).
+  Tokens starting with ``-``, ``<`` or ``http(s)://``, and tokens holding
+  ``*``, ``$`` or ``{`` (globs, placeholders), are skipped.  Spans with
+  spaces (shell command lines) are checked token-wise, so a
+  copy-pasteable ``python benchmarks/foo.py --flag`` line still has its
+  script path checked.
 
 Usage::
 
