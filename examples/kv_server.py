@@ -4,16 +4,22 @@ Four shard processes serve one ``SO_REUSEPORT`` port.  Keys are placed on
 shards by a consistent-hash ring; each shard holds a persistent mesh link
 to every peer, so *any* shard answers *any* key: ops on keys it owns run
 locally, the rest are proxied to the owner over the data plane.  Multi-key
-ops fan out and merge: ``/mget`` reads each key from one replica (this
-shard's copy, else one fixed peer's), ``/kv-stats`` asks every shard.
+ops fan out and merge: ``/mget`` reads each key by the same rule as
+``GET`` (this shard's copy, else one fixed peer's), ``/kv-stats`` asks
+every shard.
 
 With ``--replication N`` every key lives on its N ring successors:
 writes fan out to all replicas (``--quorum`` acks required to succeed,
-hinted handoff parks writes for downed replicas), reads fall back past
-dead replicas and read-repair stale ones — kill a shard mid-serve and
-every key stays readable; the master respawns it and the parked hints
-replay (watch the ``hints`` counters in ``--serve`` mode, or follow the
-kill-a-shard walkthrough in ``benchmarks/README.md``).
+hinted handoff parks writes for downed replicas).  A read goes to one
+replica once the landing shard has caught up (one anti-entropy exchange
+with each peer since it started); a shard that has not, or whose chosen
+peer is dead, reads every replica and read-repairs stale ones.  Kill a
+shard mid-serve and every key stays readable; the master respawns it,
+the parked hints replay, and anti-entropy (one digest exchange per peer
+each second) heals what no hint covers — a replica diverged without a
+restart serves its stale copy until that round.  Watch the ``hints``
+and ``anti_entropy`` counters in ``--serve`` mode, or follow the
+kill-a-shard walkthrough in ``benchmarks/README.md``.
 
 With ``--wal-dir PATH`` every shard keeps a write-ahead log under that
 root and acks writes only after a group-commit fsync.  The demo then ends
@@ -108,6 +114,8 @@ def main() -> None:
                         f" repairs={kv.get('kv_read_repairs', 0)}"
                         f" hints={kv.get('kv_hints_pending', 0)}"
                         f" replayed={kv.get('kv_hints_replayed', 0)}"
+                        f" anti_entropy_applied="
+                        f"{kv.get('kv_anti_entropy_applied', 0)}"
                     )
                 if wal_dir:
                     line += (

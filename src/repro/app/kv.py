@@ -16,7 +16,8 @@ Ring / replication rules (the invariants the service is built on):
   replica applies a write only if its version is *newer* than what it
   holds (last-write-wins).  Deletes are versioned tombstones: the version
   survives in the node's version map after the value is dropped, so a
-  stale live value cannot resurrect a deleted key through read-repair.
+  stale live value cannot resurrect a deleted key through read-repair
+  or anti-entropy.
 * **writes fan out** to the whole preference list concurrently — a
   coordinator that holds a replica appends its own log record, runs the
   fan-out, and waits for its own commit only after the fan-out joined,
@@ -28,28 +29,40 @@ Ring / replication rules (the invariants the service is built on):
   replica, else the first replica that acked) and replayed when the peer
   comes back — triggered by the cluster control protocol's ``peer_up``
   event after a respawn/reload, and by a periodic hint pump as backstop.
-* **a** ``get`` **consults the whole preference list** (primary's answer
-  preferred, so a healthy cluster reads exactly like the unreplicated
-  one), falls back to successors when the primary is down, returns the
-  newest version seen, and **read-repairs** any answering replica that
-  was stale or missing — patched with the newest versioned value over
-  one-way mesh casts.
-* **an** ``mget`` **reads each key from one replica**, chosen by a rule
-  of (shard, key) alone: this shard's own copy when it holds one, else
-  the holder first in its fixed peer order ``(peer - index) % shards``.
-  A write returns only after every leg of its fan-out joined, so in a
-  healthy cluster every replica holds every acked write and one replica
-  answers as well as the primary did; a failed peer's keys fall back to
-  the ``get`` path.  A shard refuses a mesh read of a key it holds no
-  replica of (an error reply, never a miss).
+* **a** ``get`` **and an** ``mget`` **read each key from one replica**,
+  chosen by a rule of (shard, key) alone: this shard's own copy when it
+  holds one, else the holder first in its fixed peer order
+  ``(peer - index) % shards``, in one call.  A write returns only after
+  every leg of its fan-out joined, so every replica that was up holds
+  every acked write and one replica answers as well as the primary did.
+  The rule holds only on a shard that has **caught up**: every shard
+  starts not caught up (first start, respawn or reload) and catches up
+  once it has finished one anti-entropy exchange with every peer it
+  shares ring arcs with.  Until then it reads every replica, and it
+  refuses a one-replica read with an error reply.  That **newest-of-N**
+  read is also the fallback when the chosen peer fails or refuses: it
+  consults the whole preference list, returns the newest version seen,
+  and **read-repairs** any answering replica that was stale or missing
+  over one-way mesh casts.  A shard refuses a mesh read of a key it
+  holds no replica of (an error reply, never a miss).
+* **anti-entropy heals replicas**: each shard keeps one digest per ring
+  arc (an XOR of a 64-bit hash of every ``(key, version)`` it holds
+  there) and, once per pump tick, sends its peers the digests of the
+  arcs they share — one call per peer.  For an arc whose digests differ
+  the two sides swap the ``(key, version, value)`` records of that arc
+  and each applies only newer versions, tombstones included, logged like
+  any write.  A replica that diverged without a restart (a hint lost
+  with its holder's memory, a lost read-repair patch) serves its stale
+  copy until the next round.
 * on a graceful stop each shard **drains**: it pushes every key it holds
   to the key's other replicas, so a rolling ``reload()`` never drops the
   last live copy of a key.
 
 ``replication=1`` (the default) is the N=1 case of the same paths, not a
 second implementation: the preference list is ``[owner]``, a non-owner
-coordinates a one-peer fan-out, and with ``mesh=None`` the single shard
-owns every key and no op leaves the process.
+coordinates a one-peer fan-out, no two shards share an arc (so every
+shard is caught up from the start), and with ``mesh=None`` the single
+shard owns every key and no op leaves the process.
 
 The HTTP facade serves the store through the layered stack
 (:class:`~repro.runtime.driver.ConnectionDriver` →
@@ -57,19 +70,20 @@ The HTTP facade serves the store through the layered stack
 
 * ``GET/PUT/DELETE /kv/<key>`` — single-key ops; responses carry
   ``X-Kv-Source: local|proxied`` (did the landing shard hold a replica?)
-  and ``X-Kv-Replicas: acked/replicas`` (how many replicas answered);
+  and ``X-Kv-Replicas: acked/replicas`` (how many replicas answered: a
+  one-replica read says ``1/2`` at replication 2);
 * ``GET /mget?keys=a,b,c`` — the cross-shard multi-get, as JSON;
 * ``GET /kv-stats`` — the cluster-wide stats fan-out, streamed with
   chunked transfer encoding (one JSON line per shard, including the
   replication/read-repair/handoff counters).
 
 The mesh wire format is the binary record of :mod:`repro.app.record`:
-a body is one record or, for ``mget``, a counted run of them, and a
-``WRITE`` or ``HINT`` body is byte for byte what the receiving shard
-appends to its log.  A reply the codec refuses — or an ``mget`` reply
-that does not cover exactly the keys asked for — is that call's
-:class:`~repro.runtime.mesh.MeshProtocolError`: a failed peer, never a
-handler bug or a silent miss.  JSON stays on the public HTTP surface
+a body is one record or, for ``mget`` and anti-entropy, a counted run
+of them, and a ``WRITE`` or ``HINT`` body is byte for byte what the
+receiving shard appends to its log.  A reply the codec refuses — or an
+``mget`` reply that does not cover exactly the keys asked for — is that
+call's :class:`~repro.runtime.mesh.MeshProtocolError`: a failed peer,
+never a handler bug or a silent miss.  JSON stays on the public HTTP surface
 (``/mget``, ``/kv-stats`` and the blob a ``STATS`` reply carries).
 Nothing is negotiated: peers from a build before the record codec answer
 each other with error replies, so upgrade across it with the cluster
@@ -109,6 +123,7 @@ import bisect
 import hashlib
 import json
 import os
+import struct
 from typing import Any
 from urllib.parse import unquote, urlsplit
 
@@ -148,7 +163,10 @@ RING_MEMO_KEY_CHARS = 250
 #: ``kv_`` prefix (``keys`` is computed beside them).
 _COUNTERS = ("owned_ops", "proxied_ops", "mesh_served_ops",
              "replica_writes", "read_repairs", "hints_queued",
-             "hints_replayed", "hints_pending", "quorum_failures")
+             "hints_replayed", "hints_pending", "quorum_failures",
+             "anti_entropy_rounds", "anti_entropy_applied")
+
+_STAMP = struct.Struct("<QI")
 
 
 class KvQuorumError(MeshError):
@@ -203,7 +221,8 @@ class HashRing:
         #: just before ring point ``i``.
         self._lists = [self._walk(start, self.replication)
                        for start in range(len(points))]
-        self._memo: dict[str, list[int]] = {}
+        #: key -> the index of its arc (its preference list in ``_lists``).
+        self._memo: dict[str, int] = {}
 
     def _point(self, key: str) -> int:
         digest = hashlib.md5(key.encode("utf-8", "surrogatepass")).digest()
@@ -239,15 +258,40 @@ class HashRing:
     def replicas(self, key: str) -> list[int]:
         """``key``'s preference list at the ring's replication factor
         (shared: do not mutate it)."""
+        arc = self._memo.get(key)
+        if arc is None:
+            arc = self.arc(key)
+        return self._lists[arc]
+
+    def arc(self, key: str) -> int:
+        """The ring arc ``key`` falls on: the keys between two adjacent
+        ring points, which share one preference list.  Arcs are numbered
+        ``0 .. arcs - 1``, the same in every shard."""
         found = self._memo.get(key)
         if found is None:
-            index = bisect.bisect_right(self._hashes, self._point(key))
-            found = self._lists[index % len(self._lists)]
+            found = (bisect.bisect_right(self._hashes, self._point(key))
+                     % len(self._lists))
             if len(key) <= RING_MEMO_KEY_CHARS:
                 if len(self._memo) >= RING_MEMO_KEYS:
                     self._memo.clear()
                 self._memo[key] = found
         return found
+
+    @property
+    def arcs(self) -> int:
+        return len(self._lists)
+
+    def shared_arcs(self, index: int) -> dict[int, list[int]]:
+        """``{peer: arcs}``: every other shard that holds a replica of
+        some arc shard ``index`` holds, with those arcs (empty at
+        ``replication=1``)."""
+        shared: dict[int, list[int]] = {}
+        for arc, holders in enumerate(self._lists):
+            if index in holders:
+                for peer in holders:
+                    if peer != index:
+                        shared.setdefault(peer, []).append(arc)
+        return shared
 
 
 def _newer(a, b) -> bool:
@@ -257,6 +301,14 @@ def _newer(a, b) -> bool:
     if b is None:
         return True
     return a > b
+
+
+def _stamp_hash(key: str, version: tuple[int, int]) -> int:
+    """A 64-bit hash of ``(key, version)``: what a key adds to its arc's
+    anti-entropy digest (XOR, so the digest ignores order)."""
+    raw = key.encode("utf-8", "surrogatepass") + _STAMP.pack(*version)
+    return int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(),
+                          "little")
 
 
 def _answers(replies, peers, failures, decoder=decode):
@@ -331,6 +383,21 @@ class KvNode:
         self.hints_replayed = 0
         #: Replicated writes that failed their write quorum.
         self.quorum_failures = 0
+        #: Per ring arc: XOR of :func:`_stamp_hash` over every key this
+        #: shard holds a version of on that arc (tombstones included);
+        #: kept only while some peer shares an arc with this shard.
+        self.digests = [0] * self.ring.arcs
+        #: ``{peer: arcs}`` this shard exchanges digests over.
+        self._shared = self.ring.shared_arcs(index)
+        #: Peers this shard has not finished an anti-entropy exchange
+        #: with since it started.  Empty means *caught up*: only then
+        #: does it read one replica and serve one-replica reads.
+        self._unsynced = set(self._shared)
+        self._syncing = False
+        #: Anti-entropy rounds this shard ran (one call per peer each).
+        self.anti_entropy_rounds = 0
+        #: Versions anti-entropy applied here (pulled or pushed to it).
+        self.anti_entropy_applied = 0
         #: Optional per-shard write-ahead log: every ack waits for its
         #: group commit, and construction replays the durable state.
         self.wal = wal
@@ -366,6 +433,11 @@ class KvNode:
             return False, existed
         self.versions[key] = version
         self.clock = max(self.clock, version[0])
+        if self._shared:
+            change = _stamp_hash(key, version)
+            if current is not None:
+                change ^= _stamp_hash(key, current)
+            self.digests[self.ring.arc(key)] ^= change
         if value is None:
             self.store.pop(key, None)
         else:
@@ -612,13 +684,29 @@ class KvNode:
         return False
 
     # ------------------------------------------------------------------
-    # The read path: newest version wins, repair the rest.
+    # The read path: one replica once caught up, else newest of all.
     # ------------------------------------------------------------------
+    def _read_peer(self, replicas: list[int]) -> int:
+        """The holder first in this shard's fixed peer order
+        ``(peer - index) % shards``: where a key it lacks is read."""
+        index, shards = self.index, self.shards
+        return min(replicas, key=lambda peer: (peer - index) % shards)
+
+    @property
+    def caught_up(self) -> bool:
+        """Has this shard finished an anti-entropy exchange with every
+        peer it shares ring arcs with since it started?"""
+        return not self._unsynced
+
     @do
     def get(self, key: str, info: dict | None = None):
         """Resumes with ``(found, value, proxied)``.
 
-        ``info`` (optional dict) is filled with replication detail:
+        A caught-up shard reads one replica: its own copy when it holds
+        one, else one call to :meth:`_read_peer`.  A shard that has not
+        caught up, or whose chosen peer fails or refuses, reads every
+        replica instead (:meth:`_read_newest`).  ``info`` (optional
+        dict) is filled with replication detail:
         ``replicas``/``consulted``/``repaired``/``served_by``.
         """
         replicas = self.ring.replicas(key)
@@ -627,10 +715,42 @@ class KvNode:
             self.owned_ops += 1
         else:
             self.proxied_ops += 1
+        if not self._unsynced:
+            served_by = self.index
+            if is_local:
+                value = self.store.get(key)
+            else:
+                served_by = self._read_peer(replicas)
+                try:
+                    reply = yield self.mesh.call(served_by,
+                                                 encode(MGET, key))
+                    try:
+                        value = decode(reply)[4]
+                    except RecordError as exc:
+                        raise MeshProtocolError(
+                            f"peer {served_by}: unreadable reply: {exc}"
+                        ) from None
+                except MeshError:
+                    if self.replication <= 1:
+                        raise
+                    served_by = None
+            if served_by is not None:
+                if info is not None:
+                    info.update(replicas=len(replicas), consulted=1,
+                                acked=1, repaired=0, served_by=served_by)
+                return value is not None, value, not is_local
+        value = yield self._read_newest(key, replicas, info)
+        return value is not None, value, not is_local
+
+    @do
+    def _read_newest(self, key, replicas, info):
+        """Read every replica of ``key``; resume with the newest value
+        (``None`` for a miss or a tombstone) and read-repair every
+        answering replica that was stale or missing."""
         #: replica -> (version-or-None, live-value-or-None)
         answers: dict[int, tuple[tuple[int, int] | None, bytes | None]] = {}
         failures: dict[int, BaseException | None] = {}
-        if is_local:
+        if self.index in replicas:
             answers[self.index] = (self.versions.get(key),
                                    self._local_get(key))
         remote = [peer for peer in replicas if peer != self.index]
@@ -678,13 +798,13 @@ class KvNode:
             info.update(replicas=len(replicas), consulted=len(answers),
                         acked=len(answers), repaired=repaired,
                         served_by=best_peer)
-        return best_value is not None, best_value, not is_local
+        return best_value
 
     @do
     def _repair(self, peer, key, version, value):
         """Patch one stale/missing replica with the newest versioned
         value.  Remote repairs are fire-and-forget one-way casts — a
-        lost patch is re-detected by the next read."""
+        lost patch is healed by the next anti-entropy round."""
         self.read_repairs += 1
         body = encode(WRITE, key, version, value)
         if peer == self.index:
@@ -701,7 +821,7 @@ class KvNode:
         try:
             yield self.mesh.cast(peer, body)
         except MeshError:
-            pass  # replica went down again: a later read repairs it
+            pass  # replica went down again: anti-entropy heals it
 
     # ------------------------------------------------------------------
     # Hinted handoff: replay parked writes when their target returns.
@@ -741,13 +861,14 @@ class KvNode:
     @do
     def pump_tick(self, timers: Any):
         """One timer-wheel firing of the hint pump: fork a replay if
-        hints are parked (a slow replay must not stretch the pump's
-        period), then re-arm.  Stops re-arming once ``pump_running`` is
-        cleared."""
+        hints are parked and an anti-entropy round (neither may stretch
+        the pump's period), then re-arm.  Stops re-arming once
+        ``pump_running`` is cleared."""
         if not self.pump_running:
             return
         if self.hints:
             yield sys_fork(self._replay_quietly(), name="kv-hint-replay")
+        yield sys_fork(self.anti_entropy_quietly(), name="kv-anti-entropy")
         yield timers.schedule(HINT_REPLAY_INTERVAL,
                               lambda: self.pump_tick(timers))
 
@@ -757,6 +878,148 @@ class KvNode:
             yield self.replay_hints()
         except MeshError:
             pass  # target still down: the next tick retries
+
+    # ------------------------------------------------------------------
+    # Anti-entropy: per-arc digests, then the keys of the arcs that differ.
+    # ------------------------------------------------------------------
+    @do
+    def anti_entropy(self):
+        """One anti-entropy round with every peer this shard shares ring
+        arcs with, all peers at once.  Resumes with the number of
+        versions it applied here.
+
+        Each peer gets one call: a ``CLOCK`` record carrying this
+        shard's digests of the arcs the two share (:meth:`_digests`).  A
+        peer whose digests all match answers an empty run — one call, no
+        ``WRITE`` record, and each side counts the exchange as finished.
+        Else it answers its own digests, then the ``WRITE`` record of
+        every key it holds on an arc that differs; this shard applies the
+        newer versions and pushes back, in one more call, the keys it
+        holds newer than the peer's.  A peer that answered is one this
+        shard has caught up with; a failed one is retried next round.
+        """
+        if self.mesh is None or self._syncing or not self._shared:
+            return 0
+        self._syncing = True
+        try:
+            sent = {peer: self._digests(peer) for peer in self._shared}
+            replies = yield self.mesh.fan_out({
+                peer: encode(CLOCK, value=digests, target=self.index)
+                for peer, digests in sent.items()})
+            applied = 0
+            failures: dict[int, BaseException | None] = {}
+            pushes = {}
+            for peer, reply in _answers(replies, self._shared, failures,
+                                        decode_run):
+                try:
+                    differ, theirs = self._differences(peer, sent[peer],
+                                                       reply)
+                except RecordError as exc:
+                    failures[peer] = exc
+                    continue
+                applied += yield self._apply_run(theirs)
+                self._unsynced.discard(peer)
+                newer = self._records_newer_than(differ, theirs)
+                if newer:
+                    pushes[peer] = encode_run(newer)
+            if pushes:
+                # Best effort: a lost push is found again next round.
+                yield self.mesh.fan_out(pushes)
+            self.anti_entropy_rounds += 1
+            return applied
+        finally:
+            self._syncing = False
+
+    @do
+    def anti_entropy_quietly(self):
+        try:
+            yield self.anti_entropy()
+        except (MeshError, WalError):
+            pass  # the next pump tick runs another round
+
+    def _digests(self, peer: int) -> bytes:
+        """This shard's digests of the arcs it shares with ``peer``, as
+        little-endian ``u64``s in ring order (the order both sides list
+        those arcs in)."""
+        digests = self.digests
+        arcs = self._shared[peer]
+        return struct.pack(f"<{len(arcs)}Q", *[digests[arc] for arc in arcs])
+
+    def _differing(self, peer: int, first: bytes, second: bytes) -> set[int]:
+        """The arcs shared with ``peer`` whose two digests differ."""
+        arcs = self._shared[peer]
+        if not len(first) == len(second) == 8 * len(arcs):
+            raise RecordError(f"peer {peer}: not the digests of the "
+                              f"{len(arcs)} arcs shared")
+        layout = f"<{len(arcs)}Q"
+        return {arc for arc, a, b in zip(arcs, struct.unpack(layout, first),
+                                         struct.unpack(layout, second))
+                if a != b}
+
+    def _differences(self, peer, sent, reply):
+        """``(arcs that differ, the peer's WRITE records on them)`` from
+        a digest reply; anything else in it is refused."""
+        if not reply:
+            return set(), []
+        op, _flags, _key, _version, digests, sender = reply[0]
+        if op != CLOCK or sender != peer:
+            raise RecordError(f"peer {peer}: not a digest reply")
+        differ = self._differing(peer, sent, digests or b"")
+        theirs = reply[1:]
+        for op, _flags, key, version, _value, _target in theirs:
+            if (op != WRITE or version is None
+                    or self.ring.arc(key) not in differ):
+                raise RecordError(
+                    f"peer {peer}: a record off the arcs that differ")
+        return differ, theirs
+
+    def _records_newer_than(self, differ, theirs) -> list[bytes]:
+        """This shard's ``WRITE`` record of every key on the arcs in
+        ``differ`` whose version beats the one in ``theirs``."""
+        if not differ:
+            return []
+        known = {key: version
+                 for _op, _flags, key, version, _value, _arc in theirs}
+        arc = self.ring.arc
+        return [encode(WRITE, key, version, self.store.get(key))
+                for key, version in self.versions.items()
+                if arc(key) in differ and _newer(version, known.get(key))]
+
+    def _digest_reply(self, sender: int, digests: bytes) -> bytes:
+        """The served side of a digest exchange (see :meth:`anti_entropy`).
+        Matching digests finish the exchange here too."""
+        if sender not in self._shared:
+            raise RecordError(
+                f"shard {self.index} shares no ring arc with {sender}")
+        ours = self._digests(sender)
+        differ = self._differing(sender, digests, ours)
+        if not differ:
+            self._unsynced.discard(sender)
+            return encode_run([])
+        arc = self.ring.arc
+        return encode_run(
+            [encode(CLOCK, value=ours, target=self.index)]
+            + [encode(WRITE, key, version, self.store.get(key))
+               for key, version in self.versions.items()
+               if arc(key) in differ])
+
+    @do
+    def _apply_run(self, records):
+        """Apply every ``WRITE`` record newer than what this shard
+        holds, log them, and resume once they are durable with how many
+        applied."""
+        barriers = []
+        applied = 0
+        for _op, _flags, key, version, value, _target in records:
+            if self._apply_versioned(key, version, value)[0]:
+                applied += 1
+                if self.wal is not None:
+                    barriers.append((yield self.wal.append(
+                        encode(WRITE, key, version, value))))
+        for barrier in dict.fromkeys(barriers):
+            yield self.wal.wait(barrier)
+        self.anti_entropy_applied += applied
+        return applied
 
     @do
     def drain_to_replicas(self):
@@ -794,58 +1057,66 @@ class KvNode:
     def mget(self, keys):
         """Cross-shard multi-get; resumes with ``{key: value-or-None}``.
 
-        Each key is read from one replica, chosen by a rule that depends
-        only on (this shard, key): a key this shard holds a replica of
-        reads locally, any other key from the holder that comes first in
-        this shard's fixed peer order ``(peer - index) % shards``.  One
-        connection's reads of a key therefore always hit the same
-        replica, and every remote group is one mesh call, all peers
-        queried concurrently.  With ``replication=1`` that is the key's
-        owner.  Under replication a failed peer's group falls back to
-        per-key replicated reads (with read-repair); without replication
-        the failure surfaces as :class:`~repro.runtime.mesh.MeshError` —
-        partial silence must not read as "those keys are absent".
+        The read rule of :meth:`get`, batched: each key is read from one
+        replica, chosen by a rule that depends only on (this shard,
+        key): a key this shard holds a replica of reads locally, any
+        other key from :meth:`_read_peer`.  One connection's reads of a
+        key therefore always hit the same replica, and every remote
+        group is one mesh call, all peers queried concurrently.  With
+        ``replication=1`` that is the key's owner.  Under replication a
+        shard that has not caught up reads every key through every
+        replica (:meth:`_read_newest`), and so does a failed or refusing
+        peer's group; without replication the failure surfaces as
+        :class:`~repro.runtime.mesh.MeshError` — partial silence must
+        not read as "those keys are absent".
 
         A key named twice is fetched and counted once:
         ``owned_ops``/``proxied_ops`` count distinct keys.
         """
-        index, shards = self.index, self.shards
         merged: dict[str, bytes | None] = {}
-        by_peer: dict[int, list[str]] = {}
-        for key in dict.fromkeys(keys):
+        #: Keys read through every replica instead of one.
+        newest: list[str] = []
+        if self._unsynced:
+            newest = list(dict.fromkeys(keys))
+        else:
+            index = self.index
+            by_peer: dict[int, list[str]] = {}
+            for key in dict.fromkeys(keys):
+                replicas = self.ring.replicas(key)
+                if index in replicas:
+                    self.owned_ops += 1
+                    merged[key] = self._local_get(key)
+                else:
+                    by_peer.setdefault(self._read_peer(replicas),
+                                       []).append(key)
+            if by_peer:
+                replies = yield self.mesh.fan_out({
+                    peer: encode_run([encode(MGET, key) for key in group])
+                    for peer, group in by_peer.items()
+                })
+                failures: dict[int, BaseException | None] = {}
+                for peer, reply in _answers(replies, by_peer, failures,
+                                            decode_run):
+                    answered = {key: value for _op, _flags, key, _version,
+                                value, _target in reply}
+                    if list(answered) != by_peer[peer]:
+                        failures[peer] = MeshProtocolError(
+                            f"peer {peer}: mget reply does not cover the "
+                            f"{len(by_peer[peer])} keys asked for")
+                        continue
+                    self.proxied_ops += len(answered)
+                    merged.update(answered)
+                for peer, failure in failures.items():
+                    if self.replication <= 1:
+                        raise failure
+                    newest += by_peer[peer]
+        for key in newest:
             replicas = self.ring.replicas(key)
-            if index in replicas:
+            if self.index in replicas:
                 self.owned_ops += 1
-                merged[key] = self._local_get(key)
             else:
-                # The holder first in this shard's fixed peer order.
-                peer = min(replicas, key=lambda p: (p - index) % shards)
-                by_peer.setdefault(peer, []).append(key)
-        if not by_peer:
-            return merged
-        replies = yield self.mesh.fan_out({
-            peer: encode_run([encode(MGET, key) for key in group])
-            for peer, group in by_peer.items()
-        })
-        failures: dict[int, BaseException | None] = {}
-        for peer, reply in _answers(replies, by_peer, failures, decode_run):
-            answered = {key: value for _op, _flags, key, _version, value,
-                        _target in reply}
-            if list(answered) != by_peer[peer]:
-                failures[peer] = MeshProtocolError(
-                    f"peer {peer}: mget reply does not cover the "
-                    f"{len(by_peer[peer])} keys asked for")
-                continue
-            self.proxied_ops += len(answered)
-            merged.update(answered)
-        for peer, failure in failures.items():
-            if self.replication <= 1:
-                raise failure
-            # The chosen replica is down: read each key through all of
-            # its replicas.
-            for key in by_peer[peer]:
-                found, value, _proxied = yield self.get(key)
-                merged[key] = value if found else None
+                self.proxied_ops += 1
+            merged[key] = yield self._read_newest(key, replicas, None)
         return merged
 
     @do
@@ -885,10 +1156,26 @@ class KvNode:
             raise RecordError(
                 f"shard {self.index} holds no replica of {key!r}")
 
+    def _require_caught_up(self) -> None:
+        """A one-replica read of a shard that has not caught up could
+        answer from a store missing newer writes: refuse it, so the
+        coordinator reads every replica instead."""
+        if self._unsynced:
+            raise MeshError(f"shard {self.index} has not caught up")
+
     @do
     def _handle_mesh(self, body: bytes):
         if is_run(body):
             asked = decode_run(body)
+            if asked and asked[0][0] == WRITE:
+                # An anti-entropy push: apply what is newer, durably.
+                for op, _flags, key, version, _value, _target in asked:
+                    if op != WRITE or version is None:
+                        raise RecordError(f"op {op} in a pushed run")
+                    self._require_replica(key)
+                yield self._apply_run(asked)
+                return encode_run([])
+            self._require_caught_up()
             self.mesh_served_ops += 1
             for record in asked:
                 self._require_replica(record[2])
@@ -900,8 +1187,17 @@ class KvNode:
         if op == STATS:
             # Health polling is not a data op: don't inflate counters.
             return encode(STATS, value=_json(self.local_stats()))
+        if op == CLOCK:
+            # Nor is anti-entropy: it counts its own rounds.
+            return self._digest_reply(target, value or b"")
         self.mesh_served_ops += 1
+        if op == MGET:
+            # The one-replica read of one key.
+            self._require_replica(key)
+            self._require_caught_up()
+            return encode(MGET, value=self.store.get(key))
         if op == GET:
+            # The newest-of-N read: answered caught up or not.
             self._require_replica(key)
             return encode(GET, version=self.versions.get(key),
                           value=self._local_get(key))
@@ -1050,10 +1346,12 @@ def build_kv_app(
     address map; without one this is a single-owner store (every key
     local).  ``replication`` puts every key on that many ring successors;
     ``write_quorum`` is the minimum replica acks for a write to succeed.
-    A replicated app also wires the background hinted-handoff machinery:
-    a hint pump (recurring ticks on ``rt.timers``, the runtime's shared
+    A replicated app also wires the background machinery: a first
+    anti-entropy round forked when the shard starts, a pump (recurring
+    ticks on ``rt.timers``, the runtime's shared
     :class:`~repro.runtime.timer_wheel.TimerWheel`, which also carries
-    the WAL's group-flush deadline — no thread of its own), an
+    the WAL's group-flush deadline — no thread of its own) that replays
+    parked hints and runs an anti-entropy round each tick, an
     ``on_peer_up`` hook for the cluster control protocol, and a
     graceful-stop ``drain``.  Extra keyword arguments
     reach :class:`WebServer` (admission caps, parser limits...).  The
@@ -1100,6 +1398,9 @@ def build_kv_app(
         @do
         def main_with_pump():
             node.pump_running = True
+            # The first anti-entropy round runs beside the driver, so it
+            # never delays the shard's ready report; the pump retries.
+            yield sys_fork(node.anti_entropy_quietly(), name="kv-catch-up")
             yield rt.timers.schedule(
                 HINT_REPLAY_INTERVAL,
                 lambda: node.pump_tick(rt.timers),

@@ -11,7 +11,8 @@ bytes.  ``flags`` says what is present: :data:`HAS_VALUE` tells ``b""``
 from ``None`` (a miss, a tombstone), :data:`HAS_VERSION` a ``(counter,
 shard)`` stamp from "never written"; :data:`APPLIED`/:data:`EXISTED` are
 a replica's answer to a write; ``target`` is the shard a hint is for.
-A message is one record, or a *run* (an ``mget``'s keys and answers): a
+A message is one record, or a *run* (an ``mget``'s keys and answers, an
+anti-entropy exchange's digests and records): a
 zero byte — no op is zero, so the first byte tells the two apart — a
 ``u32`` count, then that many records.  A log or snapshot payload is
 always one record, so the ``WRITE`` a coordinator sends is byte for
@@ -33,8 +34,11 @@ __all__ = ["RecordError", "encode", "decode", "encode_run", "decode_run",
            "is_run", "GET", "WRITE", "HINT", "MGET", "STATS", "CLOCK",
            "HAS_VALUE", "HAS_VERSION", "APPLIED", "EXISTED"]
 
-#: Ops.  ``WRITE`` and ``HINT`` are also the two log record kinds;
-#: ``CLOCK`` (the node's lamport clock) appears only in snapshots.
+#: Ops.  ``WRITE`` and ``HINT`` are also the two log record kinds.
+#: ``CLOCK`` carries state that versions no key: in a snapshot the
+#: node's lamport clock (the stamp); in an anti-entropy exchange the
+#: sender's digests of the ring arcs two shards share (``target`` the
+#: sender, the value one little-endian ``u64`` per arc).
 GET, WRITE, HINT, MGET, STATS, CLOCK = range(1, 7)
 HAS_VALUE, HAS_VERSION, APPLIED, EXISTED = 1, 2, 4, 8
 _UNDEFINED_FLAGS = ~(HAS_VALUE | HAS_VERSION | APPLIED | EXISTED)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api import ClusterServer
 from repro.app import kv
 from repro.app.kv import HashRing, KvHttpHandler, KvNode, KvQuorumError
-from repro.app.record import decode_run
+from repro.app.record import decode_run, is_run
 from repro.core.do_notation import do
 from repro.core.scheduler import Scheduler
 from repro.http.blocking_client import BlockingHttpClient
@@ -143,7 +143,7 @@ class TestPlacementMemo:
 class _RecordingMesh:
     """Serves each fan-out leg through the target node's own mesh
     handler (so a misrouted key fails loudly) and records ``{peer:
-    keys}`` per call."""
+    keys}`` of the runs in each call."""
 
     def __init__(self, nodes):
         self.nodes = nodes
@@ -152,7 +152,7 @@ class _RecordingMesh:
     @do
     def fan_out(self, bodies):
         self.calls.append({peer: [record[2] for record in decode_run(body)]
-                           for peer, body in bodies.items()})
+                           for peer, body in bodies.items() if is_run(body)})
         replies = {}
         for peer, body in bodies.items():
             replies[peer] = yield self.nodes[peer]._handle_mesh(body)
@@ -185,6 +185,9 @@ def _plan(shards, replication, batches):
 
     @do
     def main():
+        for node in nodes.values():
+            # The plan of a caught-up shard (one anti-entropy round each).
+            yield node.anti_entropy()
         for index, node in nodes.items():
             for batch in batches:
                 before = len(node.mesh.calls)

@@ -17,6 +17,7 @@ from repro.api import ClusterServer, build_kv
 from repro.app.kv import HashRing, KvHttpHandler, KvNode, KvQuorumError
 from repro.app.record import MGET, decode_run, encode, encode_run
 from repro.app.wal import ShardWal, WalError
+from repro.cache.client import BlockingMemcacheClient
 from repro.core.do_notation import do
 from repro.core.monad import pure
 from repro.http.blocking_client import BlockingHttpClient
@@ -257,49 +258,72 @@ class TestReadFallbackAndRepair:
         assert info["consulted"] == 1 and info["replicas"] == 2
         assert info["served_by"] == 1
 
+    # Each divergence below is planted on two keys: a read through a
+    # shard that has not caught up (every shard, before its first
+    # anti-entropy round) heals the first, one anti-entropy round the
+    # second.
     def test_read_repair_patches_stale_replica(self, rt):
         nodes = make_world(rt, 2, replication=2)
-        key = "repair-key"
-        _drive(rt, nodes[0].put(key, b"old"))
-        # Simulate node 1 missing an overwrite (it was down for it):
-        # node 0 holds a newer version locally.
-        version = (nodes[0].clock + 1, 0)
-        nodes[0].clock += 1
-        nodes[0]._apply_versioned(key, version, b"new")
-        assert nodes[1].store[key] == b"old"
+        key, healed = "repair-key", "repair-key-ae"
+        for each in (key, healed):
+            _drive(rt, nodes[0].put(each, b"old"))
+            # Simulate node 1 missing an overwrite (it was down for it):
+            # node 0 holds a newer version locally.
+            version = (nodes[0].clock + 1, 0)
+            nodes[0].clock += 1
+            nodes[0]._apply_versioned(each, version, b"new")
+            assert nodes[1].store[each] == b"old"
         # A read through the *stale* node returns the newest version and
         # repairs the stale copy (itself, in this case) synchronously.
+        assert not nodes[1].caught_up
         found, value, _ = _drive(rt, nodes[1].get(key))
         assert (found, value) == (True, b"new")
         assert nodes[1].store[key] == b"new"
         assert nodes[1].read_repairs == 1
+        # One round through the stale node pulls the newest version.
+        assert _drive(rt, nodes[1].anti_entropy()) == 1
+        assert nodes[1].store[healed] == nodes[0].store[healed] == b"new"
+        assert nodes[1].versions[healed] == nodes[0].versions[healed]
 
     def test_read_repair_patches_remote_missing_replica(self, rt):
         nodes = make_world(rt, 2, replication=2)
-        key = "missing-key"
-        # Write applied only on node 0 (simulating node 1 down for it).
+        key, healed = "missing-key", "missing-key-ae"
+        # Writes applied only on node 0 (simulating node 1 down for it).
         version = (1, 0)
         nodes[0].clock = 1
-        nodes[0]._apply_versioned(key, version, b"val")
+        for each in (key, healed):
+            nodes[0]._apply_versioned(each, version, b"val")
+        assert not nodes[0].caught_up
         found, value, _ = _drive(rt, nodes[0].get(key))
         assert (found, value) == (True, b"val")
         # The repair is an async one-way cast: run until it lands.
         rt.run(until=lambda: key in nodes[1].store, idle_timeout=2.0)
         assert nodes[1].store[key] == b"val"
         assert nodes[1].versions[key] == version
+        # One round through the node that holds it pushes the copy.
+        assert healed not in nodes[1].store
+        _drive(rt, nodes[0].anti_entropy())
+        assert nodes[1].store[healed] == b"val"
+        assert nodes[1].versions[healed] == version
 
     def test_tombstone_wins_read_repair(self, rt):
         nodes = make_world(rt, 2, replication=2)
-        key = "zombie-key"
-        _drive(rt, nodes[0].put(key, b"v"))
-        # Node 0 saw the delete, node 1 missed it.
-        version = (nodes[0].clock + 1, 0)
-        nodes[0].clock += 1
-        nodes[0]._apply_versioned(key, version, None)
-        assert nodes[1].store[key] == b"v"
+        key, healed = "zombie-key", "zombie-key-ae"
+        for each in (key, healed):
+            _drive(rt, nodes[0].put(each, b"v"))
+            # Node 0 saw the delete, node 1 missed it.
+            version = (nodes[0].clock + 1, 0)
+            nodes[0].clock += 1
+            nodes[0]._apply_versioned(each, version, None)
+            assert nodes[1].store[each] == b"v"
+        assert not nodes[1].caught_up
         found, _value, _ = _drive(rt, nodes[1].get(key))
         assert not found  # the newer tombstone wins over the live copy
         assert key not in nodes[1].store
+        # One round: the tombstone beats the live copy there too.
+        assert _drive(rt, nodes[1].anti_entropy()) == 1
+        assert healed not in nodes[1].store
+        assert nodes[1].versions[healed] == nodes[0].versions[healed]
 
 
 class TestHintedHandoff:
@@ -643,10 +667,15 @@ class TestNoJsonOnTheDataPath:
             assert _drive(rt, nodes[0].put(key, value, info))[0]
             assert info["acked"] == 2
         assert [wal.appends for wal in wals] == [2, 2, 2]
+        for node in nodes:
+            # Digests match: one call per peer, nothing applied.
+            assert _drive(rt, node.anti_entropy()) == 0
+        assert all(node.caught_up for node in nodes)
         info = {}
         assert _drive(rt, nodes[0].get(far, info)) == (True, values[far],
                                                        True)
-        assert info["consulted"] == 2
+        # Caught up: one replica read, one call.
+        assert info["consulted"] == 1
         before = nodes[0].mesh.stats.calls
         assert _drive(rt, nodes[0].mget(keys + ["nowhere"])) == {
             **values, "nowhere": None}
@@ -862,13 +891,32 @@ class TestReplicatedCluster:
         finally:
             cluster.stop()
 
+    @staticmethod
+    def _through_every_shard(cluster, read, counter):
+        """Call ``read()`` — which opens a fresh connection — until every
+        shard has accepted one (``counter(worker)`` counts a shard's
+        accepted connections); the kernel picks the shard."""
+        reached: set[int] = set()
+        for _attempt in range(64):
+            before = [counter(w) for w in cluster.stats()["workers"]]
+            read()
+            after = [counter(w) for w in cluster.stats()["workers"]]
+            reached |= {index for index, (old, new)
+                        in enumerate(zip(before, after)) if new > old}
+            if len(reached) == len(before):
+                break
+        assert reached == set(range(len(before)))
+
     def test_rolling_reload_loses_no_keys(self):
         # Every shard drains its store to the key's other replicas on
         # graceful stop, so a full rolling reload — every shard restarts
-        # empty, one at a time — never drops the last live copy.
+        # empty, one at a time — never drops the last live copy.  A
+        # restarted shard reads every replica until it has caught up, so
+        # a multi-key read through it finds every key too.
         cluster = ClusterServer(
             kv_factory, shards=2, mesh=True, replication=2,
-            respawn=False, grace=0.5,
+            respawn=False, grace=0.5, cache_port=0,
+            cache_protocol="memcache",
         )
         cluster.start()
         try:
@@ -881,6 +929,27 @@ class TestReplicatedCluster:
             old_pids = cluster.worker_pids()
             new_pids = cluster.reload(timeout=10.0)
             assert set(new_pids).isdisjoint(set(old_pids))
+
+            # Multi-key reads first: a single-key read repairs on the way.
+            encoded = {key: base64.b64encode(value).decode()
+                       for key, value in keys.items()}
+
+            def http_mget():
+                with BlockingHttpClient(cluster.port) as client:
+                    status, _headers, body = client.request(
+                        "GET", f"/mget?keys={','.join(keys)}")
+                assert status.endswith("200 OK"), status
+                assert json.loads(body)["values"] == encoded
+
+            def memcache_get():
+                with BlockingMemcacheClient(cluster.cache_port) as client:
+                    assert client.get_many(list(keys)) == keys
+
+            self._through_every_shard(cluster, http_mget,
+                                      lambda w: w["accepted"])
+            self._through_every_shard(
+                cluster, memcache_get,
+                lambda w: w["app"]["cache_connections"])
 
             check = BlockingHttpClient(cluster.port)
             for key, value in keys.items():

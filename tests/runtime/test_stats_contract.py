@@ -94,6 +94,9 @@ def test_cluster_stats_carry_every_key_the_harness_reads(harness, tmp_path):
     # The ops above really were counted under those names.
     assert flat["mesh.calls"] >= 1 and flat["mesh.flushes"] >= 1
     assert flat["app.wal_appends"] >= 2 and flat["app.cache_commands"] == 2
+    # Each shard's first anti-entropy round runs as it starts.
+    assert flat["app.kv_anti_entropy_rounds"] >= 1
+    assert "app.kv_anti_entropy_applied" in flat
     # The loop's own poll counters (no harness reads them yet): per
     # worker beside ``poller_ctl``, summed in the aggregate.
     for key in ("poller_ctl", "poller_polls", "poller_zero_timeout_polls"):
@@ -133,12 +136,14 @@ def test_exported_runtime_counters_carry_the_rest(harness, rt, app):
 
 KV_COUNTERS = ("keys", "owned_ops", "proxied_ops", "mesh_served_ops",
                "replica_writes", "read_repairs", "hints_queued",
-               "hints_replayed", "hints_pending", "quorum_failures")
+               "hints_replayed", "hints_pending", "quorum_failures",
+               "anti_entropy_rounds", "anti_entropy_applied")
 
 
 def test_kv_and_mesh_stats_key_sets(app):
     # ``local_stats`` (the /kv-stats line) and ``extra_stats`` (the
-    # control snapshot) report the same ten counters, bare and ``kv_``.
+    # control snapshot) report the same twelve counters, bare and
+    # ``kv_``.
     wal = set(app.wal.stats())
     assert set(app.kv.local_stats()) == {
         "index", "replication", "write_quorum", "clock", "wal",
