@@ -111,6 +111,7 @@ def build_kv(
         kwargs = {
             "mesh": ctx.mesh,
             "cache_listener": ctx.cache_listener,
+            "peers_up": ctx.peers_up,
             **{knob: getattr(ctx.config, knob) for knob in _KV_KNOBS},
             **kwargs,
         }

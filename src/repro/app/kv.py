@@ -124,7 +124,7 @@ import hashlib
 import json
 import os
 import struct
-from typing import Any
+from typing import Any, Iterable
 from urllib.parse import unquote, urlsplit
 
 from ..core.do_notation import do
@@ -387,6 +387,9 @@ class KvNode:
         #: shard holds a version of on that arc (tombstones included);
         #: kept only while some peer shares an arc with this shard.
         self.digests = [0] * self.ring.arcs
+        #: Each key's current share of its arc's digest (its
+        #: :func:`_stamp_hash`), so an overwrite hashes only the new stamp.
+        self._stamps: dict[str, int] = {}
         #: ``{peer: arcs}`` this shard exchanges digests over.
         self._shared = self.ring.shared_arcs(index)
         #: Peers this shard has not finished an anti-entropy exchange
@@ -434,10 +437,10 @@ class KvNode:
         self.versions[key] = version
         self.clock = max(self.clock, version[0])
         if self._shared:
-            change = _stamp_hash(key, version)
-            if current is not None:
-                change ^= _stamp_hash(key, current)
-            self.digests[self.ring.arc(key)] ^= change
+            stamp = _stamp_hash(key, version)
+            self.digests[self.ring.arc(key)] ^= (
+                stamp ^ self._stamps.get(key, 0))
+            self._stamps[key] = stamp
         if value is None:
             self.store.pop(key, None)
         else:
@@ -883,10 +886,10 @@ class KvNode:
     # Anti-entropy: per-arc digests, then the keys of the arcs that differ.
     # ------------------------------------------------------------------
     @do
-    def anti_entropy(self):
+    def anti_entropy(self, peers: Iterable[int] | None = None):
         """One anti-entropy round with every peer this shard shares ring
-        arcs with, all peers at once.  Resumes with the number of
-        versions it applied here.
+        arcs with (those of them in ``peers``, when given), all at once.
+        Resumes with the number of versions it applied here.
 
         Each peer gets one call: a ``CLOCK`` record carrying this
         shard's digests of the arcs the two share (:meth:`_digests`).  A
@@ -898,18 +901,21 @@ class KvNode:
         holds newer than the peer's.  A peer that answered is one this
         shard has caught up with; a failed one is retried next round.
         """
-        if self.mesh is None or self._syncing or not self._shared:
+        shared = self._shared
+        if peers is not None:
+            shared = [peer for peer in peers if peer in shared]
+        if self.mesh is None or self._syncing or not shared:
             return 0
         self._syncing = True
         try:
-            sent = {peer: self._digests(peer) for peer in self._shared}
+            sent = {peer: self._digests(peer) for peer in shared}
             replies = yield self.mesh.fan_out({
                 peer: encode(CLOCK, value=digests, target=self.index)
                 for peer, digests in sent.items()})
             applied = 0
             failures: dict[int, BaseException | None] = {}
             pushes = {}
-            for peer, reply in _answers(replies, self._shared, failures,
+            for peer, reply in _answers(replies, shared, failures,
                                         decode_run):
                 try:
                     differ, theirs = self._differences(peer, sent[peer],
@@ -931,9 +937,9 @@ class KvNode:
             self._syncing = False
 
     @do
-    def anti_entropy_quietly(self):
+    def anti_entropy_quietly(self, peers: Iterable[int] | None = None):
         try:
-            yield self.anti_entropy()
+            yield self.anti_entropy(peers)
         except (MeshError, WalError):
             pass  # the next pump tick runs another round
 
@@ -1338,6 +1344,7 @@ def build_kv_app(
     wal_dir: str | None = None,
     wal_flush_interval: float = 0.005,
     wal_group_max: int = 128,
+    peers_up: Iterable[int] | None = None,
     **server_kwargs: Any,
 ) -> WebServer:
     """One shard's KV application on the layered stack.
@@ -1347,7 +1354,10 @@ def build_kv_app(
     local).  ``replication`` puts every key on that many ring successors;
     ``write_quorum`` is the minimum replica acks for a write to succeed.
     A replicated app also wires the background machinery: a first
-    anti-entropy round forked when the shard starts, a pump (recurring
+    anti-entropy round forked when the shard starts — with the peers in
+    ``peers_up`` when given (a cluster names the shards already serving;
+    one that starts later dials this one in its own first round), else
+    with every peer — a pump (recurring
     ticks on ``rt.timers``, the runtime's shared
     :class:`~repro.runtime.timer_wheel.TimerWheel`, which also carries
     the WAL's group-flush deadline — no thread of its own) that replays
@@ -1400,7 +1410,8 @@ def build_kv_app(
             node.pump_running = True
             # The first anti-entropy round runs beside the driver, so it
             # never delays the shard's ready report; the pump retries.
-            yield sys_fork(node.anti_entropy_quietly(), name="kv-catch-up")
+            yield sys_fork(node.anti_entropy_quietly(peers_up),
+                           name="kv-catch-up")
             yield rt.timers.schedule(
                 HINT_REPLAY_INTERVAL,
                 lambda: node.pump_tick(rt.timers),

@@ -36,7 +36,10 @@ Two implementations share these semantics:
   wrapper generator.  The node doubles as the region's handler frame, and
   a ``@do`` call yielded inside the region runs inline on the region's
   stack of suspended callers: a nested call is a Python call and costs no
-  trace node, so a node is a system call, as in the paper's trace.
+  trace node, so a node is a system call, as in the paper's trace.  A
+  ``pure`` value and ``sys_nbio``'s node are read straight off their
+  ``M`` objects (:class:`~repro.core.monad.Pure`,
+  :class:`~repro.core.syscalls.Nbio`) instead of through ``run``.
 
 * The **slow path** (:func:`do_slow`): the original closure-trampoline
   driver wrapping the generator in one ``SYS_CATCH`` region per call.  It
@@ -85,12 +88,16 @@ class DoCall(M):
     __slots__ = ("genfunc", "args", "kwargs")
 
     def __init__(self, genfunc: Callable[..., Generator[M, Any, Any]],
-                 args: tuple, kwargs: dict) -> None:
+                 args: tuple, kwargs: dict | None) -> None:
         self.genfunc = genfunc
         self.args = args
+        #: ``None`` for a call without keyword arguments (the common
+        #: case), so starting it is ``genfunc(*args)``, with no ``**{}``.
         self.kwargs = kwargs
 
     def run(self, c: Callable[[Any], Trace]) -> Trace:
+        if self.kwargs is None:
+            return SysGen(self.genfunc(*self.args), c)
         return SysGen(self.genfunc(*self.args, **self.kwargs), c)
 
 
@@ -107,7 +114,7 @@ def do(genfunc: Callable[..., Generator[M, Any, Any]]) -> Callable[..., M]:
 
     @functools.wraps(genfunc)
     def make(*args: Any, **kwargs: Any) -> M:
-        return DoCall(genfunc, args, kwargs)
+        return DoCall(genfunc, args, kwargs or None)
 
     # Expose the original generator function for introspection/testing.
     make.__wrapped__ = genfunc

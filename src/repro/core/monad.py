@@ -27,6 +27,7 @@ from .trace import _BOUNCE, SysRet, Trace
 
 __all__ = [
     "M",
+    "Pure",
     "pure",
     "unit",
     "bind",
@@ -89,20 +90,33 @@ class M:
         return "<M>"
 
 
-def _unit_run(c: Callable[[Any], Trace]) -> Trace:
-    return c(None)
+class Pure(M):
+    """``pure(x)``: the computation that resumes at once with ``value``.
+
+    A subclass so the ``@do`` driver can read ``value`` directly instead
+    of bouncing through :meth:`run`; every other consumer (``bind``,
+    ``sequence_m``, ``do_slow``) treats it as any ``M``.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any) -> None:
+        self.value = value
+
+    def run(self, c: Callable[[Any], Trace]) -> Trace:
+        return c(self.value)
 
 
 #: ``unit`` is ``pure(None)`` — the do-nothing computation.  It is a shared
 #: constant so the very common ``pure(None)``/``pure()`` allocates nothing.
-unit = M(_unit_run)
+unit = Pure(None)
 
 
 def pure(x: Any = None) -> M:
     """Lift a value into the monad (Haskell ``return``)."""
     if x is None:
         return unit
-    return M(lambda c: c(x))
+    return Pure(x)
 
 
 def bind(ma: M, f: Callable[[Any], M]) -> M:

@@ -352,11 +352,15 @@ class Scheduler:
         tcb.catch_stack.append(node)
         return node.drive()
 
-    def _do_nbio(self, tcb: TCB, node: SysNBIO) -> Thunk:
-        # Figure 11: perform the I/O action; it returns the next node.
-        # Keep the thunk so failures inside the action are delivered as
-        # monadic exceptions by the forcing loop above.
-        return node.run
+    def _do_nbio(self, tcb: TCB, node: SysNBIO) -> Trace:
+        # Figure 11: perform the I/O action and continue the thread with
+        # its result; a failure in either is a monadic throw.
+        try:
+            return node.cont(node.action())
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except BaseException as raised:
+            return SysThrow(raised)
 
     def _do_fork(self, tcb: TCB, node: SysFork) -> Thunk:
         child = self._new_tcb(node.name)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .monad import M, build_trace
+from .monad import M, Pure, build_trace
 from .trace import (
     SysAioRead,
     SysBlio,
@@ -61,6 +61,22 @@ __all__ = [
 ]
 
 
+class Nbio(M):
+    """``sys_nbio(action)``: one ``SysNBIO(action, cont)`` node.
+
+    A subclass rather than a closure, so a call allocates one object
+    and the ``@do`` driver builds the node straight from :attr:`action`.
+    """
+
+    __slots__ = ("action",)
+
+    def __init__(self, action: Callable[[], Any]) -> None:
+        self.action = action
+
+    def run(self, c: Callable[[Any], Trace]) -> Trace:
+        return SysNBIO(self.action, c)
+
+
 def sys_nbio(action: Callable[[], Any]) -> M:
     """Perform a non-blocking, effectful action in the scheduler.
 
@@ -69,14 +85,7 @@ def sys_nbio(action: Callable[[], Any]) -> M:
     the loop.  Use :func:`sys_blio` for potentially blocking operations.
     The thread resumes with ``action``'s return value.
     """
-
-    def run(c: Callable[[Any], Trace]) -> Trace:
-        def perform() -> Trace:
-            return c(action())
-
-        return SysNBIO(perform)
-
-    return M(run)
+    return Nbio(action)
 
 
 def sys_blio(action: Callable[[], Any]) -> M:
@@ -170,12 +179,8 @@ def sys_finally(body: M, finalizer: M) -> M:
         return finalizer.then(sys_throw(exc))
 
     return sys_catch(body, reraise).bind(
-        lambda value: finalizer.then(_pure_value(value))
+        lambda value: finalizer.then(Pure(value))
     )
-
-
-def _pure_value(value: Any) -> M:
-    return M(lambda c: c(value))
 
 
 def sys_epoll_wait(fd: Any, events: int) -> M:

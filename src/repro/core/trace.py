@@ -94,16 +94,18 @@ class SysRet(Trace):
 class SysNBIO(Trace):
     """``SYS_NBIO`` — perform a non-blocking I/O (effectful) action.
 
-    ``run`` performs the effect and returns the next trace node, mirroring
-    the Haskell node's ``IO Trace`` payload: the continuation is already
-    baked into the action by :func:`repro.core.syscalls.sys_nbio`.
+    The Haskell node's ``IO Trace`` payload is ``do x <- action; return
+    (c x)``; here the scheduler composes the two itself — it runs
+    ``action`` on the loop and feeds the result to ``cont`` — so issuing
+    the call builds no closure.
     """
 
-    __slots__ = ("run",)
+    __slots__ = ("action", "cont")
     TAG = "SYS_NBIO"
 
-    def __init__(self, run: Callable[[], "Trace"]) -> None:
-        self.run = run
+    def __init__(self, action: Callable[[], Any], cont: Cont) -> None:
+        self.action = action
+        self.cont = cont
 
 
 class SysBlio(Trace):
@@ -213,10 +215,13 @@ class _Bounce(Trace):
 
 _BOUNCE = _Bounce()
 
-# ``M`` and ``DoCall``, injected lazily on first drive (``monad`` imports
+# ``M`` and its three subclasses the driver short-cuts (``Pure``,
+# ``DoCall``, ``Nbio``), injected lazily on first drive (``monad`` imports
 # this module, so importing them at top level would be circular).
 _M_cls: type | None = None
+_Pure: type | None = None
 _DoCall: type | None = None
+_Nbio: type | None = None
 
 
 class SysGen(Trace):
@@ -306,12 +311,15 @@ class SysGen(Trace):
         are flattened by the bounce trampoline and nested calls by the
         :attr:`callers` stack, so both use constant Python stack.
         """
-        global _M_cls, _DoCall
+        global _M_cls, _Pure, _DoCall, _Nbio
         if _M_cls is None:
             from .do_notation import DoCall as _imported_call
             from .monad import M as _imported_m
+            from .monad import Pure as _imported_pure
+            from .syscalls import Nbio as _imported_nbio
 
-            _M_cls, _DoCall = _imported_m, _imported_call
+            _M_cls, _Pure = _imported_m, _imported_pure
+            _DoCall, _Nbio = _imported_call, _imported_nbio
         gen = self.gen
         callers = self.callers
         value, exc = self._value, self._exc
@@ -339,12 +347,20 @@ class SysGen(Trace):
                 self.finished = True
                 return SysThrow(raised)
 
-            if type(item) is _DoCall:
+            # The three synchronous fast paths, most frequent first: a
+            # nested @do call runs in its caller's place, sys_nbio's node
+            # is built here, and a pure value resumes the generator at
+            # once.  None of them goes through ``item.run``.
+            kind = type(item)
+            if kind is _DoCall:
                 # A nested @do call: suspend the caller and run the callee
                 # in its place.  Creating the callee's generator can fail
                 # (bad arity); that lands in the caller.
                 try:
-                    callee = item.genfunc(*item.args, **item.kwargs)
+                    if item.kwargs is None:
+                        callee = item.genfunc(*item.args)
+                    else:
+                        callee = item.genfunc(*item.args, **item.kwargs)
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except BaseException as raised:
@@ -355,6 +371,13 @@ class SysGen(Trace):
                 callers.append(gen)
                 gen = self.gen = callee
                 value = exc = None
+                continue
+
+            if kind is _Nbio:
+                return SysNBIO(item.action, self.k)
+
+            if kind is _Pure:
+                value, exc = item.value, None
                 continue
 
             if not isinstance(item, _M_cls):

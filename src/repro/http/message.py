@@ -192,25 +192,31 @@ class HttpResponse:
         where the body is sent separately.
         """
         reason = REASON_PHRASES.get(self.status, "Unknown")
-        lines = [f"{self.version} {self.status} {reason}"]
-        headers = dict(self.headers)
-        if self.chunks is not None:
-            # Unknown total length: chunked framing instead of a
-            # Content-Length (the two are mutually exclusive).
-            headers.setdefault("Transfer-Encoding", "chunked")
-            headers.pop("Content-Length", None)
-        else:
+        headers = self.headers
+        chunked = self.chunks is not None
+        # Unknown total length means chunked framing instead of a
+        # Content-Length (the two are mutually exclusive).
+        dropped = "Content-Length" if chunked else None
+        # The caller's headers in their order, then the defaults it did
+        # not set: read in place, the dict is never copied.
+        block = f"{self.version} {self.status} {reason}\r\n"
+        for name, value in headers.items():
+            if name != dropped:
+                block += f"{name}: {value}\r\n"
+        if chunked:
+            if "Transfer-Encoding" not in headers:
+                block += "Transfer-Encoding: chunked\r\n"
+        elif "Content-Length" not in headers:
             if extra_length is not None:
                 length = extra_length
             elif self.file is not None:
                 length = self.file.count
             else:
                 length = len(self.body)
-            headers.setdefault("Content-Length", str(length))
-        headers.setdefault("Server", "repro-monadic/1.0")
-        for name, value in headers.items():
-            lines.append(f"{name}: {value}")
-        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+            block += f"Content-Length: {length}\r\n"
+        if "Server" not in headers:
+            block += "Server: repro-monadic/1.0\r\n"
+        return (block + "\r\n").encode("latin-1")
 
     def encode(self) -> bytes:
         """Full response bytes (header block + body).

@@ -158,7 +158,9 @@ class StaticFileHandler:
         if request.method not in ("GET", "HEAD"):
             raise HttpError(405, request.method)
         path = request.path.lstrip("/")
-        mtime = yield self._probe_mtime(path)
+        mtime = None
+        if getattr(self.fs, "mtime", None) is not None:
+            mtime = yield self._probe_mtime(path)
         if mtime is not None:
             since = parse_http_date(request.header("if-modified-since"))
             # HTTP dates have one-second resolution: compare whole seconds.
@@ -170,7 +172,13 @@ class StaticFileHandler:
             response = yield self._respond_sendfile(request, path, mtime)
             if response is not None:
                 return response
-        content = yield self._load(path, mtime)
+        # A cache hit is plain code; only a miss (or a body older than
+        # the file on disk) pays the nested call.
+        content = self.cache.get(path)
+        if content is None or (
+            mtime is not None and self._cached_mtimes.get(path) != mtime
+        ):
+            content = yield self._load(path, mtime)
         status, headers, start, stop = self._entity(
             request, mtime, len(content)
         )
@@ -277,10 +285,9 @@ class StaticFileHandler:
         # The stat is real (possibly slow) filesystem I/O: route it
         # through the blocking pool like every other file operation
         # (§4.6), never inline on the event loop — and within
-        # ``mtime_ttl``, don't repeat it at all.
-        probe = getattr(self.fs, "mtime", None)
-        if probe is None:
-            return None
+        # ``mtime_ttl``, don't repeat it at all.  Called only when the
+        # filesystem has an ``mtime``.
+        probe = self.fs.mtime
         now = None
         if self.mtime_ttl > 0:
             now = yield sys_now()
@@ -309,11 +316,8 @@ class StaticFileHandler:
 
     @do
     def _load(self, path, mtime=None):
-        content = self.cache.get(path)
-        if content is not None and (
-            mtime is None or self._cached_mtimes.get(path) == mtime
-        ):
-            return content
+        # The miss path of ``respond``, which already looked in the cache
+        # (one hit or miss counted per request).
         if not self.fs.exists(path):
             raise HttpError(404, path)
         # Open through the blocking pool (§4.6), read via AIO (§4.5).

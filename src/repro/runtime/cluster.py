@@ -123,6 +123,10 @@ class AppContext:
     configured with them.  Application knobs (replication, cache
     dialect, durability) live on ``config``, the shard's resolved
     :class:`ClusterConfig`, so one factory serves any cluster shape.
+    ``peers_up`` names the shards already serving when this one was
+    spawned: at a clean start the shards before it (the master starts
+    them in order), after a respawn or reload every other live one;
+    ``None`` when unknown.
     """
 
     rt: Any
@@ -131,6 +135,7 @@ class AppContext:
     cache_listener: Any = None
     shard_index: int = 0
     config: ClusterConfig = dataclasses.field(default_factory=ClusterConfig)
+    peers_up: tuple[int, ...] | None = None
 
 
 #: ``app_factory(ctx: AppContext) -> app`` — builds one shard's
@@ -183,6 +188,7 @@ def _worker_main(
     app_factory: AppFactory,
     ctrl: socket.socket,
     inherited_fds: tuple[int, ...] = (),
+    peers_up: tuple[int, ...] | None = None,
 ) -> None:
     """Shard entry point (runs in the forked child)."""
     # Fork copied every master-side fd into this child: sibling control
@@ -226,7 +232,7 @@ def _worker_main(
         )
     app = app_factory(AppContext(
         rt=rt, listener=listener, mesh=mesh, cache_listener=cache_listener,
-        shard_index=index, config=config,
+        shard_index=index, config=config, peers_up=peers_up,
     ))
     state = {"stop": False}
     ctrl.setblocking(False)
@@ -555,10 +561,13 @@ class ClusterServer:
         inherited = [parent_sock.fileno()]
         inherited += [handle.sock.fileno() for handle in self._workers]
         inherited += [sock.fileno() for sock in self._reserved]
+        peers_up = tuple(handle.index for handle in self._workers
+                         if handle.index != index
+                         and handle.process.is_alive())
         process = self._ctx.Process(
             target=_worker_main,
             args=(index, self.config, self.app_factory, child_sock,
-                  tuple(fd for fd in inherited if fd >= 0)),
+                  tuple(fd for fd in inherited if fd >= 0), peers_up),
             name=f"repro-shard-{index}",
             daemon=True,
         )

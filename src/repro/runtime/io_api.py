@@ -263,12 +263,22 @@ class NetIO:
         after partial writes; resumes with the total byte count.  The
         fast path never concatenates: a header+body response or a
         length-prefix+frame message is one ``sendmsg`` with zero
-        intermediate copies.  A write the kernel takes whole costs no
-        per-buffer pass after it: only a short write walks ``bufs`` to
-        find where to resume."""
+        intermediate copies.  A write the kernel takes whole costs one
+        ``sendmsg`` issued right here and no per-buffer pass after it:
+        only a short or would-block write walks ``bufs`` to find where
+        to resume, in the :meth:`writev` loop."""
         total = sum(map(len, bufs))
-        rest = _unsent(bufs, 0)
         sent = 0
+        op = getattr(self.backend, "nb_writev", None)
+        if op is not None and total and len(bufs) <= WRITEV_IOV_LIMIT:
+            count = yield sys_nbio(lambda: op(fd, bufs))
+            if count is WOULD_BLOCK:
+                yield sys_epoll_wait(fd, EVENT_WRITE)
+            elif count == total:
+                return total
+            else:
+                sent = count
+        rest = _unsent(bufs, sent)
         while rest:
             count = yield self.writev(fd, rest[:WRITEV_IOV_LIMIT])
             sent += count

@@ -960,6 +960,30 @@ class TestReplicatedCluster:
         finally:
             cluster.stop()
 
+    def test_a_clean_start_fails_no_mesh_call(self):
+        # The master starts shards in index order, so a shard's first
+        # anti-entropy round dials only the peers already serving; each
+        # later shard dials it in its own first round.  Once every shard
+        # has run a round, a healthy start has failed no call.
+        cluster = ClusterServer(
+            kv_factory, shards=3, mesh=True, replication=2,
+            respawn=False, grace=0.2,
+        )
+        cluster.start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while True:
+                stats = cluster.stats()
+                rounds = [worker["app"]["kv_anti_entropy_rounds"]
+                          for worker in stats["workers"]]
+                if min(rounds) >= 1:
+                    break
+                assert time.monotonic() < deadline, rounds
+                time.sleep(0.02)
+            assert stats["aggregate"]["mesh"]["peer_failures"] == 0
+        finally:
+            cluster.stop()
+
     def test_kv_stats_reports_replication_fields(self):
         cluster = ClusterServer(
             kv_factory, shards=2, mesh=True, replication=2, grace=0.2,

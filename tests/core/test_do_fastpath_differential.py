@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.do_notation import do, do_slow
 from repro.core.exceptions import ThreadKilled
-from repro.core.monad import pure
+from repro.core.monad import pure, unit
 from repro.core.scheduler import Scheduler
 from repro.core.syscalls import sys_catch, sys_nbio, sys_sleep, sys_throw, sys_yield
 from repro.core.trace import DoProtocolError, SysSleep
@@ -141,6 +141,70 @@ class TestReturnAndResults:
         assert obs["log"] == [("inner", 3), ("inner", 4), "outer-done"]
         # Entry, two yields, SysEndCatch, SysRet (the slow path: 9).
         assert obs["total_syscalls"] == 5
+
+
+class TestSynchronousFastPaths:
+    """Each yield the fast path turns into a plain call — ``pure``,
+    ``unit``, a nested call with or without keyword arguments,
+    ``sys_nbio`` — against the slow path, deep inside nested frames."""
+
+    def test_keyword_calls_and_pure_steps_inside_nested_frames(self):
+        def build(impl, log):
+            @impl
+            def leaf(x, *, scale=1, tag="leaf"):
+                got = yield pure(x)
+                nothing = yield unit
+                log.append((tag, got, nothing))
+                read = yield sys_nbio(lambda: got * scale)
+                return read
+
+            @impl
+            def middle(x, **options):
+                a = yield leaf(x, **options)
+                b = yield leaf(x + 1)
+                yield pure()
+                c = yield leaf(x + 2, tag="third")
+                return a + b + c
+
+            @impl
+            def outer():
+                first = yield middle(1, scale=10, tag="kw")
+                second = yield middle(x=2)
+                return first, second
+
+            return outer()
+
+        # Two middle calls, each making three leaf calls.
+        obs = assert_identical(build, nested_calls=8)
+        assert obs["results"] == [(10 + 2 + 3, 2 + 3 + 4)]
+        assert obs["log"] == [
+            ("kw", 1, None), ("leaf", 2, None), ("third", 3, None),
+            ("leaf", 2, None), ("leaf", 3, None), ("third", 4, None),
+        ]
+        # Entry, six sys_nbio nodes, SysEndCatch, SysRet.
+        assert obs["total_syscalls"] == 9
+
+    def test_keyword_call_with_a_bad_keyword_lands_in_the_caller(self):
+        def build(impl, log):
+            @impl
+            def callee(x):
+                yield pure(x)
+                return x
+
+            @impl
+            def caller():
+                try:
+                    yield callee(x=1, y=2)  # TypeError creating the generator
+                except TypeError:
+                    log.append("caught")
+                value = yield callee(x=3)
+                return value
+
+            return caller()
+
+        fast, _slow = run_both(build)
+        assert fast["results"] == [3]
+        assert fast["log"] == ["caught"]
 
 
 class TestExceptionSemantics:

@@ -205,7 +205,9 @@ class TestBuildTrace:
         assert effects == []
         trace = build_trace(comp)
         assert effects == []  # constructing the node runs nothing
-        trace.run()
+        # The scheduler's SYS_NBIO step: run the action, feed its result
+        # to the continuation.
+        assert isinstance(trace.cont(trace.action()), SysRet)
         assert effects == ["ran"]
 
 

@@ -60,7 +60,7 @@ class TestTraceFormatting:
         assert "SYS_EPOLL_WAIT" in text and "fd-7" in text
 
     def test_tagged_nodes(self):
-        assert "SYS_NBIO" in format_trace_node(SysNBIO(lambda: SysRet(None)))
+        assert "SYS_NBIO" in format_trace_node(SysNBIO(lambda: None, SysRet))
         assert "SYS_FORK" in format_trace_node(
             SysFork(lambda: SysRet(None), lambda: SysRet(None))
         )

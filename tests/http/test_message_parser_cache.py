@@ -512,6 +512,36 @@ class TestMessage:
         assert b"Content-Length: 4\r\n" in raw
         assert raw.endswith(b"\r\n\r\nbody")
 
+    @given(
+        st.dictionaries(
+            st.sampled_from(["Content-Length", "Transfer-Encoding",
+                             "Server", "Connection", "Content-Type",
+                             "X-A", "x-b"]),
+            st.sampled_from(["1", "chunked", "keep-alive", "v"]),
+        ),
+        st.booleans(),
+        st.one_of(st.none(), st.integers(0, 99)),
+    )
+    def test_header_block_renders_in_place(self, headers, chunked,
+                                           extra_length):
+        # The reference is the copy-and-setdefault rendering: the
+        # caller's headers in order, then each default it did not set.
+        response = HttpResponse(200, b"abc", headers,
+                                chunks=[b"x"] if chunked else None)
+        expected = dict(headers)
+        if chunked:
+            expected.setdefault("Transfer-Encoding", "chunked")
+            expected.pop("Content-Length", None)
+        else:
+            length = 3 if extra_length is None else extra_length
+            expected.setdefault("Content-Length", str(length))
+        expected.setdefault("Server", "repro-monadic/1.0")
+        lines = ["HTTP/1.1 200 OK"] + [f"{name}: {value}"
+                                       for name, value in expected.items()]
+        rendered = response.header_block(extra_length)
+        assert rendered == ("\r\n".join(lines) + "\r\n\r\n").encode()
+        assert response.headers == headers  # read, never written
+
     def test_error_response(self):
         response = HttpResponse.for_error(HttpError(404, "/ghost"))
         assert response.status == 404

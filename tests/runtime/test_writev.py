@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import socket
 
-from repro.core.do_notation import do
-from repro.core.scheduler import run_threads
+from repro.core.do_notation import DoCall, do
+from repro.core.events import EVENT_WRITE
+from repro.core.scheduler import Scheduler, run_threads
+from repro.core.trace import SysEpollWait
 from repro.runtime import io_api
 from repro.runtime.io_api import WRITEV_IOV_LIMIT, NetIO
 from repro.runtime.live_runtime import HAS_SENDMSG, LiveRuntime
@@ -250,6 +252,107 @@ class TestWholeWriteFastPath:
         assert backend.writev_iovs == [WRITEV_IOV_LIMIT, WRITEV_IOV_LIMIT, 44]
         assert bytes(backend.written) == b"".join(bufs)
         assert results == [3 * count]
+
+
+class TestWholeWritePath:
+    """``write_all_v`` issues the first ``sendmsg`` itself; only a short
+    or would-block write falls back to the :meth:`NetIO.writev` loop."""
+
+    @staticmethod
+    def _writer(io, fd, bufs, results):
+        @do
+        def writer():
+            results.append((yield io.write_all_v(fd, bufs)))
+
+        return writer()
+
+    def test_a_whole_write_is_one_frame_and_one_node(self, monkeypatch):
+        backend = _VecBackend()
+        io = NetIO(backend)
+        frames = []
+        init = DoCall.__init__
+
+        def counting_init(call, genfunc, args, kwargs):
+            frames.append(genfunc.__name__)
+            init(call, genfunc, args, kwargs)
+
+        monkeypatch.setattr(DoCall, "__init__", counting_init)
+        results = []
+        sched = Scheduler()
+        sched.spawn(self._writer(io, "fd", [b"head", b"body"], results))
+        sched.run_all()
+        assert results == [8]
+        assert frames == ["writer", "write_all_v"]
+        # Region entry, the sendmsg, SysEndCatch, SysRet.
+        assert sched.total_syscalls == 4
+        assert backend.writev_iovs == [2]
+
+    def test_a_short_first_write_resumes_mid_iovec(self):
+        backend = _VecBackend(cap=5)
+        io = NetIO(backend)
+        results = []
+        _run(self._writer(io, "fd", [b"aaaa", b"bbbbbb", b"ccc"], results))
+        assert results == [13]
+        assert bytes(backend.written) == b"aaaabbbbbbccc"
+        # The whole iovec first; then the rest from mid-buffer on.
+        assert backend.writev_iovs == [3, 2, 1]
+
+    def test_a_would_block_first_write_parks_then_completes(self):
+        backend = _VecBackend()
+        writev = backend.nb_writev
+        attempts = []
+
+        def blocks_once(fd, bufs):
+            attempts.append(len(bufs))
+            if len(attempts) == 1:
+                return WOULD_BLOCK
+            return writev(fd, bufs)
+
+        backend.nb_writev = blocks_once
+        io = NetIO(backend)
+        parked = []
+        sched = Scheduler()
+        sched.register_syscall(
+            SysEpollWait,
+            lambda s, tcb, node: (parked.append((tcb, node)), None)[1],
+        )
+        results = []
+        sched.spawn(self._writer(io, "fd", [b"xy", b"", b"z"], results))
+        sched.run()
+        assert attempts == [3] and results == []
+        (tcb, node), = parked
+        assert (node.fd, node.events) == ("fd", EVENT_WRITE)
+        sched.resume_value(tcb, node.cont, EVENT_WRITE)
+        sched.run_all()
+        assert results == [3]
+        assert bytes(backend.written) == b"xyz"
+        assert len(attempts) == 2 and len(parked) == 1
+
+    def test_more_than_one_iovec_of_buffers_still_goes_out(self):
+        # Too many buffers for one sendmsg, and short writes on top: each
+        # call carries at most WRITEV_IOV_LIMIT of them, in order.
+        backend = _VecBackend(cap=301)
+        io = NetIO(backend)
+        count = WRITEV_IOV_LIMIT + 50
+        bufs = [bytes([65 + i % 26]) * 5 for i in range(count)]
+        results = []
+        _run(self._writer(io, "fd", bufs, results))
+        assert results == [5 * count]
+        assert bytes(backend.written) == b"".join(bufs)
+        assert max(backend.writev_iovs) <= WRITEV_IOV_LIMIT
+        assert backend.writev_calls == -(-5 * count // 301)
+
+    def test_an_all_empty_write_stays_syscall_free(self):
+        backend = _VecBackend()
+        io = NetIO(backend)
+        results = []
+        sched = Scheduler()
+        sched.spawn(self._writer(io, "fd", [b"", b"", b""], results))
+        sched.run_all()
+        assert results == [0]
+        assert backend.writev_calls == backend.write_calls == 0
+        # Region entry, SysEndCatch, SysRet: no I/O node at all.
+        assert sched.total_syscalls == 3
 
 
 class TestLiveSendmsg:
